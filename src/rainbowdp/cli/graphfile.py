@@ -86,6 +86,15 @@ def parse_graph_file(text: str) -> GraphFile:
     except ValueError as exc:
         raise GraphFileError(lineno, str(exc)) from None
 
+    # One Rainbow per distinct name tuple; a bad tuple fails on its first line.
+    rainbows: dict[tuple[str, ...], Rainbow] = {}
+
+    def rainbow_at(lineno: int, names: list[str]) -> Rainbow:
+        key = tuple(names)
+        if key not in rainbows:
+            rainbows[key] = _rainbow_from_names(lineno, names, space)
+        return rainbows[key]
+
     nodes: list[str] = []
     preference: dict[str, Rainbow] = {}
     # First pass declares nodes so edges may reference them in any order.
@@ -99,7 +108,7 @@ def parse_graph_file(text: str) -> GraphFile:
             ident = _check_identifier(lineno, "node", tokens[1])
             if ident in preference:
                 raise GraphFileError(lineno, f"duplicate node {ident!r}")
-            preference[ident] = _rainbow_from_names(lineno, tokens[2:], space)
+            preference[ident] = rainbow_at(lineno, tokens[2:])
             nodes.append(ident)
         elif directive not in ("edge", "boundary"):
             raise GraphFileError(lineno, f"unknown directive {directive!r}")
@@ -123,7 +132,7 @@ def parse_graph_file(text: str) -> GraphFile:
         elif tokens[0] == "boundary":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"boundary line needs a rainbow and {space.q} probabilities")
-            rainbow = _rainbow_from_names(lineno, tokens[1].split(","), space)
+            rainbow = rainbow_at(lineno, tokens[1].split(","))
             if rainbow in boundary:
                 raise GraphFileError(lineno, "duplicate boundary line for this rainbow")
             probs = [_parse_probability(lineno, t) for t in tokens[2:]]

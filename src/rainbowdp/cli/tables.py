@@ -23,13 +23,18 @@ def fmt(x: float) -> str:
 
 def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
     """One row per node, probabilities in canonical color order; rows
-    sorted by node identifier."""
+    sorted by node identifier. Each distinct distribution is formatted
+    once and its cells shared by every node that carries it."""
     space = graph.color_space
-    lines = ["node," + ",".join(space.colors)]
+    parts = ["node," + ",".join(space.colors) + "\n"]
+    cells: dict[tuple[float, ...], str] = {}
     for d in sorted(graph.nodes):
-        vec = mech.assignment[d]
-        lines.append(d + "," + ",".join(fmt(x) for x in vec))
-    return "\n".join(lines) + "\n"
+        p = mech.assignment[d].p
+        row = cells.get(p)
+        if row is None:
+            row = cells[p] = "," + ",".join(fmt(x) for x in p) + "\n"
+        parts += (d, row)
+    return "".join(parts)
 
 
 def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector]:

@@ -74,9 +74,13 @@ class RainbowGraph:
     def neighbors(self, node: str) -> tuple[str, ...]:
         return self.adjacency[node]
 
+    @cached_property
+    def topology(self) -> Topology:
+        return _topology(self)
+
     def rainbows(self) -> tuple[Rainbow, ...]:
         """Distinct rainbows occurring in the graph, in a deterministic order."""
-        return tuple(sorted({c for c in self.preference.values()}, key=lambda c: c.order))
+        return tuple(self.topology.regions.regions)
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,42 @@ class RegionDecomposition:
         return self.regions[c].boundary
 
 
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """Regions (rainbows in order) and the rainbow pairs joined by an edge,
+    sorted by rainbow order; computed once per graph by RainbowGraph.topology."""
+
+    regions: RegionDecomposition
+    adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
+
+
+def _topology(graph: RainbowGraph) -> Topology:
+    pref = graph.preference
+    members: dict[Rainbow, list[str]] = {}
+    for d in graph.nodes:
+        members.setdefault(pref[d], []).append(d)
+    boundary: set[str] = set()
+    pairs: set[tuple[Rainbow, Rainbow]] = set()
+    for a, b in graph.edges:
+        ca, cb = pref[a], pref[b]
+        if ca != cb:
+            boundary.add(a)
+            boundary.add(b)
+            pairs.add((ca, cb) if ca.order < cb.order else (cb, ca))
+    regions: dict[Rainbow, Region] = {}
+    for c in sorted(members, key=lambda c: c.order):
+        group = frozenset(members[c])
+        rim = group & boundary
+        regions[c] = Region(group, group - rim, rim)
+    ordered = tuple(sorted(pairs, key=lambda pr: (pr[0].order, pr[1].order)))
+    return Topology(RegionDecomposition(regions), ordered)
+
+
 def decompose_regions(graph: RainbowGraph) -> RegionDecomposition:
     """Partition the nodes by rainbow and classify each node as interior
     (every neighbor shares its rainbow) or boundary (some neighbor does
-    not)."""
-    regions: dict[Rainbow, Region] = {}
-    for c in graph.rainbows():
-        members = frozenset(d for d in graph.nodes if graph.preference[d] == c)
-        interior = frozenset(
-            d for d in members
-            if all(graph.preference[n] == c for n in graph.neighbors(d))
-        )
-        regions[c] = Region(members, interior, members - interior)
-    return RegionDecomposition(regions)
+    not). Computed once per graph and cached."""
+    return graph.topology.regions
 
 
 def boundary_distances(
@@ -128,10 +155,14 @@ def boundary_distances(
 
     Distances are measured in the full graph (paths may leave the
     class); a multi-source breadth-first search from each boundary set
-    covers one rainbow at a time. Raises UnconstrainedRegion when a
-    class has nodes that no boundary node of the same rainbow can reach,
-    which includes the empty-boundary case.
+    covers one rainbow at a time. Breadth-first search fixes a node's
+    distance when it first reaches it, so each search stops as soon as
+    every member of its class has a distance; a class whose members are
+    all boundary nodes needs no search at all. Raises UnconstrainedRegion
+    when a class has nodes that no boundary node of the same rainbow can
+    reach, which includes the empty-boundary case.
     """
+    adjacency = graph.adjacency
     dist: dict[str, int] = {}
     for c, region in sorted(regions.regions.items(), key=lambda kv: kv[0].order):
         if not region.members:
@@ -139,19 +170,23 @@ def boundary_distances(
         if not region.boundary:
             raise UnconstrainedRegion(c, graph.color_space)
         seen = {d: 0 for d in region.boundary}
+        dist.update(seen)
+        left = len(region.members) - len(region.boundary)
         queue = deque(sorted(region.boundary))
-        while queue:
+        while left and queue:
             d = queue.popleft()
-            for n in graph.neighbors(d):
+            step = seen[d] + 1
+            for n in adjacency[d]:
                 if n not in seen:
-                    seen[n] = seen[d] + 1
+                    seen[n] = step
                     queue.append(n)
-        for d in region.members:
-            if d not in seen:
-                # Some component of the class sits in a component of the
-                # graph with no boundary for this rainbow.
-                raise UnconstrainedRegion(c, graph.color_space)
-            dist[d] = seen[d]
+                    if n in region.members:
+                        dist[n] = step
+                        left -= 1
+        if left:
+            # Some component of the class sits in a component of the
+            # graph with no boundary for this rainbow.
+            raise UnconstrainedRegion(c, graph.color_space)
     return dist
 
 
@@ -168,7 +203,7 @@ class Morphism:
         missing = [d for d in self.domain.nodes if d not in self.mapping]
         if missing:
             raise ValueError(f"mapping not total on domain nodes: missing {missing[:3]}")
-        bad = [d for d, v in self.mapping.items() if v not in set(self.codomain.nodes)]
+        bad = [d for d, v in self.mapping.items() if v not in self.codomain.preference]
         if bad:
             raise ValueError(f"mapping leaves the codomain at {bad[:3]}")
 
@@ -243,33 +278,25 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     the two classes. The returned morphism sends d to
     (rainbow of d, distance of d), and is rainbow-preserving.
     """
-    regions = decompose_regions(graph)
+    regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
     space = graph.color_space
 
     depths: dict[Rainbow, int] = {}
-    for c in graph.rainbows():
-        depths[c] = max(dist[d] for d in regions.members(c))
-
-    nodes: list[str] = []
+    chain_ids: dict[Rainbow, list[str]] = {}
     pairs: dict[str, tuple[Rainbow, int]] = {}
-    preference: dict[str, Rainbow] = {}
     edges: set[tuple[str, str]] = set()
-    for c in graph.rainbows():
-        for i in range(depths[c] + 1):
-            nid = boundary_node_id(space, c, i)
-            nodes.append(nid)
-            pairs[nid] = (c, i)
-            preference[nid] = c
-        for i in range(depths[c]):
-            edges.add(_normalize_edge(boundary_node_id(space, c, i), boundary_node_id(space, c, i + 1)))
-    for a, b in graph.edges:
-        ca, cb = graph.preference[a], graph.preference[b]
-        if ca != cb:
-            edges.add(_normalize_edge(boundary_node_id(space, ca, 0), boundary_node_id(space, cb, 0)))
+    for c, region in regions.regions.items():
+        depths[c] = max(dist[d] for d in region.members)
+        ids = chain_ids[c] = [boundary_node_id(space, c, i) for i in range(depths[c] + 1)]
+        pairs.update((nid, (c, i)) for i, nid in enumerate(ids))
+        edges.update(_normalize_edge(a, b) for a, b in zip(ids, ids[1:]))
+    for ca, cb in graph.topology.adjacent_pairs:
+        edges.add(_normalize_edge(chain_ids[ca][0], chain_ids[cb][0]))
 
-    bgraph = RainbowGraph(tuple(nodes), frozenset(edges), preference, space)
-    mapping = {d: boundary_node_id(space, graph.preference[d], dist[d]) for d in graph.nodes}
+    preference = {nid: c for nid, (c, _) in pairs.items()}
+    bgraph = RainbowGraph(tuple(pairs), frozenset(edges), preference, space)
+    mapping = {d: chain_ids[graph.preference[d]][dist[d]] for d in graph.nodes}
     morphism = Morphism(graph, bgraph, mapping)
     report = check_morphism(morphism)
     if not (report.is_morphism and report.is_rainbow_preserving):

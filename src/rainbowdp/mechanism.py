@@ -34,7 +34,7 @@ from .core import (
     prefix_sums,
     subset_excess,
 )
-from .graph import RainbowGraph, boundary_distances, decompose_regions
+from .graph import RainbowGraph, boundary_distances
 
 INFINITE = math.inf
 
@@ -273,17 +273,7 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    assignment: dict[str, SimplexVector] = {}
-    prev: SimplexVector | None = None
-    for i in range(n + 1):
-        cur = _distribution_at(m, budget, i)
-        if prev is not None:
-            stepped = t_step(prev, budget)
-            assert all(
-                abs(a - b) <= 1e-9 for a, b in zip(cur, stepped)
-            ), f"closed form diverged from iteration at node {i}"
-        assignment[str(i)] = cur
-        prev = cur
+    assignment = {str(i): _distribution_at(m, budget, i) for i in range(n + 1)}
     return Mechanism(assignment, _identity_space(len(m)))
 
 
@@ -302,21 +292,16 @@ def validate_boundary_condition(
     Raises MissingRainbow when a rainbow with nonempty boundary has no
     boundary vector; closeness failures are reported, not raised.
     """
-    regions = decompose_regions(graph)
-    required = [c for c in graph.rainbows() if regions.boundary(c)]
-    missing = [c for c in required if c not in bc.values]
+    topology = graph.topology
+    missing = [
+        c for c, region in topology.regions.regions.items()
+        if region.boundary and c not in bc.values
+    ]
     if missing:
         raise MissingRainbow(missing)
-
-    adjacent_pairs: set[tuple[Rainbow, Rainbow]] = set()
-    for a, b in graph.edges:
-        ca, cb = graph.preference[a], graph.preference[b]
-        if ca != cb:
-            pair = (ca, cb) if ca.order < cb.order else (cb, ca)
-            adjacent_pairs.add(pair)
     violations = tuple(
         (ca, cb)
-        for ca, cb in sorted(adjacent_pairs, key=lambda pr: (pr[0].order, pr[1].order))
+        for ca, cb in topology.adjacent_pairs
         if not is_close(bc.values[ca], bc.values[cb], budget)
     )
     return BoundaryReport(valid=not violations, violations=violations)
@@ -334,24 +319,25 @@ def optimal_mechanism(
     canonical order. The result is boundary homogeneous, satisfies the
     privacy constraint on every edge, and dominates every valid
     mechanism with the same boundary values.
+
+    The powers form one chain per rainbow, indexed by distance, and each
+    node takes its (rainbow, distance) entry: nodes sharing that pair
+    share one SimplexVector (the pullback along the boundary morphism).
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
         raise InvalidBoundary(report.violations)
-    regions = decompose_regions(graph)
+    regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
 
-    tilde: dict[Rainbow, SimplexVector] = {}
-    assignment: dict[str, SimplexVector] = {}
-    for d in graph.nodes:
-        c = graph.preference[d]
-        if dist[d] == 0:
-            assignment[d] = bc.values[c]
-            continue
-        if c not in tilde:
-            tilde[c] = to_preference_order(bc.values[c], c)
-        advanced = _distribution_at(tilde[c], budget, dist[d])
-        assignment[d] = from_preference_order(advanced, c)
+    chains: dict[Rainbow, list[SimplexVector]] = {}
+    for c, region in regions.regions.items():
+        depth = max(dist[d] for d in region.members)
+        tilde = to_preference_order(bc.values[c], c)
+        chains[c] = [bc.values[c]] + [
+            from_preference_order(_distribution_at(tilde, budget, i), c) for i in range(1, depth + 1)
+        ]
+    assignment = {d: chains[graph.preference[d]][dist[d]] for d in graph.nodes}
     return Mechanism(assignment, graph.color_space)
 
 
@@ -399,9 +385,8 @@ def is_boundary_homogeneous(
 ) -> bool:
     """True iff within each rainbow's boundary all node distributions
     agree entrywise within tol."""
-    regions = decompose_regions(graph)
-    for c in graph.rainbows():
-        boundary = sorted(regions.boundary(c))
+    for region in graph.topology.regions.regions.values():
+        boundary = sorted(region.boundary)
         if len(boundary) < 2:
             continue
         ref = mech.assignment[boundary[0]]

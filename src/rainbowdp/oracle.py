@@ -9,7 +9,6 @@ there is no global RNG state anywhere in this module.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,10 +42,14 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_masks(q: int) -> np.ndarray:
-    # Rows are the indicator vectors of all 2^q outcome subsets.
-    idx = np.arange(2**q, dtype=np.uint32)
+# Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
+# 2.5 MiB at q = 20), so memory stays bounded whatever the alphabet size.
+_MASK_CHUNK_ROWS = 1 << 14
+
+
+def _mask_rows(q: int, start: int, stop: int) -> np.ndarray:
+    # Row i is the indicator vector of outcome subset number start + i.
+    idx = np.arange(start, stop, dtype=np.uint32)
     return ((idx[:, None] >> np.arange(q)) & 1).astype(np.float64)
 
 
@@ -65,14 +68,19 @@ def is_close_bruteforce(
         raise ValueError(f"length mismatch: {len(p)} vs {len(q_)}")
     if len(p) > _MAX_BRUTEFORCE_Q:
         raise ValueError(f"alphabet too large for subset enumeration: {len(p)}")
-    masks = _subset_masks(len(p))
     pa = np.asarray(p.p)
     qa = np.asarray(q_.p)
-    ps = masks @ pa
-    qs = masks @ qa
     e = budget.exp_epsilon
+    worst_pq = worst_qp = -math.inf
+    n = 2 ** len(p)
+    for start in range(0, n, _MASK_CHUNK_ROWS):
+        masks = _mask_rows(len(p), start, min(start + _MASK_CHUNK_ROWS, n))
+        ps = masks @ pa
+        qs = masks @ qa
+        worst_pq = max(worst_pq, float(np.max(ps - e * qs)))
+        worst_qp = max(worst_qp, float(np.max(qs - e * ps)))
     bound = budget.delta + tol
-    return float(np.max(ps - e * qs)) <= bound and float(np.max(qs - e * ps)) <= bound
+    return worst_pq <= bound and worst_qp <= bound
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,40 @@ def random_solvable_graph(
     return r.RainbowGraph(nodes, frozenset(edges), dict(zip(nodes, labels)), space)
 
 
+def random_dense_graph(
+    g: np.random.Generator,
+    n: int = 60,
+    extra_edges: int = 400,
+    n_rainbows: int = 12,
+    q: int = 5,
+    tail_len: int = 6,
+) -> r.RainbowGraph:
+    """A dense connected core over many rainbows, plus one pendant path
+    per rainbow that keeps its anchor's rainbow, so distances reach
+    tail_len while most nodes sit on a boundary."""
+    space = r.ColorSpace(tuple(f"c{i}" for i in range(1, q + 1)))
+    rainbows = distinct_rainbows(g, q, n_rainbows)
+    nodes = [f"d{i:03d}" for i in range(n)]
+    labels = {d: rainbows[i % n_rainbows] for i, d in enumerate(nodes)}
+    edges: set[tuple[str, str]] = set()
+    for i in range(1, n):
+        a, b = sorted((nodes[i], nodes[int(g.integers(0, i))]))
+        edges.add((a, b))
+    for _ in range(extra_edges):
+        i, j = g.integers(0, n, size=2)
+        if i != j:
+            a, b = sorted((nodes[int(i)], nodes[int(j)]))
+            edges.add((a, b))
+    for k in range(n_rainbows):
+        prev = nodes[k]
+        for t in range(int(g.integers(1, tail_len + 1))):
+            name = f"t{k:02d}_{t}"
+            labels[name] = labels[nodes[k]]
+            edges.add(tuple(sorted((prev, name))))
+            prev = name
+    return r.RainbowGraph(tuple(labels), frozenset(edges), labels, space)
+
+
 def random_homogeneous_bc(
     g: np.random.Generator, graph: r.RainbowGraph, budget: r.PrivacyBudget
 ) -> r.BoundaryCondition:

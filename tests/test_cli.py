@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,20 @@ def test_mechanism_csv_round_trip():
     for d in gf.graph.nodes:
         assert parsed[d].p == pytest.approx(mech.assignment[d].p, abs=1e-12)
     assert mechanism_csv(gf.graph, r.Mechanism(parsed, gf.graph.color_space)) == text
+
+
+def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
+    gf = parse_graph_file(
+        "colors x y z\nnode a x y z\nnode b x y z\nnode c x y z\nedge a b\nedge b c\n"
+    )
+    shared = r.SimplexVector((0.5, 0.25, 0.25))
+    mech = r.Mechanism(
+        {"c": shared, "a": shared, "b": r.SimplexVector((0.5, 0.5, 0.0))},
+        gf.graph.color_space,
+    )
+    assert mechanism_csv(gf.graph, mech) == (
+        "node,x,y,z\na,0.5,0.25,0.25\nb,0.5,0.5,0\nc,0.5,0.25,0.25\n"
+    )
 
 
 def test_fmt_properties():
@@ -358,3 +374,60 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def striped_grid_text(side: int, stripes: int, q: int, seed: int, spread: float) -> str:
+    """A seeded side x side grid file whose column bands carry distinct
+    rainbows, with boundary vectors jittered from one base so every pair
+    is close whenever 4 * spread <= epsilon."""
+    g = random.Random(seed)
+    colors = [f"c{k}" for k in range(1, q + 1)]
+    rainbows: list[list[str]] = []
+    while len(rainbows) < stripes:
+        perm = colors[:]
+        g.shuffle(perm)
+        if perm not in rainbows:
+            rainbows.append(perm)
+    out = ["colors " + " ".join(colors)]
+    for i in range(side):
+        for j in range(side):
+            out.append(f"node r{i:02d}c{j:02d} " + " ".join(rainbows[j * stripes // side]))
+    for i in range(side):
+        for j in range(side):
+            if j + 1 < side:
+                out.append(f"edge r{i:02d}c{j:02d} r{i:02d}c{j + 1:02d}")
+            if i + 1 < side:
+                out.append(f"edge r{i:02d}c{j:02d} r{i + 1:02d}c{j:02d}")
+    base = [g.gammavariate(1.0, 1.0) + 1e-3 for _ in colors]
+    for perm in rainbows:
+        row = [b * math.exp(g.uniform(-spread, spread)) for b in base]
+        total = sum(row)
+        out.append("boundary " + ",".join(perm) + " " + " ".join(repr(x / total) for x in row))
+    return "\n".join(out) + "\n"
+
+
+GOLDEN_BUILDS = [
+    ("path5", ["--e-epsilon", "2", "--delta", "0.01"],
+     "543463011e144c850ce11fd137af184e1cf0b6331cf0ac7cb18bd36b3907dae1"),
+    ("pentagon", ["--e-epsilon", "2"],
+     "d30b9aaa2dc7e615096dee9d2224b83dbcad0044cd2a7293c64f0fa518ae1ec4"),
+    ("grid30", ["--epsilon", "0.4", "--delta", "0.001"],
+     "0f7702cece427d646b16087916196965ecfb6bc2b0013427131475fc64c073e2"),
+]
+
+
+def _golden_graph_text(name: str) -> str:
+    if name == "grid30":
+        return striped_grid_text(30, 4, 5, seed=30, spread=0.08)
+    return (FIXTURES / f"{name}.graph").read_text()
+
+
+@pytest.mark.parametrize("name,budget_args,sha", GOLDEN_BUILDS)
+def test_build_csv_matches_golden_hash(tmp_path, name, budget_args, sha):
+    # The hashes are of the CSVs written before the mechanism was built
+    # through shared per-(rainbow, distance) vectors; the bytes must not move.
+    graph_path = tmp_path / f"{name}.graph"
+    graph_path.write_text(_golden_graph_text(name))
+    out = tmp_path / f"{name}.csv"
+    assert main(["build", str(graph_path), *budget_args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha

@@ -10,6 +10,7 @@ from helpers import (
     path5_graph,
     random_blowup_morphism,
     random_budget,
+    random_dense_graph,
     random_dp_mechanism,
     random_solvable_graph,
     rng,
@@ -274,3 +275,92 @@ def test_line_graph_shape():
     assert ("0", "1") in line.edges and len(line.edges) == 3
     with pytest.raises(ValueError):
         r.line_graph(space, c, -1)
+
+
+def _naive_topology(graph):
+    # The definitions, evaluated node by node and edge by edge.
+    regions = {}
+    for c in sorted(set(graph.preference.values()), key=lambda c: c.order):
+        members = frozenset(d for d in graph.nodes if graph.preference[d] == c)
+        interior = frozenset(
+            d for d in members if all(graph.preference[n] == c for n in graph.neighbors(d))
+        )
+        regions[c] = (members, interior, members - interior)
+    pairs = set()
+    for a, b in graph.edges:
+        ca, cb = graph.preference[a], graph.preference[b]
+        if ca != cb:
+            pairs.add(tuple(sorted((ca, cb), key=lambda c: c.order)))
+    return regions, sorted(pairs, key=lambda pr: (pr[0].order, pr[1].order))
+
+
+def test_topology_matches_definition():
+    g = rng(22)
+    graphs = [path5_graph(), r.pentagon_graph(), triangle_graph()[0]]
+    graphs += [random_solvable_graph(g, max_nodes=25) for _ in range(10)]
+    graphs += [random_dense_graph(g) for _ in range(5)]
+    for graph in graphs:
+        regions, pairs = _naive_topology(graph)
+        topo = graph.topology
+        assert graph.rainbows() == tuple(regions)
+        assert list(topo.regions.regions) == list(regions)
+        for c, (members, interior, boundary) in regions.items():
+            assert topo.regions.regions[c] == r.Region(members, interior, boundary)
+        assert list(topo.adjacent_pairs) == pairs
+        assert r.decompose_regions(graph) is topo.regions
+        assert graph.topology is topo
+
+
+def _full_bfs_distances(graph, regions):
+    # Distance to the nearest same-rainbow boundary node, by one
+    # full-graph search per node.
+    dist = {}
+    for d in graph.nodes:
+        depths = bfs_depths(graph, d)
+        dist[d] = min(depths[x] for x in regions.boundary(graph.preference[d]) if x in depths)
+    return dist
+
+
+def test_boundary_distances_early_exit_matches_full_bfs_on_dense_graphs():
+    g = rng(23)
+    for _ in range(8):
+        graph = random_dense_graph(
+            g, n=int(g.integers(30, 80)), extra_edges=int(g.integers(50, 600)),
+            n_rainbows=int(g.integers(6, 16)), tail_len=8,
+        )
+        regions = r.decompose_regions(graph)
+        dist = r.boundary_distances(graph, regions)
+        assert dist == _full_bfs_distances(graph, regions)
+        assert max(dist.values()) >= 1
+
+
+def test_boundary_distances_unconstrained_component_in_dense_graph():
+    # A second component made of one rainbow's nodes alone has no
+    # boundary for that rainbow, although the rainbow has one elsewhere.
+    g = rng(24)
+    for _ in range(4):
+        dense = random_dense_graph(g, n=40, extra_edges=200, n_rainbows=10)
+        c = dense.preference["d003"]
+        island = {f"x{i}": c for i in range(5)}
+        island_edges = {(f"x{i}", f"x{i + 1}") for i in range(4)}
+        graph = r.RainbowGraph(
+            dense.nodes + tuple(island), dense.edges | island_edges,
+            {**dense.preference, **island}, dense.color_space,
+        )
+        with pytest.raises(r.UnconstrainedRegion) as exc:
+            r.boundary_distances(graph, r.decompose_regions(graph))
+        assert exc.value.rainbow == c
+
+
+def test_build_boundary_graph_on_long_path():
+    space = r.ColorSpace(("1", "2"))
+    c12, c21 = r.Rainbow((0, 1)), r.Rainbow((1, 0))
+    n, split = 3000, 1000
+    nodes = tuple(f"v{i:04d}" for i in range(n))
+    edges = frozenset(zip(nodes, nodes[1:]))
+    pref = {d: (c12 if i < split else c21) for i, d in enumerate(nodes)}
+    bg = r.build_boundary_graph(r.RainbowGraph(nodes, edges, pref, space))
+    assert bg.depths == {c12: split - 1, c21: n - split - 1}
+    assert len(bg.graph.nodes) == n
+    assert bg.morphism(nodes[0]) == bg.node_id(c12, split - 1)
+    assert bg.morphism(nodes[-1]) == bg.node_id(c21, n - split - 1)

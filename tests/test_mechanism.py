@@ -8,6 +8,7 @@ from helpers import (
     path5_bc,
     path5_graph,
     random_budget,
+    random_dense_graph,
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
@@ -211,6 +212,26 @@ def test_line_mechanism_consecutive_nodes_are_close():
         space = mech.color_space
         line = r.line_graph(space, r.Rainbow(tuple(range(q))), n)
         assert r.verify_dp(line, mech, budget).valid
+
+
+def test_line_mechanism_closed_form_matches_iteration():
+    # Each node's closed-form power is one operator step from the
+    # previous node's, and the whole line stays within the same
+    # tolerance of the iterated operator started at the boundary.
+    g = rng(37)
+    budgets = [r.PrivacyBudget(1e-4, 1e-7), r.PrivacyBudget(0.0, 1e-4)]
+    budgets += [random_budget(g) for _ in range(6)]
+    for budget, n in zip(budgets, (2000, 2000, 2000, 500, 200, 50, 10, 1)):
+        q = int(g.integers(2, 7))
+        m = random_simplex(g, q, zero_rate=0.15)
+        mech = r.line_mechanism(m, budget, n)
+        iterated = m
+        for i in range(1, n + 1):
+            cur = mech.assignment[str(i)]
+            stepped = r.t_step(mech.assignment[str(i - 1)], budget)
+            assert max(abs(a - b) for a, b in zip(cur, stepped)) <= 1e-9, (budget, i)
+            iterated = r.t_step(iterated, budget)
+            assert max(abs(a - b) for a, b in zip(cur, iterated)) <= 1e-9, (budget, i)
 
 
 def test_validate_boundary_condition():
@@ -425,3 +446,51 @@ def test_optimal_dominates_smaller_budget_competitors_small():
             competitor = r.pullback(line_mech, bg.morphism)
             assert r.verify_dp(graph, competitor, budget).valid
             assert r.mechanism_dominates(graph, best, competitor)
+
+
+def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
+    g = rng(46)
+    graphs = [path5_graph()] + [random_solvable_graph(g, max_nodes=40) for _ in range(10)]
+    graphs += [random_dense_graph(g) for _ in range(3)]
+    for graph in graphs:
+        budget = random_budget(g)
+        bc = random_homogeneous_bc(g, graph, budget)
+        mech = r.optimal_mechanism(graph, bc, budget)
+        dist = r.boundary_distances(graph, r.decompose_regions(graph))
+        by_pair: dict = {}
+        for d in graph.nodes:
+            by_pair.setdefault((graph.preference[d], dist[d]), []).append(mech.assignment[d])
+        for (c, i), vecs in by_pair.items():
+            assert all(v is vecs[0] for v in vecs)
+            if i == 0:
+                assert vecs[0] is bc.values[c]
+        assert len({id(v) for v in mech.assignment.values()}) == len(by_pair)
+
+
+def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
+    calls = {"topology": 0, "bfs": 0}
+    topology, bfs = r.graph._topology, r.graph.boundary_distances
+
+    def counted_topology(graph):
+        calls["topology"] += 1
+        return topology(graph)
+
+    def counted_bfs(graph, regions):
+        calls["bfs"] += 1
+        return bfs(graph, regions)
+
+    monkeypatch.setattr(r.graph, "_topology", counted_topology)
+    monkeypatch.setattr(r.graph, "boundary_distances", counted_bfs)
+    monkeypatch.setattr(r.mechanism, "boundary_distances", counted_bfs)
+    g = rng(47)
+    for _ in range(5):
+        graph = random_solvable_graph(g, max_nodes=30)
+        budget = random_budget(g)
+        bc = random_homogeneous_bc(g, graph, budget)
+        # A fresh graph object, so its topology has not been computed yet.
+        graph = r.RainbowGraph(graph.nodes, graph.edges, graph.preference, graph.color_space)
+        calls.update(topology=0, bfs=0)
+        assert r.validate_boundary_condition(graph, bc, budget).valid
+        mech = r.optimal_mechanism(graph, bc, budget)
+        assert r.is_boundary_homogeneous(graph, mech)
+        assert calls == {"topology": 1, "bfs": 1}

@@ -179,3 +179,21 @@ def test_homogenized_pentagon_builds_and_verifies():
     assert r.verify_dp(graph, mech, budget).valid
     assert r.is_boundary_homogeneous(graph, mech)
     assert mech.assignment["d1"] == mech.assignment["d4"]
+
+
+def test_bruteforce_chunked_alphabets_agree_with_per_element_check():
+    # At q = 15 and 16 the subsets span several enumeration chunks; the
+    # verdicts still match the per-element check.
+    g = rng(48)
+    verdicts = set()
+    for q in range(13, 17):
+        for _ in range(6):
+            p = random_simplex(g, q)
+            budget = random_budget(g)
+            near = r.sample_close(p, budget, 3, seed=int(g.integers(1 << 30))).vectors[-1]
+            for other in (near, random_simplex(g, q)):
+                expected = r.is_close(p, other, budget)
+                assert r.is_close_bruteforce(p, other, budget) == expected
+                assert r.is_close_bruteforce(other, p, budget) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
