@@ -21,7 +21,6 @@ from .graph import (
     MorphismReport,
     RainbowGraph,
     Region,
-    RegionDecomposition,
     UnconstrainedRegion,
     boundary_distances,
     boundary_node_id,

@@ -12,6 +12,11 @@ from ..core import ColorSpace, SimplexVector
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 
+# Rows written by mechanism_csv miss a sum of 1 only by the rounding of
+# their 12-digit cells (about q * 5e-13). SimplexVector's SUM_WINDOW is
+# for rounded boundary vectors and would quietly renormalize far worse.
+ROW_SUM_TOL = 1e-9
+
 
 def fmt(x: float) -> str:
     """Shortest 12-significant-digit decimal form, '.' separator."""
@@ -38,7 +43,8 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
 
 
 def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector]:
-    """Parse a mechanism CSV back into per-node distributions."""
+    """Parse a mechanism CSV back into per-node distributions; a row
+    whose entries miss a sum of 1 by more than ROW_SUM_TOL is rejected."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty mechanism file")
@@ -54,7 +60,10 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector
         if node in out:
             raise ValueError(f"line {lineno}: duplicate row for node {node!r}")
         try:
-            out[node] = SimplexVector(tuple(float(c) for c in cells[1:]))
+            probs = tuple(float(c) for c in cells[1:])
+            if abs(sum(probs) - 1.0) > ROW_SUM_TOL:
+                raise ValueError(f"entries sum to {sum(probs)!r}, not 1")
+            out[node] = SimplexVector(probs)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out

@@ -80,33 +80,16 @@ class RainbowGraph:
 
     def rainbows(self) -> tuple[Rainbow, ...]:
         """Distinct rainbows occurring in the graph, in a deterministic order."""
-        return tuple(self.topology.regions.regions)
+        return tuple(self.topology.regions)
 
 
 @dataclass(frozen=True)
 class Region:
+    """A rainbow's node class with its interior/boundary split."""
+
     members: frozenset[str]
     interior: frozenset[str]
     boundary: frozenset[str]
-
-
-@dataclass(frozen=True, eq=False)
-class RegionDecomposition:
-    """Per-rainbow node class with its interior/boundary split."""
-
-    regions: Mapping[Rainbow, Region]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "regions", dict(self.regions))
-
-    def members(self, c: Rainbow) -> frozenset[str]:
-        return self.regions[c].members
-
-    def interior(self, c: Rainbow) -> frozenset[str]:
-        return self.regions[c].interior
-
-    def boundary(self, c: Rainbow) -> frozenset[str]:
-        return self.regions[c].boundary
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +97,7 @@ class Topology:
     """Regions (rainbows in order) and the rainbow pairs joined by an edge,
     sorted by rainbow order; computed once per graph by RainbowGraph.topology."""
 
-    regions: RegionDecomposition
+    regions: dict[Rainbow, Region]
     adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
 
 
@@ -137,18 +120,19 @@ def _topology(graph: RainbowGraph) -> Topology:
         rim = group & boundary
         regions[c] = Region(group, group - rim, rim)
     ordered = tuple(sorted(pairs, key=lambda pr: (pr[0].order, pr[1].order)))
-    return Topology(RegionDecomposition(regions), ordered)
+    return Topology(regions, ordered)
 
 
-def decompose_regions(graph: RainbowGraph) -> RegionDecomposition:
+def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     """Partition the nodes by rainbow and classify each node as interior
     (every neighbor shares its rainbow) or boundary (some neighbor does
-    not). Computed once per graph and cached."""
+    not); one Region per rainbow, in rainbow order. Computed once per
+    graph and cached."""
     return graph.topology.regions
 
 
 def boundary_distances(
-    graph: RainbowGraph, regions: RegionDecomposition
+    graph: RainbowGraph, regions: Mapping[Rainbow, Region]
 ) -> dict[str, int]:
     """Shortest-path distance from each node to the boundary of its own
     rainbow class.
@@ -164,7 +148,7 @@ def boundary_distances(
     """
     adjacency = graph.adjacency
     dist: dict[str, int] = {}
-    for c, region in sorted(regions.regions.items(), key=lambda kv: kv[0].order):
+    for c, region in sorted(regions.items(), key=lambda kv: kv[0].order):
         if not region.members:
             continue
         if not region.boundary:
@@ -253,7 +237,6 @@ class BoundaryGraph:
     graph: RainbowGraph
     depths: dict[Rainbow, int]
     morphism: Morphism
-    pairs: dict[str, tuple[Rainbow, int]]
 
     def node_id(self, rainbow: Rainbow, i: int) -> str:
         return boundary_node_id(self.graph.color_space, rainbow, i)
@@ -284,24 +267,23 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
 
     depths: dict[Rainbow, int] = {}
     chain_ids: dict[Rainbow, list[str]] = {}
-    pairs: dict[str, tuple[Rainbow, int]] = {}
+    preference: dict[str, Rainbow] = {}
     edges: set[tuple[str, str]] = set()
-    for c, region in regions.regions.items():
+    for c, region in regions.items():
         depths[c] = max(dist[d] for d in region.members)
         ids = chain_ids[c] = [boundary_node_id(space, c, i) for i in range(depths[c] + 1)]
-        pairs.update((nid, (c, i)) for i, nid in enumerate(ids))
+        preference.update(dict.fromkeys(ids, c))
         edges.update(_normalize_edge(a, b) for a, b in zip(ids, ids[1:]))
     for ca, cb in graph.topology.adjacent_pairs:
         edges.add(_normalize_edge(chain_ids[ca][0], chain_ids[cb][0]))
 
-    preference = {nid: c for nid, (c, _) in pairs.items()}
-    bgraph = RainbowGraph(tuple(pairs), frozenset(edges), preference, space)
+    bgraph = RainbowGraph(tuple(preference), frozenset(edges), preference, space)
     mapping = {d: chain_ids[graph.preference[d]][dist[d]] for d in graph.nodes}
     morphism = Morphism(graph, bgraph, mapping)
     report = check_morphism(morphism)
     if not (report.is_morphism and report.is_rainbow_preserving):
         raise AssertionError(f"boundary morphism failed validation: {report.violations}")
-    return BoundaryGraph(bgraph, depths, morphism, pairs)
+    return BoundaryGraph(bgraph, depths, morphism)
 
 
 def pullback(mechanism_on_codomain, morphism: Morphism):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     DEFAULT_TOL,
@@ -143,6 +143,16 @@ def t_step_prefixes(s: Sequence[float], budget: PrivacyBudget) -> tuple[float, .
     return tuple(min(1.0, e * sk + d, 1.0 - ei * (1.0 - sk - d)) for sk in s)
 
 
+def _differences(s: Sequence[float]) -> tuple[float, ...]:
+    """Entries of the distribution whose prefix sums are s."""
+    out = []
+    prev = 0.0
+    for v in s:
+        out.append(v - prev)
+        prev = v
+    return tuple(out)
+
+
 def t_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
     """Apply the operator once to a distribution in preference order.
 
@@ -152,32 +162,16 @@ def t_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
     """
     if budget.epsilon == 0.0 and budget.delta == 0.0:
         return p
-    sp = t_step_prefixes(prefix_sums(p), budget)
-    out = []
-    prev = 0.0
-    for v in sp:
-        out.append(v - prev)
-        prev = v
-    return SimplexVector(tuple(out))
+    return SimplexVector(_differences(t_step_prefixes(prefix_sums(p), budget)))
 
 
-def _tau_of_prefix(s0k: float, budget: PrivacyBudget, rho: float) -> float:
+def _tau(s0k: float, level: float, budget: PrivacyBudget, rho: float) -> float:
+    """floor(max(log(level / (s0k + rho)) / eps + 1, 0)): the growth step
+    on which prefix s0k reaches level, a target for s + rho. INFINITE
+    when s0k + rho = 0, since such a prefix never grows."""
     if s0k + rho <= 0.0:
         return INFINITE
-    threshold = 1.0 / (budget.exp_epsilon + 1.0)
-    val = math.log((threshold + rho) / (s0k + rho)) / budget.epsilon + 1.0
-    return float(math.floor(max(val, 0.0)))
-
-
-def _crossing_tau(s0k: float, budget: PrivacyBudget, rho: float) -> float:
-    # Last step of the growth phase: the operator's two bounds cross at
-    # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
-    # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
-    if s0k + rho <= 0.0:
-        return INFINITE
-    e = budget.exp_epsilon
-    shifted = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
-    val = math.log(shifted / (s0k + rho)) / budget.epsilon + 1.0
+    val = math.log(level / (s0k + rho)) / budget.epsilon + 1.0
     return float(math.floor(max(val, 0.0)))
 
 
@@ -200,7 +194,8 @@ def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> TauProfile:
     if budget.epsilon == 0.0:
         raise EpsilonZero("tau profile is undefined at epsilon = 0")
     rho = budget.delta / (budget.exp_epsilon - 1.0)
-    tau = tuple(_tau_of_prefix(sk, budget, rho) for sk in prefix_sums(m))
+    level = 1.0 / (budget.exp_epsilon + 1.0) + rho
+    tau = tuple(_tau(sk, level, budget, rho) for sk in prefix_sums(m))
     return TauProfile(rho=rho, tau=tau, epsilon=budget.epsilon, delta=budget.delta)
 
 
@@ -216,6 +211,44 @@ def _growth_phase(s0k: float, rho: float, eps: float, t: float) -> float:
     return min(1.0, val)
 
 
+def _prefix_curve(
+    m: SimplexVector, budget: PrivacyBudget
+) -> Callable[[float], tuple[float, ...]]:
+    """The closed-form trajectory of m's prefix sums as a function of
+    t >= 0. Each prefix's crossing step tau and its value there depend
+    only on m and the budget, so they are computed once here, not per t.
+    """
+    s0 = prefix_sums(m)
+    eps = budget.epsilon
+    if eps == 0.0:
+        delta = budget.delta
+        return lambda t: s0 if t == 0 else tuple(min(1.0, sk + t * delta) for sk in s0)
+    e = budget.exp_epsilon
+    rho = budget.delta / (e - 1.0)
+    # Last step of the growth phase: the operator's two bounds cross at
+    # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
+    # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
+    crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
+    phases = []
+    for sk in s0:
+        tau = _tau(sk, crossing, budget, rho)
+        phases.append((sk, tau, sk if tau == 0 else _growth_phase(sk, rho, eps, tau)))
+
+    def at(t: float) -> tuple[float, ...]:
+        if t == 0:
+            return s0
+        out = []
+        for sk, tau, s_tau in phases:
+            if t <= tau:
+                out.append(_growth_phase(sk, rho, eps, t))
+            else:
+                val = 1.0 + rho - math.exp(-eps * (t - tau)) * (1.0 + rho - s_tau)
+                out.append(min(1.0, val))
+        return tuple(out)
+
+    return at
+
+
 def closed_form_prefix(
     m: SimplexVector, budget: PrivacyBudget, t: float
 ) -> tuple[float, ...]:
@@ -227,36 +260,7 @@ def closed_form_prefix(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    s0 = prefix_sums(m)
-    if t == 0:
-        return s0
-    eps = budget.epsilon
-    if eps == 0.0:
-        return tuple(min(1.0, sk + t * budget.delta) for sk in s0)
-    e = budget.exp_epsilon
-    rho = budget.delta / (e - 1.0)
-    out = []
-    for sk in s0:
-        tau = _crossing_tau(sk, budget, rho)
-        if t <= tau:
-            out.append(_growth_phase(sk, rho, eps, t))
-        else:
-            s_tau = sk if tau == 0 else _growth_phase(sk, rho, eps, tau)
-            val = 1.0 + rho - math.exp(-eps * (t - tau)) * (1.0 + rho - s_tau)
-            out.append(min(1.0, val))
-    return tuple(out)
-
-
-def _distribution_at(m: SimplexVector, budget: PrivacyBudget, t: int) -> SimplexVector:
-    if t == 0:
-        return m
-    s = closed_form_prefix(m, budget, t)
-    out = []
-    prev = 0.0
-    for v in s:
-        out.append(v - prev)
-        prev = v
-    return SimplexVector(tuple(out))
+    return _prefix_curve(m, budget)(t)
 
 
 def _identity_space(q: int) -> ColorSpace:
@@ -273,7 +277,9 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    assignment = {str(i): _distribution_at(m, budget, i) for i in range(n + 1)}
+    curve = _prefix_curve(m, budget)
+    assignment = {"0": m}
+    assignment.update((str(i), SimplexVector(_differences(curve(i)))) for i in range(1, n + 1))
     return Mechanism(assignment, _identity_space(len(m)))
 
 
@@ -294,7 +300,7 @@ def validate_boundary_condition(
     """
     topology = graph.topology
     missing = [
-        c for c, region in topology.regions.regions.items()
+        c for c, region in topology.regions.items()
         if region.boundary and c not in bc.values
     ]
     if missing:
@@ -331,11 +337,12 @@ def optimal_mechanism(
     dist = boundary_distances(graph, regions)
 
     chains: dict[Rainbow, list[SimplexVector]] = {}
-    for c, region in regions.regions.items():
+    for c, region in regions.items():
         depth = max(dist[d] for d in region.members)
-        tilde = to_preference_order(bc.values[c], c)
+        curve = _prefix_curve(to_preference_order(bc.values[c], c), budget)
         chains[c] = [bc.values[c]] + [
-            from_preference_order(_distribution_at(tilde, budget, i), c) for i in range(1, depth + 1)
+            from_preference_order(SimplexVector(_differences(curve(i))), c)
+            for i in range(1, depth + 1)
         ]
     assignment = {d: chains[graph.preference[d]][dist[d]] for d in graph.nodes}
     return Mechanism(assignment, graph.color_space)
@@ -385,7 +392,7 @@ def is_boundary_homogeneous(
 ) -> bool:
     """True iff within each rainbow's boundary all node distributions
     agree entrywise within tol."""
-    for region in graph.topology.regions.regions.values():
+    for region in graph.topology.regions.values():
         boundary = sorted(region.boundary)
         if len(boundary) < 2:
             continue
@@ -451,12 +458,11 @@ def build_trajectory(
     names = list(colors) if colors is not None else [str(k) for k in range(1, q + 1)]
     if len(names) != q:
         raise ValueError("colors length does not match the distribution")
+    curve = _prefix_curve(m, budget)
     rows: list[TrajectoryRow] = []
     for i in range(steps * substeps + 1):
         t = i / substeps
-        s = closed_form_prefix(m, budget, t)
-        prev = 0.0
-        for k, sk in enumerate(s, start=1):
-            rows.append(TrajectoryRow(t=t, k=k, color=names[k - 1], p=sk - prev, s=sk))
-            prev = sk
+        s = curve(t)
+        for k, (sk, pk) in enumerate(zip(s, _differences(s)), start=1):
+            rows.append(TrajectoryRow(t=t, k=k, color=names[k - 1], p=pk, s=sk))
     return TrajectoryTable(tuple(rows))

@@ -39,8 +39,8 @@ def test_parse_pentagon_fixture_matches_demo_regions():
     gf = parse_graph_file((FIXTURES / "pentagon.graph").read_text())
     regions = r.decompose_regions(gf.graph)
     c123 = gf.graph.preference["d1"]
-    assert regions.boundary(c123) == frozenset({"d1", "d4"})
-    assert regions.interior(c123) == frozenset({"d2", "d3"})
+    assert regions[c123].boundary == frozenset({"d1", "d4"})
+    assert regions[c123].interior == frozenset({"d2", "d3"})
 
 
 @pytest.mark.parametrize(
@@ -201,6 +201,32 @@ def test_cmd_verify_reports_forced_mechanism_violation(tmp_path, capsys):
     unknown.write_text(mech_file.read_text() + "zz,0.3,0.3,0.4\n")
     code = main(["verify", str(graph_file), str(unknown), "--e-epsilon", "2"])
     assert code == 1
+
+
+def test_cmd_verify_rejects_rows_off_the_simplex(tmp_path, capsys):
+    # Both rows are flat, but y's sums to 0.9992: renormalized it would
+    # pass even at eps = delta = 0; as given it is no distribution.
+    graph_file = tmp_path / "two.graph"
+    graph_file.write_text("colors a b\nnode x a b\nnode y b a\nedge x y\n")
+    mech_file = tmp_path / "m.csv"
+    mech_file.write_text("node,a,b\nx,0.5,0.5\ny,0.4996,0.4996\n")
+    code = main(["verify", str(graph_file), str(mech_file), "--epsilon", "0", "--delta", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err and "sum to" in captured.err
+    assert "valid" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "name,budget_args",
+    [("path5", ["--e-epsilon", "2", "--delta", "0.01"]), ("pentagon", ["--e-epsilon", "2"])],
+)
+def test_cmd_verify_accepts_build_output(tmp_path, capsys, name, budget_args):
+    graph_path = str(FIXTURES / f"{name}.graph")
+    out = tmp_path / f"{name}.csv"
+    assert main(["build", graph_path, *budget_args, "--out", str(out)]) == 0
+    assert main(["verify", graph_path, str(out), *budget_args]) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_cmd_trajectory_published_tau_lines(tmp_path, capsys):
@@ -430,4 +456,34 @@ def test_build_csv_matches_golden_hash(tmp_path, name, budget_args, sha):
     graph_path.write_text(_golden_graph_text(name))
     out = tmp_path / f"{name}.csv"
     assert main(["build", str(graph_path), *budget_args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+GOLDEN_TRAJECTORIES = [
+    pytest.param(
+        ["--boundary", "0.1,0.2,0.7", "--e-epsilon", "2", "--delta", "0.01",
+         "--steps", "6", "--substeps", "4"],
+        "cc426947ea67015b3f2ba26e489947e7908de5bcb3cd3f13a798d4ab8e5fd2dd",
+        id="substeps-delta",
+    ),
+    pytest.param(
+        ["--boundary", "0.2,0.3,0.5", "--epsilon", "0", "--delta", "0.05", "--steps", "25"],
+        "cf1fdbb621373273d75bc1e1053f7533430439c41741f3ee40db0b17253320d2",
+        id="epsilon-zero",
+    ),
+    pytest.param(
+        ["--boundary", "0,0.25,0.75", "--epsilon", "0.5", "--steps", "12", "--substeps", "2"],
+        "63919ee87980e5aced851c752b15c09f84e59b4fa737921a61d02efba1073af3",
+        id="zero-prefix",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,sha", GOLDEN_TRAJECTORIES)
+def test_trajectory_csv_matches_golden_hash(tmp_path, args, sha):
+    # Hashes of the CSVs written while closed_form_prefix recomputed each
+    # prefix's crossing step for every t; the bytes must not move. The
+    # zero-prefix case has tau = inf at delta = 0.
+    out = tmp_path / "traj.csv"
+    assert main(["trajectory", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha

@@ -44,27 +44,27 @@ def test_decompose_regions_path5():
     b = graph.preference["n0"]
     red = graph.preference["n3"]
     regions = r.decompose_regions(graph)
-    assert regions.members(b) == frozenset({"n0", "n1", "n2"})
-    assert regions.boundary(b) == frozenset({"n2"})
-    assert regions.interior(b) == frozenset({"n0", "n1"})
-    assert regions.members(red) == frozenset({"n3", "n4"})
-    assert regions.boundary(red) == frozenset({"n3"})
-    assert regions.interior(red) == frozenset({"n4"})
+    assert regions[b].members == frozenset({"n0", "n1", "n2"})
+    assert regions[b].boundary == frozenset({"n2"})
+    assert regions[b].interior == frozenset({"n0", "n1"})
+    assert regions[red].members == frozenset({"n3", "n4"})
+    assert regions[red].boundary == frozenset({"n3"})
+    assert regions[red].interior == frozenset({"n4"})
 
 
 def test_decompose_regions_single_rainbow_triangle():
     graph, c = triangle_graph()
     regions = r.decompose_regions(graph)
-    assert regions.boundary(c) == frozenset()
-    assert regions.interior(c) == frozenset(graph.nodes)
+    assert regions[c].boundary == frozenset()
+    assert regions[c].interior == frozenset(graph.nodes)
 
 
 def test_decompose_regions_pentagon():
     graph = r.pentagon_graph()
     c123 = graph.preference["d1"]
     regions = r.decompose_regions(graph)
-    assert regions.boundary(c123) == frozenset({"d1", "d4"})
-    assert regions.interior(c123) == frozenset({"d2", "d3"})
+    assert regions[c123].boundary == frozenset({"d1", "d4"})
+    assert regions[c123].interior == frozenset({"d2", "d3"})
 
 
 def test_decompose_regions_partitions_nodes():
@@ -74,9 +74,9 @@ def test_decompose_regions_partitions_nodes():
         regions = r.decompose_regions(graph)
         seen: set[str] = set()
         for c in graph.rainbows():
-            members = regions.members(c)
-            assert regions.interior(c) | regions.boundary(c) == members
-            assert not regions.interior(c) & regions.boundary(c)
+            members = regions[c].members
+            assert regions[c].interior | regions[c].boundary == members
+            assert not regions[c].interior & regions[c].boundary
             assert not members & seen
             seen |= members
         assert seen == set(graph.nodes)
@@ -119,7 +119,7 @@ def test_boundary_distances_against_naive_bfs():
         for d in graph.nodes:
             c = graph.preference[d]
             depths = bfs_depths(graph, d)
-            expected = min(depths[x] for x in regions.boundary(c) if x in depths)
+            expected = min(depths[x] for x in regions[c].boundary if x in depths)
             assert dist[d] == expected
         # Same-rainbow neighbors differ by at most one step.
         for a, b in graph.edges:
@@ -146,7 +146,7 @@ def test_build_boundary_graph_path5():
     }
     assert set(bg.graph.edges) == expected_edges
     assert bg.morphism.mapping["n0"] == bg.node_id(b, 2)
-    assert bg.pairs[bg.node_id(b, 2)] == (b, 2)
+    assert bg.graph.preference[bg.node_id(b, 2)] == b
 
 
 def test_build_boundary_graph_depth_matches_chain():
@@ -303,9 +303,9 @@ def test_topology_matches_definition():
         regions, pairs = _naive_topology(graph)
         topo = graph.topology
         assert graph.rainbows() == tuple(regions)
-        assert list(topo.regions.regions) == list(regions)
+        assert list(topo.regions) == list(regions)
         for c, (members, interior, boundary) in regions.items():
-            assert topo.regions.regions[c] == r.Region(members, interior, boundary)
+            assert topo.regions[c] == r.Region(members, interior, boundary)
         assert list(topo.adjacent_pairs) == pairs
         assert r.decompose_regions(graph) is topo.regions
         assert graph.topology is topo
@@ -317,7 +317,7 @@ def _full_bfs_distances(graph, regions):
     dist = {}
     for d in graph.nodes:
         depths = bfs_depths(graph, d)
-        dist[d] = min(depths[x] for x in regions.boundary(graph.preference[d]) if x in depths)
+        dist[d] = min(depths[x] for x in regions[graph.preference[d]].boundary if x in depths)
     return dist
 
 

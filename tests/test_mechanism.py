@@ -494,3 +494,27 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
         mech = r.optimal_mechanism(graph, bc, budget)
         assert r.is_boundary_homogeneous(graph, mech)
         assert calls == {"topology": 1, "bfs": 1}
+
+
+def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
+    # One closed-form curve per rainbow: each prefix's crossing step is
+    # found once, however many distances the rainbow's chain has.
+    calls = []
+    tau = r.mechanism._tau
+
+    def counted_tau(*args):
+        calls.append(args)
+        return tau(*args)
+
+    monkeypatch.setattr(r.mechanism, "_tau", counted_tau)
+    g = rng(48)
+    graphs = [path5_graph()] + [random_solvable_graph(g, max_nodes=40) for _ in range(8)]
+    deepest = 0
+    for graph in graphs:
+        budget = random_budget(g)
+        bc = random_homogeneous_bc(g, graph, budget)
+        calls.clear()
+        r.optimal_mechanism(graph, bc, budget)
+        assert len(calls) == len(graph.rainbows()) * graph.color_space.q
+        deepest = max(deepest, *r.boundary_distances(graph, r.decompose_regions(graph)).values())
+    assert deepest >= 2
