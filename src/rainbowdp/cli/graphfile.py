@@ -7,8 +7,9 @@
         # rainbow comma-separated in preference order;
         # probabilities in canonical color order
 
-`#` starts a comment; tokens are whitespace-separated. The parser
-round-trips with emit_graph_file.
+`#` starts a comment; tokens are whitespace-separated. Lines after
+`colors` may come in any order: an edge may name a node declared further
+down. The parser round-trips with emit_graph_file.
 """
 
 from __future__ import annotations
@@ -30,16 +31,6 @@ class GraphFileError(ValueError):
 class GraphFile:
     graph: RainbowGraph
     boundary: BoundaryCondition | None
-
-
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            out.append((lineno, tokens))
-    return out
 
 
 def _check_identifier(lineno: int, kind: str, ident: str) -> str:
@@ -70,24 +61,17 @@ def _rainbow_from_names(
 
 
 def parse_graph_file(text: str) -> GraphFile:
-    """Parse and validate a graph file; diagnostics carry line numbers."""
-    lines = _tokenize(text)
-    if not lines:
-        raise GraphFileError(0, "empty graph file")
-
-    lineno, tokens = lines[0]
-    if tokens[0] != "colors":
-        raise GraphFileError(lineno, "first directive must be 'colors'")
-    if len(tokens) < 3:
-        raise GraphFileError(lineno, "need at least 2 colors")
-    names = [_check_identifier(lineno, "color", t) for t in tokens[1:]]
-    try:
-        space = ColorSpace(tuple(names))
-    except ValueError as exc:
-        raise GraphFileError(lineno, str(exc)) from None
-
+    """Parse and validate a graph file in one pass; diagnostics carry line
+    numbers and come in line order, except that an edge naming an undeclared
+    node is reported after the last line, since nodes may follow edges."""
+    space: ColorSpace | None = None
     # One Rainbow per distinct name tuple; a bad tuple fails on its first line.
     rainbows: dict[tuple[str, ...], Rainbow] = {}
+    preference: dict[str, Rainbow] = {}
+    edges: set[tuple[str, str]] = set()
+    # (line, node id) of each edge endpoint not yet declared when its edge was read.
+    forward: list[tuple[int, str]] = []
+    boundary: dict[Rainbow, SimplexVector] = {}
 
     def rainbow_at(lineno: int, names: list[str]) -> Rainbow:
         key = tuple(names)
@@ -95,41 +79,40 @@ def parse_graph_file(text: str) -> GraphFile:
             rainbows[key] = _rainbow_from_names(lineno, names, space)
         return rainbows[key]
 
-    nodes: list[str] = []
-    preference: dict[str, Rainbow] = {}
-    # First pass declares nodes so edges may reference them in any order.
-    for lineno, tokens in lines[1:]:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         directive = tokens[0]
-        if directive == "colors":
-            raise GraphFileError(lineno, "'colors' may appear only once")
-        if directive == "node":
+        if space is None:
+            if directive != "colors":
+                raise GraphFileError(lineno, "first directive must be 'colors'")
+            if len(tokens) < 3:
+                raise GraphFileError(lineno, "need at least 2 colors")
+            names = [_check_identifier(lineno, "color", t) for t in tokens[1:]]
+            try:
+                space = ColorSpace(tuple(names))
+            except ValueError as exc:
+                raise GraphFileError(lineno, str(exc)) from None
+        elif directive == "node":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"node line needs an id and {space.q} colors")
             ident = _check_identifier(lineno, "node", tokens[1])
             if ident in preference:
                 raise GraphFileError(lineno, f"duplicate node {ident!r}")
             preference[ident] = rainbow_at(lineno, tokens[2:])
-            nodes.append(ident)
-        elif directive not in ("edge", "boundary"):
-            raise GraphFileError(lineno, f"unknown directive {directive!r}")
-
-    edges: set[tuple[str, str]] = set()
-    boundary: dict[Rainbow, SimplexVector] = {}
-    for lineno, tokens in lines[1:]:
-        if tokens[0] == "edge":
+        elif directive == "edge":
             if len(tokens) != 3:
                 raise GraphFileError(lineno, "edge line needs exactly two node ids")
             a, b = tokens[1], tokens[2]
             if a == b:
                 raise GraphFileError(lineno, f"self-loop on node {a!r}")
-            for ident in (a, b):
-                if ident not in preference:
-                    raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")
+            forward.extend((lineno, ident) for ident in (a, b) if ident not in preference)
             pair = (a, b) if a < b else (b, a)
             if pair in edges:
                 raise GraphFileError(lineno, f"duplicate edge {a!r} {b!r}")
             edges.add(pair)
-        elif tokens[0] == "boundary":
+        elif directive == "boundary":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"boundary line needs a rainbow and {space.q} probabilities")
             rainbow = rainbow_at(lineno, tokens[1].split(","))
@@ -140,9 +123,19 @@ def parse_graph_file(text: str) -> GraphFile:
                 boundary[rainbow] = SimplexVector(tuple(probs))
             except ValueError as exc:
                 raise GraphFileError(lineno, str(exc)) from None
+        elif directive == "colors":
+            raise GraphFileError(lineno, "'colors' may appear only once")
+        else:
+            raise GraphFileError(lineno, f"unknown directive {directive!r}")
+
+    if space is None:
+        raise GraphFileError(0, "empty graph file")
+    for lineno, ident in forward:
+        if ident not in preference:
+            raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")
 
     try:
-        graph = RainbowGraph(tuple(nodes), frozenset(edges), preference, space)
+        graph = RainbowGraph(tuple(preference), frozenset(edges), preference, space)
     except ValueError as exc:
         raise GraphFileError(0, str(exc)) from None
     bc = BoundaryCondition(boundary) if boundary else None

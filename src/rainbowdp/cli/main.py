@@ -227,9 +227,10 @@ def cmd_fuzz(args) -> int:
     if not 2 <= args.q <= 12:
         print("error: need 2 <= q <= 12", file=sys.stderr)
         return EXIT_USAGE
-    if args.trials < 1:
-        print("error: need trials >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for name, low in (("trials", 1), ("samples", 1), ("seed", 0)):
+        if getattr(args, name) < low:
+            print(f"error: need {name} >= {low}", file=sys.stderr)
+            return EXIT_USAGE
     step_fn = _drop_delta_step if args.mutant_drop_delta else None
     for i in range(args.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, i))))

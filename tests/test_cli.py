@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,12 @@ def test_parse_pentagon_fixture_matches_demo_regions():
         ("colors a b\ncolors a b\n", "only once", 2),
         ("colors a b\nwhat x\n", "unknown directive", 2),
         ("colors a,b c\n", "comma", 1),
+        # Two or more errors: the first in line order is reported ...
+        ("colors a b\nedge x x\nnode y a c\n", "self-loop", 2),
+        ("colors a b\nnode x a b\nboundary a,b 0.9 0.4\nnode x b a\n", "sum to", 3),
+        # ... except an edge's undeclared node, reported after the last line.
+        ("colors a b\nnode x a b\nedge x y\nboundary a,b 0.9 0.4\n", "sum to", 4),
+        ("colors a b\nedge y x\nnode x a b\nedge x z\n", "undeclared node 'y'", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
@@ -66,6 +74,36 @@ def test_parse_errors_carry_line_numbers(text, fragment, line):
         parse_graph_file(text)
     assert fragment in str(exc.value)
     assert exc.value.line == line
+
+
+def test_edges_may_precede_the_nodes_they_name():
+    lines = MINIMAL.splitlines()
+    edge_first = "\n".join([lines[0], lines[3], *lines[1:3], *lines[4:]]) + "\n"
+    assert edge_first.splitlines()[1] == "edge a b"
+    gf, again = parse_graph_file(MINIMAL), parse_graph_file(edge_first)
+    assert again.graph.nodes == gf.graph.nodes
+    assert again.graph.edges == gf.graph.edges
+    assert again.graph.preference == gf.graph.preference
+    assert again.boundary.values == gf.boundary.values
+
+
+def test_parse_peak_memory_is_bounded_by_the_result():
+    n = 20_000
+    text = "\n".join(
+        ["colors a b c d"]
+        + [f"node n{i} {'a b c d' if i % 2 else 'b a c d'}" for i in range(n)]
+        + [f"edge n{i} n{i + 1}" for i in range(n - 1)]
+        + ["boundary a,b,c,d 0.4 0.3 0.2 0.1", "boundary b,a,c,d 0.3 0.4 0.2 0.1"]
+    ) + "\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gf = parse_graph_file(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gf.graph.nodes) == n and len(gf.graph.edges) == n - 1
+    assert peak <= 3 * held, (peak, held)
 
 
 def test_graph_file_round_trip():
@@ -375,6 +413,14 @@ def test_cmd_fuzz_mutant_mode(capsys):
     out = capsys.readouterr().out
     assert "result=counterexample" in out
     assert '"margin"' in out
+
+
+@pytest.mark.parametrize("bad,message", [("--samples=0", "samples >= 1"), ("--seed=-1", "seed >= 0")])
+def test_cmd_fuzz_rejects_bad_samples_and_seed(capsys, bad, message):
+    assert main(["fuzz", "--q", "4", "--trials", "2", "--epsilon", "0.3", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):
