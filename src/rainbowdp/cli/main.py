@@ -94,49 +94,23 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_build(args) -> int:
-    try:
-        budget = _budget_from_args(args)
-        gf = parse_graph_file(_read_text(args.graph_file))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    budget = _budget_from_args(args)
+    gf = parse_graph_file(_read_text(args.graph_file))
     if gf.boundary is None:
         print("error: graph file declares no boundary vectors", file=sys.stderr)
         return EXIT_INCOMPLETE
-    try:
-        mech = optimal_mechanism(gf.graph, gf.boundary, budget)
-    except MissingRainbow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for c in exc.rainbows:
-            print("  missing rainbow " + ",".join(c.color_names(gf.graph.color_space)), file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except InvalidBoundary as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        space = gf.graph.color_space
-        for ca, cb in exc.violations:
-            a = ",".join(ca.color_names(space))
-            b = ",".join(cb.color_names(space))
-            print(f"  boundary values for ({a}) and ({b}) are not close", file=sys.stderr)
-        return EXIT_VIOLATION
-    except UnconstrainedRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCONSTRAINED
+    mech = optimal_mechanism(gf.graph, gf.boundary, budget)
     _write_text(args.out, mechanism_csv(gf.graph, mech))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        budget = _budget_from_args(args)
-        gf = parse_graph_file(_read_text(args.graph_file))
-        assignment = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    budget = _budget_from_args(args)
+    gf = parse_graph_file(_read_text(args.graph_file))
+    assignment = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
     unknown = sorted(set(assignment) - set(gf.graph.nodes))
     if unknown:
-        print(f"error: mechanism file has rows for undeclared nodes: {unknown}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"mechanism file has rows for undeclared nodes: {unknown}")
     missing = sorted(set(gf.graph.nodes) - set(assignment))
     if missing:
         print(f"error: mechanism file is missing nodes: {missing}", file=sys.stderr)
@@ -155,16 +129,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    try:
-        budget = _budget_from_args(args)
-        probs = tuple(float(tok) for tok in args.boundary.split(","))
-        m = SimplexVector(probs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    budget = _budget_from_args(args)
+    m = SimplexVector(tuple(float(tok) for tok in args.boundary.split(",")))
     if args.steps < 0 or args.substeps < 1:
-        print("error: need steps >= 0 and substeps >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need steps >= 0 and substeps >= 1")
     try:
         profile = tau_profile(m, budget)
         print("rho " + fmt(profile.rho))
@@ -179,28 +147,15 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        table, _, tau = parse_trajectory_csv(_read_text(args.trajectory_csv))
-        svg = render_trajectory_svg(table, tau)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_text(args.out, svg)
+    table, _, tau = parse_trajectory_csv(_read_text(args.trajectory_csv))
+    _write_text(args.out, render_trajectory_svg(table, tau))
     return EXIT_OK
 
 
 def cmd_demo_no_optimal(args) -> int:
-    try:
-        budget = _budget_from_args(args, default_epsilon=math.log(2.0))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    budget = _budget_from_args(args, default_epsilon=math.log(2.0))
     if args.homogenized:
-        try:
-            graph, mech = homogenized_pentagon(budget)
-        except InvalidBoundary as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VIOLATION
+        graph, mech = homogenized_pentagon(budget)
         report = verify_dp(graph, mech, budget)
         print("optimal mechanism on the homogenized pentagon:")
         sys.stdout.write(mechanism_csv(graph, mech))
@@ -219,19 +174,14 @@ def cmd_demo_no_optimal(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        budget = _budget_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    budget = _budget_from_args(args)
     if not 2 <= args.q <= 12:
-        print("error: need 2 <= q <= 12", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need 2 <= q <= 12")
     for name, low in (("trials", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, name) < low:
-            print(f"error: need {name} >= {low}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"need {name} >= {low}")
     step_fn = _drop_delta_step if args.mutant_drop_delta else None
+    result, code = "ok", EXIT_OK
     for i in range(args.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, i))))
         p = SimplexVector(tuple(rng.dirichlet(np.ones(args.q))))
@@ -253,18 +203,14 @@ def cmd_fuzz(args) -> int:
                     sort_keys=True,
                 )
             )
-            print(
-                f"fuzz q={args.q} trials={args.trials} seed={args.seed} "
-                f"epsilon={fmt(budget.epsilon)} delta={fmt(budget.delta)} "
-                f"samples={args.samples} result=counterexample trial={i}"
-            )
-            return EXIT_FALSIFIED
+            result, code = f"counterexample trial={i}", EXIT_FALSIFIED
+            break
     print(
         f"fuzz q={args.q} trials={args.trials} seed={args.seed} "
         f"epsilon={fmt(budget.epsilon)} delta={fmt(budget.delta)} "
-        f"samples={args.samples} result=ok"
+        f"samples={args.samples} result={result}"
     )
-    return EXIT_OK
+    return code
 
 
 def build_parser() -> _Parser:
@@ -321,9 +267,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # The first match wins (InvalidBoundary is also a ValueError).
+        # Anything else is a program fault and keeps its traceback.
+        for kinds, code in (
+            (MissingRainbow, EXIT_INCOMPLETE),
+            (InvalidBoundary, EXIT_VIOLATION),
+            (UnconstrainedRegion, EXIT_UNCONSTRAINED),
+            ((ValueError, OSError), EXIT_USAGE),
+        ):
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

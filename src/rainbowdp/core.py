@@ -9,6 +9,7 @@ defines differential privacy edgewise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,6 +23,9 @@ SUM_WINDOW = 1e-3
 # Entries this far below zero are float noise from prefix differencing
 # and get clamped; anything lower is rejected.
 NEGATIVE_WINDOW = 1e-9
+
+# The largest epsilon whose e^epsilon is a finite float (about 709.78).
+MAX_EPSILON = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,8 @@ class PrivacyBudget:
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError("epsilon must be finite and >= 0")
+        if self.epsilon > MAX_EPSILON:
+            raise ValueError(f"epsilon must be <= {MAX_EPSILON!r} so that e^epsilon is a finite float")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
 

@@ -23,9 +23,9 @@ class UnconstrainedRegion(RuntimeError):
     """A rainbow class with no boundary: nothing ties its distributions
     to the rest of the graph, so no unique optimum exists there."""
 
-    def __init__(self, rainbow: Rainbow, space: ColorSpace | None = None):
+    def __init__(self, rainbow: Rainbow, space: ColorSpace):
         self.rainbow = rainbow
-        label = ",".join(space.colors[i] for i in rainbow.order) if space else str(rainbow.order)
+        label = ",".join(rainbow.color_names(space))
         super().__init__(f"rainbow ({label}) has an empty boundary in some component")
 
 
@@ -33,6 +33,13 @@ def _normalize_edge(a: str, b: str) -> tuple[str, str]:
     if a == b:
         raise ValueError(f"self-loop on node {a!r}")
     return (a, b) if a < b else (b, a)
+
+
+def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
+    """The edge itself when it is already a normalized (a, b) tuple, else
+    a normalized copy; saves a tuple per edge for callers such as the parser."""
+    a, b = edge
+    return edge if a < b and type(edge) is tuple else _normalize_edge(a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +54,10 @@ class RainbowGraph:
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node identifiers")
         node_set = set(nodes)
-        edges = frozenset(_normalize_edge(a, b) for a, b in self.edges)
+        if len(node_set) != len(nodes):
+            raise ValueError("duplicate node identifiers")
+        edges = frozenset(_kept_edge(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
             if a not in node_set or b not in node_set:

@@ -51,18 +51,26 @@ class EpsilonZero(ValueError):
 class MissingRainbow(LookupError):
     """A bounded region's rainbow is absent from the boundary condition."""
 
-    def __init__(self, rainbows: Sequence[Rainbow]):
+    def __init__(self, rainbows: Sequence[Rainbow], space: ColorSpace):
         self.rainbows = tuple(rainbows)
-        super().__init__(f"boundary condition missing {len(self.rainbows)} rainbow(s)")
+        lines = [f"boundary condition missing {len(self.rainbows)} rainbow(s)"]
+        lines += ["  missing rainbow " + ",".join(c.color_names(space)) for c in self.rainbows]
+        super().__init__("\n".join(lines))
 
 
 class InvalidBoundary(ValueError):
     """Some pair of adjacent regions has boundary values that are not
     (eps,delta)-close."""
 
-    def __init__(self, violations: Sequence[tuple[Rainbow, Rainbow]]):
+    def __init__(self, violations: Sequence[tuple[Rainbow, Rainbow]], space: ColorSpace):
         self.violations = tuple(violations)
-        super().__init__(f"boundary condition violates closeness on {len(self.violations)} region pair(s)")
+        lines = [f"boundary condition violates closeness on {len(self.violations)} region pair(s)"]
+        lines += [
+            f"  boundary values for ({','.join(ca.color_names(space))}) "
+            f"and ({','.join(cb.color_names(space))}) are not close"
+            for ca, cb in self.violations
+        ]
+        super().__init__("\n".join(lines))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +312,7 @@ def validate_boundary_condition(
         if region.boundary and c not in bc.values
     ]
     if missing:
-        raise MissingRainbow(missing)
+        raise MissingRainbow(missing, graph.color_space)
     violations = tuple(
         (ca, cb)
         for ca, cb in topology.adjacent_pairs
@@ -332,7 +340,7 @@ def optimal_mechanism(
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
-        raise InvalidBoundary(report.violations)
+        raise InvalidBoundary(report.violations, graph.color_space)
     regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
 

@@ -172,7 +172,10 @@ def test_cmd_build_rejects_non_close_boundary(tmp_path, capsys):
     )
     code = main(["build", str(bad), "--e-epsilon", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "not close" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: boundary condition violates closeness on 1 region pair(s)\n"
+        "  boundary values for (1,2,3) and (2,1,3) are not close\n"
+    )
 
 
 def test_cmd_build_unconstrained_region(tmp_path, capsys):
@@ -182,7 +185,7 @@ def test_cmd_build_unconstrained_region(tmp_path, capsys):
     )
     code = main(["build", str(lonely), "--e-epsilon", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    assert "empty boundary" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: rainbow (1,2) has an empty boundary in some component\n"
 
 
 def test_cmd_build_missing_boundary(tmp_path, capsys):
@@ -194,10 +197,14 @@ def test_cmd_build_missing_boundary(tmp_path, capsys):
     )
     code = main(["build", str(missing), "--e-epsilon", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 4
+    assert capsys.readouterr().err == (
+        "error: boundary condition missing 1 rainbow(s)\n  missing rainbow 2,1,3\n"
+    )
     no_boundary = tmp_path / "none.graph"
     no_boundary.write_text("colors 1 2 3\nnode a 1 2 3\nnode b 2 1 3\nedge a b\n")
     code = main(["build", str(no_boundary), "--e-epsilon", "2", "--out", str(tmp_path / "x.csv")])
     assert code == 4
+    assert capsys.readouterr().err == "error: graph file declares no boundary vectors\n"
 
 
 def test_cmd_build_malformed_file(tmp_path, capsys):
@@ -386,7 +393,10 @@ def test_cmd_demo_homogenized(capsys):
     assert "verifies: true" in out
     # A budget too tight for the pentagon boundary is a clean violation.
     assert main(["demo-no-optimal", "--homogenized", "--e-epsilon", "1"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: boundary condition violates closeness on 1 region pair(s)\n"
+        "  boundary values for (1,2,3) and (1,3,2) are not close\n"
+    )
 
 
 def test_cmd_fuzz_clean_run(capsys):
@@ -438,6 +448,41 @@ def test_usage_errors_exit_1(capsys):
     assert main(["trajectory", "--boundary", "0.5,0.5", "--epsilon", "1",
                  "--steps", "-1", "--out", "x.csv"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["build", "trajectory", "plot"])
+def test_unwritable_out_exits_1(tmp_path, capsys, command):
+    traj = tmp_path / "t.csv"
+    assert main(["trajectory", "--boundary", "0.1,0.2,0.7", "--e-epsilon", "2",
+                 "--steps", "2", "--out", str(traj)]) == 0
+    inputs = {
+        "build": [str(FIXTURES / "path5.graph"), "--e-epsilon", "2"],
+        "trajectory": ["--boundary", "0.1,0.2,0.7", "--e-epsilon", "2"],
+        "plot": [str(traj)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / "missing" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "trajectory", "demo-no-optimal", "fuzz"])
+def test_epsilon_beyond_float_range_exits_1(tmp_path, capsys, command):
+    # e^1000 overflows a float; the budget is rejected before any work.
+    graph = str(FIXTURES / "path5.graph")
+    mech = tmp_path / "m.csv"
+    assert main(["build", graph, "--e-epsilon", "2", "--out", str(mech)]) == 0
+    argv = {
+        "build": ["build", graph, "--out", str(tmp_path / "x.csv")],
+        "verify": ["verify", graph, str(mech)],
+        "trajectory": ["trajectory", "--boundary", "0.1,0.2,0.7", "--out", str(tmp_path / "t.csv")],
+        "demo-no-optimal": ["demo-no-optimal"],
+        "fuzz": ["fuzz", "--q", "3", "--trials", "1"],
+    }[command]
+    assert main([*argv, "--epsilon", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -71,6 +71,10 @@ def test_privacy_budget_validation():
         r.PrivacyBudget(float("nan"), 0.0)
     with pytest.raises(ValueError):
         r.PrivacyBudget(1.0, float("nan"))
+    # e^709 is a finite float; e^710 overflows.
+    assert math.isfinite(r.PrivacyBudget(709.0).exp_epsilon)
+    with pytest.raises(ValueError, match="finite float"):
+        r.PrivacyBudget(710.0)
 
 
 def test_prefix_sums_examples():

@@ -39,6 +39,21 @@ def test_rainbow_graph_validation():
         r.RainbowGraph(("a", "b"), frozenset(), {"a": c}, space)
 
 
+def test_rainbow_graph_keeps_normalized_edges():
+    space = r.ColorSpace(("1", "2"))
+    c = r.Rainbow((0, 1))
+    ab, bc = ("a", "b"), ("b", "c")
+    edges = frozenset((ab, bc))
+    pref = {"a": c, "b": c, "c": c}
+    graph = r.RainbowGraph(("a", "b", "c"), edges, pref, space)
+    held = {id(e) for e in graph.edges}
+    assert id(ab) in held and id(bc) in held
+    # One edge given reversed: that one is normalized, the other is kept.
+    graph = r.RainbowGraph(("a", "b", "c"), [ab, ("c", "b")], pref, space)
+    assert graph.edges == edges
+    assert id(ab) in {id(e) for e in graph.edges}
+
+
 def test_decompose_regions_path5():
     graph = path5_graph()
     b = graph.preference["n0"]
