@@ -44,15 +44,17 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
 
 def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector]:
     """Parse a mechanism CSV back into per-node distributions; a row
-    whose entries miss a sum of 1 by more than ROW_SUM_TOL is rejected."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    whose entries miss a sum of 1 by more than ROW_SUM_TOL is rejected.
+    Blank lines are skipped; error messages give physical line numbers."""
+    lines = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    _, header = next(lines, (0, None))
+    if header is None:
         raise ValueError("empty mechanism file")
     expected_header = "node," + ",".join(space.colors)
-    if lines[0] != expected_header:
-        raise ValueError(f"header {lines[0]!r} does not match colors {space.colors}")
+    if header != expected_header:
+        raise ValueError(f"header {header!r} does not match colors {space.colors}")
     out: dict[str, SimplexVector] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != 1 + space.q:
             raise ValueError(f"line {lineno}: expected {1 + space.q} cells, got {len(cells)}")

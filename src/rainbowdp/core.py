@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 DEFAULT_TOL = 1e-12
 
 # Published boundary vectors are often rounded to 4 decimals, so their
@@ -91,10 +93,31 @@ class SimplexVector:
             if not math.isfinite(x) or x < -NEGATIVE_WINDOW or x > 1.0 + NEGATIVE_WINDOW:
                 raise ValueError(f"entry {x!r} outside [0, 1]")
         vals = [min(max(x, 0.0), 1.0) for x in vals]
-        total = sum(vals)
+        # Summed left to right by hand: builtin sum() of floats is
+        # compensated from Python 3.12 on, and the bits of every
+        # normalized row must not depend on the interpreter.
+        total = 0.0
+        for x in vals:
+            total += x
         if abs(total - 1.0) > SUM_WINDOW:
             raise ValueError(f"entries sum to {total!r}, not 1")
         object.__setattr__(self, "p", tuple(x / total for x in vals))
+
+    @classmethod
+    def rows(cls, a: np.ndarray) -> list[SimplexVector]:
+        """One SimplexVector per row of a 2-D array, bit for bit what
+        ``[SimplexVector(tuple(row)) for row in a]`` gives, including the
+        error raised for the first bad row.
+
+        Every check of __post_init__ runs on the whole array at once; the
+        rows are then wrapped without a second pass through it.
+        """
+        out = []
+        for row in normalized_rows(a).tolist():
+            vec = object.__new__(cls)
+            object.__setattr__(vec, "p", tuple(row))
+            out.append(vec)
+        return out
 
     def __len__(self) -> int:
         return len(self.p)
@@ -104,6 +127,36 @@ class SimplexVector:
 
     def __getitem__(self, k: int) -> float:
         return self.p[k]
+
+
+def normalized_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as SimplexVector stores them, as a new
+    array: each entry checked to be finite and inside
+    [-NEGATIVE_WINDOW, 1 + NEGATIVE_WINDOW], clamped to [0, 1], the row
+    checked to sum to 1 within SUM_WINDOW, then divided by its
+    left-to-right sum. The first bad row raises SimplexVector's error."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got {a.ndim} dimension(s)")
+    if a.shape[0] and a.shape[1] < 2:
+        raise ValueError("distribution needs at least 2 entries")
+    out_of_range = ~np.isfinite(a) | (a < -NEGATIVE_WINDOW) | (a > 1.0 + NEGATIVE_WINDOW)
+    # min(max(x, 0.0), 1.0) as Python evaluates it, so -0.0 stays -0.0.
+    rows = np.where(a < 0.0, 0.0, a)
+    np.copyto(rows, 1.0, where=rows > 1.0)
+    total = np.zeros(a.shape[0])
+    for column in rows.T:
+        total += column
+    bad_entry = out_of_range.any(axis=1)
+    bad = bad_entry | (np.abs(total - 1.0) > SUM_WINDOW)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_entry[i]:
+            x = float(a[i, int(np.argmax(out_of_range[i]))])
+            raise ValueError(f"entry {x!r} outside [0, 1]")
+        raise ValueError(f"entries sum to {float(total[i])!r}, not 1")
+    rows /= total[:, None]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from itertools import islice
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     DEFAULT_TOL,
@@ -31,8 +34,8 @@ from .core import (
     SimplexVector,
     dominates,
     is_close,
+    normalized_rows,
     prefix_sums,
-    subset_excess,
 )
 from .graph import RainbowGraph, boundary_distances
 
@@ -41,6 +44,10 @@ INFINITE = math.inf
 # Below this mass the growth phase is evaluated in log space to dodge
 # overflow in exp(t * eps) for extremely small prefixes.
 _LOG_FORM_THRESHOLD = 1e-8
+
+# Chain rows and edges are processed this many at a time, so each array
+# of a pass stays small (256 KiB at q = 8) whatever the size of the graph.
+_CHUNK_ROWS = 1 << 12
 
 
 class EpsilonZero(ValueError):
@@ -219,42 +226,86 @@ def _growth_phase(s0k: float, rho: float, eps: float, t: float) -> float:
     return min(1.0, val)
 
 
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    # math.exp, not np.exp, which differs from it in the last bit.
+    return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
+
+
 def _prefix_curve(
-    m: SimplexVector, budget: PrivacyBudget
-) -> Callable[[float], tuple[float, ...]]:
-    """The closed-form trajectory of m's prefix sums as a function of
-    t >= 0. Each prefix's crossing step tau and its value there depend
-    only on m and the budget, so they are computed once here, not per t.
+    ms: Sequence[SimplexVector],
+    budget: PrivacyBudget,
+    ts: np.ndarray,
+    which: np.ndarray | None = None,
+) -> np.ndarray:
+    """The closed-form trajectories of prefix sums: row i holds the
+    prefix sums of ms[which[i]] (ms[0] when which is None) after ts[i]
+    steps, for t >= 0.
+
+    Each prefix's crossing step tau and its value there depend only on
+    its distribution and the budget, so they are computed once per
+    distribution. Every entry is the float the scalar formulas give,
+    with the same operations in the same order; e^(t eps) is taken once
+    per row and shared by its prefixes.
     """
-    s0 = prefix_sums(m)
+    ts = np.asarray(ts, dtype=np.float64)
+    which = np.zeros(len(ts), dtype=np.intp) if which is None else np.asarray(which)
+    s0 = [prefix_sums(m) for m in ms]
+    start = np.array(s0)[which]
     eps = budget.epsilon
     if eps == 0.0:
-        delta = budget.delta
-        return lambda t: s0 if t == 0 else tuple(min(1.0, sk + t * delta) for sk in s0)
-    e = budget.exp_epsilon
-    rho = budget.delta / (e - 1.0)
-    # Last step of the growth phase: the operator's two bounds cross at
-    # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
-    # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
-    crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
-    phases = []
-    for sk in s0:
-        tau = _tau(sk, crossing, budget, rho)
-        phases.append((sk, tau, sk if tau == 0 else _growth_phase(sk, rho, eps, tau)))
+        out = start + ts[:, None] * budget.delta
+    else:
+        e = budget.exp_epsilon
+        rho = budget.delta / (e - 1.0)
+        # Last step of the growth phase: the operator's two bounds cross at
+        # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
+        # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
+        crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
+        taus = [[_tau(sk, crossing, budget, rho) for sk in s] for s in s0]
+        # The value at the crossing step, where the approach phase starts.
+        s_tau = [
+            [sk if tau == 0 else _growth_phase(sk, rho, eps, tau) for sk, tau in zip(s, row)]
+            for s, row in zip(s0, taus)
+        ]
+        # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
+        log_base = [
+            [math.log(sk + rho) if 0.0 < sk + rho < _LOG_FORM_THRESHOLD else 0.0 for sk in s]
+            for s in s0
+        ]
+        tau = np.array(taus)[which]
+        base = start + rho
+        grows = ts[:, None] <= tau
+        direct = base >= _LOG_FORM_THRESHOLD
+        # Growth phase, s^t = e^(t eps) (s0 + rho) - rho. e^(t eps) is
+        # taken only up to the last crossing step of a prefix on the
+        # direct branch; beyond it, it may overflow.
+        shared = ts <= tau[direct].max(initial=-1.0)
+        growth = np.zeros(len(ts))
+        growth[shared] = _exp_each(ts[shared] * eps)
+        out = growth[:, None] * base - rho
+        out[base <= 0.0] = 0.0
+        tiny = grows & ~direct & (base > 0.0)
+        if tiny.any():
+            t_at, k_at = np.nonzero(tiny)
+            out[tiny] = _exp_each(ts[t_at] * eps + np.array(log_base)[which[t_at], k_at]) - rho
+        # Approach phase, past each prefix's crossing step.
+        t_at, k_at = np.nonzero(~grows)
+        if len(t_at):
+            decay = _exp_each(-eps * (ts[t_at] - tau[t_at, k_at]))
+            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - np.array(s_tau)[which[t_at], k_at])
+    # min(1.0, val) as Python evaluates it.
+    out = np.where(out < 1.0, out, 1.0)
+    at_zero = ts == 0
+    out[at_zero] = start[at_zero]
+    return out
 
-    def at(t: float) -> tuple[float, ...]:
-        if t == 0:
-            return s0
-        out = []
-        for sk, tau, s_tau in phases:
-            if t <= tau:
-                out.append(_growth_phase(sk, rho, eps, t))
-            else:
-                val = 1.0 + rho - math.exp(-eps * (t - tau)) * (1.0 + rho - s_tau)
-                out.append(min(1.0, val))
-        return tuple(out)
 
-    return at
+def _distributions(s: np.ndarray) -> np.ndarray:
+    """Entries of the distributions whose prefix sums are the rows of s."""
+    out = np.empty_like(s)
+    out[:, 0] = s[:, 0]
+    np.subtract(s[:, 1:], s[:, :-1], out=out[:, 1:])
+    return out
 
 
 def closed_form_prefix(
@@ -268,7 +319,7 @@ def closed_form_prefix(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _prefix_curve(m, budget)(t)
+    return tuple(_prefix_curve([m], budget, [t])[0].tolist())
 
 
 def _identity_space(q: int) -> ColorSpace:
@@ -285,9 +336,10 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    curve = _prefix_curve(m, budget)
     assignment = {"0": m}
-    assignment.update((str(i), SimplexVector(_differences(curve(i)))) for i in range(1, n + 1))
+    if n:
+        rows = SimplexVector.rows(_distributions(_prefix_curve([m], budget, np.arange(1, n + 1))))
+        assignment.update((str(i), vec) for i, vec in enumerate(rows, start=1))
     return Mechanism(assignment, _identity_space(len(m)))
 
 
@@ -337,6 +389,10 @@ def optimal_mechanism(
     The powers form one chain per rainbow, indexed by distance, and each
     node takes its (rainbow, distance) entry: nodes sharing that pair
     share one SimplexVector (the pullback along the boundary morphism).
+    The chains beyond distance 0 are built as one array, whose rows are
+    normalized in preference order, permuted to canonical order by each
+    rainbow's order and normalized again, as from_preference_order does
+    row by row.
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
@@ -344,14 +400,25 @@ def optimal_mechanism(
     regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
 
-    chains: dict[Rainbow, list[SimplexVector]] = {}
-    for c, region in regions.items():
-        depth = max(dist[d] for d in region.members)
-        curve = _prefix_curve(to_preference_order(bc.values[c], c), budget)
-        chains[c] = [bc.values[c]] + [
-            from_preference_order(SimplexVector(_differences(curve(i))), c)
-            for i in range(1, depth + 1)
-        ]
+    chains = {c: [bc.values[c]] for c in regions}
+    depths = {c: max(dist[d] for d in region.members) for c, region in regions.items()}
+    deep = [c for c, depth in depths.items() if depth]
+    if deep:
+        which = np.repeat(np.arange(len(deep)), [depths[c] for c in deep])
+        ts = np.concatenate([np.arange(1, depths[c] + 1) for c in deep])
+        boundary = [to_preference_order(bc.values[c], c) for c in deep]
+        orders = np.array([c.order for c in deep])
+        rows: list[SimplexVector] = []
+        for lo in range(0, len(ts), _CHUNK_ROWS):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            curve = _prefix_curve(boundary, budget, ts[part], which[part])
+            preferred = normalized_rows(_distributions(curve))
+            canonical = np.empty_like(preferred)
+            np.put_along_axis(canonical, orders[which[part]], preferred, axis=1)
+            rows += SimplexVector.rows(canonical)
+        chain = iter(rows)
+        for c in deep:
+            chains[c] += islice(chain, depths[c])
     assignment = {d: chains[graph.preference[d]][dist[d]] for d in graph.nodes}
     return Mechanism(assignment, graph.color_space)
 
@@ -369,6 +436,17 @@ class DpReport:
     violations: tuple[DpViolation, ...]
 
 
+def _hockey_stick(p: np.ndarray, q_: np.ndarray, exp_epsilon: float) -> np.ndarray:
+    """subset_excess of each row pair: the positive parts of
+    P - e^eps Q, added column by column, left to right, as subset_excess
+    adds them, so each total is the float it gives."""
+    diff = p - exp_epsilon * q_
+    total = np.zeros(len(p))
+    for column in np.where(diff > 0.0, diff, 0.0).T:
+        total += column
+    return total
+
+
 def verify_dp(
     graph: RainbowGraph,
     mech: Mechanism,
@@ -378,20 +456,35 @@ def verify_dp(
     """Check closeness on every edge of the graph.
 
     A violation records the edge, the failing direction (P, Q), and the
-    margin by which delta is exceeded.
+    margin by which delta is exceeded. Violations come in sorted edge
+    order, each edge's (a, b) direction before its (b, a) one.
+
+    The edges are checked on arrays of the rows of their endpoints, both
+    directions at once; only the nodes that are edge endpoints need a
+    distribution.
     """
-    violations: list[DpViolation] = []
+    edges = list(graph.edges)
+    index = {d: i for i, d in enumerate(dict.fromkeys(d for edge in edges for d in edge))}
+    missing = {d for d in index if d not in mech.assignment}
+    if missing:
+        first = next(d for edge in sorted(edges) for d in edge if d in missing)
+        raise KeyError(f"mechanism has no distribution for node {first!r}")
+    rows = np.array([mech.assignment[d].p for d in index])
     e = budget.exp_epsilon
-    for a, b in sorted(graph.edges):
-        for src, dst in ((a, b), (b, a)):
-            try:
-                p = mech.assignment[src]
-                q_ = mech.assignment[dst]
-            except KeyError as exc:
-                raise KeyError(f"mechanism has no distribution for node {exc.args[0]!r}") from None
-            margin = subset_excess(p, q_, e) - budget.delta
+    found = []
+    for lo in range(0, len(edges), _CHUNK_ROWS):
+        chunk = edges[lo:lo + _CHUNK_ROWS]
+        ends = np.array([index[d] for edge in chunk for d in edge]).reshape(-1, 2)
+        a, b = rows[ends[:, 0]], rows[ends[:, 1]]
+        forward = _hockey_stick(a, b, e) - budget.delta
+        backward = _hockey_stick(b, a, e) - budget.delta
+        for i in np.nonzero((forward > tol) | (backward > tol))[0].tolist():
+            found.append((chunk[i], float(forward[i]), float(backward[i])))
+    violations = []
+    for edge, *margins in sorted(found, key=lambda f: f[0]):
+        for direction, margin in zip((edge, edge[::-1]), margins):
             if margin > tol:
-                violations.append(DpViolation((a, b), (src, dst), margin))
+                violations.append(DpViolation(edge, direction, margin))
     return DpReport(valid=not violations, violations=tuple(violations))
 
 
@@ -466,11 +559,10 @@ def build_trajectory(
     names = list(colors) if colors is not None else [str(k) for k in range(1, q + 1)]
     if len(names) != q:
         raise ValueError("colors length does not match the distribution")
-    curve = _prefix_curve(m, budget)
+    ts = np.arange(steps * substeps + 1) / substeps
+    s = _prefix_curve([m], budget, ts)
     rows: list[TrajectoryRow] = []
-    for i in range(steps * substeps + 1):
-        t = i / substeps
-        s = curve(t)
-        for k, (sk, pk) in enumerate(zip(s, _differences(s)), start=1):
+    for t, s_t, p_t in zip(ts.tolist(), s.tolist(), _distributions(s).tolist()):
+        for k, (sk, pk) in enumerate(zip(s_t, p_t), start=1):
             rows.append(TrajectoryRow(t=t, k=k, color=names[k - 1], p=pk, s=sk))
     return TrajectoryTable(tuple(rows))

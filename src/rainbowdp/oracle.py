@@ -151,7 +151,7 @@ def sample_close(
         vectors.append(t_step(p, budget))
     if count > 2:
         raw = _raw_close_samples(p, budget, count - 2, _rng(seed))
-        vectors.extend(SimplexVector(tuple(row)) for row in raw)
+        vectors.extend(SimplexVector.rows(raw))
     return CloseSamples(tuple(vectors))
 
 

@@ -255,3 +255,22 @@ def path5_bc() -> r.BoundaryCondition:
     return r.BoundaryCondition(
         {b: sv(0.2, 0.1, 0.7), red: sv(0.4, 0.2, 0.4)}
     )
+
+
+def verify_dp_reference(
+    graph: r.RainbowGraph, mech: r.Mechanism, budget: r.PrivacyBudget, tol: float = r.DEFAULT_TOL
+) -> r.DpReport:
+    """verify_dp as one subset_excess call per edge direction, in sorted
+    edge order: the definition the array pass must match bit for bit."""
+    violations = []
+    e = budget.exp_epsilon
+    for a, b in sorted(graph.edges):
+        for src, dst in ((a, b), (b, a)):
+            try:
+                p, q_ = mech.assignment[src], mech.assignment[dst]
+            except KeyError as exc:
+                raise KeyError(f"mechanism has no distribution for node {exc.args[0]!r}") from None
+            margin = r.subset_excess(p, q_, e) - budget.delta
+            if margin > tol:
+                violations.append(r.DpViolation((a, b), (src, dst), margin))
+    return r.DpReport(valid=not violations, violations=tuple(violations))

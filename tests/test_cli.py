@@ -142,6 +142,16 @@ def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
     )
 
 
+def test_mechanism_csv_errors_give_physical_line_numbers():
+    space = r.ColorSpace(("1", "2"))
+    with pytest.raises(ValueError, match=r"^line 6: entries sum to 1\.1, not 1$"):
+        parse_mechanism_csv("node,1,2\n\nx,0.5,0.5\n\n\ny,0.5,0.6\n", space)
+    with pytest.raises(ValueError, match=r"^line 5: duplicate row for node 'x'$"):
+        parse_mechanism_csv("\nnode,1,2\nx,0.5,0.5\n\nx,0.5,0.5\n", space)
+    with pytest.raises(ValueError, match="empty mechanism file"):
+        parse_mechanism_csv("\n  \n", space)
+
+
 def test_fmt_properties():
     assert fmt(0.0) == "0"
     assert fmt(-0.0) == "0"
@@ -423,6 +433,36 @@ def test_cmd_fuzz_mutant_mode(capsys):
     out = capsys.readouterr().out
     assert "result=counterexample" in out
     assert '"margin"' in out
+
+
+# Taken before sample_close and verify_dp moved to arrays; the bytes must
+# not change.
+FUZZ_GOLDEN = [
+    (
+        ["--q", "6", "--trials", "40", "--samples", "48", "--seed", "11",
+         "--e-epsilon", "3", "--delta", "0.02"],
+        0,
+        "fuzz q=6 trials=40 seed=11 epsilon=1.09861228867 delta=0.02 samples=48 result=ok\n",
+    ),
+    (
+        ["--q", "7", "--trials", "30", "--seed", "5", "--epsilon", "0.4", "--delta", "0.03",
+         "--mutant-drop-delta"],
+        5,
+        '{"margin": "0.03", "p": ["0.350142750395", "0.132218282097", "0.229358494287", '
+        '"0.0933096073739", "0.00531429224935", "0.0764776122959", "0.113178961302"], '
+        '"prefix_index": 0, "sample": ["0.552351602739", "0.120774222112", "0.153743596449", '
+        '"0.0625473003104", "0.00356227662523", "0.0512644765949", "0.0557565251692"], '
+        '"seed": 5, "trial": 0}\n'
+        "fuzz q=7 trials=30 seed=5 epsilon=0.4 delta=0.03 samples=64 "
+        "result=counterexample trial=0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN)
+def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
+    assert main(["fuzz", *args]) == code
+    assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize("bad,message", [("--samples=0", "samples >= 1"), ("--seed=-1", "seed >= 0")])

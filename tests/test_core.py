@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import rainbowdp as r
@@ -54,6 +55,27 @@ def test_simplex_vector_clamps_float_noise():
     m = r.SimplexVector((1e-12, -1e-15, 1.0))
     assert m.p[1] == 0.0
     assert all(x >= 0.0 for x in m.p)
+
+
+def test_simplex_vector_normalizes_by_the_left_to_right_sum():
+    # Added left to right these entries sum to 0.9999999999999999; the
+    # correctly rounded sum (math.fsum, or sum() from Python 3.12 on) is
+    # 1.0, which would leave them undivided.
+    row = (0.7, 0.1, 0.1, 0.1)
+    assert math.fsum(row) == 1.0
+    sequential = ((0.7 + 0.1) + 0.1) + 0.1
+    assert sequential == 0.9999999999999999
+    assert sv(*row).p == tuple(x / sequential for x in row)
+    assert sv(*row).p != row
+    assert r.SimplexVector.rows(np.array([row]))[0].p == sv(*row).p
+
+
+def test_simplex_vector_rows_of_one_column_and_of_none():
+    # tests/test_properties.py compares every other shape with the
+    # constructor, error messages included.
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        r.SimplexVector.rows(np.array([[1.0]]))
+    assert r.SimplexVector.rows(np.empty((0, 3))) == []
 
 
 def test_privacy_budget_validation():

@@ -497,8 +497,9 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
 
 
 def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
-    # One closed-form curve per rainbow: each prefix's crossing step is
-    # found once, however many distances the rainbow's chain has.
+    # One closed-form curve per rainbow with nodes off its boundary: each
+    # prefix's crossing step is found once, however many distances the
+    # rainbow's chain has, and never for a rainbow of depth 0.
     calls = []
     tau = r.mechanism._tau
 
@@ -515,6 +516,9 @@ def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
         bc = random_homogeneous_bc(g, graph, budget)
         calls.clear()
         r.optimal_mechanism(graph, bc, budget)
-        assert len(calls) == len(graph.rainbows()) * graph.color_space.q
-        deepest = max(deepest, *r.boundary_distances(graph, r.decompose_regions(graph)).values())
+        regions = r.decompose_regions(graph)
+        dist = r.boundary_distances(graph, regions)
+        deep = [c for c, region in regions.items() if max(dist[d] for d in region.members) > 0]
+        assert len(calls) == len(deep) * graph.color_space.q
+        deepest = max(deepest, *dist.values())
     assert deepest >= 2

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import rainbowdp as r
-from rainbowdp.oracle import _drop_delta_step
+from rainbowdp.oracle import _drop_delta_step, _raw_close_samples, _rng
 from helpers import random_budget, random_simplex, rng, sv
 
 LOG2 = math.log(2.0)
@@ -79,6 +79,16 @@ def test_sample_close_first_two_and_reproducible():
     assert [v.p for v in a.vectors] == [v.p for v in b.vectors]
     c = r.sample_close(p, budget, 50, seed=43)
     assert [v.p for v in a.vectors] != [v.p for v in c.vectors]
+
+
+def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
+    g = rng(52)
+    for _ in range(10):
+        p = random_simplex(g, int(g.integers(2, 9)), zero_rate=0.3)
+        budget = random_budget(g)
+        raw = _raw_close_samples(p, budget, 62, _rng(9))
+        samples = r.sample_close(p, budget, 64, seed=9).vectors
+        assert [v.p for v in samples[2:]] == [r.SimplexVector(tuple(row)).p for row in raw]
 
 
 def test_sample_close_all_pass_bruteforce():

@@ -3,13 +3,26 @@ the iterated operator at every integer step, over random distributions
 and budgets, down to eps = 1e-4 over ten thousand steps; one operator
 step stays close to its input and dominates it; a graph file survives
 emit then parse, and neither its parse nor the optimal mechanism built
-from it depends on the order of the lines after `colors`."""
+from it depends on the order of the lines after `colors`; the batch
+SimplexVector constructor and the array pass of verify_dp give, bit for
+bit, what their one-at-a-time definitions give; and the optimum is
+locally tight: moving a little mass of any node off its boundary toward
+a more preferred color breaks privacy."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainbowdp as r
-from helpers import random_budget, random_homogeneous_bc, random_solvable_graph, rng
+from helpers import (
+    random_budget,
+    random_homogeneous_bc,
+    random_simplex,
+    random_solvable_graph,
+    rng,
+    verify_dp_reference,
+)
+from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
 from rainbowdp.cli.tables import mechanism_csv
 
@@ -115,3 +128,119 @@ def test_parse_and_mechanism_ignore_line_order(seed, shuffler):
     mech = r.optimal_mechanism(gf.graph, gf.boundary, budget)
     mech_shuffled = r.optimal_mechanism(shuffled.graph, shuffled.boundary, budget)
     assert mechanism_csv(shuffled.graph, mech_shuffled) == mechanism_csv(gf.graph, mech)
+
+
+# Exact zeros of both signs and float noise below zero that gets clamped.
+zeros = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-NEGATIVE_WINDOW, 0.0))
+rejected = st.sampled_from([-1e-6, 1.5, float("nan"), float("inf")])
+
+
+@st.composite
+def row_arrays(draw) -> np.ndarray:
+    """Rows whose positive entries sum to within SUM_WINDOW / 2 of 1; now
+    and then one misses 1 by up to twice SUM_WINDOW, or holds an entry
+    the constructor rejects."""
+    q = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(st.lists(st.floats(1e-12, 1.0), min_size=q, max_size=q))
+        for k in draw(st.lists(st.integers(0, q - 2), max_size=q - 1)):
+            row[k] = draw(zeros)
+        off = SUM_WINDOW * (2.0 if draw(st.integers(1, 16)) == 9 else 0.5)
+        scale = draw(st.floats(1.0 - off, 1.0 + off)) / sum(x for x in row if x > 0.0)
+        row = [x * scale if x > 0.0 else x for x in row]
+        if draw(st.integers(1, 32)) == 17:
+            row[draw(st.integers(0, q - 1))] = draw(rejected)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), q)
+
+
+def _bits_or_error(build):
+    try:
+        return [[x.hex() for x in vec.p] for vec in build()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row_arrays())
+def test_simplex_rows_equal_one_constructor_call_per_row(a):
+    batch = _bits_or_error(lambda: r.SimplexVector.rows(a))
+    assert batch == _bits_or_error(lambda: [r.SimplexVector(tuple(row)) for row in a])
+
+
+def _violation_bits(report: r.DpReport):
+    return report.valid, [(v.edge, v.direction, v.margin.hex()) for v in report.violations]
+
+
+def _key_error(check):
+    try:
+        check()
+    except KeyError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_verify_dp_equals_per_edge_reference(seed):
+    g = rng(seed)
+    graph = random_solvable_graph(g)
+    budget = random_budget(g)
+    mech = r.optimal_mechanism(graph, random_homogeneous_bc(g, graph, budget), budget)
+    q = graph.color_space.q
+    assignment = dict(mech.assignment)
+    for d in graph.nodes:
+        if g.random() < 0.3:
+            # Mixing weights from 1e-14 to 1 put some margins near the tolerance.
+            lam = 10.0 ** g.uniform(-14.0, 0.0)
+            mixed = (1.0 - lam) * np.array(assignment[d].p) + lam * np.array(random_simplex(g, q).p)
+            assignment[d] = r.SimplexVector(tuple(mixed))
+    # A node without edges needs no distribution.
+    isolated = "zz-isolated"
+    graph = r.RainbowGraph(
+        graph.nodes + (isolated,),
+        graph.edges,
+        {**graph.preference, isolated: graph.preference[graph.nodes[0]]},
+        graph.color_space,
+    )
+    perturbed = r.Mechanism(assignment, graph.color_space)
+    assert _violation_bits(r.verify_dp(graph, perturbed, budget)) == _violation_bits(
+        verify_dp_reference(graph, perturbed, budget)
+    )
+    for d in g.choice(sorted(graph.nodes[:-1]), size=2, replace=False):
+        del assignment[str(d)]
+    partial = r.Mechanism(assignment, graph.color_space)
+    error = _key_error(lambda: r.verify_dp(graph, partial, budget))
+    assert error is not None
+    assert error == _key_error(lambda: verify_dp_reference(graph, partial, budget))
+
+
+ETA = 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_optimum_is_locally_tight(seed):
+    # The optimum dominates every valid mechanism with its boundary, so
+    # a node off the boundary cannot take mass from one color to the
+    # color preferred just above it without breaking privacy.
+    g = rng(seed)
+    graph = random_solvable_graph(g)
+    budget = random_budget(g)
+    mech = r.optimal_mechanism(graph, random_homogeneous_bc(g, graph, budget), budget)
+    dist = r.boundary_distances(graph, r.decompose_regions(graph))
+    for d in sorted(graph.nodes):
+        if dist[d] == 0:
+            continue
+        c = graph.preference[d]
+        p = list(r.to_preference_order(mech.assignment[d], c).p)
+        for k in range(len(p) - 1):
+            if p[k + 1] < ETA:
+                continue
+            moved = p.copy()
+            moved[k] += ETA
+            moved[k + 1] -= ETA
+            vec = r.from_preference_order(r.SimplexVector(tuple(moved)), c)
+            report = r.verify_dp(graph, r.Mechanism({**mech.assignment, d: vec}, graph.color_space), budget)
+            assert not report.valid, (d, k)
