@@ -37,6 +37,7 @@ from .graphfile import parse_graph_file
 from .svg import render_trajectory_svg
 from .tables import (
     fmt,
+    fmt_tau,
     mechanism_csv,
     parse_mechanism_csv,
     parse_trajectory_csv,
@@ -136,7 +137,7 @@ def cmd_trajectory(args) -> int:
     try:
         profile = tau_profile(m, budget)
         print("rho " + fmt(profile.rho))
-        print("tau " + ",".join("inf" if math.isinf(v) else str(int(v)) for v in profile.tau))
+        print("tau " + ",".join(fmt_tau(v) for v in profile.tau))
     except EpsilonZero:
         profile = None
         print("rho n/a (epsilon=0)")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from ..core import ColorSpace, SimplexVector
+from ..core import ColorSpace, SimplexVector, prefix_sums
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 
@@ -63,8 +63,10 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector
             raise ValueError(f"line {lineno}: duplicate row for node {node!r}")
         try:
             probs = tuple(float(c) for c in cells[1:])
-            if abs(sum(probs) - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"entries sum to {sum(probs)!r}, not 1")
+            # Left to right, as SimplexVector sums: sum() is compensated from 3.12 on.
+            total = prefix_sums(probs)[-1]
+            if abs(total - 1.0) > ROW_SUM_TOL:
+                raise ValueError(f"entries sum to {total!r}, not 1")
             out[node] = SimplexVector(probs)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
@@ -78,14 +80,15 @@ def trajectory_csv(table: TrajectoryTable, profile: TauProfile | None = None) ->
     lines: list[str] = []
     if profile is not None:
         lines.append("# rho " + fmt(profile.rho))
-        lines.append("# tau " + ",".join(_fmt_tau(v) for v in profile.tau))
+        lines.append("# tau " + ",".join(fmt_tau(v) for v in profile.tau))
     lines.append("t,k,color,p,s")
     for row in table.rows:
         lines.append(f"{fmt(row.t)},{row.k},{row.color},{fmt(row.p)},{fmt(row.s)}")
     return "\n".join(lines) + "\n"
 
 
-def _fmt_tau(v: float) -> str:
+def fmt_tau(v: float) -> str:
+    """A transition index as an integer, or 'inf' for INFINITE."""
     return "inf" if math.isinf(v) else str(int(v))
 
 

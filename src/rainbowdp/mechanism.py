@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -92,9 +91,6 @@ class Mechanism:
         for d, vec in self.assignment.items():
             if len(vec) != self.color_space.q:
                 raise ValueError(f"distribution for node {d!r} has wrong length")
-
-    def distribution(self, node: str) -> SimplexVector:
-        return self.assignment[node]
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,48 +227,40 @@ def _exp_each(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def _prefix_curve(
-    ms: Sequence[SimplexVector],
-    budget: PrivacyBudget,
-    ts: np.ndarray,
-    which: np.ndarray | None = None,
-) -> np.ndarray:
-    """The closed-form trajectories of prefix sums: row i holds the
-    prefix sums of ms[which[i]] (ms[0] when which is None) after ts[i]
-    steps, for t >= 0.
+def _phases(s0: Sequence[float], budget: PrivacyBudget) -> tuple[float, list[float], list[float]]:
+    """The drift rho and, per prefix of s0, its last growth step tau and
+    its value there, where the approach phase starts. Needs eps > 0."""
+    e = budget.exp_epsilon
+    rho = budget.delta / (e - 1.0)
+    # Last step of the growth phase: the operator's two bounds cross at
+    # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
+    # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
+    crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
+    taus = [_tau(sk, crossing, budget, rho) for sk in s0]
+    s_taus = [
+        sk if tau == 0 else _growth_phase(sk, rho, budget.epsilon, tau)
+        for sk, tau in zip(s0, taus)
+    ]
+    return rho, taus, s_taus
 
-    Each prefix's crossing step tau and its value there depend only on
-    its distribution and the budget, so they are computed once per
-    distribution. Every entry is the float the scalar formulas give,
-    with the same operations in the same order; e^(t eps) is taken once
-    per row and shared by its prefixes.
+
+def _prefix_curve(m: SimplexVector, budget: PrivacyBudget, ts: np.ndarray) -> np.ndarray:
+    """The closed-form trajectory of m's prefix sums: row i holds them
+    after ts[i] steps, for t >= 0.
+
+    Every entry is the float closed_form_prefix gives, with the same
+    operations in the same order; e^(t eps) is taken once per row and
+    shared by its prefixes.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    which = np.zeros(len(ts), dtype=np.intp) if which is None else np.asarray(which)
-    s0 = [prefix_sums(m) for m in ms]
-    start = np.array(s0)[which]
+    s0 = prefix_sums(m)
+    start = np.array(s0)
     eps = budget.epsilon
     if eps == 0.0:
         out = start + ts[:, None] * budget.delta
     else:
-        e = budget.exp_epsilon
-        rho = budget.delta / (e - 1.0)
-        # Last step of the growth phase: the operator's two bounds cross at
-        # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
-        # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
-        crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
-        taus = [[_tau(sk, crossing, budget, rho) for sk in s] for s in s0]
-        # The value at the crossing step, where the approach phase starts.
-        s_tau = [
-            [sk if tau == 0 else _growth_phase(sk, rho, eps, tau) for sk, tau in zip(s, row)]
-            for s, row in zip(s0, taus)
-        ]
-        # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
-        log_base = [
-            [math.log(sk + rho) if 0.0 < sk + rho < _LOG_FORM_THRESHOLD else 0.0 for sk in s]
-            for s in s0
-        ]
-        tau = np.array(taus)[which]
+        rho, taus, s_taus = _phases(s0, budget)
+        tau = np.array(taus)
         base = start + rho
         grows = ts[:, None] <= tau
         direct = base >= _LOG_FORM_THRESHOLD
@@ -283,20 +271,21 @@ def _prefix_curve(
         growth = np.zeros(len(ts))
         growth[shared] = _exp_each(ts[shared] * eps)
         out = growth[:, None] * base - rho
-        out[base <= 0.0] = 0.0
+        out[:, base <= 0.0] = 0.0
+        # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
         tiny = grows & ~direct & (base > 0.0)
         if tiny.any():
             t_at, k_at = np.nonzero(tiny)
-            out[tiny] = _exp_each(ts[t_at] * eps + np.array(log_base)[which[t_at], k_at]) - rho
+            log_base = np.array([math.log(b) if b > 0.0 else 0.0 for b in base.tolist()])
+            out[tiny] = _exp_each(ts[t_at] * eps + log_base[k_at]) - rho
         # Approach phase, past each prefix's crossing step.
         t_at, k_at = np.nonzero(~grows)
         if len(t_at):
-            decay = _exp_each(-eps * (ts[t_at] - tau[t_at, k_at]))
-            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - np.array(s_tau)[which[t_at], k_at])
+            decay = _exp_each(-eps * (ts[t_at] - tau[k_at]))
+            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - np.array(s_taus)[k_at])
     # min(1.0, val) as Python evaluates it.
     out = np.where(out < 1.0, out, 1.0)
-    at_zero = ts == 0
-    out[at_zero] = start[at_zero]
+    out[ts == 0] = start
     return out
 
 
@@ -316,10 +305,24 @@ def closed_form_prefix(
     At integer t this equals the iterated operator; fractional t
     interpolates along the same two-phase curves. For eps = 0 the
     recurrence collapses to s^t_k = min(1, s0_k + t delta).
+
+    A single point is evaluated in scalar code, with the operations
+    _prefix_curve applies to whole arrays, so both give the same bits.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return tuple(_prefix_curve([m], budget, [t])[0].tolist())
+    s0 = prefix_sums(m)
+    if t == 0:
+        return s0
+    eps = budget.epsilon
+    if eps == 0.0:
+        return tuple(min(1.0, sk + t * budget.delta) for sk in s0)
+    rho, taus, s_taus = _phases(s0, budget)
+    return tuple(
+        _growth_phase(sk, rho, eps, t) if t <= tau
+        else min(1.0, 1.0 + rho - math.exp(-eps * (t - tau)) * (1.0 + rho - s_tau))
+        for sk, tau, s_tau in zip(s0, taus, s_taus)
+    )
 
 
 def _identity_space(q: int) -> ColorSpace:
@@ -338,7 +341,7 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
         raise ValueError("n must be >= 0")
     assignment = {"0": m}
     if n:
-        rows = SimplexVector.rows(_distributions(_prefix_curve([m], budget, np.arange(1, n + 1))))
+        rows = SimplexVector.rows(_distributions(_prefix_curve(m, budget, np.arange(1, n + 1))))
         assignment.update((str(i), vec) for i, vec in enumerate(rows, start=1))
     return Mechanism(assignment, _identity_space(len(m)))
 
@@ -389,10 +392,10 @@ def optimal_mechanism(
     The powers form one chain per rainbow, indexed by distance, and each
     node takes its (rainbow, distance) entry: nodes sharing that pair
     share one SimplexVector (the pullback along the boundary morphism).
-    The chains beyond distance 0 are built as one array, whose rows are
-    normalized in preference order, permuted to canonical order by each
-    rainbow's order and normalized again, as from_preference_order does
-    row by row.
+    A chain beyond distance 0 is built in arrays of _CHUNK_ROWS steps,
+    whose rows are normalized in preference order, permuted to canonical
+    order by the rainbow's order and normalized again, as
+    from_preference_order does row by row.
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
@@ -400,25 +403,19 @@ def optimal_mechanism(
     regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
 
-    chains = {c: [bc.values[c]] for c in regions}
-    depths = {c: max(dist[d] for d in region.members) for c, region in regions.items()}
-    deep = [c for c, depth in depths.items() if depth]
-    if deep:
-        which = np.repeat(np.arange(len(deep)), [depths[c] for c in deep])
-        ts = np.concatenate([np.arange(1, depths[c] + 1) for c in deep])
-        boundary = [to_preference_order(bc.values[c], c) for c in deep]
-        orders = np.array([c.order for c in deep])
-        rows: list[SimplexVector] = []
-        for lo in range(0, len(ts), _CHUNK_ROWS):
-            part = slice(lo, lo + _CHUNK_ROWS)
-            curve = _prefix_curve(boundary, budget, ts[part], which[part])
-            preferred = normalized_rows(_distributions(curve))
+    chains = {}
+    for c, region in regions.items():
+        chain = chains[c] = [bc.values[c]]
+        depth = max(dist[d] for d in region.members)
+        if not depth:
+            continue
+        boundary = to_preference_order(bc.values[c], c)
+        for lo in range(1, depth + 1, _CHUNK_ROWS):
+            ts = np.arange(lo, min(lo + _CHUNK_ROWS, depth + 1))
+            preferred = normalized_rows(_distributions(_prefix_curve(boundary, budget, ts)))
             canonical = np.empty_like(preferred)
-            np.put_along_axis(canonical, orders[which[part]], preferred, axis=1)
-            rows += SimplexVector.rows(canonical)
-        chain = iter(rows)
-        for c in deep:
-            chains[c] += islice(chain, depths[c])
+            canonical[:, c.order] = preferred
+            chain += SimplexVector.rows(canonical)
     assignment = {d: chains[graph.preference[d]][dist[d]] for d in graph.nodes}
     return Mechanism(assignment, graph.color_space)
 
@@ -547,7 +544,6 @@ def build_trajectory(
     budget: PrivacyBudget,
     steps: int,
     substeps: int = 1,
-    colors: Sequence[str] | None = None,
 ) -> TrajectoryTable:
     """Sample the closed-form trajectory of m on the grid
     t = 0, 1/substeps, ..., steps."""
@@ -555,14 +551,10 @@ def build_trajectory(
         raise ValueError("steps must be >= 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    q = len(m)
-    names = list(colors) if colors is not None else [str(k) for k in range(1, q + 1)]
-    if len(names) != q:
-        raise ValueError("colors length does not match the distribution")
     ts = np.arange(steps * substeps + 1) / substeps
-    s = _prefix_curve([m], budget, ts)
+    s = _prefix_curve(m, budget, ts)
     rows: list[TrajectoryRow] = []
     for t, s_t, p_t in zip(ts.tolist(), s.tolist(), _distributions(s).tolist()):
         for k, (sk, pk) in enumerate(zip(s_t, p_t), start=1):
-            rows.append(TrajectoryRow(t=t, k=k, color=names[k - 1], p=pk, s=sk))
+            rows.append(TrajectoryRow(t=t, k=k, color=str(k), p=pk, s=sk))
     return TrajectoryTable(tuple(rows))

@@ -152,6 +152,13 @@ def test_mechanism_csv_errors_give_physical_line_numbers():
         parse_mechanism_csv("\n  \n", space)
 
 
+def test_mechanism_csv_row_sum_is_added_left_to_right():
+    # A compensated sum, builtin sum() from Python 3.12 on, gives 1.1.
+    space = r.ColorSpace(("1", "2", "3", "4"))
+    with pytest.raises(ValueError, match=r"^line 2: entries sum to 1\.0999999999999999, not 1$"):
+        parse_mechanism_csv("node,1,2,3,4\nx,0.7,0.1,0.1,0.2\n", space)
+
+
 def test_fmt_properties():
     assert fmt(0.0) == "0"
     assert fmt(-0.0) == "0"

@@ -1,6 +1,8 @@
 """Property tests: the closed form of the operator's trajectory equals
 the iterated operator at every integer step, over random distributions
-and budgets, down to eps = 1e-4 over ten thousand steps; one operator
+and budgets, down to eps = 1e-4 over ten thousand steps and from first
+prefixes that grow in log space; closed_form_prefix's scalar code and
+the array rows of _prefix_curve give the same bits; one operator
 step stays close to its input and dominates it; a graph file survives
 emit then parse, and neither its parse nor the optimal mechanism built
 from it depends on the order of the lines after `colors`; the batch
@@ -8,6 +10,8 @@ SimplexVector constructor and the array pass of verify_dp give, bit for
 bit, what their one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
 a more preferred color breaks privacy."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,15 +29,26 @@ from helpers import (
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
 from rainbowdp.cli.tables import mechanism_csv
+from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve
 
 TOL = 1e-9
 
-# Exact zeros give prefixes that never grow at delta = 0 (tau = inf);
-# entries below 1e-8 take the log-space growth branch.
+
+def _normalized(w) -> r.SimplexVector:
+    return r.SimplexVector(tuple(x / sum(w) for x in w))
+
+
+# Exact zeros give prefixes that never grow at delta = 0 (tau = inf).
 weights = st.lists(
     st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=2, max_size=6
 ).filter(lambda w: sum(w) > 0.0)
-simplex = weights.map(lambda w: r.SimplexVector(tuple(x / sum(w) for x in w)))
+simplex = weights.map(_normalized)
+# A first prefix s0 below 1e-8 grows in log space while s0 + rho is
+# below 1e-8 too, which takes delta = 0 or nearly so.
+tiny_first = st.builds(
+    lambda x, w: _normalized([x * sum(w), *w]), st.floats(1e-14, 1e-9), weights
+)
+simplices = st.one_of(simplex, tiny_first)
 budgets = st.builds(
     r.PrivacyBudget,
     st.one_of(st.just(0.0), st.floats(1e-4, 3.0)),
@@ -52,19 +67,49 @@ def _gap_to_iteration(m: r.SimplexVector, budget: r.PrivacyBudget, steps: int) -
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(simplex, budgets, st.integers(0, 80))
+@given(simplices, budgets, st.integers(0, 80))
 def test_closed_form_equals_iteration(m, budget, steps):
+    assert _gap_to_iteration(m, budget, steps) <= TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tiny_first, st.floats(0.05, 3.0))
+def test_closed_form_equals_iteration_from_a_tiny_prefix(m, epsilon):
+    # The first prefix grows in log space up to its crossing step, where
+    # it has reached about 1/(e^eps + 1); the steps run a little past it.
+    budget = r.PrivacyBudget(epsilon, 0.0)
+    assert 0.0 < m.p[0] < _LOG_FORM_THRESHOLD
+    steps = int(r.tau_profile(m, budget).tau[0]) + 3
     assert _gap_to_iteration(m, budget, steps) <= TOL
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
-    simplex,
+    simplices,
     st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
     st.integers(0, 10_000),
 )
 def test_closed_form_equals_iteration_at_tiny_epsilon(m, delta, steps):
     assert _gap_to_iteration(m, r.PrivacyBudget(1e-4, delta), steps) <= TOL
+
+
+# e^eps up to 1e4; t at integer and fractional steps, and far past every
+# prefix's crossing step.
+wide_budgets = st.builds(
+    r.PrivacyBudget,
+    st.one_of(st.just(0.0), st.floats(1e-4, math.log(1e4))),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+)
+times = st.one_of(st.integers(0, 60), st.floats(0.0, 60.0), st.floats(1e6, 1e9))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(simplices, wide_budgets, st.lists(times, min_size=1, max_size=6))
+def test_closed_form_prefix_equals_curve_rows(m, budget, ts):
+    rows = _prefix_curve(m, budget, ts)
+    for t, row in zip(ts, rows.tolist()):
+        point = r.closed_form_prefix(m, budget, t)
+        assert [x.hex() for x in point] == [x.hex() for x in row], t
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
