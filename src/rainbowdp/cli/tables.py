@@ -105,22 +105,23 @@ def parse_trajectory_csv(
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("rho "):
-                rho = float(body[4:])
-            elif body.startswith("tau "):
-                tau = tuple(float(v) for v in body[4:].split(","))
-            continue
-        if not header_seen:
+        comment = line.startswith("#")
+        if not comment and not header_seen:
             if line != "t,k,color,p,s":
                 raise ValueError(f"line {lineno}: expected trajectory header, got {line!r}")
             header_seen = True
             continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ValueError(f"line {lineno}: expected 5 cells, got {len(cells)}")
         try:
+            if comment:
+                body = line[1:].strip()
+                if body.startswith("rho "):
+                    rho = float(body[4:])
+                elif body.startswith("tau "):
+                    tau = tuple(float(v) for v in body[4:].split(","))
+                continue
+            cells = line.split(",")
+            if len(cells) != 5:
+                raise ValueError(f"expected 5 cells, got {len(cells)}")
             rows.append(
                 TrajectoryRow(
                     t=float(cells[0]),

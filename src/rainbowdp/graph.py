@@ -144,40 +144,32 @@ def boundary_distances(
     """Shortest-path distance from each node to the boundary of its own
     rainbow class.
 
-    Distances are measured in the full graph (paths may leave the
-    class); a multi-source breadth-first search from each boundary set
-    covers one rainbow at a time. Breadth-first search fixes a node's
-    distance when it first reaches it, so each search stops as soon as
-    every member of its class has a distance; a class whose members are
-    all boundary nodes needs no search at all. Raises UnconstrainedRegion
-    when a class has nodes that no boundary node of the same rainbow can
-    reach, which includes the empty-boundary case.
+    A path that leaves a class first passes one of that class's boundary
+    nodes: the last class node before the exit has a neighbor of another
+    rainbow. So a node's nearest boundary node of any rainbow lies on its
+    own class's boundary, and one breadth-first search started from every
+    boundary node at once (in rainbow order, then by id) gives every node
+    its own class's distance. The search stops once every node has a
+    distance. A node it never reaches sits in a component with no
+    boundary; UnconstrainedRegion then names the first rainbow, in
+    rainbow order, with such a member, which includes the empty-boundary
+    case.
     """
+    ordered = sorted(regions.items(), key=lambda kv: kv[0].order)
+    dist = {d: 0 for _, region in ordered for d in sorted(region.boundary)}
     adjacency = graph.adjacency
-    dist: dict[str, int] = {}
-    for c, region in sorted(regions.items(), key=lambda kv: kv[0].order):
-        if not region.members:
-            continue
-        if not region.boundary:
-            raise UnconstrainedRegion(c, graph.color_space)
-        seen = {d: 0 for d in region.boundary}
-        dist.update(seen)
-        left = len(region.members) - len(region.boundary)
-        queue = deque(sorted(region.boundary))
-        while left and queue:
-            d = queue.popleft()
-            step = seen[d] + 1
-            for n in adjacency[d]:
-                if n not in seen:
-                    seen[n] = step
-                    queue.append(n)
-                    if n in region.members:
-                        dist[n] = step
-                        left -= 1
-        if left:
-            # Some component of the class sits in a component of the
-            # graph with no boundary for this rainbow.
-            raise UnconstrainedRegion(c, graph.color_space)
+    queue = deque(dist)
+    while queue and len(dist) < len(adjacency):
+        d = queue.popleft()
+        step = dist[d] + 1
+        for n in adjacency[d]:
+            if n not in dist:
+                dist[n] = step
+                queue.append(n)
+    if len(dist) < len(adjacency):
+        for c, region in ordered:
+            if any(d not in dist for d in region.members):
+                raise UnconstrainedRegion(c, graph.color_space)
     return dist
 
 

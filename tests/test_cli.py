@@ -380,8 +380,17 @@ def test_cmd_plot_single_point_and_binary(tmp_path):
 
 def test_cmd_plot_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,trajectory\n1,2,3\n")
-    assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
+    # Each error names its line, the rho and tau comments' values included.
+    for text, error in [
+        ("not,a,trajectory\n1,2,3\n", "error: line 1: expected trajectory header"),
+        ("# rho abc\nt,k,color,p,s\n", "error: line 1: could not convert string to float: 'abc'"),
+        ("t,k,color,p,s\n\n# tau 1,x\n", "error: line 3: could not convert string to float: 'x'"),
+        ("t,k,color,p,s\n0,1,1,0.5\n", "error: line 2: expected 5 cells, got 4"),
+        ("t,k,color,p,s\n0,1,1,x,0.5\n", "error: line 2: could not convert string to float: 'x'"),
+    ]:
+        bad.write_text(text)
+        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err.startswith(error)
 
 
 def test_cmd_demo_no_optimal(capsys):

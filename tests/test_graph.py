@@ -6,6 +6,7 @@ import rainbowdp as r
 from helpers import (
     bfs_depths,
     boundary_line_mechanisms,
+    distinct_rainbows,
     path5_bc,
     path5_graph,
     random_blowup_morphism,
@@ -125,17 +126,41 @@ def test_boundary_distances_errors_per_component():
     assert exc.value.rainbow == c12
 
 
+def _multi_component_graph(g):
+    # Three rainbows over q = 3 and few random edges: several components,
+    # isolated nodes among them, often lack a boundary.
+    space = r.ColorSpace(("1", "2", "3"))
+    rainbows = distinct_rainbows(g, 3, 3)
+    n = int(g.integers(2, 25))
+    nodes = tuple(f"v{i:02d}" for i in range(n))
+    edges = set()
+    for _ in range(int(g.integers(0, n + 1))):
+        i, j = sorted(g.choice(n, size=2, replace=False))
+        edges.add((nodes[i], nodes[j]))
+    pref = {d: rainbows[int(g.integers(3))] for d in nodes}
+    return r.RainbowGraph(nodes, frozenset(edges), pref, space)
+
+
 def test_boundary_distances_against_naive_bfs():
     g = rng(21)
-    for _ in range(25):
-        graph = random_solvable_graph(g, max_nodes=20)
+    graphs = [random_solvable_graph(g, max_nodes=20) for _ in range(25)]
+    graphs += [_multi_component_graph(g) for _ in range(300)]
+    for graph in graphs:
         regions = r.decompose_regions(graph)
+        expected = _full_bfs_distances(graph, regions)
+        unconstrained = [
+            c for c in sorted(regions, key=lambda c: c.order)
+            if any(expected[d] is None for d in regions[c].members)
+        ]
+        if unconstrained:
+            # The first rainbow, in rainbow order, with a member that
+            # reaches no boundary node of its own rainbow.
+            with pytest.raises(r.UnconstrainedRegion) as exc:
+                r.boundary_distances(graph, regions)
+            assert exc.value.rainbow == unconstrained[0]
+            continue
         dist = r.boundary_distances(graph, regions)
-        for d in graph.nodes:
-            c = graph.preference[d]
-            depths = bfs_depths(graph, d)
-            expected = min(depths[x] for x in regions[c].boundary if x in depths)
-            assert dist[d] == expected
+        assert dist == expected
         # Same-rainbow neighbors differ by at most one step.
         for a, b in graph.edges:
             if graph.preference[a] == graph.preference[b]:
@@ -328,11 +353,12 @@ def test_topology_matches_definition():
 
 def _full_bfs_distances(graph, regions):
     # Distance to the nearest same-rainbow boundary node, by one
-    # full-graph search per node.
+    # full-graph search per node; None for a node that reaches none.
     dist = {}
     for d in graph.nodes:
         depths = bfs_depths(graph, d)
-        dist[d] = min(depths[x] for x in regions[graph.preference[d]].boundary if x in depths)
+        boundary = regions[graph.preference[d]].boundary
+        dist[d] = min((depths[x] for x in boundary if x in depths), default=None)
     return dist
 
 

@@ -9,7 +9,8 @@ from it depends on the order of the lines after `colors`; the batch
 SimplexVector constructor and the array pass of verify_dp give, bit for
 bit, what their one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
-a more preferred color breaks privacy."""
+a more preferred color breaks privacy; and renaming the nodes, which
+reorders them, gives every node the same optimal row."""
 
 import math
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import rainbowdp as r
 from helpers import (
     random_budget,
+    random_dense_graph,
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
@@ -289,3 +291,30 @@ def test_optimum_is_locally_tight(seed):
             vec = r.from_preference_order(r.SimplexVector(tuple(moved)), c)
             report = r.verify_dp(graph, r.Mechanism({**mech.assignment, d: vec}, graph.color_space), budget)
             assert not report.valid, (d, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_optimal_mechanism_ignores_node_labels(seed, dense):
+    g = rng(seed)
+    if dense:
+        graph = random_dense_graph(
+            g, n=int(g.integers(10, 40)), extra_edges=int(g.integers(0, 120)),
+            n_rainbows=int(g.integers(2, 8)), tail_len=4,
+        )
+    else:
+        graph = random_solvable_graph(g)
+    budget = random_budget(g)
+    bc = random_homogeneous_bc(g, graph, budget)
+    # New names whose sort order is a random permutation of the old one.
+    name = {d: f"x{i:03d}" for d, i in zip(graph.nodes, g.permutation(len(graph.nodes)))}
+    renamed = r.RainbowGraph(
+        tuple(name[d] for d in graph.nodes),
+        frozenset((name[a], name[b]) for a, b in graph.edges),
+        {name[d]: c for d, c in graph.preference.items()},
+        graph.color_space,
+    )
+    mech = r.optimal_mechanism(graph, bc, budget)
+    moved = r.optimal_mechanism(renamed, bc, budget)
+    for d in graph.nodes:
+        assert [x.hex() for x in moved.assignment[name[d]].p] == [x.hex() for x in mech.assignment[d].p]
