@@ -68,6 +68,9 @@ def parse_graph_file(text: str) -> GraphFile:
     # One Rainbow per distinct name tuple; a bad tuple fails on its first line.
     rainbows: dict[tuple[str, ...], Rainbow] = {}
     preference: dict[str, Rainbow] = {}
+    # Each declared node id to its node line's string, which every later
+    # edge naming the node shares instead of holding a copy of its own.
+    ids: dict[str, str] = {}
     edges: set[tuple[str, str]] = set()
     # (line, node id) of each edge endpoint not yet declared when its edge was read.
     forward: list[tuple[int, str]] = []
@@ -101,13 +104,21 @@ def parse_graph_file(text: str) -> GraphFile:
             if ident in preference:
                 raise GraphFileError(lineno, f"duplicate node {ident!r}")
             preference[ident] = rainbow_at(lineno, tokens[2:])
+            ids[ident] = ident
         elif directive == "edge":
             if len(tokens) != 3:
                 raise GraphFileError(lineno, "edge line needs exactly two node ids")
             a, b = tokens[1], tokens[2]
             if a == b:
                 raise GraphFileError(lineno, f"self-loop on node {a!r}")
-            forward.extend((lineno, ident) for ident in (a, b) if ident not in preference)
+            if a in ids:
+                a = ids[a]
+            else:
+                forward.append((lineno, a))
+            if b in ids:
+                b = ids[b]
+            else:
+                forward.append((lineno, b))
             pair = (a, b) if a < b else (b, a)
             if pair in edges:
                 raise GraphFileError(lineno, f"duplicate edge {a!r} {b!r}")
@@ -135,7 +146,7 @@ def parse_graph_file(text: str) -> GraphFile:
             raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")
 
     try:
-        graph = RainbowGraph(tuple(preference), frozenset(edges), preference, space)
+        graph = RainbowGraph(tuple(preference), edges, preference, space)
     except ValueError as exc:
         raise GraphFileError(0, str(exc)) from None
     bc = BoundaryCondition(boundary) if boundary else None

@@ -105,16 +105,23 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _first_nodes(names: list[str]) -> str:
+    """The count of names and the first three of them, since a mechanism
+    file can miss every node of a large graph."""
+    more = f" and {len(names) - 3} more" if len(names) > 3 else ""
+    return f"({len(names)}): {names[:3]}{more}"
+
+
 def cmd_verify(args) -> int:
     budget = _budget_from_args(args)
     gf = parse_graph_file(_read_text(args.graph_file))
     assignment = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
     unknown = sorted(set(assignment) - set(gf.graph.nodes))
     if unknown:
-        raise ValueError(f"mechanism file has rows for undeclared nodes: {unknown}")
+        raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
     missing = sorted(set(gf.graph.nodes) - set(assignment))
     if missing:
-        print(f"error: mechanism file is missing nodes: {missing}", file=sys.stderr)
+        print(f"error: mechanism file is missing nodes {_first_nodes(missing)}", file=sys.stderr)
         return EXIT_INCOMPLETE
     mech = Mechanism(assignment, gf.graph.color_space)
     report = verify_dp(gf.graph, mech, budget)

@@ -11,10 +11,12 @@ morphism sends a node to its (rainbow, distance) pair.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping
+
+import numpy as np
 
 from .core import ColorSpace, Rainbow
 
@@ -44,31 +46,61 @@ def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
 
 @dataclass(frozen=True, eq=False)
 class RainbowGraph:
-    """Datasets, symmetric neighbor edges, and a rainbow per dataset."""
+    """Datasets, symmetric neighbor edges, and a rainbow per dataset.
+
+    Besides these string views the graph holds one integer view of
+    itself, computed once: node_index numbers the nodes in `nodes`
+    order, rainbow_ids gives each node's rainbow as an index into
+    rainbows(), and edge_ends holds the endpoint ids of each edge, one
+    row per edge in `edges` iteration order.
+    """
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     preference: Mapping[str, Rainbow]
     color_space: ColorSpace
+    node_index: dict[str, int] = field(init=False, repr=False)
+    rainbow_ids: np.ndarray = field(init=False, repr=False)
+    edge_ends: np.ndarray = field(init=False, repr=False)
+    _rainbows: tuple[Rainbow, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
+        index = dict(zip(nodes, range(len(nodes))))
+        if len(index) != len(nodes):
             raise ValueError("duplicate node identifiers")
         edges = frozenset(_kept_edge(e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        for a, b in edges:
-            if a not in node_set or b not in node_set:
-                raise ValueError(f"edge ({a!r}, {b!r}) references an undeclared node")
+        try:
+            ends = np.fromiter(
+                map(index.__getitem__, chain.from_iterable(edges)),
+                dtype=np.intp, count=2 * len(edges),
+            )
+        except KeyError:
+            a, b = min(e for e in edges if e[0] not in index or e[1] not in index)
+            raise ValueError(f"edge ({a!r}, {b!r}) references an undeclared node") from None
         pref = dict(self.preference)
         object.__setattr__(self, "preference", pref)
-        if set(pref) != node_set:
+        if pref.keys() != index.keys():
             raise ValueError("preference must assign a rainbow to exactly the declared nodes")
-        for d, c in pref.items():
-            if c.q != self.color_space.q:
-                raise ValueError(f"rainbow of node {d!r} has wrong length")
+        # Each distinct Rainbow object is checked and hashed once, not once per node.
+        prefs = list(map(pref.__getitem__, nodes))
+        objects = dict(zip(map(id, prefs), prefs))
+        q = self.color_space.q
+        if any(c.q != q for c in objects.values()):
+            d = next(d for d, c in pref.items() if c.q != q)
+            raise ValueError(f"rainbow of node {d!r} has wrong length")
+        rainbows = tuple(sorted(set(objects.values()), key=lambda c: c.order))
+        rank = {c: k for k, c in enumerate(rainbows)}
+        rank_of_object = {key: rank[c] for key, c in objects.items()}
+        rainbow_ids = np.fromiter(
+            map(rank_of_object.__getitem__, map(id, prefs)), dtype=np.intp, count=len(nodes)
+        )
+        object.__setattr__(self, "node_index", index)
+        object.__setattr__(self, "rainbow_ids", rainbow_ids)
+        object.__setattr__(self, "edge_ends", ends.reshape(-1, 2))
+        object.__setattr__(self, "_rainbows", rainbows)
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -82,12 +114,24 @@ class RainbowGraph:
         return self.adjacency[node]
 
     @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the neighbor ids of node i, in increasing
+        order, are indices[indptr[i]:indptr[i + 1]]."""
+        ends = self.edge_ends
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        n = len(self.nodes)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return indptr, dst[np.argsort(src * n + dst, kind="stable")]
+
+    @cached_property
     def topology(self) -> Topology:
         return _topology(self)
 
     def rainbows(self) -> tuple[Rainbow, ...]:
         """Distinct rainbows occurring in the graph, in a deterministic order."""
-        return tuple(self.topology.regions)
+        return self._rainbows
 
 
 @dataclass(frozen=True)
@@ -109,25 +153,29 @@ class Topology:
 
 
 def _topology(graph: RainbowGraph) -> Topology:
-    pref = graph.preference
-    members: dict[Rainbow, list[str]] = {}
-    for d in graph.nodes:
-        members.setdefault(pref[d], []).append(d)
-    boundary: set[str] = set()
-    pairs: set[tuple[Rainbow, Rainbow]] = set()
-    for a, b in graph.edges:
-        ca, cb = pref[a], pref[b]
-        if ca != cb:
-            boundary.add(a)
-            boundary.add(b)
-            pairs.add((ca, cb) if ca.order < cb.order else (cb, ca))
+    nodes, ends, rainbows = graph.nodes, graph.edge_ends, graph.rainbows()
+    # Rainbow ids follow rainbow order, so pairs (lo, hi) of ids sorted
+    # as codes lo * k + hi come in (lo, hi) rainbow order.
+    k = len(rainbows)
+    ca, cb = graph.rainbow_ids[ends[:, 0]], graph.rainbow_ids[ends[:, 1]]
+    cross = ca != cb
+    rim = np.zeros(len(nodes), dtype=bool)
+    rim[ends[cross].ravel()] = True
+    codes = np.minimum(ca, cb)[cross] * k + np.maximum(ca, cb)[cross]
+    codes = codes[np.argsort(codes, kind="stable")]
+    # Distinct codes, without np.unique, whose first call imports numpy.ma.
+    codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+    pairs = tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
+    # Node ids grouped by rainbow id, each group in node order.
+    grouped = np.argsort(graph.rainbow_ids, kind="stable")
+    stops = np.cumsum(np.bincount(graph.rainbow_ids, minlength=k)).tolist()
     regions: dict[Rainbow, Region] = {}
-    for c in sorted(members, key=lambda c: c.order):
-        group = frozenset(members[c])
-        rim = group & boundary
-        regions[c] = Region(group, group - rim, rim)
-    ordered = tuple(sorted(pairs, key=lambda pr: (pr[0].order, pr[1].order)))
-    return Topology(regions, ordered)
+    for c, start, stop in zip(rainbows, [0] + stops, stops):
+        ids = grouped[start:stop]
+        group = frozenset(map(nodes.__getitem__, ids.tolist()))
+        boundary = frozenset(map(nodes.__getitem__, ids[rim[ids]].tolist()))
+        regions[c] = Region(group, group - boundary, boundary)
+    return Topology(regions, pairs)
 
 
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
@@ -148,29 +196,41 @@ def boundary_distances(
     nodes: the last class node before the exit has a neighbor of another
     rainbow. So a node's nearest boundary node of any rainbow lies on its
     own class's boundary, and one breadth-first search started from every
-    boundary node at once (in rainbow order, then by id) gives every node
-    its own class's distance. The search stops once every node has a
-    distance. A node it never reaches sits in a component with no
-    boundary; UnconstrainedRegion then names the first rainbow, in
-    rainbow order, with such a member, which includes the empty-boundary
-    case.
+    boundary node at once (in rainbow order, then by node id) gives every
+    node its own class's distance. The search runs on node ids over
+    graph.csr and stops once every node has a distance; the result lists
+    the nodes in `nodes` order. A node it never reaches sits in a
+    component with no boundary; UnconstrainedRegion then names the first
+    rainbow, in rainbow order, with such a member, which includes the
+    empty-boundary case.
     """
     ordered = sorted(regions.items(), key=lambda kv: kv[0].order)
-    dist = {d: 0 for _, region in ordered for d in sorted(region.boundary)}
-    adjacency = graph.adjacency
-    queue = deque(dist)
-    while queue and len(dist) < len(adjacency):
-        d = queue.popleft()
-        step = dist[d] + 1
-        for n in adjacency[d]:
-            if n not in dist:
-                dist[n] = step
-                queue.append(n)
-    if len(dist) < len(adjacency):
+    index = graph.node_index
+    n = len(graph.nodes)
+    dist = [-1] * n
+    queue = []
+    for _, region in ordered:
+        for i in sorted(map(index.__getitem__, region.boundary)):
+            if dist[i] < 0:
+                dist[i] = 0
+                queue.append(i)
+    # Memoryviews hand out Python ints one at a time, with no list of them.
+    indptr, indices = map(memoryview, graph.csr)
+    # The queue grows while it is walked; no node enters it twice.
+    for i in queue:
+        if len(queue) == n:
+            break
+        step = dist[i] + 1
+        for j in indices[indptr[i]:indptr[i + 1]]:
+            if dist[j] < 0:
+                dist[j] = step
+                queue.append(j)
+    if len(queue) < n:
         for c, region in ordered:
-            if any(d not in dist for d in region.members):
+            if any(dist[index[d]] < 0 for d in region.members):
                 raise UnconstrainedRegion(c, graph.color_space)
-    return dist
+        return {d: t for d, t in zip(graph.nodes, dist) if t >= 0}
+    return dict(zip(graph.nodes, dist))
 
 
 @dataclass(eq=False)

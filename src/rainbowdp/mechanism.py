@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -402,11 +403,15 @@ def optimal_mechanism(
         raise InvalidBoundary(report.violations, graph.color_space)
     regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
+    # Chains are indexed by rainbow id: regions come in rainbow id order.
+    steps = [dist[d] for d in graph.nodes]
+    depths = np.zeros(len(regions), dtype=np.intp)
+    np.maximum.at(depths, graph.rainbow_ids, steps)
 
-    chains = {}
-    for c, region in regions.items():
-        chain = chains[c] = [bc.values[c]]
-        depth = max(dist[d] for d in region.members)
+    chains = []
+    for c, depth in zip(regions, depths.tolist()):
+        chain = [bc.values[c]]
+        chains.append(chain)
         if not depth:
             continue
         boundary = to_preference_order(bc.values[c], c)
@@ -416,7 +421,8 @@ def optimal_mechanism(
             canonical = np.empty_like(preferred)
             canonical[:, c.order] = preferred
             chain += SimplexVector.rows(canonical)
-    assignment = {d: chains[graph.preference[d]][dist[d]] for d in graph.nodes}
+    vectors = [chains[k][t] for k, t in zip(graph.rainbow_ids.tolist(), steps)]
+    assignment = dict(zip(graph.nodes, vectors))
     return Mechanism(assignment, graph.color_space)
 
 
@@ -456,27 +462,31 @@ def verify_dp(
     margin by which delta is exceeded. Violations come in sorted edge
     order, each edge's (a, b) direction before its (b, a) one.
 
-    The edges are checked on arrays of the rows of their endpoints, both
-    directions at once; only the nodes that are edge endpoints need a
-    distribution.
+    The edges are checked in chunks of graph.edge_ends, on arrays of the
+    rows of their endpoints, both directions at once; only the nodes that
+    are edge endpoints need a distribution.
     """
-    edges = list(graph.edges)
-    index = {d: i for i, d in enumerate(dict.fromkeys(d for edge in edges for d in edge))}
-    missing = {d for d in index if d not in mech.assignment}
-    if missing:
-        first = next(d for edge in sorted(edges) for d in edge if d in missing)
-        raise KeyError(f"mechanism has no distribution for node {first!r}")
-    rows = np.array([mech.assignment[d].p for d in index])
+    nodes, ends = graph.nodes, graph.edge_ends
+    endpoint = np.zeros(len(nodes), dtype=bool)
+    endpoint[ends.ravel()] = True
+    endpoints = list(compress(nodes, endpoint.tolist()))
+    try:
+        rows = np.array([mech.assignment[d].p for d in endpoints])
+    except KeyError:
+        missing = set(endpoints) - mech.assignment.keys()
+        first = next(d for edge in sorted(graph.edges) for d in edge if d in missing)
+        raise KeyError(f"mechanism has no distribution for node {first!r}") from None
+    row_of = np.cumsum(endpoint) - 1
     e = budget.exp_epsilon
     found = []
-    for lo in range(0, len(edges), _CHUNK_ROWS):
-        chunk = edges[lo:lo + _CHUNK_ROWS]
-        ends = np.array([index[d] for edge in chunk for d in edge]).reshape(-1, 2)
-        a, b = rows[ends[:, 0]], rows[ends[:, 1]]
+    for lo in range(0, len(ends), _CHUNK_ROWS):
+        chunk = ends[lo:lo + _CHUNK_ROWS]
+        a, b = rows[row_of[chunk[:, 0]]], rows[row_of[chunk[:, 1]]]
         forward = _hockey_stick(a, b, e) - budget.delta
         backward = _hockey_stick(b, a, e) - budget.delta
         for i in np.nonzero((forward > tol) | (backward > tol))[0].tolist():
-            found.append((chunk[i], float(forward[i]), float(backward[i])))
+            u, v = chunk[i].tolist()
+            found.append(((nodes[u], nodes[v]), float(forward[i]), float(backward[i])))
     violations = []
     for edge, *margins in sorted(found, key=lambda f: f[0]):
         for direction, margin in zip((edge, edge[::-1]), margins):

@@ -265,6 +265,34 @@ def test_cmd_verify_reports_forced_mechanism_violation(tmp_path, capsys):
     assert code == 1
 
 
+def test_cmd_verify_names_a_few_missing_or_unknown_nodes(tmp_path, capsys):
+    # A header-only CSV misses all 2,000 nodes; the error gives the count
+    # and the first three in sorted order, not every id.
+    n = 2000
+    graph_file = tmp_path / "path.graph"
+    graph_file.write_text(
+        "colors a b\n"
+        + "".join(f"node n{i:04d} a b\n" for i in range(n))
+        + "".join(f"edge n{i:04d} n{i + 1:04d}\n" for i in range(n - 1))
+    )
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("node,a,b\n")
+    code = main(["verify", str(graph_file), str(header_only), "--epsilon", "1"])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: mechanism file is missing nodes (2000): "
+        "['n0000', 'n0001', 'n0002'] and 1997 more\n"
+    )
+    extra = tmp_path / "extra.csv"
+    extra.write_text("node,a,b\n" + "".join(f"x{i:04d},0.5,0.5\n" for i in range(n)))
+    code = main(["verify", str(graph_file), str(extra), "--epsilon", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: mechanism file has rows for undeclared nodes (2000): "
+        "['x0000', 'x0001', 'x0002'] and 1997 more\n"
+    )
+
+
 def test_cmd_verify_rejects_rows_off_the_simplex(tmp_path, capsys):
     # Both rows are flat, but y's sums to 0.9992: renormalized it would
     # pass even at eps = delta = 0; as given it is no distribution.
@@ -604,6 +632,23 @@ def test_build_csv_matches_golden_hash(tmp_path, name, budget_args, sha):
     out = tmp_path / f"{name}.csv"
     assert main(["build", str(graph_path), *budget_args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_verify_stdout_matches_golden_hash(tmp_path, capsys):
+    # grid30's mechanism, built at epsilon 0.4, checked at epsilon 0.2:
+    # 930 violation lines, whose text and sorted order must not move.
+    graph_path = tmp_path / "grid30.graph"
+    graph_path.write_text(_golden_graph_text("grid30"))
+    out = tmp_path / "grid30.csv"
+    assert main(["build", str(graph_path), "--epsilon", "0.4", "--delta", "0.001", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["verify", str(graph_path), str(out), "--epsilon", "0.2", "--delta", "0.001"])
+    assert code == 2
+    stdout = capsys.readouterr().out
+    assert len(stdout.splitlines()) == 930
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "0725a6abccd9c73674cb6d089ef58099fbbc55dd36ee1cc8562e71a3baa1ad80"
+    )
 
 
 GOLDEN_TRAJECTORIES = [

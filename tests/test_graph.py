@@ -40,6 +40,16 @@ def test_rainbow_graph_validation():
         r.RainbowGraph(("a", "b"), frozenset(), {"a": c}, space)
 
 
+def test_undeclared_node_error_names_the_first_edge_in_sorted_order():
+    # Fifty bad edges: the error names the smallest whatever the string hashes.
+    space = r.ColorSpace(("1", "2"))
+    c = r.Rainbow((0, 1))
+    edges = {("a", "b")} | {(d, f"x{i:02d}") for d in "ab" for i in range(25)}
+    with pytest.raises(ValueError) as exc:
+        r.RainbowGraph(("a", "b"), frozenset(edges), {"a": c, "b": c}, space)
+    assert str(exc.value) == "edge ('a', 'x00') references an undeclared node"
+
+
 def test_rainbow_graph_keeps_normalized_edges():
     space = r.ColorSpace(("1", "2"))
     c = r.Rainbow((0, 1))
@@ -339,7 +349,22 @@ def test_topology_matches_definition():
     graphs = [path5_graph(), r.pentagon_graph(), triangle_graph()[0]]
     graphs += [random_solvable_graph(g, max_nodes=25) for _ in range(10)]
     graphs += [random_dense_graph(g) for _ in range(5)]
+    dense = graphs[-1]
+    reversed_edges = [(b, a) for a, b in sorted(dense.edges)]
+    graphs.append(r.RainbowGraph(dense.nodes, reversed_edges, dense.preference, dense.color_space))
     for graph in graphs:
+        # The integer view agrees with the string views.
+        nodes = graph.nodes
+        assert graph.node_index == {d: i for i, d in enumerate(nodes)}
+        assert [graph.rainbows()[k] for k in graph.rainbow_ids.tolist()] == [
+            graph.preference[d] for d in nodes
+        ]
+        assert [(nodes[a], nodes[b]) for a, b in graph.edge_ends.tolist()] == list(graph.edges)
+        indptr, indices = (a.tolist() for a in graph.csr)
+        for i, d in enumerate(nodes):
+            ids = indices[indptr[i]:indptr[i + 1]]
+            assert ids == sorted(ids)
+            assert tuple(sorted(nodes[j] for j in ids)) == graph.neighbors(d)
         regions, pairs = _naive_topology(graph)
         topo = graph.topology
         assert graph.rainbows() == tuple(regions)

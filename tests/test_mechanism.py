@@ -496,6 +496,19 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
         assert calls == {"topology": 1, "bfs": 1}
 
 
+def test_build_and_verify_leave_the_string_adjacency_unbuilt():
+    # Both run on node ids; the name-keyed adjacency is for library callers.
+    g = rng(48)
+    for _ in range(3):
+        graph = random_solvable_graph(g, max_nodes=30)
+        budget = random_budget(g)
+        bc = random_homogeneous_bc(g, graph, budget)
+        graph = r.RainbowGraph(graph.nodes, graph.edges, graph.preference, graph.color_space)
+        mech = r.optimal_mechanism(graph, bc, budget)
+        assert r.verify_dp(graph, mech, budget).valid
+        assert "adjacency" not in vars(graph)
+
+
 def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
     # One closed-form curve per rainbow with nodes off its boundary: each
     # prefix's crossing step is found once, however many distances the
