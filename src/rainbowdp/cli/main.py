@@ -20,7 +20,6 @@ from ..graph import UnconstrainedRegion
 from ..mechanism import (
     EpsilonZero,
     InvalidBoundary,
-    Mechanism,
     MissingRainbow,
     build_trajectory,
     optimal_mechanism,
@@ -115,15 +114,15 @@ def _first_nodes(names: list[str]) -> str:
 def cmd_verify(args) -> int:
     budget = _budget_from_args(args)
     gf = parse_graph_file(_read_text(args.graph_file))
-    assignment = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
-    unknown = sorted(set(assignment) - set(gf.graph.nodes))
+    mech = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
+    nodes = gf.graph.node_index.keys()
+    unknown = sorted(mech.row_of.keys() - nodes)
     if unknown:
         raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
-    missing = sorted(set(gf.graph.nodes) - set(assignment))
+    missing = sorted(nodes - mech.row_of.keys())
     if missing:
         print(f"error: mechanism file is missing nodes {_first_nodes(missing)}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    mech = Mechanism(assignment, gf.graph.color_space)
     report = verify_dp(gf.graph, mech, budget)
     if report.valid:
         print("valid")

@@ -1,20 +1,29 @@
 """CSV emission and parsing for mechanisms and trajectories.
 
-Numbers are written with 12 significant digits and LF line endings so
-identical invocations produce byte-identical files.
+Mechanism CSV cells are written as repr(float), the shortest decimal
+that reads back as the same float, so parsing a written mechanism gives
+it back bit for bit. Trajectory CSVs, and the numbers the CLI prints,
+use fmt: 12 significant digits. Lines end in LF, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import islice
 
-from ..core import ColorSpace, SimplexVector, prefix_sums
+import numpy as np
+
+from ..core import NEGATIVE_WINDOW, ColorSpace
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 
-# Rows written by mechanism_csv miss a sum of 1 only by the rounding of
-# their 12-digit cells (about q * 5e-13). SimplexVector's SUM_WINDOW is
-# for rounded boundary vectors and would quietly renormalize far worse.
+# Rows written by mechanism_csv read back exactly and miss a sum of 1
+# only by the rounding of their own float entries (a few 1e-16). The
+# window admits hand-written rows rounded to about 9 digits;
+# SimplexVector's SUM_WINDOW is for rounded boundary vectors, which are
+# renormalized, and mechanism rows never are.
 ROW_SUM_TOL = 1e-9
 
 
@@ -27,25 +36,47 @@ def fmt(x: float) -> str:
 
 
 def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
-    """One row per node, probabilities in canonical color order; rows
-    sorted by node identifier. Each distinct distribution is formatted
-    once and its cells shared by every node that carries it."""
+    """One row per node, probabilities in canonical color order as
+    repr(float) cells; rows sorted by node identifier. Each row of
+    mech.rows is formatted once and shared by every node that has it."""
     space = graph.color_space
+    # Adding 0.0 turns -0.0 into 0.0, as fmt does.
+    cells = ["," + ",".join(map(repr, row)) + "\n" for row in (mech.rows + 0.0).tolist()]
+    row_of = mech.row_of
     parts = ["node," + ",".join(space.colors) + "\n"]
-    cells: dict[tuple[float, ...], str] = {}
     for d in sorted(graph.nodes):
-        p = mech.assignment[d].p
-        row = cells.get(p)
-        if row is None:
-            row = cells[p] = "," + ",".join(fmt(x) for x in p) + "\n"
-        parts += (d, row)
+        parts += (d, cells[row_of[d]])
     return "".join(parts)
 
 
-def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector]:
-    """Parse a mechanism CSV back into per-node distributions; a row
-    whose entries miss a sum of 1 by more than ROW_SUM_TOL is rejected.
-    Blank lines are skipped; error messages give physical line numbers."""
+def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row whose entries, added left to right, miss a sum of 1
+    by more than ROW_SUM_TOL, or that holds an entry that is not finite
+    or lies outside [0, 1] by more than NEGATIVE_WINDOW, with the error;
+    a row failing both reports its sum."""
+    total = np.zeros(len(rows))
+    # inf + -inf, or a sum past the float range, is a bad row, not a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for column in rows.T:
+            total += column
+    bad_sum = np.abs(total - 1.0) > ROW_SUM_TOL
+    bad_entry = ~np.isfinite(rows) | (rows < -NEGATIVE_WINDOW) | (rows > 1.0 + NEGATIVE_WINDOW)
+    bad = bad_sum | bad_entry.any(axis=1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_sum[i]:
+        return i, f"entries sum to {float(total[i])!r}, not 1"
+    return i, f"entry {float(rows[i, int(np.argmax(bad_entry[i]))])!r} outside [0, 1]"
+
+
+def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
+    """Parse a mechanism CSV into a Mechanism whose rows are the cells as
+    read by float(), one row per line: nothing is clamped or
+    renormalized, and a row _first_bad_row finds fault with is rejected.
+    Blank lines are skipped. An error names the physical line of the
+    first bad row; the entry checks run on the whole matrix once every
+    line has been read, or once a line fails to read."""
     lines = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     _, header = next(lines, (0, None))
     if header is None:
@@ -53,24 +84,33 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> dict[str, SimplexVector
     expected_header = "node," + ",".join(space.colors)
     if header != expected_header:
         raise ValueError(f"header {header!r} does not match colors {space.colors}")
-    out: dict[str, SimplexVector] = {}
-    for lineno, line in lines:
-        cells = line.split(",")
-        if len(cells) != 1 + space.q:
-            raise ValueError(f"line {lineno}: expected {1 + space.q} cells, got {len(cells)}")
-        node = cells[0]
-        if node in out:
-            raise ValueError(f"line {lineno}: duplicate row for node {node!r}")
-        try:
-            probs = tuple(float(c) for c in cells[1:])
-            # Left to right, as SimplexVector sums: sum() is compensated from 3.12 on.
-            total = prefix_sums(probs)[-1]
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"entries sum to {total!r}, not 1")
-            out[node] = SimplexVector(probs)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+    q = space.q
+    row_of: dict[str, int] = {}
+    cells_read = array("d")
+    fault = None
+    try:
+        for lineno, line in lines:
+            cells = line.split(",")
+            if len(cells) != 1 + q:
+                raise ValueError(f"expected {1 + q} cells, got {len(cells)}")
+            if cells[0] in row_of:
+                raise ValueError(f"duplicate row for node {cells[0]!r}")
+            cells_read.extend(map(float, cells[1:]))
+            row_of[cells[0]] = len(row_of)
+    except ValueError as exc:
+        fault = f"line {lineno}: {exc}"
+    # A line that failed to read may have left some of its cells behind.
+    rows = np.frombuffer(cells_read, dtype=np.float64)[:len(row_of) * q].reshape(-1, q)
+    bad = _first_bad_row(rows)
+    if bad is not None:
+        i, message = bad
+        # Row i is on the (i + 2)-th nonblank line, after the header.
+        nonblank = (n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+        lineno = next(islice(nonblank, i + 1, None))
+        raise ValueError(f"line {lineno}: {message}")
+    if fault is not None:
+        raise ValueError(fault)
+    return Mechanism.from_rows(rows, row_of, space)
 
 
 def trajectory_csv(table: TrajectoryTable, profile: TauProfile | None = None) -> str:

@@ -81,6 +81,10 @@ class SimplexVector:
     Entries are stored in canonical color order unless a call site says
     otherwise. Construction clamps float-noise negatives to zero and
     renormalizes sums within SUM_WINDOW of 1; worse inputs are rejected.
+    SimplexVector.wrap is the exception: it keeps rows as given, and
+    Mechanism.assignment uses it, so the vectors of a mechanism parsed
+    from a CSV hold the file's values, which may lie up to 1e-9 outside
+    the simplex.
     """
 
     p: tuple[float, ...]
@@ -112,8 +116,15 @@ class SimplexVector:
         Every check of __post_init__ runs on the whole array at once; the
         rows are then wrapped without a second pass through it.
         """
+        return cls.wrap(normalized_rows(a))
+
+    @classmethod
+    def wrap(cls, a: np.ndarray) -> list[SimplexVector]:
+        """One SimplexVector per row of a 2-D array, holding the row's
+        entries as they are: nothing is checked, clamped or normalized.
+        For rows that normalized_rows made, or that were checked as read."""
         out = []
-        for row in normalized_rows(a).tolist():
+        for row in a.tolist():
             vec = object.__new__(cls)
             object.__setattr__(vec, "p", tuple(row))
             out.append(vec)

@@ -10,7 +10,6 @@ morphism sends a node to its (rainbow, distance) pair.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -347,11 +346,15 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
 
 def pullback(mechanism_on_codomain, morphism: Morphism):
     """Transport a mechanism from the morphism's codomain to its domain
-    by composition: node d receives the distribution of its image."""
-    assignment = {}
+    by composition: node d receives the distribution of its image, the
+    image's row of the same matrix."""
+    row_of = mechanism_on_codomain.row_of
+    pulled = {}
     for d in morphism.domain.nodes:
         target = morphism.mapping[d]
-        if target not in mechanism_on_codomain.assignment:
+        if target not in row_of:
             raise KeyError(f"codomain node {target!r} has no distribution")
-        assignment[d] = mechanism_on_codomain.assignment[target]
-    return dataclasses.replace(mechanism_on_codomain, assignment=assignment)
+        pulled[d] = row_of[target]
+    return type(mechanism_on_codomain).from_rows(
+        mechanism_on_codomain.rows, pulled, mechanism_on_codomain.color_space
+    )

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -80,18 +82,54 @@ class InvalidBoundary(ValueError):
         super().__init__("\n".join(lines))
 
 
-@dataclass(frozen=True, eq=False)
 class Mechanism:
-    """A distribution per node, stored in canonical color order."""
+    """A distribution per node. `rows` is a read-only float64 matrix of
+    distributions in canonical color order and `row_of` gives each
+    node's row; nodes may share a row.
 
-    assignment: Mapping[str, SimplexVector]
-    color_space: ColorSpace
+    Mechanism(assignment, space) stacks one row per node of a mapping
+    from nodes to SimplexVectors; Mechanism.from_rows takes a matrix and
+    a row index as they are. `assignment` is a read-only view of the same
+    rows as SimplexVectors, built on first use, one vector per row.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
-        for d, vec in self.assignment.items():
-            if len(vec) != self.color_space.q:
+    The rows are not renormalized. A mechanism parsed from a CSV holds
+    the file's values exactly, so its rows, and the SimplexVectors of
+    its `assignment`, may have entries down to -1e-9 or up to 1 + 1e-9
+    and sums off from 1 by up to 1e-9 (the parser's windows).
+    """
+
+    def __init__(self, assignment: Mapping[str, SimplexVector], color_space: ColorSpace):
+        q = color_space.q
+        for d, vec in assignment.items():
+            if len(vec) != q:
                 raise ValueError(f"distribution for node {d!r} has wrong length")
+        rows = np.array([vec.p for vec in assignment.values()], dtype=np.float64).reshape(-1, q)
+        self._set(rows, dict(zip(assignment, range(len(rows)))), color_space)
+
+    @classmethod
+    def from_rows(
+        cls, rows: np.ndarray, row_of: Mapping[str, int], color_space: ColorSpace
+    ) -> Mechanism:
+        """A mechanism whose node d has the distribution rows[row_of[d]].
+        The matrix is shared with the caller, not copied."""
+        mech = object.__new__(cls)
+        mech._set(np.asarray(rows, dtype=np.float64), row_of, color_space)
+        return mech
+
+    def _set(self, rows: np.ndarray, row_of: Mapping[str, int], color_space: ColorSpace) -> None:
+        if rows.ndim != 2 or rows.shape[1] != color_space.q:
+            raise ValueError(f"expected rows of {color_space.q} entries, got shape {rows.shape}")
+        # A view, so that freezing it leaves the caller's array writable.
+        self.rows = rows.view()
+        self.rows.flags.writeable = False
+        self.row_of = row_of
+        self.color_space = color_space
+
+    @cached_property
+    def assignment(self) -> Mapping[str, SimplexVector]:
+        vectors = SimplexVector.wrap(self.rows)
+        row_of = self.row_of
+        return MappingProxyType(dict(zip(row_of, map(vectors.__getitem__, row_of.values()))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,11 +378,11 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    assignment = {"0": m}
+    rows = np.empty((n + 1, len(m)))
+    rows[0] = m.p
     if n:
-        rows = SimplexVector.rows(_distributions(_prefix_curve(m, budget, np.arange(1, n + 1))))
-        assignment.update((str(i), vec) for i, vec in enumerate(rows, start=1))
-    return Mechanism(assignment, _identity_space(len(m)))
+        rows[1:] = normalized_rows(_distributions(_prefix_curve(m, budget, np.arange(1, n + 1))))
+    return Mechanism.from_rows(rows, {str(i): i for i in range(n + 1)}, _identity_space(len(m)))
 
 
 @dataclass(frozen=True)
@@ -390,40 +428,37 @@ def optimal_mechanism(
     privacy constraint on every edge, and dominates every valid
     mechanism with the same boundary values.
 
-    The powers form one chain per rainbow, indexed by distance, and each
-    node takes its (rainbow, distance) entry: nodes sharing that pair
-    share one SimplexVector (the pullback along the boundary morphism).
-    A chain beyond distance 0 is built in arrays of _CHUNK_ROWS steps,
-    whose rows are normalized in preference order, permuted to canonical
-    order by the rainbow's order and normalized again, as
-    from_preference_order does row by row.
+    The powers form one chain per rainbow, indexed by distance, stacked
+    into one matrix in rainbow id order: row 0 of a chain is the
+    boundary vector itself, and the rows beyond it are built in arrays
+    of _CHUNK_ROWS steps, normalized in preference order and permuted to
+    canonical order by the rainbow's order. Each node takes the row of
+    its (rainbow, distance) pair, so nodes sharing that pair share one
+    row (the pullback along the boundary morphism).
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
         raise InvalidBoundary(report.violations, graph.color_space)
     regions = graph.topology.regions
     dist = boundary_distances(graph, regions)
+    steps = np.fromiter(map(dist.__getitem__, graph.nodes), dtype=np.intp, count=len(graph.nodes))
     # Chains are indexed by rainbow id: regions come in rainbow id order.
-    steps = [dist[d] for d in graph.nodes]
     depths = np.zeros(len(regions), dtype=np.intp)
     np.maximum.at(depths, graph.rainbow_ids, steps)
-
-    chains = []
-    for c, depth in zip(regions, depths.tolist()):
-        chain = [bc.values[c]]
-        chains.append(chain)
+    sizes = depths + 1
+    starts = np.cumsum(sizes) - sizes
+    rows = np.empty((int(sizes.sum()), graph.color_space.q))
+    for c, start, depth in zip(regions, starts.tolist(), depths.tolist()):
+        rows[start] = bc.values[c].p
         if not depth:
             continue
         boundary = to_preference_order(bc.values[c], c)
         for lo in range(1, depth + 1, _CHUNK_ROWS):
             ts = np.arange(lo, min(lo + _CHUNK_ROWS, depth + 1))
-            preferred = normalized_rows(_distributions(_prefix_curve(boundary, budget, ts)))
-            canonical = np.empty_like(preferred)
-            canonical[:, c.order] = preferred
-            chain += SimplexVector.rows(canonical)
-    vectors = [chains[k][t] for k, t in zip(graph.rainbow_ids.tolist(), steps)]
-    assignment = dict(zip(graph.nodes, vectors))
-    return Mechanism(assignment, graph.color_space)
+            chunk = rows[start + lo:start + lo + len(ts)]
+            chunk[:, c.order] = normalized_rows(_distributions(_prefix_curve(boundary, budget, ts)))
+    chain_row = starts[graph.rainbow_ids] + steps
+    return Mechanism.from_rows(rows, dict(zip(graph.nodes, chain_row.tolist())), graph.color_space)
 
 
 @dataclass(frozen=True)
@@ -462,26 +497,24 @@ def verify_dp(
     margin by which delta is exceeded. Violations come in sorted edge
     order, each edge's (a, b) direction before its (b, a) one.
 
-    The edges are checked in chunks of graph.edge_ends, on arrays of the
-    rows of their endpoints, both directions at once; only the nodes that
-    are edge endpoints need a distribution.
+    The edges are checked in chunks of graph.edge_ends, on the rows of
+    their endpoints gathered from mech.rows, both directions at once;
+    only the nodes that are edge endpoints need a distribution.
     """
     nodes, ends = graph.nodes, graph.edge_ends
-    endpoint = np.zeros(len(nodes), dtype=bool)
-    endpoint[ends.ravel()] = True
-    endpoints = list(compress(nodes, endpoint.tolist()))
-    try:
-        rows = np.array([mech.assignment[d].p for d in endpoints])
-    except KeyError:
-        missing = set(endpoints) - mech.assignment.keys()
+    # Each node id's row of mech.rows, -1 for a node that has none.
+    node_rows = np.fromiter(map(mech.row_of.get, nodes, repeat(-1)), dtype=np.intp, count=len(nodes))
+    absent = ends[node_rows[ends] < 0]
+    if len(absent):
+        missing = {nodes[i] for i in absent.tolist()}
         first = next(d for edge in sorted(graph.edges) for d in edge if d in missing)
-        raise KeyError(f"mechanism has no distribution for node {first!r}") from None
-    row_of = np.cumsum(endpoint) - 1
+        raise KeyError(f"mechanism has no distribution for node {first!r}")
+    rows = mech.rows
     e = budget.exp_epsilon
     found = []
     for lo in range(0, len(ends), _CHUNK_ROWS):
         chunk = ends[lo:lo + _CHUNK_ROWS]
-        a, b = rows[row_of[chunk[:, 0]]], rows[row_of[chunk[:, 1]]]
+        a, b = rows[node_rows[chunk[:, 0]]], rows[node_rows[chunk[:, 1]]]
         forward = _hockey_stick(a, b, e) - budget.delta
         backward = _hockey_stick(b, a, e) - budget.delta
         for i in np.nonzero((forward > tol) | (backward > tol))[0].tolist():

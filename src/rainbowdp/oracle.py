@@ -10,7 +10,7 @@ there is no global RNG state anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     Rainbow,
     SimplexVector,
     is_close,
+    normalized_rows,
     prefix_sums,
 )
 from .graph import RainbowGraph
@@ -85,10 +86,12 @@ def is_close_bruteforce(
 
 @dataclass(frozen=True)
 class CloseSamples:
-    """Output of sample_close. degenerate_budget is set when the budget
-    admits no distribution other than p itself."""
+    """Output of sample_close: the vectors, and the same distributions
+    as the rows of a float64 matrix. degenerate_budget is set when the
+    budget admits no distribution other than p itself."""
 
     vectors: tuple[SimplexVector, ...]
+    rows: np.ndarray = field(repr=False, compare=False)
     degenerate_budget: bool = False
 
 
@@ -145,14 +148,14 @@ def sample_close(
     if count < 1:
         raise ValueError("count must be >= 1")
     if budget.epsilon == 0.0 and budget.delta == 0.0:
-        return CloseSamples((p,), degenerate_budget=count > 1)
-    vectors: list[SimplexVector] = [p]
-    if count >= 2:
-        vectors.append(t_step(p, budget))
+        return CloseSamples((p,), np.array([p.p]), degenerate_budget=count > 1)
+    vectors = [p] if count == 1 else [p, t_step(p, budget)]
+    rows = np.array([vec.p for vec in vectors])
     if count > 2:
-        raw = _raw_close_samples(p, budget, count - 2, _rng(seed))
-        vectors.extend(SimplexVector.rows(raw))
-    return CloseSamples(tuple(vectors))
+        raw = normalized_rows(_raw_close_samples(p, budget, count - 2, _rng(seed)))
+        vectors += SimplexVector.wrap(raw)
+        rows = np.concatenate((rows, raw))
+    return CloseSamples(tuple(vectors), rows)
 
 
 @dataclass(frozen=True)
@@ -195,18 +198,17 @@ def dominance_falsify(
     envelope = np.asarray(t_step_prefixes(prefix_sums(p), budget))
     bound = np.minimum(target, envelope)
 
-    samples = sample_close(p, budget, trials, seed).vectors
-    rows = np.asarray([vec.p for vec in samples])
-    prefixes = np.cumsum(rows, axis=1)
+    samples = sample_close(p, budget, trials, seed)
+    prefixes = np.cumsum(samples.rows, axis=1)
     excess = prefixes - bound[None, :]
     worst_k = np.argmax(excess, axis=1)
-    worst = excess[np.arange(len(samples)), worst_k]
+    worst = excess[np.arange(len(prefixes)), worst_k]
     hits = np.nonzero(worst > tol)[0]
 
     counterexample = None
     if hits.size:
         i = int(hits[0])
-        vec = samples[i]
+        vec = samples.vectors[i]
         k = int(worst_k[i])
         margin = float(worst[i])
         if not is_close(vec, p, budget):
@@ -214,7 +216,7 @@ def dominance_falsify(
         if prefix_sums(vec)[k] <= min(target[k], envelope[k]) + tol:
             raise RuntimeError("falsifier counterexample failed re-verification")
         counterexample = Counterexample(vector=vec, prefix_index=k, margin=margin)
-    return FalsificationReport(trials=len(samples), counterexample=counterexample, seed=seed)
+    return FalsificationReport(trials=len(prefixes), counterexample=counterexample, seed=seed)
 
 
 def _drop_delta_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rainbowdp as r
@@ -122,10 +123,10 @@ def test_mechanism_csv_round_trip():
     mech = r.optimal_mechanism(gf.graph, gf.boundary, r.PrivacyBudget(math.log(2), 0.0))
     text = mechanism_csv(gf.graph, mech)
     parsed = parse_mechanism_csv(text, gf.graph.color_space)
-    assert set(parsed) == set(gf.graph.nodes)
+    assert set(parsed.row_of) == set(gf.graph.nodes)
     for d in gf.graph.nodes:
-        assert parsed[d].p == pytest.approx(mech.assignment[d].p, abs=1e-12)
-    assert mechanism_csv(gf.graph, r.Mechanism(parsed, gf.graph.color_space)) == text
+        assert parsed.assignment[d].p == mech.assignment[d].p
+    assert mechanism_csv(gf.graph, parsed) == text
 
 
 def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
@@ -138,7 +139,7 @@ def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
         gf.graph.color_space,
     )
     assert mechanism_csv(gf.graph, mech) == (
-        "node,x,y,z\na,0.5,0.25,0.25\nb,0.5,0.5,0\nc,0.5,0.25,0.25\n"
+        "node,x,y,z\na,0.5,0.25,0.25\nb,0.5,0.5,0.0\nc,0.5,0.25,0.25\n"
     )
 
 
@@ -157,6 +158,71 @@ def test_mechanism_csv_row_sum_is_added_left_to_right():
     space = r.ColorSpace(("1", "2", "3", "4"))
     with pytest.raises(ValueError, match=r"^line 2: entries sum to 1\.0999999999999999, not 1$"):
         parse_mechanism_csv("node,1,2,3,4\nx,0.7,0.1,0.1,0.2\n", space)
+
+
+def test_mechanism_csv_writes_no_negative_zero():
+    gf = parse_graph_file("colors x y\nnode a x y\nnode b y x\nedge a b\n")
+    mech = r.Mechanism.from_rows(np.array([[1.0, -0.0]]), {"a": 0, "b": 0}, gf.graph.color_space)
+    assert mechanism_csv(gf.graph, mech) == "node,x,y\na,1.0,0.0\nb,1.0,0.0\n"
+
+
+def test_mechanism_csv_rejects_cells_off_the_simplex_by_line():
+    # Rows are taken as read: a cell that is not finite or lies outside
+    # [0, 1] by more than NEGATIVE_WINDOW is reported with its line; a
+    # row sum is checked first, and nan passes it.
+    space = r.ColorSpace(("1", "2", "3"))
+    head = "node,1,2,3\nx,0.2,0.3,0.5\n\n"
+    for row, message in (
+        ("y,nan,0.5,0.5", "entry nan outside [0, 1]"),
+        ("y,inf,0.5,0.5", "entries sum to inf, not 1"),
+        ("y,-inf,inf,0.5", "entry -inf outside [0, 1]"),
+        ("y,1.5,-0.5,0.0", "entry 1.5 outside [0, 1]"),
+        ("y,0.5,0.5000000011,-0.0000000011", "entry -1.1e-09 outside [0, 1]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_mechanism_csv(head + row + "\n", space)
+        assert str(exc.value) == f"line 4: {message}"
+    # Inside the window a row is kept as it is, with no clamping.
+    mech = parse_mechanism_csv(head + "y,0.5,0.5000000005,-0.0000000005\n", space)
+    assert mech.rows[mech.row_of["y"]].tolist() == [0.5, 0.5000000005, -0.0000000005]
+    assert mech.assignment["y"].p == (0.5, 0.5000000005, -0.0000000005)
+
+
+def test_mechanism_csv_reports_the_first_failing_line():
+    space = r.ColorSpace(("1", "2"))
+    cases = (
+        # A bad sum on an earlier line than a line that fails to read.
+        ("node,1,2\nx,0.5,0.6\n\ny,0.5\n", "line 2: entries sum to 1.1, not 1"),
+        ("node,1,2\nx,0.5,0.5\ny,nan,1\nx,0.5,0.5\n", "line 3: entry nan outside [0, 1]"),
+        ("node,1,2\nx,0.5,0.5\ny,0.5,abc\nz,2,-1\n", "line 3: could not convert string to float: 'abc'"),
+        ("node,1,2\nx,0.5,0.5\nx,0.5,0.5\nz,2,-1\n", "line 3: duplicate row for node 'x'"),
+        ("node,1,2\n\nx,0.5,0.5\ny,0.5,0.5,0\nz,2,-1\n", "line 4: expected 3 cells, got 4"),
+        ("node,1,2\nx,0.5,0.5\ny,0.7,0.3\nz,2,-1\nw,0.5\n", "line 4: entry 2.0 outside [0, 1]"),
+    )
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_mechanism_csv(text, space)
+        assert str(exc.value) == message
+
+
+def _split_path_text(n: int) -> str:
+    # The deep-path shape: two rainbows meeting in the middle of a path.
+    nodes = [f"node n{i:05d} " + ("a b c d" if i < n // 2 else "b a c d") for i in range(n)]
+    edges = [f"edge n{i:05d} n{i + 1:05d}" for i in range(n - 1)]
+    boundary = ["boundary a,b,c,d 0.4 0.3 0.2 0.1", "boundary b,a,c,d 0.4 0.3 0.2 0.1"]
+    return "\n".join(["colors a b c d", *nodes, *edges, *boundary]) + "\n"
+
+
+def test_build_then_verify_exact_round_trip_on_a_deep_path(tmp_path, capsys):
+    # The optimum is tight: its binding edges have an excess of exactly
+    # delta, which a rounded cell pushes past verify's tolerance.
+    graph_path = tmp_path / "path.graph"
+    graph_path.write_text(_split_path_text(3000))
+    out = tmp_path / "path.csv"
+    budget = ["--epsilon", "1e-4", "--delta", "1e-7"]
+    assert main(["build", str(graph_path), *budget, "--out", str(out)]) == 0
+    assert main(["verify", str(graph_path), str(out), *budget]) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_fmt_properties():
@@ -443,7 +509,7 @@ def test_cmd_demo_homogenized(capsys):
     assert main(["demo-no-optimal", "--homogenized"]) == 0
     out = capsys.readouterr().out
     assert "node,1,2,3" in out
-    assert "d2,0.7,0.05,0.25" in out
+    assert "d2,0.7,0.050000000000000044,0.25" in out
     assert "verifies: true" in out
     # A budget too tight for the pentagon boundary is a clean violation.
     assert main(["demo-no-optimal", "--homogenized", "--e-epsilon", "1"]) == 2
@@ -608,12 +674,21 @@ def striped_grid_text(side: int, stripes: int, q: int, seed: int, spread: float)
 
 
 GOLDEN_BUILDS = [
-    ("path5", ["--e-epsilon", "2", "--delta", "0.01"],
-     "543463011e144c850ce11fd137af184e1cf0b6331cf0ac7cb18bd36b3907dae1"),
-    ("pentagon", ["--e-epsilon", "2"],
-     "d30b9aaa2dc7e615096dee9d2224b83dbcad0044cd2a7293c64f0fa518ae1ec4"),
-    ("grid30", ["--epsilon", "0.4", "--delta", "0.001"],
-     "0f7702cece427d646b16087916196965ecfb6bc2b0013427131475fc64c073e2"),
+    pytest.param(
+        "path5", ["--e-epsilon", "2", "--delta", "0.01"],
+        "e7c8d196614c4d2a05be4359d9ed8f967ceea1ac016a0e40c01021780305e9c6",
+        id="path5",
+    ),
+    pytest.param(
+        "pentagon", ["--e-epsilon", "2"],
+        "b66547d263c17c3f2896e2a9833b46eeafe2062c9d71b15ddb6c63926dff6e63",
+        id="pentagon",
+    ),
+    pytest.param(
+        "grid30", ["--epsilon", "0.4", "--delta", "0.001"],
+        "21ffdf87f519af09d75d798bd130626ab7408f2cef8cc951232443edec417205",
+        id="grid30",
+    ),
 ]
 
 
@@ -625,8 +700,8 @@ def _golden_graph_text(name: str) -> str:
 
 @pytest.mark.parametrize("name,budget_args,sha", GOLDEN_BUILDS)
 def test_build_csv_matches_golden_hash(tmp_path, name, budget_args, sha):
-    # The hashes are of the CSVs written before the mechanism was built
-    # through shared per-(rainbow, distance) vectors; the bytes must not move.
+    # The hashes pin the bytes of build's CSV: repr(float) cells, which
+    # read back as the exact floats of the built mechanism.
     graph_path = tmp_path / f"{name}.graph"
     graph_path.write_text(_golden_graph_text(name))
     out = tmp_path / f"{name}.csv"
@@ -647,7 +722,7 @@ def test_verify_stdout_matches_golden_hash(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert len(stdout.splitlines()) == 930
     assert hashlib.sha256(stdout.encode()).hexdigest() == (
-        "0725a6abccd9c73674cb6d089ef58099fbbc55dd36ee1cc8562e71a3baa1ad80"
+        "259869c77503282e417a5ad5c37046d9bc0d2deb3660f4c4c539da30adab251f"
     )
 
 

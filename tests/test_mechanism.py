@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import rainbowdp as r
@@ -263,6 +264,24 @@ def test_validate_boundary_condition_missing_rainbow():
     assert graph.preference["n3"] in exc.value.rainbows
 
 
+def test_mechanism_checks_the_shape_of_its_rows():
+    space = r.ColorSpace(("1", "2", "3"))
+    for assignment in (
+        {"a": sv(0.5, 0.3, 0.2), "b": sv(0.5, 0.5)},
+        {"a": sv(0.5, 0.5), "b": sv(0.5, 0.5)},
+    ):
+        with pytest.raises(ValueError, match=r"^distribution for node 'b' has wrong length$"):
+            r.Mechanism({"b": assignment["b"], "a": assignment["a"]}, space)
+    with pytest.raises(ValueError, match=r"^expected rows of 3 entries, got shape \(2, 2\)$"):
+        r.Mechanism.from_rows(np.full((2, 2), 0.5), {"a": 0, "b": 1}, space)
+    assert len(r.Mechanism({}, space).rows) == 0
+    # The mechanism's rows are read-only; the caller's array stays writable.
+    rows = np.array([[0.5, 0.3, 0.2]])
+    mech = r.Mechanism.from_rows(rows, {"a": 0, "b": 0}, space)
+    assert not mech.rows.flags.writeable and rows.flags.writeable
+    assert mech.assignment["a"] is mech.assignment["b"]
+
+
 def test_optimal_mechanism_all_boundary_graph_returns_bc_verbatim():
     # Two adjacent single-node regions: both nodes are boundary, so the
     # mechanism is the boundary condition itself, bit for bit.
@@ -274,8 +293,8 @@ def test_optimal_mechanism_all_boundary_graph_returns_bc_verbatim():
     mech = r.optimal_mechanism(
         graph, r.BoundaryCondition({c1: va, c2: vb}), r.PrivacyBudget(LOG2, 0.0)
     )
-    assert mech.assignment["a"] is va
-    assert mech.assignment["b"] is vb
+    assert [x.hex() for x in mech.assignment["a"].p] == [x.hex() for x in va.p]
+    assert [x.hex() for x in mech.assignment["b"].p] == [x.hex() for x in vb.p]
 
 
 def test_optimal_mechanism_homogenized_pentagon():
@@ -449,6 +468,8 @@ def test_optimal_dominates_smaller_budget_competitors_small():
 
 
 def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
+    # Each node's row is its (rainbow, distance) row of the stacked
+    # chains, and row 0 of every chain is the boundary vector bit for bit.
     g = rng(46)
     graphs = [path5_graph()] + [random_solvable_graph(g, max_nodes=40) for _ in range(10)]
     graphs += [random_dense_graph(g) for _ in range(3)]
@@ -459,12 +480,13 @@ def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
         dist = r.boundary_distances(graph, r.decompose_regions(graph))
         by_pair: dict = {}
         for d in graph.nodes:
-            by_pair.setdefault((graph.preference[d], dist[d]), []).append(mech.assignment[d])
-        for (c, i), vecs in by_pair.items():
-            assert all(v is vecs[0] for v in vecs)
-            if i == 0:
-                assert vecs[0] is bc.values[c]
+            by_pair.setdefault((graph.preference[d], dist[d]), set()).add(mech.row_of[d])
+        assert all(len(rows) == 1 for rows in by_pair.values())
+        assert len(mech.rows) == len(by_pair)
         assert len({id(v) for v in mech.assignment.values()}) == len(by_pair)
+        for (c, i), (row,) in by_pair.items():
+            if i == 0:
+                assert [x.hex() for x in mech.rows[row].tolist()] == [x.hex() for x in bc.values[c].p]
 
 
 def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):

@@ -9,8 +9,10 @@ from it depends on the order of the lines after `colors`; the batch
 SimplexVector constructor and the array pass of verify_dp give, bit for
 bit, what their one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
-a more preferred color breaks privacy; and renaming the nodes, which
-reorders them, gives every node the same optimal row."""
+a more preferred color breaks privacy; renaming the nodes, which
+reorders them, gives every node the same optimal row; and the optimal
+mechanism passes verify_dp, and so does its CSV parsed back, which
+equals it bit for bit."""
 
 import math
 
@@ -30,7 +32,7 @@ from helpers import (
 )
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
-from rainbowdp.cli.tables import mechanism_csv
+from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve
 
 TOL = 1e-9
@@ -318,3 +320,25 @@ def test_optimal_mechanism_ignores_node_labels(seed, dense):
     moved = r.optimal_mechanism(renamed, bc, budget)
     for d in graph.nodes:
         assert [x.hex() for x in moved.assignment[name[d]].p] == [x.hex() for x in mech.assignment[d].p]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_mechanism_csv_exact_round_trip(seed, dense):
+    g = rng(seed)
+    if dense:
+        graph = random_dense_graph(
+            g, n=int(g.integers(10, 40)), extra_edges=int(g.integers(0, 120)),
+            n_rainbows=int(g.integers(2, 8)), tail_len=4,
+        )
+    else:
+        graph = random_solvable_graph(g)
+    budget = random_budget(g)
+    mech = r.optimal_mechanism(graph, random_homogeneous_bc(g, graph, budget), budget)
+    assert r.verify_dp(graph, mech, budget).valid
+    parsed = parse_mechanism_csv(mechanism_csv(graph, mech), graph.color_space)
+    assert parsed.row_of.keys() == set(graph.nodes)
+    for d in graph.nodes:
+        want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
+        assert [x.hex() for x in parsed.rows[parsed.row_of[d]].tolist()] == want
+    assert r.verify_dp(graph, parsed, budget).valid
