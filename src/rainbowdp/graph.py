@@ -5,7 +5,9 @@ node carries a preference order (rainbow) over the output colors. Each
 rainbow's node class splits into interior (all neighbors share the
 rainbow) and boundary (the rest). The boundary graph compresses each
 class to a chain indexed by distance-to-boundary, and the boundary
-morphism sends a node to its (rainbow, distance) pair.
+morphism sends a node to its (rainbow, distance) pair. One search,
+_chain_layout, lays the chains out for both constructions: boundary-graph
+node k is row k of the optimal mechanism's matrix.
 """
 
 from __future__ import annotations
@@ -144,11 +146,13 @@ class Region:
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Regions (rainbows in order) and the rainbow pairs joined by an edge,
-    sorted by rainbow order; computed once per graph by RainbowGraph.topology."""
+    """Regions (rainbows in order), the rainbow pairs joined by an edge,
+    sorted by rainbow order, and the rim, a bool mask of boundary node
+    ids; computed once per graph by RainbowGraph.topology."""
 
     regions: dict[Rainbow, Region]
     adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
+    rim: np.ndarray = field(repr=False)
 
 
 def _topology(graph: RainbowGraph) -> Topology:
@@ -174,7 +178,7 @@ def _topology(graph: RainbowGraph) -> Topology:
         group = frozenset(map(nodes.__getitem__, ids.tolist()))
         boundary = frozenset(map(nodes.__getitem__, ids[rim[ids]].tolist()))
         regions[c] = Region(group, group - boundary, boundary)
-    return Topology(regions, pairs)
+    return Topology(regions, pairs, rim)
 
 
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
@@ -185,34 +189,24 @@ def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     return graph.topology.regions
 
 
-def boundary_distances(
-    graph: RainbowGraph, regions: Mapping[Rainbow, Region]
-) -> dict[str, int]:
-    """Shortest-path distance from each node to the boundary of its own
-    rainbow class.
+def _chain_layout(graph: RainbowGraph) -> tuple[np.ndarray, ...]:
+    """The boundary search and chain layout: (dist, depths, starts, chain_row).
+    Node id i is at distance dist[i] from its class's boundary and sits in
+    row chain_row[i] of the chains, one per rainbow id k with depths[k] + 1
+    rows from row starts[k], stacked in rainbow id order.
 
     A path that leaves a class first passes one of that class's boundary
-    nodes: the last class node before the exit has a neighbor of another
-    rainbow. So a node's nearest boundary node of any rainbow lies on its
-    own class's boundary, and one breadth-first search started from every
-    boundary node at once (in rainbow order, then by node id) gives every
-    node its own class's distance. The search runs on node ids over
-    graph.csr and stops once every node has a distance; the result lists
-    the nodes in `nodes` order. A node it never reaches sits in a
-    component with no boundary; UnconstrainedRegion then names the first
-    rainbow, in rainbow order, with such a member, which includes the
-    empty-boundary case.
+    nodes, so a node's nearest boundary node of any rainbow lies on its
+    own class's boundary: one breadth-first search over graph.csr, from
+    every node of the topology's rim at once, gives every node its own
+    class's distance. A node it never reaches sits in a component with
+    no boundary; UnconstrainedRegion then names the first rainbow, in
+    rainbow order, with such a member (or with an empty boundary).
     """
-    ordered = sorted(regions.items(), key=lambda kv: kv[0].order)
-    index = graph.node_index
     n = len(graph.nodes)
-    dist = [-1] * n
-    queue = []
-    for _, region in ordered:
-        for i in sorted(map(index.__getitem__, region.boundary)):
-            if dist[i] < 0:
-                dist[i] = 0
-                queue.append(i)
+    rim = graph.topology.rim
+    dist = np.where(rim, 0, -1).tolist()
+    queue = np.flatnonzero(rim).tolist()
     # Memoryviews hand out Python ints one at a time, with no list of them.
     indptr, indices = map(memoryview, graph.csr)
     # The queue grows while it is walked; no node enters it twice.
@@ -224,12 +218,20 @@ def boundary_distances(
             if dist[j] < 0:
                 dist[j] = step
                 queue.append(j)
-    if len(queue) < n:
-        for c, region in ordered:
-            if any(dist[index[d]] < 0 for d in region.members):
-                raise UnconstrainedRegion(c, graph.color_space)
-        return {d: t for d, t in zip(graph.nodes, dist) if t >= 0}
-    return dict(zip(graph.nodes, dist))
+    dist = np.array(dist, dtype=np.intp)
+    ids = graph.rainbow_ids
+    if len(queue) < n:  # the lowest rainbow id is the first rainbow in order
+        raise UnconstrainedRegion(graph.rainbows()[int(ids[dist < 0].min())], graph.color_space)
+    depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+    np.maximum.at(depths, ids, dist)
+    starts = np.cumsum(depths + 1) - (depths + 1)
+    return dist, depths, starts, starts[ids] + dist
+
+
+def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
+    """Each node's distance to its own rainbow class's boundary, in `nodes`
+    order, from _chain_layout's search; `regions` is not read."""
+    return dict(zip(graph.nodes, _chain_layout(graph)[0].tolist()))
 
 
 @dataclass(eq=False)
@@ -242,11 +244,12 @@ class Morphism:
 
     def __post_init__(self) -> None:
         self.mapping = dict(self.mapping)
-        missing = [d for d in self.domain.nodes if d not in self.mapping]
-        if missing:
+        # Set comparisons first; the culprits are listed only on failure.
+        if not self.mapping.keys() >= self.domain.node_index.keys():
+            missing = [d for d in self.domain.nodes if d not in self.mapping]
             raise ValueError(f"mapping not total on domain nodes: missing {missing[:3]}")
-        bad = [d for d, v in self.mapping.items() if v not in self.codomain.preference]
-        if bad:
+        if not self.codomain.preference.keys() >= set(self.mapping.values()):
+            bad = [d for d, v in self.mapping.items() if v not in self.codomain.preference]
             raise ValueError(f"mapping leaves the codomain at {bad[:3]}")
 
     def __call__(self, node: str) -> str:
@@ -318,30 +321,36 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     Heads (c,0), (c',0) are joined exactly when some source edge joins
     the two classes. The returned morphism sends d to
     (rainbow of d, distance of d), and is rainbow-preserving.
-    """
-    regions = graph.topology.regions
-    dist = boundary_distances(graph, regions)
-    space = graph.color_space
 
-    depths: dict[Rainbow, int] = {}
-    chain_ids: dict[Rainbow, list[str]] = {}
+    Node k is row k of optimal_mechanism's matrix (_chain_layout). A
+    self-check raises AssertionError unless every edge joins nodes of one
+    rainbow at distances differing by at most 1, or nodes at distance 0.
+    """
+    dist, chain_depths, _, chain_row = _chain_layout(graph)
+    ends = graph.edge_ends
+    da, db = dist[ends[:, 0]], dist[ends[:, 1]]
+    same = graph.rainbow_ids[ends[:, 0]] == graph.rainbow_ids[ends[:, 1]]
+    broken = ends[~((same & (np.abs(da - db) <= 1)) | ((da == 0) & (db == 0)))]
+    if len(broken):
+        first = min((graph.nodes[a], graph.nodes[b]) for a, b in broken.tolist())
+        raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {first}")
+
+    space = graph.color_space
+    depths = dict(zip(graph.rainbows(), chain_depths.tolist()))
     preference: dict[str, Rainbow] = {}
     edges: set[tuple[str, str]] = set()
-    for c, region in regions.items():
-        depths[c] = max(dist[d] for d in region.members)
-        ids = chain_ids[c] = [boundary_node_id(space, c, i) for i in range(depths[c] + 1)]
+    heads: dict[Rainbow, str] = {}
+    for c, depth in depths.items():
+        label = ",".join(c.color_names(space))
+        ids = [f"{label}@{i}" for i in range(depth + 1)]
+        heads[c] = ids[0]
         preference.update(dict.fromkeys(ids, c))
-        edges.update(_normalize_edge(a, b) for a, b in zip(ids, ids[1:]))
-    for ca, cb in graph.topology.adjacent_pairs:
-        edges.add(_normalize_edge(chain_ids[ca][0], chain_ids[cb][0]))
+        edges.update(zip(ids, ids[1:]))
+    edges.update((heads[ca], heads[cb]) for ca, cb in graph.topology.adjacent_pairs)
 
     bgraph = RainbowGraph(tuple(preference), frozenset(edges), preference, space)
-    mapping = {d: chain_ids[graph.preference[d]][dist[d]] for d in graph.nodes}
-    morphism = Morphism(graph, bgraph, mapping)
-    report = check_morphism(morphism)
-    if not (report.is_morphism and report.is_rainbow_preserving):
-        raise AssertionError(f"boundary morphism failed validation: {report.violations}")
-    return BoundaryGraph(bgraph, depths, morphism)
+    mapping = dict(zip(graph.nodes, np.array(bgraph.nodes, dtype=object)[chain_row].tolist()))
+    return BoundaryGraph(bgraph, depths, Morphism(graph, bgraph, mapping))
 
 
 def pullback(mechanism_on_codomain, morphism: Morphism):
@@ -349,12 +358,10 @@ def pullback(mechanism_on_codomain, morphism: Morphism):
     by composition: node d receives the distribution of its image, the
     image's row of the same matrix."""
     row_of = mechanism_on_codomain.row_of
-    pulled = {}
-    for d in morphism.domain.nodes:
-        target = morphism.mapping[d]
-        if target not in row_of:
-            raise KeyError(f"codomain node {target!r} has no distribution")
-        pulled[d] = row_of[target]
+    try:
+        pulled = {d: row_of[morphism.mapping[d]] for d in morphism.domain.nodes}
+    except KeyError as exc:
+        raise KeyError(f"codomain node {exc.args[0]!r} has no distribution") from None
     return type(mechanism_on_codomain).from_rows(
         mechanism_on_codomain.rows, pulled, mechanism_on_codomain.color_space
     )

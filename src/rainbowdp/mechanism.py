@@ -39,7 +39,7 @@ from .core import (
     normalized_rows,
     prefix_sums,
 )
-from .graph import RainbowGraph, boundary_distances
+from .graph import RainbowGraph, _chain_layout
 
 INFINITE = math.inf
 
@@ -364,8 +364,15 @@ def closed_form_prefix(
     )
 
 
-def _identity_space(q: int) -> ColorSpace:
-    return ColorSpace(tuple(str(k) for k in range(1, q + 1)))
+def _fill_powers(
+    chain: np.ndarray, m: SimplexVector, order: Sequence[int], budget: PrivacyBudget
+) -> None:
+    """Rows 1, 2, ... of chain get operator powers 1, 2, ... of m (in
+    preference order), built _CHUNK_ROWS at a time, normalized, with the
+    k-th preferred color in column order[k]. Row 0 is the caller's."""
+    for lo in range(1, len(chain), _CHUNK_ROWS):
+        ts = np.arange(lo, min(lo + _CHUNK_ROWS, len(chain)))
+        chain[lo:lo + len(ts), order] = normalized_rows(_distributions(_prefix_curve(m, budget, ts)))
 
 
 def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism:
@@ -380,9 +387,9 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
         raise ValueError("n must be >= 0")
     rows = np.empty((n + 1, len(m)))
     rows[0] = m.p
-    if n:
-        rows[1:] = normalized_rows(_distributions(_prefix_curve(m, budget, np.arange(1, n + 1))))
-    return Mechanism.from_rows(rows, {str(i): i for i in range(n + 1)}, _identity_space(len(m)))
+    _fill_powers(rows, m, range(len(m)), budget)
+    space = ColorSpace(tuple(str(k) for k in range(1, len(m) + 1)))
+    return Mechanism.from_rows(rows, {str(i): i for i in range(n + 1)}, space)
 
 
 @dataclass(frozen=True)
@@ -428,37 +435,24 @@ def optimal_mechanism(
     privacy constraint on every edge, and dominates every valid
     mechanism with the same boundary values.
 
-    The powers form one chain per rainbow, indexed by distance, stacked
-    into one matrix in rainbow id order: row 0 of a chain is the
-    boundary vector itself, and the rows beyond it are built in arrays
-    of _CHUNK_ROWS steps, normalized in preference order and permuted to
-    canonical order by the rainbow's order. Each node takes the row of
-    its (rainbow, distance) pair, so nodes sharing that pair share one
-    row (the pullback along the boundary morphism).
+    The powers form one chain per rainbow, stacked as graph._chain_layout
+    lays them out, so row k is node k of build_boundary_graph's graph:
+    row 0 of a chain is the boundary vector, _fill_powers fills the rest.
+    Nodes sharing a (rainbow, distance) pair share its row (the pullback
+    along the boundary morphism).
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
         raise InvalidBoundary(report.violations, graph.color_space)
-    regions = graph.topology.regions
-    dist = boundary_distances(graph, regions)
-    steps = np.fromiter(map(dist.__getitem__, graph.nodes), dtype=np.intp, count=len(graph.nodes))
-    # Chains are indexed by rainbow id: regions come in rainbow id order.
-    depths = np.zeros(len(regions), dtype=np.intp)
-    np.maximum.at(depths, graph.rainbow_ids, steps)
-    sizes = depths + 1
-    starts = np.cumsum(sizes) - sizes
-    rows = np.empty((int(sizes.sum()), graph.color_space.q))
-    for c, start, depth in zip(regions, starts.tolist(), depths.tolist()):
+    _, depths, starts, chain_row = _chain_layout(graph)
+    rows = np.empty((int((depths + 1).sum()), graph.color_space.q))
+    for c, start, depth in zip(graph.rainbows(), starts.tolist(), depths.tolist()):
         rows[start] = bc.values[c].p
-        if not depth:
-            continue
-        boundary = to_preference_order(bc.values[c], c)
-        for lo in range(1, depth + 1, _CHUNK_ROWS):
-            ts = np.arange(lo, min(lo + _CHUNK_ROWS, depth + 1))
-            chunk = rows[start + lo:start + lo + len(ts)]
-            chunk[:, c.order] = normalized_rows(_distributions(_prefix_curve(boundary, budget, ts)))
-    chain_row = starts[graph.rainbow_ids] + steps
-    return Mechanism.from_rows(rows, dict(zip(graph.nodes, chain_row.tolist())), graph.color_space)
+        if depth:
+            chain = rows[start:start + depth + 1]
+            _fill_powers(chain, to_preference_order(bc.values[c], c), c.order, budget)
+    row_of = dict(zip(graph.nodes, chain_row.tolist()))
+    return Mechanism.from_rows(rows, row_of, graph.color_space)
 
 
 @dataclass(frozen=True)
@@ -532,15 +526,12 @@ def is_boundary_homogeneous(
     graph: RainbowGraph, mech: Mechanism, tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff within each rainbow's boundary all node distributions
-    agree entrywise within tol."""
+    agree entrywise within tol; compared on the boundary nodes' rows of
+    mech.rows, so a boundary node with no row raises KeyError."""
     for region in graph.topology.regions.values():
-        boundary = sorted(region.boundary)
-        if len(boundary) < 2:
-            continue
-        ref = mech.assignment[boundary[0]]
-        for d in boundary[1:]:
-            vec = mech.assignment[d]
-            if any(abs(x - y) > tol for x, y in zip(ref, vec)):
+        if len(region.boundary) > 1:
+            block = mech.rows[[mech.row_of[d] for d in sorted(region.boundary)]]
+            if (np.abs(block - block[0]) > tol).any():
                 return False
     return True
 

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import random
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
+from helpers import striped_grid_text
 from rainbowdp.cli.graphfile import GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import (
@@ -641,36 +641,6 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def striped_grid_text(side: int, stripes: int, q: int, seed: int, spread: float) -> str:
-    """A seeded side x side grid file whose column bands carry distinct
-    rainbows, with boundary vectors jittered from one base so every pair
-    is close whenever 4 * spread <= epsilon."""
-    g = random.Random(seed)
-    colors = [f"c{k}" for k in range(1, q + 1)]
-    rainbows: list[list[str]] = []
-    while len(rainbows) < stripes:
-        perm = colors[:]
-        g.shuffle(perm)
-        if perm not in rainbows:
-            rainbows.append(perm)
-    out = ["colors " + " ".join(colors)]
-    for i in range(side):
-        for j in range(side):
-            out.append(f"node r{i:02d}c{j:02d} " + " ".join(rainbows[j * stripes // side]))
-    for i in range(side):
-        for j in range(side):
-            if j + 1 < side:
-                out.append(f"edge r{i:02d}c{j:02d} r{i:02d}c{j + 1:02d}")
-            if i + 1 < side:
-                out.append(f"edge r{i:02d}c{j:02d} r{i + 1:02d}c{j:02d}")
-    base = [g.gammavariate(1.0, 1.0) + 1e-3 for _ in colors]
-    for perm in rainbows:
-        row = [b * math.exp(g.uniform(-spread, spread)) for b in base]
-        total = sum(row)
-        out.append("boundary " + ",".join(perm) + " " + " ".join(repr(x / total) for x in row))
-    return "\n".join(out) + "\n"
 
 
 GOLDEN_BUILDS = [

@@ -1,5 +1,7 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rainbowdp as r
@@ -13,10 +15,15 @@ from helpers import (
     random_budget,
     random_dense_graph,
     random_dp_mechanism,
+    random_homogeneous_bc,
     random_solvable_graph,
     rng,
+    striped_grid_text,
     sv,
 )
+from rainbowdp.cli.graphfile import parse_graph_file
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def triangle_graph():
@@ -430,3 +437,72 @@ def test_build_boundary_graph_on_long_path():
     assert len(bg.graph.nodes) == n
     assert bg.morphism(nodes[0]) == bg.node_id(c12, split - 1)
     assert bg.morphism(nodes[-1]) == bg.node_id(c21, n - split - 1)
+
+
+def _split_path(n=3000, split=1000):
+    space = r.ColorSpace(("1", "2"))
+    c12, c21 = r.Rainbow((0, 1)), r.Rainbow((1, 0))
+    nodes = tuple(f"v{i:04d}" for i in range(n))
+    pref = {d: (c12 if i < split else c21) for i, d in enumerate(nodes)}
+    graph = r.RainbowGraph(nodes, frozenset(zip(nodes, nodes[1:])), pref, space)
+    return graph, r.BoundaryCondition({c12: sv(0.7, 0.3), c21: sv(0.6, 0.4)})
+
+
+def _index_cases():
+    log2 = r.PrivacyBudget(math.log(2.0), 0.0)
+    yield path5_graph(), path5_bc(), log2
+    pentagon = parse_graph_file((FIXTURES / "pentagon.graph").read_text())
+    yield pentagon.graph, pentagon.boundary, log2
+    grid = parse_graph_file(striped_grid_text(30, 4, 5, seed=30, spread=0.08))
+    yield grid.graph, grid.boundary, r.PrivacyBudget(0.4, 0.001)
+    g = rng(26)
+    for graph in [random_solvable_graph(g, max_nodes=40) for _ in range(15)] + [
+        random_dense_graph(g, n=50, extra_edges=300, n_rainbows=8, tail_len=6) for _ in range(5)
+    ]:
+        budget = random_budget(g)
+        yield graph, random_homogeneous_bc(g, graph, budget), budget
+    yield (*_split_path(), r.PrivacyBudget(0.3, 0.001))
+
+
+def test_boundary_graph_indexes_the_mechanism():
+    # Boundary-graph node k is row k of the optimal mechanism's matrix, so
+    # pulling the matrix back along the boundary morphism gives the same
+    # mechanism, bit for bit.
+    for graph, bc, budget in _index_cases():
+        mech = r.optimal_mechanism(graph, bc, budget)
+        bg = r.build_boundary_graph(graph)
+        index = bg.graph.node_index
+        assert len(mech.rows) == len(index)
+        for d in graph.nodes:
+            assert mech.row_of[d] == index[bg.morphism(d)]
+        chains = r.Mechanism.from_rows(mech.rows, index, graph.color_space)
+        pulled = r.pullback(chains, bg.morphism)
+        for d in graph.nodes:
+            want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
+            assert [x.hex() for x in pulled.rows[pulled.row_of[d]].tolist()] == want
+
+
+def test_boundary_morphism_self_check_raises_on_a_moved_distance(monkeypatch):
+    # An interior node's search distance, moved up by 2, is 3 steps from
+    # its search parent's: the edge maps to no boundary-graph edge. The
+    # check is an explicit raise, so it holds under python -O too.
+    search = r.graph._chain_layout
+
+    def moved_search(graph):
+        dist, _, _, _ = search(graph)
+        dist = dist.copy()
+        dist[np.flatnonzero(dist > 0)[0]] += 2
+        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+        np.maximum.at(depths, graph.rainbow_ids, dist)
+        starts = np.cumsum(depths + 1) - (depths + 1)
+        return dist, depths, starts, starts[graph.rainbow_ids] + dist
+
+    monkeypatch.setattr(r.graph, "_chain_layout", moved_search)
+    g = rng(27)
+    graphs = [path5_graph(), _split_path()[0]]
+    graphs += [random_solvable_graph(g, max_nodes=30) for _ in range(10)]
+    for graph in graphs:
+        if not (search(graph)[0] > 0).any():
+            continue
+        with pytest.raises(AssertionError, match="boundary morphism fails on"):
+            r.build_boundary_graph(graph)

@@ -399,6 +399,29 @@ def test_is_boundary_homogeneous():
         assert r.is_boundary_homogeneous(rand_graph, mech)
 
 
+def test_is_boundary_homogeneous_reads_rows_not_assignment():
+    # The check compares rows of mech.rows; it builds no SimplexVector view.
+    graph = r.pentagon_graph()
+    demo = r.no_optimal_demo().mech1
+    mech1 = r.Mechanism.from_rows(demo.rows, demo.row_of, graph.color_space)
+    assert not r.is_boundary_homogeneous(graph, mech1)
+    assert "assignment" not in vars(mech1)
+    g = rng(39)
+    for _ in range(5):
+        rand_graph = random_solvable_graph(g, max_nodes=30)
+        budget = random_budget(g)
+        mech = r.optimal_mechanism(rand_graph, random_homogeneous_bc(g, rand_graph, budget), budget)
+        assert r.is_boundary_homogeneous(rand_graph, mech)
+        assert "assignment" not in vars(mech)
+    # A boundary node with no distribution is still a KeyError.
+    boundary = sorted(graph.topology.regions[graph.preference["d1"]].boundary)
+    partial = r.Mechanism(
+        {d: sv(0.3, 0.3, 0.4) for d in graph.nodes if d != boundary[-1]}, graph.color_space
+    )
+    with pytest.raises(KeyError):
+        r.is_boundary_homogeneous(graph, partial)
+
+
 def test_utility_eval_constant_and_indicator():
     graph = path5_graph()
     g = rng(39)
@@ -491,19 +514,19 @@ def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
 
 def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
     calls = {"topology": 0, "bfs": 0}
-    topology, bfs = r.graph._topology, r.graph.boundary_distances
+    topology, search = r.graph._topology, r.graph._chain_layout
 
     def counted_topology(graph):
         calls["topology"] += 1
         return topology(graph)
 
-    def counted_bfs(graph, regions):
+    def counted_search(graph):
         calls["bfs"] += 1
-        return bfs(graph, regions)
+        return search(graph)
 
     monkeypatch.setattr(r.graph, "_topology", counted_topology)
-    monkeypatch.setattr(r.graph, "boundary_distances", counted_bfs)
-    monkeypatch.setattr(r.mechanism, "boundary_distances", counted_bfs)
+    monkeypatch.setattr(r.graph, "_chain_layout", counted_search)
+    monkeypatch.setattr(r.mechanism, "_chain_layout", counted_search)
     g = rng(47)
     for _ in range(5):
         graph = random_solvable_graph(g, max_nodes=30)
@@ -516,6 +539,10 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
         mech = r.optimal_mechanism(graph, bc, budget)
         assert r.is_boundary_homogeneous(graph, mech)
         assert calls == {"topology": 1, "bfs": 1}
+        # The boundary graph runs the same search once more and reuses
+        # the graph's cached topology.
+        r.build_boundary_graph(graph)
+        assert calls == {"topology": 1, "bfs": 2}
 
 
 def test_build_and_verify_leave_the_string_adjacency_unbuilt():
