@@ -23,7 +23,6 @@ from .graph import (
     Region,
     UnconstrainedRegion,
     boundary_distances,
-    boundary_node_id,
     build_boundary_graph,
     check_morphism,
     decompose_regions,

@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# The one tolerance of every check: dominance, lexicographic order,
+# (eps,delta)-closeness, the edgewise DP check, boundary homogeneity and
+# the falsifier's verdicts all use it.
 DEFAULT_TOL = 1e-12
 
 # Published boundary vectors are often rounded to 4 decimals, so their
@@ -108,17 +111,6 @@ class SimplexVector:
         object.__setattr__(self, "p", tuple(x / total for x in vals))
 
     @classmethod
-    def rows(cls, a: np.ndarray) -> list[SimplexVector]:
-        """One SimplexVector per row of a 2-D array, bit for bit what
-        ``[SimplexVector(tuple(row)) for row in a]`` gives, including the
-        error raised for the first bad row.
-
-        Every check of __post_init__ runs on the whole array at once; the
-        rows are then wrapped without a second pass through it.
-        """
-        return cls.wrap(normalized_rows(a))
-
-    @classmethod
     def wrap(cls, a: np.ndarray) -> list[SimplexVector]:
         """One SimplexVector per row of a 2-D array, holding the row's
         entries as they are: nothing is checked, clamped or normalized.
@@ -145,7 +137,11 @@ def normalized_rows(a: np.ndarray) -> np.ndarray:
     array: each entry checked to be finite and inside
     [-NEGATIVE_WINDOW, 1 + NEGATIVE_WINDOW], clamped to [0, 1], the row
     checked to sum to 1 within SUM_WINDOW, then divided by its
-    left-to-right sum. The first bad row raises SimplexVector's error."""
+    left-to-right sum. The first bad row raises SimplexVector's error.
+
+    Row for row this is bit for bit what the constructor gives, so
+    ``SimplexVector.wrap(normalized_rows(a))`` equals
+    ``[SimplexVector(tuple(row)) for row in a]``."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got {a.ndim} dimension(s)")
@@ -206,9 +202,9 @@ def prefix_sums(p: SimplexVector | Iterable[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def dominates(x: SimplexVector, y: SimplexVector, tol: float = DEFAULT_TOL) -> bool:
+def dominates(x: SimplexVector, y: SimplexVector) -> bool:
     """True iff x is at least y in the dominance order: every prefix sum
-    of x is >= the matching prefix sum of y, up to tol.
+    of x is >= the matching prefix sum of y, up to DEFAULT_TOL.
 
     Both inputs must already be expressed in the comparison (preference)
     order; callers permute first when needed.
@@ -216,18 +212,19 @@ def dominates(x: SimplexVector, y: SimplexVector, tol: float = DEFAULT_TOL) -> b
     _require_same_length(x, y)
     sx = prefix_sums(x)
     sy = prefix_sums(y)
-    return all(a >= b - tol for a, b in zip(sx, sy))
+    return all(a >= b - DEFAULT_TOL for a, b in zip(sx, sy))
 
 
-def lex_precedes(x: SimplexVector, y: SimplexVector, tol: float = DEFAULT_TOL) -> bool:
+def lex_precedes(x: SimplexVector, y: SimplexVector) -> bool:
     """True iff x <= y lexicographically on prefix sums.
 
-    At the first index where the prefixes differ by more than tol, x's
-    must be the smaller one; sequences equal everywhere count as True.
+    At the first index where the prefixes differ by more than
+    DEFAULT_TOL, x's must be the smaller one; sequences equal everywhere
+    count as True.
     """
     _require_same_length(x, y)
     for a, b in zip(prefix_sums(x), prefix_sums(y)):
-        if abs(a - b) > tol:
+        if abs(a - b) > DEFAULT_TOL:
             return a < b
     return True
 
@@ -248,16 +245,12 @@ def subset_excess(p: SimplexVector, q_: SimplexVector, exp_epsilon: float) -> fl
     return total
 
 
-def is_close(
-    p: SimplexVector,
-    q_: SimplexVector,
-    budget: PrivacyBudget,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """True iff P(S) <= e^eps Q(S) + delta and symmetrically, for every
-    outcome subset S (computed without subset enumeration)."""
+def is_close(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudget) -> bool:
+    """True iff P(S) <= e^eps Q(S) + delta and symmetrically, up to
+    DEFAULT_TOL, for every outcome subset S (computed without subset
+    enumeration)."""
     e = budget.exp_epsilon
-    bound = budget.delta + tol
+    bound = budget.delta + DEFAULT_TOL
     return subset_excess(p, q_, e) <= bound and subset_excess(q_, p, e) <= bound
 
 

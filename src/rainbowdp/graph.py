@@ -104,17 +104,6 @@ class RainbowGraph:
         object.__setattr__(self, "_rainbows", rainbows)
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {d: [] for d in self.nodes}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {d: tuple(sorted(v)) for d, v in nbrs.items()}
-
-    def neighbors(self, node: str) -> tuple[str, ...]:
-        return self.adjacency[node]
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): the neighbor ids of node i, in increasing
         order, are indices[indptr[i]:indptr[i + 1]]."""
@@ -285,9 +274,10 @@ def check_morphism(m: Morphism) -> MorphismReport:
     return MorphismReport(edge_ok, rainbow_ok, tuple(violations))
 
 
-def boundary_node_id(space: ColorSpace, rainbow: Rainbow, i: int) -> str:
-    """Identifier of the boundary-graph node for (rainbow, distance i)."""
-    return ",".join(rainbow.color_names(space)) + f"@{i}"
+def _chain_ids(space: ColorSpace, rainbow: Rainbow, distances: range) -> list[str]:
+    """Names "<colors>@<i>" of the boundary-graph nodes (rainbow, i), i in distances."""
+    label = ",".join(rainbow.color_names(space))
+    return [f"{label}@{i}" for i in distances]
 
 
 @dataclass(eq=False)
@@ -300,7 +290,8 @@ class BoundaryGraph:
     morphism: Morphism
 
     def node_id(self, rainbow: Rainbow, i: int) -> str:
-        return boundary_node_id(self.graph.color_space, rainbow, i)
+        """Name of the boundary-graph node for (rainbow, distance i)."""
+        return _chain_ids(self.graph.color_space, rainbow, range(i, i + 1))[0]
 
 
 def line_graph(space: ColorSpace, rainbow: Rainbow, n: int) -> RainbowGraph:
@@ -341,8 +332,7 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     edges: set[tuple[str, str]] = set()
     heads: dict[Rainbow, str] = {}
     for c, depth in depths.items():
-        label = ",".join(c.color_names(space))
-        ids = [f"{label}@{i}" for i in range(depth + 1)]
+        ids = _chain_ids(space, c, range(depth + 1))
         heads[c] = ids[0]
         preference.update(dict.fromkeys(ids, c))
         edges.update(zip(ids, ids[1:]))

@@ -479,17 +479,13 @@ def _hockey_stick(p: np.ndarray, q_: np.ndarray, exp_epsilon: float) -> np.ndarr
     return total
 
 
-def verify_dp(
-    graph: RainbowGraph,
-    mech: Mechanism,
-    budget: PrivacyBudget,
-    tol: float = DEFAULT_TOL,
-) -> DpReport:
+def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> DpReport:
     """Check closeness on every edge of the graph.
 
     A violation records the edge, the failing direction (P, Q), and the
-    margin by which delta is exceeded. Violations come in sorted edge
-    order, each edge's (a, b) direction before its (b, a) one.
+    margin by which delta is exceeded, when that margin is above
+    DEFAULT_TOL. Violations come in sorted edge order, each edge's
+    (a, b) direction before its (b, a) one.
 
     The edges are checked in chunks of graph.edge_ends, on the rows of
     their endpoints gathered from mech.rows, both directions at once;
@@ -511,27 +507,25 @@ def verify_dp(
         a, b = rows[node_rows[chunk[:, 0]]], rows[node_rows[chunk[:, 1]]]
         forward = _hockey_stick(a, b, e) - budget.delta
         backward = _hockey_stick(b, a, e) - budget.delta
-        for i in np.nonzero((forward > tol) | (backward > tol))[0].tolist():
+        for i in np.nonzero((forward > DEFAULT_TOL) | (backward > DEFAULT_TOL))[0].tolist():
             u, v = chunk[i].tolist()
             found.append(((nodes[u], nodes[v]), float(forward[i]), float(backward[i])))
     violations = []
     for edge, *margins in sorted(found, key=lambda f: f[0]):
         for direction, margin in zip((edge, edge[::-1]), margins):
-            if margin > tol:
+            if margin > DEFAULT_TOL:
                 violations.append(DpViolation(edge, direction, margin))
     return DpReport(valid=not violations, violations=tuple(violations))
 
 
-def is_boundary_homogeneous(
-    graph: RainbowGraph, mech: Mechanism, tol: float = DEFAULT_TOL
-) -> bool:
+def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     """True iff within each rainbow's boundary all node distributions
-    agree entrywise within tol; compared on the boundary nodes' rows of
-    mech.rows, so a boundary node with no row raises KeyError."""
+    agree entrywise within DEFAULT_TOL; compared on the boundary nodes'
+    rows of mech.rows, so a boundary node with no row raises KeyError."""
     for region in graph.topology.regions.values():
         if len(region.boundary) > 1:
             block = mech.rows[[mech.row_of[d] for d in sorted(region.boundary)]]
-            if (np.abs(block - block[0]) > tol).any():
+            if (np.abs(block - block[0]) > DEFAULT_TOL).any():
                 return False
     return True
 
@@ -545,7 +539,9 @@ def utility_eval(
 
     weights[d][k] is the payoff when node d's output is its k-th
     preferred color; each weight sequence must be nonincreasing in k.
+    Node d's distribution is its row of mech.rows.
     """
+    rows, row_of = mech.rows.tolist(), mech.row_of
     total = 0.0
     for d in graph.nodes:
         w = weights[d]
@@ -553,22 +549,22 @@ def utility_eval(
             raise ValueError(f"weight sequence for node {d!r} has wrong length")
         if any(w[i] < w[i + 1] - 1e-12 for i in range(len(w) - 1)):
             raise ValueError(f"weight sequence for node {d!r} is not nonincreasing")
-        vec = mech.assignment[d]
+        row = rows[row_of[d]]
         order = graph.preference[d].order
-        total += sum(w[k] * vec.p[i] for k, i in enumerate(order))
+        total += sum(w[k] * row[i] for k, i in enumerate(order))
     return total
 
 
-def mechanism_dominates(
-    graph: RainbowGraph, a: Mechanism, b: Mechanism, tol: float = DEFAULT_TOL
-) -> bool:
+def mechanism_dominates(graph: RainbowGraph, a: Mechanism, b: Mechanism) -> bool:
     """Nodewise dominance of mechanism a over b, compared on the
-    preference-order view of each node."""
+    preference-order view of each node's row."""
+    rows_a, rows_b = a.rows.tolist(), b.rows.tolist()
     for d in graph.nodes:
-        c = graph.preference[d]
-        va = to_preference_order(a.assignment[d], c)
-        vb = to_preference_order(b.assignment[d], c)
-        if not dominates(va, vb, tol):
+        order = graph.preference[d].order
+        row_a, row_b = rows_a[a.row_of[d]], rows_b[b.row_of[d]]
+        va = SimplexVector(tuple(row_a[i] for i in order))
+        vb = SimplexVector(tuple(row_b[i] for i in order))
+        if not dominates(va, vb):
             return False
     return True
 

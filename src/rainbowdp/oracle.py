@@ -54,12 +54,7 @@ def _mask_rows(q: int, start: int, stop: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(q)) & 1).astype(np.float64)
 
 
-def is_close_bruteforce(
-    p: SimplexVector,
-    q_: SimplexVector,
-    budget: PrivacyBudget,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def is_close_bruteforce(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudget) -> bool:
     """Closeness by literal quantification over all 2^q outcome subsets.
 
     Semantically identical to core.is_close; exists as an independent
@@ -80,23 +75,22 @@ def is_close_bruteforce(
         qs = masks @ qa
         worst_pq = max(worst_pq, float(np.max(ps - e * qs)))
         worst_qp = max(worst_qp, float(np.max(qs - e * ps)))
-    bound = budget.delta + tol
+    bound = budget.delta + DEFAULT_TOL
     return worst_pq <= bound and worst_qp <= bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CloseSamples:
-    """Output of sample_close: the vectors, and the same distributions
-    as the rows of a float64 matrix. degenerate_budget is set when the
-    budget admits no distribution other than p itself."""
+    """Output of sample_close: the distributions, as the rows of a
+    float64 matrix. degenerate_budget is set when the budget admits no
+    distribution other than p itself."""
 
-    vectors: tuple[SimplexVector, ...]
-    rows: np.ndarray = field(repr=False, compare=False)
+    rows: np.ndarray = field(repr=False)
     degenerate_budget: bool = False
 
 
 def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    # Strict closeness (no tolerance slack) so the vectors still pass
+    # Strict closeness (no tolerance slack) so the rows still pass
     # is_close after construction-time renormalization.
     e = budget.exp_epsilon
     ex1 = np.maximum(cand - e * pa, 0.0).sum(axis=1)
@@ -148,14 +142,12 @@ def sample_close(
     if count < 1:
         raise ValueError("count must be >= 1")
     if budget.epsilon == 0.0 and budget.delta == 0.0:
-        return CloseSamples((p,), np.array([p.p]), degenerate_budget=count > 1)
-    vectors = [p] if count == 1 else [p, t_step(p, budget)]
-    rows = np.array([vec.p for vec in vectors])
+        return CloseSamples(np.array([p.p]), degenerate_budget=count > 1)
+    rows = np.array([p.p] if count == 1 else [p.p, t_step(p, budget).p])
     if count > 2:
         raw = normalized_rows(_raw_close_samples(p, budget, count - 2, _rng(seed)))
-        vectors += SimplexVector.wrap(raw)
         rows = np.concatenate((rows, raw))
-    return CloseSamples(tuple(vectors), rows)
+    return CloseSamples(rows)
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,6 @@ def dominance_falsify(
     trials: int,
     seed: int,
     step_fn: Callable[[SimplexVector, PrivacyBudget], SimplexVector] | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> FalsificationReport:
     """Search for a close distribution that the operator output fails to
     dominate.
@@ -188,8 +179,9 @@ def dominance_falsify(
     min(1, min(e^eps s_k, 1 - e^-eps (1 - s_k)) + delta). For the real
     operator the two coincide and no counterexample exists; the hook
     exists so a deliberately corrupted operator can be fed to the same
-    harness. A reported counterexample is re-verified (closeness to p
-    and the violated prefix) before being returned.
+    harness. A sample fails when one of its prefixes exceeds the bound
+    by more than DEFAULT_TOL. A reported counterexample is re-verified
+    (closeness to p and the violated prefix) before being returned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -203,17 +195,17 @@ def dominance_falsify(
     excess = prefixes - bound[None, :]
     worst_k = np.argmax(excess, axis=1)
     worst = excess[np.arange(len(prefixes)), worst_k]
-    hits = np.nonzero(worst > tol)[0]
+    hits = np.nonzero(worst > DEFAULT_TOL)[0]
 
     counterexample = None
     if hits.size:
         i = int(hits[0])
-        vec = samples.vectors[i]
+        vec = SimplexVector.wrap(samples.rows[i:i + 1])[0]
         k = int(worst_k[i])
         margin = float(worst[i])
         if not is_close(vec, p, budget):
             raise RuntimeError("falsifier produced a sample that is not close to p")
-        if prefix_sums(vec)[k] <= min(target[k], envelope[k]) + tol:
+        if prefix_sums(vec)[k] <= min(target[k], envelope[k]) + DEFAULT_TOL:
             raise RuntimeError("falsifier counterexample failed re-verification")
         counterexample = Counterexample(vector=vec, prefix_index=k, margin=margin)
     return FalsificationReport(trials=len(prefixes), counterexample=counterexample, seed=seed)
@@ -283,19 +275,12 @@ def no_optimal_demo(budget: PrivacyBudget | None = None) -> NoOptimalReport:
     graph = pentagon_graph()
     space = graph.color_space
     base = {d: SimplexVector(v) for d, v in _PENTAGON_BOUNDARY.items()}
+    d2_of_mech1 = SimplexVector((0.4, 0.2, 0.4))
+    d3_of_mech2 = SimplexVector((0.7, 0.05, 0.25))
 
-    mech1 = Mechanism(
-        {**base, "d2": SimplexVector((0.4, 0.2, 0.4)), "d3": SimplexVector((0.4, 0.2, 0.4))},
-        space,
-    )
-    mech2 = Mechanism(
-        {**base, "d2": SimplexVector((0.4, 0.1, 0.5)), "d3": SimplexVector((0.7, 0.05, 0.25))},
-        space,
-    )
-    mech3 = Mechanism(
-        {**base, "d2": mech1.assignment["d2"], "d3": mech2.assignment["d3"]},
-        space,
-    )
+    mech1 = Mechanism({**base, "d2": d2_of_mech1, "d3": d2_of_mech1}, space)
+    mech2 = Mechanism({**base, "d2": SimplexVector((0.4, 0.1, 0.5)), "d3": d3_of_mech2}, space)
+    mech3 = Mechanism({**base, "d2": d2_of_mech1, "d3": d3_of_mech2}, space)
 
     r1 = verify_dp(graph, mech1, budget)
     r2 = verify_dp(graph, mech2, budget)

@@ -154,10 +154,20 @@ def boundary_line_mechanisms(
     return r.Mechanism(assign, graph.color_space), bg
 
 
-def components(graph: r.RainbowGraph) -> list[list[str]]:
+def adjacency(graph: r.RainbowGraph) -> dict[str, tuple[str, ...]]:
+    """Each node's neighbours by name, sorted, built from graph.edges, so
+    the reference searches here do not read the CSR they check."""
+    nbrs: dict[str, list[str]] = {d: [] for d in graph.nodes}
+    for a, b in graph.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return {d: tuple(sorted(v)) for d, v in nbrs.items()}
+
+
+def components(nbrs: dict[str, tuple[str, ...]]) -> list[list[str]]:
     seen: set[str] = set()
     out: list[list[str]] = []
-    for start in graph.nodes:
+    for start in nbrs:
         if start in seen:
             continue
         comp = [start]
@@ -165,7 +175,7 @@ def components(graph: r.RainbowGraph) -> list[list[str]]:
         queue = deque([start])
         while queue:
             d = queue.popleft()
-            for nb in graph.neighbors(d):
+            for nb in nbrs[d]:
                 if nb not in seen:
                     seen.add(nb)
                     comp.append(nb)
@@ -174,12 +184,12 @@ def components(graph: r.RainbowGraph) -> list[list[str]]:
     return out
 
 
-def bfs_depths(graph: r.RainbowGraph, root: str) -> dict[str, int]:
+def bfs_depths(nbrs: dict[str, tuple[str, ...]], root: str) -> dict[str, int]:
     depth = {root: 0}
     queue = deque([root])
     while queue:
         d = queue.popleft()
-        for nb in graph.neighbors(d):
+        for nb in nbrs[d]:
             if nb not in depth:
                 depth[nb] = depth[d] + 1
                 queue.append(nb)
@@ -194,9 +204,10 @@ def random_dp_mechanism(
     by breadth-first depth (adjacent depths differ by at most one)."""
     q = graph.color_space.q
     assign: dict[str, r.SimplexVector] = {}
-    for comp in components(graph):
+    nbrs = adjacency(graph)
+    for comp in components(nbrs):
         base = random_simplex(g, q)
-        depth = bfs_depths(graph, comp[0])
+        depth = bfs_depths(nbrs, comp[0])
         powers = [base]
         max_depth = max(depth[d] for d in comp)
         for _ in range(max_depth):
@@ -260,7 +271,7 @@ def path5_bc() -> r.BoundaryCondition:
 
 
 def verify_dp_reference(
-    graph: r.RainbowGraph, mech: r.Mechanism, budget: r.PrivacyBudget, tol: float = r.DEFAULT_TOL
+    graph: r.RainbowGraph, mech: r.Mechanism, budget: r.PrivacyBudget
 ) -> r.DpReport:
     """verify_dp as one subset_excess call per edge direction, in sorted
     edge order: the definition the array pass must match bit for bit."""
@@ -273,7 +284,7 @@ def verify_dp_reference(
             except KeyError as exc:
                 raise KeyError(f"mechanism has no distribution for node {exc.args[0]!r}") from None
             margin = r.subset_excess(p, q_, e) - budget.delta
-            if margin > tol:
+            if margin > r.DEFAULT_TOL:
                 violations.append(r.DpViolation((a, b), (src, dst), margin))
     return r.DpReport(valid=not violations, violations=tuple(violations))
 

@@ -70,7 +70,7 @@ def test_criterion_3_lemma1_suite():
         p = random_simplex(g, q, zero_rate=0.15)
         budget = random_budget(g)
         assert r.is_close(p, r.t_step(p, budget), budget)
-        report = r.dominance_falsify(p, budget, trials=1000, seed=3000 + i, tol=1e-12)
+        report = r.dominance_falsify(p, budget, trials=1000, seed=3000 + i)
         assert report.counterexample is None, (i, report.counterexample)
         assert report.trials == 1000
     mutant = r.dominance_falsify(
@@ -102,9 +102,9 @@ def test_criterion_4_lemma2_suite():
             vals[j] -= amount
             vals[i] += amount
         hi = r.SimplexVector(tuple(vals))
-        assert r.dominates(hi, lo, tol=1e-12)
+        assert r.dominates(hi, lo)
         budget = random_budget(g)
-        assert r.dominates(r.t_step(hi, budget), r.t_step(lo, budget), tol=1e-12)
+        assert r.dominates(r.t_step(hi, budget), r.t_step(lo, budget))
     print("ACCEPTANCE 4: PASS 1000 comparable pairs stay comparable, same direction")
 
 
@@ -178,7 +178,7 @@ def test_criterion_8_optimal_mechanism_end_to_end():
                 line_mech, bg = boundary_line_mechanisms(graph, bc, smaller)
                 competitor = r.pullback(line_mech, bg.morphism)
                 assert r.verify_dp(graph, competitor, budget).valid, (i, eps2, delta2)
-                assert r.mechanism_dominates(graph, best, competitor, tol=1e-12), (i, eps2, delta2)
+                assert r.mechanism_dominates(graph, best, competitor), (i, eps2, delta2)
     print("ACCEPTANCE 8: PASS 50 graphs: optimal verifies, homogeneous, dominates 4 smaller-budget competitors")
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import rainbowdp as r
 from helpers import random_budget, random_simplex, rng, sv
+from rainbowdp.core import normalized_rows
 
 
 def test_color_space_validation():
@@ -67,15 +69,15 @@ def test_simplex_vector_normalizes_by_the_left_to_right_sum():
     assert sequential == 0.9999999999999999
     assert sv(*row).p == tuple(x / sequential for x in row)
     assert sv(*row).p != row
-    assert r.SimplexVector.rows(np.array([row]))[0].p == sv(*row).p
+    assert tuple(normalized_rows(np.array([row]))[0].tolist()) == sv(*row).p
 
 
 def test_simplex_vector_rows_of_one_column_and_of_none():
     # tests/test_properties.py compares every other shape with the
     # constructor, error messages included.
     with pytest.raises(ValueError, match="at least 2 entries"):
-        r.SimplexVector.rows(np.array([[1.0]]))
-    assert r.SimplexVector.rows(np.empty((0, 3))) == []
+        normalized_rows(np.array([[1.0]]))
+    assert normalized_rows(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_privacy_budget_validation():
@@ -243,3 +245,18 @@ def test_tv_distance_is_a_metric():
         assert r.tv_distance(a, b) == pytest.approx(r.tv_distance(b, a), abs=1e-15)
         assert r.tv_distance(a, c) <= r.tv_distance(a, b) + r.tv_distance(b, c) + 1e-12
         assert 0.0 <= r.tv_distance(a, b) <= 1.0
+
+
+def test_no_public_function_takes_a_tolerance():
+    # Every check uses the one tolerance the acceptance criteria state.
+    assert r.DEFAULT_TOL == 1e-12
+    for module in (r.core, r.graph, r.mechanism, r.oracle):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(name, obj)]
+            for attr, fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters
+                    assert "tol" not in params, f"{module.__name__}.{name}"

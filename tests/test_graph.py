@@ -6,6 +6,7 @@ import pytest
 
 import rainbowdp as r
 from helpers import (
+    adjacency,
     bfs_depths,
     boundary_line_mechanisms,
     distinct_rainbows,
@@ -336,11 +337,12 @@ def test_line_graph_shape():
 
 def _naive_topology(graph):
     # The definitions, evaluated node by node and edge by edge.
+    nbrs = adjacency(graph)
     regions = {}
     for c in sorted(set(graph.preference.values()), key=lambda c: c.order):
         members = frozenset(d for d in graph.nodes if graph.preference[d] == c)
         interior = frozenset(
-            d for d in members if all(graph.preference[n] == c for n in graph.neighbors(d))
+            d for d in members if all(graph.preference[n] == c for n in nbrs[d])
         )
         regions[c] = (members, interior, members - interior)
     pairs = set()
@@ -368,10 +370,11 @@ def test_topology_matches_definition():
         ]
         assert [(nodes[a], nodes[b]) for a, b in graph.edge_ends.tolist()] == list(graph.edges)
         indptr, indices = (a.tolist() for a in graph.csr)
+        nbrs = adjacency(graph)
         for i, d in enumerate(nodes):
             ids = indices[indptr[i]:indptr[i + 1]]
             assert ids == sorted(ids)
-            assert tuple(sorted(nodes[j] for j in ids)) == graph.neighbors(d)
+            assert tuple(sorted(nodes[j] for j in ids)) == nbrs[d]
         regions, pairs = _naive_topology(graph)
         topo = graph.topology
         assert graph.rainbows() == tuple(regions)
@@ -386,9 +389,10 @@ def test_topology_matches_definition():
 def _full_bfs_distances(graph, regions):
     # Distance to the nearest same-rainbow boundary node, by one
     # full-graph search per node; None for a node that reaches none.
+    nbrs = adjacency(graph)
     dist = {}
     for d in graph.nodes:
-        depths = bfs_depths(graph, d)
+        depths = bfs_depths(nbrs, d)
         boundary = regions[graph.preference[d]].boundary
         dist[d] = min((depths[x] for x in boundary if x in depths), default=None)
     return dist

@@ -9,6 +9,11 @@ from helpers import random_budget, random_simplex, rng, sv
 LOG2 = math.log(2.0)
 
 
+def _vectors(samples: r.CloseSamples) -> list[r.SimplexVector]:
+    # Each sampled row as a SimplexVector holding the stored floats.
+    return r.SimplexVector.wrap(samples.rows)
+
+
 def test_bruteforce_identity_and_example_pair():
     budget = r.PrivacyBudget(LOG2, 0.0)
     p = sv(0.4, 0.2, 0.4)
@@ -74,11 +79,12 @@ def test_sample_close_first_two_and_reproducible():
     budget = r.PrivacyBudget(LOG2, 0.0)
     a = r.sample_close(p, budget, 50, seed=42)
     b = r.sample_close(p, budget, 50, seed=42)
-    assert a.vectors[0] == p
-    assert a.vectors[1] == r.t_step(p, budget)
-    assert [v.p for v in a.vectors] == [v.p for v in b.vectors]
+    assert a.rows.shape == (50, 3)
+    assert tuple(a.rows[0].tolist()) == p.p
+    assert tuple(a.rows[1].tolist()) == r.t_step(p, budget).p
+    assert a.rows.tolist() == b.rows.tolist()
     c = r.sample_close(p, budget, 50, seed=43)
-    assert [v.p for v in a.vectors] != [v.p for v in c.vectors]
+    assert a.rows.tolist() != c.rows.tolist()
 
 
 def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
@@ -87,23 +93,25 @@ def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
         p = random_simplex(g, int(g.integers(2, 9)), zero_rate=0.3)
         budget = random_budget(g)
         raw = _raw_close_samples(p, budget, 62, _rng(9))
-        samples = r.sample_close(p, budget, 64, seed=9).vectors
-        assert [v.p for v in samples[2:]] == [r.SimplexVector(tuple(row)).p for row in raw]
+        samples = r.sample_close(p, budget, 64, seed=9).rows
+        assert [tuple(row) for row in samples[2:].tolist()] == [
+            r.SimplexVector(tuple(row)).p for row in raw
+        ]
 
 
 def test_sample_close_all_pass_bruteforce():
     p = sv(0.1, 0.2, 0.7)
     budget = r.PrivacyBudget(LOG2, 0.0)
     samples = r.sample_close(p, budget, 1000, seed=42)
-    assert len(samples.vectors) == 1000
-    for vec in samples.vectors:
+    assert len(samples.rows) == 1000
+    for vec in _vectors(samples):
         assert r.is_close_bruteforce(vec, p, budget)
 
 
 def test_sample_close_keeps_support_at_delta_zero():
     p = sv(0.0, 0.5, 0.5)
     budget = r.PrivacyBudget(LOG2, 0.0)
-    for vec in r.sample_close(p, budget, 200, seed=7).vectors:
+    for vec in _vectors(r.sample_close(p, budget, 200, seed=7)):
         assert vec.p[0] == 0.0
         assert r.is_close(vec, p, budget)
 
@@ -111,7 +119,7 @@ def test_sample_close_keeps_support_at_delta_zero():
 def test_sample_close_degenerate_budget():
     p = sv(0.1, 0.9)
     out = r.sample_close(p, r.PrivacyBudget(0.0, 0.0), 10, seed=1)
-    assert out.vectors == (p,)
+    assert out.rows.tolist() == [list(p.p)]
     assert out.degenerate_budget
 
 
@@ -121,7 +129,7 @@ def test_sample_close_random_budgets():
         q = int(g.integers(2, 8))
         p = random_simplex(g, q, zero_rate=0.2)
         budget = random_budget(g)
-        for vec in r.sample_close(p, budget, 100, seed=int(g.integers(2**31))).vectors:
+        for vec in _vectors(r.sample_close(p, budget, 100, seed=int(g.integers(2**31)))):
             assert r.is_close(vec, p, budget)
 
 
@@ -171,6 +179,12 @@ def test_no_optimal_demo_canonical():
     assert report.violating_edge == ("d2", "d3")
     assert report.margin == 0.2 - 2 * 0.05
     assert not report.boundary_homogeneous
+    # The demo reads rows only; mech3 takes d2 and d3 from the same literals.
+    for mech in (report.mech1, report.mech2, report.mech3):
+        assert "assignment" not in vars(mech)
+    row_of = report.mech3.row_of
+    assert tuple(report.mech3.rows[row_of["d2"]].tolist()) == sv(0.4, 0.2, 0.4).p
+    assert tuple(report.mech3.rows[row_of["d3"]].tolist()) == sv(0.7, 0.05, 0.25).p
 
 
 def test_no_optimal_demo_parameterized():
@@ -200,7 +214,7 @@ def test_bruteforce_chunked_alphabets_agree_with_per_element_check():
         for _ in range(6):
             p = random_simplex(g, q)
             budget = random_budget(g)
-            near = r.sample_close(p, budget, 3, seed=int(g.integers(1 << 30))).vectors[-1]
+            near = _vectors(r.sample_close(p, budget, 3, seed=int(g.integers(1 << 30))))[-1]
             for other in (near, random_simplex(g, q)):
                 expected = r.is_close(p, other, budget)
                 assert r.is_close_bruteforce(p, other, budget) == expected

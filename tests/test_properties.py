@@ -6,7 +6,7 @@ the array rows of _prefix_curve give the same bits; one operator
 step stays close to its input and dominates it; a graph file survives
 emit then parse, and neither its parse nor the optimal mechanism built
 from it depends on the order of the lines after `colors`; the batch
-SimplexVector constructor and the array pass of verify_dp give, bit for
+SimplexVector normalization and the array pass of verify_dp give, bit for
 bit, what their one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
 a more preferred color breaks privacy; renaming the nodes, which
@@ -30,7 +30,7 @@ from helpers import (
     rng,
     verify_dp_reference,
 )
-from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW
+from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve
@@ -206,7 +206,7 @@ def row_arrays(draw) -> np.ndarray:
 
 def _bits_or_error(build):
     try:
-        return [[x.hex() for x in vec.p] for vec in build()]
+        return [[x.hex() for x in row] for row in build()]
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -214,8 +214,8 @@ def _bits_or_error(build):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(row_arrays())
 def test_simplex_rows_equal_one_constructor_call_per_row(a):
-    batch = _bits_or_error(lambda: r.SimplexVector.rows(a))
-    assert batch == _bits_or_error(lambda: [r.SimplexVector(tuple(row)) for row in a])
+    batch = _bits_or_error(lambda: normalized_rows(a).tolist())
+    assert batch == _bits_or_error(lambda: [r.SimplexVector(tuple(row)).p for row in a])
 
 
 def _violation_bits(report: r.DpReport):
