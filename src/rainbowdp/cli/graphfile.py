@@ -14,11 +14,15 @@ down. The parser round-trips with emit_graph_file.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..core import ColorSpace, Rainbow, SimplexVector
 from ..graph import RainbowGraph
 from ..mechanism import BoundaryCondition
+from .tables import fmt, numbered_lines
 
 
 class GraphFileError(ValueError):
@@ -63,27 +67,48 @@ def _rainbow_from_names(
 def parse_graph_file(text: str) -> GraphFile:
     """Parse and validate a graph file in one pass; diagnostics carry line
     numbers and come in line order, except that an edge naming an undeclared
-    node is reported after the last line, since nodes may follow edges."""
+    node is reported after the last line, since nodes may follow edges.
+
+    The graph is built straight from node ids (RainbowGraph.from_ids):
+    each node gets an id when first named, each edge is kept as two ids
+    turned so that the smaller name comes first, and duplicate edges are
+    found on id pairs. Edges keep their file order. When an edge names a
+    node before its node line, the ids are renumbered into declaration
+    order after the last line, so `nodes` follows the node lines."""
     space: ColorSpace | None = None
-    # One Rainbow per distinct name tuple; a bad tuple fails on its first line.
-    rainbows: dict[tuple[str, ...], Rainbow] = {}
-    preference: dict[str, Rainbow] = {}
-    # Each declared node id to its node line's string, which every later
-    # edge naming the node shares instead of holding a copy of its own.
-    ids: dict[str, str] = {}
-    edges: set[tuple[str, str]] = set()
-    # (line, node id) of each edge endpoint not yet declared when its edge was read.
+    # One Rainbow per distinct name tuple, as an index into rainbow_list;
+    # a bad tuple fails on its first line.
+    rainbows: dict[tuple[str, ...], int] = {}
+    rainbow_list: list[Rainbow] = []
+    # Node ids in order of first mention, each id's rainbow (-1 until its
+    # node line), and the ids in node-line order.
+    index: dict[str, int] = {}
+    rainbow_of: list[int] = []
+    declared: list[int] = []
+    # Each edge as the key a << 32 | b of its ids (a, b), in file order.
+    edge_keys = array("q")
+    seen: set[int] = set()
+    # (line, node id) of each node first named by an edge, not a node line.
     forward: list[tuple[int, str]] = []
     boundary: dict[Rainbow, SimplexVector] = {}
 
-    def rainbow_at(lineno: int, names: list[str]) -> Rainbow:
+    def rainbow_at(lineno: int, names: list[str]) -> int:
         key = tuple(names)
         if key not in rainbows:
-            rainbows[key] = _rainbow_from_names(lineno, names, space)
+            rainbows[key] = len(rainbow_list)
+            rainbow_list.append(_rainbow_from_names(lineno, names, space))
         return rainbows[key]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    def first_named_by_edge(lineno: int, ident: str) -> int:
+        i = index[ident] = len(rainbow_of)
+        rainbow_of.append(-1)
+        forward.append((lineno, ident))
+        return i
+
+    for lineno, raw in numbered_lines(text):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -101,32 +126,30 @@ def parse_graph_file(text: str) -> GraphFile:
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"node line needs an id and {space.q} colors")
             ident = _check_identifier(lineno, "node", tokens[1])
-            if ident in preference:
+            i = index.setdefault(ident, len(rainbow_of))
+            if i == len(rainbow_of):
+                rainbow_of.append(-1)
+            elif rainbow_of[i] >= 0:
                 raise GraphFileError(lineno, f"duplicate node {ident!r}")
-            preference[ident] = rainbow_at(lineno, tokens[2:])
-            ids[ident] = ident
+            rainbow_of[i] = rainbow_at(lineno, tokens[2:])
+            declared.append(i)
         elif directive == "edge":
             if len(tokens) != 3:
                 raise GraphFileError(lineno, "edge line needs exactly two node ids")
             a, b = tokens[1], tokens[2]
             if a == b:
                 raise GraphFileError(lineno, f"self-loop on node {a!r}")
-            if a in ids:
-                a = ids[a]
-            else:
-                forward.append((lineno, a))
-            if b in ids:
-                b = ids[b]
-            else:
-                forward.append((lineno, b))
-            pair = (a, b) if a < b else (b, a)
-            if pair in edges:
+            ia = index[a] if a in index else first_named_by_edge(lineno, a)
+            ib = index[b] if b in index else first_named_by_edge(lineno, b)
+            key = ia << 32 | ib if a < b else ib << 32 | ia
+            if key in seen:
                 raise GraphFileError(lineno, f"duplicate edge {a!r} {b!r}")
-            edges.add(pair)
+            seen.add(key)
+            edge_keys.append(key)
         elif directive == "boundary":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"boundary line needs a rainbow and {space.q} probabilities")
-            rainbow = rainbow_at(lineno, tokens[1].split(","))
+            rainbow = rainbow_list[rainbow_at(lineno, tokens[1].split(","))]
             if rainbow in boundary:
                 raise GraphFileError(lineno, "duplicate boundary line for this rainbow")
             probs = [_parse_probability(lineno, t) for t in tokens[2:]]
@@ -142,13 +165,20 @@ def parse_graph_file(text: str) -> GraphFile:
     if space is None:
         raise GraphFileError(0, "empty graph file")
     for lineno, ident in forward:
-        if ident not in preference:
+        if rainbow_of[index[ident]] < 0:
             raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")
 
-    try:
-        graph = RainbowGraph(tuple(preference), edges, preference, space)
-    except ValueError as exc:
-        raise GraphFileError(0, str(exc)) from None
+    keys = np.array(edge_keys, dtype=np.int64)
+    ends = np.stack((keys >> 32, keys & 0xFFFFFFFF), axis=1)
+    nodes = tuple(index)
+    rainbow_ids = np.array(rainbow_of, dtype=np.intp)
+    if forward:
+        order = np.array(declared, dtype=np.intp)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        ends, rainbow_ids = renumber[ends], rainbow_ids[order]
+        nodes = tuple(map(nodes.__getitem__, declared))
+    graph = RainbowGraph.from_ids(nodes, rainbow_ids, rainbow_list, ends, space)
     bc = BoundaryCondition(boundary) if boundary else None
     return GraphFile(graph, bc)
 
@@ -156,8 +186,6 @@ def parse_graph_file(text: str) -> GraphFile:
 def emit_graph_file(gf: GraphFile) -> str:
     """Serialize a GraphFile; parse_graph_file(emit_graph_file(gf)) is
     semantically identical to gf."""
-    from .tables import fmt
-
     space = gf.graph.color_space
     out = ["colors " + " ".join(space.colors)]
     for d in gf.graph.nodes:

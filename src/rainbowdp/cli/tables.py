@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,27 @@ from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 # SimplexVector's SUM_WINDOW is for rounded boundary vectors, which are
 # renormalized, and mechanism rows never are.
 ROW_SUM_TOL = 1e-9
+
+
+# Text is split into lines this many characters at a time (cut after a
+# newline), so a parser never holds a list of every line of a large file.
+_BLOCK_CHARS = 1 << 16
+# Distinct mechanism rows are joined and read this many at a time.
+_ROWS_PER_READ = 4096
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of text, numbered from 1, as
+    enumerate(text.splitlines(), start=1) gives them, split one bounded
+    block at a time. A block ends just after a newline, so no line break,
+    not even a CR LF pair, is cut in two."""
+    first, start = 1, 0
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        lines = text[start:stop].splitlines()
+        yield from enumerate(lines, first)
+        first += len(lines)
+        start = stop
 
 
 def fmt(x: float) -> str:
@@ -72,13 +94,17 @@ def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
 
 def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
     """Parse a mechanism CSV into a Mechanism whose rows are the cells as
-    read by float(), one row per line: nothing is clamped or
-    renormalized, and a row _first_bad_row finds fault with is rejected.
-    Blank lines are skipped. An error names the physical line of the
-    first bad row; the entry checks run on the whole matrix once every
-    line has been read, or once a line fails to read."""
-    lines = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    _, header = next(lines, (0, None))
+    read by float(): nothing is clamped or renormalized, and a row
+    _first_bad_row finds fault with is rejected. Blank lines are skipped.
+
+    Each distinct row text (a line after its node name) is read once, as
+    mechanism_csv formats each row once: the Mechanism has one row per
+    distinct text, numbered in order of first appearance, and nodes with
+    the same text share it. An error names the physical line of the
+    first bad line, where a row text is reported at its first appearance;
+    the entry checks run on the rows read before that line."""
+    lines = numbered_lines(text)
+    header = next((line for _, line in lines if line.strip()), None)
     if header is None:
         raise ValueError("empty mechanism file")
     expected_header = "node," + ",".join(space.colors)
@@ -86,28 +112,42 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
         raise ValueError(f"header {header!r} does not match colors {space.colors}")
     q = space.q
     row_of: dict[str, int] = {}
-    cells_read = array("d")
+    # Each distinct row text's row id, and the line where it first appears.
+    row_ids: dict[str, int] = {}
+    first_line = array("q")
     fault = None
     try:
         for lineno, line in lines:
-            cells = line.split(",")
-            if len(cells) != 1 + q:
-                raise ValueError(f"expected {1 + q} cells, got {len(cells)}")
-            if cells[0] in row_of:
-                raise ValueError(f"duplicate row for node {cells[0]!r}")
-            cells_read.extend(map(float, cells[1:]))
-            row_of[cells[0]] = len(row_of)
+            name, _, row = line.partition(",")
+            r = row_ids.get(row)
+            # A row text has q - 1 commas; a blank line has row "".
+            if r is None and row.count(",") != q - 1:
+                if not line.strip():
+                    continue
+                raise ValueError(f"expected {1 + q} cells, got {line.count(',') + 1}")
+            if name in row_of:
+                raise ValueError(f"duplicate row for node {name!r}")
+            if r is None:
+                r = row_ids[row] = len(row_ids)
+                first_line.append(lineno)
+            row_of[name] = r
     except ValueError as exc:
         fault = f"line {lineno}: {exc}"
-    # A line that failed to read may have left some of its cells behind.
-    rows = np.frombuffer(cells_read, dtype=np.float64)[:len(row_of) * q].reshape(-1, q)
+    # The row texts, all from lines before any fault the loop found, are
+    # read a block at a time, so a cell that fails to read is the first fault.
+    cells_read = array("d")
+    texts = iter(row_ids)
+    try:
+        while block := list(islice(texts, _ROWS_PER_READ)):
+            cells_read.extend(map(float, ",".join(block).split(",")))
+    except ValueError as exc:
+        # extend keeps the cells read before the failing one.
+        fault = f"line {first_line[len(cells_read) // q]}: {exc}"
+    rows = np.frombuffer(cells_read, dtype=np.float64)[:len(cells_read) // q * q].reshape(-1, q)
     bad = _first_bad_row(rows)
     if bad is not None:
         i, message = bad
-        # Row i is on the (i + 2)-th nonblank line, after the header.
-        nonblank = (n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-        lineno = next(islice(nonblank, i + 1, None))
-        raise ValueError(f"line {lineno}: {message}")
+        raise ValueError(f"line {first_line[i]}: {message}")
     if fault is not None:
         raise ValueError(fault)
     return Mechanism.from_rows(rows, row_of, space)

@@ -12,10 +12,11 @@ node k is row k of the optimal mechanism's matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,39 +41,43 @@ def _normalize_edge(a: str, b: str) -> tuple[str, str]:
 
 def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
     """The edge itself when it is already a normalized (a, b) tuple, else
-    a normalized copy; saves a tuple per edge for callers such as the parser."""
+    a normalized copy; saves a tuple per edge for callers that pass them."""
     a, b = edge
     return edge if a < b and type(edge) is tuple else _normalize_edge(a, b)
 
 
-@dataclass(frozen=True, eq=False)
+def _node_index(nodes: tuple[str, ...]) -> dict[str, int]:
+    index = dict(zip(nodes, range(len(nodes))))
+    if len(index) != len(nodes):
+        raise ValueError("duplicate node identifiers")
+    return index
+
+
 class RainbowGraph:
     """Datasets, symmetric neighbor edges, and a rainbow per dataset.
 
-    Besides these string views the graph holds one integer view of
-    itself, computed once: node_index numbers the nodes in `nodes`
-    order, rainbow_ids gives each node's rainbow as an index into
+    The graph is held by node ids: node_index numbers the nodes in
+    `nodes` order, rainbow_ids gives each node's rainbow as an index into
     rainbows(), and edge_ends holds the endpoint ids of each edge, one
-    row per edge in `edges` iteration order.
+    row (a, b) per edge with nodes[a] < nodes[b]. The string views
+    `edges` (normalized (a, b) name pairs, a < b) and `preference` (node
+    name to Rainbow) are built from them on first use, unless the graph
+    was constructed from them.
+
+    RainbowGraph(nodes, edges, preference, color_space) takes the string
+    views and derives the ids; RainbowGraph.from_ids takes the ids.
     """
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    preference: Mapping[str, Rainbow]
-    color_space: ColorSpace
-    node_index: dict[str, int] = field(init=False, repr=False)
-    rainbow_ids: np.ndarray = field(init=False, repr=False)
-    edge_ends: np.ndarray = field(init=False, repr=False)
-    _rainbows: tuple[Rainbow, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        index = dict(zip(nodes, range(len(nodes))))
-        if len(index) != len(nodes):
-            raise ValueError("duplicate node identifiers")
-        edges = frozenset(_kept_edge(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __init__(
+        self,
+        nodes: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        preference: Mapping[str, Rainbow],
+        color_space: ColorSpace,
+    ):
+        nodes = tuple(nodes)
+        index = _node_index(nodes)
+        edges = frozenset(_kept_edge(e) for e in edges)
         try:
             ends = np.fromiter(
                 map(index.__getitem__, chain.from_iterable(edges)),
@@ -81,27 +86,79 @@ class RainbowGraph:
         except KeyError:
             a, b = min(e for e in edges if e[0] not in index or e[1] not in index)
             raise ValueError(f"edge ({a!r}, {b!r}) references an undeclared node") from None
-        pref = dict(self.preference)
-        object.__setattr__(self, "preference", pref)
+        pref = dict(preference)
         if pref.keys() != index.keys():
             raise ValueError("preference must assign a rainbow to exactly the declared nodes")
-        # Each distinct Rainbow object is checked and hashed once, not once per node.
+        # Each distinct Rainbow object is hashed once, not once per node.
         prefs = list(map(pref.__getitem__, nodes))
         objects = dict(zip(map(id, prefs), prefs))
-        q = self.color_space.q
-        if any(c.q != q for c in objects.values()):
-            d = next(d for d, c in pref.items() if c.q != q)
-            raise ValueError(f"rainbow of node {d!r} has wrong length")
-        rainbows = tuple(sorted(set(objects.values()), key=lambda c: c.order))
+        rainbows = tuple(set(objects.values()))
         rank = {c: k for k, c in enumerate(rainbows)}
         rank_of_object = {key: rank[c] for key, c in objects.items()}
         rainbow_ids = np.fromiter(
             map(rank_of_object.__getitem__, map(id, prefs)), dtype=np.intp, count=len(nodes)
         )
-        object.__setattr__(self, "node_index", index)
-        object.__setattr__(self, "rainbow_ids", rainbow_ids)
-        object.__setattr__(self, "edge_ends", ends.reshape(-1, 2))
-        object.__setattr__(self, "_rainbows", rainbows)
+        self._set(nodes, index, rainbow_ids, rainbows, ends, color_space)
+        # The given string views are kept, not rebuilt on first use.
+        self.__dict__.update(edges=edges, preference=pref)
+
+    @classmethod
+    def from_ids(
+        cls,
+        nodes: Iterable[str],
+        rainbow_ids: np.ndarray,
+        rainbows: Sequence[Rainbow],
+        edge_ends: np.ndarray,
+        color_space: ColorSpace,
+    ) -> RainbowGraph:
+        """The graph whose node i is nodes[i] with rainbow
+        rainbows[rainbow_ids[i]], and whose edges join nodes[a] and
+        nodes[b] for each row (a, b) of edge_ends. The caller vouches for
+        the edges: ids in range, no self-loops or repeated edges, and
+        every row turned so that nodes[a] < nodes[b]. The rainbows must
+        be distinct and may come in any order; those no node has are
+        dropped."""
+        graph = object.__new__(cls)
+        nodes = tuple(nodes)
+        graph._set(nodes, _node_index(nodes), rainbow_ids, rainbows, edge_ends, color_space)
+        return graph
+
+    def _set(
+        self,
+        nodes: tuple[str, ...],
+        index: dict[str, int],
+        rainbow_ids: np.ndarray,
+        rainbows: Sequence[Rainbow],
+        edge_ends: np.ndarray,
+        color_space: ColorSpace,
+    ) -> None:
+        # rainbows() lists the rainbows the nodes have, in rainbow order;
+        # rainbow_ids are renumbered to index it.
+        rainbow_ids = np.asarray(rainbow_ids, dtype=np.intp)
+        used = np.flatnonzero(np.bincount(rainbow_ids, minlength=len(rainbows))).tolist()
+        kept = sorted(used, key=lambda k: rainbows[k].order)
+        ordered = tuple(map(rainbows.__getitem__, kept))
+        wrong = np.array([c.q != color_space.q for c in rainbows], dtype=bool)[rainbow_ids]
+        if wrong.any():
+            raise ValueError(f"rainbow of node {nodes[int(np.argmax(wrong))]!r} has wrong length")
+        rank = np.zeros(len(rainbows), dtype=np.intp)
+        rank[kept] = np.arange(len(kept))
+        self.nodes = nodes
+        self.color_space = color_space
+        self.node_index = index
+        self.rainbow_ids = rank[rainbow_ids]
+        self.edge_ends = np.asarray(edge_ends, dtype=np.intp).reshape(-1, 2)
+        self._rainbows = ordered
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        nodes = self.nodes
+        a, b = (map(nodes.__getitem__, col) for col in self.edge_ends.T.tolist())
+        return frozenset(zip(a, b))
+
+    @cached_property
+    def preference(self) -> dict[str, Rainbow]:
+        return dict(zip(self.nodes, map(self._rainbows.__getitem__, self.rainbow_ids.tolist())))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +294,8 @@ class Morphism:
         if not self.mapping.keys() >= self.domain.node_index.keys():
             missing = [d for d in self.domain.nodes if d not in self.mapping]
             raise ValueError(f"mapping not total on domain nodes: missing {missing[:3]}")
-        if not self.codomain.preference.keys() >= set(self.mapping.values()):
-            bad = [d for d, v in self.mapping.items() if v not in self.codomain.preference]
+        if not self.codomain.node_index.keys() >= set(self.mapping.values()):
+            bad = [d for d, v in self.mapping.items() if v not in self.codomain.node_index]
             raise ValueError(f"mapping leaves the codomain at {bad[:3]}")
 
     def __call__(self, node: str) -> str:
@@ -317,7 +374,7 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     self-check raises AssertionError unless every edge joins nodes of one
     rainbow at distances differing by at most 1, or nodes at distance 0.
     """
-    dist, chain_depths, _, chain_row = _chain_layout(graph)
+    dist, chain_depths, starts, chain_row = _chain_layout(graph)
     ends = graph.edge_ends
     da, db = dist[ends[:, 0]], dist[ends[:, 1]]
     same = graph.rainbow_ids[ends[:, 0]] == graph.rainbow_ids[ends[:, 1]]
@@ -326,20 +383,27 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
         first = min((graph.nodes[a], graph.nodes[b]) for a, b in broken.tolist())
         raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {first}")
 
-    space = graph.color_space
-    depths = dict(zip(graph.rainbows(), chain_depths.tolist()))
-    preference: dict[str, Rainbow] = {}
-    edges: set[tuple[str, str]] = set()
-    heads: dict[Rainbow, str] = {}
-    for c, depth in depths.items():
-        ids = _chain_ids(space, c, range(depth + 1))
-        heads[c] = ids[0]
-        preference.update(dict.fromkeys(ids, c))
-        edges.update(zip(ids, ids[1:]))
-    edges.update((heads[ca], heads[cb]) for ca, cb in graph.topology.adjacent_pairs)
+    space, rainbows = graph.color_space, graph.rainbows()
+    names = list(chain.from_iterable(
+        _chain_ids(space, c, range(depth + 1)) for c, depth in zip(rainbows, chain_depths.tolist())
+    ))
+    row_rainbow = np.repeat(np.arange(len(rainbows)), chain_depths + 1)
+    # Chain edges (i, i + 1) inside each rainbow's chain, then one head
+    # edge per adjacent rainbow pair, each row turned so that its first
+    # node's name sorts first.
+    links = np.flatnonzero(row_rainbow[:-1] == row_rainbow[1:])
+    rank = {c: k for k, c in enumerate(rainbows)}
+    heads = [(starts[rank[ca]], starts[rank[cb]]) for ca, cb in graph.topology.adjacent_pairs]
+    pairs = np.concatenate((
+        np.stack((links, links + 1), axis=1), np.array(heads, dtype=np.intp).reshape(-1, 2)
+    ))
+    a, b = (map(names.__getitem__, col) for col in pairs.T.tolist())
+    turned = np.fromiter(map(operator.gt, a, b), dtype=bool, count=len(pairs))
+    pairs[turned] = pairs[turned, ::-1]
 
-    bgraph = RainbowGraph(tuple(preference), frozenset(edges), preference, space)
-    mapping = dict(zip(graph.nodes, np.array(bgraph.nodes, dtype=object)[chain_row].tolist()))
+    bgraph = RainbowGraph.from_ids(names, row_rainbow, rainbows, pairs, space)
+    mapping = dict(zip(graph.nodes, np.array(names, dtype=object)[chain_row].tolist()))
+    depths = dict(zip(rainbows, chain_depths.tolist()))
     return BoundaryGraph(bgraph, depths, Morphism(graph, bgraph, mapping))
 
 

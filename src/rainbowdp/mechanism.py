@@ -494,11 +494,12 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
     nodes, ends = graph.nodes, graph.edge_ends
     # Each node id's row of mech.rows, -1 for a node that has none.
     node_rows = np.fromiter(map(mech.row_of.get, nodes, repeat(-1)), dtype=np.intp, count=len(nodes))
-    absent = ends[node_rows[ends] < 0]
-    if len(absent):
-        missing = {nodes[i] for i in absent.tolist()}
-        first = next(d for edge in sorted(graph.edges) for d in edge if d in missing)
-        raise KeyError(f"mechanism has no distribution for node {first!r}")
+    absent = node_rows[ends] < 0
+    if absent.any():
+        # The first edge in sorted order with an endpoint that has no
+        # row, and its first such endpoint; rows are in name order.
+        a, b = min(ends[absent.any(axis=1)].tolist(), key=lambda e: (nodes[e[0]], nodes[e[1]]))
+        raise KeyError(f"mechanism has no distribution for node {nodes[a if node_rows[a] < 0 else b]!r}")
     rows = mech.rows
     e = budget.exp_epsilon
     found = []

@@ -154,6 +154,24 @@ def boundary_line_mechanisms(
     return r.Mechanism(assign, graph.color_space), bg
 
 
+def assert_same_graph(graph: r.RainbowGraph, expected: r.RainbowGraph) -> None:
+    """graph, however it was built, is the graph the string constructor
+    made of expected: the same string views, rainbows and ids, and the
+    same edge rows in any order, each row (a, b) with nodes[a] < nodes[b]."""
+    nodes = graph.nodes
+    assert nodes == expected.nodes
+    assert graph.node_index == expected.node_index
+    assert graph.color_space == expected.color_space
+    assert graph.edges == expected.edges
+    assert graph.preference == expected.preference
+    assert graph.rainbows() == expected.rainbows()
+    assert graph.rainbow_ids.tolist() == expected.rainbow_ids.tolist()
+    rows = [tuple(row) for row in graph.edge_ends.tolist()]
+    assert len(rows) == len(expected.edges)
+    assert set(rows) == {tuple(row) for row in expected.edge_ends.tolist()}
+    assert all(nodes[a] < nodes[b] for a, b in rows)
+
+
 def adjacency(graph: r.RainbowGraph) -> dict[str, tuple[str, ...]]:
     """Each node's neighbours by name, sorted, built from graph.edges, so
     the reference searches here do not read the CSR they check."""

@@ -10,6 +10,8 @@ import pytest
 import rainbowdp as r
 from helpers import striped_grid_text
 from rainbowdp.cli.graphfile import GraphFileError, emit_graph_file, parse_graph_file
+from rainbowdp.cli import main as cli_main
+from rainbowdp.cli import tables
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import (
     fmt,
@@ -203,6 +205,114 @@ def test_mechanism_csv_reports_the_first_failing_line():
         with pytest.raises(ValueError) as exc:
             parse_mechanism_csv(text, space)
         assert str(exc.value) == message
+
+
+def test_mechanism_csv_parses_each_distinct_row_once(monkeypatch):
+    # 10,000 nodes share 3 row texts: the matrix has 3 rows, read with one
+    # float() call per cell of each distinct row, and every node's row is
+    # the float() of its own line's cells, bit for bit.
+    texts = ["0.5,0.25,0.25", "0.1,0.2,0.7", "1.0,0.0,0.0"]
+    n = 10_000
+    text = "node,a,b,c\n" + "".join(f"n{i},{texts[i % 3]}\n" for i in range(n))
+    calls = []
+
+    def counted_float(cell):
+        calls.append(cell)
+        return float(cell)
+
+    monkeypatch.setattr(tables, "float", counted_float, raising=False)
+    mech = parse_mechanism_csv(text, r.ColorSpace(("a", "b", "c")))
+    assert mech.rows.shape == (3, 3)
+    assert len(calls) == 9
+    assert len(mech.row_of) == n
+    for i in range(n):
+        want = np.array([float(x) for x in texts[i % 3].split(",")])
+        assert mech.rows[mech.row_of[f"n{i}"]].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A bad row that repeats is reported where it first appears.
+        ("node,1,2\nx,0.5,0.5\ny,0.5,0.6\nz,0.5,0.5\nw,0.5,0.6\n", "line 3: entries sum to 1.1, not 1"),
+        ("node,1,2\nx,0.5,0.5\ny,0.5,abc\nz,0.5,abc\nx,0.5,0.5\n", "line 3: could not convert string to float: 'abc'"),
+        # A repeated row text with the wrong cell count, at its first line.
+        ("node,1,2\nx,0.5,0.5\ny,0.5,0.5,0\nz,0.5,0.5,0\n", "line 3: expected 3 cells, got 4"),
+        # A duplicate node whose row text is identical to its first one.
+        ("node,1,2\nx,0.5,0.5\ny,0.3,0.7\nx,0.5,0.5\n", "line 4: duplicate row for node 'x'"),
+        # A cell that fails to read precedes a later duplicate node.
+        ("node,1,2\nx,0.5,oops\ny,0.5,0.5\ny,0.5,0.5\n", "line 2: could not convert string to float: 'oops'"),
+        # Blank lines between rows count as lines.
+        ("node,1,2\n\nx,0.5,0.5\n  \n\ny,0.5,0.5\n\t\nz,0.5,0.6\nw,0.5,0.5\n", "line 8: entries sum to 1.1, not 1"),
+        ("node,1,2\n\nx,0.5,0.5\n\ny,0.5,0.5\n\nx,0.5,0.5\n", "line 7: duplicate row for node 'x'"),
+        ("node,1,2\n\nx,0.5,0.5\n \ny\n", "line 5: expected 3 cells, got 1"),
+    ],
+)
+def test_mechanism_csv_distinct_rows_keep_error_lines(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+    assert str(exc.value) == message
+
+
+def test_mechanism_csv_distinct_rows_read_in_blocks_keep_error_lines():
+    # A cell that fails to read in the second block of distinct rows is
+    # reported on its line, after the first bad row before it, if any.
+    rows = [f"n{i},{i / 8192!r},{1 - i / 8192!r}" for i in range(6000)]
+    rows[4500] = "bad,0.5,x"
+    text = "node,1,2\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match=r"^line 4502: could not convert string to float: 'x'$"):
+        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+    rows[4400] = "off,0.5,0.6"
+    text = "node,1,2\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match=r"^line 4402: entries sum to 1\.1, not 1$"):
+        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+
+
+def test_build_and_verify_leave_the_string_views_unbuilt(tmp_path, monkeypatch, capsys):
+    # The CLI runs on node ids: the name-pair edges and the preference
+    # dict of the parsed graph are never built.
+    graphs = []
+
+    def parse(text):
+        gf = parse_graph_file(text)
+        graphs.append(gf.graph)
+        return gf
+
+    monkeypatch.setattr(cli_main, "parse_graph_file", parse)
+    graph_file = tmp_path / "grid.graph"
+    graph_file.write_text(striped_grid_text(12, 3, 4, seed=5, spread=0.02))
+    out = tmp_path / "m.csv"
+    budget = ["--epsilon", "0.4", "--delta", "0.001"]
+    assert main(["build", str(graph_file), "--out", str(out), *budget]) == 0
+    assert main(["verify", str(graph_file), str(out), *budget]) == 0
+    rows = out.read_text().splitlines()
+    first = rows[1].split(",")
+    rows[1] = ",".join([first[0], "1.0", *["0.0"] * (len(first) - 2)])
+    out.write_text("\n".join(rows) + "\n")
+    assert main(["verify", str(graph_file), str(out), *budget]) == 2
+    out.write_text("\n".join(rows[:-1]) + "\n")
+    assert main(["verify", str(graph_file), str(out), *budget]) == 4
+    capsys.readouterr()
+    assert len(graphs) == 4
+    for graph in graphs:
+        assert "edges" not in vars(graph) and "preference" not in vars(graph)
+
+
+def test_verify_dp_names_the_first_missing_node_in_sorted_edge_order():
+    # The node is found from the edge rows, with no name-pair edge set.
+    gf = parse_graph_file(
+        "colors a b\nnode z a b\nnode y b a\nnode x a b\nnode w b a\n"
+        "edge z y\nedge y x\nedge x w\nedge w z\n"
+    )
+    graph = gf.graph
+    rows = np.array([[0.5, 0.5]])
+    budget = r.PrivacyBudget(math.log(2.0), 0.0)
+    for row_of, first in (({"z": 0, "y": 0}, "w"), ({"w": 0, "x": 0, "z": 0}, "y"), ({"y": 0, "x": 0}, "w")):
+        mech = r.Mechanism.from_rows(rows, row_of, graph.color_space)
+        with pytest.raises(KeyError) as exc:
+            r.verify_dp(graph, mech, budget)
+        assert exc.value.args[0] == f"mechanism has no distribution for node {first!r}"
+    assert "edges" not in vars(graph)
 
 
 def _split_path_text(n: int) -> str:

@@ -7,6 +7,7 @@ import pytest
 import rainbowdp as r
 from helpers import (
     adjacency,
+    assert_same_graph,
     bfs_depths,
     boundary_line_mechanisms,
     distinct_rainbows,
@@ -475,6 +476,13 @@ def test_boundary_graph_indexes_the_mechanism():
     for graph, bc, budget in _index_cases():
         mech = r.optimal_mechanism(graph, bc, budget)
         bg = r.build_boundary_graph(graph)
+        # Built from ids, it is the string constructor's graph of the
+        # chains in rainbow order, linked at their heads.
+        chains = {c: [bg.node_id(c, i) for i in range(bg.depths[c] + 1)] for c in graph.rainbows()}
+        edges = {e for ids in chains.values() for e in zip(ids, ids[1:])}
+        edges |= {(chains[ca][0], chains[cb][0]) for ca, cb in graph.topology.adjacent_pairs}
+        preference = {d: c for c, ids in chains.items() for d in ids}
+        assert_same_graph(bg.graph, r.RainbowGraph(preference, edges, preference, graph.color_space))
         index = bg.graph.node_index
         assert len(mech.rows) == len(index)
         for d in graph.nodes:

@@ -5,7 +5,8 @@ prefixes that grow in log space; closed_form_prefix's scalar code and
 the array rows of _prefix_curve give the same bits; one operator
 step stays close to its input and dominates it; a graph file survives
 emit then parse, and neither its parse nor the optimal mechanism built
-from it depends on the order of the lines after `colors`; the batch
+from it depends on the order of the lines after `colors`; the parser's
+id-built graph is the one the string constructor makes of the file; the batch
 SimplexVector normalization and the array pass of verify_dp give, bit for
 bit, what their one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import rainbowdp as r
 from helpers import (
+    assert_same_graph,
     random_budget,
     random_dense_graph,
     random_homogeneous_bc,
@@ -177,6 +179,39 @@ def test_parse_and_mechanism_ignore_line_order(seed, shuffler):
     mech = r.optimal_mechanism(gf.graph, gf.boundary, budget)
     mech_shuffled = r.optimal_mechanism(shuffled.graph, shuffled.boundary, budget)
     assert mechanism_csv(shuffled.graph, mech_shuffled) == mechanism_csv(gf.graph, mech)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False), st.booleans())
+def test_parsed_graph_equals_the_string_constructors_graph(seed, shuffler, dense):
+    # The parser builds the graph from node ids; with the lines after
+    # `colors` shuffled, so that edges often name nodes before their node
+    # lines, endpoints swapped and comments added, it is still the graph
+    # the string constructor makes of the file's nodes, in node-line
+    # order, and edges, and its edge rows follow the edge lines.
+    g = rng(seed)
+    if dense:
+        graph = random_dense_graph(
+            g, n=int(g.integers(10, 40)), extra_edges=int(g.integers(0, 120)),
+            n_rainbows=int(g.integers(2, 8)), tail_len=4,
+        )
+    else:
+        graph = random_solvable_graph(g)
+    head, *body = emit_graph_file(GraphFile(graph, None)).splitlines()
+    shuffler.shuffle(body)
+    lines = [head]
+    for line in body:
+        kind, *names = line.split()
+        if kind == "edge" and shuffler.random() < 0.5:
+            line = f"edge {names[1]} {names[0]}"
+        if shuffler.random() < 0.2:
+            lines.append("# a comment line")
+        lines.append(line + ("  # and a comment" if shuffler.random() < 0.2 else ""))
+    parsed = parse_graph_file("\n".join(lines) + "\n").graph
+    nodes = tuple(line.split()[1] for line in body if line.startswith("node "))
+    assert_same_graph(parsed, r.RainbowGraph(nodes, graph.edges, graph.preference, graph.color_space))
+    in_file = [tuple(sorted(line.split()[1:])) for line in body if line.startswith("edge ")]
+    assert [(parsed.nodes[a], parsed.nodes[b]) for a, b in parsed.edge_ends.tolist()] == in_file
 
 
 # Exact zeros of both signs and float noise below zero that gets clamped.
