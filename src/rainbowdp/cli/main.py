@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ..core import PrivacyBudget, SimplexVector
 from ..graph import UnconstrainedRegion
 from ..mechanism import (
@@ -27,8 +25,8 @@ from ..mechanism import (
     verify_dp,
 )
 from ..oracle import (
-    _drop_delta_step,
-    dominance_falsify,
+    _drop_delta_rows,
+    _fuzz,
     homogenized_pentagon,
     no_optimal_demo,
 )
@@ -187,31 +185,28 @@ def cmd_fuzz(args) -> int:
     for name, low in (("trials", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, name) < low:
             raise ValueError(f"need {name} >= {low}")
-    step_fn = _drop_delta_step if args.mutant_drop_delta else None
+    # Each trial's samples are held at once, several arrays of them.
+    if args.samples > 65536:
+        raise ValueError("need samples <= 65536")
+    step_rows = _drop_delta_rows if args.mutant_drop_delta else None
+    hit = _fuzz(args.q, budget, args.trials, args.samples, args.seed, step_rows)
     result, code = "ok", EXIT_OK
-    for i in range(args.trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((args.seed, i))))
-        p = SimplexVector(tuple(rng.dirichlet(np.ones(args.q))))
-        report = dominance_falsify(
-            p, budget, trials=args.samples, seed=args.seed * 1_000_003 + i, step_fn=step_fn
-        )
-        if report.counterexample is not None:
-            ce = report.counterexample
-            print(
-                json.dumps(
-                    {
-                        "trial": i,
-                        "p": [fmt(x) for x in p],
-                        "sample": [fmt(x) for x in ce.vector],
-                        "prefix_index": ce.prefix_index,
-                        "margin": fmt(ce.margin),
-                        "seed": args.seed,
-                    },
-                    sort_keys=True,
-                )
+    if hit is not None:
+        i, p, ce = hit
+        print(
+            json.dumps(
+                {
+                    "trial": i,
+                    "p": [fmt(x) for x in p],
+                    "sample": [fmt(x) for x in ce.vector],
+                    "prefix_index": ce.prefix_index,
+                    "margin": fmt(ce.margin),
+                    "seed": args.seed,
+                },
+                sort_keys=True,
             )
-            result, code = f"counterexample trial={i}", EXIT_FALSIFIED
-            break
+        )
+        result, code = f"counterexample trial={i}", EXIT_FALSIFIED
     print(
         f"fuzz q={args.q} trials={args.trials} seed={args.seed} "
         f"epsilon={fmt(budget.epsilon)} delta={fmt(budget.delta)} "
@@ -266,7 +261,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100, help="number of random start distributions")
     p.add_argument("--seed", type=int, default=0)
     _add_budget_flags(p, required=True)
-    p.add_argument("--samples", type=int, default=64, help="close samples tested per trial")
+    p.add_argument("--samples", type=int, default=64, help="close samples tested per trial, 1..65536")
     p.add_argument("--mutant-drop-delta", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_fuzz)
 

@@ -215,6 +215,25 @@ def t_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
     return SimplexVector(_differences(t_step_prefixes(prefix_sums(p), budget)))
 
 
+def _t_step_prefix_rows(s: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """t_step_prefixes on every row of an array of prefix sums, with the
+    same operations in the same order, so each row gets the same floats."""
+    if budget.epsilon == 0.0:
+        return np.minimum(s + budget.delta, 1.0)
+    e = budget.exp_epsilon
+    ei = math.exp(-budget.epsilon)
+    d = budget.delta
+    return np.minimum(np.minimum(e * s + d, 1.0), 1.0 - ei * (1.0 - s - d))
+
+
+def t_step_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """t_step on every row of a 2-D array of distributions, as a new
+    array: row i holds, bit for bit, the entries of t_step of row i."""
+    if budget.epsilon == 0.0 and budget.delta == 0.0:
+        return np.array(rows, dtype=np.float64)
+    return normalized_rows(_distributions(_t_step_prefix_rows(np.cumsum(rows, axis=1), budget)))
+
+
 def _tau(s0k: float, level: float, budget: PrivacyBudget, rho: float) -> float:
     """floor(max(log(level / (s0k + rho)) / eps + 1, 0)): the growth step
     on which prefix s0k reaches level, a target for s + rho. INFINITE

@@ -3,6 +3,12 @@ sampling of close distributions, dominance falsification, and the
 pentagon demonstration that non-homogeneous boundary conditions can
 admit valid mechanisms but no optimal one.
 
+The falsifier works on a stack of trials at once: each trial draws from
+its own generators, then one rejection loop, one normalization, one
+operator step (t_step_rows) and one prefix check run on the stacked rows.
+sample_close and dominance_falsify are its one-trial case, and `fuzz`
+runs it on blocks of about _BLOCK_ROWS sample rows.
+
 All randomness flows through explicitly seeded 64-bit PCG64 generators;
 there is no global RNG state anywhere in this module.
 """
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,14 +35,21 @@ from .graph import RainbowGraph
 from .mechanism import (
     BoundaryCondition,
     Mechanism,
+    _t_step_prefix_rows,
     is_boundary_homogeneous,
     optimal_mechanism,
     t_step,
-    t_step_prefixes,
+    t_step_rows,
     verify_dp,
 )
 
 _MAX_BRUTEFORCE_Q = 20
+
+# The falsifier runs trials in blocks of about this many sample rows, and
+# its rejection loop this many rows at a time: numpy's per-call cost is
+# paid once per block, and a block's arrays (384 KB each at q = 12, about
+# 4 MB in all) do not grow with the number of trials.
+_BLOCK_ROWS = 1 << 12
 
 
 def _rng(seed) -> np.random.Generator:
@@ -90,43 +103,90 @@ class CloseSamples:
 
 
 def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    # Strict closeness (no tolerance slack) so the rows still pass
-    # is_close after construction-time renormalization.
+    # Row i of pa is the p that row i of cand must be close to. Strict
+    # closeness (no tolerance slack) so the rows still pass is_close
+    # after construction-time renormalization.
     e = budget.exp_epsilon
     ex1 = np.maximum(cand - e * pa, 0.0).sum(axis=1)
     ex2 = np.maximum(pa - e * cand, 0.0).sum(axis=1)
     return (ex1 <= budget.delta) & (ex2 <= budget.delta)
 
 
-def _raw_close_samples(
-    p: SimplexVector, budget: PrivacyBudget, n: int, rng: np.random.Generator
+def _mix_until_close(
+    pa: np.ndarray, u: np.ndarray, lam: np.ndarray, budget: PrivacyBudget
 ) -> np.ndarray:
-    """n accepted candidates, as rows. Candidates mix p toward a uniform
-    simplex draw with a random weight; rejected rows have their weight
-    halved until they pass, which terminates because the close set
-    contains a neighborhood of p (within its support) whenever eps > 0
-    or delta > 0."""
-    q = len(p)
-    pa = np.asarray(p.p)
-    if budget.delta > 0.0:
-        support = np.ones(q, dtype=bool)
-    else:
-        support = pa > 0.0
-    gam = np.zeros((n, q))
-    gam[:, support] = rng.gamma(1.0, 1.0, size=(n, int(support.sum())))
-    u = gam / gam.sum(axis=1, keepdims=True)
-    lam = rng.uniform(0.0, 1.0, size=n)
-
+    """Row i mixes pa[i] toward u[i] with weight lam[i], the weight halved
+    until the mix is close to pa[i]; a row still rejected after 200
+    halvings is pa[i]. Each round recomputes only the rows still
+    rejected."""
     cand = pa + lam[:, None] * (u - pa)
+    # The rows still rejected, compacted: their indices into cand, their
+    # p, uniform draw, weight and latest candidate.
+    rows, pr, ur, lr, cr = np.arange(len(cand)), pa, u, lam, cand
     for _ in range(200):
-        bad = ~_accept_mask(cand, pa, budget)
-        if not bad.any():
+        bad = ~_accept_mask(cr, pr, budget)
+        cand[rows[~bad]] = cr[~bad]
+        rows, pr, ur, lr = rows[bad], pr[bad], ur[bad], lr[bad] * 0.5
+        if not rows.size:
             break
-        lam[bad] *= 0.5
-        cand[bad] = pa + lam[bad, None] * (u[bad] - pa)
+        cr = pr + lr[:, None] * (ur - pr)
     else:
-        cand[~_accept_mask(cand, pa, budget)] = pa
+        bad = ~_accept_mask(cr, pr, budget)
+        cand[rows] = np.where(bad[:, None], pr, cr)
     return cand
+
+
+def _raw_close_samples(
+    p_rows: np.ndarray, budget: PrivacyBudget, n: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """n accepted candidates per trial, stacked: rows j*n to j*n + n - 1
+    are close to p_rows[j] and drawn from _rng(seeds[j]). Candidates mix
+    p toward a uniform simplex draw with a random weight; rejected rows
+    have their weight halved until they pass, which terminates because
+    the close set contains a neighborhood of p (within its support)
+    whenever eps > 0 or delta > 0. Each row's draws and halvings are
+    its own, so its bits do not depend on the other rows, and the
+    mixing runs on _BLOCK_ROWS rows at a time."""
+    trials, q = p_rows.shape
+    u = np.zeros((trials * n, q))
+    lam = np.empty(trials * n)
+    for j, seed in enumerate(seeds):
+        rng = _rng(seed)
+        rows = slice(j * n, (j + 1) * n)
+        if budget.delta > 0.0:
+            u[rows] = rng.gamma(1.0, 1.0, size=(n, q))
+        else:
+            support = p_rows[j] > 0.0
+            u[rows, support] = rng.gamma(1.0, 1.0, size=(n, int(support.sum())))
+        lam[rows] = rng.uniform(0.0, 1.0, size=n)
+    u /= u.sum(axis=1, keepdims=True)
+
+    cand = np.empty_like(u)
+    for lo in range(0, len(u), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        pa = p_rows[np.arange(lo, min(lo + _BLOCK_ROWS, len(u))) // n]
+        cand[rows] = _mix_until_close(pa, u[rows], lam[rows], budget)
+    return cand
+
+
+def _close_samples(
+    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, count: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """The sample matrices of a stack of trials, as a (trials, count, q)
+    array: trial j's first row is p_rows[j], its second steps[j] and the
+    rest come from _raw_close_samples. At a (0,0) budget each trial has
+    the one row p_rows[j]."""
+    if budget.epsilon == 0.0 and budget.delta == 0.0:
+        return p_rows[:, None, :].copy()
+    trials, q = p_rows.shape
+    out = np.empty((trials, count, q))
+    out[:, 0] = p_rows
+    if count > 1:
+        out[:, 1] = steps
+    if count > 2:
+        raw = normalized_rows(_raw_close_samples(p_rows, budget, count - 2, seeds))
+        out[:, 2:] = raw.reshape(trials, count - 2, q)
+    return out
 
 
 def sample_close(
@@ -141,13 +201,9 @@ def sample_close(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if budget.epsilon == 0.0 and budget.delta == 0.0:
-        return CloseSamples(np.array([p.p]), degenerate_budget=count > 1)
-    rows = np.array([p.p] if count == 1 else [p.p, t_step(p, budget).p])
-    if count > 2:
-        raw = normalized_rows(_raw_close_samples(p, budget, count - 2, _rng(seed)))
-        rows = np.concatenate((rows, raw))
-    return CloseSamples(rows)
+    p_rows = np.array([p.p])
+    rows = _close_samples(p_rows, t_step_rows(p_rows, budget), budget, count, [seed])[0]
+    return CloseSamples(rows, degenerate_budget=len(rows) < count)
 
 
 @dataclass(frozen=True)
@@ -162,6 +218,55 @@ class FalsificationReport:
     trials: int
     counterexample: Counterexample | None
     seed: int
+
+
+_RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
+
+
+def _falsify(
+    p_rows: np.ndarray,
+    budget: PrivacyBudget,
+    count: int,
+    seeds: Sequence[int],
+    step_rows: _RowsStep | None = None,
+) -> tuple[np.ndarray, np.ndarray, tuple[int, Counterexample] | None]:
+    """The falsifier on a stack of trials: trial j tests the samples of
+    p_rows[j], drawn with seeds[j], against the prefixes of the operator
+    output (step_rows, t_step_rows when None) and the envelope.
+
+    Returns the (trials, count, q) sample matrices, each trial's verdict
+    (True when a sample beats the bound) and the first trial's first
+    counterexample, re-verified, as (trial, Counterexample), or None.
+    """
+    steps = t_step_rows(p_rows, budget)
+    target = np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1)
+    envelope = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
+    bound = np.minimum(target, envelope)
+
+    samples = _close_samples(p_rows, steps, budget, count, seeds)
+    excess = np.cumsum(samples, axis=2) - bound[:, None, :]
+    worst_k = np.argmax(excess, axis=2)
+    worst = np.take_along_axis(excess, worst_k[..., None], axis=2)[..., 0]
+    hits = worst > DEFAULT_TOL
+    verdicts = hits.any(axis=1)
+    if not verdicts.any():
+        return samples, verdicts, None
+
+    j = int(np.argmax(verdicts))
+    i = int(np.argmax(hits[j]))
+    p = SimplexVector.wrap(p_rows[j:j + 1])[0]
+    vec = SimplexVector.wrap(samples[j, i:i + 1])[0]
+    k = int(worst_k[j, i])
+    if not is_close(vec, p, budget):
+        raise RuntimeError("falsifier produced a sample that is not close to p")
+    if prefix_sums(vec)[k] <= min(target[j, k], envelope[j, k]) + DEFAULT_TOL:
+        raise RuntimeError("falsifier counterexample failed re-verification")
+    return samples, verdicts, (j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j, i])))
+
+
+def _per_row(step_fn: Callable[[SimplexVector, PrivacyBudget], SimplexVector]) -> _RowsStep:
+    """A one-vector operator as an operator on rows: called once per row."""
+    return lambda rows, budget: np.array([step_fn(p, budget).p for p in SimplexVector.wrap(rows)])
 
 
 def dominance_falsify(
@@ -185,30 +290,36 @@ def dominance_falsify(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    op = step_fn if step_fn is not None else t_step
-    target = np.asarray(prefix_sums(op(p, budget)))
-    envelope = np.asarray(t_step_prefixes(prefix_sums(p), budget))
-    bound = np.minimum(target, envelope)
+    step_rows = None if step_fn is None else _per_row(step_fn)
+    samples, _, hit = _falsify(np.array([p.p]), budget, trials, [seed], step_rows)
+    counterexample = None if hit is None else hit[1]
+    return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
 
-    samples = sample_close(p, budget, trials, seed)
-    prefixes = np.cumsum(samples.rows, axis=1)
-    excess = prefixes - bound[None, :]
-    worst_k = np.argmax(excess, axis=1)
-    worst = excess[np.arange(len(prefixes)), worst_k]
-    hits = np.nonzero(worst > DEFAULT_TOL)[0]
 
-    counterexample = None
-    if hits.size:
-        i = int(hits[0])
-        vec = SimplexVector.wrap(samples.rows[i:i + 1])[0]
-        k = int(worst_k[i])
-        margin = float(worst[i])
-        if not is_close(vec, p, budget):
-            raise RuntimeError("falsifier produced a sample that is not close to p")
-        if prefix_sums(vec)[k] <= min(target[k], envelope[k]) + DEFAULT_TOL:
-            raise RuntimeError("falsifier counterexample failed re-verification")
-        counterexample = Counterexample(vector=vec, prefix_index=k, margin=margin)
-    return FalsificationReport(trials=len(prefixes), counterexample=counterexample, seed=seed)
+def _fuzz(
+    q: int, budget: PrivacyBudget, trials: int, count: int, seed: int,
+    step_rows: _RowsStep | None = None,
+) -> tuple[int, SimplexVector, Counterexample] | None:
+    """The first trial of a fuzz run that finds a counterexample, as
+    (trial, p, counterexample), or None.
+
+    Trial i starts from a Dirichlet draw of _rng((seed, i)) and samples
+    `count` close distributions with seed * 1_000_003 + i, as
+    dominance_falsify(p, budget, count, seed * 1_000_003 + i) does.
+    Trials run in blocks of about _BLOCK_ROWS sample rows, and the first
+    block with a hit reports its first one.
+    """
+    per_block = max(1, _BLOCK_ROWS // count)
+    ones = np.ones(q)
+    for lo in range(0, trials, per_block):
+        block = range(lo, min(lo + per_block, trials))
+        p_rows = normalized_rows(np.array([_rng((seed, i)).dirichlet(ones) for i in block]))
+        seeds = [seed * 1_000_003 + i for i in block]
+        hit = _falsify(p_rows, budget, count, seeds, step_rows)[2]
+        if hit is not None:
+            j, counterexample = hit
+            return lo + j, SimplexVector.wrap(p_rows[j:j + 1])[0], counterexample
+    return None
 
 
 def _drop_delta_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
@@ -219,6 +330,11 @@ def _drop_delta_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
     """
     stripped = PrivacyBudget(budget.epsilon, 0.0)
     return t_step(p, stripped)
+
+
+def _drop_delta_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """_drop_delta_step on every row, bit for bit."""
+    return t_step_rows(rows, PrivacyBudget(budget.epsilon, 0.0))
 
 
 def pentagon_graph() -> RainbowGraph:

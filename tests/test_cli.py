@@ -679,7 +679,57 @@ FUZZ_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN)
+# Taken before fuzz moved to blocks of trials: the degenerate budget, one
+# and two samples per trial (no rejection sampling), delta = 1 and two
+# mutant runs, one of them at epsilon = 0.
+_FUZZ_Q5 = ["--q", "5", "--trials", "30", "--seed", "4"]
+FUZZ_GOLDEN_BLOCKS = [
+    (
+        [*_FUZZ_Q5, "--epsilon", "0", "--delta", "0"],
+        0,
+        "fuzz q=5 trials=30 seed=4 epsilon=0 delta=0 samples=64 result=ok\n",
+    ),
+    (
+        [*_FUZZ_Q5, "--epsilon", "0.3", "--delta", "0.01", "--samples", "1"],
+        0,
+        "fuzz q=5 trials=30 seed=4 epsilon=0.3 delta=0.01 samples=1 result=ok\n",
+    ),
+    (
+        [*_FUZZ_Q5, "--epsilon", "0.3", "--delta", "0.01", "--samples", "2"],
+        0,
+        "fuzz q=5 trials=30 seed=4 epsilon=0.3 delta=0.01 samples=2 result=ok\n",
+    ),
+    (
+        [*_FUZZ_Q5, "--epsilon", "0.3", "--delta", "1"],
+        0,
+        "fuzz q=5 trials=30 seed=4 epsilon=0.3 delta=1 samples=64 result=ok\n",
+    ),
+    (
+        [*_FUZZ_Q5, "--epsilon", "0.3", "--delta", "1", "--mutant-drop-delta"],
+        5,
+        '{"margin": "0.411716076582", "p": ["0.444241427805", "0.0503783593318", '
+        '"0.378914556506", "0.0165112073823", "0.109954448975"], "prefix_index": 0, '
+        '"sample": ["1", "0", "0", "0", "0"], "seed": 4, "trial": 0}\n'
+        "fuzz q=5 trials=30 seed=4 epsilon=0.3 delta=1 samples=64 result=counterexample trial=0\n",
+    ),
+    (
+        [*_FUZZ_Q5, "--epsilon", "0", "--delta", "0.05", "--samples", "3", "--mutant-drop-delta"],
+        5,
+        '{"margin": "0.05", "p": ["0.444241427805", "0.0503783593318", "0.378914556506", '
+        '"0.0165112073823", "0.109954448975"], "prefix_index": 1, "sample": ["0.494241427805", '
+        '"0.0503783593318", "0.378914556506", "0.0165112073823", "0.059954448975"], '
+        '"seed": 4, "trial": 0}\n'
+        "fuzz q=5 trials=30 seed=4 epsilon=0 delta=0.05 samples=3 result=counterexample trial=0\n",
+    ),
+    (
+        ["--q", "8", "--trials", "100", "--seed", "2", "--epsilon", "0.0001", "--delta", "1e-7"],
+        0,
+        "fuzz q=8 trials=100 seed=2 epsilon=0.0001 delta=1e-07 samples=64 result=ok\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS)
 def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
     assert main(["fuzz", *args]) == code
     assert capsys.readouterr().out == stdout
@@ -691,6 +741,14 @@ def test_cmd_fuzz_rejects_bad_samples_and_seed(capsys, bad, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_cmd_fuzz_caps_samples(capsys):
+    # Checked before anything is drawn: a trial's samples are held at once.
+    assert main(["fuzz", "--q", "12", "--trials", "1000000", "--epsilon", "0.3", "--samples", "65537"]) == 1
+    assert capsys.readouterr() == ("", "error: need samples <= 65536\n")
+    assert main(["fuzz", "--q", "2", "--trials", "1", "--epsilon", "0.3", "--samples", "65536"]) == 0
+    assert capsys.readouterr().out.endswith("samples=65536 result=ok\n")
 
 
 def test_usage_errors_exit_1(capsys):

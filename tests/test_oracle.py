@@ -1,9 +1,11 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import rainbowdp as r
-from rainbowdp.oracle import _drop_delta_step, _raw_close_samples, _rng
+from rainbowdp.oracle import _drop_delta_step, _raw_close_samples
 from helpers import random_budget, random_simplex, rng, sv
 
 LOG2 = math.log(2.0)
@@ -92,7 +94,7 @@ def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
     for _ in range(10):
         p = random_simplex(g, int(g.integers(2, 9)), zero_rate=0.3)
         budget = random_budget(g)
-        raw = _raw_close_samples(p, budget, 62, _rng(9))
+        raw = _raw_close_samples(np.array([p.p]), budget, 62, [9])
         samples = r.sample_close(p, budget, 64, seed=9).rows
         assert [tuple(row) for row in samples[2:].tolist()] == [
             r.SimplexVector(tuple(row)).p for row in raw
@@ -114,6 +116,39 @@ def test_sample_close_keeps_support_at_delta_zero():
     for vec in _vectors(r.sample_close(p, budget, 200, seed=7)):
         assert vec.p[0] == 0.0
         assert r.is_close(vec, p, budget)
+
+
+# sha256 of sample_close(p, budget, count, seed).rows.tobytes(), taken
+# before the falsifier moved to blocks of trials; the bytes must not change.
+_P8 = (
+    0.07507868503759141, 0.22354126840513192, 0.2491328647564422, 0.05606201534092662,
+    0.31606280538667386, 0.04054777997645131, 0.005414203754745267, 0.034160377342037335,
+)
+SAMPLE_CLOSE_GOLDEN = [
+    # delta = 0 with a zero entry: the samples keep p's support.
+    ((0.0, 0.25, 0.35, 0.4), (LOG2, 0.0), 40, 5,
+     "5811bfb9137c99ccbe7bd15e74c043f24ddb2dfbf6b21b5a14cc31c267ec9487"),
+    ((0.1, 0.2, 0.3, 0.4), (0.0, 0.05), 40, 6,
+     "8ccabe73de3896748c0de0b805091bd1ab07d3872b6700ba58cb5fcf40282933"),
+    # The degenerate budget and count 1 both give [p].
+    ((0.1, 0.2, 0.3, 0.4), (0.0, 0.0), 10, 1,
+     "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c"),
+    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 1, 2,
+     "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c"),
+    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 2, 2,
+     "f81cdb8204accf091011abcd66522a2e67382b1b40761750f562c9da4b775882"),
+    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 3, 2,
+     "35c1fa72cd6170a8c7a98a69a84641ba024e988552f474daf75d7c47061632ec"),
+    (_P8, (math.log(1.2), 1e-3), 64, 1_000_010,
+     "de71403dfa543c367874e72ddefb359976b508a09422fa58840e8dd0232a1b83"),
+]
+
+
+@pytest.mark.parametrize("p,budget,count,seed,digest", SAMPLE_CLOSE_GOLDEN)
+def test_sample_close_golden_bytes(p, budget, count, seed, digest):
+    rows = r.sample_close(r.SimplexVector(p), r.PrivacyBudget(*budget), count, seed).rows
+    assert rows.shape == (1 if budget == (0.0, 0.0) else count, len(p))
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_sample_close_degenerate_budget():

@@ -7,8 +7,9 @@ step stays close to its input and dominates it; a graph file survives
 emit then parse, and neither its parse nor the optimal mechanism built
 from it depends on the order of the lines after `colors`; the parser's
 id-built graph is the one the string constructor makes of the file; the batch
-SimplexVector normalization and the array pass of verify_dp give, bit for
-bit, what their one-at-a-time definitions give; and the optimum is
+SimplexVector normalization, the array pass of verify_dp, t_step_rows and
+the falsifier's blocks of trials give, bit for bit, what their
+one-at-a-time definitions give; and the optimum is
 locally tight: moving a little mass of any node off its boundary toward
 a more preferred color breaks privacy; renaming the nodes, which
 reorders them, gives every node the same optimal row; and the optimal
@@ -16,12 +17,14 @@ mechanism passes verify_dp, and so does its CSV parsed back, which
 equals it bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainbowdp as r
+from rainbowdp import oracle
 from helpers import (
     assert_same_graph,
     random_budget,
@@ -35,7 +38,8 @@ from helpers import (
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
-from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve
+from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
+from rainbowdp.oracle import _drop_delta_rows, _drop_delta_step, _falsify, _fuzz, _per_row
 
 TOL = 1e-9
 
@@ -124,6 +128,113 @@ def test_t_step_is_close_to_its_input_and_dominates_it(p, budget):
     stepped = r.t_step(p, budget)
     assert r.is_close(stepped, p, budget)
     assert r.dominates(stepped, p)
+
+
+def _hexes(rows) -> list[list[str]]:
+    return [[x.hex() for x in row] for row in np.asarray(rows).tolist()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), budgets)
+def test_t_step_rows_is_t_step_on_every_row(seed, n, budget):
+    g = rng(seed)
+    q = int(g.integers(2, 13))
+    ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(n)]
+    rows = np.array([p.p for p in ps])
+    assert _hexes(t_step_rows(rows, budget)) == _hexes(r.t_step(p, budget).p for p in ps)
+    prefixes = _t_step_prefix_rows(np.cumsum(rows, axis=1), budget)
+    assert _hexes(prefixes) == _hexes(r.t_step_prefixes(r.prefix_sums(p), budget) for p in ps)
+
+
+# Budgets at and away from epsilon = 0 and delta = 0, and the tight one
+# of the deep-path bench workload.
+falsifier_budgets = st.sampled_from([
+    r.PrivacyBudget(0.3, 0.01),
+    r.PrivacyBudget(math.log(1.2), 1e-3),
+    r.PrivacyBudget(1e-4, 1e-7),
+    r.PrivacyBudget(0.5, 0.0),
+    r.PrivacyBudget(0.0, 0.05),
+    r.PrivacyBudget(0.0, 0.0),
+    r.PrivacyBudget(2.0, 1.0),
+])
+
+
+def _fuzz_trial_by_trial(q, budget, trials, count, seed, step_fn=None):
+    """What `fuzz` did one trial at a time: the first trial whose
+    dominance_falsify call finds a counterexample."""
+    for i in range(trials):
+        p = r.SimplexVector(tuple(rng((seed, i)).dirichlet(np.ones(q))))
+        report = r.dominance_falsify(p, budget, count, seed * 1_000_003 + i, step_fn)
+        if report.counterexample is not None:
+            return i, p, report.counterexample
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+    st.sampled_from([1, 2, 3, 4, 40]),
+    falsifier_budgets,
+    st.booleans(),
+)
+def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mutant):
+    # Exact zeros give the trials different supports at delta = 0.
+    g = rng(seed)
+    q = int(g.integers(2, 13))
+    ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
+    seeds = [int(s) for s in g.integers(0, 2**40, size=trials)]
+    step_rows, step_fn = (_drop_delta_rows, _drop_delta_step) if mutant else (None, None)
+    samples, verdicts, first = _falsify(np.array([p.p for p in ps]), budget, count, seeds, step_rows)
+    reports = [r.dominance_falsify(p, budget, count, s, step_fn) for p, s in zip(ps, seeds)]
+    for block_rows, p, s in zip(samples, ps, seeds):
+        assert block_rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
+    assert verdicts.tolist() == [rep.counterexample is not None for rep in reports]
+    hits = [(j, rep.counterexample) for j, rep in enumerate(reports) if rep.counterexample]
+    assert first == (hits[0] if hits else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(1, 16),
+    falsifier_budgets,
+    st.integers(0, 2**20),
+    st.booleans(),
+)
+def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, mutant):
+    # Small blocks, so that most runs span several and end in a part block.
+    step_rows, step_fn = (_drop_delta_rows, _drop_delta_step) if mutant else (None, None)
+    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+        got = _fuzz(q, budget, trials, count, seed, step_rows)
+    assert got == _fuzz_trial_by_trial(q, budget, trials, count, seed, step_fn)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12),
+    st.sampled_from([2, 3, 8]),
+    st.integers(1, 24),
+    st.integers(0, 30),
+    falsifier_budgets.filter(lambda b: b.delta > 0.0),
+    st.integers(0, 2**20),
+)
+def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, budget, seed):
+    # Only trial `victim`, past the first block, gets an operator that
+    # drops delta; sample row 1, the real t_step(p), beats it.
+    victim = max(1, block_rows // count) + late
+    p_victim = r.SimplexVector(tuple(rng((seed, victim)).dirichlet(np.ones(q))))
+
+    def corrupt(p, b):
+        return _drop_delta_step(p, b) if p == p_victim else r.t_step(p, b)
+
+    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+        got = _fuzz(q, budget, victim + 5, count, seed, _per_row(corrupt))
+    want = _fuzz_trial_by_trial(q, budget, victim + 5, count, seed, corrupt)
+    assert want is not None and want[0] == victim
+    assert got == want
 
 
 identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
