@@ -10,10 +10,8 @@ from .core import (
     SimplexVector,
     dominates,
     is_close,
-    lex_precedes,
     prefix_sums,
     subset_excess,
-    tv_distance,
 )
 from .graph import (
     BoundaryGraph,
@@ -26,7 +24,6 @@ from .graph import (
     build_boundary_graph,
     check_morphism,
     decompose_regions,
-    line_graph,
     pullback,
 )
 from .mechanism import (
@@ -44,13 +41,11 @@ from .mechanism import (
     TrajectoryTable,
     build_trajectory,
     closed_form_prefix,
-    from_preference_order,
     is_boundary_homogeneous,
     line_mechanism,
     mechanism_dominates,
     optimal_mechanism,
     t_step,
-    t_step_prefixes,
     tau_profile,
     to_preference_order,
     utility_eval,

@@ -16,6 +16,7 @@ from pathlib import Path
 from ..core import PrivacyBudget, SimplexVector
 from ..graph import UnconstrainedRegion
 from ..mechanism import (
+    DpViolation,
     EpsilonZero,
     InvalidBoundary,
     MissingRainbow,
@@ -98,8 +99,26 @@ def cmd_build(args) -> int:
         print("error: graph file declares no boundary vectors", file=sys.stderr)
         return EXIT_INCOMPLETE
     mech = optimal_mechanism(gf.graph, gf.boundary, budget)
+    # The construction is checked before anything is written: at large
+    # epsilon its float arithmetic can miss the budget.
+    report = verify_dp(gf.graph, mech, budget)
+    if not report.valid:
+        worst = max(report.violations, key=lambda v: v.margin)
+        print(
+            f"error: the constructed mechanism fails the privacy check with "
+            f"{len(report.violations)} violation(s); worst: {_violation_line(worst)}",
+            file=sys.stderr,
+        )
+        return EXIT_VIOLATION
     _write_text(args.out, mechanism_csv(gf.graph, mech))
     return EXIT_OK
+
+
+def _violation_line(v: DpViolation) -> str:
+    return (
+        f"violation edge=({v.edge[0]},{v.edge[1]}) "
+        f"direction={v.direction[0]}->{v.direction[1]} margin={fmt(v.margin)}"
+    )
 
 
 def _first_nodes(names: list[str]) -> str:
@@ -126,10 +145,7 @@ def cmd_verify(args) -> int:
         print("valid")
         return EXIT_OK
     for v in report.violations:
-        print(
-            f"violation edge=({v.edge[0]},{v.edge[1]}) "
-            f"direction={v.direction[0]}->{v.direction[1]} margin={fmt(v.margin)}"
-        )
+        print(_violation_line(v))
     return EXIT_VIOLATION
 
 

@@ -1,9 +1,9 @@
 """Foundational value types and order/closeness predicates.
 
 Distributions over a finite output space are compared through their
-prefix sums: the dominance (partial) order, the lexicographic (total)
-order it refines, and the (epsilon,delta)-closeness relation that
-defines differential privacy edgewise.
+prefix sums, in the dominance (partial) order, and through the
+(epsilon,delta)-closeness relation that defines differential privacy
+edgewise.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# The one tolerance of every check: dominance, lexicographic order,
-# (eps,delta)-closeness, the edgewise DP check, boundary homogeneity and
-# the falsifier's verdicts all use it.
+# The one tolerance of every check: dominance, (eps,delta)-closeness,
+# the edgewise DP check, boundary homogeneity and the falsifier's
+# verdicts all use it.
 DEFAULT_TOL = 1e-12
 
 # Published boundary vectors are often rounded to 4 decimals, so their
@@ -215,20 +215,6 @@ def dominates(x: SimplexVector, y: SimplexVector) -> bool:
     return all(a >= b - DEFAULT_TOL for a, b in zip(sx, sy))
 
 
-def lex_precedes(x: SimplexVector, y: SimplexVector) -> bool:
-    """True iff x <= y lexicographically on prefix sums.
-
-    At the first index where the prefixes differ by more than
-    DEFAULT_TOL, x's must be the smaller one; sequences equal everywhere
-    count as True.
-    """
-    _require_same_length(x, y)
-    for a, b in zip(prefix_sums(x), prefix_sums(y)):
-        if abs(a - b) > DEFAULT_TOL:
-            return a < b
-    return True
-
-
 def subset_excess(p: SimplexVector, q_: SimplexVector, exp_epsilon: float) -> float:
     """max over outcome subsets S of P(S) - e^eps * Q(S).
 
@@ -253,9 +239,3 @@ def is_close(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudget) -> bool
     bound = budget.delta + DEFAULT_TOL
     return subset_excess(p, q_, e) <= bound and subset_excess(q_, p, e) <= bound
 
-
-def tv_distance(p: SimplexVector, q_: SimplexVector) -> float:
-    """Total variation distance: half the L1 distance between the two
-    distributions, in [0, 1]."""
-    _require_same_length(p, q_)
-    return 0.5 * sum(abs(a - b) for a, b in zip(p, q_))

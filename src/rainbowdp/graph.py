@@ -351,16 +351,6 @@ class BoundaryGraph:
         return _chain_ids(self.graph.color_space, rainbow, range(i, i + 1))[0]
 
 
-def line_graph(space: ColorSpace, rainbow: Rainbow, n: int) -> RainbowGraph:
-    """The path 0..n with every node carrying the same rainbow; node 0
-    plays the role of the boundary."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    nodes = tuple(str(i) for i in range(n + 1))
-    edges = frozenset((str(i), str(i + 1)) for i in range(n))
-    return RainbowGraph(nodes, edges, {d: rainbow for d in nodes}, space)
-
-
 def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     """Compress a rainbow graph to its boundary graph.
 

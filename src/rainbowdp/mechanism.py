@@ -15,6 +15,11 @@ distance d from the boundary, the unique close distribution dominating
 every other one. Each prefix follows a two-phase closed form:
 exponential growth (with an affine drift rho = delta / (e^eps - 1)) up
 to a crossing step, then exponential approach to 1.
+
+Each is written once, on arrays: the operator in _t_step_prefix_rows
+(t_step_rows on distributions), the growth phase in _growth and the
+whole trajectory in _prefix_curve. t_step and closed_form_prefix are
+their one-row cases.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ _CHUNK_ROWS = 1 << 12
 
 class EpsilonZero(ValueError):
     """The tau machinery needs eps > 0; the eps = 0 recurrence is handled
-    directly by closed_form_prefix."""
+    directly by _prefix_curve."""
 
 
 class MissingRainbow(LookupError):
@@ -175,36 +180,10 @@ def to_preference_order(vec: SimplexVector, rainbow: Rainbow) -> SimplexVector:
     return SimplexVector(tuple(vec.p[i] for i in rainbow.order))
 
 
-def from_preference_order(vec: SimplexVector, rainbow: Rainbow) -> SimplexVector:
-    """Inverse of to_preference_order."""
-    out = [0.0] * len(vec)
-    for k, i in enumerate(rainbow.order):
-        out[i] = vec.p[k]
-    return SimplexVector(tuple(out))
-
-
-def t_step_prefixes(s: Sequence[float], budget: PrivacyBudget) -> tuple[float, ...]:
-    """One operator step applied to a prefix-sum sequence."""
-    if budget.epsilon == 0.0:
-        return tuple(min(1.0, sk + budget.delta) for sk in s)
-    e = budget.exp_epsilon
-    ei = math.exp(-budget.epsilon)
-    d = budget.delta
-    return tuple(min(1.0, e * sk + d, 1.0 - ei * (1.0 - sk - d)) for sk in s)
-
-
-def _differences(s: Sequence[float]) -> tuple[float, ...]:
-    """Entries of the distribution whose prefix sums are s."""
-    out = []
-    prev = 0.0
-    for v in s:
-        out.append(v - prev)
-        prev = v
-    return tuple(out)
-
-
 def t_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
-    """Apply the operator once to a distribution in preference order.
+    """Apply the operator once to a distribution in preference order: the
+    one-row case of t_step_rows. At a (0,0) budget the operator is the
+    identity and p itself is returned.
 
     The output is a valid distribution, is (eps,delta)-close to the
     input, and dominates both the input and every distribution close to
@@ -212,12 +191,12 @@ def t_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
     """
     if budget.epsilon == 0.0 and budget.delta == 0.0:
         return p
-    return SimplexVector(_differences(t_step_prefixes(prefix_sums(p), budget)))
+    return SimplexVector.wrap(t_step_rows(np.array([p.p]), budget))[0]
 
 
 def _t_step_prefix_rows(s: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    """t_step_prefixes on every row of an array of prefix sums, with the
-    same operations in the same order, so each row gets the same floats."""
+    """One operator step on every row of an array of prefix sums; each
+    row's floats depend on that row alone."""
     if budget.epsilon == 0.0:
         return np.minimum(s + budget.delta, 1.0)
     e = budget.exp_epsilon
@@ -227,8 +206,8 @@ def _t_step_prefix_rows(s: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
 
 
 def t_step_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    """t_step on every row of a 2-D array of distributions, as a new
-    array: row i holds, bit for bit, the entries of t_step of row i."""
+    """The operator on every row of a 2-D array of distributions in
+    preference order, as a new array; row i depends on row i alone."""
     if budget.epsilon == 0.0 and budget.delta == 0.0:
         return np.array(rows, dtype=np.float64)
     return normalized_rows(_distributions(_t_step_prefix_rows(np.cumsum(rows, axis=1), budget)))
@@ -257,8 +236,8 @@ def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> TauProfile:
     tau_k marks the growth step on which prefix k reaches the weight
     1/(e^eps + 1). At delta = 0 that is exactly where the operator
     switches from growth to approach; at delta > 0 the switch happens
-    slightly earlier (see closed_form_prefix), so tau is the reported
-    transition landmark, not the internal branch point.
+    slightly earlier (see _phases), so tau is the reported transition
+    landmark, not the internal branch point.
     """
     if budget.epsilon == 0.0:
         raise EpsilonZero("tau profile is undefined at epsilon = 0")
@@ -268,80 +247,67 @@ def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> TauProfile:
     return TauProfile(rho=rho, tau=tau, epsilon=budget.epsilon, delta=budget.delta)
 
 
-def _growth_phase(s0k: float, rho: float, eps: float, t: float) -> float:
-    # s^t = e^(t eps) (s0 + rho) - rho, capped at 1.
-    base = s0k + rho
-    if base <= 0.0:
-        return 0.0
-    if base >= _LOG_FORM_THRESHOLD:
-        val = math.exp(t * eps) * base - rho
-    else:
-        val = math.exp(t * eps + math.log(base)) - rho
-    return min(1.0, val)
-
-
 def _exp_each(x: np.ndarray) -> np.ndarray:
     # math.exp, not np.exp, which differs from it in the last bit.
     return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def _phases(s0: Sequence[float], budget: PrivacyBudget) -> tuple[float, list[float], list[float]]:
-    """The drift rho and, per prefix of s0, its last growth step tau and
-    its value there, where the approach phase starts. Needs eps > 0."""
+def _growth(start: np.ndarray, rho: float, eps: float, ts: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The growth phase s^t = e^(t eps) (s0 + rho) - rho, capped at 1, of
+    each prefix s0 in start: entry (i, k) is prefix k after ts[i] steps,
+    for the growth steps ts[i] <= tau[k]; the other entries are not
+    defined. A prefix with s0 + rho <= 0 never grows and stays at 0."""
+    base = start + rho
+    direct = base >= _LOG_FORM_THRESHOLD
+    # e^(t eps) is taken once per row, and only up to the last crossing
+    # step of a prefix on the direct branch; beyond it, it may overflow.
+    shared = ts <= tau[direct].max(initial=-1.0)
+    growth = np.zeros(len(ts))
+    growth[shared] = _exp_each(ts[shared] * eps)
+    out = growth[:, None] * base - rho
+    out[:, base <= 0.0] = 0.0
+    # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
+    tiny = (ts[:, None] <= tau) & ~direct & (base > 0.0)
+    if tiny.any():
+        t_at, k_at = np.nonzero(tiny)
+        log_base = np.array([math.log(b) if b > 0.0 else 0.0 for b in base.tolist()])
+        out[tiny] = _exp_each(ts[t_at] * eps + log_base[k_at]) - rho
+    # min(1.0, val) as Python evaluates it.
+    return np.where(out < 1.0, out, 1.0)
+
+
+def _phases(start: np.ndarray, budget: PrivacyBudget) -> tuple[float, np.ndarray, np.ndarray]:
+    """The drift rho and, per prefix in start, its last growth step tau
+    and its value there, where the approach phase starts. Needs eps > 0."""
     e = budget.exp_epsilon
     rho = budget.delta / (e - 1.0)
     # Last step of the growth phase: the operator's two bounds cross at
     # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
     # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
     crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
-    taus = [_tau(sk, crossing, budget, rho) for sk in s0]
-    s_taus = [
-        sk if tau == 0 else _growth_phase(sk, rho, budget.epsilon, tau)
-        for sk, tau in zip(s0, taus)
-    ]
-    return rho, taus, s_taus
+    tau = np.array([_tau(sk, crossing, budget, rho) for sk in start.tolist()])
+    at_tau = np.diagonal(_growth(start, rho, budget.epsilon, tau, tau))
+    return rho, tau, np.where(tau == 0.0, start, at_tau)
 
 
 def _prefix_curve(m: SimplexVector, budget: PrivacyBudget, ts: np.ndarray) -> np.ndarray:
-    """The closed-form trajectory of m's prefix sums: row i holds them
-    after ts[i] steps, for t >= 0.
-
-    Every entry is the float closed_form_prefix gives, with the same
-    operations in the same order; e^(t eps) is taken once per row and
-    shared by its prefixes.
-    """
+    """The closed-form trajectory of m's prefix sums (see
+    closed_form_prefix): row i holds them after ts[i] steps, for t >= 0.
+    Each row's floats depend on its own time alone, not on the other
+    times asked for."""
     ts = np.asarray(ts, dtype=np.float64)
-    s0 = prefix_sums(m)
-    start = np.array(s0)
+    start = np.array(prefix_sums(m))
     eps = budget.epsilon
     if eps == 0.0:
         out = start + ts[:, None] * budget.delta
     else:
-        rho, taus, s_taus = _phases(s0, budget)
-        tau = np.array(taus)
-        base = start + rho
-        grows = ts[:, None] <= tau
-        direct = base >= _LOG_FORM_THRESHOLD
-        # Growth phase, s^t = e^(t eps) (s0 + rho) - rho. e^(t eps) is
-        # taken only up to the last crossing step of a prefix on the
-        # direct branch; beyond it, it may overflow.
-        shared = ts <= tau[direct].max(initial=-1.0)
-        growth = np.zeros(len(ts))
-        growth[shared] = _exp_each(ts[shared] * eps)
-        out = growth[:, None] * base - rho
-        out[:, base <= 0.0] = 0.0
-        # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
-        tiny = grows & ~direct & (base > 0.0)
-        if tiny.any():
-            t_at, k_at = np.nonzero(tiny)
-            log_base = np.array([math.log(b) if b > 0.0 else 0.0 for b in base.tolist()])
-            out[tiny] = _exp_each(ts[t_at] * eps + log_base[k_at]) - rho
+        rho, tau, s_tau = _phases(start, budget)
+        out = _growth(start, rho, eps, ts, tau)
         # Approach phase, past each prefix's crossing step.
-        t_at, k_at = np.nonzero(~grows)
+        t_at, k_at = np.nonzero(ts[:, None] > tau)
         if len(t_at):
             decay = _exp_each(-eps * (ts[t_at] - tau[k_at]))
-            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - np.array(s_taus)[k_at])
-    # min(1.0, val) as Python evaluates it.
+            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - s_tau[k_at])
     out = np.where(out < 1.0, out, 1.0)
     out[ts == 0] = start
     return out
@@ -358,29 +324,16 @@ def _distributions(s: np.ndarray) -> np.ndarray:
 def closed_form_prefix(
     m: SimplexVector, budget: PrivacyBudget, t: float
 ) -> tuple[float, ...]:
-    """Prefix sums after t operator steps, in closed form.
+    """Prefix sums after t operator steps, in closed form: the one-time
+    case of _prefix_curve.
 
     At integer t this equals the iterated operator; fractional t
     interpolates along the same two-phase curves. For eps = 0 the
     recurrence collapses to s^t_k = min(1, s0_k + t delta).
-
-    A single point is evaluated in scalar code, with the operations
-    _prefix_curve applies to whole arrays, so both give the same bits.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    s0 = prefix_sums(m)
-    if t == 0:
-        return s0
-    eps = budget.epsilon
-    if eps == 0.0:
-        return tuple(min(1.0, sk + t * budget.delta) for sk in s0)
-    rho, taus, s_taus = _phases(s0, budget)
-    return tuple(
-        _growth_phase(sk, rho, eps, t) if t <= tau
-        else min(1.0, 1.0 + rho - math.exp(-eps * (t - tau)) * (1.0 + rho - s_tau))
-        for sk, tau, s_tau in zip(s0, taus, s_taus)
-    )
+    return tuple(_prefix_curve(m, budget, [t])[0].tolist())
 
 
 def _fill_powers(
@@ -567,7 +520,7 @@ def utility_eval(
         w = weights[d]
         if len(w) != graph.color_space.q:
             raise ValueError(f"weight sequence for node {d!r} has wrong length")
-        if any(w[i] < w[i + 1] - 1e-12 for i in range(len(w) - 1)):
+        if any(w[i] < w[i + 1] - DEFAULT_TOL for i in range(len(w) - 1)):
             raise ValueError(f"weight sequence for node {d!r} is not nonincreasing")
         row = rows[row_of[d]]
         order = graph.preference[d].order

@@ -7,7 +7,9 @@ The falsifier works on a stack of trials at once: each trial draws from
 its own generators, then one rejection loop, one normalization, one
 operator step (t_step_rows) and one prefix check run on the stacked rows.
 sample_close and dominance_falsify are its one-trial case, and `fuzz`
-runs it on blocks of about _BLOCK_ROWS sample rows.
+runs it on blocks of about _BLOCK_ROWS sample rows. The operator it
+tests is a function of a stack of rows: the real one, t_step_rows, or
+the deliberately corrupted _drop_delta_rows of its self-test.
 
 All randomness flows through explicitly seeded 64-bit PCG64 generators;
 there is no global RNG state anywhere in this module.
@@ -38,7 +40,6 @@ from .mechanism import (
     _t_step_prefix_rows,
     is_boundary_homogeneous,
     optimal_mechanism,
-    t_step,
     t_step_rows,
     verify_dp,
 )
@@ -264,33 +265,29 @@ def _falsify(
     return samples, verdicts, (j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j, i])))
 
 
-def _per_row(step_fn: Callable[[SimplexVector, PrivacyBudget], SimplexVector]) -> _RowsStep:
-    """A one-vector operator as an operator on rows: called once per row."""
-    return lambda rows, budget: np.array([step_fn(p, budget).p for p in SimplexVector.wrap(rows)])
-
-
 def dominance_falsify(
     p: SimplexVector,
     budget: PrivacyBudget,
     trials: int,
     seed: int,
-    step_fn: Callable[[SimplexVector, PrivacyBudget], SimplexVector] | None = None,
+    step_rows: _RowsStep | None = None,
 ) -> FalsificationReport:
     """Search for a close distribution that the operator output fails to
     dominate.
 
-    Each sampled close p'' is checked against the prefix sums of
-    step_fn(p) and against the analytic envelope
-    min(1, min(e^eps s_k, 1 - e^-eps (1 - s_k)) + delta). For the real
-    operator the two coincide and no counterexample exists; the hook
-    exists so a deliberately corrupted operator can be fed to the same
-    harness. A sample fails when one of its prefixes exceeds the bound
-    by more than DEFAULT_TOL. A reported counterexample is re-verified
-    (closeness to p and the violated prefix) before being returned.
+    Each sampled close p'' is checked against the prefix sums of the
+    operator output and against the analytic envelope
+    min(1, min(e^eps s_k, 1 - e^-eps (1 - s_k)) + delta). The operator
+    is step_rows applied to the one row p, t_step_rows when None. For
+    the real operator the two coincide and no counterexample exists; the
+    hook exists so a deliberately corrupted operator, such as
+    _drop_delta_rows, can be fed to the same harness. A sample fails
+    when one of its prefixes exceeds the bound by more than DEFAULT_TOL.
+    A reported counterexample is re-verified (closeness to p and the
+    violated prefix) before being returned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    step_rows = None if step_fn is None else _per_row(step_fn)
     samples, _, hit = _falsify(np.array([p.p]), budget, trials, [seed], step_rows)
     counterexample = None if hit is None else hit[1]
     return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
@@ -322,18 +319,13 @@ def _fuzz(
     return None
 
 
-def _drop_delta_step(p: SimplexVector, budget: PrivacyBudget) -> SimplexVector:
-    """Deliberately corrupted operator that forgets the +delta term.
+def _drop_delta_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """Deliberately corrupted operator that forgets the +delta term, on
+    every row.
 
     Kept here for harness self-validation: when delta > 0 the falsifier
     must catch this mutant quickly.
     """
-    stripped = PrivacyBudget(budget.epsilon, 0.0)
-    return t_step(p, stripped)
-
-
-def _drop_delta_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    """_drop_delta_step on every row, bit for bit."""
     return t_step_rows(rows, PrivacyBudget(budget.epsilon, 0.0))
 
 

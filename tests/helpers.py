@@ -149,7 +149,9 @@ def boundary_line_mechanisms(
     for c, depth in bg.depths.items():
         cur = r.to_preference_order(bc.values[c], c)
         for i in range(depth + 1):
-            assign[bg.node_id(c, i)] = r.from_preference_order(cur, c)
+            # Entry k of cur is the mass of color c.order[k].
+            canonical = tuple(cur.p[c.order.index(j)] for j in range(c.q))
+            assign[bg.node_id(c, i)] = r.SimplexVector(canonical)
             cur = r.t_step(cur, budget)
     return r.Mechanism(assign, graph.color_space), bg
 

@@ -9,8 +9,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import rainbowdp as r
-from rainbowdp.oracle import _drop_delta_step
+from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
+from rainbowdp.oracle import _drop_delta_rows
 from helpers import (
     boundary_line_mechanisms,
     random_blowup_morphism,
@@ -50,12 +53,14 @@ def test_criterion_2_closed_form_equals_iteration():
         e_eps = float(g.uniform(1.01, 10.0))
         delta = 0.0 if trial % 3 == 0 else float(g.uniform(0.0, 0.2))
         budget = r.PrivacyBudget(math.log(e_eps), delta)
-        s = list(r.prefix_sums(p))
-        for t in range(0, 61):
-            cf = r.closed_form_prefix(p, budget, t)
-            dev = max(abs(a - b) for a, b in zip(cf, s))
+        # The closed form at t = 0..60, against the operator iterated on
+        # the prefix sums one step at a time.
+        curve = _prefix_curve(p, budget, np.arange(61))
+        s = np.array([r.prefix_sums(p)])
+        for cf in curve:
+            dev = float(np.abs(cf - s[0]).max())
             worst = max(worst, dev)
-            s = list(r.t_step_prefixes(s, budget))
+            s = _t_step_prefix_rows(s, budget)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12, f"max prefix deviation {worst}"
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
@@ -78,7 +83,7 @@ def test_criterion_3_lemma1_suite():
         r.PrivacyBudget(math.log(2.0), 0.1),
         trials=1000,
         seed=7,
-        step_fn=_drop_delta_step,
+        step_rows=_drop_delta_rows,
     )
     assert mutant.counterexample is not None
     elapsed = time.perf_counter() - start

@@ -371,6 +371,19 @@ def test_cmd_build_rejects_non_close_boundary(tmp_path, capsys):
     )
 
 
+def test_cmd_build_writes_no_mechanism_that_fails_verify(tmp_path, capsys):
+    # At epsilon = 50 the float construction misses the budget on two
+    # edges; build says so in verify's format and writes nothing.
+    out = tmp_path / "big.csv"
+    code = main(["build", str(FIXTURES / "path5.graph"), "--epsilon", "50", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: the constructed mechanism fails the privacy check with 2 violation(s); "
+        "worst: violation edge=(n3,n4) direction=n3->n4 margin=0.8\n"
+    )
+
+
 def test_cmd_build_unconstrained_region(tmp_path, capsys):
     lonely = tmp_path / "lonely.graph"
     lonely.write_text(

@@ -326,16 +326,6 @@ def test_pullback_preserves_dp_on_random_morphisms():
         assert r.verify_dp(morphism.domain, pulled, budget).valid
 
 
-def test_line_graph_shape():
-    space = r.ColorSpace(("1", "2"))
-    c = r.Rainbow((0, 1))
-    line = r.line_graph(space, c, 3)
-    assert line.nodes == ("0", "1", "2", "3")
-    assert ("0", "1") in line.edges and len(line.edges) == 3
-    with pytest.raises(ValueError):
-        r.line_graph(space, c, -1)
-
-
 def _naive_topology(graph):
     # The definitions, evaluated node by node and edge by edge.
     nbrs = adjacency(graph)

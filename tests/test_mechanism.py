@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
+from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from helpers import (
     boundary_line_mechanisms,
     path5_bc,
@@ -163,11 +164,11 @@ def test_closed_form_matches_iteration():
             budget = r.PrivacyBudget(0.0, float(g.uniform(0, 0.2)))
         else:
             budget = random_budget(g)
-        s = list(r.prefix_sums(p))
-        for t in range(0, 41):
-            cf = r.closed_form_prefix(p, budget, t)
-            assert max(abs(a - b) for a, b in zip(cf, s)) <= 1e-12
-            s = list(r.t_step_prefixes(s, budget))
+        curve = _prefix_curve(p, budget, np.arange(41))
+        s = np.array([r.prefix_sums(p)])
+        for cf in curve:
+            assert np.abs(cf - s[0]).max() <= 1e-12
+            s = _t_step_prefix_rows(s, budget)
 
 
 def test_closed_form_fractional_t_is_monotone():
@@ -210,8 +211,11 @@ def test_line_mechanism_consecutive_nodes_are_close():
         budget = random_budget(g)
         n = int(g.integers(1, 31))
         mech = r.line_mechanism(m, budget, n)
-        space = mech.color_space
-        line = r.line_graph(space, r.Rainbow(tuple(range(q))), n)
+        # The path 0..n, every node with the rainbow of preference order.
+        nodes = tuple(str(i) for i in range(n + 1))
+        edges = frozenset((str(i), str(i + 1)) for i in range(n))
+        rainbow = r.Rainbow(tuple(range(q)))
+        line = r.RainbowGraph(nodes, edges, {d: rainbow for d in nodes}, mech.color_space)
         assert r.verify_dp(line, mech, budget).valid
 
 
@@ -461,8 +465,10 @@ def test_dominating_mechanism_has_higher_utility():
             amount = vals[j] * float(g.random())
             vals[j] -= amount
             vals[i] += amount
-            low[d] = r.from_preference_order(base, c)
-            high[d] = r.from_preference_order(r.SimplexVector(tuple(vals)), c)
+            # Canonical color i has preference-order entry rank[i].
+            rank = [c.order.index(i) for i in range(q)]
+            low[d] = r.SimplexVector(tuple(base.p[k] for k in rank))
+            high[d] = r.SimplexVector(tuple(vals[k] for k in rank))
         mech_low = r.Mechanism(low, graph.color_space)
         mech_high = r.Mechanism(high, graph.color_space)
         assert r.mechanism_dominates(graph, mech_high, mech_low)

@@ -1,20 +1,20 @@
 """Property tests: the closed form of the operator's trajectory equals
 the iterated operator at every integer step, over random distributions
 and budgets, down to eps = 1e-4 over ten thousand steps and from first
-prefixes that grow in log space; closed_form_prefix's scalar code and
-the array rows of _prefix_curve give the same bits; one operator
-step stays close to its input and dominates it; a graph file survives
-emit then parse, and neither its parse nor the optimal mechanism built
-from it depends on the order of the lines after `colors`; the parser's
-id-built graph is the one the string constructor makes of the file; the batch
-SimplexVector normalization, the array pass of verify_dp, t_step_rows and
-the falsifier's blocks of trials give, bit for bit, what their
-one-at-a-time definitions give; and the optimum is
-locally tight: moving a little mass of any node off its boundary toward
-a more preferred color breaks privacy; renaming the nodes, which
-reorders them, gives every node the same optimal row; and the optimal
-mechanism passes verify_dp, and so does its CSV parsed back, which
-equals it bit for bit."""
+prefixes that grow in log space; each row of a closed-form curve and of
+a stack of operator steps is the one that time or row gives asked for
+alone; one operator step stays close to its input and dominates it; a
+graph file survives emit then parse, and neither its parse nor the
+optimal mechanism built from it depends on the order of the lines after
+`colors`; the parser's id-built graph is the one the string constructor
+makes of the file; the batch SimplexVector normalization, the array pass
+of verify_dp and the falsifier's blocks of trials give, bit for bit,
+what their one-at-a-time definitions give; and the optimum is locally
+tight: moving a little mass of any node off its boundary toward a more
+preferred color breaks privacy; renaming the nodes, which reorders
+them, gives every node the same optimal row; and the optimal mechanism
+passes verify_dp, and so does its CSV parsed back, which equals it bit
+for bit."""
 
 import math
 from unittest import mock
@@ -39,7 +39,7 @@ from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
-from rainbowdp.oracle import _drop_delta_rows, _drop_delta_step, _falsify, _fuzz, _per_row
+from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz
 
 TOL = 1e-9
 
@@ -67,12 +67,14 @@ budgets = st.builds(
 
 
 def _gap_to_iteration(m: r.SimplexVector, budget: r.PrivacyBudget, steps: int) -> float:
-    s = r.prefix_sums(m)
+    # The closed form at t = 0..steps, against the operator iterated on
+    # the prefix sums one step at a time.
+    curve = _prefix_curve(m, budget, np.arange(steps + 1))
+    s = np.array([r.prefix_sums(m)])
     worst = 0.0
-    for t in range(steps + 1):
-        cf = r.closed_form_prefix(m, budget, t)
-        worst = max(worst, max(abs(a - b) for a, b in zip(cf, s)))
-        s = r.t_step_prefixes(s, budget)
+    for cf in curve:
+        worst = max(worst, float(np.abs(cf - s[0]).max()))
+        s = _t_step_prefix_rows(s, budget)
     return worst
 
 
@@ -116,6 +118,8 @@ times = st.one_of(st.integers(0, 60), st.floats(0.0, 60.0), st.floats(1e6, 1e9))
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(simplices, wide_budgets, st.lists(times, min_size=1, max_size=6))
 def test_closed_form_prefix_equals_curve_rows(m, budget, ts):
+    # A row of a curve does not depend on the other times asked for,
+    # which byte-identical chunked builds rest on.
     rows = _prefix_curve(m, budget, ts)
     for t, row in zip(ts, rows.tolist()):
         point = r.closed_form_prefix(m, budget, t)
@@ -137,13 +141,13 @@ def _hexes(rows) -> list[list[str]]:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), budgets)
 def test_t_step_rows_is_t_step_on_every_row(seed, n, budget):
+    # A row of a stack of operator steps does not depend on the other
+    # rows, which the falsifier's blocks of trials rest on.
     g = rng(seed)
     q = int(g.integers(2, 13))
     ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(n)]
     rows = np.array([p.p for p in ps])
     assert _hexes(t_step_rows(rows, budget)) == _hexes(r.t_step(p, budget).p for p in ps)
-    prefixes = _t_step_prefix_rows(np.cumsum(rows, axis=1), budget)
-    assert _hexes(prefixes) == _hexes(r.t_step_prefixes(r.prefix_sums(p), budget) for p in ps)
 
 
 # Budgets at and away from epsilon = 0 and delta = 0, and the tight one
@@ -159,12 +163,12 @@ falsifier_budgets = st.sampled_from([
 ])
 
 
-def _fuzz_trial_by_trial(q, budget, trials, count, seed, step_fn=None):
+def _fuzz_trial_by_trial(q, budget, trials, count, seed, step_rows=None):
     """What `fuzz` did one trial at a time: the first trial whose
     dominance_falsify call finds a counterexample."""
     for i in range(trials):
         p = r.SimplexVector(tuple(rng((seed, i)).dirichlet(np.ones(q))))
-        report = r.dominance_falsify(p, budget, count, seed * 1_000_003 + i, step_fn)
+        report = r.dominance_falsify(p, budget, count, seed * 1_000_003 + i, step_rows)
         if report.counterexample is not None:
             return i, p, report.counterexample
     return None
@@ -184,9 +188,9 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
     q = int(g.integers(2, 13))
     ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
     seeds = [int(s) for s in g.integers(0, 2**40, size=trials)]
-    step_rows, step_fn = (_drop_delta_rows, _drop_delta_step) if mutant else (None, None)
+    step_rows = _drop_delta_rows if mutant else None
     samples, verdicts, first = _falsify(np.array([p.p for p in ps]), budget, count, seeds, step_rows)
-    reports = [r.dominance_falsify(p, budget, count, s, step_fn) for p, s in zip(ps, seeds)]
+    reports = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
     for block_rows, p, s in zip(samples, ps, seeds):
         assert block_rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
     assert verdicts.tolist() == [rep.counterexample is not None for rep in reports]
@@ -206,10 +210,10 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
 )
 def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, mutant):
     # Small blocks, so that most runs span several and end in a part block.
-    step_rows, step_fn = (_drop_delta_rows, _drop_delta_step) if mutant else (None, None)
+    step_rows = _drop_delta_rows if mutant else None
     with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
         got = _fuzz(q, budget, trials, count, seed, step_rows)
-    assert got == _fuzz_trial_by_trial(q, budget, trials, count, seed, step_fn)
+    assert got == _fuzz_trial_by_trial(q, budget, trials, count, seed, step_rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -225,13 +229,14 @@ def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, bud
     # Only trial `victim`, past the first block, gets an operator that
     # drops delta; sample row 1, the real t_step(p), beats it.
     victim = max(1, block_rows // count) + late
-    p_victim = r.SimplexVector(tuple(rng((seed, victim)).dirichlet(np.ones(q))))
+    p_victim = np.array(r.SimplexVector(tuple(rng((seed, victim)).dirichlet(np.ones(q)))).p)
 
-    def corrupt(p, b):
-        return _drop_delta_step(p, b) if p == p_victim else r.t_step(p, b)
+    def corrupt(rows, b):
+        hit = (rows == p_victim).all(axis=1)[:, None]
+        return np.where(hit, _drop_delta_rows(rows, b), t_step_rows(rows, b))
 
     with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        got = _fuzz(q, budget, victim + 5, count, seed, _per_row(corrupt))
+        got = _fuzz(q, budget, victim + 5, count, seed, corrupt)
     want = _fuzz_trial_by_trial(q, budget, victim + 5, count, seed, corrupt)
     assert want is not None and want[0] == victim
     assert got == want
@@ -436,7 +441,7 @@ def test_optimum_is_locally_tight(seed):
             moved = p.copy()
             moved[k] += ETA
             moved[k + 1] -= ETA
-            vec = r.from_preference_order(r.SimplexVector(tuple(moved)), c)
+            vec = r.SimplexVector(tuple(moved[c.order.index(i)] for i in range(len(moved))))
             report = r.verify_dp(graph, r.Mechanism({**mech.assignment, d: vec}, graph.color_space), budget)
             assert not report.valid, (d, k)
 
