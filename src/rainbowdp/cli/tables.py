@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core import NEGATIVE_WINDOW, ColorSpace
+from ..core import ColorSpace, _outside_window, _row_sums
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 
@@ -76,13 +76,9 @@ def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
     by more than ROW_SUM_TOL, or that holds an entry that is not finite
     or lies outside [0, 1] by more than NEGATIVE_WINDOW, with the error;
     a row failing both reports its sum."""
-    total = np.zeros(len(rows))
-    # inf + -inf, or a sum past the float range, is a bad row, not a warning.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for column in rows.T:
-            total += column
+    total = _row_sums(rows)
     bad_sum = np.abs(total - 1.0) > ROW_SUM_TOL
-    bad_entry = ~np.isfinite(rows) | (rows < -NEGATIVE_WINDOW) | (rows > 1.0 + NEGATIVE_WINDOW)
+    bad_entry = _outside_window(rows)
     bad = bad_sum | bad_entry.any(axis=1)
     if not bad.any():
         return None
@@ -181,7 +177,7 @@ def parse_trajectory_csv(
     tau: tuple[float, ...] | None = None
     rows: list[TrajectoryRow] = []
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
         if not line:
             continue

@@ -132,6 +132,22 @@ class SimplexVector:
         return self.p[k]
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array added left to right from 0.0, as the scalar
+    checks add, with no warning for a sum that overflows or meets
+    inf + -inf: the caller's check rejects the inf or nan."""
+    total = np.zeros(len(rows))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for column in rows.T:
+            total += column
+    return total
+
+
+def _outside_window(a: np.ndarray) -> np.ndarray:
+    """The entries not finite or outside [0, 1] by more than NEGATIVE_WINDOW."""
+    return ~np.isfinite(a) | (a < -NEGATIVE_WINDOW) | (a > 1.0 + NEGATIVE_WINDOW)
+
+
 def normalized_rows(a: np.ndarray) -> np.ndarray:
     """The rows of a 2-D array as SimplexVector stores them, as a new
     array: each entry checked to be finite and inside
@@ -147,13 +163,11 @@ def normalized_rows(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D array of rows, got {a.ndim} dimension(s)")
     if a.shape[0] and a.shape[1] < 2:
         raise ValueError("distribution needs at least 2 entries")
-    out_of_range = ~np.isfinite(a) | (a < -NEGATIVE_WINDOW) | (a > 1.0 + NEGATIVE_WINDOW)
+    out_of_range = _outside_window(a)
     # min(max(x, 0.0), 1.0) as Python evaluates it, so -0.0 stays -0.0.
     rows = np.where(a < 0.0, 0.0, a)
     np.copyto(rows, 1.0, where=rows > 1.0)
-    total = np.zeros(a.shape[0])
-    for column in rows.T:
-        total += column
+    total = _row_sums(rows)
     bad_entry = out_of_range.any(axis=1)
     bad = bad_entry | (np.abs(total - 1.0) > SUM_WINDOW)
     if bad.any():
@@ -229,6 +243,16 @@ def subset_excess(p: SimplexVector, q_: SimplexVector, exp_epsilon: float) -> fl
         if m > 0.0:
             total += m
     return total
+
+
+def _hockey_stick(p: np.ndarray, q_: np.ndarray, exp_epsilon: float) -> np.ndarray:
+    """subset_excess of each row pair: the positive parts of
+    P - e^eps Q, added column by column, left to right, as subset_excess
+    adds them, so each total is the float it gives."""
+    diff = exp_epsilon * q_
+    np.subtract(p, diff, out=diff)
+    # fmax, unlike maximum, takes nan to 0.0, as subset_excess skips it.
+    return _row_sums(np.fmax(diff, 0.0, out=diff))
 
 
 def is_close(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudget) -> bool:

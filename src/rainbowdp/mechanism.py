@@ -39,8 +39,8 @@ from .core import (
     PrivacyBudget,
     Rainbow,
     SimplexVector,
-    dominates,
-    is_close,
+    _hockey_stick,
+    _row_sums,
     normalized_rows,
     prefix_sums,
 )
@@ -377,7 +377,8 @@ def validate_boundary_condition(
     edge must carry (eps,delta)-close boundary distributions.
 
     Raises MissingRainbow when a rainbow with nonempty boundary has no
-    boundary vector; closeness failures are reported, not raised.
+    boundary vector; closeness failures (is_close's test, on all pairs
+    at once) are reported in adjacent_pairs order, not raised.
     """
     topology = graph.topology
     missing = [
@@ -386,11 +387,13 @@ def validate_boundary_condition(
     ]
     if missing:
         raise MissingRainbow(missing, graph.color_space)
-    violations = tuple(
-        (ca, cb)
-        for ca, cb in topology.adjacent_pairs
-        if not is_close(bc.values[ca], bc.values[cb], budget)
-    )
+    pairs = topology.adjacent_pairs
+    # One (a, b) pair of boundary rows per adjacent region pair.
+    rows = np.array([bc.values[c].p for pair in pairs for c in pair]).reshape(len(pairs), 2, graph.color_space.q)
+    a, b = rows[:, 0], rows[:, 1]
+    e, bound = budget.exp_epsilon, budget.delta + DEFAULT_TOL
+    close = (_hockey_stick(a, b, e) <= bound) & (_hockey_stick(b, a, e) <= bound)
+    violations = tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)
     return BoundaryReport(valid=not violations, violations=violations)
 
 
@@ -438,17 +441,6 @@ class DpViolation:
 class DpReport:
     valid: bool
     violations: tuple[DpViolation, ...]
-
-
-def _hockey_stick(p: np.ndarray, q_: np.ndarray, exp_epsilon: float) -> np.ndarray:
-    """subset_excess of each row pair: the positive parts of
-    P - e^eps Q, added column by column, left to right, as subset_excess
-    adds them, so each total is the float it gives."""
-    diff = p - exp_epsilon * q_
-    total = np.zeros(len(p))
-    for column in np.where(diff > 0.0, diff, 0.0).T:
-        total += column
-    return total
 
 
 def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> DpReport:
@@ -503,6 +495,16 @@ def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     return True
 
 
+def _preference_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:
+    """Each node's stored row of mech.rows, in graph.nodes order, with its
+    entries in the node's preference order: column k is the mass of its
+    k-th preferred color. A node with no row raises KeyError."""
+    nodes = graph.nodes
+    row_ids = np.fromiter(map(mech.row_of.__getitem__, nodes), dtype=np.intp, count=len(nodes))
+    orders = np.array([c.order for c in graph.rainbows()], dtype=np.intp).reshape(-1, graph.color_space.q)
+    return mech.rows[row_ids[:, None], orders[graph.rainbow_ids]]
+
+
 def utility_eval(
     graph: RainbowGraph,
     mech: Mechanism,
@@ -512,34 +514,31 @@ def utility_eval(
 
     weights[d][k] is the payoff when node d's output is its k-th
     preferred color; each weight sequence must be nonincreasing in k.
-    Node d's distribution is its row of mech.rows.
+    Node d's distribution is its row of mech.rows. Products are added
+    left to right, then node totals in graph.nodes order, as plain floats.
     """
-    rows, row_of = mech.rows.tolist(), mech.row_of
-    total = 0.0
+    q = graph.color_space.q
+    weight_rows = []
     for d in graph.nodes:
         w = weights[d]
-        if len(w) != graph.color_space.q:
+        if len(w) != q:
             raise ValueError(f"weight sequence for node {d!r} has wrong length")
         if any(w[i] < w[i + 1] - DEFAULT_TOL for i in range(len(w) - 1)):
             raise ValueError(f"weight sequence for node {d!r} is not nonincreasing")
-        row = rows[row_of[d]]
-        order = graph.preference[d].order
-        total += sum(w[k] * row[i] for k, i in enumerate(order))
+        weight_rows.append(w)
+    products = np.array(weight_rows, dtype=np.float64).reshape(-1, q) * _preference_rows(graph, mech)
+    total = 0.0
+    for x in _row_sums(products).tolist():
+        total += x
     return total
 
 
 def mechanism_dominates(graph: RainbowGraph, a: Mechanism, b: Mechanism) -> bool:
-    """Nodewise dominance of mechanism a over b, compared on the
-    preference-order view of each node's row."""
-    rows_a, rows_b = a.rows.tolist(), b.rows.tolist()
-    for d in graph.nodes:
-        order = graph.preference[d].order
-        row_a, row_b = rows_a[a.row_of[d]], rows_b[b.row_of[d]]
-        va = SimplexVector(tuple(row_a[i] for i in order))
-        vb = SimplexVector(tuple(row_b[i] for i in order))
-        if not dominates(va, vb):
-            return False
-    return True
+    """Nodewise dominance of mechanism a over b, compared on each node's
+    rows in its preference order as stored, not renormalized."""
+    prefixes_a = np.cumsum(_preference_rows(graph, a), axis=1)
+    prefixes_b = np.cumsum(_preference_rows(graph, b), axis=1)
+    return bool((prefixes_a >= prefixes_b - DEFAULT_TOL).all())
 
 
 def build_trajectory(

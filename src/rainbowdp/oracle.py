@@ -29,6 +29,7 @@ from .core import (
     PrivacyBudget,
     Rainbow,
     SimplexVector,
+    _hockey_stick,
     is_close,
     normalized_rows,
     prefix_sums,
@@ -108,9 +109,7 @@ def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.
     # closeness (no tolerance slack) so the rows still pass is_close
     # after construction-time renormalization.
     e = budget.exp_epsilon
-    ex1 = np.maximum(cand - e * pa, 0.0).sum(axis=1)
-    ex2 = np.maximum(pa - e * cand, 0.0).sum(axis=1)
-    return (ex1 <= budget.delta) & (ex2 <= budget.delta)
+    return (_hockey_stick(cand, pa, e) <= budget.delta) & (_hockey_stick(pa, cand, e) <= budget.delta)
 
 
 def _mix_until_close(

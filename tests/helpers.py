@@ -1,12 +1,15 @@
 """Shared builders for the test suite: seeded RNGs, random graphs with
 solvable boundary structure, random valid boundary conditions, and the
-competitor mechanisms used for optimality checks."""
+competitor mechanisms used for optimality checks; and the references
+the array checks are compared with: verify_dp and utility_eval one node
+or edge at a time, and the hockey-stick excess in exact arithmetic."""
 
 from __future__ import annotations
 
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -288,6 +291,45 @@ def path5_bc() -> r.BoundaryCondition:
     return r.BoundaryCondition(
         {b: sv(0.2, 0.1, 0.7), red: sv(0.4, 0.2, 0.4)}
     )
+
+
+def split_path(n: int = 3000, split: int = 1000) -> tuple[r.RainbowGraph, r.BoundaryCondition]:
+    """A q = 2 path of n nodes whose first split nodes prefer color 1 and
+    the rest color 2, so its two chains are split and n - split - 1 deep."""
+    space = r.ColorSpace(("1", "2"))
+    c12, c21 = r.Rainbow((0, 1)), r.Rainbow((1, 0))
+    nodes = tuple(f"v{i:04d}" for i in range(n))
+    pref = {d: (c12 if i < split else c21) for i, d in enumerate(nodes)}
+    graph = r.RainbowGraph(nodes, frozenset(zip(nodes, nodes[1:])), pref, space)
+    return graph, r.BoundaryCondition({c12: sv(0.7, 0.3), c21: sv(0.6, 0.4)})
+
+
+def exact_excess(p, q_, budget: r.PrivacyBudget) -> Fraction:
+    """subset_excess(p, q_, e^eps) in exact rational arithmetic: the sum
+    of the positive parts of p - e q_, where e := Fraction(exp_epsilon)
+    is the float the program uses for e^eps, and each entry is the float
+    as given, so only the program's own roundings separate the two."""
+    e = Fraction(budget.exp_epsilon)
+    total = Fraction(0)
+    for a, b in zip(p, q_):
+        total += max(Fraction(a) - e * Fraction(b), Fraction(0))
+    return total
+
+
+def utility_eval_reference(
+    graph: r.RainbowGraph, mech: r.Mechanism, weights
+) -> float:
+    """utility_eval as plain Python floats: each node's products added
+    left to right in its preference order, then the nodes' totals, left
+    to right in graph.nodes order."""
+    total = 0.0
+    for d in graph.nodes:
+        row = mech.rows[mech.row_of[d]].tolist()
+        node = 0.0
+        for w, i in zip(weights[d], graph.preference[d].order):
+            node += w * row[i]
+        total += node
+    return total
 
 
 def verify_dp_reference(

@@ -20,6 +20,7 @@ from helpers import (
     random_homogeneous_bc,
     random_solvable_graph,
     rng,
+    split_path,
     striped_grid_text,
     sv,
 )
@@ -434,15 +435,6 @@ def test_build_boundary_graph_on_long_path():
     assert bg.morphism(nodes[-1]) == bg.node_id(c21, n - split - 1)
 
 
-def _split_path(n=3000, split=1000):
-    space = r.ColorSpace(("1", "2"))
-    c12, c21 = r.Rainbow((0, 1)), r.Rainbow((1, 0))
-    nodes = tuple(f"v{i:04d}" for i in range(n))
-    pref = {d: (c12 if i < split else c21) for i, d in enumerate(nodes)}
-    graph = r.RainbowGraph(nodes, frozenset(zip(nodes, nodes[1:])), pref, space)
-    return graph, r.BoundaryCondition({c12: sv(0.7, 0.3), c21: sv(0.6, 0.4)})
-
-
 def _index_cases():
     log2 = r.PrivacyBudget(math.log(2.0), 0.0)
     yield path5_graph(), path5_bc(), log2
@@ -456,7 +448,7 @@ def _index_cases():
     ]:
         budget = random_budget(g)
         yield graph, random_homogeneous_bc(g, graph, budget), budget
-    yield (*_split_path(), r.PrivacyBudget(0.3, 0.001))
+    yield (*split_path(), r.PrivacyBudget(0.3, 0.001))
 
 
 def test_boundary_graph_indexes_the_mechanism():
@@ -501,7 +493,7 @@ def test_boundary_morphism_self_check_raises_on_a_moved_distance(monkeypatch):
 
     monkeypatch.setattr(r.graph, "_chain_layout", moved_search)
     g = rng(27)
-    graphs = [path5_graph(), _split_path()[0]]
+    graphs = [path5_graph(), split_path()[0]]
     graphs += [random_solvable_graph(g, max_nodes=30) for _ in range(10)]
     for graph in graphs:
         if not (search(graph)[0] > 0).any():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
+from rainbowdp.cli.tables import parse_mechanism_csv
 from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from helpers import (
     boundary_line_mechanisms,
@@ -16,6 +17,7 @@ from helpers import (
     random_solvable_graph,
     rng,
     sv,
+    utility_eval_reference,
 )
 
 LOG2 = math.log(2.0)
@@ -481,13 +483,9 @@ def test_dominating_mechanism_has_higher_utility():
         assert u_high >= u_low - 1e-9
         # Both read mech.rows; neither builds the SimplexVector view.
         assert "assignment" not in vars(mech_high) and "assignment" not in vars(mech_low)
-        # The same float operations as on that view give the same bits.
+        # Plain left-to-right float additions give the same bits.
         for mech, u in ((mech_high, u_high), (mech_low, u_low)):
-            by_vector = 0.0
-            for d in graph.nodes:
-                vec = mech.assignment[d]
-                by_vector += sum(w * vec.p[i] for w, i in zip(weights[d], graph.preference[d].order))
-            assert u.hex() == by_vector.hex()
+            assert u.hex() == utility_eval_reference(graph, mech, weights).hex()
         assert r.mechanism_dominates(graph, mech_low, mech_high) == all(
             r.dominates(
                 r.to_preference_order(mech_low.assignment[d], graph.preference[d]),
@@ -495,6 +493,24 @@ def test_dominating_mechanism_has_higher_utility():
             )
             for d in graph.nodes
         )
+
+
+def test_mechanism_dominates_compares_rows_as_stored():
+    # Both rows pass the mechanism parser's 1e-9 sum window. a's first
+    # prefix falls about 4.7e-11 short of b's, so a does not dominate b;
+    # renormalizing a first (its sum is 1 - 1.97e-10) would hide that.
+    space = r.ColorSpace(("1", "2", "3"))
+    c = r.Rainbow((0, 1, 2))
+    graph = r.RainbowGraph(("n0", "n1"), {("n0", "n1")}, {"n0": c, "n1": c}, space)
+
+    def parsed(row):
+        cells = ",".join(map(repr, row))
+        return parse_mechanism_csv(f"node,1,2,3\nn0,{cells}\nn1,{cells}\n", space)
+
+    a = parsed((0.5 + 3e-12, 0.5 - 2e-10, 0.0))
+    b = parsed((0.5 + 5e-11, 0.5 - 5e-11, 0.0))
+    assert not r.mechanism_dominates(graph, a, b)
+    assert r.mechanism_dominates(graph, b, a)
 
 
 def test_optimal_dominates_smaller_budget_competitors_small():

@@ -14,25 +14,33 @@ tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
 them, gives every node the same optimal row; and the optimal mechanism
 passes verify_dp, and so does its CSV parsed back, which equals it bit
-for bit."""
+for bit. Chunk edges change no optimal row and no verify_dp violation;
+utility_eval adds as plain left-to-right floats do; and away from the
+tolerance band around delta, the shared closeness kernel gives the
+verdict of exact rational arithmetic through each of its callers."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rainbowdp as r
-from rainbowdp import oracle
+from rainbowdp import mechanism, oracle
 from helpers import (
     assert_same_graph,
+    exact_excess,
     random_budget,
     random_dense_graph,
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
     rng,
+    split_path,
+    utility_eval_reference,
     verify_dp_reference,
 )
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
@@ -414,6 +422,104 @@ def test_verify_dp_equals_per_edge_reference(seed):
     error = _key_error(lambda: r.verify_dp(graph, partial, budget))
     assert error is not None
     assert error == _key_error(lambda: verify_dp_reference(graph, partial, budget))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_chunk_edges_leave_rows_and_verdicts_unchanged(monkeypatch, chunk_rows):
+    # Chains and edges are processed _CHUNK_ROWS at a time; chunks of 1 and
+    # 3 rows put a chunk edge inside every chain and every edge list.
+    g = rng(47)
+    cases = [(*split_path(300, 100), r.PrivacyBudget(0.3, 0.001))]
+    for _ in range(3):
+        graph = random_dense_graph(g)
+        budget = random_budget(g)
+        cases.append((graph, random_homogeneous_bc(g, graph, budget), budget))
+    whole = [r.optimal_mechanism(graph, bc, budget) for graph, bc, budget in cases]
+    monkeypatch.setattr(mechanism, "_CHUNK_ROWS", chunk_rows)
+    for (graph, bc, budget), want in zip(cases, whole):
+        mech = r.optimal_mechanism(graph, bc, budget)
+        for d in graph.nodes:
+            got = mech.rows[mech.row_of[d]].tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want.rows[want.row_of[d]].tolist()]
+        # Mixing some rows toward random ones puts margins on both sides of
+        # the tolerance, so the chunks hold violations.
+        rows = mech.rows.copy()
+        for i in range(len(rows)):
+            if g.random() < 0.3:
+                lam = 10.0 ** g.uniform(-14.0, 0.0)
+                rows[i] = (1.0 - lam) * rows[i] + lam * np.array(random_simplex(g, rows.shape[1]).p)
+        mixed = r.Mechanism.from_rows(rows, mech.row_of, graph.color_space)
+        assert _violation_bits(r.verify_dp(graph, mixed, budget)) == _violation_bits(
+            verify_dp_reference(graph, mixed, budget)
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_utility_eval_adds_left_to_right(seed):
+    # Weights over sixteen orders of magnitude make the products' rounding
+    # errors large enough that a compensated sum (builtin sum() from
+    # Python 3.12 on) gives other bits than plain left-to-right additions.
+    g = rng(seed)
+    graph = random_solvable_graph(g)
+    budget = random_budget(g)
+    mech = r.optimal_mechanism(graph, random_homogeneous_bc(g, graph, budget), budget)
+    q = graph.color_space.q
+    weights = {
+        d: tuple(sorted((10.0 ** g.uniform(-8.0, 8.0) for _ in range(q)), reverse=True))
+        for d in graph.nodes
+    }
+    got = r.utility_eval(graph, mech, weights)
+    assert got.hex() == utility_eval_reference(graph, mech, weights).hex()
+
+
+@st.composite
+def close_pair_cases(draw):
+    """A budget and two distributions as SimplexVector stores them, the
+    second a mix of the first toward a third, with weights from 1e-14
+    to 1, so the exact excess falls on both sides of delta."""
+    q = draw(st.integers(2, 8))
+    epsilon = 10.0 ** draw(st.floats(-4.0, math.log10(50.0)))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+
+    def simplex():
+        w = [draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0))) for _ in range(q)]
+        if not any(w):
+            w[0] = 1.0
+        total = sum(w)
+        return np.array([x / total for x in w])
+
+    p, other = simplex(), simplex()
+    lam = 10.0 ** draw(st.floats(-14.0, 0.0))
+    pv = r.SimplexVector(tuple(p))
+    qv = r.SimplexVector(tuple((1.0 - lam) * p + lam * other))
+    return r.PrivacyBudget(epsilon, delta), pv, qv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(close_pair_cases())
+def test_closeness_kernel_agrees_with_exact_arithmetic(case):
+    # Away from the tolerance band around delta, the float kernel's verdict
+    # is the exact one, through each of its three callers. The pair's
+    # excess is the larger of its two directions'.
+    budget, pv, qv = case
+    delta = Fraction(budget.delta)
+    excess = max(exact_excess(pv.p, qv.p, budget), exact_excess(qv.p, pv.p, budget))
+    assume(abs(excess - delta) > Fraction(r.DEFAULT_TOL))
+    close = excess <= delta
+    q = len(pv)
+    space = r.ColorSpace(tuple(f"c{k}" for k in range(q)))
+    ca, cb = r.Rainbow(tuple(range(q))), r.Rainbow(tuple(reversed(range(q))))
+
+    same = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": ca}, space)
+    mech = r.Mechanism.from_rows(np.array([pv.p, qv.p]), {"a": 0, "b": 1}, space)
+    assert r.verify_dp(same, mech, budget).valid == close
+
+    split = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": cb}, space)
+    bc = r.BoundaryCondition({ca: pv, cb: qv})
+    assert r.validate_boundary_condition(split, bc, budget).valid == close
+
+    assert bool(oracle._accept_mask(np.array([qv.p]), np.array([pv.p]), budget)[0]) == close
 
 
 ETA = 1e-6
