@@ -154,6 +154,9 @@ def cmd_trajectory(args) -> int:
     m = SimplexVector(tuple(float(tok) for tok in args.boundary.split(",")))
     if args.steps < 0 or args.substeps < 1:
         raise ValueError("need steps >= 0 and substeps >= 1")
+    # The table holds a row object per (t, k) cell, all at once.
+    if (args.steps * args.substeps + 1) * len(m) > 1 << 17:
+        raise ValueError("need (steps * substeps + 1) * q <= 131072")
     try:
         profile = tau_profile(m, budget)
         print("rho " + fmt(profile.rho))

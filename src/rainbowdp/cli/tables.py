@@ -168,11 +168,27 @@ def fmt_tau(v: float) -> str:
     return "inf" if math.isinf(v) else str(int(v))
 
 
+def _finite(name: str, cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} is not finite: {cell!r}")
+    return x
+
+
+def _tau_entry(cell: str) -> float:
+    # fmt_tau writes INFINITE as 'inf'; nan and -inf are no transition step.
+    x = float(cell)
+    if math.isnan(x) or x == -math.inf:
+        raise ValueError(f"tau entry is not a step or inf: {cell!r}")
+    return x
+
+
 def parse_trajectory_csv(
     text: str,
 ) -> tuple[TrajectoryTable, float | None, tuple[float, ...] | None]:
     """Parse a trajectory CSV; returns the table plus any rho/tau comment
-    values found."""
+    values found. t, p, s and rho must be finite; a tau entry may be
+    'inf' (INFINITE) but not nan or -inf."""
     rho: float | None = None
     tau: tuple[float, ...] | None = None
     rows: list[TrajectoryRow] = []
@@ -191,20 +207,20 @@ def parse_trajectory_csv(
             if comment:
                 body = line[1:].strip()
                 if body.startswith("rho "):
-                    rho = float(body[4:])
+                    rho = _finite("rho", body[4:])
                 elif body.startswith("tau "):
-                    tau = tuple(float(v) for v in body[4:].split(","))
+                    tau = tuple(map(_tau_entry, body[4:].split(",")))
                 continue
             cells = line.split(",")
             if len(cells) != 5:
                 raise ValueError(f"expected 5 cells, got {len(cells)}")
             rows.append(
                 TrajectoryRow(
-                    t=float(cells[0]),
+                    t=_finite("t", cells[0]),
                     k=int(cells[1]),
                     color=cells[2],
-                    p=float(cells[3]),
-                    s=float(cells[4]),
+                    p=_finite("p", cells[3]),
+                    s=_finite("s", cells[4]),
                 )
             )
         except ValueError as exc:

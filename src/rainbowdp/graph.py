@@ -5,8 +5,8 @@ node carries a preference order (rainbow) over the output colors. Each
 rainbow's node class splits into interior (all neighbors share the
 rainbow) and boundary (the rest). The boundary graph compresses each
 class to a chain indexed by distance-to-boundary, and the boundary
-morphism sends a node to its (rainbow, distance) pair. One search,
-_chain_layout, lays the chains out for both constructions: boundary-graph
+morphism sends a node to its (rainbow, distance) pair. One cached search,
+Topology.search, lays the chains out for both constructions: boundary-graph
 node k is row k of the optimal mechanism's matrix.
 """
 
@@ -161,18 +161,6 @@ class RainbowGraph:
         return dict(zip(self.nodes, map(self._rainbows.__getitem__, self.rainbow_ids.tolist())))
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): the neighbor ids of node i, in increasing
-        order, are indices[indptr[i]:indptr[i + 1]]."""
-        ends = self.edge_ends
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
-        n = len(self.nodes)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[np.argsort(src * n + dst, kind="stable")]
-
-    @cached_property
     def topology(self) -> Topology:
         return _topology(self)
 
@@ -192,39 +180,92 @@ class Region:
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Regions (rainbows in order), the rainbow pairs joined by an edge,
-    sorted by rainbow order, and the rim, a bool mask of boundary node
-    ids; computed once per graph by RainbowGraph.topology."""
+    """A graph's topology on node ids, made once by RainbowGraph.topology: the
+    rim, a bool mask of boundary node ids, and the rainbow pairs joined by an
+    edge, in rainbow order. Region name sets and the search are built on first read."""
 
-    regions: dict[Rainbow, Region]
+    graph: RainbowGraph = field(repr=False)
     adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
     rim: np.ndarray = field(repr=False)
 
+    @cached_property
+    def regions(self) -> dict[Rainbow, Region]:
+        """One Region per rainbow, in rainbow order."""
+        nodes, ids, rainbows = self.graph.nodes, self.graph.rainbow_ids, self.graph.rainbows()
+        # Node ids grouped by rainbow id, each group in node order.
+        grouped = np.argsort(ids, kind="stable")
+        stops = np.cumsum(np.bincount(ids, minlength=len(rainbows))).tolist()
+        regions: dict[Rainbow, Region] = {}
+        for c, start, stop in zip(rainbows, [0] + stops, stops):
+            group = grouped[start:stop]
+            members = frozenset(map(nodes.__getitem__, group.tolist()))
+            boundary = frozenset(map(nodes.__getitem__, group[self.rim[group]].tolist()))
+            regions[c] = Region(members, members - boundary, boundary)
+        return regions
+
+    @cached_property
+    def search(self) -> tuple[np.ndarray, ...]:
+        """The boundary search and chain layout: (dist, depths, starts,
+        chain_row). Node id i is at distance dist[i] from its class's
+        boundary and sits in row chain_row[i] of the chains, one per
+        rainbow id k with depths[k] + 1 rows from row starts[k], stacked
+        in rainbow id order.
+
+        A path that leaves a class first passes one of that class's
+        boundary nodes, so a node's nearest boundary node of any rainbow
+        lies on its own class's boundary: one breadth-first search, from
+        every rim node at once, gives every node its own class's distance.
+        A node it never reaches sits in a component with no boundary;
+        UnconstrainedRegion then names the first rainbow, in rainbow
+        order, with such a member (or with an empty boundary).
+        """
+        graph, ends, rim, n = self.graph, self.graph.edge_ends, self.rim, len(self.graph.nodes)
+        # Neighbors as CSR: node i's are indices[indptr[i]:indptr[i + 1]].
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        indices = np.concatenate((ends[:, 1], ends[:, 0]))[np.argsort(src, kind="stable")]
+        dist = np.where(rim, 0, -1).tolist()
+        queue = np.flatnonzero(rim).tolist()
+        # Memoryviews hand out Python ints one at a time, with no list of them.
+        indptr, indices = memoryview(indptr), memoryview(indices)
+        # The queue grows while it is walked; no node enters it twice.
+        for i in queue:
+            if len(queue) == n:
+                break
+            step = dist[i] + 1
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                if dist[j] < 0:
+                    dist[j] = step
+                    queue.append(j)
+        dist = np.array(dist, dtype=np.intp)
+        ids = graph.rainbow_ids
+        if len(queue) < n:  # the lowest rainbow id is the first rainbow in order
+            raise UnconstrainedRegion(graph.rainbows()[int(ids[dist < 0].min())], graph.color_space)
+        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+        np.maximum.at(depths, ids, dist)
+        starts = np.cumsum(depths + 1) - (depths + 1)
+        layout = (dist, depths, starts, starts[ids] + dist)
+        for a in layout:  # shared by every reader of the cache
+            a.flags.writeable = False
+        return layout
+
 
 def _topology(graph: RainbowGraph) -> Topology:
-    nodes, ends, rainbows = graph.nodes, graph.edge_ends, graph.rainbows()
+    ends, rainbows = graph.edge_ends, graph.rainbows()
     # Rainbow ids follow rainbow order, so pairs (lo, hi) of ids sorted
     # as codes lo * k + hi come in (lo, hi) rainbow order.
     k = len(rainbows)
     ca, cb = graph.rainbow_ids[ends[:, 0]], graph.rainbow_ids[ends[:, 1]]
     cross = ca != cb
-    rim = np.zeros(len(nodes), dtype=bool)
+    rim = np.zeros(len(graph.nodes), dtype=bool)
     rim[ends[cross].ravel()] = True
     codes = np.minimum(ca, cb)[cross] * k + np.maximum(ca, cb)[cross]
     codes = codes[np.argsort(codes, kind="stable")]
     # Distinct codes, without np.unique, whose first call imports numpy.ma.
     codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
     pairs = tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
-    # Node ids grouped by rainbow id, each group in node order.
-    grouped = np.argsort(graph.rainbow_ids, kind="stable")
-    stops = np.cumsum(np.bincount(graph.rainbow_ids, minlength=k)).tolist()
-    regions: dict[Rainbow, Region] = {}
-    for c, start, stop in zip(rainbows, [0] + stops, stops):
-        ids = grouped[start:stop]
-        group = frozenset(map(nodes.__getitem__, ids.tolist()))
-        boundary = frozenset(map(nodes.__getitem__, ids[rim[ids]].tolist()))
-        regions[c] = Region(group, group - boundary, boundary)
-    return Topology(regions, pairs, rim)
+    return Topology(graph, pairs, rim)
 
 
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
@@ -235,49 +276,10 @@ def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     return graph.topology.regions
 
 
-def _chain_layout(graph: RainbowGraph) -> tuple[np.ndarray, ...]:
-    """The boundary search and chain layout: (dist, depths, starts, chain_row).
-    Node id i is at distance dist[i] from its class's boundary and sits in
-    row chain_row[i] of the chains, one per rainbow id k with depths[k] + 1
-    rows from row starts[k], stacked in rainbow id order.
-
-    A path that leaves a class first passes one of that class's boundary
-    nodes, so a node's nearest boundary node of any rainbow lies on its
-    own class's boundary: one breadth-first search over graph.csr, from
-    every node of the topology's rim at once, gives every node its own
-    class's distance. A node it never reaches sits in a component with
-    no boundary; UnconstrainedRegion then names the first rainbow, in
-    rainbow order, with such a member (or with an empty boundary).
-    """
-    n = len(graph.nodes)
-    rim = graph.topology.rim
-    dist = np.where(rim, 0, -1).tolist()
-    queue = np.flatnonzero(rim).tolist()
-    # Memoryviews hand out Python ints one at a time, with no list of them.
-    indptr, indices = map(memoryview, graph.csr)
-    # The queue grows while it is walked; no node enters it twice.
-    for i in queue:
-        if len(queue) == n:
-            break
-        step = dist[i] + 1
-        for j in indices[indptr[i]:indptr[i + 1]]:
-            if dist[j] < 0:
-                dist[j] = step
-                queue.append(j)
-    dist = np.array(dist, dtype=np.intp)
-    ids = graph.rainbow_ids
-    if len(queue) < n:  # the lowest rainbow id is the first rainbow in order
-        raise UnconstrainedRegion(graph.rainbows()[int(ids[dist < 0].min())], graph.color_space)
-    depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
-    np.maximum.at(depths, ids, dist)
-    starts = np.cumsum(depths + 1) - (depths + 1)
-    return dist, depths, starts, starts[ids] + dist
-
-
 def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
     """Each node's distance to its own rainbow class's boundary, in `nodes`
-    order, from _chain_layout's search; `regions` is not read."""
-    return dict(zip(graph.nodes, _chain_layout(graph)[0].tolist()))
+    order, from the topology's search; `regions` is not read."""
+    return dict(zip(graph.nodes, graph.topology.search[0].tolist()))
 
 
 @dataclass(eq=False)
@@ -360,11 +362,11 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     the two classes. The returned morphism sends d to
     (rainbow of d, distance of d), and is rainbow-preserving.
 
-    Node k is row k of optimal_mechanism's matrix (_chain_layout). A
+    Node k is row k of optimal_mechanism's matrix (Topology.search). A
     self-check raises AssertionError unless every edge joins nodes of one
     rainbow at distances differing by at most 1, or nodes at distance 0.
     """
-    dist, chain_depths, starts, chain_row = _chain_layout(graph)
+    dist, chain_depths, starts, chain_row = graph.topology.search
     ends = graph.edge_ends
     da, db = dist[ends[:, 0]], dist[ends[:, 1]]
     same = graph.rainbow_ids[ends[:, 0]] == graph.rainbow_ids[ends[:, 1]]

@@ -44,7 +44,7 @@ from .core import (
     normalized_rows,
     prefix_sums,
 )
-from .graph import RainbowGraph, _chain_layout
+from .graph import RainbowGraph
 
 INFINITE = math.inf
 
@@ -380,11 +380,9 @@ def validate_boundary_condition(
     boundary vector; closeness failures (is_close's test, on all pairs
     at once) are reported in adjacent_pairs order, not raised.
     """
-    topology = graph.topology
-    missing = [
-        c for c, region in topology.regions.items()
-        if region.boundary and c not in bc.values
-    ]
+    topology, rainbows = graph.topology, graph.rainbows()
+    rim_counts = np.bincount(graph.rainbow_ids[topology.rim], minlength=len(rainbows))
+    missing = [c for c, n in zip(rainbows, rim_counts.tolist()) if n and c not in bc.values]
     if missing:
         raise MissingRainbow(missing, graph.color_space)
     pairs = topology.adjacent_pairs
@@ -410,7 +408,7 @@ def optimal_mechanism(
     privacy constraint on every edge, and dominates every valid
     mechanism with the same boundary values.
 
-    The powers form one chain per rainbow, stacked as graph._chain_layout
+    The powers form one chain per rainbow, stacked as graph.topology.search
     lays them out, so row k is node k of build_boundary_graph's graph:
     row 0 of a chain is the boundary vector, _fill_powers fills the rest.
     Nodes sharing a (rainbow, distance) pair share its row (the pullback
@@ -419,7 +417,7 @@ def optimal_mechanism(
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
         raise InvalidBoundary(report.violations, graph.color_space)
-    _, depths, starts, chain_row = _chain_layout(graph)
+    _, depths, starts, chain_row = graph.topology.search
     rows = np.empty((int((depths + 1).sum()), graph.color_space.q))
     for c, start, depth in zip(graph.rainbows(), starts.tolist(), depths.tolist()):
         rows[start] = bc.values[c].p

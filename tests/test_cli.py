@@ -604,10 +604,23 @@ def test_cmd_plot_malformed_csv(tmp_path, capsys):
         ("t,k,color,p,s\n\n# tau 1,x\n", "error: line 3: could not convert string to float: 'x'"),
         ("t,k,color,p,s\n0,1,1,0.5\n", "error: line 2: expected 5 cells, got 4"),
         ("t,k,color,p,s\n0,1,1,x,0.5\n", "error: line 2: could not convert string to float: 'x'"),
+        # Non-finite values would reach the SVG as nan coordinates or
+        # overflow its tick step; a tau entry may be inf (INFINITE) only.
+        ("t,k,color,p,s\ninf,1,1,0.5,0.5\n", "error: line 2: t is not finite: 'inf'"),
+        ("t,k,color,p,s\n0,1,1,0.5,0.5\n1,1,1,nan,0.5\n", "error: line 3: p is not finite: 'nan'"),
+        ("t,k,color,p,s\n0,1,1,0.5,-inf\n", "error: line 2: s is not finite: '-inf'"),
+        ("# rho nan\nt,k,color,p,s\n", "error: line 1: rho is not finite: 'nan'"),
+        ("# tau nan,1\nt,k,color,p,s\n0,1,1,0.5,0.5\n", "error: line 1: tau entry is not a step or inf: 'nan'"),
+        ("# tau 1,-inf\nt,k,color,p,s\n0,1,1,0.5,0.5\n", "error: line 1: tau entry is not a step or inf: '-inf'"),
     ]:
         bad.write_text(text)
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
-        assert capsys.readouterr().err.startswith(error)
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
+    # 'inf' is how fmt_tau writes INFINITE, so it still plots.
+    bad.write_text("# tau inf,1\nt,k,color,p,s\n0,1,1,0.5,0.5\n")
+    assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 0
 
 
 def test_cmd_demo_no_optimal(capsys):
@@ -762,6 +775,22 @@ def test_cmd_fuzz_caps_samples(capsys):
     assert capsys.readouterr() == ("", "error: need samples <= 65536\n")
     assert main(["fuzz", "--q", "2", "--trials", "1", "--epsilon", "0.3", "--samples", "65536"]) == 0
     assert capsys.readouterr().out.endswith("samples=65536 result=ok\n")
+
+
+def test_cmd_trajectory_caps_cells(tmp_path, capsys):
+    # Checked before any work: the table holds a row object per (t, k)
+    # cell. Each rejected call is the first count over 2^17 cells.
+    out = tmp_path / "t.csv"
+    for boundary, steps, substeps in [("0.1,0.2,0.3,0.4", 32768, 1), ("0.5,0.5", 1, 65536)]:
+        argv = ["trajectory", "--boundary", boundary, "--epsilon", "0.3", "--steps", str(steps),
+                "--substeps", str(substeps), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: need (steps * substeps + 1) * q <= 131072\n")
+        assert not out.exists()
+    # (65535 + 1) * 2 cells is the cap itself.
+    assert main(["trajectory", "--boundary", "0.5,0.5", "--epsilon", "0.3", "--steps", "1",
+                 "--substeps", "65535", "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 3 + 131072  # rho, tau, header, cells
 
 
 def test_usage_errors_exit_1(capsys):

@@ -361,12 +361,6 @@ def test_topology_matches_definition():
             graph.preference[d] for d in nodes
         ]
         assert [(nodes[a], nodes[b]) for a, b in graph.edge_ends.tolist()] == list(graph.edges)
-        indptr, indices = (a.tolist() for a in graph.csr)
-        nbrs = adjacency(graph)
-        for i, d in enumerate(nodes):
-            ids = indices[indptr[i]:indptr[i + 1]]
-            assert ids == sorted(ids)
-            assert tuple(sorted(nodes[j] for j in ids)) == nbrs[d]
         regions, pairs = _naive_topology(graph)
         topo = graph.topology
         assert graph.rainbows() == tuple(regions)
@@ -418,6 +412,10 @@ def test_boundary_distances_unconstrained_component_in_dense_graph():
         )
         with pytest.raises(r.UnconstrainedRegion) as exc:
             r.boundary_distances(graph, r.decompose_regions(graph))
+        assert exc.value.rainbow == c
+        # A failed search is not cached: every read raises again.
+        with pytest.raises(r.UnconstrainedRegion) as exc:
+            graph.topology.search
         assert exc.value.rainbow == c
 
 
@@ -476,27 +474,22 @@ def test_boundary_graph_indexes_the_mechanism():
             assert [x.hex() for x in pulled.rows[pulled.row_of[d]].tolist()] == want
 
 
-def test_boundary_morphism_self_check_raises_on_a_moved_distance(monkeypatch):
+def test_boundary_morphism_self_check_raises_on_a_moved_distance():
     # An interior node's search distance, moved up by 2, is 3 steps from
     # its search parent's: the edge maps to no boundary-graph edge. The
     # check is an explicit raise, so it holds under python -O too.
-    search = r.graph._chain_layout
-
-    def moved_search(graph):
-        dist, _, _, _ = search(graph)
-        dist = dist.copy()
-        dist[np.flatnonzero(dist > 0)[0]] += 2
-        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
-        np.maximum.at(depths, graph.rainbow_ids, dist)
-        starts = np.cumsum(depths + 1) - (depths + 1)
-        return dist, depths, starts, starts[graph.rainbow_ids] + dist
-
-    monkeypatch.setattr(r.graph, "_chain_layout", moved_search)
     g = rng(27)
     graphs = [path5_graph(), split_path()[0]]
     graphs += [random_solvable_graph(g, max_nodes=30) for _ in range(10)]
     for graph in graphs:
-        if not (search(graph)[0] > 0).any():
+        dist = graph.topology.search[0].copy()
+        if not (dist > 0).any():
             continue
+        dist[np.flatnonzero(dist > 0)[0]] += 2
+        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+        np.maximum.at(depths, graph.rainbow_ids, dist)
+        starts = np.cumsum(depths + 1) - (depths + 1)
+        # Seed the graph's cached search with the moved distances.
+        graph.topology.__dict__["search"] = (dist, depths, starts, starts[graph.rainbow_ids] + dist)
         with pytest.raises(AssertionError, match="boundary morphism fails on"):
             r.build_boundary_graph(graph)

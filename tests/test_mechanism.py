@@ -1,10 +1,11 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import rainbowdp as r
-from rainbowdp.cli.tables import parse_mechanism_csv
+from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from helpers import (
     boundary_line_mechanisms,
@@ -550,21 +551,28 @@ def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
                 assert [x.hex() for x in mech.rows[row].tolist()] == [x.hex() for x in bc.values[c].p]
 
 
-def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
+def _count_searches(monkeypatch) -> dict[str, int]:
+    # Counts _topology calls and runs of Topology.search's body.
     calls = {"topology": 0, "bfs": 0}
-    topology, search = r.graph._topology, r.graph._chain_layout
+    topology, search = r.graph._topology, r.graph.Topology.search.func
 
     def counted_topology(graph):
         calls["topology"] += 1
         return topology(graph)
 
-    def counted_search(graph):
+    def counted_search(self):
         calls["bfs"] += 1
-        return search(graph)
+        return search(self)
 
+    counted = cached_property(counted_search)
+    counted.__set_name__(r.graph.Topology, "search")
     monkeypatch.setattr(r.graph, "_topology", counted_topology)
-    monkeypatch.setattr(r.graph, "_chain_layout", counted_search)
-    monkeypatch.setattr(r.mechanism, "_chain_layout", counted_search)
+    monkeypatch.setattr(r.graph.Topology, "search", counted)
+    return calls
+
+
+def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
+    calls = _count_searches(monkeypatch)
     g = rng(47)
     for _ in range(5):
         graph = random_solvable_graph(g, max_nodes=30)
@@ -574,13 +582,39 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
         graph = r.RainbowGraph(graph.nodes, graph.edges, graph.preference, graph.color_space)
         calls.update(topology=0, bfs=0)
         assert r.validate_boundary_condition(graph, bc, budget).valid
+        assert calls == {"topology": 1, "bfs": 0}
         mech = r.optimal_mechanism(graph, bc, budget)
         assert r.is_boundary_homogeneous(graph, mech)
-        assert calls == {"topology": 1, "bfs": 1}
-        # The boundary graph runs the same search once more and reuses
-        # the graph's cached topology.
+        # The boundary graph and the distances read the same cached search.
         r.build_boundary_graph(graph)
-        assert calls == {"topology": 1, "bfs": 2}
+        r.boundary_distances(graph, r.decompose_regions(graph))
+        assert calls == {"topology": 1, "bfs": 1}
+
+
+def test_build_path_constructs_no_region(monkeypatch):
+    # build's path (construct, self-check, write) reads the topology on
+    # node ids alone: no Region name set is made.
+    def no_region(*args):
+        raise AssertionError("a Region was constructed")
+
+    monkeypatch.setattr(r.graph, "Region", no_region)
+    calls = _count_searches(monkeypatch)
+    g = rng(49)
+    for _ in range(5):
+        graph = random_solvable_graph(g, max_nodes=30)
+        budget = random_budget(g)
+        bc = random_homogeneous_bc(g, graph, budget)
+        graph = r.RainbowGraph.from_ids(
+            graph.nodes, graph.rainbow_ids, graph.rainbows(), graph.edge_ends, graph.color_space
+        )
+        calls.update(topology=0, bfs=0)
+        mech = r.optimal_mechanism(graph, bc, budget)
+        assert r.verify_dp(graph, mech, budget).valid
+        mechanism_csv(graph, mech)
+        assert calls == {"topology": 1, "bfs": 1}
+        assert "regions" not in graph.topology.__dict__
+    with pytest.raises(AssertionError, match="a Region was constructed"):
+        r.decompose_regions(graph)
 
 
 def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
