@@ -28,12 +28,14 @@ from ..mechanism import (
 from ..oracle import (
     _drop_delta_rows,
     _fuzz,
+    _StepMiss,
     homogenized_pentagon,
     no_optimal_demo,
 )
 from .graphfile import parse_graph_file
 from .svg import render_trajectory_svg
 from .tables import (
+    MAX_TRAJECTORY_CELLS,
     fmt,
     fmt_tau,
     mechanism_csv,
@@ -155,8 +157,8 @@ def cmd_trajectory(args) -> int:
     if args.steps < 0 or args.substeps < 1:
         raise ValueError("need steps >= 0 and substeps >= 1")
     # The table holds a row object per (t, k) cell, all at once.
-    if (args.steps * args.substeps + 1) * len(m) > 1 << 17:
-        raise ValueError("need (steps * substeps + 1) * q <= 131072")
+    if (args.steps * args.substeps + 1) * len(m) > MAX_TRAJECTORY_CELLS:
+        raise ValueError(f"need (steps * substeps + 1) * q <= {MAX_TRAJECTORY_CELLS}")
     try:
         profile = tau_profile(m, budget)
         print("rho " + fmt(profile.rho))
@@ -211,21 +213,17 @@ def cmd_fuzz(args) -> int:
     hit = _fuzz(args.q, budget, args.trials, args.samples, args.seed, step_rows)
     result, code = "ok", EXIT_OK
     if hit is not None:
-        i, p, ce = hit
-        print(
-            json.dumps(
-                {
-                    "trial": i,
-                    "p": [fmt(x) for x in p],
-                    "sample": [fmt(x) for x in ce.vector],
-                    "prefix_index": ce.prefix_index,
-                    "margin": fmt(ce.margin),
-                    "seed": args.seed,
-                },
-                sort_keys=True,
-            )
-        )
-        result, code = f"counterexample trial={i}", EXIT_FALSIFIED
+        i, p, found = hit
+        line = {"trial": i, "p": [fmt(x) for x in p], "margin": fmt(found.margin), "seed": args.seed}
+        if isinstance(found, _StepMiss):
+            line["step"] = [fmt(x) for x in found.step]
+            result = f"step-not-close trial={i}"
+        else:
+            line["sample"] = [fmt(x) for x in found.vector]
+            line["prefix_index"] = found.prefix_index
+            result = f"counterexample trial={i}"
+        print(json.dumps(line, sort_keys=True))
+        code = EXIT_FALSIFIED
     print(
         f"fuzz q={args.q} trials={args.trials} seed={args.seed} "
         f"epsilon={fmt(budget.epsilon)} delta={fmt(budget.delta)} "

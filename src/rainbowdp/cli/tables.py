@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core import ColorSpace, _outside_window, _row_sums
+from ..core import NEGATIVE_WINDOW, ColorSpace, _outside_window, _row_sums
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
 
@@ -33,6 +33,9 @@ ROW_SUM_TOL = 1e-9
 _BLOCK_CHARS = 1 << 16
 # Distinct mechanism rows are joined and read this many at a time.
 _ROWS_PER_READ = 4096
+# The most (t, k) cells a trajectory table holds, one row object each:
+# `trajectory` refuses to compute more and `plot` to read more.
+MAX_TRAJECTORY_CELLS = 1 << 17
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -175,10 +178,26 @@ def _finite(name: str, cell: str) -> float:
     return x
 
 
+def _time(cell: str) -> float:
+    x = _finite("t", cell)
+    if x < 0.0:
+        raise ValueError(f"t is negative: {cell!r}")
+    return x
+
+
+def _probability(name: str, cell: str) -> float:
+    # The window SimplexVector allows around [0, 1].
+    x = _finite(name, cell)
+    if not -NEGATIVE_WINDOW <= x <= 1.0 + NEGATIVE_WINDOW:
+        raise ValueError(f"{name} outside [0, 1]: {cell!r}")
+    return x
+
+
 def _tau_entry(cell: str) -> float:
-    # fmt_tau writes INFINITE as 'inf'; nan and -inf are no transition step.
+    # fmt_tau writes INFINITE as 'inf'; nan, -inf and negative values are
+    # no transition step.
     x = float(cell)
-    if math.isnan(x) or x == -math.inf:
+    if not x >= 0.0:
         raise ValueError(f"tau entry is not a step or inf: {cell!r}")
     return x
 
@@ -187,8 +206,10 @@ def parse_trajectory_csv(
     text: str,
 ) -> tuple[TrajectoryTable, float | None, tuple[float, ...] | None]:
     """Parse a trajectory CSV; returns the table plus any rho/tau comment
-    values found. t, p, s and rho must be finite; a tau entry may be
-    'inf' (INFINITE) but not nan or -inf."""
+    values found. t, p, s and rho must be finite, t and each tau entry
+    at least 0, p and s in [0, 1] (up to NEGATIVE_WINDOW); a tau entry
+    may be 'inf' (INFINITE). At most MAX_TRAJECTORY_CELLS data rows are
+    read: the first row past them is an error."""
     rho: float | None = None
     tau: tuple[float, ...] | None = None
     rows: list[TrajectoryRow] = []
@@ -211,16 +232,18 @@ def parse_trajectory_csv(
                 elif body.startswith("tau "):
                     tau = tuple(map(_tau_entry, body[4:].split(",")))
                 continue
+            if len(rows) == MAX_TRAJECTORY_CELLS:
+                raise ValueError(f"more than {MAX_TRAJECTORY_CELLS} data rows")
             cells = line.split(",")
             if len(cells) != 5:
                 raise ValueError(f"expected 5 cells, got {len(cells)}")
             rows.append(
                 TrajectoryRow(
-                    t=_finite("t", cells[0]),
+                    t=_time(cells[0]),
                     k=int(cells[1]),
                     color=cells[2],
-                    p=_finite("p", cells[3]),
-                    s=_finite("s", cells[4]),
+                    p=_probability("p", cells[3]),
+                    s=_probability("s", cells[4]),
                 )
             )
         except ValueError as exc:

@@ -4,22 +4,27 @@ pentagon demonstration that non-homogeneous boundary conditions can
 admit valid mechanisms but no optimal one.
 
 The falsifier works on a stack of trials at once: each trial draws from
-its own generators, then one rejection loop, one normalization, one
+its own streams, then one rejection loop, one normalization, one
 operator step (t_step_rows) and one prefix check run on the stacked rows.
 sample_close and dominance_falsify are its one-trial case, and `fuzz`
-runs it on blocks of about _BLOCK_ROWS sample rows. The operator it
+runs it on blocks of about _BLOCK_ROWS sample rows, checking as well
+that each trial's operator step is close to its p. The operator it
 tests is a function of a stack of rows: the real one, t_step_rows, or
 the deliberately corrupted _drop_delta_rows of its self-test.
 
-All randomness flows through explicitly seeded 64-bit PCG64 generators;
-there is no global RNG state anywhere in this module.
+All randomness flows through explicitly seeded streams: each seed's is
+the stream of numpy's Generator(PCG64(SeedSequence(seed))), seeded a
+block of trials at a time (_streams) rather than by building those
+three objects per seed. There is no global RNG state anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .core import (
     Rainbow,
     SimplexVector,
     _hockey_stick,
+    _row_sums,
     is_close,
     normalized_rows,
     prefix_sums,
@@ -53,9 +59,115 @@ _MAX_BRUTEFORCE_Q = 20
 # 4 MB in all) do not grow with the number of trials.
 _BLOCK_ROWS = 1 << 12
 
+# The constants of numpy's SeedSequence (a pool of four uint32 words) and
+# PCG64's 128-bit multiplier (numpy/random/bit_generator.pyx, pcg64.h),
+# kept as Python ints below 2^32 (2^128 for the multiplier): every
+# wrapping uint32 product is taken on an array, which warns of nothing.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+def _entropy_words(seed) -> list[int]:
+    """SeedSequence's uint32 entropy words of a non-negative int (its
+    little-endian words, [0] for 0) or of a tuple of them (the words of
+    each, concatenated)."""
+    if isinstance(seed, tuple):
+        return [w for s in seed for w in _entropy_words(s)]
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n values of a SeedSequence hash constant: init, then
+    each the last times mult, modulo 2^32, as a uint32 column."""
+    consts = [init]
+    for _ in range(n - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of a uint32 matrix, one call
+    per row in row order: row i is xored with consts[i], multiplied by
+    consts[i + 1], the constant's next value, and folded."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that PCG64(SeedSequence(e)) starts from, for
+    each row e of a uint32 entropy matrix with at least _POOL columns: the
+    SeedSequence pool hash, its generate_state(4, uint64) and PCG64's
+    srandom step, each taken on all rows at once. A row shorter than
+    _POOL words may be padded with zeros, since the hash reads a missing
+    pool word as 0; a longer one may not."""
+    words = entropy.T
+    # One hashmix per pool word, then _POOL - 1 per pool word and _POOL
+    # per entropy word past the pool: _POOL per word in all.
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words) + 1)
+    pool = _hashmix(words[:_POOL], consts[:_POOL + 1])
+    k = _POOL
+    # Each pool word, in turn, is hashed into each of the others, then
+    # each entropy word past the pool into every pool word.
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        hashed = _hashmix(np.broadcast_to(pool[src], (len(dst), pool.shape[1])), consts[k:k + len(dst) + 1])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += len(dst)
+    for word in words[_POOL:]:
+        pool = _mix(pool, _hashmix(np.broadcast_to(word, pool.shape), consts[k:k + _POOL + 1]))
+        k += _POOL
+    # generate_state(4, uint64) hashes the pool twice over into eight
+    # words; uint64 i is words 2i (low half) and 2i + 1. PCG64 takes
+    # uint64s 0 and 1 as the high and low halves of its initial state,
+    # 2 and 3 of its stream.
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1))
+    u64 = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*u64.tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        states.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(seeds: Sequence) -> Iterator[np.random.Generator]:
+    """For each seed in turn (an int or a tuple of ints), a Generator in
+    the state Generator(PCG64(SeedSequence(seed))) starts from. The
+    states are derived a block at a time, rows of equal entropy length
+    together, and one Generator serves them all: each step of the
+    iterator resets it, so a stream is read before the next is taken."""
+    words = [_entropy_words(s) for s in seeds]
+    states: list[tuple[int, int]] = [(0, 0)] * len(words)
+    by_width: dict[int, list[int]] = {}
+    for j, w in enumerate(words):
+        by_width.setdefault(max(_POOL, len(w)), []).append(j)
+    for width, rows in by_width.items():
+        entropy = np.array([words[j] + [0] * (width - len(words[j])) for j in rows], dtype=np.uint32)
+        for j, state in zip(rows, _pcg64_states(entropy)):
+            states[j] = state
+    gen = np.random.Generator(np.random.PCG64(0))
+    for state, inc in states:
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
@@ -136,29 +248,41 @@ def _mix_until_close(
     return cand
 
 
+def _close_draws(
+    p_rows: np.ndarray, budget: PrivacyBudget, n: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of _raw_close_samples: rows j*n to j*n + n - 1 of the
+    first array hold n rows of standard exponentials on p_rows[j]'s
+    support (on every entry when delta > 0), zeros elsewhere, and the
+    same entries of the second n uniform weights, all from the stream of
+    seeds[j]. These are the bits of the gamma(1, 1) and uniform(0, 1)
+    draws, which scale the same variates by 1 and add them to 0."""
+    trials, q = p_rows.shape
+    u = np.zeros((trials * n, q))
+    lam = np.empty(trials * n)
+    for j, rng in enumerate(_streams(seeds)):
+        rows = slice(j * n, (j + 1) * n)
+        if budget.delta > 0.0:
+            rng.standard_exponential(out=u[rows])
+        else:
+            support = p_rows[j] > 0.0
+            u[rows, support] = rng.standard_exponential((n, int(support.sum())))
+        rng.random(out=lam[rows])
+    return u, lam
+
+
 def _raw_close_samples(
     p_rows: np.ndarray, budget: PrivacyBudget, n: int, seeds: Sequence[int]
 ) -> np.ndarray:
     """n accepted candidates per trial, stacked: rows j*n to j*n + n - 1
-    are close to p_rows[j] and drawn from _rng(seeds[j]). Candidates mix
-    p toward a uniform simplex draw with a random weight; rejected rows
-    have their weight halved until they pass, which terminates because
-    the close set contains a neighborhood of p (within its support)
-    whenever eps > 0 or delta > 0. Each row's draws and halvings are
-    its own, so its bits do not depend on the other rows, and the
-    mixing runs on _BLOCK_ROWS rows at a time."""
-    trials, q = p_rows.shape
-    u = np.zeros((trials * n, q))
-    lam = np.empty(trials * n)
-    for j, seed in enumerate(seeds):
-        rng = _rng(seed)
-        rows = slice(j * n, (j + 1) * n)
-        if budget.delta > 0.0:
-            u[rows] = rng.gamma(1.0, 1.0, size=(n, q))
-        else:
-            support = p_rows[j] > 0.0
-            u[rows, support] = rng.gamma(1.0, 1.0, size=(n, int(support.sum())))
-        lam[rows] = rng.uniform(0.0, 1.0, size=n)
+    are close to p_rows[j] and drawn from the stream of seeds[j].
+    Candidates mix p toward a uniform simplex draw with a random weight;
+    rejected rows have their weight halved until they pass, which
+    terminates because the close set contains a neighborhood of p
+    (within its support) whenever eps > 0 or delta > 0. Each row's draws
+    and halvings are its own, so its bits do not depend on the other
+    rows, and the mixing runs on _BLOCK_ROWS rows at a time."""
+    u, lam = _close_draws(p_rows, budget, n, seeds)
     u /= u.sum(axis=1, keepdims=True)
 
     cand = np.empty_like(u)
@@ -229,16 +353,19 @@ def _falsify(
     count: int,
     seeds: Sequence[int],
     step_rows: _RowsStep | None = None,
+    steps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, Counterexample] | None]:
     """The falsifier on a stack of trials: trial j tests the samples of
     p_rows[j], drawn with seeds[j], against the prefixes of the operator
-    output (step_rows, t_step_rows when None) and the envelope.
+    output (step_rows, t_step_rows when None) and the envelope. steps is
+    t_step_rows(p_rows, budget), computed here when the caller has not.
 
     Returns the (trials, count, q) sample matrices, each trial's verdict
     (True when a sample beats the bound) and the first trial's first
     counterexample, re-verified, as (trial, Counterexample), or None.
     """
-    steps = t_step_rows(p_rows, budget)
+    if steps is None:
+        steps = t_step_rows(p_rows, budget)
     target = np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1)
     envelope = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
     bound = np.minimum(target, envelope)
@@ -292,29 +419,63 @@ def dominance_falsify(
     return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
 
 
+def _start_rows(q: int, seed: int, trials: range) -> np.ndarray:
+    """fuzz's start distributions, normalized as SimplexVector stores
+    them: row i is the flat Dirichlet draw of the stream of
+    (seed, trials[i]), taken as Generator.dirichlet takes it (q standard
+    exponentials, each times the reciprocal of their left-to-right sum)."""
+    rows = np.empty((len(trials), q))
+    for row, rng in zip(rows, _streams([(seed, i) for i in trials])):
+        rng.standard_exponential(out=row)
+    rows *= (1.0 / _row_sums(rows))[:, None]
+    return normalized_rows(rows)
+
+
+@dataclass(frozen=True)
+class _StepMiss:
+    """A fuzz trial whose real operator step is not close to its p: the
+    step, and the larger of its two hockey-stick excesses over p less
+    delta."""
+
+    step: SimplexVector
+    margin: float
+
+
 def _fuzz(
     q: int, budget: PrivacyBudget, trials: int, count: int, seed: int,
     step_rows: _RowsStep | None = None,
-) -> tuple[int, SimplexVector, Counterexample] | None:
-    """The first trial of a fuzz run that finds a counterexample, as
-    (trial, p, counterexample), or None.
+) -> tuple[int, SimplexVector, Counterexample | _StepMiss] | None:
+    """The first trial of a fuzz run that refutes the operator's claim
+    (T(p) is close to p and dominates every distribution close to p), as
+    (trial, p, finding), or None. The finding is a _StepMiss when the
+    real step t_step_rows(p) is not close to p, by is_close's test, and
+    otherwise the Counterexample that the falsifier found; a trial with
+    both reports the miss.
 
-    Trial i starts from a Dirichlet draw of _rng((seed, i)) and samples
-    `count` close distributions with seed * 1_000_003 + i, as
+    Trial i starts from row i of _start_rows and samples `count` close
+    distributions with seed * 1_000_003 + i, as
     dominance_falsify(p, budget, count, seed * 1_000_003 + i) does.
     Trials run in blocks of about _BLOCK_ROWS sample rows, and the first
-    block with a hit reports its first one.
+    block with a finding reports its first one.
     """
     per_block = max(1, _BLOCK_ROWS // count)
-    ones = np.ones(q)
+    e = budget.exp_epsilon
     for lo in range(0, trials, per_block):
         block = range(lo, min(lo + per_block, trials))
-        p_rows = normalized_rows(np.array([_rng((seed, i)).dirichlet(ones) for i in block]))
+        p_rows = _start_rows(q, seed, block)
+        steps = t_step_rows(p_rows, budget)
+        excess = np.maximum(_hockey_stick(steps, p_rows, e), _hockey_stick(p_rows, steps, e))
+        misses = excess > budget.delta + DEFAULT_TOL
         seeds = [seed * 1_000_003 + i for i in block]
-        hit = _falsify(p_rows, budget, count, seeds, step_rows)[2]
+        # Only the trials before the first miss are falsified: a step not
+        # close to its p is no close sample, and that trial reports its miss.
+        j = int(np.argmax(misses)) if misses.any() else len(block)
+        hit = _falsify(p_rows[:j], budget, count, seeds[:j], step_rows, steps[:j])[2] if j else None
+        if hit is None and j < len(block):
+            hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(excess[j]) - budget.delta)
         if hit is not None:
-            j, counterexample = hit
-            return lo + j, SimplexVector.wrap(p_rows[j:j + 1])[0], counterexample
+            j, finding = hit
+            return lo + j, SimplexVector.wrap(p_rows[j:j + 1])[0], finding
     return None
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: seeded RNGs, random graphs with
+"""Shared builders for the test suite: seeded RNGs and the falsifier's
+draws taken one generator per trial, random graphs with
 solvable boundary structure, random valid boundary conditions, and the
 competitor mechanisms used for optimality checks; and the references
 the array checks are compared with: verify_dp and utility_eval one node
@@ -19,6 +20,30 @@ import rainbowdp as r
 
 def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def start_rows(q: int, seed: int, trials) -> np.ndarray:
+    """fuzz's start distributions drawn one generator per trial: row i is
+    rng((seed, trials[i])).dirichlet(ones(q)), normalized as
+    SimplexVector stores it."""
+    return r.core.normalized_rows(np.array([rng((seed, i)).dirichlet(np.ones(q)) for i in trials]))
+
+
+def close_draws(p_rows: np.ndarray, budget: r.PrivacyBudget, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The rejection sampler's draws taken one generator per trial: for
+    trial j, n rows of gamma(1, 1) variates on p_rows[j]'s support (every
+    entry when delta > 0), zeros elsewhere, then n uniform(0, 1)
+    weights, both from rng(seeds[j])."""
+    trials, q = p_rows.shape
+    u = np.zeros((trials * n, q))
+    lam = np.empty(trials * n)
+    for j, seed in enumerate(seeds):
+        g = rng(seed)
+        rows = slice(j * n, (j + 1) * n)
+        support = np.ones(q, dtype=bool) if budget.delta > 0.0 else p_rows[j] > 0.0
+        u[rows, support] = g.gamma(1.0, 1.0, size=(n, int(support.sum())))
+        lam[rows] = g.uniform(0.0, 1.0, size=n)
+    return u, lam
 
 
 def sv(*vals) -> r.SimplexVector:

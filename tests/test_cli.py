@@ -612,14 +612,21 @@ def test_cmd_plot_malformed_csv(tmp_path, capsys):
         ("# rho nan\nt,k,color,p,s\n", "error: line 1: rho is not finite: 'nan'"),
         ("# tau nan,1\nt,k,color,p,s\n0,1,1,0.5,0.5\n", "error: line 1: tau entry is not a step or inf: 'nan'"),
         ("# tau 1,-inf\nt,k,color,p,s\n0,1,1,0.5,0.5\n", "error: line 1: tau entry is not a step or inf: '-inf'"),
+        # Finite values off the canvas: t and tau below 0, p and s
+        # outside [0, 1] by more than NEGATIVE_WINDOW.
+        ("# tau -5,1\nt,k,color,p,s\n0,1,1,0.5,0.5\n", "error: line 1: tau entry is not a step or inf: '-5'"),
+        ("t,k,color,p,s\n-3,1,a,0.5,0.5\n", "error: line 2: t is negative: '-3'"),
+        ("t,k,color,p,s\n0,1,1,2.5,0.5\n", "error: line 2: p outside [0, 1]: '2.5'"),
+        ("t,k,color,p,s\n0,1,1,0.5,-1e-6\n", "error: line 2: s outside [0, 1]: '-1e-6'"),
     ]:
         bad.write_text(text)
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(error) and err.count("\n") == 1
         assert not (tmp_path / "x.svg").exists()
-    # 'inf' is how fmt_tau writes INFINITE, so it still plots.
-    bad.write_text("# tau inf,1\nt,k,color,p,s\n0,1,1,0.5,0.5\n")
+    # 'inf' is how fmt_tau writes INFINITE, so it still plots, and so do
+    # values inside the window SimplexVector allows around [0, 1].
+    bad.write_text("# tau inf,1\nt,k,color,p,s\n0,1,1,-1e-10,1.0000000001\n")
     assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 0
 
 
@@ -755,10 +762,59 @@ FUZZ_GOLDEN_BLOCKS = [
 ]
 
 
-@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS)
+# Taken before the streams were seeded a block at a time: at seed 5000
+# every sample stream's seed takes two entropy words.
+FUZZ_GOLDEN_STREAMS = [
+    (
+        ["--q", "6", "--trials", "200", "--seed", "5000", "--epsilon", "0.5", "--delta", "0.01"],
+        0,
+        "fuzz q=6 trials=200 seed=5000 epsilon=0.5 delta=0.01 samples=64 result=ok\n",
+    ),
+    (
+        ["--q", "6", "--trials", "200", "--seed", "5000", "--epsilon", "0.5", "--delta", "0.01",
+         "--mutant-drop-delta"],
+        5,
+        '{"margin": "0.01", "p": ["0.00274543653923", "0.152739716303", "0.498818982311", '
+        '"0.0138431383165", "0.12351311225", "0.208339614281"], "prefix_index": 1, '
+        '"sample": ["0.0145264596196", "0.251825219149", "0.530038486863", "0.00839628781561", '
+        '"0.074914489456", "0.120299057097"], "seed": 5000, "trial": 0}\n'
+        "fuzz q=6 trials=200 seed=5000 epsilon=0.5 delta=0.01 samples=64 "
+        "result=counterexample trial=0\n",
+    ),
+    # Taken before fuzz checked that each step is close to its p: at
+    # epsilon = 8 every step still is.
+    (
+        ["--q", "4", "--trials", "50", "--seed", "1", "--epsilon", "8", "--delta", "0.01"],
+        0,
+        "fuzz q=4 trials=50 seed=1 epsilon=8 delta=0.01 samples=64 result=ok\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS + FUZZ_GOLDEN_STREAMS)
 def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
     assert main(["fuzz", *args]) == code
     assert capsys.readouterr().out == stdout
+
+
+def test_cmd_fuzz_reports_a_step_not_close_to_its_p(capsys):
+    # At epsilon = 50 the operator's step loses the tail masses that
+    # closeness needs (ROADMAP item 2): fuzz reports the first trial.
+    args = ["fuzz", "--q", "4", "--trials", "50", "--seed", "1", "--epsilon", "50", "--delta", "0.01"]
+    assert main(args) == 5
+    assert capsys.readouterr().out == (
+        '{"margin": "0.839364469608", "p": ["0.150635530392", "0.0433017204794", '
+        '"0.754622442162", "0.0514403069674"], "seed": 1, "step": ["1", "0", "0", "0"], '
+        '"trial": 0}\n'
+        "fuzz q=4 trials=50 seed=1 epsilon=50 delta=0.01 samples=64 result=step-not-close trial=0\n"
+    )
+    # With the mutant, the step (sample row 1) of that trial also beats the
+    # mutant's prefixes; it is reported as the miss it is, where the
+    # falsifier's closeness self-check used to raise RuntimeError.
+    args = ["fuzz", "--q", "2", "--trials", "30", "--seed", "0", "--epsilon", "12", "--delta", "0.01",
+            "--mutant-drop-delta"]
+    assert main(args) == 5
+    assert capsys.readouterr().out.endswith("result=step-not-close trial=0\n")
 
 
 @pytest.mark.parametrize("bad,message", [("--samples=0", "samples >= 1"), ("--seed=-1", "seed >= 0")])
@@ -787,10 +843,20 @@ def test_cmd_trajectory_caps_cells(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: need (steps * substeps + 1) * q <= 131072\n")
         assert not out.exists()
-    # (65535 + 1) * 2 cells is the cap itself.
+    # (65535 + 1) * 2 cells is the cap itself, and plot reads as many.
     assert main(["trajectory", "--boundary", "0.5,0.5", "--epsilon", "0.3", "--steps", "1",
                  "--substeps", "65535", "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 3 + 131072  # rho, tau, header, cells
+    svg = tmp_path / "t.svg"
+    assert main(["plot", str(out), "--out", str(svg)]) == 0
+    assert svg.exists()
+    # One data row more is refused at that row, before it is held.
+    svg.unlink()
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("1,1,1,0.5,0.5\n")
+    assert main(["plot", str(out), "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == "error: line 131076: more than 131072 data rows\n"
+    assert not svg.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from rainbowdp.oracle import _drop_delta_rows, _raw_close_samples
+from rainbowdp.oracle import Counterexample, _drop_delta_rows, _fuzz, _raw_close_samples, _StepMiss
 from helpers import random_budget, random_simplex, rng, sv
 
 LOG2 = math.log(2.0)
@@ -189,6 +189,28 @@ def test_dominance_falsify_mutant_harmless_at_delta_zero():
     budget = r.PrivacyBudget(LOG2, 0.0)
     report = r.dominance_falsify(p, budget, trials=500, seed=7, step_rows=_drop_delta_rows)
     assert report.counterexample is None
+
+
+def _last_only(rows, budget):
+    # A corrupted operator whose prefixes are 0 up to the last: p itself,
+    # sample 0 of every trial, beats them.
+    out = np.zeros_like(rows)
+    out[:, -1] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("epsilon,kind", [(0.5, Counterexample), (50.0, _StepMiss)])
+def test_fuzz_reports_the_step_miss_of_a_trial_that_also_has_a_hit(epsilon, kind):
+    budget = r.PrivacyBudget(epsilon, 0.01)
+    trial, p, found = _fuzz(4, budget, 5, 8, 1, _last_only)
+    assert trial == 0 and isinstance(found, kind)
+    assert r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only).counterexample is not None
+    step = r.t_step(p, budget)
+    assert r.is_close(step, p, budget) == (kind is Counterexample)
+    if kind is _StepMiss:
+        assert found.step == step
+        excess = max(r.subset_excess(step, p, budget.exp_epsilon), r.subset_excess(p, step, budget.exp_epsilon))
+        assert found.margin == excess - budget.delta
 
 
 def test_no_optimal_demo_canonical():

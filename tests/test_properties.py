@@ -9,8 +9,10 @@ optimal mechanism built from it depends on the order of the lines after
 `colors`; the parser's id-built graph is the one the string constructor
 makes of the file; the batch SimplexVector normalization, the array pass
 of verify_dp and the falsifier's blocks of trials give, bit for bit,
-what their one-at-a-time definitions give; and the optimum is locally
-tight: moving a little mass of any node off its boundary toward a more
+what their one-at-a-time definitions give, and a block's streams start
+where numpy's SeedSequence seeding starts and read the bits one
+generator per trial read; every trajectory file plots; and the optimum
+is locally tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
 them, gives every node the same optimal row; and the optimal mechanism
 passes verify_dp, and so does its CSV parsed back, which equals it bit
@@ -20,7 +22,9 @@ tolerance band around delta, the shared closeness kernel gives the
 verdict of exact rational arithmetic through each of its callers."""
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +36,7 @@ import rainbowdp as r
 from rainbowdp import mechanism, oracle
 from helpers import (
     assert_same_graph,
+    close_draws,
     exact_excess,
     random_budget,
     random_dense_graph,
@@ -40,11 +45,13 @@ from helpers import (
     random_solvable_graph,
     rng,
     split_path,
+    start_rows,
     utility_eval_reference,
     verify_dp_reference,
 )
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
 from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
+from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
 from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz
@@ -248,6 +255,45 @@ def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, bud
     want = _fuzz_trial_by_trial(q, budget, victim + 5, count, seed, corrupt)
     assert want is not None and want[0] == victim
     assert got == want
+
+
+def test_streams_start_where_numpy_seeding_starts():
+    # Seeds of one to five entropy words, tuples whose first int takes
+    # two or more, and a fuzz block whose int seeds cross 2^32.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64, 2**130 + 3, (2**32 + 5, 0), (2**40, 7), (2**70 + 1, 2**33)]
+    crossing = [4294 * 1_000_003 + i for i in range(954_400, 954_430)]
+    assert min(crossing) < 2**32 <= max(crossing)
+    for block in (seeds, crossing):
+        got = [g.bit_generator.state for g in oracle._streams(block)]
+        assert got == [np.random.PCG64(np.random.SeedSequence(s)).state for s in block]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 40]),
+    falsifier_budgets,
+    st.integers(0, 2**100),
+)
+def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, budget, base):
+    # The streams of a block, read with standard_exponential and random,
+    # give the bits that gamma(1, 1), uniform(0, 1) and dirichlet gave
+    # from one generator per trial, at seeds of one to five words.
+    g = rng(seed)
+    q = int(g.integers(2, 13))
+    ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
+    p_rows = np.array([p.p for p in ps])
+    seeds = [base + int(s) for s in g.integers(0, 2**33, size=trials)]
+    got = oracle._close_draws(p_rows, budget, count, seeds)
+    want = close_draws(p_rows, budget, count, seeds)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    block = range(seed % 1000, seed % 1000 + trials)
+    assert oracle._start_rows(q, base, block).tobytes() == start_rows(q, base, block).tobytes()
+    for p, s in zip(ps, seeds):
+        rows = r.sample_close(p, budget, count, s).rows
+        with mock.patch.object(oracle, "_close_draws", close_draws):
+            assert rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
 
 
 identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
@@ -599,3 +645,23 @@ def test_mechanism_csv_exact_round_trip(seed, dense):
         want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
         assert [x.hex() for x in parsed.rows[parsed.row_of[d]].tolist()] == want
     assert r.verify_dp(graph, parsed, budget).valid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    simplices,
+    st.one_of(budgets, st.builds(r.PrivacyBudget, st.floats(3.0, 700.0), st.sampled_from([0.0, 0.01, 1.0]))),
+    st.integers(0, 40),
+    st.integers(1, 4),
+)
+def test_every_trajectory_file_plots(m, budget, steps, substeps):
+    # plot's range checks refuse no file that trajectory writes, at any
+    # budget the operator accepts.
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, svg = Path(tmp) / "t.csv", Path(tmp) / "t.svg"
+        assert main([
+            "trajectory", "--boundary", ",".join(map(repr, m.p)), "--epsilon", repr(budget.epsilon),
+            "--delta", repr(budget.delta), "--steps", str(steps), "--substeps", str(substeps),
+            "--out", str(csv),
+        ]) == 0
+        assert main(["plot", str(csv), "--out", str(svg)]) == 0
