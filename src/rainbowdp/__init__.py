@@ -37,8 +37,6 @@ from .mechanism import (
     Mechanism,
     MissingRainbow,
     TauProfile,
-    TrajectoryRow,
-    TrajectoryTable,
     build_trajectory,
     closed_form_prefix,
     is_boundary_homogeneous,

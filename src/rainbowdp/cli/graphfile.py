@@ -163,7 +163,7 @@ def parse_graph_file(text: str) -> GraphFile:
             raise GraphFileError(lineno, f"unknown directive {directive!r}")
 
     if space is None:
-        raise GraphFileError(0, "empty graph file")
+        raise ValueError("empty graph file")
     for lineno, ident in forward:
         if rainbow_of[index[ident]] < 0:
             raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")

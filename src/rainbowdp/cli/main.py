@@ -156,7 +156,7 @@ def cmd_trajectory(args) -> int:
     m = SimplexVector(tuple(float(tok) for tok in args.boundary.split(",")))
     if args.steps < 0 or args.substeps < 1:
         raise ValueError("need steps >= 0 and substeps >= 1")
-    # The table holds a row object per (t, k) cell, all at once.
+    # The CSV has a line per (t, k) cell, and its text is built at once.
     if (args.steps * args.substeps + 1) * len(m) > MAX_TRAJECTORY_CELLS:
         raise ValueError(f"need (steps * substeps + 1) * q <= {MAX_TRAJECTORY_CELLS}")
     try:
@@ -167,14 +167,14 @@ def cmd_trajectory(args) -> int:
         profile = None
         print("rho n/a (epsilon=0)")
         print("tau n/a (epsilon=0)")
-    table = build_trajectory(m, budget, args.steps, args.substeps)
-    _write_text(args.out, trajectory_csv(table, profile))
+    t, p, s = build_trajectory(m, budget, args.steps, args.substeps)
+    _write_text(args.out, trajectory_csv(t, p, s, profile))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    table, _, tau = parse_trajectory_csv(_read_text(args.trajectory_csv))
-    _write_text(args.out, render_trajectory_svg(table, tau))
+    series, _, tau = parse_trajectory_csv(_read_text(args.trajectory_csv))
+    _write_text(args.out, render_trajectory_svg(series, tau))
     return EXIT_OK
 
 

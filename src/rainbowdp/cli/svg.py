@@ -1,4 +1,4 @@
-"""Standalone SVG rendering of trajectory tables; no plotting library.
+"""Standalone SVG rendering of trajectory series; no plotting library.
 
 Fixed 800x500 viewport: one polyline per color tracking its probability
 over t, a legend, and a dashed vertical marker at each finite
@@ -8,10 +8,8 @@ phase-transition index.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
-from ..mechanism import TrajectoryTable
-from .tables import fmt
+from .tables import Series, fmt
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 60, 160, 20, 50
@@ -30,16 +28,13 @@ def _x_tick_step(tmax: float) -> float:
 
 
 def render_trajectory_svg(
-    table: TrajectoryTable, tau: tuple[float, ...] | None = None
+    series: list[Series], tau: tuple[float, ...] | None = None
 ) -> str:
-    series: dict[int, list[tuple[float, float]]] = defaultdict(list)
-    colors: dict[int, str] = {}
-    for row in table.rows:
-        series[row.k].append((row.t, row.p))
-        colors[row.k] = row.color
+    """The SVG of parse_trajectory_csv's series: each drawn in the given
+    order, its points joined in theirs."""
     if not series:
         raise ValueError("empty trajectory table")
-    tmax = max(t for pts in series.values() for t, _ in pts)
+    tmax = max(float(t.max()) for _, _, t, _ in series)
     span = tmax if tmax > 0 else 1.0
     pw = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     ph = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -97,27 +92,25 @@ def render_trajectory_svg(
                 f'stroke="#555555" stroke-dasharray="4 3"/>'
             )
 
-    single_point = all(len(pts) == 1 for pts in series.values())
-    for k in sorted(series):
+    single_point = all(len(t) == 1 for _, _, t, _ in series)
+    for k, _, t, p in series:
         color = PALETTE[(k - 1) % len(PALETTE)]
-        pts = sorted(series[k])
         if single_point:
-            (t0, p0) = pts[0]
             out.append(
-                f'<circle cx="{fmt(x(t0))}" cy="{fmt(y(p0))}" r="3" fill="{color}"/>'
+                f'<circle cx="{fmt(x(t[0]))}" cy="{fmt(y(p[0]))}" r="3" fill="{color}"/>'
             )
         else:
-            coords = " ".join(f"{fmt(x(t))},{fmt(y(p))}" for t, p in pts)
+            coords = " ".join(f"{fmt(a)},{fmt(b)}" for a, b in zip(x(t).tolist(), y(p).tolist()))
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
 
     lx = MARGIN_LEFT + pw + 16
-    for i, k in enumerate(sorted(series)):
+    for i, (k, label, _, _) in enumerate(series):
         color = PALETTE[(k - 1) % len(PALETTE)]
         ly = MARGIN_TOP + 10 + i * 18
         out.append(f'<rect x="{lx}" y="{ly - 9}" width="12" height="12" fill="{color}"/>')
-        out.append(f'<text x="{lx + 18}" y="{ly + 1}">{colors[k]}</text>')
+        out.append(f'<text x="{lx + 18}" y="{ly + 1}">{label}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import NEGATIVE_WINDOW, ColorSpace, _outside_window, _row_sums
 from ..graph import RainbowGraph
-from ..mechanism import Mechanism, TauProfile, TrajectoryRow, TrajectoryTable
+from ..mechanism import Mechanism, TauProfile
 
 # Rows written by mechanism_csv read back exactly and miss a sum of 1
 # only by the rounding of their own float entries (a few 1e-16). The
@@ -33,9 +33,13 @@ ROW_SUM_TOL = 1e-9
 _BLOCK_CHARS = 1 << 16
 # Distinct mechanism rows are joined and read this many at a time.
 _ROWS_PER_READ = 4096
-# The most (t, k) cells a trajectory table holds, one row object each:
-# `trajectory` refuses to compute more and `plot` to read more.
+# The most (t, k) cells of a trajectory, one CSV line each: `trajectory`
+# refuses to write more and `plot` to read more.
 MAX_TRAJECTORY_CELLS = 1 << 17
+
+# One series of a trajectory as plot draws it: its k, its label, and the
+# t and p of its points.
+Series = tuple[int, str, np.ndarray, np.ndarray]
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -152,8 +156,11 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
     return Mechanism.from_rows(rows, row_of, space)
 
 
-def trajectory_csv(table: TrajectoryTable, profile: TauProfile | None = None) -> str:
-    """Trajectory rows sorted by (t, k), preceded by the drift and the
+def trajectory_csv(
+    t: np.ndarray, p: np.ndarray, s: np.ndarray, profile: TauProfile | None = None
+) -> str:
+    """build_trajectory's arrays as rows (t, k, color, p, s) sorted by
+    (t, k), k = 1..q also naming the color, preceded by the drift and the
     transition indices as comment lines when a profile is available (the
     plotter reads them back for its markers)."""
     lines: list[str] = []
@@ -161,8 +168,9 @@ def trajectory_csv(table: TrajectoryTable, profile: TauProfile | None = None) ->
         lines.append("# rho " + fmt(profile.rho))
         lines.append("# tau " + ",".join(fmt_tau(v) for v in profile.tau))
     lines.append("t,k,color,p,s")
-    for row in table.rows:
-        lines.append(f"{fmt(row.t)},{row.k},{row.color},{fmt(row.p)},{fmt(row.s)}")
+    ks = [f",{k},{k}," for k in range(1, p.shape[1] + 1)]
+    for time, p_t, s_t in zip(map(fmt, t.tolist()), p.tolist(), s.tolist()):
+        lines += [f"{time}{k}{fmt(pk)},{fmt(sk)}" for k, pk, sk in zip(ks, p_t, s_t)]
     return "\n".join(lines) + "\n"
 
 
@@ -204,15 +212,22 @@ def _tau_entry(cell: str) -> float:
 
 def parse_trajectory_csv(
     text: str,
-) -> tuple[TrajectoryTable, float | None, tuple[float, ...] | None]:
-    """Parse a trajectory CSV; returns the table plus any rho/tau comment
-    values found. t, p, s and rho must be finite, t and each tau entry
-    at least 0, p and s in [0, 1] (up to NEGATIVE_WINDOW); a tau entry
-    may be 'inf' (INFINITE). At most MAX_TRAJECTORY_CELLS data rows are
-    read: the first row past them is an error."""
+) -> tuple[list[Series], float | None, tuple[float, ...] | None]:
+    """Parse a trajectory CSV into its series, one per k in increasing k,
+    plus any rho/tau comment values found. A series has its points in
+    (t, p) order, as plot draws them, and the label of its last row by t
+    (the last in the file among rows of that t). t, p, s and rho must be
+    finite, t and each tau entry at least 0, p and s in [0, 1] (up to
+    NEGATIVE_WINDOW); a tau entry may be 'inf' (INFINITE). At most
+    MAX_TRAJECTORY_CELLS data rows are read: the first row past them is
+    an error."""
     rho: float | None = None
     tau: tuple[float, ...] | None = None
-    rows: list[TrajectoryRow] = []
+    # Each k's series number, in order of first appearance, and per data
+    # row its series number, t, p and label.
+    numbers: dict[int, int] = {}
+    group, ts, ps = array("q"), array("d"), array("d")
+    labels: list[str] = []
     header_seen = False
     for lineno, raw in numbered_lines(text):
         line = raw.strip()
@@ -232,23 +247,30 @@ def parse_trajectory_csv(
                 elif body.startswith("tau "):
                     tau = tuple(map(_tau_entry, body[4:].split(",")))
                 continue
-            if len(rows) == MAX_TRAJECTORY_CELLS:
+            if len(ts) == MAX_TRAJECTORY_CELLS:
                 raise ValueError(f"more than {MAX_TRAJECTORY_CELLS} data rows")
             cells = line.split(",")
             if len(cells) != 5:
                 raise ValueError(f"expected 5 cells, got {len(cells)}")
-            rows.append(
-                TrajectoryRow(
-                    t=_time(cells[0]),
-                    k=int(cells[1]),
-                    color=cells[2],
-                    p=_probability("p", cells[3]),
-                    s=_probability("s", cells[4]),
-                )
-            )
+            t = _time(cells[0])
+            k = int(cells[1])
+            p = _probability("p", cells[3])
+            _probability("s", cells[4])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        group.append(numbers.setdefault(k, len(numbers)))
+        ts.append(t)
+        ps.append(p)
+        labels.append(cells[2])
     if not header_seen:
         raise ValueError("missing trajectory header")
-    rows.sort(key=lambda r: (r.t, r.k))
-    return TrajectoryTable(tuple(rows)), rho, tau
+    g, t, p = np.array(group, dtype=np.int64), np.array(ts), np.array(ps)
+    # Both orders put each series' rows together, by t; lexsort is
+    # stable, so rows of equal t keep file order in the first.
+    by_time, drawn = np.lexsort((t, g)), np.lexsort((p, t, g))
+    bounds = np.cumsum([0, *np.bincount(g, minlength=len(numbers)).tolist()])
+    series = []
+    for k, n in sorted(numbers.items()):
+        rows = drawn[bounds[n]:bounds[n + 1]]
+        series.append((k, labels[by_time[bounds[n + 1] - 1]], t[rows], p[rows]))
+    return series, rho, tau

@@ -160,20 +160,6 @@ class TauProfile:
     delta: float
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    t: float
-    k: int
-    color: str
-    p: float
-    s: float
-
-
-@dataclass(frozen=True)
-class TrajectoryTable:
-    rows: tuple[TrajectoryRow, ...]
-
-
 def to_preference_order(vec: SimplexVector, rainbow: Rainbow) -> SimplexVector:
     """Reindex a canonical-order distribution so entry k is the mass of
     the k-th preferred color."""
@@ -544,17 +530,14 @@ def build_trajectory(
     budget: PrivacyBudget,
     steps: int,
     substeps: int = 1,
-) -> TrajectoryTable:
-    """Sample the closed-form trajectory of m on the grid
-    t = 0, 1/substeps, ..., steps."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form trajectory of m on the grid t = 0, 1/substeps,
+    ..., steps, as arrays (t, p, s): t has shape (T,), and row i of p
+    and of s holds the distribution and its prefix sums at t[i]."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    ts = np.arange(steps * substeps + 1) / substeps
-    s = _prefix_curve(m, budget, ts)
-    rows: list[TrajectoryRow] = []
-    for t, s_t, p_t in zip(ts.tolist(), s.tolist(), _distributions(s).tolist()):
-        for k, (sk, pk) in enumerate(zip(s_t, p_t), start=1):
-            rows.append(TrajectoryRow(t=t, k=k, color=str(k), p=pk, s=sk))
-    return TrajectoryTable(tuple(rows))
+    t = np.arange(steps * substeps + 1) / substeps
+    s = _prefix_curve(m, budget, t)
+    return t, _distributions(s), s

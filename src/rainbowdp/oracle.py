@@ -313,20 +313,47 @@ def _close_samples(
     return out
 
 
+def _step_misses(
+    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether steps[i] fails is_close's test against p_rows[i]
+    (one hockey-stick excess each way, the larger above delta +
+    DEFAULT_TOL), and that larger excess less delta."""
+    e = budget.exp_epsilon
+    excess = np.maximum(_hockey_stick(steps, p_rows, e), _hockey_stick(p_rows, steps, e))
+    return excess > budget.delta + DEFAULT_TOL, excess - budget.delta
+
+
+def _one_trial(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
+    """p as a one-row stack and its operator step, refused before
+    anything is drawn when the step is not close to p: the samplers hand
+    the step out as a close sample."""
+    p_rows = np.array([p.p])
+    steps = t_step_rows(p_rows, budget)
+    misses, margins = _step_misses(p_rows, steps, budget)
+    if misses[0]:
+        raise ValueError(
+            f"t_step(p) is not close to p at this budget (margin {float(margins[0]):.6g}); "
+            "see ROADMAP.md item 2, large epsilon"
+        )
+    return p_rows, steps
+
+
 def sample_close(
     p: SimplexVector, budget: PrivacyBudget, count: int, seed: int
 ) -> CloseSamples:
     """Deterministic sample of `count` distributions, each (eps,delta)-
     close to p. The first sample is always p and the second is t_step(p);
-    the rest come from seeded rejection sampling.
+    the rest come from seeded rejection sampling. A budget at which
+    t_step(p) is not close to p is a ValueError.
 
     A (0,0) budget admits only p itself: the result is [p] with the
     degenerate flag set when more was requested.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    p_rows = np.array([p.p])
-    rows = _close_samples(p_rows, t_step_rows(p_rows, budget), budget, count, [seed])[0]
+    p_rows, steps = _one_trial(p, budget)
+    rows = _close_samples(p_rows, steps, budget, count, [seed])[0]
     return CloseSamples(rows, degenerate_budget=len(rows) < count)
 
 
@@ -349,23 +376,21 @@ _RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
 
 def _falsify(
     p_rows: np.ndarray,
+    steps: np.ndarray,
     budget: PrivacyBudget,
     count: int,
     seeds: Sequence[int],
     step_rows: _RowsStep | None = None,
-    steps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, Counterexample] | None]:
     """The falsifier on a stack of trials: trial j tests the samples of
     p_rows[j], drawn with seeds[j], against the prefixes of the operator
     output (step_rows, t_step_rows when None) and the envelope. steps is
-    t_step_rows(p_rows, budget), computed here when the caller has not.
+    t_step_rows(p_rows, budget), which every sample matrix holds as row 1.
 
     Returns the (trials, count, q) sample matrices, each trial's verdict
     (True when a sample beats the bound) and the first trial's first
     counterexample, re-verified, as (trial, Counterexample), or None.
     """
-    if steps is None:
-        steps = t_step_rows(p_rows, budget)
     target = np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1)
     envelope = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
     bound = np.minimum(target, envelope)
@@ -410,11 +435,13 @@ def dominance_falsify(
     _drop_delta_rows, can be fed to the same harness. A sample fails
     when one of its prefixes exceeds the bound by more than DEFAULT_TOL.
     A reported counterexample is re-verified (closeness to p and the
-    violated prefix) before being returned.
+    violated prefix) before being returned. As in sample_close, a budget
+    at which t_step(p) is not close to p is a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    samples, _, hit = _falsify(np.array([p.p]), budget, trials, [seed], step_rows)
+    p_rows, steps = _one_trial(p, budget)
+    samples, _, hit = _falsify(p_rows, steps, budget, trials, [seed], step_rows)
     counterexample = None if hit is None else hit[1]
     return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
 
@@ -448,7 +475,7 @@ def _fuzz(
     """The first trial of a fuzz run that refutes the operator's claim
     (T(p) is close to p and dominates every distribution close to p), as
     (trial, p, finding), or None. The finding is a _StepMiss when the
-    real step t_step_rows(p) is not close to p, by is_close's test, and
+    real step t_step_rows(p) is not close to p (_step_misses), and
     otherwise the Counterexample that the falsifier found; a trial with
     both reports the miss.
 
@@ -459,20 +486,18 @@ def _fuzz(
     block with a finding reports its first one.
     """
     per_block = max(1, _BLOCK_ROWS // count)
-    e = budget.exp_epsilon
     for lo in range(0, trials, per_block):
         block = range(lo, min(lo + per_block, trials))
         p_rows = _start_rows(q, seed, block)
         steps = t_step_rows(p_rows, budget)
-        excess = np.maximum(_hockey_stick(steps, p_rows, e), _hockey_stick(p_rows, steps, e))
-        misses = excess > budget.delta + DEFAULT_TOL
+        misses, margins = _step_misses(p_rows, steps, budget)
         seeds = [seed * 1_000_003 + i for i in block]
         # Only the trials before the first miss are falsified: a step not
         # close to its p is no close sample, and that trial reports its miss.
         j = int(np.argmax(misses)) if misses.any() else len(block)
-        hit = _falsify(p_rows[:j], budget, count, seeds[:j], step_rows, steps[:j])[2] if j else None
+        hit = _falsify(p_rows[:j], steps[:j], budget, count, seeds[:j], step_rows)[2] if j else None
         if hit is None and j < len(block):
-            hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(excess[j]) - budget.delta)
+            hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[j]))
         if hit is not None:
             j, finding = hit
             return lo + j, SimplexVector.wrap(p_rows[j:j + 1])[0], finding

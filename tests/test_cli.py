@@ -525,9 +525,10 @@ def test_cmd_trajectory_published_tau_lines(tmp_path, capsys):
         )
         assert code == 0
         assert expected in capsys.readouterr().out
-        table, rho, tau = parse_trajectory_csv(out.read_text())
+        series, rho, tau = parse_trajectory_csv(out.read_text())
         assert tau is not None and len(tau) == 5
-        assert len(table.rows) == 61 * 5
+        assert [k for k, *_ in series] == [1, 2, 3, 4, 5]
+        assert all(len(t) == len(p) == 61 for _, _, t, p in series)
 
 
 def test_cmd_trajectory_epsilon_zero_allowed(tmp_path, capsys):
@@ -538,9 +539,9 @@ def test_cmd_trajectory_epsilon_zero_allowed(tmp_path, capsys):
     )
     assert code == 0
     assert "n/a (epsilon=0)" in capsys.readouterr().out
-    table, rho, tau = parse_trajectory_csv(out.read_text())
+    series, rho, tau = parse_trajectory_csv(out.read_text())
     assert rho is None and tau is None
-    assert all(row.p in (0.5,) for row in table.rows)
+    assert all((p == 0.5).all() for _, _, _, p in series)
 
 
 def test_trajectory_rows_sorted_and_consistent(tmp_path):
@@ -549,17 +550,16 @@ def test_trajectory_rows_sorted_and_consistent(tmp_path):
         ["trajectory", "--boundary", "0.1,0.2,0.7", "--e-epsilon", "2",
          "--steps", "5", "--substeps", "4", "--out", str(out)]
     )
-    table, _, _ = parse_trajectory_csv(out.read_text())
-    keys = [(row.t, row.k) for row in table.rows]
-    assert keys == sorted(keys)
-    by_t: dict[float, list] = {}
-    for row in table.rows:
-        by_t.setdefault(row.t, []).append(row)
-    for rows in by_t.values():
-        s = [row.s for row in rows]
-        assert all(s[i] <= s[i + 1] + 1e-12 for i in range(len(s) - 1))
-        assert abs(s[-1] - 1.0) <= 1e-9
-        assert all(row.p >= -1e-12 for row in rows)
+    lines = out.read_text().splitlines()
+    cells = [line.split(",") for line in lines[lines.index("t,k,color,p,s") + 1:]]
+    keys = [(float(t), int(k)) for t, k, *_ in cells]
+    assert keys == sorted(keys) and len(keys) == 21 * 3
+    t, p, s = r.build_trajectory(r.SimplexVector((0.1, 0.2, 0.7)), r.PrivacyBudget(math.log(2.0), 0.0), 5, 4)
+    assert t.shape == (21,) and p.shape == s.shape == (21, 3)
+    assert (np.diff(t) > 0).all()
+    assert (np.diff(s, axis=1) >= -1e-12).all()
+    assert np.abs(s[:, -1] - 1.0).max() <= 1e-9
+    assert (p >= -1e-12).all()
 
 
 def test_cmd_plot_fig2_shape(tmp_path):
@@ -834,8 +834,8 @@ def test_cmd_fuzz_caps_samples(capsys):
 
 
 def test_cmd_trajectory_caps_cells(tmp_path, capsys):
-    # Checked before any work: the table holds a row object per (t, k)
-    # cell. Each rejected call is the first count over 2^17 cells.
+    # Checked before any work: the CSV has a line per (t, k) cell. Each
+    # rejected call is the first count over 2^17 cells.
     out = tmp_path / "t.csv"
     for boundary, steps, substeps in [("0.1,0.2,0.3,0.4", 32768, 1), ("0.5,0.5", 1, 65536)]:
         argv = ["trajectory", "--boundary", boundary, "--epsilon", "0.3", "--steps", str(steps),
@@ -857,6 +857,43 @@ def test_cmd_trajectory_caps_cells(tmp_path, capsys):
     assert main(["plot", str(out), "--out", str(svg)]) == 1
     assert capsys.readouterr().err == "error: line 131076: more than 131072 data rows\n"
     assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text,error",
+    [
+        ("build", "colors a\n", "line 1: need at least 2 colors"),
+        ("build", "colors a b\nnode x a\n", "line 2: node line needs an id and 2 colors"),
+        ("build", "colors a b\nnode x a b\nedge x\n", "line 3: edge line needs exactly two node ids"),
+        (
+            "build",
+            "colors a b\nnode x a b\nboundary a,b 0.5 0.5\nboundary a,b 0.4 0.6\n",
+            "line 4: duplicate boundary line for this rainbow",
+        ),
+        ("build", "colors a b\nnode x a b\nboundary a,b inf 0.5\n", "line 3: malformed probability 'inf'"),
+        ("build", "# no directive\n\n", "empty graph file"),
+        ("verify", "node,b,a\nx,0.5,0.5\n", "header 'node,b,a' does not match colors ('a', 'b')"),
+        ("plot", "# rho 0.1\n# tau 1\n", "missing trajectory header"),
+        ("plot", "# tau 1\nt,k,color,p,s\n", "empty trajectory table"),
+        ("trajectory", "", "--e-epsilon must be >= 1"),
+    ],
+)
+def test_input_errors_exit_1_with_one_line(tmp_path, capsys, command, text, error):
+    # A malformed input is one error line on stderr, exit 1, and no output file.
+    source = tmp_path / "input.txt"
+    source.write_text(text)
+    graph = tmp_path / "ok.graph"
+    graph.write_text("colors a b\nnode x a b\nboundary a,b 0.5 0.5\n")
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", str(source), "--e-epsilon", "2", "--out", str(out)],
+        "verify": ["verify", str(graph), str(source), "--e-epsilon", "2"],
+        "plot": ["plot", str(source), "--out", str(out)],
+        "trajectory": ["trajectory", "--boundary", "0.5,0.5", "--e-epsilon", "0.5", "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -1000,3 +1037,76 @@ def test_trajectory_csv_matches_golden_hash(tmp_path, args, sha):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+# Hand-written trajectory CSVs for the plot goldens. Rows are out of
+# (t, k) order; (t, k) = (1, 1) appears twice with different p; k = 2 is
+# labelled two ways, and k = 1 three ways, two of them on its last t.
+PLOT_UNSORTED = """\
+# rho 0.05
+# tau 2,inf,0,1
+t,k,color,p,s
+2,2,blue,0.3,0.9
+0,1,red,0.2,0.2
+1,2,blue,0.5,0.8
+0,2,green,0.4,0.6
+1,1,red,0.6,0.6
+1,1,red,0.1,0.1
+2,1,crimson,0.7,0.7
+2,1,scarlet,0.25,0.25
+0.5,12,x,0.05,1
+"""
+# Every series is one point, so each is drawn as a circle.
+PLOT_POINTS = """\
+# tau 1,inf,4
+t,k,color,p,s
+3,2,b,0.25,0.5
+0,1,a,0.5,0.5
+1.5,3,c,0.125,0.625
+0.5,4,d,1,1
+"""
+# t up to 5000: past the largest listed tick step. One tau entry is
+# inf and one lies past the span.
+PLOT_WIDE = """\
+# rho 0
+# tau inf,7000,2500,0
+t,k,color,p,s
+0,1,1,0.9,0.9
+0,2,2,0.1,1
+1250,1,1,0.6,0.6
+1250,2,2,0.4,1
+2500,1,1,0.3,0.3
+2500,2,2,0.7,1
+5000,1,1,0,0
+5000,2,2,1,1
+"""
+
+# SVG hashes taken while plot built one row object per CSV line and
+# sorted them all by (t, k): the drawn label of a k is the one on its
+# last row in that order (file order among ties), and each k's points
+# are drawn in (t, p) order.
+_PLOT_SHAS = {
+    "substeps-delta": "9931218bb53f2c13d8485efd235acf6f9b0b5667300ead8e366c1cb3949367dd",
+    "epsilon-zero": "97b93ad67cfeb23f74dcfc191ea5ced1eb52cfcc3fdd007159bd6686a4ff8386",
+    "zero-prefix": "0b22172cdd562c29d741135761c1da65de7ff1d913a00b0fb60130133e6fa3fb",
+}
+GOLDEN_PLOTS = [
+    *(pytest.param(param.values[0], _PLOT_SHAS[param.id], id=param.id) for param in GOLDEN_TRAJECTORIES),
+    pytest.param(PLOT_UNSORTED, "38a111f2d6a0756b9a9ae3a7f5ad15e44def8402591a3703c17c030f1d25ff45", id="unsorted"),
+    pytest.param(PLOT_POINTS, "42b1f9462bedafc527fe73751bd50fd7c85c092b2ca33bb416e7c6c5a87e176d", id="points"),
+    pytest.param(PLOT_WIDE, "b7dcd20d7422eda1ff22f04950be6bb9ed53dbee221874cfaeae8f9cc95a2e73", id="wide"),
+]
+
+
+@pytest.mark.parametrize("source,sha", GOLDEN_PLOTS)
+def test_plot_svg_matches_golden_hash(tmp_path, source, sha):
+    # source is a trajectory CSV's text or the trajectory arguments that
+    # write one; the hashes pin the bytes of plot's SVG of it.
+    csv = tmp_path / "traj.csv"
+    if isinstance(source, str):
+        csv.write_text(source)
+    else:
+        assert main(["trajectory", *source, "--out", str(csv)]) == 0
+    svg = tmp_path / "traj.svg"
+    assert main(["plot", str(csv), "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == sha

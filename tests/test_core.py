@@ -254,9 +254,9 @@ PUBLIC_NAMES = {
     "EpsilonZero", "FalsificationReport", "INFINITE", "InvalidBoundary",
     "Mechanism", "MissingRainbow", "Morphism", "MorphismReport",
     "NoOptimalReport", "PrivacyBudget", "Rainbow", "RainbowGraph", "Region",
-    "SimplexVector", "TauProfile", "TrajectoryRow", "TrajectoryTable",
-    "UnconstrainedRegion", "boundary_distances", "build_boundary_graph",
-    "build_trajectory", "check_morphism", "closed_form_prefix", "core",
+    "SimplexVector", "TauProfile", "UnconstrainedRegion", "boundary_distances",
+    "build_boundary_graph", "build_trajectory", "check_morphism",
+    "closed_form_prefix", "core",
     "decompose_regions", "dominance_falsify", "dominates", "graph",
     "homogenized_pentagon", "is_boundary_homogeneous", "is_close",
     "is_close_bruteforce", "line_mechanism", "mechanism", "mechanism_dominates",

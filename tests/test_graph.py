@@ -268,6 +268,14 @@ def test_check_morphism_flags_broken_edge():
     assert ("edge", "n0", "n1") in report.violations
 
 
+def test_check_morphism_flags_a_node_whose_rainbow_changes():
+    # The pentagon's reflection through d3 keeps every edge, but swaps d1
+    # (rainbow 1,2,3) with d5 (rainbow 1,3,2).
+    graph = r.pentagon_graph()
+    mirror = r.Morphism(graph, graph, {"d1": "d5", "d2": "d4", "d3": "d3", "d4": "d2", "d5": "d1"})
+    assert r.check_morphism(mirror) == r.MorphismReport(True, False, (("rainbow", "d1"), ("rainbow", "d5")))
+
+
 def test_morphism_requires_total_map():
     graph = path5_graph()
     with pytest.raises(ValueError):

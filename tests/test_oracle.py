@@ -1,10 +1,12 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rainbowdp as r
+from rainbowdp import oracle
 from rainbowdp.oracle import Counterexample, _drop_delta_rows, _fuzz, _raw_close_samples, _StepMiss
 from helpers import random_budget, random_simplex, rng, sv
 
@@ -204,7 +206,12 @@ def test_fuzz_reports_the_step_miss_of_a_trial_that_also_has_a_hit(epsilon, kind
     budget = r.PrivacyBudget(epsilon, 0.01)
     trial, p, found = _fuzz(4, budget, 5, 8, 1, _last_only)
     assert trial == 0 and isinstance(found, kind)
-    assert r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only).counterexample is not None
+    if kind is Counterexample:
+        assert r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only).counterexample is not None
+    else:
+        # The one-trial falsifier refuses the trial that fuzz reports as a miss.
+        with pytest.raises(ValueError, match="not close to p"):
+            r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only)
     step = r.t_step(p, budget)
     assert r.is_close(step, p, budget) == (kind is Counterexample)
     if kind is _StepMiss:
@@ -261,3 +268,41 @@ def test_bruteforce_chunked_alphabets_agree_with_per_element_check():
                 assert r.is_close_bruteforce(other, p, budget) == expected
                 verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: r.sample_close(p, r.PrivacyBudget(50.0, 0.01), 3, 0),
+        lambda p: r.dominance_falsify(p, r.PrivacyBudget(12.0, 0.01), 64, 0, _drop_delta_rows),
+    ],
+    ids=["sample_close", "dominance_falsify"],
+)
+def test_one_trial_refuses_a_step_not_close_to_p(call):
+    # At these budgets t_step(p) is not close to p (ROADMAP item 2):
+    # sample_close handed it out as its second sample, and the falsifier
+    # failed its own re-verification with a RuntimeError. Both now stop
+    # before any draw, as fuzz reports such a trial.
+    p = sv(0.15, 0.05, 0.75, 0.05)
+    with mock.patch.object(oracle, "_close_draws", side_effect=AssertionError("drew samples")):
+        with pytest.raises(ValueError, match=r"not close to p .*\(margin [0-9.e+-]+\); see ROADMAP.md item 2"):
+            call(p)
+
+
+def test_mix_until_close_falls_back_to_p_after_200_halvings():
+    # At delta = 1e-300 and epsilon = 0 no mix of p with a draw is close
+    # to p, so every sampled row is still rejected after 200 halvings and
+    # becomes p itself.
+    p = sv(0.0, 0.4, 0.6)
+    budget = r.PrivacyBudget(0.0, 1e-300)
+    checked, real = [], oracle._accept_mask
+
+    def accept_mask(cand, pa, b):
+        checked.append(len(cand))
+        return real(cand, pa, b)
+
+    with mock.patch.object(oracle, "_accept_mask", accept_mask):
+        samples = r.sample_close(p, budget, 6, 0)
+    assert checked == [4] * 201
+    assert (samples.rows[2:] == np.array(p.p)).all()
+    assert all(r.is_close(vec, p, budget) for vec in _vectors(samples))

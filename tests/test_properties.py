@@ -204,7 +204,8 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
     ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
     seeds = [int(s) for s in g.integers(0, 2**40, size=trials)]
     step_rows = _drop_delta_rows if mutant else None
-    samples, verdicts, first = _falsify(np.array([p.p for p in ps]), budget, count, seeds, step_rows)
+    p_rows = np.array([p.p for p in ps])
+    samples, verdicts, first = _falsify(p_rows, t_step_rows(p_rows, budget), budget, count, seeds, step_rows)
     reports = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
     for block_rows, p, s in zip(samples, ps, seeds):
         assert block_rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
