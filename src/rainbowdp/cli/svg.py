@@ -110,7 +110,9 @@ def render_trajectory_svg(
         color = PALETTE[(k - 1) % len(PALETTE)]
         ly = MARGIN_TOP + 10 + i * 18
         out.append(f'<rect x="{lx}" y="{ly - 9}" width="12" height="12" fill="{color}"/>')
-        out.append(f'<text x="{lx + 18}" y="{ly + 1}">{label}</text>')
+        # A label is CSV text. html.escape would import html.entities into every command.
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'<text x="{lx + 18}" y="{ly + 1}">{text}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -33,17 +33,12 @@ class UnconstrainedRegion(RuntimeError):
         super().__init__(f"rainbow ({label}) has an empty boundary in some component")
 
 
-def _normalize_edge(a: str, b: str) -> tuple[str, str]:
+def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
+    """The edge as an (a, b) tuple with a < b: itself when it already is one."""
+    a, b = edge
     if a == b:
         raise ValueError(f"self-loop on node {a!r}")
-    return (a, b) if a < b else (b, a)
-
-
-def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
-    """The edge itself when it is already a normalized (a, b) tuple, else
-    a normalized copy; saves a tuple per edge for callers that pass them."""
-    a, b = edge
-    return edge if a < b and type(edge) is tuple else _normalize_edge(a, b)
+    return (edge if type(edge) is tuple else (a, b)) if a < b else (b, a)
 
 
 def _node_index(nodes: tuple[str, ...]) -> dict[str, int]:
@@ -182,26 +177,11 @@ class Region:
 class Topology:
     """A graph's topology on node ids, made once by RainbowGraph.topology: the
     rim, a bool mask of boundary node ids, and the rainbow pairs joined by an
-    edge, in rainbow order. Region name sets and the search are built on first read."""
+    edge, in rainbow order. The search is run on first read."""
 
     graph: RainbowGraph = field(repr=False)
     adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
     rim: np.ndarray = field(repr=False)
-
-    @cached_property
-    def regions(self) -> dict[Rainbow, Region]:
-        """One Region per rainbow, in rainbow order."""
-        nodes, ids, rainbows = self.graph.nodes, self.graph.rainbow_ids, self.graph.rainbows()
-        # Node ids grouped by rainbow id, each group in node order.
-        grouped = np.argsort(ids, kind="stable")
-        stops = np.cumsum(np.bincount(ids, minlength=len(rainbows))).tolist()
-        regions: dict[Rainbow, Region] = {}
-        for c, start, stop in zip(rainbows, [0] + stops, stops):
-            group = grouped[start:stop]
-            members = frozenset(map(nodes.__getitem__, group.tolist()))
-            boundary = frozenset(map(nodes.__getitem__, group[self.rim[group]].tolist()))
-            regions[c] = Region(members, members - boundary, boundary)
-        return regions
 
     @cached_property
     def search(self) -> tuple[np.ndarray, ...]:
@@ -251,17 +231,21 @@ class Topology:
         return layout
 
 
+def _pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The code lo * n + hi of each row's ids lo <= hi, below n: one int
+    per unordered pair, sorting as the (lo, hi) pairs do."""
+    return np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
+
+
 def _topology(graph: RainbowGraph) -> Topology:
     ends, rainbows = graph.edge_ends, graph.rainbows()
-    # Rainbow ids follow rainbow order, so pairs (lo, hi) of ids sorted
-    # as codes lo * k + hi come in (lo, hi) rainbow order.
+    # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
     k = len(rainbows)
-    ca, cb = graph.rainbow_ids[ends[:, 0]], graph.rainbow_ids[ends[:, 1]]
-    cross = ca != cb
+    joined = graph.rainbow_ids[ends]
+    cross = joined[:, 0] != joined[:, 1]
     rim = np.zeros(len(graph.nodes), dtype=bool)
     rim[ends[cross].ravel()] = True
-    codes = np.minimum(ca, cb)[cross] * k + np.maximum(ca, cb)[cross]
-    codes = codes[np.argsort(codes, kind="stable")]
+    codes = np.sort(_pair_codes(joined[cross], k))
     # Distinct codes, without np.unique, whose first call imports numpy.ma.
     codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
     pairs = tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
@@ -271,9 +255,12 @@ def _topology(graph: RainbowGraph) -> Topology:
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     """Partition the nodes by rainbow and classify each node as interior
     (every neighbor shares its rainbow) or boundary (some neighbor does
-    not); one Region per rainbow, in rainbow order. Computed once per
-    graph and cached."""
-    return graph.topology.regions
+    not, the topology's rim); one Region per rainbow, in rainbow order."""
+    names, ids, rim = np.array(graph.nodes, dtype=object), graph.rainbow_ids, graph.topology.rim
+    # Node ids grouped by rainbow id, each group in node order.
+    groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+    sets = [(frozenset(names[g]), frozenset(names[g[rim[g]]])) for g in groups]
+    return {c: Region(m, m - b, b) for c, (m, b) in zip(graph.rainbows(), sets)}
 
 
 def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
@@ -282,26 +269,36 @@ def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -
     return dict(zip(graph.nodes, graph.topology.search[0].tolist()))
 
 
-@dataclass(eq=False)
 class Morphism:
-    """A candidate graph map; validity is judged by check_morphism."""
+    """A candidate graph map on node ids: domain node i goes to codomain
+    node image[i], a read-only intp array. Morphism(domain, codomain,
+    mapping) takes a node-name map and Morphism.from_ids the image.
+    Validity is judged by check_morphism."""
 
-    domain: RainbowGraph
-    codomain: RainbowGraph
-    mapping: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        self.mapping = dict(self.mapping)
-        # Set comparisons first; the culprits are listed only on failure.
-        if not self.mapping.keys() >= self.domain.node_index.keys():
-            missing = [d for d in self.domain.nodes if d not in self.mapping]
+    def __init__(self, domain: RainbowGraph, codomain: RainbowGraph, mapping: Mapping[str, str]):
+        mapping, index = dict(mapping), codomain.node_index
+        if missing := [d for d in domain.nodes if d not in mapping]:
             raise ValueError(f"mapping not total on domain nodes: missing {missing[:3]}")
-        if not self.codomain.node_index.keys() >= set(self.mapping.values()):
-            bad = [d for d, v in self.mapping.items() if v not in self.codomain.node_index]
+        if bad := [d for d, v in mapping.items() if v not in index]:
             raise ValueError(f"mapping leaves the codomain at {bad[:3]}")
+        self._set(domain, codomain, [index[mapping[d]] for d in domain.nodes])
+
+    @classmethod
+    def from_ids(cls, domain: RainbowGraph, codomain: RainbowGraph, image: np.ndarray) -> Morphism:
+        """The map sending domain node i to codomain node image[i]; the caller
+        vouches for the ids: one per domain node, each a codomain node id."""
+        m = object.__new__(cls)
+        m._set(domain, codomain, image)
+        return m
+
+    def _set(self, domain: RainbowGraph, codomain: RainbowGraph, image: np.ndarray) -> None:
+        self.domain, self.codomain = domain, codomain
+        # A view, so that freezing it leaves the caller's array writable.
+        self.image = np.asarray(image, dtype=np.intp).view()
+        self.image.flags.writeable = False
 
     def __call__(self, node: str) -> str:
-        return self.mapping[node]
+        return self.codomain.nodes[self.image[self.domain.node_index[node]]]
 
 
 @dataclass(frozen=True)
@@ -316,21 +313,24 @@ def check_morphism(m: Morphism) -> MorphismReport:
     collapses, and whether rainbows are preserved under the map.
 
     Violations are data, not errors: ("edge", a, b) for an edge sent to
-    distinct non-adjacent images, ("rainbow", d) for a node whose
-    rainbow differs from its image's.
+    distinct non-adjacent images, in sorted edge order, then
+    ("rainbow", d) for a node whose rainbow differs from its image's,
+    in sorted node order.
     """
-    violations: list[tuple] = []
-    cod_edges = m.codomain.edges
-    for a, b in sorted(m.domain.edges):
-        ga, gb = m.mapping[a], m.mapping[b]
-        if ga != gb and _normalize_edge(ga, gb) not in cod_edges:
-            violations.append(("edge", a, b))
-    edge_ok = not violations
-    for d in sorted(m.domain.nodes):
-        if m.domain.preference[d] != m.codomain.preference[m.mapping[d]]:
-            violations.append(("rainbow", d))
-    rainbow_ok = all(v[0] != "rainbow" for v in violations)
-    return MorphismReport(edge_ok, rainbow_ok, tuple(violations))
+    domain, codomain, image = m.domain, m.codomain, m.image
+    nodes, n = domain.nodes, len(codomain.nodes)
+    # The codomain's sorted edge codes, then n * n, at or before which every search lands.
+    known = np.append(np.sort(_pair_codes(codomain.edge_ends, n)), n * n)
+    images = image[domain.edge_ends]
+    codes = _pair_codes(images, n)
+    broken = (images[:, 0] != images[:, 1]) & (known[np.searchsorted(known, codes)] != codes)
+    edges = sorted(("edge", nodes[a], nodes[b]) for a, b in domain.edge_ends[broken].tolist())
+    # Each domain rainbow id's codomain rainbow id, -1 for none.
+    rank = {c: k for k, c in enumerate(codomain.rainbows())}
+    to_codomain = np.array([rank.get(c, -1) for c in domain.rainbows()], dtype=np.intp)
+    changed = np.flatnonzero(to_codomain[domain.rainbow_ids] != codomain.rainbow_ids[image])
+    moved = [("rainbow", d) for d in sorted(map(nodes.__getitem__, changed.tolist()))]
+    return MorphismReport(not edges, not moved, tuple(edges + moved))
 
 
 def _chain_ids(space: ColorSpace, rainbow: Rainbow, distances: range) -> list[str]:
@@ -359,22 +359,13 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     Per rainbow c the chain (c,0)-(c,1)-...-(c,depth_c) is created,
     depth_c being the largest distance-to-boundary inside the class.
     Heads (c,0), (c',0) are joined exactly when some source edge joins
-    the two classes. The returned morphism sends d to
-    (rainbow of d, distance of d), and is rainbow-preserving.
-
-    Node k is row k of optimal_mechanism's matrix (Topology.search). A
-    self-check raises AssertionError unless every edge joins nodes of one
-    rainbow at distances differing by at most 1, or nodes at distance 0.
+    the two classes. Node k is row k of optimal_mechanism's matrix
+    (Topology.search), and the returned morphism, the search's chain_row,
+    sends d to (rainbow of d, distance of d). A self-check raises
+    AssertionError unless check_morphism finds it a morphism: every edge
+    maps to a chain edge or a head edge, or collapses.
     """
-    dist, chain_depths, starts, chain_row = graph.topology.search
-    ends = graph.edge_ends
-    da, db = dist[ends[:, 0]], dist[ends[:, 1]]
-    same = graph.rainbow_ids[ends[:, 0]] == graph.rainbow_ids[ends[:, 1]]
-    broken = ends[~((same & (np.abs(da - db) <= 1)) | ((da == 0) & (db == 0)))]
-    if len(broken):
-        first = min((graph.nodes[a], graph.nodes[b]) for a, b in broken.tolist())
-        raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {first}")
-
+    _, chain_depths, starts, chain_row = graph.topology.search
     space, rainbows = graph.color_space, graph.rainbows()
     names = list(chain.from_iterable(
         _chain_ids(space, c, range(depth + 1)) for c, depth in zip(rainbows, chain_depths.tolist())
@@ -394,20 +385,24 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     pairs[turned] = pairs[turned, ::-1]
 
     bgraph = RainbowGraph.from_ids(names, row_rainbow, rainbows, pairs, space)
-    mapping = dict(zip(graph.nodes, np.array(names, dtype=object)[chain_row].tolist()))
-    depths = dict(zip(rainbows, chain_depths.tolist()))
-    return BoundaryGraph(bgraph, depths, Morphism(graph, bgraph, mapping))
+    morphism = Morphism.from_ids(graph, bgraph, chain_row)
+    # An explicit raise, so that the check holds under python -O too.
+    broken = [v[1:] for v in check_morphism(morphism).violations if v[0] == "edge"]
+    if broken:
+        raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {broken[0]}")
+    return BoundaryGraph(bgraph, dict(zip(rainbows, chain_depths.tolist())), morphism)
 
 
 def pullback(mechanism_on_codomain, morphism: Morphism):
     """Transport a mechanism from the morphism's codomain to its domain
     by composition: node d receives the distribution of its image, the
-    image's row of the same matrix."""
-    row_of = mechanism_on_codomain.row_of
-    try:
-        pulled = {d: row_of[morphism.mapping[d]] for d in morphism.domain.nodes}
-    except KeyError as exc:
-        raise KeyError(f"codomain node {exc.args[0]!r} has no distribution") from None
-    return type(mechanism_on_codomain).from_rows(
-        mechanism_on_codomain.rows, pulled, mechanism_on_codomain.color_space
-    )
+    image's row of the same matrix. Only the codomain nodes in the image
+    need a row."""
+    mech, names, image = mechanism_on_codomain, morphism.codomain.nodes, morphism.image
+    # The row of each codomain node in the image, looked up once; -1 for none.
+    hit, inverse = np.unique(image, return_inverse=True)
+    rows = np.array([mech.row_of.get(names[i], -1) for i in hit.tolist()], dtype=np.intp)[inverse]
+    if (rows < 0).any():
+        raise KeyError(f"codomain node {names[image[np.argmax(rows < 0)]]!r} has no distribution")
+    pulled = dict(zip(morphism.domain.nodes, rows.tolist()))
+    return type(mech).from_rows(mech.rows, pulled, mech.color_space)

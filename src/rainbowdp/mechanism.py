@@ -397,8 +397,8 @@ def optimal_mechanism(
     The powers form one chain per rainbow, stacked as graph.topology.search
     lays them out, so row k is node k of build_boundary_graph's graph:
     row 0 of a chain is the boundary vector, _fill_powers fills the rest.
-    Nodes sharing a (rainbow, distance) pair share its row (the pullback
-    along the boundary morphism).
+    Node i taking row chain_row[i] is the pullback along the boundary
+    morphism, gathered directly: a (rainbow, distance) pair's nodes share it.
     """
     report = validate_boundary_condition(graph, bc, budget)
     if not report.valid:
@@ -469,14 +469,16 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
 
 def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     """True iff within each rainbow's boundary all node distributions
-    agree entrywise within DEFAULT_TOL; compared on the boundary nodes'
-    rows of mech.rows, so a boundary node with no row raises KeyError."""
-    for region in graph.topology.regions.values():
-        if len(region.boundary) > 1:
-            block = mech.rows[[mech.row_of[d] for d in sorted(region.boundary)]]
-            if (np.abs(block - block[0]) > DEFAULT_TOL).any():
-                return False
-    return True
+    agree entrywise within DEFAULT_TOL: each boundary node's row of
+    mech.rows is compared with the row of its rainbow's first boundary
+    node by name. A boundary node with no row raises KeyError."""
+    nodes, ids = graph.nodes, graph.rainbow_ids.tolist()
+    # Rim node ids by rainbow id, then name; reference[k] is where rim[k]'s rainbow starts.
+    rim = sorted(np.flatnonzero(graph.topology.rim).tolist(), key=lambda i: (ids[i], nodes[i]))
+    first: dict[int, int] = {}
+    reference = [first.setdefault(ids[i], k) for k, i in enumerate(rim)]
+    block = mech.rows[[mech.row_of[nodes[i]] for i in rim]]
+    return not (np.abs(block - block[reference]) > DEFAULT_TOL).any()
 
 
 def _preference_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:

@@ -2,8 +2,9 @@
 draws taken one generator per trial, random graphs with
 solvable boundary structure, random valid boundary conditions, and the
 competitor mechanisms used for optimality checks; and the references
-the array checks are compared with: verify_dp and utility_eval one node
-or edge at a time, and the hockey-stick excess in exact arithmetic."""
+the array checks are compared with: verify_dp, utility_eval and
+check_morphism one node or edge at a time, and the hockey-stick excess in
+exact arithmetic."""
 
 from __future__ import annotations
 
@@ -171,17 +172,19 @@ def boundary_line_mechanisms(
 ) -> tuple[r.Mechanism, r.BoundaryGraph]:
     """Per-rainbow chains of iterated operator steps on the boundary
     graph; pulling this back along the boundary morphism yields a valid
-    mechanism on the source graph."""
+    mechanism on the source graph. The chains fill rows in
+    Topology.search's layout, row k for boundary-graph node k."""
     bg = r.build_boundary_graph(graph)
-    assign: dict[str, r.SimplexVector] = {}
-    for c, depth in bg.depths.items():
+    starts = graph.topology.search[2].tolist()
+    rows = np.empty((len(bg.graph.nodes), graph.color_space.q))
+    for c, start in zip(graph.rainbows(), starts):
         cur = r.to_preference_order(bc.values[c], c)
-        for i in range(depth + 1):
+        for i in range(bg.depths[c] + 1):
             # Entry k of cur is the mass of color c.order[k].
             canonical = tuple(cur.p[c.order.index(j)] for j in range(c.q))
-            assign[bg.node_id(c, i)] = r.SimplexVector(canonical)
+            rows[start + i] = r.SimplexVector(canonical).p
             cur = r.t_step(cur, budget)
-    return r.Mechanism(assign, graph.color_space), bg
+    return r.Mechanism.from_rows(rows, bg.graph.node_index, graph.color_space), bg
 
 
 def assert_same_graph(graph: r.RainbowGraph, expected: r.RainbowGraph) -> None:
@@ -263,6 +266,23 @@ def random_dp_mechanism(
         for d in comp:
             assign[d] = powers[depth[d]]
     return r.Mechanism(assign, graph.color_space)
+
+
+def check_morphism_reference(m: r.Morphism) -> r.MorphismReport:
+    """check_morphism one edge and one node at a time, on names: the
+    definition the array passes must match, violation for violation."""
+    violations: list[tuple] = []
+    cod_edges = m.codomain.edges
+    for a, b in sorted(m.domain.edges):
+        ga, gb = m(a), m(b)
+        if ga != gb and tuple(sorted((ga, gb))) not in cod_edges:
+            violations.append(("edge", a, b))
+    edge_ok = not violations
+    for d in sorted(m.domain.nodes):
+        if m.domain.preference[d] != m.codomain.preference[m(d)]:
+            violations.append(("rainbow", d))
+    rainbow_ok = all(v[0] != "rainbow" for v in violations)
+    return r.MorphismReport(edge_ok, rainbow_ok, tuple(violations))
 
 
 def random_blowup_morphism(

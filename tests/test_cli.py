@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -593,6 +594,17 @@ def test_cmd_plot_single_point_and_binary(tmp_path):
     svg2_path = tmp_path / "binary.svg"
     assert main(["plot", str(traj2), "--out", str(svg2_path)]) == 0
     assert svg2_path.read_text().count("<polyline") == 2
+
+
+def test_cmd_plot_escapes_legend_labels(tmp_path):
+    # A color label is CSV text; the legend writes it as XML character data.
+    traj = tmp_path / "labels.csv"
+    traj.write_text("t,k,color,p,s\n0,1,a&b,0.5,0.5\n1,1,<x>,0.5,0.5\n0,2,c,0.5,1\n")
+    svg_path = tmp_path / "labels.svg"
+    assert main(["plot", str(traj), "--out", str(svg_path)]) == 0
+    texts = minidom.parse(str(svg_path)).getElementsByTagName("text")
+    assert [t.firstChild.data for t in texts[-2:]] == ["<x>", "c"]
+    assert "<x></text>" not in svg_path.read_text()
 
 
 def test_cmd_plot_malformed_csv(tmp_path, capsys):

@@ -10,6 +10,7 @@ from helpers import (
     assert_same_graph,
     bfs_depths,
     boundary_line_mechanisms,
+    check_morphism_reference,
     distinct_rainbows,
     path5_bc,
     path5_graph,
@@ -205,7 +206,7 @@ def test_build_boundary_graph_path5():
         tuple(sorted((bg.node_id(b, 0), bg.node_id(red, 0)))),
     }
     assert set(bg.graph.edges) == expected_edges
-    assert bg.morphism.mapping["n0"] == bg.node_id(b, 2)
+    assert bg.morphism("n0") == bg.node_id(b, 2)
     assert bg.graph.preference[bg.node_id(b, 2)] == b
 
 
@@ -241,8 +242,8 @@ def test_boundary_graph_idempotent():
         assert set(bg2.graph.nodes) == set(bg.graph.nodes)
         assert bg2.graph.edges == bg.graph.edges
         # On a graph already in boundary form the morphism is injective.
-        values = list(bg2.morphism.mapping.values())
-        assert len(values) == len(set(values))
+        image = bg2.morphism.image.tolist()
+        assert len(image) == len(set(image))
 
 
 def test_check_morphism_identity_and_collapse():
@@ -276,6 +277,60 @@ def test_check_morphism_flags_a_node_whose_rainbow_changes():
     assert r.check_morphism(mirror) == r.MorphismReport(True, False, (("rainbow", "d1"), ("rainbow", "d5")))
 
 
+def _corrupted(m, moves):
+    # A copy of m with each domain node id d sent to codomain node id moves[d].
+    image = m.image.copy()
+    image[list(moves)] = list(moves.values())
+    return r.Morphism.from_ids(m.domain, m.codomain, image)
+
+
+def test_check_morphism_matches_the_reference():
+    # On valid blowups, and on copies with one image moved to a node not
+    # adjacent to it, one moved to a node of another rainbow, or both, the
+    # array passes give the node-by-node report, violation for violation.
+    # The domain lists its nodes out of name order, as a parser may.
+    g = rng(28)
+    reports = []
+    for _ in range(30):
+        codomain = random_solvable_graph(g, max_nodes=12)
+        blowup = random_blowup_morphism(g, codomain)
+        nodes = blowup.domain.nodes[::-1]
+        domain = r.RainbowGraph(nodes, blowup.domain.edges, blowup.domain.preference, codomain.color_space)
+        m = r.Morphism(domain, codomain, {d: blowup(d) for d in nodes})
+        cases = [m, r.build_boundary_graph(codomain).morphism]
+        d, e = (int(i) for i in g.choice(len(nodes), size=2, replace=False))
+        v, ends, ids = int(m.image[d]), codomain.edge_ends, codomain.rainbow_ids
+        near = {v, *ends[(ends == v).any(axis=1)].ravel().tolist()}
+        far = [w for w in range(len(codomain.nodes)) if w not in near]
+        other = np.flatnonzero(ids != ids[m.image[e]])
+        recolored = {e: int(other[int(g.integers(len(other)))])}
+        cases.append(_corrupted(m, recolored))
+        if far:
+            moved = {d: far[int(g.integers(len(far)))]}
+            cases += [_corrupted(m, moved), _corrupted(m, {**moved, **recolored})]
+        for case in cases:
+            report = r.check_morphism(case)
+            assert report == check_morphism_reference(case)
+            reports.append(report)
+    assert any(not rep.is_morphism for rep in reports)
+    assert any(not rep.is_rainbow_preserving for rep in reports)
+    assert any(sum(v[0] == "rainbow" for v in rep.violations) > 1 for rep in reports)
+    assert any(sum(v[0] == "edge" for v in rep.violations) > 1 for rep in reports)
+
+
+def test_morphism_from_ids_is_the_named_map():
+    graph = path5_graph()
+    mapping = {"n0": "n1", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n3"}
+    m = r.Morphism(graph, graph, mapping)
+    assert m.image.tolist() == [1, 1, 2, 3, 3]
+    assert not m.image.flags.writeable
+    image = np.array([1, 1, 2, 3, 3])
+    from_ids = r.Morphism.from_ids(graph, graph, image)
+    assert image.flags.writeable
+    assert {d: from_ids(d) for d in graph.nodes} == mapping
+    assert r.check_morphism(from_ids) == r.check_morphism(m)
+
+
 def test_morphism_requires_total_map():
     graph = path5_graph()
     with pytest.raises(ValueError):
@@ -306,6 +361,38 @@ def test_pullback_missing_distribution():
     ident = r.Morphism(graph, graph, {d: d for d in graph.nodes})
     with pytest.raises(KeyError):
         r.pullback(mech, ident)
+
+
+def test_pullback_needs_rows_only_for_the_image():
+    # n0 and n4 are outside the image, and the mechanism has no row for them.
+    graph = path5_graph()
+    mech = r.Mechanism(
+        {"n1": sv(0.2, 0.3, 0.5), "n2": sv(0.3, 0.3, 0.4), "n3": sv(0.4, 0.3, 0.3)},
+        graph.color_space,
+    )
+    fold = r.Morphism(graph, graph, {"n0": "n2", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n2"})
+    pulled = r.pullback(mech, fold)
+    assert pulled.row_of == {d: mech.row_of[fold(d)] for d in graph.nodes}
+    assert pulled.assignment == {d: mech.assignment[fold(d)] for d in graph.nodes}
+
+
+def test_pullback_missing_row_names_the_first_domain_nodes_image():
+    # The reversal sends n0 to n4 first; n0, the first codomain node with
+    # no row, is the image of n4, a later domain node.
+    graph = path5_graph()
+    mech = r.Mechanism({d: sv(0.3, 0.3, 0.4) for d in ("n1", "n2", "n3")}, graph.color_space)
+    reverse = r.Morphism(graph, graph, dict(zip(graph.nodes, reversed(graph.nodes))))
+    with pytest.raises(KeyError, match="codomain node 'n4' has no distribution"):
+        r.pullback(mech, reverse)
+
+
+def test_assert_same_graph_raises_on_a_different_graph():
+    # The helper's asserts are rewritten into raises, so this holds under -O.
+    graph = path5_graph()
+    fewer = r.RainbowGraph(graph.nodes, graph.edges - {("n3", "n4")}, graph.preference, graph.color_space)
+    assert_same_graph(graph, path5_graph())
+    with pytest.raises(AssertionError):
+        assert_same_graph(fewer, graph)
 
 
 def test_pullback_of_boundary_lines_matches_optimal_mechanism():
@@ -371,12 +458,12 @@ def test_topology_matches_definition():
         assert [(nodes[a], nodes[b]) for a, b in graph.edge_ends.tolist()] == list(graph.edges)
         regions, pairs = _naive_topology(graph)
         topo = graph.topology
+        decomposed = r.decompose_regions(graph)
         assert graph.rainbows() == tuple(regions)
-        assert list(topo.regions) == list(regions)
+        assert list(decomposed) == list(regions)
         for c, (members, interior, boundary) in regions.items():
-            assert topo.regions[c] == r.Region(members, interior, boundary)
+            assert decomposed[c] == r.Region(members, interior, boundary)
         assert list(topo.adjacent_pairs) == pairs
-        assert r.decompose_regions(graph) is topo.regions
         assert graph.topology is topo
 
 

@@ -421,7 +421,7 @@ def test_is_boundary_homogeneous_reads_rows_not_assignment():
         assert r.is_boundary_homogeneous(rand_graph, mech)
         assert "assignment" not in vars(mech)
     # A boundary node with no distribution is still a KeyError.
-    boundary = sorted(graph.topology.regions[graph.preference["d1"]].boundary)
+    boundary = sorted(r.decompose_regions(graph)[graph.preference["d1"]].boundary)
     partial = r.Mechanism(
         {d: sv(0.3, 0.3, 0.4) for d in graph.nodes if d != boundary[-1]}, graph.color_space
     )
@@ -612,7 +612,6 @@ def test_build_path_constructs_no_region(monkeypatch):
         assert r.verify_dp(graph, mech, budget).valid
         mechanism_csv(graph, mech)
         assert calls == {"topology": 1, "bfs": 1}
-        assert "regions" not in graph.topology.__dict__
     with pytest.raises(AssertionError, match="a Region was constructed"):
         r.decompose_regions(graph)
 
