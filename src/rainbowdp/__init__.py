@@ -16,7 +16,6 @@ from .core import (
 from .graph import (
     BoundaryGraph,
     Morphism,
-    MorphismReport,
     RainbowGraph,
     Region,
     UnconstrainedRegion,
@@ -29,7 +28,6 @@ from .graph import (
 from .mechanism import (
     INFINITE,
     BoundaryCondition,
-    BoundaryReport,
     DpReport,
     DpViolation,
     EpsilonZero,
@@ -51,7 +49,6 @@ from .mechanism import (
     verify_dp,
 )
 from .oracle import (
-    CloseSamples,
     Counterexample,
     FalsificationReport,
     NoOptimalReport,

@@ -72,16 +72,15 @@ def _add_budget_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _budget_from_args(args, default_epsilon: float | None = None) -> PrivacyBudget:
+    # default_epsilon is read only where the budget flags are optional.
     if args.epsilon is not None:
         eps = args.epsilon
     elif args.e_epsilon is not None:
         if args.e_epsilon < 1.0:
             raise ValueError("--e-epsilon must be >= 1")
         eps = math.log(args.e_epsilon)
-    elif default_epsilon is not None:
-        eps = default_epsilon
     else:
-        raise ValueError("a budget requires --epsilon or --e-epsilon")
+        eps = default_epsilon
     return PrivacyBudget(eps, args.delta)
 
 

@@ -169,8 +169,14 @@ def trajectory_csv(
         lines.append("# tau " + ",".join(fmt_tau(v) for v in profile.tau))
     lines.append("t,k,color,p,s")
     ks = [f",{k},{k}," for k in range(1, p.shape[1] + 1)]
-    for time, p_t, s_t in zip(map(fmt, t.tolist()), p.tolist(), s.tolist()):
-        lines += [f"{time}{k}{fmt(pk)},{fmt(sk)}" for k, pk, sk in zip(ks, p_t, s_t)]
+    # Each time is formatted once; p and s are read flat, in (t, k) order,
+    # with no Python list per time. The flat lists are referenced only by
+    # the comprehension, so they are freed before the join.
+    heads = (time + k for time in map(fmt, t.tolist()) for k in ks)
+    lines += [
+        f"{head}{fmt(pk)},{fmt(sk)}"
+        for head, pk, sk in zip(heads, p.ravel().tolist(), s.ravel().tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -6,14 +6,14 @@ rainbow's node class splits into interior (all neighbors share the
 rainbow) and boundary (the rest). The boundary graph compresses each
 class to a chain indexed by distance-to-boundary, and the boundary
 morphism sends a node to its (rainbow, distance) pair. One cached search,
-Topology.search, lays the chains out for both constructions: boundary-graph
-node k is row k of the optimal mechanism's matrix.
+RainbowGraph.search, lays the chains out for both constructions:
+boundary-graph node k is row k of the optimal mechanism's matrix.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -61,6 +61,10 @@ class RainbowGraph:
 
     RainbowGraph(nodes, edges, preference, color_space) takes the string
     views and derives the ids; RainbowGraph.from_ids takes the ids.
+
+    The topology on node ids is cached on first read: `rim`, a bool mask
+    of the boundary node ids, `adjacent_pairs`, the rainbow pairs joined
+    by an edge, in rainbow order, and `search`, the boundary search.
     """
 
     def __init__(
@@ -156,32 +160,23 @@ class RainbowGraph:
         return dict(zip(self.nodes, map(self._rainbows.__getitem__, self.rainbow_ids.tolist())))
 
     @cached_property
-    def topology(self) -> Topology:
-        return _topology(self)
+    def rim(self) -> np.ndarray:
+        ends = self.edge_ends
+        joined = self.rainbow_ids[ends]
+        rim = np.zeros(len(self.nodes), dtype=bool)
+        rim[ends[joined[:, 0] != joined[:, 1]].ravel()] = True
+        return rim
 
-    def rainbows(self) -> tuple[Rainbow, ...]:
-        """Distinct rainbows occurring in the graph, in a deterministic order."""
-        return self._rainbows
-
-
-@dataclass(frozen=True)
-class Region:
-    """A rainbow's node class with its interior/boundary split."""
-
-    members: frozenset[str]
-    interior: frozenset[str]
-    boundary: frozenset[str]
-
-
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """A graph's topology on node ids, made once by RainbowGraph.topology: the
-    rim, a bool mask of boundary node ids, and the rainbow pairs joined by an
-    edge, in rainbow order. The search is run on first read."""
-
-    graph: RainbowGraph = field(repr=False)
-    adjacent_pairs: tuple[tuple[Rainbow, Rainbow], ...]
-    rim: np.ndarray = field(repr=False)
+    @cached_property
+    def adjacent_pairs(self) -> tuple[tuple[Rainbow, Rainbow], ...]:
+        rainbows = self._rainbows
+        # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
+        k = len(rainbows)
+        joined = self.rainbow_ids[self.edge_ends]
+        codes = np.sort(_pair_codes(joined[joined[:, 0] != joined[:, 1]], k))
+        # Distinct codes, without np.unique, whose first call imports numpy.ma.
+        codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+        return tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
 
     @cached_property
     def search(self) -> tuple[np.ndarray, ...]:
@@ -199,7 +194,7 @@ class Topology:
         UnconstrainedRegion then names the first rainbow, in rainbow
         order, with such a member (or with an empty boundary).
         """
-        graph, ends, rim, n = self.graph, self.graph.edge_ends, self.rim, len(self.graph.nodes)
+        ends, rim, n = self.edge_ends, self.rim, len(self.nodes)
         # Neighbors as CSR: node i's are indices[indptr[i]:indptr[i + 1]].
         src = np.concatenate((ends[:, 0], ends[:, 1]))
         indptr = np.zeros(n + 1, dtype=np.intp)
@@ -219,16 +214,29 @@ class Topology:
                     dist[j] = step
                     queue.append(j)
         dist = np.array(dist, dtype=np.intp)
-        ids = graph.rainbow_ids
+        ids = self.rainbow_ids
         if len(queue) < n:  # the lowest rainbow id is the first rainbow in order
-            raise UnconstrainedRegion(graph.rainbows()[int(ids[dist < 0].min())], graph.color_space)
-        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+            raise UnconstrainedRegion(self._rainbows[int(ids[dist < 0].min())], self.color_space)
+        depths = np.zeros(len(self._rainbows), dtype=np.intp)
         np.maximum.at(depths, ids, dist)
         starts = np.cumsum(depths + 1) - (depths + 1)
         layout = (dist, depths, starts, starts[ids] + dist)
         for a in layout:  # shared by every reader of the cache
             a.flags.writeable = False
         return layout
+
+    def rainbows(self) -> tuple[Rainbow, ...]:
+        """Distinct rainbows occurring in the graph, in a deterministic order."""
+        return self._rainbows
+
+
+@dataclass(frozen=True)
+class Region:
+    """A rainbow's node class with its interior/boundary split."""
+
+    members: frozenset[str]
+    interior: frozenset[str]
+    boundary: frozenset[str]
 
 
 def _pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -237,26 +245,11 @@ def _pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
 
 
-def _topology(graph: RainbowGraph) -> Topology:
-    ends, rainbows = graph.edge_ends, graph.rainbows()
-    # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
-    k = len(rainbows)
-    joined = graph.rainbow_ids[ends]
-    cross = joined[:, 0] != joined[:, 1]
-    rim = np.zeros(len(graph.nodes), dtype=bool)
-    rim[ends[cross].ravel()] = True
-    codes = np.sort(_pair_codes(joined[cross], k))
-    # Distinct codes, without np.unique, whose first call imports numpy.ma.
-    codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
-    pairs = tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
-    return Topology(graph, pairs, rim)
-
-
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     """Partition the nodes by rainbow and classify each node as interior
     (every neighbor shares its rainbow) or boundary (some neighbor does
-    not, the topology's rim); one Region per rainbow, in rainbow order."""
-    names, ids, rim = np.array(graph.nodes, dtype=object), graph.rainbow_ids, graph.topology.rim
+    not, the graph's rim); one Region per rainbow, in rainbow order."""
+    names, ids, rim = np.array(graph.nodes, dtype=object), graph.rainbow_ids, graph.rim
     # Node ids grouped by rainbow id, each group in node order.
     groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
     sets = [(frozenset(names[g]), frozenset(names[g[rim[g]]])) for g in groups]
@@ -265,8 +258,8 @@ def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
 
 def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
     """Each node's distance to its own rainbow class's boundary, in `nodes`
-    order, from the topology's search; `regions` is not read."""
-    return dict(zip(graph.nodes, graph.topology.search[0].tolist()))
+    order, from the graph's search; `regions` is not read."""
+    return dict(zip(graph.nodes, graph.search[0].tolist()))
 
 
 class Morphism:
@@ -301,21 +294,12 @@ class Morphism:
         return self.codomain.nodes[self.image[self.domain.node_index[node]]]
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    is_morphism: bool
-    is_rainbow_preserving: bool
-    violations: tuple[tuple, ...]
-
-
-def check_morphism(m: Morphism) -> MorphismReport:
-    """Report whether every domain edge maps to a codomain edge or
-    collapses, and whether rainbows are preserved under the map.
-
-    Violations are data, not errors: ("edge", a, b) for an edge sent to
-    distinct non-adjacent images, in sorted edge order, then
-    ("rainbow", d) for a node whose rainbow differs from its image's,
-    in sorted node order.
+def check_morphism(m: Morphism) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """The map's violations, as data, not errors: (edges, moved). edges
+    holds the (a, b) name pairs of the domain edges sent to two distinct,
+    non-adjacent images, sorted; moved the names of the domain nodes
+    whose rainbow differs from their image's, sorted. m is a morphism
+    when edges is empty, and rainbow preserving when moved is.
     """
     domain, codomain, image = m.domain, m.codomain, m.image
     nodes, n = domain.nodes, len(codomain.nodes)
@@ -324,13 +308,12 @@ def check_morphism(m: Morphism) -> MorphismReport:
     images = image[domain.edge_ends]
     codes = _pair_codes(images, n)
     broken = (images[:, 0] != images[:, 1]) & (known[np.searchsorted(known, codes)] != codes)
-    edges = sorted(("edge", nodes[a], nodes[b]) for a, b in domain.edge_ends[broken].tolist())
+    edges = sorted((nodes[a], nodes[b]) for a, b in domain.edge_ends[broken].tolist())
     # Each domain rainbow id's codomain rainbow id, -1 for none.
     rank = {c: k for k, c in enumerate(codomain.rainbows())}
     to_codomain = np.array([rank.get(c, -1) for c in domain.rainbows()], dtype=np.intp)
     changed = np.flatnonzero(to_codomain[domain.rainbow_ids] != codomain.rainbow_ids[image])
-    moved = [("rainbow", d) for d in sorted(map(nodes.__getitem__, changed.tolist()))]
-    return MorphismReport(not edges, not moved, tuple(edges + moved))
+    return tuple(edges), tuple(sorted(map(nodes.__getitem__, changed.tolist())))
 
 
 def _chain_ids(space: ColorSpace, rainbow: Rainbow, distances: range) -> list[str]:
@@ -360,12 +343,12 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     depth_c being the largest distance-to-boundary inside the class.
     Heads (c,0), (c',0) are joined exactly when some source edge joins
     the two classes. Node k is row k of optimal_mechanism's matrix
-    (Topology.search), and the returned morphism, the search's chain_row,
+    (RainbowGraph.search), and the returned morphism, the search's chain_row,
     sends d to (rainbow of d, distance of d). A self-check raises
     AssertionError unless check_morphism finds it a morphism: every edge
     maps to a chain edge or a head edge, or collapses.
     """
-    _, chain_depths, starts, chain_row = graph.topology.search
+    _, chain_depths, starts, chain_row = graph.search
     space, rainbows = graph.color_space, graph.rainbows()
     names = list(chain.from_iterable(
         _chain_ids(space, c, range(depth + 1)) for c, depth in zip(rainbows, chain_depths.tolist())
@@ -376,7 +359,7 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     # node's name sorts first.
     links = np.flatnonzero(row_rainbow[:-1] == row_rainbow[1:])
     rank = {c: k for k, c in enumerate(rainbows)}
-    heads = [(starts[rank[ca]], starts[rank[cb]]) for ca, cb in graph.topology.adjacent_pairs]
+    heads = [(starts[rank[ca]], starts[rank[cb]]) for ca, cb in graph.adjacent_pairs]
     pairs = np.concatenate((
         np.stack((links, links + 1), axis=1), np.array(heads, dtype=np.intp).reshape(-1, 2)
     ))
@@ -387,7 +370,7 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     bgraph = RainbowGraph.from_ids(names, row_rainbow, rainbows, pairs, space)
     morphism = Morphism.from_ids(graph, bgraph, chain_row)
     # An explicit raise, so that the check holds under python -O too.
-    broken = [v[1:] for v in check_morphism(morphism).violations if v[0] == "edge"]
+    broken = check_morphism(morphism)[0]
     if broken:
         raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {broken[0]}")
     return BoundaryGraph(bgraph, dict(zip(rainbows, chain_depths.tolist())), morphism)

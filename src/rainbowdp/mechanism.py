@@ -156,8 +156,6 @@ class TauProfile:
 
     rho: float
     tau: tuple[float, ...]
-    epsilon: float
-    delta: float
 
 
 def to_preference_order(vec: SimplexVector, rainbow: Rainbow) -> SimplexVector:
@@ -230,7 +228,7 @@ def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> TauProfile:
     rho = budget.delta / (budget.exp_epsilon - 1.0)
     level = 1.0 / (budget.exp_epsilon + 1.0) + rho
     tau = tuple(_tau(sk, level, budget, rho) for sk in prefix_sums(m))
-    return TauProfile(rho=rho, tau=tau, epsilon=budget.epsilon, delta=budget.delta)
+    return TauProfile(rho=rho, tau=tau)
 
 
 def _exp_each(x: np.ndarray) -> np.ndarray:
@@ -350,35 +348,29 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     return Mechanism.from_rows(rows, {str(i): i for i in range(n + 1)}, space)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    valid: bool
-    violations: tuple[tuple[Rainbow, Rainbow], ...]
-
-
 def validate_boundary_condition(
     graph: RainbowGraph, bc: BoundaryCondition, budget: PrivacyBudget
-) -> BoundaryReport:
+) -> tuple[tuple[Rainbow, Rainbow], ...]:
     """Check the boundary condition: every pair of regions joined by an
     edge must carry (eps,delta)-close boundary distributions.
 
     Raises MissingRainbow when a rainbow with nonempty boundary has no
-    boundary vector; closeness failures (is_close's test, on all pairs
-    at once) are reported in adjacent_pairs order, not raised.
+    boundary vector. Returns the pairs that fail is_close's test (taken
+    on all pairs at once), in adjacent_pairs order: () when the
+    condition is valid.
     """
-    topology, rainbows = graph.topology, graph.rainbows()
-    rim_counts = np.bincount(graph.rainbow_ids[topology.rim], minlength=len(rainbows))
+    rainbows = graph.rainbows()
+    rim_counts = np.bincount(graph.rainbow_ids[graph.rim], minlength=len(rainbows))
     missing = [c for c, n in zip(rainbows, rim_counts.tolist()) if n and c not in bc.values]
     if missing:
         raise MissingRainbow(missing, graph.color_space)
-    pairs = topology.adjacent_pairs
+    pairs = graph.adjacent_pairs
     # One (a, b) pair of boundary rows per adjacent region pair.
     rows = np.array([bc.values[c].p for pair in pairs for c in pair]).reshape(len(pairs), 2, graph.color_space.q)
     a, b = rows[:, 0], rows[:, 1]
     e, bound = budget.exp_epsilon, budget.delta + DEFAULT_TOL
     close = (_hockey_stick(a, b, e) <= bound) & (_hockey_stick(b, a, e) <= bound)
-    violations = tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)
-    return BoundaryReport(valid=not violations, violations=violations)
+    return tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)
 
 
 def optimal_mechanism(
@@ -394,16 +386,16 @@ def optimal_mechanism(
     privacy constraint on every edge, and dominates every valid
     mechanism with the same boundary values.
 
-    The powers form one chain per rainbow, stacked as graph.topology.search
-    lays them out, so row k is node k of build_boundary_graph's graph:
-    row 0 of a chain is the boundary vector, _fill_powers fills the rest.
+    The powers form one chain per rainbow, stacked as graph.search lays
+    them out, so row k is node k of build_boundary_graph's graph: row 0
+    of a chain is the boundary vector, _fill_powers fills the rest.
     Node i taking row chain_row[i] is the pullback along the boundary
     morphism, gathered directly: a (rainbow, distance) pair's nodes share it.
     """
-    report = validate_boundary_condition(graph, bc, budget)
-    if not report.valid:
-        raise InvalidBoundary(report.violations, graph.color_space)
-    _, depths, starts, chain_row = graph.topology.search
+    violations = validate_boundary_condition(graph, bc, budget)
+    if violations:
+        raise InvalidBoundary(violations, graph.color_space)
+    _, depths, starts, chain_row = graph.search
     rows = np.empty((int((depths + 1).sum()), graph.color_space.q))
     for c, start, depth in zip(graph.rainbows(), starts.tolist(), depths.tolist()):
         rows[start] = bc.values[c].p
@@ -423,8 +415,11 @@ class DpViolation:
 
 @dataclass(frozen=True)
 class DpReport:
-    valid: bool
     violations: tuple[DpViolation, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> DpReport:
@@ -464,7 +459,7 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
         for direction, margin in zip((edge, edge[::-1]), margins):
             if margin > DEFAULT_TOL:
                 violations.append(DpViolation(edge, direction, margin))
-    return DpReport(valid=not violations, violations=tuple(violations))
+    return DpReport(tuple(violations))
 
 
 def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
@@ -474,7 +469,7 @@ def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     node by name. A boundary node with no row raises KeyError."""
     nodes, ids = graph.nodes, graph.rainbow_ids.tolist()
     # Rim node ids by rainbow id, then name; reference[k] is where rim[k]'s rainbow starts.
-    rim = sorted(np.flatnonzero(graph.topology.rim).tolist(), key=lambda i: (ids[i], nodes[i]))
+    rim = sorted(np.flatnonzero(graph.rim).tolist(), key=lambda i: (ids[i], nodes[i]))
     first: dict[int, int] = {}
     reference = [first.setdefault(ids[i], k) for k, i in enumerate(rim)]
     block = mech.rows[[mech.row_of[nodes[i]] for i in rim]]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -206,16 +206,6 @@ def is_close_bruteforce(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudg
     return worst_pq <= bound and worst_qp <= bound
 
 
-@dataclass(frozen=True, eq=False)
-class CloseSamples:
-    """Output of sample_close: the distributions, as the rows of a
-    float64 matrix. degenerate_budget is set when the budget admits no
-    distribution other than p itself."""
-
-    rows: np.ndarray = field(repr=False)
-    degenerate_budget: bool = False
-
-
 def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     # Row i of pa is the p that row i of cand must be close to. Strict
     # closeness (no tolerance slack) so the rows still pass is_close
@@ -341,20 +331,20 @@ def _one_trial(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.
 
 def sample_close(
     p: SimplexVector, budget: PrivacyBudget, count: int, seed: int
-) -> CloseSamples:
+) -> np.ndarray:
     """Deterministic sample of `count` distributions, each (eps,delta)-
-    close to p. The first sample is always p and the second is t_step(p);
-    the rest come from seeded rejection sampling. A budget at which
-    t_step(p) is not close to p is a ValueError.
+    close to p, as the rows of a float64 matrix. The first sample is
+    always p and the second is t_step(p); the rest come from seeded
+    rejection sampling. A budget at which t_step(p) is not close to p is
+    a ValueError.
 
-    A (0,0) budget admits only p itself: the result is [p] with the
-    degenerate flag set when more was requested.
+    A (0,0) budget admits only p itself: the matrix is the one row p,
+    fewer rows than asked for when count > 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     p_rows, steps = _one_trial(p, budget)
-    rows = _close_samples(p_rows, steps, budget, count, [seed])[0]
-    return CloseSamples(rows, degenerate_budget=len(rows) < count)
+    return _close_samples(p_rows, steps, budget, count, [seed])[0]
 
 
 @dataclass(frozen=True)

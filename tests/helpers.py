@@ -162,7 +162,7 @@ def random_homogeneous_bc(
         bc = r.BoundaryCondition(
             {c: r.SimplexVector(tuple(base + lam * (t - base))) for c, t in targets.items()}
         )
-        if r.validate_boundary_condition(graph, bc, budget).valid:
+        if not r.validate_boundary_condition(graph, bc, budget):
             return bc
         lam *= 0.5
 
@@ -173,9 +173,9 @@ def boundary_line_mechanisms(
     """Per-rainbow chains of iterated operator steps on the boundary
     graph; pulling this back along the boundary morphism yields a valid
     mechanism on the source graph. The chains fill rows in
-    Topology.search's layout, row k for boundary-graph node k."""
+    RainbowGraph.search's layout, row k for boundary-graph node k."""
     bg = r.build_boundary_graph(graph)
-    starts = graph.topology.search[2].tolist()
+    starts = graph.search[2].tolist()
     rows = np.empty((len(bg.graph.nodes), graph.color_space.q))
     for c, start in zip(graph.rainbows(), starts):
         cur = r.to_preference_order(bc.values[c], c)
@@ -268,21 +268,19 @@ def random_dp_mechanism(
     return r.Mechanism(assign, graph.color_space)
 
 
-def check_morphism_reference(m: r.Morphism) -> r.MorphismReport:
+def check_morphism_reference(m: r.Morphism) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
     """check_morphism one edge and one node at a time, on names: the
     definition the array passes must match, violation for violation."""
-    violations: list[tuple] = []
+    edges, moved = [], []
     cod_edges = m.codomain.edges
     for a, b in sorted(m.domain.edges):
         ga, gb = m(a), m(b)
         if ga != gb and tuple(sorted((ga, gb))) not in cod_edges:
-            violations.append(("edge", a, b))
-    edge_ok = not violations
+            edges.append((a, b))
     for d in sorted(m.domain.nodes):
         if m.domain.preference[d] != m.codomain.preference[m(d)]:
-            violations.append(("rainbow", d))
-    rainbow_ok = all(v[0] != "rainbow" for v in violations)
-    return r.MorphismReport(edge_ok, rainbow_ok, tuple(violations))
+            moved.append(d)
+    return tuple(edges), tuple(moved)
 
 
 def random_blowup_morphism(
@@ -393,7 +391,7 @@ def verify_dp_reference(
             margin = r.subset_excess(p, q_, e) - budget.delta
             if margin > r.DEFAULT_TOL:
                 violations.append(r.DpViolation((a, b), (src, dst), margin))
-    return r.DpReport(valid=not violations, violations=tuple(violations))
+    return r.DpReport(tuple(violations))
 
 
 def striped_grid_text(side: int, stripes: int, q: int, seed: int, spread: float) -> str:

@@ -1,11 +1,13 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import random_budget, random_simplex, rng, sv
+from helpers import path5_bc, path5_graph, random_budget, random_simplex, rng, sv
+from rainbowdp.cli.graphfile import parse_graph_file
 from rainbowdp.core import normalized_rows
 
 
@@ -249,11 +251,11 @@ def test_no_public_function_takes_a_tolerance():
 # four library modules. A change to this list is a change to the public
 # surface, made on purpose.
 PUBLIC_NAMES = {
-    "BoundaryCondition", "BoundaryGraph", "BoundaryReport", "CloseSamples",
-    "ColorSpace", "Counterexample", "DEFAULT_TOL", "DpReport", "DpViolation",
+    "BoundaryCondition", "BoundaryGraph", "ColorSpace", "Counterexample",
+    "DEFAULT_TOL", "DpReport", "DpViolation",
     "EpsilonZero", "FalsificationReport", "INFINITE", "InvalidBoundary",
-    "Mechanism", "MissingRainbow", "Morphism", "MorphismReport",
-    "NoOptimalReport", "PrivacyBudget", "Rainbow", "RainbowGraph", "Region",
+    "Mechanism", "MissingRainbow", "Morphism", "NoOptimalReport",
+    "PrivacyBudget", "Rainbow", "RainbowGraph", "Region",
     "SimplexVector", "TauProfile", "UnconstrainedRegion", "boundary_distances",
     "build_boundary_graph", "build_trajectory", "check_morphism",
     "closed_form_prefix", "core",
@@ -271,3 +273,49 @@ def test_public_surface_is_the_listed_names():
     # The cli subpackage is bound as well once anything has imported it.
     public = {name for name in dir(r) if not name.startswith("_")} - {"cli"}
     assert sorted(public) == sorted(PUBLIC_NAMES)
+
+
+BUDGET = r.PrivacyBudget(0.5, 0.01)
+
+
+def _short_weights():
+    # Weights for path5's nodes with one entry too few for n0.
+    graph = path5_graph()
+    mech = r.optimal_mechanism(graph, path5_bc(), r.PrivacyBudget(math.log(2.0), 0.0))
+    weights = {d: (3.0, 2.0, 1.0) for d in graph.nodes}
+    weights["n0"] = (3.0, 2.0)
+    return r.utility_eval(graph, mech, weights)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: parse_graph_file("colors a a\n"), "line 1: color identifiers must be distinct"),
+        (
+            lambda: r.RainbowGraph(("a",), (), {"a": r.Rainbow((1, 0))}, r.ColorSpace(("1", "2", "3"))),
+            "rainbow of node 'a' has wrong length",
+        ),
+        (
+            lambda: r.BoundaryCondition({r.Rainbow((0, 1, 2)): sv(0.5, 0.5)}),
+            "boundary vector length does not match its rainbow",
+        ),
+        (lambda: r.sample_close(sv(0.3, 0.7), BUDGET, 0, 1), "count must be >= 1"),
+        # Three samples, so that one is drawn from the seed's stream.
+        (lambda: r.sample_close(sv(0.3, 0.7), BUDGET, 3, -1), "expected non-negative integer"),
+        (lambda: r.is_close_bruteforce(sv(0.3, 0.7), sv(0.2, 0.3, 0.5), BUDGET), "length mismatch: 2 vs 3"),
+        (lambda: r.closed_form_prefix(sv(0.3, 0.7), BUDGET, -1), "t must be >= 0"),
+        (lambda: r.line_mechanism(sv(0.3, 0.7), BUDGET, -1), "n must be >= 0"),
+        (lambda: r.build_trajectory(sv(0.3, 0.7), BUDGET, -1), "steps must be >= 0"),
+        (lambda: r.build_trajectory(sv(0.3, 0.7), BUDGET, 4, substeps=0), "substeps must be >= 1"),
+        (_short_weights, "weight sequence for node 'n0' has wrong length"),
+        (lambda: normalized_rows(np.array([0.3, 0.7])), "expected a 2-D array of rows, got 1 dimension"),
+    ],
+    ids=[
+        "repeated-color", "rainbow-length", "boundary-length", "sample-count", "negative-seed",
+        "bruteforce-lengths", "negative-t", "negative-n", "negative-steps", "zero-substeps",
+        "weight-length", "one-dimensional-rows",
+    ],
+)
+def test_library_input_errors(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

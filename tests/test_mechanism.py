@@ -249,15 +249,13 @@ def test_validate_boundary_condition():
     budget = r.PrivacyBudget(LOG2, 0.0)
 
     same = r.BoundaryCondition({b: sv(0.3, 0.3, 0.4), red: sv(0.3, 0.3, 0.4)})
-    assert r.validate_boundary_condition(graph, same, budget).valid
+    assert r.validate_boundary_condition(graph, same, budget) == ()
 
     paper_pair = path5_bc()
-    assert r.validate_boundary_condition(graph, paper_pair, budget).valid
+    assert r.validate_boundary_condition(graph, paper_pair, budget) == ()
 
     bad = r.BoundaryCondition({b: sv(0.4, 0.2, 0.4), red: sv(0.7, 0.05, 0.25)})
-    report = r.validate_boundary_condition(graph, bad, budget)
-    assert not report.valid
-    assert report.violations == ((b, red),)
+    assert r.validate_boundary_condition(graph, bad, budget) == ((b, red),)
 
 
 def test_validate_boundary_condition_missing_rainbow():
@@ -552,22 +550,23 @@ def test_optimal_mechanism_shares_one_vector_per_rainbow_distance():
 
 
 def _count_searches(monkeypatch) -> dict[str, int]:
-    # Counts _topology calls and runs of Topology.search's body.
-    calls = {"topology": 0, "bfs": 0}
-    topology, search = r.graph._topology, r.graph.Topology.search.func
+    # Counts runs of the bodies of RainbowGraph.rim, .adjacent_pairs and .search.
+    calls = {"rim": 0, "pairs": 0, "bfs": 0}
 
-    def counted_topology(graph):
-        calls["topology"] += 1
-        return topology(graph)
+    def counted(name, key):
+        func = getattr(r.RainbowGraph, name).func
 
-    def counted_search(self):
-        calls["bfs"] += 1
-        return search(self)
+        def run(self):
+            calls[key] += 1
+            return func(self)
 
-    counted = cached_property(counted_search)
-    counted.__set_name__(r.graph.Topology, "search")
-    monkeypatch.setattr(r.graph, "_topology", counted_topology)
-    monkeypatch.setattr(r.graph.Topology, "search", counted)
+        prop = cached_property(run)
+        prop.__set_name__(r.RainbowGraph, name)
+        monkeypatch.setattr(r.RainbowGraph, name, prop)
+
+    counted("rim", "rim")
+    counted("adjacent_pairs", "pairs")
+    counted("search", "bfs")
     return calls
 
 
@@ -580,15 +579,15 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
         bc = random_homogeneous_bc(g, graph, budget)
         # A fresh graph object, so its topology has not been computed yet.
         graph = r.RainbowGraph(graph.nodes, graph.edges, graph.preference, graph.color_space)
-        calls.update(topology=0, bfs=0)
-        assert r.validate_boundary_condition(graph, bc, budget).valid
-        assert calls == {"topology": 1, "bfs": 0}
+        calls.update(rim=0, pairs=0, bfs=0)
+        assert r.validate_boundary_condition(graph, bc, budget) == ()
+        assert calls == {"rim": 1, "pairs": 1, "bfs": 0}
         mech = r.optimal_mechanism(graph, bc, budget)
         assert r.is_boundary_homogeneous(graph, mech)
         # The boundary graph and the distances read the same cached search.
         r.build_boundary_graph(graph)
         r.boundary_distances(graph, r.decompose_regions(graph))
-        assert calls == {"topology": 1, "bfs": 1}
+        assert calls == {"rim": 1, "pairs": 1, "bfs": 1}
 
 
 def test_build_path_constructs_no_region(monkeypatch):
@@ -607,11 +606,11 @@ def test_build_path_constructs_no_region(monkeypatch):
         graph = r.RainbowGraph.from_ids(
             graph.nodes, graph.rainbow_ids, graph.rainbows(), graph.edge_ends, graph.color_space
         )
-        calls.update(topology=0, bfs=0)
+        calls.update(rim=0, pairs=0, bfs=0)
         mech = r.optimal_mechanism(graph, bc, budget)
         assert r.verify_dp(graph, mech, budget).valid
         mechanism_csv(graph, mech)
-        assert calls == {"topology": 1, "bfs": 1}
+        assert calls == {"rim": 1, "pairs": 1, "bfs": 1}
     with pytest.raises(AssertionError, match="a Region was constructed"):
         r.decompose_regions(graph)
 

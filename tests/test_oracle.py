@@ -13,11 +13,6 @@ from helpers import random_budget, random_simplex, rng, sv
 LOG2 = math.log(2.0)
 
 
-def _vectors(samples: r.CloseSamples) -> list[r.SimplexVector]:
-    # Each sampled row as a SimplexVector holding the stored floats.
-    return r.SimplexVector.wrap(samples.rows)
-
-
 def test_bruteforce_identity_and_example_pair():
     budget = r.PrivacyBudget(LOG2, 0.0)
     p = sv(0.4, 0.2, 0.4)
@@ -66,12 +61,12 @@ def test_sample_close_first_two_and_reproducible():
     budget = r.PrivacyBudget(LOG2, 0.0)
     a = r.sample_close(p, budget, 50, seed=42)
     b = r.sample_close(p, budget, 50, seed=42)
-    assert a.rows.shape == (50, 3)
-    assert tuple(a.rows[0].tolist()) == p.p
-    assert tuple(a.rows[1].tolist()) == r.t_step(p, budget).p
-    assert a.rows.tolist() == b.rows.tolist()
+    assert a.shape == (50, 3)
+    assert tuple(a[0].tolist()) == p.p
+    assert tuple(a[1].tolist()) == r.t_step(p, budget).p
+    assert a.tolist() == b.tolist()
     c = r.sample_close(p, budget, 50, seed=43)
-    assert a.rows.tolist() != c.rows.tolist()
+    assert a.tolist() != c.tolist()
 
 
 def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
@@ -80,7 +75,7 @@ def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
         p = random_simplex(g, int(g.integers(2, 9)), zero_rate=0.3)
         budget = random_budget(g)
         raw = _raw_close_samples(np.array([p.p]), budget, 62, [9])
-        samples = r.sample_close(p, budget, 64, seed=9).rows
+        samples = r.sample_close(p, budget, 64, seed=9)
         assert [tuple(row) for row in samples[2:].tolist()] == [
             r.SimplexVector(tuple(row)).p for row in raw
         ]
@@ -90,20 +85,20 @@ def test_sample_close_all_pass_bruteforce():
     p = sv(0.1, 0.2, 0.7)
     budget = r.PrivacyBudget(LOG2, 0.0)
     samples = r.sample_close(p, budget, 1000, seed=42)
-    assert len(samples.rows) == 1000
-    for vec in _vectors(samples):
+    assert len(samples) == 1000
+    for vec in r.SimplexVector.wrap(samples):
         assert r.is_close_bruteforce(vec, p, budget)
 
 
 def test_sample_close_keeps_support_at_delta_zero():
     p = sv(0.0, 0.5, 0.5)
     budget = r.PrivacyBudget(LOG2, 0.0)
-    for vec in _vectors(r.sample_close(p, budget, 200, seed=7)):
+    for vec in r.SimplexVector.wrap(r.sample_close(p, budget, 200, seed=7)):
         assert vec.p[0] == 0.0
         assert r.is_close(vec, p, budget)
 
 
-# sha256 of sample_close(p, budget, count, seed).rows.tobytes(), taken
+# sha256 of sample_close(p, budget, count, seed).tobytes(), taken
 # before the falsifier moved to blocks of trials; the bytes must not change.
 _P8 = (
     0.07507868503759141, 0.22354126840513192, 0.2491328647564422, 0.05606201534092662,
@@ -131,7 +126,7 @@ SAMPLE_CLOSE_GOLDEN = [
 
 @pytest.mark.parametrize("p,budget,count,seed,digest", SAMPLE_CLOSE_GOLDEN)
 def test_sample_close_golden_bytes(p, budget, count, seed, digest):
-    rows = r.sample_close(r.SimplexVector(p), r.PrivacyBudget(*budget), count, seed).rows
+    rows = r.sample_close(r.SimplexVector(p), r.PrivacyBudget(*budget), count, seed)
     assert rows.shape == (1 if budget == (0.0, 0.0) else count, len(p))
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
@@ -139,8 +134,8 @@ def test_sample_close_golden_bytes(p, budget, count, seed, digest):
 def test_sample_close_degenerate_budget():
     p = sv(0.1, 0.9)
     out = r.sample_close(p, r.PrivacyBudget(0.0, 0.0), 10, seed=1)
-    assert out.rows.tolist() == [list(p.p)]
-    assert out.degenerate_budget
+    # Fewer rows than asked for: the budget admits no other distribution.
+    assert out.tolist() == [list(p.p)]
 
 
 def test_sample_close_random_budgets():
@@ -149,7 +144,7 @@ def test_sample_close_random_budgets():
         q = int(g.integers(2, 8))
         p = random_simplex(g, q, zero_rate=0.2)
         budget = random_budget(g)
-        for vec in _vectors(r.sample_close(p, budget, 100, seed=int(g.integers(2**31)))):
+        for vec in r.SimplexVector.wrap(r.sample_close(p, budget, 100, seed=int(g.integers(2**31)))):
             assert r.is_close(vec, p, budget)
 
 
@@ -261,7 +256,7 @@ def test_bruteforce_chunked_alphabets_agree_with_per_element_check():
         for _ in range(6):
             p = random_simplex(g, q)
             budget = random_budget(g)
-            near = _vectors(r.sample_close(p, budget, 3, seed=int(g.integers(1 << 30))))[-1]
+            near = r.SimplexVector.wrap(r.sample_close(p, budget, 3, seed=int(g.integers(1 << 30))))[-1]
             for other in (near, random_simplex(g, q)):
                 expected = r.is_close(p, other, budget)
                 assert r.is_close_bruteforce(p, other, budget) == expected
@@ -304,5 +299,5 @@ def test_mix_until_close_falls_back_to_p_after_200_halvings():
     with mock.patch.object(oracle, "_accept_mask", accept_mask):
         samples = r.sample_close(p, budget, 6, 0)
     assert checked == [4] * 201
-    assert (samples.rows[2:] == np.array(p.p)).all()
-    assert all(r.is_close(vec, p, budget) for vec in _vectors(samples))
+    assert (samples[2:] == np.array(p.p)).all()
+    assert all(r.is_close(vec, p, budget) for vec in r.SimplexVector.wrap(samples))

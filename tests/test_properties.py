@@ -208,7 +208,7 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
     samples, verdicts, first = _falsify(p_rows, t_step_rows(p_rows, budget), budget, count, seeds, step_rows)
     reports = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
     for block_rows, p, s in zip(samples, ps, seeds):
-        assert block_rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
+        assert block_rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
     assert verdicts.tolist() == [rep.counterexample is not None for rep in reports]
     hits = [(j, rep.counterexample) for j, rep in enumerate(reports) if rep.counterexample]
     assert first == (hits[0] if hits else None)
@@ -292,9 +292,9 @@ def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, 
     block = range(seed % 1000, seed % 1000 + trials)
     assert oracle._start_rows(q, base, block).tobytes() == start_rows(q, base, block).tobytes()
     for p, s in zip(ps, seeds):
-        rows = r.sample_close(p, budget, count, s).rows
+        rows = r.sample_close(p, budget, count, s)
         with mock.patch.object(oracle, "_close_draws", close_draws):
-            assert rows.tobytes() == r.sample_close(p, budget, count, s).rows.tobytes()
+            assert rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
 
 
 identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
@@ -564,7 +564,7 @@ def test_closeness_kernel_agrees_with_exact_arithmetic(case):
 
     split = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": cb}, space)
     bc = r.BoundaryCondition({ca: pv, cb: qv})
-    assert r.validate_boundary_condition(split, bc, budget).valid == close
+    assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
 
     assert bool(oracle._accept_mask(np.array([qv.p]), np.array([pv.p]), budget)[0]) == close
 
