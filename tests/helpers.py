@@ -1,6 +1,7 @@
-"""Shared builders for the test suite: seeded RNGs and the falsifier's
-draws taken one generator per trial, random graphs with
-solvable boundary structure, random valid boundary conditions, and the
+"""Shared builders for the test suite: seeded RNGs, the falsifier's
+draws taken one generator per trial and its rejection loop scanning
+every halving count, random graphs with solvable boundary structure,
+random valid boundary conditions, and the
 competitor mechanisms used for optimality checks; and the references
 the array checks are compared with: verify_dp, utility_eval and
 check_morphism one node or edge at a time, and the hockey-stick excess in
@@ -17,6 +18,7 @@ from itertools import permutations
 import numpy as np
 
 import rainbowdp as r
+from rainbowdp.oracle import _accept_mask
 
 
 def rng(seed) -> np.random.Generator:
@@ -45,6 +47,28 @@ def close_draws(p_rows: np.ndarray, budget: r.PrivacyBudget, n: int, seeds) -> t
         u[rows, support] = g.gamma(1.0, 1.0, size=(n, int(support.sum())))
         lam[rows] = g.uniform(0.0, 1.0, size=n)
     return u, lam
+
+
+def reference_mix_until_close(
+    pa: np.ndarray, u: np.ndarray, lam: np.ndarray, budget: r.PrivacyBudget
+) -> np.ndarray:
+    """The rejection loop scanning every halving count from 0: row i
+    mixes pa[i] toward u[i] with weight lam[i], the weight halved until
+    the mix is close to pa[i]; a row still rejected after 200 halvings
+    is pa[i]. Each round recomputes only the rows still rejected."""
+    cand = pa + lam[:, None] * (u - pa)
+    rows, pr, ur, lr, cr = np.arange(len(cand)), pa, u, lam, cand
+    for _ in range(200):
+        bad = ~_accept_mask(cr, pr, budget)
+        cand[rows[~bad]] = cr[~bad]
+        rows, pr, ur, lr = rows[bad], pr[bad], ur[bad], lr[bad] * 0.5
+        if not rows.size:
+            break
+        cr = pr + lr[:, None] * (ur - pr)
+    else:
+        bad = ~_accept_mask(cr, pr, budget)
+        cand[rows] = np.where(bad[:, None], pr, cr)
+    return cand
 
 
 def sv(*vals) -> r.SimplexVector:

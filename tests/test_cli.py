@@ -803,7 +803,26 @@ FUZZ_GOLDEN_STREAMS = [
 ]
 
 
-@pytest.mark.parametrize("args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS + FUZZ_GOLDEN_STREAMS)
+# Taken before the rejection loop jumped each row to a lower bound on its
+# first accepted halving: the mutant's counterexample at small epsilon is
+# a sample about 14 halvings from its draw.
+FUZZ_GOLDEN_SMALL_EPSILON = [
+    (
+        ["--q", "4", "--trials", "50", "--seed", "3", "--epsilon", "0.0001", "--delta", "1e-7",
+         "--mutant-drop-delta"],
+        5,
+        '{"margin": "1.00000000003e-07", "p": ["0.0268370654967", "0.0950530822421", '
+        '"0.341404684006", "0.536705168255"], "prefix_index": 2, "sample": ["0.0268398493374", '
+        '"0.0950625880256", "0.341438826182", "0.536658736455"], "seed": 3, "trial": 0}\n'
+        "fuzz q=4 trials=50 seed=3 epsilon=0.0001 delta=1e-07 samples=64 "
+        "result=counterexample trial=0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS + FUZZ_GOLDEN_STREAMS + FUZZ_GOLDEN_SMALL_EPSILON
+)
 def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
     assert main(["fuzz", *args]) == code
     assert capsys.readouterr().out == stdout

@@ -121,6 +121,15 @@ SAMPLE_CLOSE_GOLDEN = [
      "35c1fa72cd6170a8c7a98a69a84641ba024e988552f474daf75d7c47061632ec"),
     (_P8, (math.log(1.2), 1e-3), 64, 1_000_010,
      "de71403dfa543c367874e72ddefb359976b508a09422fa58840e8dd0232a1b83"),
+    # Taken before the rejection loop jumped each row to a lower bound on
+    # its first accepted halving: at eps = 1e-4, delta = 1e-7 rows need
+    # about 14 halvings.
+    ((0.1, 0.2, 0.3, 0.4), (1e-4, 1e-7), 40, 7,
+     "490c5995d0130927dbdd61302d523bcc0d2639b390f9d44a0a611112686daf3f"),
+    ((0.0, 0.25, 0.35, 0.4), (1e-4, 1e-7), 40, 8,
+     "d031a425ed9f6f23d17f01e0f7798b7ccdaff7e600d8ca64d232926681fce61e"),
+    (_P8, (1e-4, 1e-7), 64, 1_000_011,
+     "51e5f7a6de5d9970ff12844ca0165d798dc1698347a4d93f018fd153e5439d43"),
 ]
 
 
@@ -286,18 +295,60 @@ def test_one_trial_refuses_a_step_not_close_to_p(call):
 
 def test_mix_until_close_falls_back_to_p_after_200_halvings():
     # At delta = 1e-300 and epsilon = 0 no mix of p with a draw is close
-    # to p, so every sampled row is still rejected after 200 halvings and
-    # becomes p itself.
+    # to p, so every sampled row is rejected at all 201 halving counts
+    # and becomes p itself.
     p = sv(0.0, 0.4, 0.6)
     budget = r.PrivacyBudget(0.0, 1e-300)
-    checked, real = [], oracle._accept_mask
+    rejected, real = set(), oracle._accept_mask
 
     def accept_mask(cand, pa, b):
-        checked.append(len(cand))
-        return real(cand, pa, b)
+        ok = real(cand, pa, b)
+        rejected.update(row.tobytes() for row in cand[~ok])
+        return ok
 
     with mock.patch.object(oracle, "_accept_mask", accept_mask):
         samples = r.sample_close(p, budget, 6, 0)
-    assert checked == [4] * 201
     assert (samples[2:] == np.array(p.p)).all()
     assert all(r.is_close(vec, p, budget) for vec in r.SimplexVector.wrap(samples))
+    # Each row's candidate at the 200th halving was tested and rejected.
+    pa = np.array([p.p] * 4)
+    u, lam = oracle._close_draws(pa[:1], budget, 4, [0])
+    u /= u.sum(axis=1, keepdims=True)
+    last = pa + np.ldexp(lam, -200)[:, None] * (u - pa)
+    assert not (last == pa).all(axis=1).any()
+    assert all(row.tobytes() in rejected for row in last)
+
+
+# Budgets spanning the regimes of the rejection loop: e^eps == 1 in
+# floats (eps = 0 and 1e-17), small eps and large eps, each with delta
+# from 0 to 1, 1e-17 among them, below the rounding of p's entries.
+_LOOP_EPSILONS = (0.0, 1e-17, 1e-9, 1e-4, 0.3, 8.0, 20.0)
+_LOOP_DELTAS = (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0)
+
+
+def test_acceptance_never_flips_back_as_halvings_grow():
+    # The premise of the rejection loop's jump: in floats, a candidate
+    # accepted at some halving count is accepted at every larger one, so
+    # one rejection rules out every smaller count.
+    g = rng(23)
+    flips = 0
+    for epsilon in _LOOP_EPSILONS:
+        for delta in _LOOP_DELTAS:
+            if epsilon == 0.0 and delta == 0.0:
+                continue
+            budget = r.PrivacyBudget(epsilon, delta)
+            q = int(g.integers(2, 13))
+            pa = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(64)])
+            u = g.standard_exponential((64, q))
+            if delta == 0.0:
+                u[pa == 0.0] = 0.0
+            u /= u.sum(axis=1, keepdims=True)
+            lam = g.random(64)
+            accepted = np.array([
+                oracle._accept_mask(pa + np.ldexp(lam, -k)[:, None] * (u - pa), pa, budget)
+                for k in range(201)
+            ])
+            assert (accepted[1:] | ~accepted[:-1]).all(), (epsilon, delta)
+            flips += int((accepted[1:] & ~accepted[:-1]).sum())
+    # Rows rejected at first and accepted later are what the loop jumps.
+    assert flips > 500

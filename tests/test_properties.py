@@ -9,9 +9,10 @@ optimal mechanism built from it depends on the order of the lines after
 `colors`; the parser's id-built graph is the one the string constructor
 makes of the file; the batch SimplexVector normalization, the array pass
 of verify_dp and the falsifier's blocks of trials give, bit for bit,
-what their one-at-a-time definitions give, and a block's streams start
+what their one-at-a-time definitions give, a block's streams start
 where numpy's SeedSequence seeding starts and read the bits one
-generator per trial read; every trajectory file plots; and the optimum
+generator per trial read, and the rejection loop's jumps leave every
+row as testing each halving count in turn does; every trajectory file plots; and the optimum
 is locally tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
 them, gives every node the same optimal row; and the optimal mechanism
@@ -43,6 +44,7 @@ from helpers import (
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
+    reference_mix_until_close,
     rng,
     split_path,
     start_rows,
@@ -295,6 +297,38 @@ def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, 
         rows = r.sample_close(p, budget, count, s)
         with mock.patch.object(oracle, "_close_draws", close_draws):
             assert rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
+
+
+@pytest.mark.parametrize(
+    "epsilon,delta",
+    [(e, d) for e in (0.0, 1e-17, 1e-9, 1e-4, 0.3, 8.0, 20.0)
+     for d in (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0) if e > 0.0 or d > 0.0],
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0**-53]) | st.integers(0, 2**53).map(lambda j: j * 2.0**-53), max_size=6),
+)
+def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, seed, weights):
+    # The rejection loop jumps each row past the halving counts a bound
+    # rules out; every row must come out as the loop that tests every
+    # count from 0 leaves it, at e^eps == 1 in floats (eps = 1e-17) and
+    # at any weight random() can draw (a multiple of 2^-53), 0, 2^-53 and
+    # 1 among them. At delta = 1e-17, below the rounding of p's larger
+    # entries, the bound is often off by rounding.
+    budget = r.PrivacyBudget(epsilon, delta)
+    g = rng(seed)
+    p_rows = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(4)])
+    pa = p_rows[np.arange(48) // 12]
+    u = g.standard_exponential((48, q))
+    if delta == 0.0:
+        u[pa == 0.0] = 0.0
+    u /= u.sum(axis=1, keepdims=True)
+    lam = g.random(48)
+    lam[:len(weights)] = weights
+    got = oracle._mix_until_close(pa, u - pa, lam, budget)
+    assert got.tobytes() == reference_mix_until_close(pa, u, lam, budget).tobytes()
 
 
 identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
