@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import striped_grid_text
-from rainbowdp.cli.graphfile import GraphFileError, emit_graph_file, parse_graph_file
+from helpers import random_dense_graph, rng, striped_grid_text
+from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
+from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
 from rainbowdp.cli import tables
 from rainbowdp.cli.main import main
@@ -108,6 +109,52 @@ def test_parse_peak_memory_is_bounded_by_the_result():
         tracemalloc.stop()
     assert len(gf.graph.nodes) == n and len(gf.graph.edges) == n - 1
     assert peak <= 3 * held, (peak, held)
+
+
+
+BULK_SHAPES = ("path", "grid", "dense")
+
+
+def _bulk_read_text(shape: str) -> str:
+    if shape == "path":
+        return _split_path_text(20_000)
+    if shape == "grid":
+        return striped_grid_text(60, 4, 5, seed=1, spread=0.02)
+    dense = random_dense_graph(rng(3), n=1500, extra_edges=15_000, n_rainbows=30, q=8)
+    return emit_graph_file(GraphFile(dense, None))
+
+
+def test_the_emitted_form_is_read_in_bulk(monkeypatch):
+    # Files as emit_graph_file and the benchmark's generator write them
+    # never reach the line reader.
+    texts = [
+        emit_graph_file(parse_graph_file((FIXTURES / name).read_text()))
+        for name in ("pentagon.graph", "path5.graph")
+    ]
+    texts += [striped_grid_text(12, 3, 4, seed=5, spread=0.02), *map(_bulk_read_text, BULK_SHAPES)]
+
+    def refuse(text):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(graphfile, "_parse_lines", refuse)
+    for text in texts:
+        assert len(parse_graph_file(text).graph.nodes) > 0
+
+
+@pytest.mark.parametrize("shape", BULK_SHAPES)
+def test_bulk_read_peaks_no_higher_than_the_line_reader(shape):
+    text = _bulk_read_text(shape)
+
+    def peak(reader) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reader(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_graph_file) <= peak(graphfile._parse_lines)
 
 
 def test_graph_file_round_trip():

@@ -7,7 +7,8 @@ alone; one operator step stays close to its input and dominates it; a
 graph file survives emit then parse, and neither its parse nor the
 optimal mechanism built from it depends on the order of the lines after
 `colors`; the parser's id-built graph is the one the string constructor
-makes of the file; the batch SimplexVector normalization, the array pass
+makes of the file, and the graph or the error it gives is the line
+reader's, on emitted files and on hand-written forms and errors; the batch SimplexVector normalization, the array pass
 of verify_dp and the falsifier's blocks of trials give, bit for bit,
 what their one-at-a-time definitions give, a block's streams start
 where numpy's SeedSequence seeding starts and read the bits one
@@ -52,7 +53,8 @@ from helpers import (
     verify_dp_reference,
 )
 from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
-from rainbowdp.cli.graphfile import GraphFile, emit_graph_file, parse_graph_file
+from rainbowdp.cli import graphfile
+from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
@@ -335,10 +337,10 @@ identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
 
 
 @st.composite
-def graph_files(draw) -> GraphFile:
-    colors = draw(st.lists(identifiers, min_size=2, max_size=5, unique=True))
+def graph_files(draw, ids=identifiers) -> GraphFile:
+    colors = draw(st.lists(ids, min_size=2, max_size=5, unique=True))
     space = r.ColorSpace(tuple(colors))
-    nodes = draw(st.lists(identifiers, min_size=1, max_size=12, unique=True))
+    nodes = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
     orders = st.permutations(range(space.q)).map(lambda o: r.Rainbow(tuple(o)))
     preference = {d: draw(orders) for d in nodes}
     pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=20))
@@ -417,6 +419,100 @@ def test_parsed_graph_equals_the_string_constructors_graph(seed, shuffler, dense
     assert_same_graph(parsed, r.RainbowGraph(nodes, graph.edges, graph.preference, graph.color_space))
     in_file = [tuple(sorted(line.split()[1:])) for line in body if line.startswith("edge ")]
     assert [(parsed.nodes[a], parsed.nodes[b]) for a, b in parsed.edge_ends.tolist()] == in_file
+
+
+# Names that sort by their bytes as str does only if the padding is
+# right (prefixes, case), and names the bulk reader declines (non-ASCII).
+tricky_ids = st.one_of(
+    st.sampled_from(["n1", "n10", "n1!", "N1", "n", "a", "A", "é", "nß", "x.y"]),
+    st.text("abAB01!.", min_size=1, max_size=3),
+)
+MUTATIONS = (
+    "swap", "edges-first", "tab", "double-space", "trailing-space", "crlf", "blank",
+    "comment", "no-final-newline", "self-loop", "unknown-color", "duplicate-node",
+    "undeclared-node", "malformed-probability", "not-a-permutation", "short-boundary",
+    "sum", "duplicate-edge", "first-directive", "colors-twice", "unknown-directive",
+    "comma-in-color", "comma-in-node", "duplicate-boundary",
+)
+
+
+def _mutate(lines: list[str], kind: str, k: int, gf: GraphFile) -> None:
+    """Give the emitted lines of gf one of the forms or errors a
+    hand-written file may have, at or near line k (crlf and
+    no-final-newline are applied when the lines are joined)."""
+    space = gf.graph.color_space
+    colors, label = space.colors, ",".join(space.colors)
+    node = gf.graph.nodes[k % len(gf.graph.nodes)]
+    edges = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+    edge = lines[edges[k % len(edges)]].split()[1:] if edges else None
+    added = {
+        "self-loop": f"edge {node} {node}",
+        "unknown-color": "node fresh~ " + " ".join(["nocolor", *colors[1:]]),
+        "duplicate-node": f"node {node} " + " ".join(gf.graph.preference[node].color_names(space)),
+        "undeclared-node": f"edge {node} " + ("~" if k % 2 else "ghost~"),
+        "malformed-probability": f"boundary {label} oops" + " 0" * (len(colors) - 1),
+        "not-a-permutation": "node fresh~ " + " ".join([colors[0], *colors[:-1]]),
+        "short-boundary": f"boundary {label} 1" + " 0" * (len(colors) - 2),
+        "sum": f"boundary {label} 0.9" + " 0.4" * (len(colors) - 1),
+        "duplicate-edge": f"edge {edge[1]} {edge[0]}" if edge else None,
+        "colors-twice": lines[0],
+        "unknown-directive": "what x",
+        "comma-in-node": "node a,b " + " ".join(colors),
+        "duplicate-boundary": next((line for line in lines if line.startswith("boundary ")), None),
+        "blank": "",
+        "comment": "# a comment",
+    }
+    if added.get(kind) is not None:
+        lines.insert(1 + k % len(lines), added[kind])
+    elif kind == "swap" and edge:
+        lines[edges[k % len(edges)]] = f"edge {edge[1]} {edge[0]}"
+    elif kind == "edges-first":
+        lines[1:] = [lines[i] for i in edges] + [line for line in lines[1:] if not line.startswith("edge ")]
+    elif kind in ("tab", "double-space", "trailing-space"):
+        i = k % len(lines)
+        lines[i] = lines[i] + " " if kind == "trailing-space" else lines[i].replace(" ", "\t" if kind == "tab" else "  ", 1)
+    elif kind == "first-directive":
+        lines[:2] = lines[1::-1]
+    elif kind == "comma-in-color":
+        lines[0] += " p,q"
+    if kind == "comment":
+        lines[0] += " # the colors"
+
+
+def _read_graph(reader, text: str):
+    """What a reader makes of text: the graph and boundary values, floats
+    as bits, or the error's message and line."""
+    try:
+        gf = reader(text)
+    except GraphFileError as exc:
+        return str(exc), exc.line
+    g = gf.graph
+    values = None if gf.boundary is None else [
+        (c, [x.hex() for x in vec.p]) for c, vec in gf.boundary.values.items()
+    ]
+    return g.nodes, g.rainbow_ids.tolist(), g.rainbows(), g.edge_ends.tolist(), g.color_space, values
+
+
+@pytest.mark.parametrize("kind", ("none", *MUTATIONS))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(graph_files(tricky_ids), st.integers(0, 99),
+       st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 99)), max_size=2))
+def test_parsed_graph_equals_the_line_readers(kind, gf, at, more):
+    # parse_graph_file reads the emitted form in bulk and every other form
+    # and every error line by line; either way it gives what the line
+    # reader gives: the same graph, edge rows in file order and boundary
+    # bits, or the same message on the same line.
+    text = emit_graph_file(gf)
+    mutations = [] if kind == "none" else [(kind, at), *more]
+    if not mutations:
+        assert text.isascii() == (graphfile._parse_bytes(text) is not None)
+    lines = text.splitlines()
+    for name, k in mutations:
+        _mutate(lines, name, k, gf)
+    kinds = {name for name, _ in mutations}
+    brk = "\r\n" if "crlf" in kinds else "\n"
+    text = brk.join(lines) + ("" if "no-final-newline" in kinds else brk)
+    assert _read_graph(parse_graph_file, text) == _read_graph(graphfile._parse_lines, text)
 
 
 # Exact zeros of both signs and float noise below zero that gets clamped.
