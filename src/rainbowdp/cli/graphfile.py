@@ -15,10 +15,13 @@ parse_graph_file has two readers. The bulk reader (_parse_bytes) takes
 the form emit_graph_file writes: `colors` on the first line, printable
 ASCII tokens split by single spaces, an LF after every line, and no
 comments, tabs, CRs or blank lines. It reads the file's bytes with
-numpy, with no Python step per node or edge line. Any other form, and
-any file with an error, goes to the line reader (_parse_lines), which
-alone gives diagnostics, so these carry line numbers whichever form the
-file has.
+numpy, with no Python step per node or edge line, and compares tokens
+as big-endian 8-byte words. A name of at most 8 bytes is one word, its
+exact key, which sorts as str does; a longer name is keyed by a mix of
+its words, each hit is confirmed word by word, and two names with one
+key send the file to the line reader (_parse_lines). So do any other
+form and any file with an error: only the line reader gives
+diagnostics, so these carry line numbers whichever form the file has.
 """
 
 from __future__ import annotations
@@ -83,95 +86,35 @@ def parse_graph_file(text: str) -> GraphFile:
 
 # Every byte the bulk reader takes: printable ASCII except '#', and LF.
 _BULK_BYTES = bytes(c for c in range(0x20, 0x7F) if c != ord("#")) + b"\n"
+# _KEEP[r] keeps the first r bytes of a big-endian word; _MIX is the odd
+# factor of the mix that keys tokens longer than one word.
+_KEEP = np.array([2**64 - 2 ** (64 - 8 * r) for r in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _fixed_width(buf: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int) -> np.ndarray:
-    """The byte strings buf[start[i]:stop[i]], none longer than width, as
-    one 'S<width>' array padded with NULs, gathered one column at a time."""
-    out = np.empty((len(start), width), dtype=np.uint8)
-    for k in range(width):
-        out[:, k] = buf.take(start + k, mode="clip")
-    out[np.arange(width) >= (stop - start)[:, None]] = 0
-    return out.view(f"S{width}").ravel()
-
-
-def _body_fields(
-    buf: np.ndarray, q: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[tuple[int, int]]] | None:
-    """(names, rainbows, ends, others) of the lines after the first, in
-    the emitted form: the node ids and rainbow texts of the node lines and
-    the endpoint pairs of the edge lines as fixed-width byte strings, and
-    the (start, stop) spans of the other lines; None if any line is out
-    of that form or a node id holds a comma."""
-    stops = np.flatnonzero(buf == ord("\n")).astype(np.int32)
-    starts, stops = stops[:-1] + 1, stops[1:]
-    # No token is empty: no space follows a space or ends a line.
-    spaces = np.flatnonzero(buf == ord(" ")).astype(np.int32)
-    after = buf[spaces + 1]
-    if ((after == ord(" ")) | (after == ord("\n"))).any():
-        return None
-    # Each line's first space, as an index into spaces, and its number of spaces.
-    first = np.searchsorted(spaces, starts)
-    count = np.diff(first, append=len(spaces))
-    kind = buf[starts]
-    node, edge = kind == ord("n"), kind == ord("e")
-    node_starts, edge_starts = starts[node], starts[edge]
-    # A prefix read past the end of the file meets its last LF and fails.
-    for line_starts, prefix in ((node_starts, b"node "), (edge_starts, b"edge ")):
-        for k, c in enumerate(prefix):
-            if (buf.take(line_starts + k, mode="clip") != c).any():
-                return None
-    if len(node_starts) == 0 or (count[node] != q + 1).any() or (count[edge] != 2).any():
-        return None
-    # "node <id> <rainbow>" and "edge <a> <b>": each line's second space
-    # ends its first field.
-    id_stops, mid = spaces[first[node] + 1], spaces[first[edge] + 1]
-    width = int((id_stops - node_starts).max()) - 5
-    names = _fixed_width(buf, node_starts + 5, id_stops, width)
-    if (names.view(np.uint8) == ord(",")).any():
-        return None
-    rainbow_width = int((stops[node] - id_stops).max()) - 1
-    rainbows = _fixed_width(buf, id_stops + 1, stops[node], rainbow_width)
-    spans = ((edge_starts + 5, mid), (mid + 1, stops[edge]))
-    if any(int((stop - start).max(initial=0)) > width for start, stop in spans):
-        return None
-    ends = [_fixed_width(buf, start, stop, width) for start, stop in spans]
-    other = ~(node | edge)
-    return names, rainbows, ends, list(zip(starts[other].tolist(), stops[other].tolist()))
-
-
-def _edge_ends(names: np.ndarray, ends: list[np.ndarray]) -> np.ndarray | None:
-    """The edges' rows of node ids (positions in names), each turned so
-    that its smaller name comes first; None on a duplicate node, an
-    undeclared endpoint, a self-loop or a repeated edge."""
-    order = np.argsort(names)
-    ranked = names[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        return None
-    ranks = []
-    for names_at in ends:
-        rank = np.searchsorted(ranked, names_at)
-        if (ranked.take(rank, mode="clip") != names_at).any():
-            return None
-        ranks.append(rank)
-    # Byte order is str order for ASCII, so the smaller rank is the smaller name.
-    low, high = np.minimum(*ranks), np.maximum(*ranks)
-    codes = np.sort(low * len(names) + high)
-    if (low == high).any() or (codes[1:] == codes[:-1]).any():
-        return None
-    return np.stack((order[low], order[high]), axis=1)
+def _words(view: np.ndarray, start: np.ndarray, stop: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, key) of the tokens buf[start[i]:stop[i]]: row k of words holds
+    their k-th 8 bytes as big-endian words read from view (view[i] is the
+    word at buf[i]), zero past each token's end; key is the one word or a mix."""
+    last = len(view) - 1
+    out = np.empty((count, len(start)), dtype=np.uint64)
+    for k, row in enumerate(out):
+        at = start + 8 * k
+        row[:] = view[np.minimum(at, last)]
+        # A word that starts in the last 7 bytes is the last word, moved up.
+        late = np.flatnonzero((at > last) & (at < stop))
+        row[late] <<= (8 * (at[late] - last)).astype(np.uint64)
+        row &= _KEEP.take(np.clip(stop - at, 0, 8))
+        key = row if k == 0 else (key ^ row) * _MIX
+    return out, key
 
 
 def _parse_bytes(text: str) -> GraphFile | None:
     """The graph file read on its bytes, or None when text is not in the
     emitted form or holds anything _parse_lines would reject; never an
-    error. Node ids are node-line positions, as _parse_lines numbers
-    them. Names are fixed-width byte strings; one sort of the node names
-    and a searchsorted turn edge endpoints into ids, and each distinct
-    rainbow text is checked once. Byte positions are int32, and each
-    array is dropped once used, so that the peak stays below the line
-    reader's."""
-    if not text.isascii() or len(text) >= 2**31:
+    error. Byte positions, below twice the file's length, are int32, and
+    arrays are dropped once used, so the peak stays below the line reader's."""
+    if not text.isascii() or len(text) >= 2**30:
         return None
     data = text.encode("ascii")
     if data.translate(None, _BULK_BYTES) or not data.endswith(b"\n"):
@@ -183,22 +126,75 @@ def _parse_bytes(text: str) -> GraphFile | None:
         space = ColorSpace(tuple(tokens[1:]))
     except ValueError:
         return None
-    fields = _body_fields(np.frombuffer(data, dtype=np.uint8), space.q)
-    del data
-    if fields is None:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    view = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
+    stops = np.flatnonzero(buf == ord("\n")).astype(np.int32)
+    starts, stops = stops[:-1] + 1, stops[1:]
+    spaces = np.flatnonzero(buf == ord(" ")).astype(np.int32)
+    # No token is empty: no space is followed by a space or an LF, the
+    # only bytes taken that are not above a space.
+    if (buf[spaces + 1] <= ord(" ")).any():
         return None
-    names, rainbow_texts, ends, others = fields
-    edge_ends = _edge_ends(names, ends)
-    if edge_ends is None:
+    # Each line's first space, as an index into spaces, and its number of spaces.
+    first = np.searchsorted(spaces, starts)
+    count = np.diff(first, append=len(spaces))
+    kind = buf[starts]
+    node, edge = kind == ord("n"), kind == ord("e")
+    node_starts, edge_starts = starts[node], starts[edge]
+    # A prefix read past a short line meets its LF and fails. Then each
+    # line's start moves to its first field.
+    for line_starts, prefix in ((node_starts, b"node "), (edge_starts, b"edge ")):
+        if (_words(view, line_starts, line_starts + 5, 1)[1] >> 24 != int.from_bytes(prefix, "big")).any():
+            return None
+        line_starts += 5
+    if len(node_starts) == 0 or (count[node] != space.q + 1).any() or (count[edge] != 2).any():
         return None
-    del ends
-    distinct, rainbow_ids = np.unique(rainbow_texts, return_inverse=True)
-    del rainbow_texts
+    # "node <id> <rainbow>" and "edge <a> <b>": each line's second space
+    # ends its first field.
+    id_stops, mid = spaces[first[node] + 1], spaces[first[edge] + 1]
+    text_starts, text_stops = id_stops + 1, stops[node]
+    ends = [(edge_starts, mid), (mid + 1, stops[edge])]
+    others = list(zip(starts[~(node | edge)].tolist(), stops[~(node | edge)].tolist()))
+    del starts, stops, spaces, first, count, kind, node, edge
+    # No name is as long as an endpoint with more words than any name.
+    width = max(int((b - a).max(initial=0)) for a, b in [(node_starts, id_stops), *ends])
+    words, key = _words(view, node_starts, id_stops, (width + 7) // 8)
+    by_key = np.argsort(key)
+    ranked = key[by_key]
+    if (ranked[1:] == ranked[:-1]).any():
+        return None
+    # Name order is key order for one-word names. rank and sorted_words are in key order.
+    order = by_key if len(words) == 1 else np.lexsort(words[::-1])
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    rank, sorted_words = rank[by_key], words[:, by_key]
+    ranks = []
+    for a, b in ends:
+        end_words, end_key = _words(view, a, b, len(words))
+        at = np.searchsorted(ranked, end_key)
+        # Every hit is confirmed word by word.
+        if (sorted_words.take(at, axis=1, mode="clip") != end_words).any():
+            return None
+        ranks.append(rank[at])
+        del end_words, end_key, at
+    low, high = np.minimum(*ranks), np.maximum(*ranks)
+    del node_starts, edge_starts, id_stops, mid, ends, ranks, key, by_key, ranked, rank, sorted_words
+    # A self-loop, or a repeated edge: two equal sorted pair codes.
+    if (low == high).any() or not np.diff(np.sort(low.astype(np.int64) * len(order) + high)).all():
+        return None
+    edge_ends = np.stack((order[low], order[high]), axis=1)
+    texts, key = _words(view, text_starts, text_stops, (int((text_stops - text_starts).max()) + 7) // 8)
+    del order, low, high, data, buf, view
+    _, first, rainbow_ids = np.unique(key, return_index=True, return_inverse=True)
+    # Every rainbow text is confirmed word by word.
+    if (texts != texts[:, first[rainbow_ids.ravel()]]).any():
+        return None
     boundary: dict[Rainbow, SimplexVector] = {}
     try:
-        rainbows = [_rainbow_from_names(0, t.split(" "), space) for t in distinct.astype(str).tolist()]
-        for start, stop in others:
-            tokens = text[start:stop].split(" ")
+        spans = zip(text_starts[first].tolist(), text_stops[first].tolist())
+        rainbows = [_rainbow_from_names(0, text[a:b].split(" "), space) for a, b in spans]
+        for a, b in others:
+            tokens = text[a:b].split(" ")
             if tokens[0] != "boundary" or len(tokens) != 2 + space.q:
                 return None
             rainbow = _rainbow_from_names(0, tokens[1].split(","), space)
@@ -207,8 +203,12 @@ def _parse_bytes(text: str) -> GraphFile | None:
             boundary[rainbow] = SimplexVector(tuple(_parse_probability(0, t) for t in tokens[2:]))
     except ValueError:
         return None
+    del texts, key, text_starts, text_stops
+    names = np.ascontiguousarray(words.T, dtype=">u8").view(f"S{8 * len(words)}").ravel()
+    if (names.view(np.uint8) == ord(",")).any():
+        return None
     nodes = tuple(names.astype(str).tolist())
-    del names
+    del words, names
     graph = RainbowGraph.from_ids(nodes, rainbow_ids.ravel(), rainbows, edge_ends, space)
     return GraphFile(graph, BoundaryCondition(boundary) if boundary else None)
 

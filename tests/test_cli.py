@@ -65,6 +65,11 @@ def test_parse_pentagon_fixture_matches_demo_regions():
         ("node x a b\ncolors a b\n", "first directive", 1),
         ("colors a b\ncolors a b\n", "only once", 2),
         ("colors a b\nwhat x\n", "unknown directive", 2),
+        # Directives that begin as "node" and "edge" do, and an endpoint
+        # that is a declared 8-byte name and one byte more.
+        ("colors a b\nnodes x a b\n", "unknown directive 'nodes'", 2),
+        ("colors a b\nnode x a b\nnode y a b\nedgy x y\n", "unknown directive 'edgy'", 4),
+        ("colors a b\nnode abcdefgh a b\nnode x a b\nedge x abcdefgh1\n", "undeclared node 'abcdefgh1'", 4),
         ("colors a,b c\n", "comma", 1),
         # Two or more errors: the first in line order is reported ...
         ("colors a b\nedge x x\nnode y a c\n", "self-loop", 2),
@@ -112,7 +117,7 @@ def test_parse_peak_memory_is_bounded_by_the_result():
 
 
 
-BULK_SHAPES = ("path", "grid", "dense")
+BULK_SHAPES = ("path", "grid", "dense", "long")
 
 
 def _bulk_read_text(shape: str) -> str:
@@ -121,6 +126,13 @@ def _bulk_read_text(shape: str) -> str:
     if shape == "grid":
         return striped_grid_text(60, 4, 5, seed=1, spread=0.02)
     dense = random_dense_graph(rng(3), n=1500, extra_edges=15_000, n_rainbows=30, q=8)
+    if shape == "long":
+        # The dense graph with 12-byte ids, two words each in the bulk reader.
+        name = {d: f"node_{i:07d}" for i, d in enumerate(dense.nodes)}
+        dense = r.RainbowGraph(
+            name.values(), [(name[a], name[b]) for a, b in dense.edges],
+            {name[d]: c for d, c in dense.preference.items()}, dense.color_space,
+        )
     return emit_graph_file(GraphFile(dense, None))
 
 

@@ -422,10 +422,14 @@ def test_parsed_graph_equals_the_string_constructors_graph(seed, shuffler, dense
 
 
 # Names that sort by their bytes as str does only if the padding is
-# right (prefixes, case), and names the bulk reader declines (non-ASCII).
+# right (prefixes, case), names the bulk reader declines (non-ASCII), and
+# names of 7 to 17 bytes, on both sides of the bulk reader's 8-byte
+# words: some share their first word, and "abcdefgh" is that of others.
 tricky_ids = st.one_of(
     st.sampled_from(["n1", "n10", "n1!", "N1", "n", "a", "A", "é", "nß", "x.y"]),
     st.text("abAB01!.", min_size=1, max_size=3),
+    st.sampled_from(["abcdefg", "abcdefgh", "abcdefgh1", "abcdefgh10", "abcdefghijklmnop", "abcdefghijklmnopq"]),
+    st.sampled_from([7, 8, 9, 16, 17]).flatmap(lambda n: st.text("ab", min_size=n, max_size=n)),
 )
 MUTATIONS = (
     "swap", "edges-first", "tab", "double-space", "trailing-space", "crlf", "blank",
@@ -513,6 +517,37 @@ def test_parsed_graph_equals_the_line_readers(kind, gf, at, more):
     brk = "\r\n" if "crlf" in kinds else "\n"
     text = brk.join(lines) + ("" if "no-final-newline" in kinds else brk)
     assert _read_graph(parse_graph_file, text) == _read_graph(graphfile._parse_lines, text)
+
+
+@pytest.mark.parametrize("longest", ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq"])
+def test_the_last_token_of_the_file_is_read_from_its_last_bytes(longest):
+    # With no boundary lines the file ends with an edge to the longest
+    # name, whose last word reaches into the file's last 8 bytes; a name
+    # that differs from it only in its last byte would take a misread word.
+    other = longest[:-1] + "z"
+    text = (
+        f"colors a b\nnode {other} a b\nnode {longest} b a\nnode x a b\n"
+        f"edge x {other}\nedge x {longest}\n"
+    )
+    gf = graphfile._parse_bytes(text)
+    assert gf is not None
+    assert _read_graph(lambda _: gf, text) == _read_graph(graphfile._parse_lines, text)
+
+
+def test_a_shared_key_sends_the_file_to_the_line_reader(monkeypatch):
+    # With the word mix made constant, every token longer than one word
+    # has the same key: the bulk reader declines a file whose names or
+    # rainbow texts are such tokens, and the line reader reads it. Tokens
+    # of one word are their own keys and unaffected.
+    long_names = "colors a b\nnode abcdefgh1 a b\nnode abcdefgh10 b a\nnode x a b\nedge abcdefgh1 x\n"
+    long_texts = "colors red green\nnode x red green\nnode y green red\nedge x y\n"
+    short = long_names.replace("abcdefgh1", "y")
+    assert None not in map(graphfile._parse_bytes, (long_names, long_texts, short))
+    monkeypatch.setattr(graphfile, "_MIX", np.uint64(0))
+    assert graphfile._parse_bytes(short) is not None
+    for text in (long_names, long_texts):
+        assert graphfile._parse_bytes(text) is None
+        assert _read_graph(parse_graph_file, text) == _read_graph(graphfile._parse_lines, text)
 
 
 # Exact zeros of both signs and float noise below zero that gets clamped.
