@@ -3,32 +3,32 @@ sampling of close distributions, dominance falsification, and the
 pentagon demonstration that non-homogeneous boundary conditions can
 admit valid mechanisms but no optimal one.
 
-The falsifier works on a stack of trials at once: each trial draws from
-its own streams, then one rejection loop, one normalization, one
-operator step (t_step_rows) and one prefix check run on the stacked rows.
-The rejection loop (_mix_until_close) halves each sample's mixing
-weight until the mix is close to p; after a few halvings it jumps each
-row still rejected to a lower bound on the count it needs, and its
-output is the bytes of trying every count in turn.
+The falsifier works on a stack of trials at once: one rejection loop,
+one normalization, one operator step (t_step_rows) and one prefix check
+run on the stacked rows, and each trial reads only its own slice of the
+stack's draws, so a stack gives, bit for bit, what its trials give run
+alone on their slices. The rejection loop (_mix_until_close) halves
+each sample's mixing weight until the mix is close to p; after a few
+halvings it jumps each row still rejected to a lower bound on the count
+it needs, and its output is the bytes of trying every count in turn.
 sample_close and dominance_falsify are its one-trial case, and `fuzz`
 runs it on blocks of about _BLOCK_ROWS sample rows, checking as well
 that each trial's operator step is close to its p. The operator it
 tests is a function of a stack of rows: the real one, t_step_rows, or
 the deliberately corrupted _drop_delta_rows of its self-test.
 
-All randomness flows through explicitly seeded streams: each seed's is
-the stream of numpy's Generator(PCG64(SeedSequence(seed))), seeded a
-block of trials at a time (_streams) rather than by building those
-three objects per seed. There is no global RNG state anywhere in this
-module.
+All randomness flows through explicitly seeded generators: one
+numpy default_rng(seed) per sample_close or dominance_falsify call, and
+one default_rng((seed, first trial)) per fuzz block (_close_draws lays
+out what each trial reads). There is no global RNG state anywhere in
+this module.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -62,117 +62,6 @@ _MAX_BRUTEFORCE_Q = 20
 # paid once per block, and a block's arrays (384 KB each at q = 12, about
 # 4 MB in all) do not grow with the number of trials.
 _BLOCK_ROWS = 1 << 12
-
-# The constants of numpy's SeedSequence (a pool of four uint32 words) and
-# PCG64's 128-bit multiplier (numpy/random/bit_generator.pyx, pcg64.h),
-# kept as Python ints below 2^32 (2^128 for the multiplier): every
-# wrapping uint32 product is taken on an array, which warns of nothing.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _entropy_words(seed) -> list[int]:
-    """SeedSequence's uint32 entropy words of a non-negative int (its
-    little-endian words, [0] for 0) or of a tuple of them (the words of
-    each, concatenated)."""
-    if isinstance(seed, tuple):
-        return [w for s in seed for w in _entropy_words(s)]
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words
-
-
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """The first n values of a SeedSequence hash constant: init, then
-    each the last times mult, modulo 2^32, as a uint32 column."""
-    consts = [init]
-    for _ in range(n - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of a uint32 matrix, one call
-    per row in row order: row i is xored with consts[i], multiplied by
-    consts[i + 1], the constant's next value, and folded."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> 16)
-
-
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that PCG64(SeedSequence(e)) starts from, for
-    each row e of a uint32 entropy matrix with at least _POOL columns: the
-    SeedSequence pool hash, its generate_state(4, uint64) and PCG64's
-    srandom step, each taken on all rows at once. A row shorter than
-    _POOL words may be padded with zeros, since the hash reads a missing
-    pool word as 0; a longer one may not."""
-    words = entropy.T
-    # One hashmix per pool word, then _POOL - 1 per pool word and _POOL
-    # per entropy word past the pool: _POOL per word in all.
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words) + 1)
-    pool = _hashmix(words[:_POOL], consts[:_POOL + 1])
-    k = _POOL
-    # Each pool word, in turn, is hashed into each of the others, then
-    # each entropy word past the pool into every pool word.
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        hashed = _hashmix(np.broadcast_to(pool[src], (len(dst), pool.shape[1])), consts[k:k + len(dst) + 1])
-        pool[dst] = _mix(pool[dst], hashed)
-        k += len(dst)
-    for word in words[_POOL:]:
-        pool = _mix(pool, _hashmix(np.broadcast_to(word, pool.shape), consts[k:k + _POOL + 1]))
-        k += _POOL
-    # generate_state(4, uint64) hashes the pool twice over into eight
-    # words; uint64 i is words 2i (low half) and 2i + 1. PCG64 takes
-    # uint64s 0 and 1 as the high and low halves of its initial state,
-    # 2 and 3 of its stream.
-    out = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1))
-    u64 = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*u64.tolist()):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        states.append(((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _streams(seeds: Sequence) -> Iterator[np.random.Generator]:
-    """For each seed in turn (an int or a tuple of ints), a Generator in
-    the state Generator(PCG64(SeedSequence(seed))) starts from. The
-    states are derived a block at a time, rows of equal entropy length
-    together, and one Generator serves them all: each step of the
-    iterator resets it, so a stream is read before the next is taken."""
-    words = [_entropy_words(s) for s in seeds]
-    states: list[tuple[int, int]] = [(0, 0)] * len(words)
-    by_width: dict[int, list[int]] = {}
-    for j, w in enumerate(words):
-        by_width.setdefault(max(_POOL, len(w)), []).append(j)
-    for width, rows in by_width.items():
-        entropy = np.array([words[j] + [0] * (width - len(words[j])) for j in rows], dtype=np.uint32)
-        for j, state in zip(rows, _pcg64_states(entropy)):
-            states[j] = state
-    gen = np.random.Generator(np.random.PCG64(0))
-    for state, inc in states:
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
-
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
 # 2.5 MiB at q = 20), so memory stays bounded whatever the alphabet size.
@@ -226,11 +115,11 @@ _SCAN_HALVINGS = 2
 _MAX_HALVINGS = 200
 
 
-def _mixed(pr: np.ndarray, dr: np.ndarray, lr: np.ndarray) -> np.ndarray:
+def _mixed(pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """pr + lr dr, row by row: the same floats as the expression, in one
-    new array instead of two (a fresh block-sized array costs more than
-    the arithmetic on it)."""
-    out = lr[:, None] * dr
+    array instead of two (a fresh block-sized array costs more than the
+    arithmetic on it), written into out when given."""
+    out = np.multiply(lr[:, None], dr, out=out)
     out += pr
     return out
 
@@ -278,13 +167,14 @@ def _resume_counts(
 
 
 def _mix_until_close(
-    pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget
+    pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Row i mixes pa[i] toward a draw u, along d[i] = u - pa[i], with
     weight lam[i] 2^-k, for the smallest halving count k from 0 to
     _MAX_HALVINGS at which the mix pa[i] + lam[i] 2^-k d[i] is close to
     pa[i]; a row rejected at every count is pa[i]. Each round recomputes
-    only the rows still rejected.
+    only the rows still rejected, which it keeps in scratch, a
+    (3, len(pa), q) array. The rows are written into out.
 
     Phase 1 tests counts 0 to _SCAN_HALVINGS of every row in turn.
     Phase 2 moves each row still rejected to a lower bound on its first
@@ -303,13 +193,14 @@ def _mix_until_close(
     each round of the scan takes, and lam 2^-k is exact, by np.ldexp or
     by repeated halving, since lam is 0 or, drawn by random(), at least
     2^-53, so lam 2^-_MAX_HALVINGS is still a normal float."""
-    cand = _mixed(pa, d, lam)
+    cand = _mixed(pa, d, lam, out)
     # The rows still rejected, compacted: their indices into cand, their
     # p, u - p, weight and latest candidate; in phase 2, also the
     # halving count k of each one's candidate. Rows are gathered with
-    # take, which is several times faster than a boolean mask on them.
-    # At round r every row's count is at least r, so by round
-    # _MAX_HALVINGS every row is accepted or spent.
+    # take from pa and d into the head of scratch, which is several
+    # times faster than a boolean mask on them. At round r every row's
+    # count is at least r, so by round _MAX_HALVINGS every row is
+    # accepted or spent.
     rows, pr, dr, lr, cr = np.arange(len(cand)), pa, d, lam, cand
     for r in range(_MAX_HALVINGS + 1):
         ok = _accept_mask(cr, pr, budget)
@@ -325,81 +216,95 @@ def _mix_until_close(
         i = np.flatnonzero(~ok)
         if not i.size:
             break
-        rows, pr, dr, lr = rows[i], pr.take(i, axis=0), dr.take(i, axis=0), lr[i] * 0.5
+        rows, lr = rows[i], lr[i] * 0.5
+        pr = np.take(pa, rows, axis=0, out=scratch[0, :len(rows)])
+        dr = np.take(d, rows, axis=0, out=scratch[1, :len(rows)])
         if r > _SCAN_HALVINGS:
             k = k[i] + 1
         elif r == _SCAN_HALVINGS:
             lr, k = _resume_counts(pr, dr, lr, budget)
-        cr = _mixed(pr, dr, lr)
+        cr = _mixed(pr, dr, lr, scratch[2, :len(rows)])
     return cand
 
 
-def _close_draws(
-    p_rows: np.ndarray, budget: PrivacyBudget, n: int, seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of _raw_close_samples: rows j*n to j*n + n - 1 of the
-    first array hold n rows of standard exponentials on p_rows[j]'s
-    support (on every entry when delta > 0), zeros elsewhere, and the
-    same entries of the second n uniform weights, all from the stream of
-    seeds[j]. These are the bits of the gamma(1, 1) and uniform(0, 1)
-    draws, which scale the same variates by 1 and add them to 0."""
-    trials, q = p_rows.shape
-    u = np.zeros((trials * n, q))
-    lam = np.empty(trials * n)
-    for j, rng in enumerate(_streams(seeds)):
-        rows = slice(j * n, (j + 1) * n)
-        if budget.delta > 0.0:
-            rng.standard_exponential(out=u[rows])
-        else:
-            support = p_rows[j] > 0.0
-            u[rows, support] = rng.standard_exponential((n, int(support.sum())))
-        rng.random(out=lam[rows])
-    return u, lam
+class _Work:
+    """The arrays of a stack of up to `trials` trials of `count` samples
+    over q outcomes, from the draws of _close_draws (with `start` rows
+    of q per trial ahead of the samples' rows) to the prefix excesses.
+    fuzz allocates them once per call and refills them on every block:
+    fresh block-sized arrays grow the heap, which glibc then trims."""
+
+    def __init__(self, trials: int, count: int, q: int, start: int) -> None:
+        n = max(count - 2, 0)
+        self.draws = np.empty((trials, start + n, q))
+        self.weights = np.empty((trials, n))
+        self.cand = np.empty((trials * n, q))
+        self.units = np.empty((min(trials * n, _BLOCK_ROWS), q))
+        self.rounds = np.empty((3, *self.units.shape))
+        self.samples = np.empty((trials, count, q))
+        self.excess = np.empty((trials, count, q))
+
+
+def _close_draws(rng: np.random.Generator, work: _Work) -> None:
+    """Fill work's draws from one generator, in two calls: every
+    exponential of the stack, then every uniform weight. Trial j reads
+    row j of each, so its bits do not depend on which trials of the
+    stack are run. These are the bits of the gamma(1, 1) and
+    uniform(0, 1) draws of the same shapes, which scale the same
+    variates by 1 and add them to 0."""
+    rng.standard_exponential(out=work.draws)
+    rng.random(out=work.weights)
 
 
 def _raw_close_samples(
-    p_rows: np.ndarray, budget: PrivacyBudget, n: int, seeds: Sequence[int]
+    p_rows: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work
 ) -> np.ndarray:
-    """n accepted candidates per trial, stacked: rows j*n to j*n + n - 1
-    are close to p_rows[j] and drawn from the stream of seeds[j].
-    Candidates mix p toward a uniform simplex draw with a random weight;
-    rejected rows have their weight halved until they pass, which
-    terminates because the close set contains a neighborhood of p
+    """n accepted candidates per trial, stacked, for the draws of a
+    stack of trials ((trials, n, q) exponentials and (trials, n)
+    weights): rows j*n to j*n + n - 1 are close to p_rows[j]. Each
+    candidate mixes p toward a uniform simplex draw, its exponentials
+    (zeroed off p's support at delta = 0) over their sum, with a random
+    weight; rejected rows have their weight halved until they pass,
+    which terminates because the close set contains a neighborhood of p
     (within its support) whenever eps > 0 or delta > 0. Each row's draws
     and halvings are its own, so its bits do not depend on the other
-    rows, and the mixing runs on _BLOCK_ROWS rows at a time."""
-    u, lam = _close_draws(p_rows, budget, n, seeds)
-    u /= u.sum(axis=1, keepdims=True)
-
-    cand = np.empty_like(u)
-    for lo in range(0, len(u), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        pa = p_rows[np.arange(lo, min(lo + _BLOCK_ROWS, len(u))) // n]
-        # u - p, in place: the draws are not read again, and a block-sized
-        # array fewer keeps the heap from growing.
-        d = u[rows]
-        d -= pa
-        cand[rows] = _mix_until_close(pa, d, lam[rows], budget)
+    rows, and the loop runs on _BLOCK_ROWS rows at a time."""
+    n = draws.shape[1]
+    # A view for one trial, whose rows are contiguous; a copy for a stack
+    # of several, at most _BLOCK_ROWS rows in fuzz.
+    rows, lam = draws.reshape(-1, draws.shape[2]), lam.reshape(-1)
+    cand = work.cand[:len(rows)]
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(rows))
+        pa = p_rows[np.arange(lo, hi) // n]
+        u = work.units[:hi - lo]
+        u[...] = rows[lo:hi]
+        if budget.delta == 0.0:
+            np.copyto(u, 0.0, where=~(pa > 0.0))
+        u /= u.sum(axis=1, keepdims=True)
+        # u - p, in place: the draws are not read again.
+        u -= pa
+        _mix_until_close(pa, u, lam[lo:hi], budget, cand[lo:hi], work.rounds[:, :hi - lo])
     return cand
 
 
 def _close_samples(
-    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, count: int, seeds: Sequence[int]
+    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work
 ) -> np.ndarray:
     """The sample matrices of a stack of trials, as a (trials, count, q)
-    array: trial j's first row is p_rows[j], its second steps[j] and the
-    rest come from _raw_close_samples. At a (0,0) budget each trial has
-    the one row p_rows[j]."""
+    array in work: trial j's first row is p_rows[j], its second steps[j]
+    and the rest come from _raw_close_samples. At a (0,0) budget each
+    trial has the one row p_rows[j], in a new array."""
     if budget.epsilon == 0.0 and budget.delta == 0.0:
         return p_rows[:, None, :].copy()
     trials, q = p_rows.shape
-    out = np.empty((trials, count, q))
+    out = work.samples[:trials]
     out[:, 0] = p_rows
-    if count > 1:
+    if out.shape[1] > 1:
         out[:, 1] = steps
-    if count > 2:
-        raw = normalized_rows(_raw_close_samples(p_rows, budget, count - 2, seeds))
-        out[:, 2:] = raw.reshape(trials, count - 2, q)
+    if out.shape[1] > 2:
+        raw = normalized_rows(_raw_close_samples(p_rows, budget, draws, lam, work))
+        out[:, 2:] = raw.reshape(trials, -1, q)
     return out
 
 
@@ -414,10 +319,11 @@ def _step_misses(
     return excess > budget.delta + DEFAULT_TOL, excess - budget.delta
 
 
-def _one_trial(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
-    """p as a one-row stack and its operator step, refused before
-    anything is drawn when the step is not close to p: the samplers hand
-    the step out as a close sample."""
+def _one_trial(p: SimplexVector, budget: PrivacyBudget, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, _Work]:
+    """p as a one-row stack, its operator step, and new arrays for its
+    `count` samples with the draws of default_rng(seed) in them. A step
+    not close to p is refused before anything is drawn: the samplers
+    hand the step out as a close sample."""
     p_rows = np.array([p.p])
     steps = t_step_rows(p_rows, budget)
     misses, margins = _step_misses(p_rows, steps, budget)
@@ -426,7 +332,9 @@ def _one_trial(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.
             f"t_step(p) is not close to p at this budget (margin {float(margins[0]):.6g}); "
             "see ROADMAP.md item 2, large epsilon"
         )
-    return p_rows, steps
+    work = _Work(1, count, len(p), 0)
+    _close_draws(np.random.default_rng(seed), work)
+    return p_rows, steps, work
 
 
 def sample_close(
@@ -434,17 +342,17 @@ def sample_close(
 ) -> np.ndarray:
     """Deterministic sample of `count` distributions, each (eps,delta)-
     close to p, as the rows of a float64 matrix. The first sample is
-    always p and the second is t_step(p); the rest come from seeded
-    rejection sampling. A budget at which t_step(p) is not close to p is
-    a ValueError.
+    always p and the second is t_step(p); the rest come from rejection
+    sampling on the draws of default_rng(seed) (_close_draws). A budget
+    at which t_step(p) is not close to p is a ValueError.
 
     A (0,0) budget admits only p itself: the matrix is the one row p,
     fewer rows than asked for when count > 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    p_rows, steps = _one_trial(p, budget)
-    return _close_samples(p_rows, steps, budget, count, [seed])[0]
+    p_rows, steps, work = _one_trial(p, budget, count, seed)
+    return _close_samples(p_rows, steps, budget, work.draws, work.weights, work)[0]
 
 
 @dataclass(frozen=True)
@@ -465,28 +373,27 @@ _RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
 
 
 def _falsify(
-    p_rows: np.ndarray,
-    steps: np.ndarray,
-    budget: PrivacyBudget,
-    count: int,
-    seeds: Sequence[int],
+    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work,
     step_rows: _RowsStep | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, Counterexample] | None]:
     """The falsifier on a stack of trials: trial j tests the samples of
-    p_rows[j], drawn with seeds[j], against the prefixes of the operator
-    output (step_rows, t_step_rows when None) and the envelope. steps is
+    p_rows[j], made from its draws draws[j] and weights lam[j] in work's
+    arrays, against the prefixes of the operator output (step_rows,
+    t_step_rows when None) and the envelope. steps is
     t_step_rows(p_rows, budget), which every sample matrix holds as row 1.
 
-    Returns the (trials, count, q) sample matrices, each trial's verdict
-    (True when a sample beats the bound) and the first trial's first
-    counterexample, re-verified, as (trial, Counterexample), or None.
+    Returns the (trials, count, q) sample matrices (in work's arrays,
+    which the next stack overwrites), each trial's verdict (True when a
+    sample beats the bound) and the first trial's first counterexample,
+    re-verified, as (trial, Counterexample), or None.
     """
     target = np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1)
     envelope = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
     bound = np.minimum(target, envelope)
 
-    samples = _close_samples(p_rows, steps, budget, count, seeds)
-    excess = np.cumsum(samples, axis=2) - bound[:, None, :]
+    samples = _close_samples(p_rows, steps, budget, draws, lam, work)
+    excess = np.cumsum(samples, axis=2, out=work.excess[:len(samples), :samples.shape[1]])
+    excess -= bound[:, None, :]
     worst_k = np.argmax(excess, axis=2)
     worst = np.take_along_axis(excess, worst_k[..., None], axis=2)[..., 0]
     hits = worst > DEFAULT_TOL
@@ -525,27 +432,24 @@ def dominance_falsify(
     _drop_delta_rows, can be fed to the same harness. A sample fails
     when one of its prefixes exceeds the bound by more than DEFAULT_TOL.
     A reported counterexample is re-verified (closeness to p and the
-    violated prefix) before being returned. As in sample_close, a budget
-    at which t_step(p) is not close to p is a ValueError.
+    violated prefix) before being returned. As in sample_close, the
+    `trials` samples are those of sample_close(p, budget, trials, seed),
+    and a budget at which t_step(p) is not close to p is a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p_rows, steps = _one_trial(p, budget)
-    samples, _, hit = _falsify(p_rows, steps, budget, trials, [seed], step_rows)
+    p_rows, steps, work = _one_trial(p, budget, trials, seed)
+    samples, _, hit = _falsify(p_rows, steps, budget, work.draws, work.weights, work, step_rows)
     counterexample = None if hit is None else hit[1]
     return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
 
 
-def _start_rows(q: int, seed: int, trials: range) -> np.ndarray:
+def _start_rows(draws: np.ndarray) -> np.ndarray:
     """fuzz's start distributions, normalized as SimplexVector stores
-    them: row i is the flat Dirichlet draw of the stream of
-    (seed, trials[i]), taken as Generator.dirichlet takes it (q standard
-    exponentials, each times the reciprocal of their left-to-right sum)."""
-    rows = np.empty((len(trials), q))
-    for row, rng in zip(rows, _streams([(seed, i) for i in trials])):
-        rng.standard_exponential(out=row)
-    rows *= (1.0 / _row_sums(rows))[:, None]
-    return normalized_rows(rows)
+    them: row i is the flat Dirichlet draw that row i of draws, q
+    standard exponentials, makes as Generator.dirichlet makes it (each
+    times the reciprocal of their left-to-right sum)."""
+    return normalized_rows(draws * (1.0 / _row_sums(draws))[:, None])
 
 
 @dataclass(frozen=True)
@@ -569,24 +473,29 @@ def _fuzz(
     otherwise the Counterexample that the falsifier found; a trial with
     both reports the miss.
 
-    Trial i starts from row i of _start_rows and samples `count` close
-    distributions with seed * 1_000_003 + i, as
-    dominance_falsify(p, budget, count, seed * 1_000_003 + i) does.
-    Trials run in blocks of about _BLOCK_ROWS sample rows, and the first
-    block with a finding reports its first one.
+    Trials run in blocks of max(1, _BLOCK_ROWS // count), and the first
+    block with a finding reports its first one. Each block draws from
+    its own generator, default_rng((seed, its first trial)), the draws
+    of all its trials whatever `trials` is (_close_draws, one start row
+    per trial). Trial i of a block starts from the Dirichlet draw of
+    its start row (_start_rows) and falsifies on the rest of its slice,
+    so a block's findings are, bit for bit, those of its trials run
+    alone on their own slices, and a trial's finding depends only on
+    (seed, i, count, q), never on `trials` or on the other trials.
     """
     per_block = max(1, _BLOCK_ROWS // count)
+    work = _Work(per_block, count, q, 1)
     for lo in range(0, trials, per_block):
-        block = range(lo, min(lo + per_block, trials))
-        p_rows = _start_rows(q, seed, block)
+        _close_draws(np.random.default_rng((seed, lo)), work)
+        p_rows = _start_rows(work.draws[:min(per_block, trials - lo), 0])
         steps = t_step_rows(p_rows, budget)
         misses, margins = _step_misses(p_rows, steps, budget)
-        seeds = [seed * 1_000_003 + i for i in block]
         # Only the trials before the first miss are falsified: a step not
         # close to its p is no close sample, and that trial reports its miss.
-        j = int(np.argmax(misses)) if misses.any() else len(block)
-        hit = _falsify(p_rows[:j], steps[:j], budget, count, seeds[:j], step_rows)[2] if j else None
-        if hit is None and j < len(block):
+        j = int(np.argmax(misses)) if misses.any() else len(p_rows)
+        draws, lam = work.draws[:j, 1:], work.weights[:j]
+        hit = _falsify(p_rows[:j], steps[:j], budget, draws, lam, work, step_rows)[2] if j else None
+        if hit is None and j < len(p_rows):
             hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[j]))
         if hit is not None:
             j, finding = hit

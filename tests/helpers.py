@@ -1,8 +1,8 @@
 """Shared builders for the test suite: seeded RNGs, the falsifier's
-draws taken one generator per trial and its rejection loop scanning
-every halving count, random graphs with solvable boundary structure,
-random valid boundary conditions, and the
-competitor mechanisms used for optimality checks; and the references
+draws laid out by gamma and uniform calls, the Dirichlet start they
+give and its rejection loop scanning every halving count, random graphs
+with solvable boundary structure, random valid boundary conditions, and
+the competitor mechanisms used for optimality checks; and the references
 the array checks are compared with: verify_dp, utility_eval and
 check_morphism one node or edge at a time, and the hockey-stick excess in
 exact arithmetic."""
@@ -25,28 +25,26 @@ def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def start_rows(q: int, seed: int, trials) -> np.ndarray:
-    """fuzz's start distributions drawn one generator per trial: row i is
-    rng((seed, trials[i])).dirichlet(ones(q)), normalized as
-    SimplexVector stores it."""
-    return r.core.normalized_rows(np.array([rng((seed, i)).dirichlet(np.ones(q)) for i in trials]))
+def block_draws(key, trials: int, count: int, q: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of a stack of trials from np.random.default_rng(key),
+    taken with gamma(1, 1) and uniform(0, 1): one array of exponentials,
+    trial j's `start` rows of q then one row of q per sample in row j,
+    then one array of the samples' weights, row j for trial j. A trial
+    has count - 2 samples past p and t_step(p), none when count <= 2."""
+    g = np.random.default_rng(key)
+    n = max(count - 2, 0)
+    return g.gamma(1.0, 1.0, size=(trials, start + n, q)), g.uniform(0.0, 1.0, size=(trials, n))
 
 
-def close_draws(p_rows: np.ndarray, budget: r.PrivacyBudget, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The rejection sampler's draws taken one generator per trial: for
-    trial j, n rows of gamma(1, 1) variates on p_rows[j]'s support (every
-    entry when delta > 0), zeros elsewhere, then n uniform(0, 1)
-    weights, both from rng(seeds[j])."""
-    trials, q = p_rows.shape
-    u = np.zeros((trials * n, q))
-    lam = np.empty(trials * n)
-    for j, seed in enumerate(seeds):
-        g = rng(seed)
-        rows = slice(j * n, (j + 1) * n)
-        support = np.ones(q, dtype=bool) if budget.delta > 0.0 else p_rows[j] > 0.0
-        u[rows, support] = g.gamma(1.0, 1.0, size=(n, int(support.sum())))
-        lam[rows] = g.uniform(0.0, 1.0, size=n)
-    return u, lam
+def dirichlet_start(row: np.ndarray) -> r.SimplexVector:
+    """The flat Dirichlet draw that a row of q standard exponentials
+    makes, as Generator.dirichlet makes it: each times the reciprocal of
+    their left-to-right sum."""
+    total = 0.0
+    for x in row.tolist():
+        total += x
+    inv = 1.0 / total
+    return r.SimplexVector(tuple(x * inv for x in row.tolist()))
 
 
 def reference_mix_until_close(

@@ -10,9 +10,10 @@ optimal mechanism built from it depends on the order of the lines after
 makes of the file, and the graph or the error it gives is the line
 reader's, on emitted files and on hand-written forms and errors; the batch SimplexVector normalization, the array pass
 of verify_dp and the falsifier's blocks of trials give, bit for bit,
-what their one-at-a-time definitions give, a block's streams start
-where numpy's SeedSequence seeding starts and read the bits one
-generator per trial read, and the rejection loop's jumps leave every
+what their one-at-a-time definitions give (a fuzz block, what its
+trials give run alone on their own slices of its one generator's
+draws), fuzz's findings do not depend on the number of trials, samples
+at delta = 0 keep p's zeros, and the rejection loop's jumps leave every
 row as testing each halving count in turn does; every trajectory file plots; and the optimum
 is locally tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
@@ -38,7 +39,8 @@ import rainbowdp as r
 from rainbowdp import mechanism, oracle
 from helpers import (
     assert_same_graph,
-    close_draws,
+    block_draws,
+    dirichlet_start,
     exact_excess,
     random_budget,
     random_dense_graph,
@@ -48,7 +50,6 @@ from helpers import (
     reference_mix_until_close,
     rng,
     split_path,
-    start_rows,
     utility_eval_reference,
     verify_dp_reference,
 )
@@ -58,7 +59,7 @@ from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, 
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
-from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz
+from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz, _StepMiss
 
 TOL = 1e-9
 
@@ -182,15 +183,82 @@ falsifier_budgets = st.sampled_from([
 ])
 
 
-def _fuzz_trial_by_trial(q, budget, trials, count, seed, step_rows=None):
-    """What `fuzz` did one trial at a time: the first trial whose
-    dominance_falsify call finds a counterexample."""
-    for i in range(trials):
-        p = r.SimplexVector(tuple(rng((seed, i)).dirichlet(np.ones(q))))
-        report = r.dominance_falsify(p, budget, count, seed * 1_000_003 + i, step_rows)
-        if report.counterexample is not None:
-            return i, p, report.counterexample
-    return None
+def _fuzz_replay(q, budget, trials, count, seed, step_rows=None):
+    """`fuzz` one trial at a time: each block's draws taken by
+    block_draws from default_rng((seed, the block's first trial)), and
+    each trial run alone on its own slice of them, in order. Returns the
+    first finding as _fuzz reports it, and for each block that reaches
+    the falsifier the sample bytes and verdict of each trial it tests
+    (those before the block's first step miss)."""
+    per_block = max(1, oracle._BLOCK_ROWS // count)
+    blocks = []
+    for lo in range(0, trials, per_block):
+        draws, weights = block_draws((seed, lo), per_block, count, q, 1)
+        tested, first = [], None
+        for j in range(min(per_block, trials - lo)):
+            p = dirichlet_start(draws[j, 0])
+            p_row = np.array([p.p])
+            step = t_step_rows(p_row, budget)
+            if not r.is_close(r.SimplexVector.wrap(step)[0], p, budget):
+                stepped = r.SimplexVector.wrap(step)[0]
+                e = budget.exp_epsilon
+                excess = max(r.subset_excess(stepped, p, e), r.subset_excess(p, stepped, e))
+                first = first or (lo + j, p, _StepMiss(stepped, excess - budget.delta))
+                break
+            work = oracle._Work(1, count, q, 0)
+            samples, verdicts, hit = _falsify(
+                p_row, step, budget, draws[j:j + 1, 1:], weights[j:j + 1], work, step_rows
+            )
+            tested.append((samples[0].tobytes(), bool(verdicts[0])))
+            if hit is not None and first is None:
+                first = lo + j, p, hit[1]
+        if tested:
+            blocks.append(tested)
+        if first is not None:
+            return first, blocks
+    return None, blocks
+
+
+def _fuzz_spied(q, budget, trials, count, seed, step_rows, block_rows):
+    """_fuzz with _BLOCK_ROWS set to block_rows, and the sample bytes and
+    verdict of each trial of each block it falsifies."""
+    blocks, real = [], oracle._falsify
+
+    def spy(p_rows, steps, b, draws, lam, work, rows_step=None):
+        samples, verdicts, hit = real(p_rows, steps, b, draws, lam, work, rows_step)
+        blocks.append([(m.tobytes(), bool(v)) for m, v in zip(samples, verdicts)])
+        return samples, verdicts, hit
+
+    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows), mock.patch.object(oracle, "_falsify", spy):
+        got = _fuzz(q, budget, trials, count, seed, step_rows)
+    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+        want = _fuzz_replay(q, budget, trials, count, seed, step_rows)
+    return (got, blocks), want
+
+
+def _some_drop_delta(rows, budget):
+    # Drops delta on the rows whose first entry is large, about one
+    # start in five, so that findings land past trial 0 and past block 0.
+    hit = (rows[:, 0] > 1.5 / rows.shape[1])[:, None]
+    return np.where(hit, _drop_delta_rows(rows, budget), t_step_rows(rows, budget))
+
+
+_OPERATORS = {"real": None, "mutant": _drop_delta_rows, "some": _some_drop_delta}
+
+
+def _victim_operator(q, count, block_rows, seed, victim):
+    """The real operator on every row but trial `victim`'s p, where it
+    drops delta; p is read from the victim's block as _fuzz_replay reads
+    it, with _BLOCK_ROWS at block_rows."""
+    per_block = max(1, block_rows // count)
+    lo = victim - victim % per_block
+    p_victim = np.array(dirichlet_start(block_draws((seed, lo), per_block, count, q, 1)[0][victim - lo, 0]).p)
+
+    def step_rows(rows, b):
+        hit = (rows == p_victim).all(axis=1)[:, None]
+        return np.where(hit, _drop_delta_rows(rows, b), t_step_rows(rows, b))
+
+    return step_rows
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -202,14 +270,27 @@ def _fuzz_trial_by_trial(q, budget, trials, count, seed, step_rows=None):
     st.booleans(),
 )
 def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mutant):
-    # Exact zeros give the trials different supports at delta = 0.
+    # Trial j's slice of the block's draws is what default_rng(seeds[j])
+    # draws for sample_close and dominance_falsify, so the block must give
+    # each trial's bytes and verdict, and its first hit. The block runs in
+    # arrays with room for one trial more, every entry nan beforehand, so
+    # an entry read before it is written shows. Exact zeros give the
+    # trials different supports at delta = 0.
     g = rng(seed)
     q = int(g.integers(2, 13))
     ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
     seeds = [int(s) for s in g.integers(0, 2**40, size=trials)]
     step_rows = _drop_delta_rows if mutant else None
     p_rows = np.array([p.p for p in ps])
-    samples, verdicts, first = _falsify(p_rows, t_step_rows(p_rows, budget), budget, count, seeds, step_rows)
+    work = oracle._Work(trials + 1, count, q, 0)
+    for array in vars(work).values():
+        array.fill(np.nan)
+    for j, s in enumerate(seeds):
+        draws, weights = block_draws(s, 1, count, q, 0)
+        work.draws[j], work.weights[j] = draws[0], weights[0]
+    samples, verdicts, first = _falsify(
+        p_rows, t_step_rows(p_rows, budget), budget, work.draws[:trials], work.weights[:trials], work, step_rows
+    )
     reports = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
     for block_rows, p, s in zip(samples, ps, seeds):
         assert block_rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
@@ -226,14 +307,15 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
     st.integers(1, 16),
     falsifier_budgets,
     st.integers(0, 2**20),
-    st.booleans(),
+    st.sampled_from(sorted(_OPERATORS)),
 )
-def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, mutant):
-    # Small blocks, so that most runs span several and end in a part block.
-    step_rows = _drop_delta_rows if mutant else None
-    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        got = _fuzz(q, budget, trials, count, seed, step_rows)
-    assert got == _fuzz_trial_by_trial(q, budget, trials, count, seed, step_rows)
+def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, operator):
+    # Small blocks, so that most runs span several and end in a part
+    # block; every trial fuzz falsifies must have the samples and verdict
+    # of its replay on its own slice of its block's draws, and the first
+    # finding must be the replay's.
+    got, want = _fuzz_spied(q, budget, trials, count, seed, _OPERATORS[operator], block_rows)
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -249,28 +331,53 @@ def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, bud
     # Only trial `victim`, past the first block, gets an operator that
     # drops delta; sample row 1, the real t_step(p), beats it.
     victim = max(1, block_rows // count) + late
-    p_victim = np.array(r.SimplexVector(tuple(rng((seed, victim)).dirichlet(np.ones(q)))).p)
-
-    def corrupt(rows, b):
-        hit = (rows == p_victim).all(axis=1)[:, None]
-        return np.where(hit, _drop_delta_rows(rows, b), t_step_rows(rows, b))
-
-    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        got = _fuzz(q, budget, victim + 5, count, seed, corrupt)
-    want = _fuzz_trial_by_trial(q, budget, victim + 5, count, seed, corrupt)
-    assert want is not None and want[0] == victim
+    corrupt = _victim_operator(q, count, block_rows, seed, victim)
+    got, want = _fuzz_spied(q, budget, victim + 5, count, seed, corrupt, block_rows)
+    assert want[0] is not None and want[0][0] == victim
     assert got == want
 
 
-def test_streams_start_where_numpy_seeding_starts():
-    # Seeds of one to five entropy words, tuples whose first int takes
-    # two or more, and a fuzz block whose int seeds cross 2^32.
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64, 2**130 + 3, (2**32 + 5, 0), (2**40, 7), (2**70 + 1, 2**33)]
-    crossing = [4294 * 1_000_003 + i for i in range(954_400, 954_430)]
-    assert min(crossing) < 2**32 <= max(crossing)
-    for block in (seeds, crossing):
-        got = [g.bit_generator.state for g in oracle._streams(block)]
-        assert got == [np.random.PCG64(np.random.SeedSequence(s)).state for s in block]
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 8),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(1, 16),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    falsifier_budgets,
+    st.integers(0, 2**20),
+    st.sampled_from(["mutant", "victim"]),
+)
+def test_fuzz_findings_do_not_depend_on_the_number_of_trials(q, count, block_rows, short, more, budget, seed, kind):
+    # A trial's draws are fixed by (seed, trial, count, q): a run of
+    # `short` trials reports the finding of a longer run when that lies
+    # below `short`, and nothing otherwise. The victim sits past the
+    # first block, below `short` in some runs and not in others.
+    step_rows = _drop_delta_rows
+    if kind == "victim":
+        per_block = max(1, block_rows // count)
+        step_rows = _victim_operator(q, count, block_rows, seed, per_block + seed % (short + per_block))
+    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+        longer = _fuzz(q, budget, short + more, count, seed, step_rows)
+        shorter = _fuzz(q, budget, short, count, seed, step_rows)
+    assert shorter == (longer if longer is not None and longer[0] < short else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 40, 300]),
+    falsifier_budgets.filter(lambda b: b.delta == 0.0),
+)
+def test_samples_keep_the_support_of_p_at_delta_zero(seed, count, budget):
+    # At delta = 0 every close distribution is 0 where p is: each row
+    # draws q exponentials and the entries off p's support are zeroed.
+    g = rng(seed)
+    p = random_simplex(g, int(g.integers(2, 13)), zero_rate=0.4)
+    samples = r.sample_close(p, budget, count, int(g.integers(2**40)))
+    off = np.array(p.p) == 0.0
+    assert (samples[:, off] == 0.0).all()
+    assert all(r.is_close(vec, p, budget) for vec in r.SimplexVector.wrap(samples))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -282,22 +389,34 @@ def test_streams_start_where_numpy_seeding_starts():
     st.integers(0, 2**100),
 )
 def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, budget, base):
-    # The streams of a block, read with standard_exponential and random,
-    # give the bits that gamma(1, 1), uniform(0, 1) and dirichlet gave
-    # from one generator per trial, at seeds of one to five words.
+    # A stack's draws are one generator's, laid out as block_draws lays
+    # them out: standard_exponential and random give the bits of
+    # gamma(1, 1) and uniform(0, 1), for fuzz's blocks (a start row per
+    # trial) and for the one trial of sample_close, at keys of one to
+    # five words. A block's first trial starts from its generator's
+    # Dirichlet draw, and every start is the Dirichlet draw of its row.
     g = rng(seed)
     q = int(g.integers(2, 13))
-    ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
-    p_rows = np.array([p.p for p in ps])
-    seeds = [base + int(s) for s in g.integers(0, 2**33, size=trials)]
-    got = oracle._close_draws(p_rows, budget, count, seeds)
-    want = close_draws(p_rows, budget, count, seeds)
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-    block = range(seed % 1000, seed % 1000 + trials)
-    assert oracle._start_rows(q, base, block).tobytes() == start_rows(q, base, block).tobytes()
-    for p, s in zip(ps, seeds):
+    lo = seed % 1000
+    for key, start in (((base, lo), 1), (base, 0)):
+        work = oracle._Work(trials, count, q, start)
+        oracle._close_draws(np.random.default_rng(key), work)
+        want = block_draws(key, trials, count, q, start)
+        assert [work.draws.tobytes(), work.weights.tobytes()] == [w.tobytes() for w in want]
+    work = oracle._Work(trials, count, q, 1)
+    oracle._close_draws(np.random.default_rng((base, lo)), work)
+    starts = oracle._start_rows(work.draws[:, 0])
+    assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in work.draws[:, 0])
+    assert _hexes(starts[:1]) == _hexes([r.SimplexVector(tuple(rng((base, lo)).dirichlet(np.ones(q)))).p])
+
+    def reference_draws(generator, work):
+        work.draws[...] = generator.gamma(1.0, 1.0, size=work.draws.shape)
+        work.weights[...] = generator.uniform(0.0, 1.0, size=work.weights.shape)
+
+    for p in [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]:
+        s = base + int(g.integers(0, 2**33))
         rows = r.sample_close(p, budget, count, s)
-        with mock.patch.object(oracle, "_close_draws", close_draws):
+        with mock.patch.object(oracle, "_close_draws", reference_draws):
             assert rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
 
 
@@ -329,7 +448,7 @@ def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, see
     u /= u.sum(axis=1, keepdims=True)
     lam = g.random(48)
     lam[:len(weights)] = weights
-    got = oracle._mix_until_close(pa, u - pa, lam, budget)
+    got = oracle._mix_until_close(pa, u - pa, lam, budget, np.empty_like(pa), np.empty((3, *pa.shape)))
     assert got.tobytes() == reference_mix_until_close(pa, u, lam, budget).tobytes()
 
 
