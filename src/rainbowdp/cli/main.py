@@ -134,11 +134,11 @@ def cmd_verify(args) -> int:
     gf = parse_graph_file(_read_text(args.graph_file))
     mech = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
     nodes = gf.graph.node_index.keys()
-    unknown = sorted(mech.row_of.keys() - nodes)
-    if unknown:
-        raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
-    missing = sorted(nodes - mech.row_of.keys())
-    if missing:
+    if mech.row_of.keys() != nodes:  # the sorted differences only when they differ
+        unknown = sorted(mech.row_of.keys() - nodes)
+        if unknown:
+            raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
+        missing = sorted(nodes - mech.row_of.keys())
         print(f"error: mechanism file is missing nodes {_first_nodes(missing)}", file=sys.stderr)
         return EXIT_INCOMPLETE
     report = verify_dp(gf.graph, mech, budget)

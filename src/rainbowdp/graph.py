@@ -7,7 +7,9 @@ rainbow) and boundary (the rest). The boundary graph compresses each
 class to a chain indexed by distance-to-boundary, and the boundary
 morphism sends a node to its (rainbow, distance) pair. One cached search,
 RainbowGraph.search, lays the chains out for both constructions:
-boundary-graph node k is row k of the optimal mechanism's matrix.
+boundary-graph node k is row k of the optimal mechanism's matrix. It is a
+breadth-first search from every boundary node at once, a whole level at a
+time on arrays while levels are wide and a node at a time after.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ class UnconstrainedRegion(RuntimeError):
         self.rainbow = rainbow
         label = ",".join(rainbow.color_names(space))
         super().__init__(f"rainbow ({label}) has an empty boundary in some component")
+
+
+# The narrowest level RainbowGraph.search expands on arrays: per level, both
+# phases cost the same at about 64 nodes on grids and on bundles of paths.
+_ARRAY_LEVEL_WIDTH = 64
 
 
 def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
@@ -193,29 +200,49 @@ class RainbowGraph:
         A node it never reaches sits in a component with no boundary;
         UnconstrainedRegion then names the first rainbow, in rainbow
         order, with such a member (or with an empty boundary).
+
+        An all-rim graph gets no neighbor list. Otherwise levels of at
+        least _ARRAY_LEVEL_WIDTH nodes are expanded on arrays, and the
+        first narrower one goes to a queue that ends the search a node at
+        a time, where a numpy step per level would cost more than it saves.
         """
         ends, rim, n = self.edge_ends, self.rim, len(self.nodes)
-        # Neighbors as CSR: node i's are indices[indptr[i]:indptr[i + 1]].
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        indices = np.concatenate((ends[:, 1], ends[:, 0]))[np.argsort(src, kind="stable")]
-        dist = np.where(rim, 0, -1).tolist()
-        queue = np.flatnonzero(rim).tolist()
-        # Memoryviews hand out Python ints one at a time, with no list of them.
-        indptr, indices = memoryview(indptr), memoryview(indices)
-        # The queue grows while it is walked; no node enters it twice.
-        for i in queue:
-            if len(queue) == n:
-                break
-            step = dist[i] + 1
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if dist[j] < 0:
-                    dist[j] = step
-                    queue.append(j)
-        dist = np.array(dist, dtype=np.intp)
+        dist = rim.astype(np.intp) - 1
+        frontier = np.flatnonzero(rim)
+        reached = len(frontier)
+        if reached < n:  # an all-rim graph needs no neighbor list
+            # Neighbors as CSR: node i's are indices[indptr[i]:indptr[i + 1]].
+            src = np.concatenate((ends[:, 0], ends[:, 1]))
+            degree = np.bincount(src, minlength=n)
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(degree, out=indptr[1:])
+            indices = np.concatenate((ends[:, 1], ends[:, 0]))[np.argsort(src, kind="stable")]
+            # A wide level is expanded on arrays: its nodes' neighbor slices
+            # in one gather, then the unreached ones, sorted and deduplicated
+            # (not by np.unique, whose first call imports numpy.ma).
+            while len(frontier) >= _ARRAY_LEVEL_WIDTH:
+                lo, count = indptr[frontier], degree[frontier]
+                nbrs = indices[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+                nbrs = np.sort(nbrs[dist[nbrs] < 0])
+                dist[nbrs] = dist[frontier[0]] + 1
+                frontier = nbrs[np.flatnonzero(np.diff(nbrs, prepend=-1))]
+                reached += len(frontier)
+            if len(frontier):
+                # The narrow levels left go node at a time; memoryviews hand
+                # out Python ints one at a time, with no list of them.
+                dist, queue = dist.tolist(), frontier.tolist()
+                indptr, indices = memoryview(indptr), memoryview(indices)
+                # The queue grows while it is walked; no node enters it twice.
+                for i in queue:
+                    step = dist[i] + 1
+                    for j in indices[indptr[i]:indptr[i + 1]]:
+                        if dist[j] < 0:
+                            dist[j] = step
+                            queue.append(j)
+                reached += len(queue) - len(frontier)
+                dist = np.array(dist, dtype=np.intp)
         ids = self.rainbow_ids
-        if len(queue) < n:  # the lowest rainbow id is the first rainbow in order
+        if reached < n:  # the lowest rainbow id is the first rainbow in order
             raise UnconstrainedRegion(self._rainbows[int(ids[dist < 0].min())], self.color_space)
         depths = np.zeros(len(self._rainbows), dtype=np.intp)
         np.maximum.at(depths, ids, dist)

@@ -238,11 +238,12 @@ class _Work:
         n = max(count - 2, 0)
         self.draws = np.empty((trials, start + n, q))
         self.weights = np.empty((trials, n))
-        self.cand = np.empty((trials * n, q))
+        # The prefix excesses reuse the candidates' memory, dead once normalized.
+        self.cand = np.empty((trials * count, q))
+        self.excess = self.cand.reshape(trials, count, q)
         self.units = np.empty((min(trials * n, _BLOCK_ROWS), q))
         self.rounds = np.empty((3, *self.units.shape))
         self.samples = np.empty((trials, count, q))
-        self.excess = np.empty((trials, count, q))
 
 
 def _close_draws(rng: np.random.Generator, work: _Work) -> None:

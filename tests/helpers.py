@@ -269,6 +269,28 @@ def bfs_depths(nbrs: dict[str, tuple[str, ...]], root: str) -> dict[str, int]:
     return depth
 
 
+def reference_search(graph: r.RainbowGraph) -> tuple[np.ndarray, ...]:
+    """RainbowGraph.search's (dist, depths, starts, chain_row), from one
+    breadth-first search by name over graph.edges, a node at a time,
+    from every node with a neighbour of another rainbow; dist is -1 for a
+    node it never reaches, which search refuses with UnconstrainedRegion."""
+    nbrs, pref = adjacency(graph), graph.preference
+    depth = {d: 0 for d in graph.nodes if any(pref[x] != pref[d] for x in nbrs[d])}
+    queue = deque(depth)
+    while queue:
+        d = queue.popleft()
+        for nb in nbrs[d]:
+            if nb not in depth:
+                depth[nb] = depth[d] + 1
+                queue.append(nb)
+    dist = np.array([depth.get(d, -1) for d in graph.nodes], dtype=np.intp)
+    rank = {c: k for k, c in enumerate(graph.rainbows())}
+    ids = np.array([rank[pref[d]] for d in graph.nodes], dtype=np.intp)
+    depths = np.array([dist[ids == k].max() for k in range(len(rank))], dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(depths + 1)[:-1])).astype(np.intp)
+    return dist, depths, starts, starts[ids] + dist
+
+
 def random_dp_mechanism(
     g: np.random.Generator, graph: r.RainbowGraph, budget: r.PrivacyBudget
 ) -> r.Mechanism:

@@ -923,6 +923,24 @@ def test_cmd_fuzz_caps_samples(capsys):
     assert capsys.readouterr().out.endswith("samples=65536 result=ok\n")
 
 
+def test_cmd_fuzz_peak_memory_at_the_sample_cap(capsys):
+    # The largest accepted trial holds its draws, candidates and samples,
+    # each a (65536, 12) float64 array, and its prefix excesses reuse the
+    # candidates' memory: 4.7 such arrays at the peak, 5.7 when the
+    # excesses had their own, so 5 leaves a margin of 0.3 of one.
+    args = ["fuzz", "--q", "12", "--trials", "1", "--epsilon", "0.3", "--delta", "0.01"]
+    assert main(args) == 0  # imports and first-call set-up, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main([*args, "--samples", "65536"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("samples=65536 result=ok\n")
+    assert peak < 5 * 65536 * 12 * 8, peak / 2**20
+
+
 def test_cmd_trajectory_caps_cells(tmp_path, capsys):
     # Checked before any work: the CSV has a line per (t, k) cell. Each
     # rejected call is the first count over 2^17 cells.

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +22,14 @@ from helpers import (
     random_dp_mechanism,
     random_homogeneous_bc,
     random_solvable_graph,
+    reference_search,
     rng,
     split_path,
     striped_grid_text,
     sv,
 )
 from rainbowdp.cli.graphfile import parse_graph_file
+from rainbowdp.graph import _ARRAY_LEVEL_WIDTH
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -508,6 +512,111 @@ def test_boundary_distances_unconstrained_component_in_dense_graph():
         with pytest.raises(r.UnconstrainedRegion) as exc:
             graph.search
         assert exc.value.rainbow == c
+
+
+def _striped_grid(side):
+    return parse_graph_file(striped_grid_text(side, 4, 5, seed=side, spread=0.02)).graph
+
+
+def _with_path(graph, prefix, length, rainbow, anchor=None):
+    # graph plus a path of `length` nodes of one rainbow, its first node
+    # joined to anchor when one is given.
+    path = tuple(f"{prefix}{i:03d}" for i in range(length))
+    edges = set(zip(path, path[1:]))
+    if anchor is not None:
+        edges.add(tuple(sorted((anchor, path[0]))))
+    pref = {**graph.preference, **dict.fromkeys(path, rainbow)}
+    return r.RainbowGraph(graph.nodes + path, graph.edges | edges, pref, graph.color_space)
+
+
+def _path_and_random_edges(n, m, ids, seed):
+    # n nodes, node i in rainbow ids[i] of 40 (q = 8), on a path plus
+    # random edges, m edges in all.
+    g = rng(seed)
+    chain_codes = np.arange(n - 1) * n + np.arange(1, n)
+    pairs = np.sort(g.integers(0, n, size=(2 * m, 2)), axis=1)
+    codes = np.setdiff1d(pairs[pairs[:, 0] != pairs[:, 1]] @ [n, 1], chain_codes)
+    codes = np.concatenate((chain_codes, g.permutation(codes)[:m - n + 1]))
+    ends = np.stack((codes // n, codes % n), axis=1)
+    space = r.ColorSpace(tuple(f"c{i}" for i in range(1, 9)))
+    names = [f"d{i:05d}" for i in range(n)]
+    return r.RainbowGraph.from_ids(names, ids, distinct_rainbows(g, 8, 40), ends, space)
+
+
+def _all_rim_graph(n, m, seed):
+    # Path neighbors differ in rainbow, so every node is on the rim.
+    return _path_and_random_edges(n, m, np.arange(n) % 40, seed)
+
+
+def _random_levels_graph():
+    # A 200-node class in a random 4000-node graph of average degree 4:
+    # wide levels whose nodes have several parents, then a narrow one.
+    return _path_and_random_edges(4000, 8000, (np.arange(4000) >= 200).astype(np.intp), seed=32)
+
+
+def _tailed_grid():
+    # A 300-node tail on a mid-depth node of the first stripe outlasts the
+    # grid's levels, so the search hands its last levels to the queue.
+    wide = _striped_grid(90)
+    return _with_path(wide, "t", 300, wide.preference["r45c10"], "r45c10")
+
+
+# Each case's graph, and a test on its level widths (from the reference)
+# that it reaches the phases named: levels at least _ARRAY_LEVEL_WIDTH
+# wide go on arrays, the first narrower one and all after it a node at a
+# time.
+SEARCH_CASES = {
+    "array levels only": (lambda: _striped_grid(90), lambda w: w.min() >= _ARRAY_LEVEL_WIDTH),
+    "handoff": (_tailed_grid, lambda w: w[0] >= _ARRAY_LEVEL_WIDTH > w[-1]),
+    "queue only": (lambda: split_path()[0], lambda w: w[0] < _ARRAY_LEVEL_WIDTH),
+    "several parents": (_random_levels_graph, lambda w: w[0] >= _ARRAY_LEVEL_WIDTH > w[-1]),
+    "all rim": (lambda: _all_rim_graph(400, 2000, seed=30), lambda w: len(w) == 1),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_search_matches_the_reference_in_each_phase(case):
+    make, reaches = SEARCH_CASES[case]
+    graph = make()
+    expected = reference_search(graph)
+    assert reaches(np.bincount(expected[0]))
+    layout = graph.search
+    for got, want in zip(layout, expected, strict=True):
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
+        assert not got.flags.writeable
+    assert graph.search is layout
+
+
+def test_search_on_an_all_rim_graph_builds_no_neighbor_list():
+    graph = _all_rim_graph(3000, 60_000, seed=31)
+    assert len(graph.edge_ends) == 60_000 and graph.rim.all()  # rim before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dist = graph.search[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dist.any()
+    # A CSR's indices array alone holds 2E intp entries.
+    assert peak < 2 * 60_000 * 8, peak
+
+
+@pytest.mark.parametrize("make", [lambda: _striped_grid(90), _random_levels_graph], ids=["grid", "random"])
+def test_search_of_wide_levels_with_rimless_islands(make):
+    # Islands of the last and then the first rainbow, in rainbow order,
+    # reach no boundary once the wide levels are done: the error names
+    # the first rainbow, on every read.
+    wide = make()
+    first, last = wide.rainbows()[0], wide.rainbows()[-1]
+    graph = _with_path(_with_path(wide, "x", 5, last), "y", 5, first)
+    dist = reference_search(graph)[0]
+    assert (dist < 0).sum() == 10 and np.bincount(dist[dist >= 0])[0] >= _ARRAY_LEVEL_WIDTH
+    for _ in range(2):
+        with pytest.raises(r.UnconstrainedRegion) as exc:
+            graph.search
+        assert exc.value.rainbow == first
+    assert "search" not in graph.__dict__
 
 
 def test_build_boundary_graph_on_long_path():
