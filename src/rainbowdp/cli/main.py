@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -89,8 +91,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write over the file in place and cut it at the text's end, as a truncating open makes
+    ext4 free the old blocks first (auto_da_alloc); a failed write leaves an empty file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as raw:
+        regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
+        try:
+            with open(raw.fileno(), "w", encoding="utf-8", newline="", closefd=False) as fh:
+                fh.write(text)
+            if regular:
+                raw.truncate()
+        except BaseException:
+            if regular:
+                raw.truncate(0)
+            raise
 
 
 def cmd_build(args) -> int:

@@ -2,7 +2,8 @@
 draws laid out by gamma and uniform calls, the Dirichlet start they
 give and its rejection loop scanning every halving count, random graphs
 with solvable boundary structure, random valid boundary conditions, and
-the competitor mechanisms used for optimality checks; and the references
+the competitor mechanisms used for optimality checks, the environment of
+a child interpreter; and the references
 the array checks are compared with: verify_dp, utility_eval and
 check_morphism one node or edge at a time, and the hockey-stick excess in
 exact arithmetic."""
@@ -10,15 +11,27 @@ exact arithmetic."""
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
 import rainbowdp as r
 from rainbowdp.oracle import _accept_mask
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with the directory this process imported rainbowdp from
+    first on PYTHONPATH, so a child interpreter imports the same package
+    whatever its working directory (a relative entry would not resolve)."""
+    package_root = str(Path(r.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def rng(seed) -> np.random.Generator:

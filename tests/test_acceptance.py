@@ -3,7 +3,6 @@ with its measured quantities. Stated tolerances are asserted as given,
 never loosened."""
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -16,6 +15,7 @@ from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from rainbowdp.oracle import _drop_delta_rows
 from helpers import (
     boundary_line_mechanisms,
+    child_env,
     random_blowup_morphism,
     random_budget,
     random_dp_mechanism,
@@ -187,19 +187,12 @@ def test_criterion_8_optimal_mechanism_end_to_end():
 
 
 def _run_cli(args, cwd):
-    # The child must import the same rainbowdp as this process, wherever it
-    # was found; a relative PYTHONPATH entry would not resolve from ``cwd``.
-    package_root = str(Path(r.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "rainbowdp", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

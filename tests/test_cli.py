@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from xml.dom import minidom
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import random_dense_graph, rng, striped_grid_text
+from helpers import child_env, random_dense_graph, rng, striped_grid_text
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
@@ -442,6 +445,10 @@ def test_cmd_build_writes_no_mechanism_that_fails_verify(tmp_path, capsys):
         "error: the constructed mechanism fails the privacy check with 2 violation(s); "
         "worst: violation edge=(n3,n4) direction=n3->n4 margin=0.8\n"
     )
+    # An existing --out file is not opened at all.
+    out.write_bytes(b"old bytes\n" * 1000)
+    assert main(["build", str(FIXTURES / "path5.graph"), "--epsilon", "50", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"old bytes\n" * 1000
 
 
 def test_cmd_build_unconstrained_region(tmp_path, capsys):
@@ -1021,20 +1028,100 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["build", "trajectory", "plot"])
-def test_unwritable_out_exits_1(tmp_path, capsys, command):
+WRITERS = ["build", "trajectory", "plot"]
+
+
+@pytest.fixture
+def writer_argv(tmp_path):
+    """Each command that writes an --out file, with its arguments but --out."""
     traj = tmp_path / "t.csv"
     assert main(["trajectory", "--boundary", "0.1,0.2,0.7", "--e-epsilon", "2",
                  "--steps", "2", "--out", str(traj)]) == 0
-    inputs = {
-        "build": [str(FIXTURES / "path5.graph"), "--e-epsilon", "2"],
-        "trajectory": ["--boundary", "0.1,0.2,0.7", "--e-epsilon", "2"],
-        "plot": [str(traj)],
-    }[command]
+    return {
+        "build": ["build", str(FIXTURES / "path5.graph"), "--e-epsilon", "2"],
+        "trajectory": ["trajectory", "--boundary", "0.1,0.2,0.7", "--e-epsilon", "2"],
+        "plot": ["plot", str(traj)],
+    }
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_unwritable_out_exits_1(tmp_path, capsys, writer_argv, command):
     capsys.readouterr()
-    assert main([command, *inputs, "--out", str(tmp_path / "missing" / "out")]) == 1
+    assert main([*writer_argv[command], "--out", str(tmp_path / "missing" / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_is_overwritten_in_place(tmp_path, writer_argv, command):
+    # The output is written over the old file and cut at its end: a longer
+    # old file keeps no tail, and a symlink, a hard link and the file's
+    # mode are kept. A new file gets open()'s mode; /dev/null is no file.
+    argv = writer_argv[command]
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    expected = fresh.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    target, twin, link = tmp_path / "target", tmp_path / "twin", tmp_path / "link"
+    target.write_bytes(b"x" * (len(expected) + 4096))
+    target.chmod(0o600)
+    os.link(target, twin)
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+    assert twin.read_bytes() == expected
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert main([*argv, "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_is_opened_without_truncation(tmp_path, monkeypatch, writer_argv, command):
+    # A truncating open makes ext4 free the old file's blocks before the
+    # rewrite (auto_da_alloc): about 0.24 s for a 4.3 MB CSV on an ext4
+    # mounted discard, against 0.6 ms in place.
+    out = tmp_path / "out"
+    out.write_bytes(b"old")
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main([*writer_argv[command], "--out", str(out)]) == 0
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+FILE_SIZE_LIMITED = """\
+import resource, signal, sys
+from rainbowdp.cli.main import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_failed_write_leaves_an_empty_file(tmp_path, writer_argv, command):
+    # A file-size limit of half the output fails the write after its first
+    # bytes, as a full disk would: the 1 MB old file keeps no tail.
+    pytest.importorskip("resource")
+    argv = writer_argv[command]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    out.write_bytes(b"x" * 2**20)
+    proc = subprocess.run(
+        [sys.executable, "-c", FILE_SIZE_LIMITED, str(fresh.stat().st_size // 2), *argv, "--out", str(out)],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "trajectory", "demo-no-optimal", "fuzz"])
@@ -1057,11 +1144,13 @@ def test_epsilon_beyond_float_range_exits_1(tmp_path, capsys, command):
 
 
 def test_byte_identical_reruns(tmp_path):
+    # The second build to b.csv writes over the first one's file.
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["build", str(FIXTURES / "pentagon.graph"), "--e-epsilon", "2"]
     assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for _ in range(2):
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 GOLDEN_BUILDS = [
