@@ -15,15 +15,12 @@ from .core import (
 )
 from .graph import (
     BoundaryGraph,
-    Morphism,
     RainbowGraph,
     Region,
     UnconstrainedRegion,
     boundary_distances,
     build_boundary_graph,
-    check_morphism,
     decompose_regions,
-    pullback,
 )
 from .mechanism import (
     INFINITE,

@@ -1,4 +1,4 @@
-"""Rainbow graphs, region topology, boundary graphs, and morphisms.
+"""Rainbow graphs, region topology, and boundary graphs.
 
 A rainbow graph is a simple undirected graph of datasets where every
 node carries a preference order (rainbow) over the output colors. Each
@@ -6,8 +6,9 @@ rainbow's node class splits into interior (all neighbors share the
 rainbow) and boundary (the rest). The boundary graph compresses each
 class to a chain indexed by distance-to-boundary, and the boundary
 morphism sends a node to its (rainbow, distance) pair. One cached search,
-RainbowGraph.search, lays the chains out for both constructions:
-boundary-graph node k is row k of the optimal mechanism's matrix. It is a
+RainbowGraph.search, lays the chains out, and its chain_row is that
+morphism: boundary-graph node k is row k of the optimal mechanism's
+matrix, and node i goes to node chain_row[i]. The search is a
 breadth-first search from every boundary node at once, a whole level at a
 time on arrays while levels are wide and a node at a time after.
 """
@@ -180,7 +181,9 @@ class RainbowGraph:
         # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
         k = len(rainbows)
         joined = self.rainbow_ids[self.edge_ends]
-        codes = np.sort(_pair_codes(joined[joined[:, 0] != joined[:, 1]], k))
+        pairs = joined[joined[:, 0] != joined[:, 1]].T
+        # One code lo * k + hi per unordered pair, sorting as the (lo, hi) pairs do.
+        codes = np.sort(np.minimum(*pairs) * k + np.maximum(*pairs))
         # Distinct codes, without np.unique, whose first call imports numpy.ma.
         codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
         return tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
@@ -266,16 +269,11 @@ class Region:
     boundary: frozenset[str]
 
 
-def _pair_codes(pairs: np.ndarray, n: int) -> np.ndarray:
-    """The code lo * n + hi of each row's ids lo <= hi, below n: one int
-    per unordered pair, sorting as the (lo, hi) pairs do."""
-    return np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
-
-
 def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
     """Partition the nodes by rainbow and classify each node as interior
     (every neighbor shares its rainbow) or boundary (some neighbor does
-    not, the graph's rim); one Region per rainbow, in rainbow order."""
+    not, the graph's rim); one Region per rainbow, in rainbow order.
+    bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
     names, ids, rim = np.array(graph.nodes, dtype=object), graph.rainbow_ids, graph.rim
     # Node ids grouped by rainbow id, each group in node order.
     groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
@@ -285,62 +283,9 @@ def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
 
 def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
     """Each node's distance to its own rainbow class's boundary, in `nodes`
-    order, from the graph's search; `regions` is not read."""
+    order, from the graph's search; `regions` is not read.
+    bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
     return dict(zip(graph.nodes, graph.search[0].tolist()))
-
-
-class Morphism:
-    """A candidate graph map on node ids: domain node i goes to codomain
-    node image[i], a read-only intp array. Morphism(domain, codomain,
-    mapping) takes a node-name map and Morphism.from_ids the image.
-    Validity is judged by check_morphism."""
-
-    def __init__(self, domain: RainbowGraph, codomain: RainbowGraph, mapping: Mapping[str, str]):
-        mapping, index = dict(mapping), codomain.node_index
-        if missing := [d for d in domain.nodes if d not in mapping]:
-            raise ValueError(f"mapping not total on domain nodes: missing {missing[:3]}")
-        if bad := [d for d, v in mapping.items() if v not in index]:
-            raise ValueError(f"mapping leaves the codomain at {bad[:3]}")
-        self._set(domain, codomain, [index[mapping[d]] for d in domain.nodes])
-
-    @classmethod
-    def from_ids(cls, domain: RainbowGraph, codomain: RainbowGraph, image: np.ndarray) -> Morphism:
-        """The map sending domain node i to codomain node image[i]; the caller
-        vouches for the ids: one per domain node, each a codomain node id."""
-        m = object.__new__(cls)
-        m._set(domain, codomain, image)
-        return m
-
-    def _set(self, domain: RainbowGraph, codomain: RainbowGraph, image: np.ndarray) -> None:
-        self.domain, self.codomain = domain, codomain
-        # A view, so that freezing it leaves the caller's array writable.
-        self.image = np.asarray(image, dtype=np.intp).view()
-        self.image.flags.writeable = False
-
-    def __call__(self, node: str) -> str:
-        return self.codomain.nodes[self.image[self.domain.node_index[node]]]
-
-
-def check_morphism(m: Morphism) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
-    """The map's violations, as data, not errors: (edges, moved). edges
-    holds the (a, b) name pairs of the domain edges sent to two distinct,
-    non-adjacent images, sorted; moved the names of the domain nodes
-    whose rainbow differs from their image's, sorted. m is a morphism
-    when edges is empty, and rainbow preserving when moved is.
-    """
-    domain, codomain, image = m.domain, m.codomain, m.image
-    nodes, n = domain.nodes, len(codomain.nodes)
-    # The codomain's sorted edge codes, then n * n, at or before which every search lands.
-    known = np.append(np.sort(_pair_codes(codomain.edge_ends, n)), n * n)
-    images = image[domain.edge_ends]
-    codes = _pair_codes(images, n)
-    broken = (images[:, 0] != images[:, 1]) & (known[np.searchsorted(known, codes)] != codes)
-    edges = sorted((nodes[a], nodes[b]) for a, b in domain.edge_ends[broken].tolist())
-    # Each domain rainbow id's codomain rainbow id, -1 for none.
-    rank = {c: k for k, c in enumerate(codomain.rainbows())}
-    to_codomain = np.array([rank.get(c, -1) for c in domain.rainbows()], dtype=np.intp)
-    changed = np.flatnonzero(to_codomain[domain.rainbow_ids] != codomain.rainbow_ids[image])
-    return tuple(edges), tuple(sorted(map(nodes.__getitem__, changed.tolist())))
 
 
 def _chain_ids(space: ColorSpace, rainbow: Rainbow, distances: range) -> list[str]:
@@ -352,11 +297,12 @@ def _chain_ids(space: ColorSpace, rainbow: Rainbow, distances: range) -> list[st
 @dataclass(eq=False)
 class BoundaryGraph:
     """One chain per rainbow, indexed by distance to boundary, with head
-    edges between rainbows whose classes touch in the source graph."""
+    edges between rainbows whose classes touch in the source graph.
+    Source node id i maps to boundary-graph node id source.search[3][i],
+    the search's chain_row: the boundary morphism."""
 
     graph: RainbowGraph
     depths: dict[Rainbow, int]
-    morphism: Morphism
 
     def node_id(self, rainbow: Rainbow, i: int) -> str:
         """Name of the boundary-graph node for (rainbow, distance i)."""
@@ -369,13 +315,13 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     Per rainbow c the chain (c,0)-(c,1)-...-(c,depth_c) is created,
     depth_c being the largest distance-to-boundary inside the class.
     Heads (c,0), (c',0) are joined exactly when some source edge joins
-    the two classes. Node k is row k of optimal_mechanism's matrix
-    (RainbowGraph.search), and the returned morphism, the search's chain_row,
-    sends d to (rainbow of d, distance of d). A self-check raises
-    AssertionError unless check_morphism finds it a morphism: every edge
-    maps to a chain edge or a head edge, or collapses.
+    the two classes. Node k is row k of optimal_mechanism's matrix, and
+    the search's chain_row, the boundary morphism, sends d to (rainbow of
+    d, distance of d). A self-check raises AssertionError unless every
+    edge maps to a chain link or a head edge, or collapses.
+    bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change.
     """
-    _, chain_depths, starts, chain_row = graph.search
+    dist, chain_depths, starts, _ = graph.search
     space, rainbows = graph.color_space, graph.rainbows()
     names = list(chain.from_iterable(
         _chain_ids(space, c, range(depth + 1)) for c, depth in zip(rainbows, chain_depths.tolist())
@@ -394,25 +340,16 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     turned = np.fromiter(map(operator.gt, a, b), dtype=bool, count=len(pairs))
     pairs[turned] = pairs[turned, ::-1]
 
+    # Every cross-class edge gives a head edge, so an edge maps to a link,
+    # a head edge or one node exactly when its ends' distances differ by
+    # at most one inside a class and are both 0 between classes. An
+    # explicit raise, so that the check holds under python -O too.
+    ends = graph.edge_ends
+    d, joined = dist[ends], graph.rainbow_ids[ends]
+    inside = joined[:, 0] == joined[:, 1]
+    broken = np.flatnonzero(np.where(inside, np.abs(d[:, 0] - d[:, 1]) > 1, d.any(axis=1)))
+    if len(broken):
+        first = min((graph.nodes[i], graph.nodes[j]) for i, j in ends[broken].tolist())
+        raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {first}")
     bgraph = RainbowGraph.from_ids(names, row_rainbow, rainbows, pairs, space)
-    morphism = Morphism.from_ids(graph, bgraph, chain_row)
-    # An explicit raise, so that the check holds under python -O too.
-    broken = check_morphism(morphism)[0]
-    if broken:
-        raise AssertionError(f"boundary morphism fails on {len(broken)} edge(s), first {broken[0]}")
-    return BoundaryGraph(bgraph, dict(zip(rainbows, chain_depths.tolist())), morphism)
-
-
-def pullback(mechanism_on_codomain, morphism: Morphism):
-    """Transport a mechanism from the morphism's codomain to its domain
-    by composition: node d receives the distribution of its image, the
-    image's row of the same matrix. Only the codomain nodes in the image
-    need a row."""
-    mech, names, image = mechanism_on_codomain, morphism.codomain.nodes, morphism.image
-    # The row of each codomain node in the image, looked up once; -1 for none.
-    hit, inverse = np.unique(image, return_inverse=True)
-    rows = np.array([mech.row_of.get(names[i], -1) for i in hit.tolist()], dtype=np.intp)[inverse]
-    if (rows < 0).any():
-        raise KeyError(f"codomain node {names[image[np.argmax(rows < 0)]]!r} has no distribution")
-    pulled = dict(zip(morphism.domain.nodes, rows.tolist()))
-    return type(mech).from_rows(mech.rows, pulled, mech.color_space)
+    return BoundaryGraph(bgraph, dict(zip(rainbows, chain_depths.tolist())))

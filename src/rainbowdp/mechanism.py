@@ -132,6 +132,7 @@ class Mechanism:
 
     @cached_property
     def assignment(self) -> Mapping[str, SimplexVector]:
+        """bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
         vectors = SimplexVector.wrap(self.rows)
         row_of = self.row_of
         return MappingProxyType(dict(zip(row_of, map(vectors.__getitem__, row_of.values()))))
@@ -389,8 +390,9 @@ def optimal_mechanism(
     The powers form one chain per rainbow, stacked as graph.search lays
     them out, so row k is node k of build_boundary_graph's graph: row 0
     of a chain is the boundary vector, _fill_powers fills the rest.
-    Node i taking row chain_row[i] is the pullback along the boundary
-    morphism, gathered directly: a (rainbow, distance) pair's nodes share it.
+    Node i takes row chain_row[i], its image under the boundary morphism,
+    so a (rainbow, distance) pair's nodes share a row: this gather is the
+    paper's pullback.
     """
     violations = validate_boundary_condition(graph, bc, budget)
     if violations:

@@ -3,10 +3,10 @@ draws laid out by gamma and uniform calls, the Dirichlet start they
 give and its rejection loop scanning every halving count, random graphs
 with solvable boundary structure, random valid boundary conditions, and
 the competitor mechanisms used for optimality checks, the environment of
-a child interpreter; and the references
-the array checks are compared with: verify_dp, utility_eval and
-check_morphism one node or edge at a time, and the hockey-stick excess in
-exact arithmetic."""
+a child interpreter; graph morphisms on node names, their check and the
+pullback along them; and the references the array checks are compared
+with: verify_dp and utility_eval one node or edge at a time, and the
+hockey-stick excess in exact arithmetic."""
 
 from __future__ import annotations
 
@@ -206,7 +206,7 @@ def boundary_line_mechanisms(
     graph: r.RainbowGraph, bc: r.BoundaryCondition, budget: r.PrivacyBudget
 ) -> tuple[r.Mechanism, r.BoundaryGraph]:
     """Per-rainbow chains of iterated operator steps on the boundary
-    graph; pulling this back along the boundary morphism yields a valid
+    graph; pulling this back along boundary_map yields a valid
     mechanism on the source graph. The chains fill rows in
     RainbowGraph.search's layout, row k for boundary-graph node k."""
     bg = r.build_boundary_graph(graph)
@@ -325,27 +325,41 @@ def random_dp_mechanism(
     return r.Mechanism(assign, graph.color_space)
 
 
-def check_morphism_reference(m: r.Morphism) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
-    """check_morphism one edge and one node at a time, on names: the
-    definition the array passes must match, violation for violation."""
-    edges, moved = [], []
-    cod_edges = m.codomain.edges
-    for a, b in sorted(m.domain.edges):
-        ga, gb = m(a), m(b)
-        if ga != gb and tuple(sorted((ga, gb))) not in cod_edges:
-            edges.append((a, b))
-    for d in sorted(m.domain.nodes):
-        if m.domain.preference[d] != m.codomain.preference[m(d)]:
-            moved.append(d)
-    return tuple(edges), tuple(moved)
+def check_morphism_reference(
+    domain: r.RainbowGraph, codomain: r.RainbowGraph, mapping: dict[str, str]
+) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """The name map's violations, as data, not errors: (edges, moved).
+    edges holds the domain edges, sorted, sent to two distinct
+    non-adjacent nodes; moved the domain nodes, sorted, whose rainbow
+    differs from their image's. mapping is a morphism when edges is
+    empty, and rainbow preserving when moved is."""
+    edges = tuple(
+        (a, b) for a, b in sorted(domain.edges)
+        if mapping[a] != mapping[b] and tuple(sorted((mapping[a], mapping[b]))) not in codomain.edges
+    )
+    moved = tuple(d for d in sorted(domain.nodes) if domain.preference[d] != codomain.preference[mapping[d]])
+    return edges, moved
+
+
+def pullback(mech: r.Mechanism, domain: r.RainbowGraph, mapping: dict[str, str]) -> r.Mechanism:
+    """mech pulled back along mapping: domain node d gets the row of its
+    image, the same row of the same matrix; KeyError names an image with no row."""
+    row_of = {d: mech.row_of[mapping[d]] for d in domain.nodes}
+    return r.Mechanism.from_rows(mech.rows, row_of, mech.color_space)
+
+
+def boundary_map(graph: r.RainbowGraph, bg: r.BoundaryGraph) -> dict[str, str]:
+    """The boundary morphism on names: node d of graph goes to the
+    boundary-graph node of its row in graph.search's chain_row."""
+    return dict(zip(graph.nodes, map(bg.graph.nodes.__getitem__, graph.search[3].tolist())))
 
 
 def random_blowup_morphism(
     g: np.random.Generator, codomain: r.RainbowGraph
-) -> r.Morphism:
-    """A random morphism onto `codomain`: each codomain node explodes
-    into 1..3 chained copies, and each codomain edge is realized by at
-    least one copy pair."""
+) -> tuple[r.RainbowGraph, dict[str, str]]:
+    """A random morphism onto `codomain`, as (domain, mapping): each
+    codomain node explodes into 1..3 chained copies, and each codomain
+    edge is realized by at least one copy pair."""
     nodes: list[str] = []
     mapping: dict[str, str] = {}
     copies: dict[str, list[str]] = {}
@@ -371,7 +385,7 @@ def random_blowup_morphism(
             a, b = sorted((a, b))
             edges.add((a, b))
     domain = r.RainbowGraph(tuple(nodes), frozenset(edges), preference, codomain.color_space)
-    return r.Morphism(domain, codomain, mapping)
+    return domain, mapping
 
 
 def path5_graph() -> r.RainbowGraph:

@@ -15,7 +15,10 @@ from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from rainbowdp.oracle import _drop_delta_rows
 from helpers import (
     boundary_line_mechanisms,
+    boundary_map,
+    check_morphism_reference,
     child_env,
+    pullback,
     random_blowup_morphism,
     random_budget,
     random_dp_mechanism,
@@ -160,10 +163,10 @@ def test_criterion_7_pullback_preserves_dp():
         budget = random_budget(g)
         mech = random_dp_mechanism(g, codomain, budget)
         assert r.verify_dp(codomain, mech, budget).valid
-        morphism = random_blowup_morphism(g, codomain)
-        assert r.check_morphism(morphism)[0] == ()
-        pulled = r.pullback(mech, morphism)
-        assert r.verify_dp(morphism.domain, pulled, budget).valid
+        domain, mapping = random_blowup_morphism(g, codomain)
+        assert check_morphism_reference(domain, codomain, mapping)[0] == ()
+        pulled = pullback(mech, domain, mapping)
+        assert r.verify_dp(domain, pulled, budget).valid
     print("ACCEPTANCE 7: PASS 100 pulled-back mechanisms all satisfy the budget")
 
 
@@ -180,7 +183,7 @@ def test_criterion_8_optimal_mechanism_end_to_end():
             for delta2 in (0.0, budget.delta / 2):
                 smaller = r.PrivacyBudget(eps2, delta2)
                 line_mech, bg = boundary_line_mechanisms(graph, bc, smaller)
-                competitor = r.pullback(line_mech, bg.morphism)
+                competitor = pullback(line_mech, graph, boundary_map(graph, bg))
                 assert r.verify_dp(graph, competitor, budget).valid, (i, eps2, delta2)
                 assert r.mechanism_dominates(graph, best, competitor), (i, eps2, delta2)
     print("ACCEPTANCE 8: PASS 50 graphs: optimal verifies, homogeneous, dominates 4 smaller-budget competitors")

@@ -254,16 +254,16 @@ PUBLIC_NAMES = {
     "BoundaryCondition", "BoundaryGraph", "ColorSpace", "Counterexample",
     "DEFAULT_TOL", "DpReport", "DpViolation",
     "EpsilonZero", "FalsificationReport", "INFINITE", "InvalidBoundary",
-    "Mechanism", "MissingRainbow", "Morphism", "NoOptimalReport",
+    "Mechanism", "MissingRainbow", "NoOptimalReport",
     "PrivacyBudget", "Rainbow", "RainbowGraph", "Region",
     "SimplexVector", "TauProfile", "UnconstrainedRegion", "boundary_distances",
-    "build_boundary_graph", "build_trajectory", "check_morphism",
+    "build_boundary_graph", "build_trajectory",
     "closed_form_prefix", "core",
     "decompose_regions", "dominance_falsify", "dominates", "graph",
     "homogenized_pentagon", "is_boundary_homogeneous", "is_close",
     "is_close_bruteforce", "line_mechanism", "mechanism", "mechanism_dominates",
     "no_optimal_demo", "optimal_mechanism", "oracle", "pentagon_graph",
-    "prefix_sums", "pullback", "sample_close", "subset_excess", "t_step",
+    "prefix_sums", "sample_close", "subset_excess", "t_step",
     "tau_profile", "to_preference_order", "utility_eval",
     "validate_boundary_condition", "verify_dp",
 }

@@ -12,10 +12,12 @@ from helpers import (
     assert_same_graph,
     bfs_depths,
     boundary_line_mechanisms,
+    boundary_map,
     check_morphism_reference,
     distinct_rainbows,
     path5_bc,
     path5_graph,
+    pullback,
     random_blowup_morphism,
     random_budget,
     random_dense_graph,
@@ -210,7 +212,10 @@ def test_build_boundary_graph_path5():
         tuple(sorted((bg.node_id(b, 0), bg.node_id(red, 0)))),
     }
     assert set(bg.graph.edges) == expected_edges
-    assert bg.morphism("n0") == bg.node_id(b, 2)
+    assert boundary_map(graph, bg) == {
+        "n0": bg.node_id(b, 2), "n1": bg.node_id(b, 1), "n2": bg.node_id(b, 0),
+        "n3": bg.node_id(red, 0), "n4": bg.node_id(red, 1),
+    }
     assert bg.graph.preference[bg.node_id(b, 2)] == b
 
 
@@ -232,7 +237,7 @@ def test_boundary_morphism_validates_on_random_graphs():
     for _ in range(30):
         graph = random_solvable_graph(g, max_nodes=30)
         bg = r.build_boundary_graph(graph)
-        assert r.check_morphism(bg.morphism) == ((), ())
+        assert check_morphism_reference(graph, bg.graph, boundary_map(graph, bg)) == ((), ())
 
 
 def test_boundary_graph_idempotent():
@@ -245,110 +250,40 @@ def test_boundary_graph_idempotent():
         assert set(bg2.graph.nodes) == set(bg.graph.nodes)
         assert bg2.graph.edges == bg.graph.edges
         # On a graph already in boundary form the morphism is injective.
-        image = bg2.morphism.image.tolist()
+        image = bg.graph.search[3].tolist()
         assert len(image) == len(set(image))
 
 
 def test_check_morphism_identity_and_collapse():
     graph = path5_graph()
-    ident = r.Morphism(graph, graph, {d: d for d in graph.nodes})
-    assert r.check_morphism(ident) == ((), ())
-
-    collapse = r.Morphism(
-        graph, graph, {"n0": "n1", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n4"}
-    )
-    assert r.check_morphism(collapse)[0] == ()
+    assert check_morphism_reference(graph, graph, {d: d for d in graph.nodes}) == ((), ())
+    collapse = {"n0": "n1", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n4"}
+    assert check_morphism_reference(graph, graph, collapse)[0] == ()
 
 
 def test_check_morphism_flags_broken_edge():
     graph = path5_graph()
     # n0 and n1 are adjacent but map to the non-adjacent pair (n0, n2).
-    broken = r.Morphism(
-        graph, graph, {"n0": "n0", "n1": "n2", "n2": "n2", "n3": "n3", "n4": "n4"}
-    )
-    assert ("n0", "n1") in r.check_morphism(broken)[0]
+    broken = {"n0": "n0", "n1": "n2", "n2": "n2", "n3": "n3", "n4": "n4"}
+    assert ("n0", "n1") in check_morphism_reference(graph, graph, broken)[0]
 
 
 def test_check_morphism_flags_a_node_whose_rainbow_changes():
     # The pentagon's reflection through d3 keeps every edge, but swaps d1
     # (rainbow 1,2,3) with d5 (rainbow 1,3,2).
     graph = r.pentagon_graph()
-    mirror = r.Morphism(graph, graph, {"d1": "d5", "d2": "d4", "d3": "d3", "d4": "d2", "d5": "d1"})
-    assert r.check_morphism(mirror) == ((), ("d1", "d5"))
-
-
-def _corrupted(m, moves):
-    # A copy of m with each domain node id d sent to codomain node id moves[d].
-    image = m.image.copy()
-    image[list(moves)] = list(moves.values())
-    return r.Morphism.from_ids(m.domain, m.codomain, image)
-
-
-def test_check_morphism_matches_the_reference():
-    # On valid blowups, and on copies with one image moved to a node not
-    # adjacent to it, one moved to a node of another rainbow, or both, the
-    # array passes give the node-by-node report, violation for violation.
-    # The domain lists its nodes out of name order, as a parser may.
-    g = rng(28)
-    reports = []
-    for _ in range(30):
-        codomain = random_solvable_graph(g, max_nodes=12)
-        blowup = random_blowup_morphism(g, codomain)
-        nodes = blowup.domain.nodes[::-1]
-        domain = r.RainbowGraph(nodes, blowup.domain.edges, blowup.domain.preference, codomain.color_space)
-        m = r.Morphism(domain, codomain, {d: blowup(d) for d in nodes})
-        cases = [m, r.build_boundary_graph(codomain).morphism]
-        d, e = (int(i) for i in g.choice(len(nodes), size=2, replace=False))
-        v, ends, ids = int(m.image[d]), codomain.edge_ends, codomain.rainbow_ids
-        near = {v, *ends[(ends == v).any(axis=1)].ravel().tolist()}
-        far = [w for w in range(len(codomain.nodes)) if w not in near]
-        other = np.flatnonzero(ids != ids[m.image[e]])
-        recolored = {e: int(other[int(g.integers(len(other)))])}
-        cases.append(_corrupted(m, recolored))
-        if far:
-            moved = {d: far[int(g.integers(len(far)))]}
-            cases += [_corrupted(m, moved), _corrupted(m, {**moved, **recolored})]
-        for case in cases:
-            report = r.check_morphism(case)
-            assert report == check_morphism_reference(case)
-            reports.append(report)
-    assert any(edges for edges, _ in reports)
-    assert any(moved for _, moved in reports)
-    assert any(len(moved) > 1 for _, moved in reports)
-    assert any(len(edges) > 1 for edges, _ in reports)
-
-
-def test_morphism_from_ids_is_the_named_map():
-    graph = path5_graph()
-    mapping = {"n0": "n1", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n3"}
-    m = r.Morphism(graph, graph, mapping)
-    assert m.image.tolist() == [1, 1, 2, 3, 3]
-    assert not m.image.flags.writeable
-    image = np.array([1, 1, 2, 3, 3])
-    from_ids = r.Morphism.from_ids(graph, graph, image)
-    assert image.flags.writeable
-    assert {d: from_ids(d) for d in graph.nodes} == mapping
-    assert r.check_morphism(from_ids) == r.check_morphism(m)
-
-
-def test_morphism_requires_total_map():
-    graph = path5_graph()
-    with pytest.raises(ValueError):
-        r.Morphism(graph, graph, {"n0": "n0"})
-    with pytest.raises(ValueError):
-        r.Morphism(graph, graph, {d: "nope" for d in graph.nodes})
+    mirror = {"d1": "d5", "d2": "d4", "d3": "d3", "d4": "d2", "d5": "d1"}
+    assert check_morphism_reference(graph, graph, mirror) == ((), ("d1", "d5"))
 
 
 def test_pullback_identity_and_constant():
     graph = path5_graph()
     g = rng(24)
     mech = random_dp_mechanism(g, graph, r.PrivacyBudget(math.log(2.0), 0.0))
-    ident = r.Morphism(graph, graph, {d: d for d in graph.nodes})
-    pulled = r.pullback(mech, ident)
+    pulled = pullback(mech, graph, {d: d for d in graph.nodes})
     assert pulled.assignment == mech.assignment
 
-    constant = r.Morphism(graph, graph, {d: "n2" for d in graph.nodes})
-    const_mech = r.pullback(mech, constant)
+    const_mech = pullback(mech, graph, {d: "n2" for d in graph.nodes})
     assert all(v == mech.assignment["n2"] for v in const_mech.assignment.values())
     for _ in range(5):
         budget = random_budget(g)
@@ -358,9 +293,8 @@ def test_pullback_identity_and_constant():
 def test_pullback_missing_distribution():
     graph = path5_graph()
     mech = r.Mechanism({"n2": sv(0.3, 0.3, 0.4)}, graph.color_space)
-    ident = r.Morphism(graph, graph, {d: d for d in graph.nodes})
     with pytest.raises(KeyError):
-        r.pullback(mech, ident)
+        pullback(mech, graph, {d: d for d in graph.nodes})
 
 
 def test_pullback_needs_rows_only_for_the_image():
@@ -370,20 +304,10 @@ def test_pullback_needs_rows_only_for_the_image():
         {"n1": sv(0.2, 0.3, 0.5), "n2": sv(0.3, 0.3, 0.4), "n3": sv(0.4, 0.3, 0.3)},
         graph.color_space,
     )
-    fold = r.Morphism(graph, graph, {"n0": "n2", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n2"})
-    pulled = r.pullback(mech, fold)
-    assert pulled.row_of == {d: mech.row_of[fold(d)] for d in graph.nodes}
-    assert pulled.assignment == {d: mech.assignment[fold(d)] for d in graph.nodes}
-
-
-def test_pullback_missing_row_names_the_first_domain_nodes_image():
-    # The reversal sends n0 to n4 first; n0, the first codomain node with
-    # no row, is the image of n4, a later domain node.
-    graph = path5_graph()
-    mech = r.Mechanism({d: sv(0.3, 0.3, 0.4) for d in ("n1", "n2", "n3")}, graph.color_space)
-    reverse = r.Morphism(graph, graph, dict(zip(graph.nodes, reversed(graph.nodes))))
-    with pytest.raises(KeyError, match="codomain node 'n4' has no distribution"):
-        r.pullback(mech, reverse)
+    fold = {"n0": "n2", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n2"}
+    pulled = pullback(mech, graph, fold)
+    assert pulled.row_of == {d: mech.row_of[fold[d]] for d in graph.nodes}
+    assert pulled.assignment == {d: mech.assignment[fold[d]] for d in graph.nodes}
 
 
 def test_assert_same_graph_raises_on_a_different_graph():
@@ -403,7 +327,7 @@ def test_pullback_of_boundary_lines_matches_optimal_mechanism():
     budget = r.PrivacyBudget(math.log(2.0), 0.0)
     direct = r.optimal_mechanism(graph, bc, budget)
     line_mech, bg = boundary_line_mechanisms(graph, bc, budget)
-    pulled = r.pullback(line_mech, bg.morphism)
+    pulled = pullback(line_mech, graph, boundary_map(graph, bg))
     for d in graph.nodes:
         for a, b in zip(direct.assignment[d], pulled.assignment[d]):
             assert abs(a - b) <= 1e-12
@@ -416,10 +340,10 @@ def test_pullback_preserves_dp_on_random_morphisms():
         budget = random_budget(g)
         mech = random_dp_mechanism(g, codomain, budget)
         assert r.verify_dp(codomain, mech, budget).valid
-        morphism = random_blowup_morphism(g, codomain)
-        assert r.check_morphism(morphism)[0] == ()
-        pulled = r.pullback(mech, morphism)
-        assert r.verify_dp(morphism.domain, pulled, budget).valid
+        domain, mapping = random_blowup_morphism(g, codomain)
+        assert check_morphism_reference(domain, codomain, mapping)[0] == ()
+        pulled = pullback(mech, domain, mapping)
+        assert r.verify_dp(domain, pulled, budget).valid
 
 
 def _naive_topology(graph):
@@ -626,11 +550,13 @@ def test_build_boundary_graph_on_long_path():
     nodes = tuple(f"v{i:04d}" for i in range(n))
     edges = frozenset(zip(nodes, nodes[1:]))
     pref = {d: (c12 if i < split else c21) for i, d in enumerate(nodes)}
-    bg = r.build_boundary_graph(r.RainbowGraph(nodes, edges, pref, space))
+    graph = r.RainbowGraph(nodes, edges, pref, space)
+    bg = r.build_boundary_graph(graph)
     assert bg.depths == {c12: split - 1, c21: n - split - 1}
     assert len(bg.graph.nodes) == n
-    assert bg.morphism(nodes[0]) == bg.node_id(c12, split - 1)
-    assert bg.morphism(nodes[-1]) == bg.node_id(c21, n - split - 1)
+    image = boundary_map(graph, bg)
+    assert image[nodes[0]] == bg.node_id(c12, split - 1)
+    assert image[nodes[-1]] == bg.node_id(c21, n - split - 1)
 
 
 def _index_cases():
@@ -663,33 +589,53 @@ def test_boundary_graph_indexes_the_mechanism():
         edges |= {(chains[ca][0], chains[cb][0]) for ca, cb in graph.adjacent_pairs}
         preference = {d: c for c, ids in chains.items() for d in ids}
         assert_same_graph(bg.graph, r.RainbowGraph(preference, edges, preference, graph.color_space))
-        index = bg.graph.node_index
+        index, image = bg.graph.node_index, boundary_map(graph, bg)
         assert len(mech.rows) == len(index)
         for d in graph.nodes:
-            assert mech.row_of[d] == index[bg.morphism(d)]
+            assert mech.row_of[d] == index[image[d]]
         chains = r.Mechanism.from_rows(mech.rows, index, graph.color_space)
-        pulled = r.pullback(chains, bg.morphism)
+        pulled = pullback(chains, graph, image)
         for d in graph.nodes:
             want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
             assert [x.hex() for x in pulled.rows[pulled.row_of[d]].tolist()] == want
 
 
+def _seed_search(graph, dist):
+    # Seed the graph's cached search with the given distances.
+    depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
+    np.maximum.at(depths, graph.rainbow_ids, dist)
+    starts = np.cumsum(depths + 1) - (depths + 1)
+    graph.__dict__["search"] = (dist, depths, starts, starts[graph.rainbow_ids] + dist)
+
+
 def test_boundary_morphism_self_check_raises_on_a_moved_distance():
     # An interior node's search distance, moved up by 2, is 3 steps from
-    # its search parent's: the edge maps to no boundary-graph edge. The
-    # check is an explicit raise, so it holds under python -O too.
+    # its search parent's: the edge maps to no boundary-graph edge. A rim
+    # node moved to distance 1 sends its edge to another class to a node
+    # that is no chain head, so that edge maps to no head edge. The check
+    # is an explicit raise, so it holds under python -O too.
     g = rng(27)
     graphs = [path5_graph(), split_path()[0]]
     graphs += [random_solvable_graph(g, max_nodes=30) for _ in range(10)]
+    interior = 0
     for graph in graphs:
-        dist = graph.search[0].copy()
-        if not (dist > 0).any():
-            continue
-        dist[np.flatnonzero(dist > 0)[0]] += 2
-        depths = np.zeros(len(graph.rainbows()), dtype=np.intp)
-        np.maximum.at(depths, graph.rainbow_ids, dist)
-        starts = np.cumsum(depths + 1) - (depths + 1)
-        # Seed the graph's cached search with the moved distances.
-        graph.__dict__["search"] = (dist, depths, starts, starts[graph.rainbow_ids] + dist)
-        with pytest.raises(AssertionError, match="boundary morphism fails on"):
+        dist = graph.search[0]
+        if (dist > 0).any():
+            moved = dist.copy()
+            moved[np.flatnonzero(dist > 0)[0]] += 2
+            _seed_search(graph, moved)
+            with pytest.raises(AssertionError, match="boundary morphism fails on"):
+                r.build_boundary_graph(graph)
+            interior += 1
+        # Only the rim node's edges to other classes break.
+        v = int(np.flatnonzero(graph.rim)[0])
+        ends, ids = graph.edge_ends, graph.rainbow_ids
+        cross = (ends == v).any(axis=1) & (ids[ends[:, 0]] != ids[ends[:, 1]])
+        names = sorted((graph.nodes[i], graph.nodes[j]) for i, j in ends[cross].tolist())
+        moved = dist.copy()
+        moved[v] = 1
+        _seed_search(graph, moved)
+        with pytest.raises(AssertionError) as exc:
             r.build_boundary_graph(graph)
+        assert str(exc.value) == f"boundary morphism fails on {len(names)} edge(s), first {names[0]}"
+    assert interior >= 2

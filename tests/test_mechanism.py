@@ -9,8 +9,10 @@ from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from helpers import (
     boundary_line_mechanisms,
+    boundary_map,
     path5_bc,
     path5_graph,
+    pullback,
     random_budget,
     random_dense_graph,
     random_homogeneous_bc,
@@ -522,7 +524,7 @@ def test_optimal_dominates_smaller_budget_competitors_small():
         for eps2, delta2 in ((0.0, 0.0), (budget.epsilon / 2, budget.delta / 2)):
             smaller = r.PrivacyBudget(eps2, delta2)
             line_mech, bg = boundary_line_mechanisms(graph, bc, smaller)
-            competitor = r.pullback(line_mech, bg.morphism)
+            competitor = pullback(line_mech, graph, boundary_map(graph, bg))
             assert r.verify_dp(graph, competitor, budget).valid
             assert r.mechanism_dominates(graph, best, competitor)
 
