@@ -34,7 +34,7 @@ import numpy as np
 from ..core import ColorSpace, Rainbow, SimplexVector
 from ..graph import RainbowGraph
 from ..mechanism import BoundaryCondition
-from .tables import fmt, numbered_lines
+from .tables import numbered_lines
 
 
 class GraphFileError(ValueError):
@@ -333,8 +333,8 @@ def _parse_lines(text: str) -> GraphFile:
 
 
 def emit_graph_file(gf: GraphFile) -> str:
-    """Serialize a GraphFile; parse_graph_file(emit_graph_file(gf)) is
-    semantically identical to gf."""
+    """Serialize a GraphFile. Parsing the text gives gf back: boundary cells are
+    repr(float), moved only by the parsed vectors' renormalization, an ulp or so."""
     space = gf.graph.color_space
     out = ["colors " + " ".join(space.colors)]
     for d in gf.graph.nodes:
@@ -345,6 +345,6 @@ def emit_graph_file(gf: GraphFile) -> str:
     if gf.boundary is not None:
         for c in sorted(gf.boundary.values, key=lambda r: r.order):
             label = ",".join(c.color_names(space))
-            probs = " ".join(fmt(x) for x in gf.boundary.values[c])
+            probs = " ".join(map(repr, gf.boundary.values[c]))
             out.append(f"boundary {label} {probs}")
     return "\n".join(out) + "\n"

@@ -38,6 +38,7 @@ from .graphfile import parse_graph_file
 from .svg import render_trajectory_svg
 from .tables import (
     MAX_TRAJECTORY_CELLS,
+    MissingNodes,
     fmt,
     fmt_tau,
     mechanism_csv,
@@ -135,25 +136,10 @@ def _violation_line(v: DpViolation) -> str:
     )
 
 
-def _first_nodes(names: list[str]) -> str:
-    """The count of names and the first three of them, since a mechanism
-    file can miss every node of a large graph."""
-    more = f" and {len(names) - 3} more" if len(names) > 3 else ""
-    return f"({len(names)}): {names[:3]}{more}"
-
-
 def cmd_verify(args) -> int:
     budget = _budget_from_args(args)
     gf = parse_graph_file(_read_text(args.graph_file))
-    mech = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph.color_space)
-    nodes = gf.graph.node_index.keys()
-    if mech.row_of.keys() != nodes:  # the sorted differences only when they differ
-        unknown = sorted(mech.row_of.keys() - nodes)
-        if unknown:
-            raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
-        missing = sorted(nodes - mech.row_of.keys())
-        print(f"error: mechanism file is missing nodes {_first_nodes(missing)}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    mech = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph)
     report = verify_dp(gf.graph, mech, budget)
     if report.valid:
         print("valid")
@@ -305,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         # The first match wins (InvalidBoundary is also a ValueError).
         # Anything else is a program fault and keeps its traceback.
         for kinds, code in (
-            (MissingRainbow, EXIT_INCOMPLETE),
+            ((MissingRainbow, MissingNodes), EXIT_INCOMPLETE),
             (InvalidBoundary, EXIT_VIOLATION),
             (UnconstrainedRegion, EXIT_UNCONSTRAINED),
             ((ValueError, OSError), EXIT_USAGE),

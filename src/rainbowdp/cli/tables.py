@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator
 
 import numpy as np
 
-from ..core import NEGATIVE_WINDOW, ColorSpace, _outside_window, _row_sums
+from ..core import NEGATIVE_WINDOW, _outside_window, _row_sums
 from ..graph import RainbowGraph
-from ..mechanism import Mechanism, TauProfile
+from ..mechanism import Mechanism, TauProfile, _node_rows
 
 # Rows written by mechanism_csv read back exactly and miss a sum of 1
 # only by the rounding of their own float entries (a few 1e-16). The
@@ -40,6 +40,10 @@ MAX_TRAJECTORY_CELLS = 1 << 17
 # One series of a trajectory as plot draws it: its k, its label, and the
 # t and p of its points.
 Series = tuple[int, str, np.ndarray, np.ndarray]
+
+
+class MissingNodes(LookupError):
+    """A mechanism file has no row for some node of the graph."""
 
 
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -67,14 +71,14 @@ def fmt(x: float) -> str:
 def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
     """One row per node, probabilities in canonical color order as
     repr(float) cells; rows sorted by node identifier. Each row of
-    mech.rows is formatted once and shared by every node that has it."""
-    space = graph.color_space
+    mech.rows is formatted once and shared by every node that has it;
+    a mechanism not on graph.nodes raises ValueError."""
+    nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
     # Adding 0.0 turns -0.0 into 0.0, as fmt does.
     cells = ["," + ",".join(map(repr, row)) + "\n" for row in (mech.rows + 0.0).tolist()]
-    row_of = mech.row_of
-    parts = ["node," + ",".join(space.colors) + "\n"]
-    for d in sorted(graph.nodes):
-        parts += (d, cells[row_of[d]])
+    parts = ["node," + ",".join(graph.color_space.colors) + "\n"]
+    for i in sorted(range(len(nodes)), key=nodes.__getitem__):
+        parts += (nodes[i], cells[node_rows[i]])
     return "".join(parts)
 
 
@@ -95,7 +99,14 @@ def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
     return i, f"entry {float(rows[i, int(np.argmax(bad_entry[i]))])!r} outside [0, 1]"
 
 
-def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
+def _first_nodes(names: list[str]) -> str:
+    """The count of names and the first three of them, since a mechanism
+    file can miss every node of a large graph."""
+    more = f" and {len(names) - 3} more" if len(names) > 3 else ""
+    return f"({len(names)}): {names[:3]}{more}"
+
+
+def parse_mechanism_csv(text: str, graph: RainbowGraph) -> Mechanism:
     """Parse a mechanism CSV into a Mechanism whose rows are the cells as
     read by float(): nothing is clamped or renormalized, and a row
     _first_bad_row finds fault with is rejected. Blank lines are skipped.
@@ -105,16 +116,21 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
     distinct text, numbered in order of first appearance, and nodes with
     the same text share it. An error names the physical line of the
     first bad line, where a row text is reported at its first appearance;
-    the entry checks run on the rows read before that line."""
+    the entry checks run on the rows read before that line.
+
+    Names then resolve to ids on graph.nodes: rows for undeclared nodes
+    raise ValueError, and, failing that, nodes with no row raise
+    MissingNodes; each error gives the count and first three names, sorted."""
     lines = numbered_lines(text)
     header = next((line for _, line in lines if line.strip()), None)
     if header is None:
         raise ValueError("empty mechanism file")
+    space = graph.color_space
     expected_header = "node," + ",".join(space.colors)
     if header != expected_header:
         raise ValueError(f"header {header!r} does not match colors {space.colors}")
     q = space.q
-    row_of: dict[str, int] = {}
+    row_by_name: dict[str, int] = {}
     # Each distinct row text's row id, and the line where it first appears.
     row_ids: dict[str, int] = {}
     first_line = array("q")
@@ -128,12 +144,12 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
                 if not line.strip():
                     continue
                 raise ValueError(f"expected {1 + q} cells, got {line.count(',') + 1}")
-            if name in row_of:
+            if name in row_by_name:
                 raise ValueError(f"duplicate row for node {name!r}")
             if r is None:
                 r = row_ids[row] = len(row_ids)
                 first_line.append(lineno)
-            row_of[name] = r
+            row_by_name[name] = r
     except ValueError as exc:
         fault = f"line {lineno}: {exc}"
     # The row texts, all from lines before any fault the loop found, are
@@ -153,7 +169,15 @@ def parse_mechanism_csv(text: str, space: ColorSpace) -> Mechanism:
         raise ValueError(f"line {first_line[i]}: {message}")
     if fault is not None:
         raise ValueError(fault)
-    return Mechanism.from_rows(rows, row_of, space)
+    nodes = graph.nodes
+    node_rows = np.fromiter(map(row_by_name.get, nodes, repeat(-1)), dtype=np.intp, count=len(nodes))
+    if len(row_by_name) != len(nodes) or (node_rows < 0).any():  # the sorted differences only when they differ
+        names = graph.node_index.keys()
+        unknown = sorted(row_by_name.keys() - names)
+        if unknown:
+            raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
+        raise MissingNodes(f"mechanism file is missing nodes {_first_nodes(sorted(names - row_by_name.keys()))}")
+    return Mechanism(rows, node_rows, nodes, space)
 
 
 def trajectory_csv(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -88,14 +87,12 @@ class InvalidBoundary(ValueError):
 
 
 class Mechanism:
-    """A distribution per node. `rows` is a read-only float64 matrix of
-    distributions in canonical color order and `row_of` gives each
-    node's row; nodes may share a row.
-
-    Mechanism(assignment, space) stacks one row per node of a mapping
-    from nodes to SimplexVectors; Mechanism.from_rows takes a matrix and
-    a row index as they are. `assignment` is a read-only view of the same
-    rows as SimplexVectors, built on first use, one vector per row.
+    """A distribution per node: node nodes[i] has row node_rows[i] of
+    `rows`, a read-only float64 matrix of distributions in canonical color
+    order; nodes may share a row. `node_rows` is a read-only intp array,
+    and a mechanism built on a graph has graph.nodes itself as `nodes`.
+    `assignment` is the same rows as read-only SimplexVectors by node
+    name, built on first use, one vector per row.
 
     The rows are not renormalized. A mechanism parsed from a CSV holds
     the file's values exactly, so its rows, and the SimplexVectors of
@@ -103,39 +100,34 @@ class Mechanism:
     and sums off from 1 by up to 1e-9 (the parser's windows).
     """
 
-    def __init__(self, assignment: Mapping[str, SimplexVector], color_space: ColorSpace):
-        q = color_space.q
-        for d, vec in assignment.items():
-            if len(vec) != q:
-                raise ValueError(f"distribution for node {d!r} has wrong length")
-        rows = np.array([vec.p for vec in assignment.values()], dtype=np.float64).reshape(-1, q)
-        self._set(rows, dict(zip(assignment, range(len(rows)))), color_space)
-
-    @classmethod
-    def from_rows(
-        cls, rows: np.ndarray, row_of: Mapping[str, int], color_space: ColorSpace
-    ) -> Mechanism:
-        """A mechanism whose node d has the distribution rows[row_of[d]].
-        The matrix is shared with the caller, not copied."""
-        mech = object.__new__(cls)
-        mech._set(np.asarray(rows, dtype=np.float64), row_of, color_space)
-        return mech
-
-    def _set(self, rows: np.ndarray, row_of: Mapping[str, int], color_space: ColorSpace) -> None:
+    def __init__(self, rows: np.ndarray, node_rows: np.ndarray, nodes: Sequence[str], color_space: ColorSpace):
+        rows = np.asarray(rows, dtype=np.float64)
+        node_rows = np.asarray(node_rows, dtype=np.intp)
+        nodes = tuple(nodes)
         if rows.ndim != 2 or rows.shape[1] != color_space.q:
             raise ValueError(f"expected rows of {color_space.q} entries, got shape {rows.shape}")
-        # A view, so that freezing it leaves the caller's array writable.
-        self.rows = rows.view()
-        self.rows.flags.writeable = False
-        self.row_of = row_of
+        if node_rows.shape != (len(nodes),):
+            raise ValueError(f"expected {len(nodes)} row ids, one per node, got shape {node_rows.shape}")
+        if len(nodes) and (node_rows.min() < 0 or node_rows.max() >= len(rows)):
+            raise ValueError(f"row ids must lie in [0, {len(rows)})")
+        # Views, so that freezing them leaves the caller's arrays writable.
+        self.rows, self.node_rows = rows.view(), node_rows.view()
+        self.rows.flags.writeable = self.node_rows.flags.writeable = False
+        self.nodes = nodes
         self.color_space = color_space
 
     @cached_property
     def assignment(self) -> Mapping[str, SimplexVector]:
         """bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
         vectors = SimplexVector.wrap(self.rows)
-        row_of = self.row_of
-        return MappingProxyType(dict(zip(row_of, map(vectors.__getitem__, row_of.values()))))
+        return MappingProxyType(dict(zip(self.nodes, map(vectors.__getitem__, self.node_rows.tolist()))))
+
+
+def _node_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:
+    """mech.node_rows, by graph node id; ValueError unless mech is on graph.nodes."""
+    if mech.nodes is not graph.nodes and mech.nodes != graph.nodes:
+        raise ValueError("mechanism is not on the graph's nodes")
+    return mech.node_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +338,7 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     rows[0] = m.p
     _fill_powers(rows, m, range(len(m)), budget)
     space = ColorSpace(tuple(str(k) for k in range(1, len(m) + 1)))
-    return Mechanism.from_rows(rows, {str(i): i for i in range(n + 1)}, space)
+    return Mechanism(rows, np.arange(n + 1), tuple(map(str, range(n + 1))), space)
 
 
 def validate_boundary_condition(
@@ -404,8 +396,7 @@ def optimal_mechanism(
         if depth:
             chain = rows[start:start + depth + 1]
             _fill_powers(chain, to_preference_order(bc.values[c], c), c.order, budget)
-    row_of = dict(zip(graph.nodes, chain_row.tolist()))
-    return Mechanism.from_rows(rows, row_of, graph.color_space)
+    return Mechanism(rows, chain_row, graph.nodes, graph.color_space)
 
 
 @dataclass(frozen=True)
@@ -433,19 +424,12 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
     (a, b) direction before its (b, a) one.
 
     The edges are checked in chunks of graph.edge_ends, on the rows of
-    their endpoints gathered from mech.rows, both directions at once;
-    only the nodes that are edge endpoints need a distribution.
+    their endpoints gathered from mech.rows by mech.node_rows, both
+    directions at once. A mechanism on other nodes than graph.nodes
+    raises ValueError.
     """
     nodes, ends = graph.nodes, graph.edge_ends
-    # Each node id's row of mech.rows, -1 for a node that has none.
-    node_rows = np.fromiter(map(mech.row_of.get, nodes, repeat(-1)), dtype=np.intp, count=len(nodes))
-    absent = node_rows[ends] < 0
-    if absent.any():
-        # The first edge in sorted order with an endpoint that has no
-        # row, and its first such endpoint; rows are in name order.
-        a, b = min(ends[absent.any(axis=1)].tolist(), key=lambda e: (nodes[e[0]], nodes[e[1]]))
-        raise KeyError(f"mechanism has no distribution for node {nodes[a if node_rows[a] < 0 else b]!r}")
-    rows = mech.rows
+    node_rows, rows = _node_rows(graph, mech), mech.rows
     e = budget.exp_epsilon
     found = []
     for lo in range(0, len(ends), _CHUNK_ROWS):
@@ -468,24 +452,24 @@ def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     """True iff within each rainbow's boundary all node distributions
     agree entrywise within DEFAULT_TOL: each boundary node's row of
     mech.rows is compared with the row of its rainbow's first boundary
-    node by name. A boundary node with no row raises KeyError."""
+    node by name. A mechanism on other nodes than graph.nodes raises
+    ValueError."""
     nodes, ids = graph.nodes, graph.rainbow_ids.tolist()
     # Rim node ids by rainbow id, then name; reference[k] is where rim[k]'s rainbow starts.
     rim = sorted(np.flatnonzero(graph.rim).tolist(), key=lambda i: (ids[i], nodes[i]))
     first: dict[int, int] = {}
     reference = [first.setdefault(ids[i], k) for k, i in enumerate(rim)]
-    block = mech.rows[[mech.row_of[nodes[i]] for i in rim]]
+    block = mech.rows[_node_rows(graph, mech)[rim]]
     return not (np.abs(block - block[reference]) > DEFAULT_TOL).any()
 
 
 def _preference_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:
     """Each node's stored row of mech.rows, in graph.nodes order, with its
     entries in the node's preference order: column k is the mass of its
-    k-th preferred color. A node with no row raises KeyError."""
-    nodes = graph.nodes
-    row_ids = np.fromiter(map(mech.row_of.__getitem__, nodes), dtype=np.intp, count=len(nodes))
+    k-th preferred color. A mechanism on other nodes than graph.nodes
+    raises ValueError."""
     orders = np.array([c.order for c in graph.rainbows()], dtype=np.intp).reshape(-1, graph.color_space.q)
-    return mech.rows[row_ids[:, None], orders[graph.rainbow_ids]]
+    return mech.rows[_node_rows(graph, mech)[:, None], orders[graph.rainbow_ids]]
 
 
 def utility_eval(

@@ -566,14 +566,17 @@ def no_optimal_demo(budget: PrivacyBudget | None = None) -> NoOptimalReport:
     if budget is None:
         budget = PrivacyBudget(math.log(2.0), 0.0)
     graph = pentagon_graph()
-    space = graph.color_space
-    base = {d: SimplexVector(v) for d, v in _PENTAGON_BOUNDARY.items()}
-    d2_of_mech1 = SimplexVector((0.4, 0.2, 0.4))
-    d3_of_mech2 = SimplexVector((0.7, 0.05, 0.25))
+    base = {d: SimplexVector(v).p for d, v in _PENTAGON_BOUNDARY.items()}
+    d2_of_mech1 = SimplexVector((0.4, 0.2, 0.4)).p
+    d3_of_mech2 = SimplexVector((0.7, 0.05, 0.25)).p
 
-    mech1 = Mechanism({**base, "d2": d2_of_mech1, "d3": d2_of_mech1}, space)
-    mech2 = Mechanism({**base, "d2": SimplexVector((0.4, 0.1, 0.5)), "d3": d3_of_mech2}, space)
-    mech3 = Mechanism({**base, "d2": d2_of_mech1, "d3": d3_of_mech2}, space)
+    def completion(d2: tuple[float, ...], d3: tuple[float, ...]) -> Mechanism:
+        rows = [{**base, "d2": d2, "d3": d3}[d] for d in graph.nodes]
+        return Mechanism(np.array(rows), np.arange(len(rows)), graph.nodes, graph.color_space)
+
+    mech1 = completion(d2_of_mech1, d2_of_mech1)
+    mech2 = completion(SimplexVector((0.4, 0.1, 0.5)).p, d3_of_mech2)
+    mech3 = completion(d2_of_mech1, d3_of_mech2)
 
     r1 = verify_dp(graph, mech1, budget)
     r2 = verify_dp(graph, mech2, budget)

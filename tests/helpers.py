@@ -2,11 +2,12 @@
 draws laid out by gamma and uniform calls, the Dirichlet start they
 give and its rejection loop scanning every halving count, random graphs
 with solvable boundary structure, random valid boundary conditions, and
-the competitor mechanisms used for optimality checks, the environment of
-a child interpreter; graph morphisms on node names, their check and the
-pullback along them; and the references the array checks are compared
-with: verify_dp and utility_eval one node or edge at a time, and the
-hockey-stick excess in exact arithmetic."""
+the competitor mechanisms used for optimality checks, mechanisms from
+name-keyed distributions, the environment of a child interpreter; graph
+morphisms on node names, their check and the pullback along them; and
+the references the array checks are compared with: verify_dp and
+utility_eval one node or edge at a time, and the hockey-stick excess in
+exact arithmetic."""
 
 from __future__ import annotations
 
@@ -84,6 +85,13 @@ def reference_mix_until_close(
 
 def sv(*vals) -> r.SimplexVector:
     return r.SimplexVector(tuple(vals))
+
+
+def mechanism_of(graph: r.RainbowGraph, mapping) -> r.Mechanism:
+    """The mechanism on graph.nodes whose node d has the distribution
+    mapping[d], one row per node in graph.nodes order."""
+    rows = np.array([mapping[d].p for d in graph.nodes], dtype=np.float64).reshape(-1, graph.color_space.q)
+    return r.Mechanism(rows, np.arange(len(rows)), graph.nodes, graph.color_space)
 
 
 def random_simplex(g: np.random.Generator, q: int, zero_rate: float = 0.0) -> r.SimplexVector:
@@ -219,7 +227,7 @@ def boundary_line_mechanisms(
             canonical = tuple(cur.p[c.order.index(j)] for j in range(c.q))
             rows[start + i] = r.SimplexVector(canonical).p
             cur = r.t_step(cur, budget)
-    return r.Mechanism.from_rows(rows, bg.graph.node_index, graph.color_space), bg
+    return r.Mechanism(rows, np.arange(len(rows)), bg.graph.nodes, graph.color_space), bg
 
 
 def assert_same_graph(graph: r.RainbowGraph, expected: r.RainbowGraph) -> None:
@@ -322,7 +330,7 @@ def random_dp_mechanism(
             powers.append(r.t_step(powers[-1], budget))
         for d in comp:
             assign[d] = powers[depth[d]]
-    return r.Mechanism(assign, graph.color_space)
+    return mechanism_of(graph, assign)
 
 
 def check_morphism_reference(
@@ -343,9 +351,11 @@ def check_morphism_reference(
 
 def pullback(mech: r.Mechanism, domain: r.RainbowGraph, mapping: dict[str, str]) -> r.Mechanism:
     """mech pulled back along mapping: domain node d gets the row of its
-    image, the same row of the same matrix; KeyError names an image with no row."""
-    row_of = {d: mech.row_of[mapping[d]] for d in domain.nodes}
-    return r.Mechanism.from_rows(mech.rows, row_of, mech.color_space)
+    image, the same row of the same matrix; KeyError names an image that
+    is not one of mech.nodes."""
+    index = dict(zip(mech.nodes, range(len(mech.nodes))))
+    images = [index[mapping[d]] for d in domain.nodes]
+    return r.Mechanism(mech.rows, mech.node_rows[images], domain.nodes, mech.color_space)
 
 
 def boundary_map(graph: r.RainbowGraph, bg: r.BoundaryGraph) -> dict[str, str]:
@@ -437,8 +447,8 @@ def utility_eval_reference(
     left to right in its preference order, then the nodes' totals, left
     to right in graph.nodes order."""
     total = 0.0
-    for d in graph.nodes:
-        row = mech.rows[mech.row_of[d]].tolist()
+    for d, row_id in zip(graph.nodes, mech.node_rows.tolist()):
+        row = mech.rows[row_id].tolist()
         node = 0.0
         for w, i in zip(weights[d], graph.preference[d].order):
             node += w * row[i]
@@ -455,10 +465,7 @@ def verify_dp_reference(
     e = budget.exp_epsilon
     for a, b in sorted(graph.edges):
         for src, dst in ((a, b), (b, a)):
-            try:
-                p, q_ = mech.assignment[src], mech.assignment[dst]
-            except KeyError as exc:
-                raise KeyError(f"mechanism has no distribution for node {exc.args[0]!r}") from None
+            p, q_ = mech.assignment[src], mech.assignment[dst]
             margin = r.subset_excess(p, q_, e) - budget.delta
             if margin > r.DEFAULT_TOL:
                 violations.append(r.DpViolation((a, b), (src, dst), margin))

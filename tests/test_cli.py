@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import child_env, random_dense_graph, rng, striped_grid_text
+from helpers import child_env, mechanism_of, random_dense_graph, rng, striped_grid_text
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
@@ -181,17 +181,69 @@ def test_graph_file_round_trip():
     assert again.graph.color_space == gf.graph.color_space
     assert again.boundary.values == gf.boundary.values
     assert emit_graph_file(again) == emit_graph_file(gf)
+    # Boundary cells are exact, so a 15-digit entry comes back within the
+    # few ulps of the parsed vector's renormalization.
+    c = min(gf.boundary.values, key=lambda c: c.order)
+    vec = r.SimplexVector((0.123456789012345, 0.276543210987655, 0.6))
+    deep = GraphFile(gf.graph, r.BoundaryCondition({**gf.boundary.values, c: vec}))
+    back = parse_graph_file(emit_graph_file(deep)).boundary.values[c]
+    assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(back, vec))
 
 
 def test_mechanism_csv_round_trip():
     gf = parse_graph_file((FIXTURES / "path5.graph").read_text())
     mech = r.optimal_mechanism(gf.graph, gf.boundary, r.PrivacyBudget(math.log(2), 0.0))
     text = mechanism_csv(gf.graph, mech)
-    parsed = parse_mechanism_csv(text, gf.graph.color_space)
-    assert set(parsed.row_of) == set(gf.graph.nodes)
+    parsed = parse_mechanism_csv(text, gf.graph)
+    assert parsed.nodes is gf.graph.nodes
     for d in gf.graph.nodes:
         assert parsed.assignment[d].p == mech.assignment[d].p
     assert mechanism_csv(gf.graph, parsed) == text
+
+
+def _bare_graph(colors: tuple[str, ...], nodes) -> r.RainbowGraph:
+    # A graph on the named nodes with no edges, every node preferring the
+    # colors in order: what parse_mechanism_csv reads of a graph.
+    rainbow = r.Rainbow(tuple(range(len(colors))))
+    return r.RainbowGraph(nodes, (), dict.fromkeys(nodes, rainbow), r.ColorSpace(colors))
+
+
+def test_parse_mechanism_csv_resolves_node_rows_by_graph_id():
+    # Node ids follow the node lines, m z b q, not name order, and q is
+    # named by an edge before its node line. The CSV's lines come in a
+    # third order, which numbers its rows; each node id gets its own
+    # line's row, and the emitter writes the file it came from.
+    gf = parse_graph_file(
+        "colors a b c\nnode m a b c\nedge m q\nnode z b a c\nnode b a b c\nnode q a b c\n"
+        "edge z b\nedge q z\n"
+    )
+    graph = gf.graph
+    assert graph.nodes == ("m", "z", "b", "q")
+    rows = {"m": (0.5, 0.3, 0.2), "z": (0.1, 0.6, 0.3), "b": (0.2, 0.2, 0.6), "q": (0.7, 0.2, 0.1)}
+    text = mechanism_csv(graph, mechanism_of(graph, {d: r.SimplexVector(v) for d, v in rows.items()}))
+    head, *lines = text.splitlines(keepends=True)
+    by_name = {line.split(",", 1)[0]: line for line in lines}
+    parsed = parse_mechanism_csv(head + "".join(by_name[d] for d in ("q", "b", "z", "m")), graph)
+    assert parsed.nodes is graph.nodes
+    assert parsed.node_rows.tolist() == [3, 2, 1, 0]
+    for i, d in enumerate(graph.nodes):
+        assert tuple(parsed.rows[parsed.node_rows[i]].tolist()) == r.SimplexVector(rows[d]).p
+    assert mechanism_csv(graph, parsed) == text
+
+
+def test_parse_mechanism_csv_reports_unknown_nodes_before_missing_ones():
+    graph = _bare_graph(("1", "2"), ("w", "x", "y", "z"))
+    head = "node,1,2\n"
+    with pytest.raises(tables.MissingNodes, match=r"^mechanism file is missing nodes \(2\): \['w', 'y'\]$"):
+        parse_mechanism_csv(head + "z,0.5,0.5\nx,0.5,0.5\n", graph)
+    # A row for an undeclared node is reported even with nodes missing,
+    # and a bad line before either.
+    with pytest.raises(ValueError, match=r"^mechanism file has rows for undeclared nodes \(1\): \['v'\]$"):
+        parse_mechanism_csv(head + "v,0.5,0.5\nx,0.5,0.5\n", graph)
+    with pytest.raises(ValueError, match=r"^line 3: entries sum to 1\.1, not 1$"):
+        parse_mechanism_csv(head + "v,0.5,0.5\nx,0.5,0.6\n", graph)
+    # main() maps MissingNodes to exit 4 and ValueError to exit 1.
+    assert not issubclass(tables.MissingNodes, ValueError)
 
 
 def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
@@ -199,35 +251,32 @@ def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
         "colors x y z\nnode a x y z\nnode b x y z\nnode c x y z\nedge a b\nedge b c\n"
     )
     shared = r.SimplexVector((0.5, 0.25, 0.25))
-    mech = r.Mechanism(
-        {"c": shared, "a": shared, "b": r.SimplexVector((0.5, 0.5, 0.0))},
-        gf.graph.color_space,
-    )
+    mech = mechanism_of(gf.graph, {"c": shared, "a": shared, "b": r.SimplexVector((0.5, 0.5, 0.0))})
     assert mechanism_csv(gf.graph, mech) == (
         "node,x,y,z\na,0.5,0.25,0.25\nb,0.5,0.5,0.0\nc,0.5,0.25,0.25\n"
     )
 
 
 def test_mechanism_csv_errors_give_physical_line_numbers():
-    space = r.ColorSpace(("1", "2"))
+    graph = _bare_graph(("1", "2"), ("x", "y"))
     with pytest.raises(ValueError, match=r"^line 6: entries sum to 1\.1, not 1$"):
-        parse_mechanism_csv("node,1,2\n\nx,0.5,0.5\n\n\ny,0.5,0.6\n", space)
+        parse_mechanism_csv("node,1,2\n\nx,0.5,0.5\n\n\ny,0.5,0.6\n", graph)
     with pytest.raises(ValueError, match=r"^line 5: duplicate row for node 'x'$"):
-        parse_mechanism_csv("\nnode,1,2\nx,0.5,0.5\n\nx,0.5,0.5\n", space)
+        parse_mechanism_csv("\nnode,1,2\nx,0.5,0.5\n\nx,0.5,0.5\n", graph)
     with pytest.raises(ValueError, match="empty mechanism file"):
-        parse_mechanism_csv("\n  \n", space)
+        parse_mechanism_csv("\n  \n", graph)
 
 
 def test_mechanism_csv_row_sum_is_added_left_to_right():
     # A compensated sum, builtin sum() from Python 3.12 on, gives 1.1.
-    space = r.ColorSpace(("1", "2", "3", "4"))
+    graph = _bare_graph(("1", "2", "3", "4"), ("x",))
     with pytest.raises(ValueError, match=r"^line 2: entries sum to 1\.0999999999999999, not 1$"):
-        parse_mechanism_csv("node,1,2,3,4\nx,0.7,0.1,0.1,0.2\n", space)
+        parse_mechanism_csv("node,1,2,3,4\nx,0.7,0.1,0.1,0.2\n", graph)
 
 
 def test_mechanism_csv_writes_no_negative_zero():
     gf = parse_graph_file("colors x y\nnode a x y\nnode b y x\nedge a b\n")
-    mech = r.Mechanism.from_rows(np.array([[1.0, -0.0]]), {"a": 0, "b": 0}, gf.graph.color_space)
+    mech = r.Mechanism(np.array([[1.0, -0.0]]), [0, 0], gf.graph.nodes, gf.graph.color_space)
     assert mechanism_csv(gf.graph, mech) == "node,x,y\na,1.0,0.0\nb,1.0,0.0\n"
 
 
@@ -235,7 +284,7 @@ def test_mechanism_csv_rejects_cells_off_the_simplex_by_line():
     # Rows are taken as read: a cell that is not finite or lies outside
     # [0, 1] by more than NEGATIVE_WINDOW is reported with its line; a
     # row sum is checked first, and nan passes it.
-    space = r.ColorSpace(("1", "2", "3"))
+    graph = _bare_graph(("1", "2", "3"), ("x", "y"))
     head = "node,1,2,3\nx,0.2,0.3,0.5\n\n"
     for row, message in (
         ("y,nan,0.5,0.5", "entry nan outside [0, 1]"),
@@ -245,16 +294,16 @@ def test_mechanism_csv_rejects_cells_off_the_simplex_by_line():
         ("y,0.5,0.5000000011,-0.0000000011", "entry -1.1e-09 outside [0, 1]"),
     ):
         with pytest.raises(ValueError) as exc:
-            parse_mechanism_csv(head + row + "\n", space)
+            parse_mechanism_csv(head + row + "\n", graph)
         assert str(exc.value) == f"line 4: {message}"
     # Inside the window a row is kept as it is, with no clamping.
-    mech = parse_mechanism_csv(head + "y,0.5,0.5000000005,-0.0000000005\n", space)
-    assert mech.rows[mech.row_of["y"]].tolist() == [0.5, 0.5000000005, -0.0000000005]
+    mech = parse_mechanism_csv(head + "y,0.5,0.5000000005,-0.0000000005\n", graph)
+    assert mech.rows[mech.node_rows[1]].tolist() == [0.5, 0.5000000005, -0.0000000005]
     assert mech.assignment["y"].p == (0.5, 0.5000000005, -0.0000000005)
 
 
 def test_mechanism_csv_reports_the_first_failing_line():
-    space = r.ColorSpace(("1", "2"))
+    graph = _bare_graph(("1", "2"), ("w", "x", "y", "z"))
     cases = (
         # A bad sum on an earlier line than a line that fails to read.
         ("node,1,2\nx,0.5,0.6\n\ny,0.5\n", "line 2: entries sum to 1.1, not 1"),
@@ -266,7 +315,7 @@ def test_mechanism_csv_reports_the_first_failing_line():
     )
     for text, message in cases:
         with pytest.raises(ValueError) as exc:
-            parse_mechanism_csv(text, space)
+            parse_mechanism_csv(text, graph)
         assert str(exc.value) == message
 
 
@@ -284,13 +333,12 @@ def test_mechanism_csv_parses_each_distinct_row_once(monkeypatch):
         return float(cell)
 
     monkeypatch.setattr(tables, "float", counted_float, raising=False)
-    mech = parse_mechanism_csv(text, r.ColorSpace(("a", "b", "c")))
+    mech = parse_mechanism_csv(text, _bare_graph(("a", "b", "c"), [f"n{i}" for i in range(n)]))
     assert mech.rows.shape == (3, 3)
     assert len(calls) == 9
-    assert len(mech.row_of) == n
     for i in range(n):
         want = np.array([float(x) for x in texts[i % 3].split(",")])
-        assert mech.rows[mech.row_of[f"n{i}"]].tobytes() == want.tobytes()
+        assert mech.rows[mech.node_rows[i]].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -313,7 +361,7 @@ def test_mechanism_csv_parses_each_distinct_row_once(monkeypatch):
 )
 def test_mechanism_csv_distinct_rows_keep_error_lines(text, message):
     with pytest.raises(ValueError) as exc:
-        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+        parse_mechanism_csv(text, _bare_graph(("1", "2"), ("w", "x", "y", "z")))
     assert str(exc.value) == message
 
 
@@ -321,14 +369,15 @@ def test_mechanism_csv_distinct_rows_read_in_blocks_keep_error_lines():
     # A cell that fails to read in the second block of distinct rows is
     # reported on its line, after the first bad row before it, if any.
     rows = [f"n{i},{i / 8192!r},{1 - i / 8192!r}" for i in range(6000)]
+    graph = _bare_graph(("1", "2"), [row.split(",")[0] for row in rows])
     rows[4500] = "bad,0.5,x"
     text = "node,1,2\n" + "\n".join(rows) + "\n"
     with pytest.raises(ValueError, match=r"^line 4502: could not convert string to float: 'x'$"):
-        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+        parse_mechanism_csv(text, graph)
     rows[4400] = "off,0.5,0.6"
     text = "node,1,2\n" + "\n".join(rows) + "\n"
     with pytest.raises(ValueError, match=r"^line 4402: entries sum to 1\.1, not 1$"):
-        parse_mechanism_csv(text, r.ColorSpace(("1", "2")))
+        parse_mechanism_csv(text, graph)
 
 
 def test_build_and_verify_leave_the_string_views_unbuilt(tmp_path, monkeypatch, capsys):
@@ -359,23 +408,6 @@ def test_build_and_verify_leave_the_string_views_unbuilt(tmp_path, monkeypatch, 
     assert len(graphs) == 4
     for graph in graphs:
         assert "edges" not in vars(graph) and "preference" not in vars(graph)
-
-
-def test_verify_dp_names_the_first_missing_node_in_sorted_edge_order():
-    # The node is found from the edge rows, with no name-pair edge set.
-    gf = parse_graph_file(
-        "colors a b\nnode z a b\nnode y b a\nnode x a b\nnode w b a\n"
-        "edge z y\nedge y x\nedge x w\nedge w z\n"
-    )
-    graph = gf.graph
-    rows = np.array([[0.5, 0.5]])
-    budget = r.PrivacyBudget(math.log(2.0), 0.0)
-    for row_of, first in (({"z": 0, "y": 0}, "w"), ({"w": 0, "x": 0, "z": 0}, "y"), ({"y": 0, "x": 0}, "w")):
-        mech = r.Mechanism.from_rows(rows, row_of, graph.color_space)
-        with pytest.raises(KeyError) as exc:
-            r.verify_dp(graph, mech, budget)
-        assert exc.value.args[0] == f"mechanism has no distribution for node {first!r}"
-    assert "edges" not in vars(graph)
 
 
 def _split_path_text(n: int) -> str:

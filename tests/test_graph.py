@@ -292,21 +292,20 @@ def test_pullback_identity_and_constant():
 
 def test_pullback_missing_distribution():
     graph = path5_graph()
-    mech = r.Mechanism({"n2": sv(0.3, 0.3, 0.4)}, graph.color_space)
+    mech = r.Mechanism(np.array([sv(0.3, 0.3, 0.4).p]), [0], ("n2",), graph.color_space)
     with pytest.raises(KeyError):
         pullback(mech, graph, {d: d for d in graph.nodes})
 
 
 def test_pullback_needs_rows_only_for_the_image():
-    # n0 and n4 are outside the image, and the mechanism has no row for them.
+    # n0 and n4 are outside the image, and the mechanism is not on them.
     graph = path5_graph()
-    mech = r.Mechanism(
-        {"n1": sv(0.2, 0.3, 0.5), "n2": sv(0.3, 0.3, 0.4), "n3": sv(0.4, 0.3, 0.3)},
-        graph.color_space,
-    )
+    rows = np.array([sv(0.2, 0.3, 0.5).p, sv(0.3, 0.3, 0.4).p, sv(0.4, 0.3, 0.3).p])
+    mech = r.Mechanism(rows, [0, 1, 2], ("n1", "n2", "n3"), graph.color_space)
     fold = {"n0": "n2", "n1": "n1", "n2": "n2", "n3": "n3", "n4": "n2"}
     pulled = pullback(mech, graph, fold)
-    assert pulled.row_of == {d: mech.row_of[fold[d]] for d in graph.nodes}
+    assert pulled.nodes is graph.nodes
+    assert pulled.node_rows.tolist() == [1, 0, 1, 2, 1]
     assert pulled.assignment == {d: mech.assignment[fold[d]] for d in graph.nodes}
 
 
@@ -577,8 +576,8 @@ def _index_cases():
 
 def test_boundary_graph_indexes_the_mechanism():
     # Boundary-graph node k is row k of the optimal mechanism's matrix, so
-    # pulling the matrix back along the boundary morphism gives the same
-    # mechanism, bit for bit.
+    # pulling the matrix back along the boundary morphism gives each node
+    # its row id in the same matrix: the same mechanism, bit for bit.
     for graph, bc, budget in _index_cases():
         mech = r.optimal_mechanism(graph, bc, budget)
         bg = r.build_boundary_graph(graph)
@@ -591,13 +590,10 @@ def test_boundary_graph_indexes_the_mechanism():
         assert_same_graph(bg.graph, r.RainbowGraph(preference, edges, preference, graph.color_space))
         index, image = bg.graph.node_index, boundary_map(graph, bg)
         assert len(mech.rows) == len(index)
-        for d in graph.nodes:
-            assert mech.row_of[d] == index[image[d]]
-        chains = r.Mechanism.from_rows(mech.rows, index, graph.color_space)
+        assert mech.node_rows.tolist() == [index[image[d]] for d in graph.nodes]
+        chains = r.Mechanism(mech.rows, np.arange(len(index)), bg.graph.nodes, graph.color_space)
         pulled = pullback(chains, graph, image)
-        for d in graph.nodes:
-            want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
-            assert [x.hex() for x in pulled.rows[pulled.row_of[d]].tolist()] == want
+        assert pulled.node_rows.tolist() == mech.node_rows.tolist()
 
 
 def _seed_search(graph, dist):

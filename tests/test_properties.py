@@ -42,6 +42,7 @@ from helpers import (
     block_draws,
     dirichlet_start,
     exact_excess,
+    mechanism_of,
     random_budget,
     random_dense_graph,
     random_homogeneous_bc,
@@ -712,14 +713,6 @@ def _violation_bits(report: r.DpReport):
     return report.valid, [(v.edge, v.direction, v.margin.hex()) for v in report.violations]
 
 
-def _key_error(check):
-    try:
-        check()
-    except KeyError as exc:
-        return str(exc)
-    return None
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_verify_dp_equals_per_edge_reference(seed):
@@ -735,7 +728,7 @@ def test_verify_dp_equals_per_edge_reference(seed):
             lam = 10.0 ** g.uniform(-14.0, 0.0)
             mixed = (1.0 - lam) * np.array(assignment[d].p) + lam * np.array(random_simplex(g, q).p)
             assignment[d] = r.SimplexVector(tuple(mixed))
-    # A node without edges needs no distribution.
+    # A node without edges is in no check.
     isolated = "zz-isolated"
     graph = r.RainbowGraph(
         graph.nodes + (isolated,),
@@ -743,16 +736,11 @@ def test_verify_dp_equals_per_edge_reference(seed):
         {**graph.preference, isolated: graph.preference[graph.nodes[0]]},
         graph.color_space,
     )
-    perturbed = r.Mechanism(assignment, graph.color_space)
+    assignment[isolated] = r.SimplexVector((1.0,) + (0.0,) * (q - 1))
+    perturbed = mechanism_of(graph, assignment)
     assert _violation_bits(r.verify_dp(graph, perturbed, budget)) == _violation_bits(
         verify_dp_reference(graph, perturbed, budget)
     )
-    for d in g.choice(sorted(graph.nodes[:-1]), size=2, replace=False):
-        del assignment[str(d)]
-    partial = r.Mechanism(assignment, graph.color_space)
-    error = _key_error(lambda: r.verify_dp(graph, partial, budget))
-    assert error is not None
-    assert error == _key_error(lambda: verify_dp_reference(graph, partial, budget))
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3])
@@ -769,9 +757,8 @@ def test_chunk_edges_leave_rows_and_verdicts_unchanged(monkeypatch, chunk_rows):
     monkeypatch.setattr(mechanism, "_CHUNK_ROWS", chunk_rows)
     for (graph, bc, budget), want in zip(cases, whole):
         mech = r.optimal_mechanism(graph, bc, budget)
-        for d in graph.nodes:
-            got = mech.rows[mech.row_of[d]].tolist()
-            assert [x.hex() for x in got] == [x.hex() for x in want.rows[want.row_of[d]].tolist()]
+        assert mech.node_rows.tolist() == want.node_rows.tolist()
+        assert [x.hex() for x in mech.rows.ravel().tolist()] == [x.hex() for x in want.rows.ravel().tolist()]
         # Mixing some rows toward random ones puts margins on both sides of
         # the tolerance, so the chunks hold violations.
         rows = mech.rows.copy()
@@ -779,7 +766,7 @@ def test_chunk_edges_leave_rows_and_verdicts_unchanged(monkeypatch, chunk_rows):
             if g.random() < 0.3:
                 lam = 10.0 ** g.uniform(-14.0, 0.0)
                 rows[i] = (1.0 - lam) * rows[i] + lam * np.array(random_simplex(g, rows.shape[1]).p)
-        mixed = r.Mechanism.from_rows(rows, mech.row_of, graph.color_space)
+        mixed = r.Mechanism(rows, mech.node_rows, graph.nodes, graph.color_space)
         assert _violation_bits(r.verify_dp(graph, mixed, budget)) == _violation_bits(
             verify_dp_reference(graph, mixed, budget)
         )
@@ -843,7 +830,7 @@ def test_closeness_kernel_agrees_with_exact_arithmetic(case):
     ca, cb = r.Rainbow(tuple(range(q))), r.Rainbow(tuple(reversed(range(q))))
 
     same = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": ca}, space)
-    mech = r.Mechanism.from_rows(np.array([pv.p, qv.p]), {"a": 0, "b": 1}, space)
+    mech = r.Mechanism(np.array([pv.p, qv.p]), [0, 1], same.nodes, space)
     assert r.verify_dp(same, mech, budget).valid == close
 
     split = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": cb}, space)
@@ -879,7 +866,7 @@ def test_optimum_is_locally_tight(seed):
             moved[k] += ETA
             moved[k + 1] -= ETA
             vec = r.SimplexVector(tuple(moved[c.order.index(i)] for i in range(len(moved))))
-            report = r.verify_dp(graph, r.Mechanism({**mech.assignment, d: vec}, graph.color_space), budget)
+            report = r.verify_dp(graph, mechanism_of(graph, {**mech.assignment, d: vec}), budget)
             assert not report.valid, (d, k)
 
 
@@ -924,11 +911,10 @@ def test_mechanism_csv_exact_round_trip(seed, dense):
     budget = random_budget(g)
     mech = r.optimal_mechanism(graph, random_homogeneous_bc(g, graph, budget), budget)
     assert r.verify_dp(graph, mech, budget).valid
-    parsed = parse_mechanism_csv(mechanism_csv(graph, mech), graph.color_space)
-    assert parsed.row_of.keys() == set(graph.nodes)
-    for d in graph.nodes:
-        want = [x.hex() for x in mech.rows[mech.row_of[d]].tolist()]
-        assert [x.hex() for x in parsed.rows[parsed.row_of[d]].tolist()] == want
+    parsed = parse_mechanism_csv(mechanism_csv(graph, mech), graph)
+    assert parsed.nodes is graph.nodes
+    for i, j in zip(mech.node_rows.tolist(), parsed.node_rows.tolist()):
+        assert [x.hex() for x in parsed.rows[j].tolist()] == [x.hex() for x in mech.rows[i].tolist()]
     assert r.verify_dp(graph, parsed, budget).valid
 
 
