@@ -24,7 +24,8 @@ def _x_tick_step(tmax: float) -> float:
     for step in (1, 2, 5, 10, 20, 50, 100):
         if tmax / step <= 12:
             return float(step)
-    return float(10 ** (int(math.log10(tmax)) + 1))
+    # The power of ten above tmax, kept below float's 1.8e308 ceiling.
+    return float(10 ** min(int(math.log10(tmax)) + 1, 308))
 
 
 def render_trajectory_svg(

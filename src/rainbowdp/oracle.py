@@ -39,6 +39,7 @@ from .core import (
     Rainbow,
     SimplexVector,
     _hockey_stick,
+    _require_same_length,
     _row_sums,
     is_close,
     normalized_rows,
@@ -80,8 +81,7 @@ def is_close_bruteforce(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudg
     Semantically identical to core.is_close; exists as an independent
     cross-check of the per-element shortcut.
     """
-    if len(p) != len(q_):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q_)}")
+    _require_same_length(p, q_)
     if len(p) > _MAX_BRUTEFORCE_Q:
         raise ValueError(f"alphabet too large for subset enumeration: {len(p)}")
     pa = np.asarray(p.p)

@@ -500,3 +500,16 @@ def striped_grid_text(side: int, stripes: int, q: int, seed: int, spread: float)
         total = sum(row)
         out.append("boundary " + ",".join(perm) + " " + " ".join(repr(x / total) for x in row))
     return "\n".join(out) + "\n"
+
+
+def tailed_grid_text() -> str:
+    """striped_grid_text(90, 4, 5, seed=90, spread=0.02) plus a 300-node
+    path in the rainbow of r45c10, hung on that mid-depth node. The tail
+    outlasts the grid's wide levels, so the boundary search expands its
+    first levels on arrays and hands the last ones to its queue."""
+    text = striped_grid_text(90, 4, 5, seed=90, spread=0.02)
+    rainbow = next(line for line in text.splitlines() if line.startswith("node r45c10 "))[12:]
+    tail = [f"t{i:03d}" for i in range(300)]
+    lines = [f"node {t} {rainbow}" for t in tail]
+    lines += [f"edge {a} {b}" for a, b in zip(["r45c10", *tail], tail)]
+    return text + "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import child_env, mechanism_of, random_dense_graph, rng, striped_grid_text
+from helpers import child_env, mechanism_of, random_dense_graph, rng, striped_grid_text, tailed_grid_text
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
@@ -597,10 +597,18 @@ def test_cmd_verify_rejects_rows_off_the_simplex(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name,budget_args",
-    [("path5", ["--e-epsilon", "2", "--delta", "0.01"]), ("pentagon", ["--e-epsilon", "2"])],
+    [
+        ("path5", ["--e-epsilon", "2", "--delta", "0.01"]),
+        ("pentagon", ["--e-epsilon", "2"]),
+        ("tailed-grid", ["--epsilon", "0.3", "--delta", "0.001"]),
+    ],
 )
 def test_cmd_verify_accepts_build_output(tmp_path, capsys, name, budget_args):
+    # The tailed grid's boundary search hands off from array levels to its queue.
     graph_path = str(FIXTURES / f"{name}.graph")
+    if name == "tailed-grid":
+        graph_path = str(tmp_path / "tailed.graph")
+        Path(graph_path).write_text(tailed_grid_text())
     out = tmp_path / f"{name}.csv"
     assert main(["build", graph_path, *budget_args, "--out", str(out)]) == 0
     assert main(["verify", graph_path, str(out), *budget_args]) == 0
@@ -735,9 +743,12 @@ def test_cmd_plot_malformed_csv(tmp_path, capsys):
         assert err.startswith(error) and err.count("\n") == 1
         assert not (tmp_path / "x.svg").exists()
     # 'inf' is how fmt_tau writes INFINITE, so it still plots, and so do
-    # values inside the window SimplexVector allows around [0, 1].
-    bad.write_text("# tau inf,1\nt,k,color,p,s\n0,1,1,-1e-10,1.0000000001\n")
-    assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 0
+    # values inside the window SimplexVector allows around [0, 1] and a
+    # finite t whose power of ten is past float range.
+    for text in ("# tau inf,1\nt,k,color,p,s\n0,1,1,-1e-10,1.0000000001\n",
+                 "t,k,color,p,s\n0,1,1,0.5,0.5\n1.7e308,1,1,0.5,0.5\n"):
+        bad.write_text(text)
+        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 0
 
 
 def test_cmd_demo_no_optimal(capsys):
@@ -1173,6 +1184,34 @@ def test_epsilon_beyond_float_range_exits_1(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# Failures whose exit code and stderr must cross the process boundary as
+# a shell sees them: argv (run in a directory holding only inf.csv), exit
+# code, and a fragment of stdout.
+CONSOLE_FAILURES = {
+    "build": (["build", str(FIXTURES / "path5.graph"), "--epsilon", "50", "--out", "out.csv"], 2, ""),
+    "fuzz": (
+        ["fuzz", "--q", "4", "--trials", "50", "--seed", "1", "--epsilon", "50", "--delta", "0.01"],
+        5,
+        "result=step-not-close",
+    ),
+    "plot": (["plot", "inf.csv", "--out", "out.svg"], 1, ""),
+}
+
+
+@pytest.mark.parametrize("case", CONSOLE_FAILURES)
+def test_console_failures_exit_without_a_traceback(tmp_path, case):
+    argv, code, fragment = CONSOLE_FAILURES[case]
+    (tmp_path / "inf.csv").write_text("t,k,color,p,s\ninf,1,1,0.5,0.5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdp", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert fragment in proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["inf.csv"]
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -29,6 +29,7 @@ from helpers import (
     split_path,
     striped_grid_text,
     sv,
+    tailed_grid_text,
 )
 from rainbowdp.cli.graphfile import parse_graph_file
 from rainbowdp.graph import _ARRAY_LEVEL_WIDTH
@@ -477,20 +478,13 @@ def _random_levels_graph():
     return _path_and_random_edges(4000, 8000, (np.arange(4000) >= 200).astype(np.intp), seed=32)
 
 
-def _tailed_grid():
-    # A 300-node tail on a mid-depth node of the first stripe outlasts the
-    # grid's levels, so the search hands its last levels to the queue.
-    wide = _striped_grid(90)
-    return _with_path(wide, "t", 300, wide.preference["r45c10"], "r45c10")
-
-
 # Each case's graph, and a test on its level widths (from the reference)
 # that it reaches the phases named: levels at least _ARRAY_LEVEL_WIDTH
 # wide go on arrays, the first narrower one and all after it a node at a
 # time.
 SEARCH_CASES = {
     "array levels only": (lambda: _striped_grid(90), lambda w: w.min() >= _ARRAY_LEVEL_WIDTH),
-    "handoff": (_tailed_grid, lambda w: w[0] >= _ARRAY_LEVEL_WIDTH > w[-1]),
+    "handoff": (lambda: parse_graph_file(tailed_grid_text()).graph, lambda w: w[0] >= _ARRAY_LEVEL_WIDTH > w[-1]),
     "queue only": (lambda: split_path()[0], lambda w: w[0] < _ARRAY_LEVEL_WIDTH),
     "several parents": (_random_levels_graph, lambda w: w[0] >= _ARRAY_LEVEL_WIDTH > w[-1]),
     "all rim": (lambda: _all_rim_graph(400, 2000, seed=30), lambda w: len(w) == 1),

@@ -485,8 +485,10 @@ def test_parse_inverts_emit(gf):
         assert again.boundary is None
         return
     assert again.boundary.values.keys() == gf.boundary.values.keys()
+    # Boundary cells are exact: only the parsed vector's renormalization
+    # moves an entry, by an ulp or two.
     for c, vec in gf.boundary.values.items():
-        assert all(abs(a - b) <= 1e-11 for a, b in zip(again.boundary.values[c], vec))
+        assert all(abs(a - b) <= 2 * math.ulp(b) for a, b in zip(again.boundary.values[c], vec))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
