@@ -23,15 +23,12 @@ from .graph import (
     decompose_regions,
 )
 from .mechanism import (
-    INFINITE,
     BoundaryCondition,
     DpReport,
     DpViolation,
-    EpsilonZero,
     InvalidBoundary,
     Mechanism,
     MissingRainbow,
-    TauProfile,
     build_trajectory,
     closed_form_prefix,
     is_boundary_homogeneous,
@@ -48,7 +45,6 @@ from .mechanism import (
 from .oracle import (
     Counterexample,
     FalsificationReport,
-    NoOptimalReport,
     dominance_falsify,
     homogenized_pentagon,
     is_close_bruteforce,

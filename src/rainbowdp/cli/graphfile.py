@@ -334,8 +334,14 @@ def _parse_lines(text: str) -> GraphFile:
 
 def emit_graph_file(gf: GraphFile) -> str:
     """Serialize a GraphFile. Parsing the text gives gf back: boundary cells are
-    repr(float), moved only by the parsed vectors' renormalization, an ulp or so."""
+    repr(float), moved only by the parsed vectors' renormalization, an ulp or so.
+    A color or node name the format cannot carry (empty, or holding whitespace,
+    '#' or ',') raises ValueError."""
     space = gf.graph.color_space
+    for kind, names in (("color", space.colors), ("node", gf.graph.nodes)):
+        for name in names:
+            if name.split() != [name] or "#" in name or "," in name:
+                raise ValueError(f"{kind} name {name!r} is empty or holds whitespace, '#' or ','")
     out = ["colors " + " ".join(space.colors)]
     for d in gf.graph.nodes:
         names = gf.graph.preference[d].color_names(space)

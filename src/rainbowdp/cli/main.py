@@ -19,10 +19,10 @@ from ..core import PrivacyBudget, SimplexVector
 from ..graph import UnconstrainedRegion
 from ..mechanism import (
     DpViolation,
-    EpsilonZero,
     InvalidBoundary,
     MissingRainbow,
     build_trajectory,
+    is_boundary_homogeneous,
     optimal_mechanism,
     tau_profile,
     verify_dp,
@@ -157,11 +157,11 @@ def cmd_trajectory(args) -> int:
     # The CSV has a line per (t, k) cell, and its text is built at once.
     if (args.steps * args.substeps + 1) * len(m) > MAX_TRAJECTORY_CELLS:
         raise ValueError(f"need (steps * substeps + 1) * q <= {MAX_TRAJECTORY_CELLS}")
-    try:
-        profile = tau_profile(m, budget)
-        print("rho " + fmt(profile.rho))
-        print("tau " + ",".join(fmt_tau(v) for v in profile.tau))
-    except EpsilonZero:
+    if budget.epsilon > 0.0:
+        rho, tau = profile = tau_profile(m, budget)
+        print("rho " + fmt(rho))
+        print("tau " + ",".join(map(fmt_tau, tau)))
+    else:
         profile = None
         print("rho n/a (epsilon=0)")
         print("tau n/a (epsilon=0)")
@@ -185,16 +185,15 @@ def cmd_demo_no_optimal(args) -> int:
         sys.stdout.write(mechanism_csv(graph, mech))
         print(f"verifies: {str(report.valid).lower()}")
         return EXIT_OK if report.valid else EXIT_VIOLATION
-    report = no_optimal_demo(budget)
-    print(f"mech1 valid: {str(report.mech1_valid).lower()}")
-    print(f"mech2 valid: {str(report.mech2_valid).lower()}")
-    print(f"forced mech3 valid: {str(report.mech3_valid).lower()}")
-    if report.violating_edge is not None:
-        a, b = report.violating_edge
-        print(f"violating edge: ({a},{b}) margin {fmt(report.margin)}")
-    print(f"boundary homogeneous: {str(report.boundary_homogeneous).lower()}")
-    expected = report.mech1_valid and report.mech2_valid and not report.mech3_valid
-    return EXIT_OK if expected else EXIT_VIOLATION
+    graph, (mech1, _, _), (r1, r2, r3) = no_optimal_demo(budget)
+    print(f"mech1 valid: {str(r1.valid).lower()}")
+    print(f"mech2 valid: {str(r2.valid).lower()}")
+    print(f"forced mech3 valid: {str(r3.valid).lower()}")
+    if r3.violations:
+        (a, b), margin = r3.violations[0].edge, r3.violations[0].margin
+        print(f"violating edge: ({a},{b}) margin {fmt(margin)}")
+    print(f"boundary homogeneous: {str(is_boundary_homogeneous(graph, mech1)).lower()}")
+    return EXIT_OK if r1.valid and r2.valid and not r3.valid else EXIT_VIOLATION
 
 
 def cmd_fuzz(args) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import NEGATIVE_WINDOW, _outside_window, _row_sums
 from ..graph import RainbowGraph
-from ..mechanism import Mechanism, TauProfile, _node_rows
+from ..mechanism import Mechanism, _node_rows
 
 # Rows written by mechanism_csv read back exactly and miss a sum of 1
 # only by the rounding of their own float entries (a few 1e-16). The
@@ -181,16 +181,17 @@ def parse_mechanism_csv(text: str, graph: RainbowGraph) -> Mechanism:
 
 
 def trajectory_csv(
-    t: np.ndarray, p: np.ndarray, s: np.ndarray, profile: TauProfile | None = None
+    t: np.ndarray, p: np.ndarray, s: np.ndarray, profile: tuple[float, tuple[float, ...]] | None = None
 ) -> str:
     """build_trajectory's arrays as rows (t, k, color, p, s) sorted by
     (t, k), k = 1..q also naming the color, preceded by the drift and the
-    transition indices as comment lines when a profile is available (the
-    plotter reads them back for its markers)."""
+    transition indices as comment lines when tau_profile's (rho, tau) is
+    given (the plotter reads them back for its markers)."""
     lines: list[str] = []
     if profile is not None:
-        lines.append("# rho " + fmt(profile.rho))
-        lines.append("# tau " + ",".join(fmt_tau(v) for v in profile.tau))
+        rho, tau = profile
+        lines.append("# rho " + fmt(rho))
+        lines.append("# tau " + ",".join(map(fmt_tau, tau)))
     lines.append("t,k,color,p,s")
     ks = [f",{k},{k}," for k in range(1, p.shape[1] + 1)]
     # Each time is formatted once; p and s are read flat, in (t, k) order,
@@ -205,7 +206,7 @@ def trajectory_csv(
 
 
 def fmt_tau(v: float) -> str:
-    """A transition index as an integer, or 'inf' for INFINITE."""
+    """A transition index as an integer, or 'inf' for math.inf."""
     return "inf" if math.isinf(v) else str(int(v))
 
 
@@ -232,7 +233,7 @@ def _probability(name: str, cell: str) -> float:
 
 
 def _tau_entry(cell: str) -> float:
-    # fmt_tau writes INFINITE as 'inf'; nan, -inf and negative values are
+    # fmt_tau writes math.inf as 'inf'; nan, -inf and negative values are
     # no transition step.
     x = float(cell)
     if not x >= 0.0:
@@ -248,7 +249,7 @@ def parse_trajectory_csv(
     (t, p) order, as plot draws them, and the label of its last row by t
     (the last in the file among rows of that t). t, p, s and rho must be
     finite, t and each tau entry at least 0, p and s in [0, 1] (up to
-    NEGATIVE_WINDOW); a tau entry may be 'inf' (INFINITE). At most
+    NEGATIVE_WINDOW); a tau entry may be 'inf'. At most
     MAX_TRAJECTORY_CELLS data rows are read: the first row past them is
     an error."""
     rho: float | None = None

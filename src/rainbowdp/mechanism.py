@@ -45,8 +45,6 @@ from .core import (
 )
 from .graph import RainbowGraph
 
-INFINITE = math.inf
-
 # Below this mass the growth phase is evaluated in log space to dodge
 # overflow in exp(t * eps) for extremely small prefixes.
 _LOG_FORM_THRESHOLD = 1e-8
@@ -54,11 +52,6 @@ _LOG_FORM_THRESHOLD = 1e-8
 # Chain rows and edges are processed this many at a time, so each array
 # of a pass stays small (256 KiB at q = 8) whatever the size of the graph.
 _CHUNK_ROWS = 1 << 12
-
-
-class EpsilonZero(ValueError):
-    """The tau machinery needs eps > 0; the eps = 0 recurrence is handled
-    directly by _prefix_curve."""
 
 
 class MissingRainbow(LookupError):
@@ -143,14 +136,6 @@ class BoundaryCondition:
                 raise ValueError("boundary vector length does not match its rainbow")
 
 
-@dataclass(frozen=True)
-class TauProfile:
-    """Per-prefix phase-transition indices plus the drift rho."""
-
-    rho: float
-    tau: tuple[float, ...]
-
-
 def to_preference_order(vec: SimplexVector, rainbow: Rainbow) -> SimplexVector:
     """Reindex a canonical-order distribution so entry k is the mass of
     the k-th preferred color."""
@@ -192,36 +177,35 @@ def t_step_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
 
 def _tau(s0k: float, level: float, budget: PrivacyBudget, rho: float) -> float:
     """floor(max(log(level / (s0k + rho)) / eps + 1, 0)): the growth step
-    on which prefix s0k reaches level, a target for s + rho. INFINITE
+    on which prefix s0k reaches level, a target for s + rho. math.inf
     when s0k + rho = 0, since such a prefix never grows."""
     if s0k + rho <= 0.0:
-        return INFINITE
+        return math.inf
     val = math.log(level / (s0k + rho)) / budget.epsilon + 1.0
     return float(math.floor(max(val, 0.0)))
 
 
-def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> TauProfile:
-    """Phase-transition index per prefix of a preference-order boundary
-    distribution.
+def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> tuple[float, tuple[float, ...]]:
+    """The drift rho and the phase-transition index tau_k per prefix of a
+    preference-order boundary distribution, as (rho, tau).
 
     tau_k = floor(max(log(((e^eps+1)^-1 + rho) / (s0_k + rho)) / eps + 1, 0))
 
     with rho = delta / (e^eps - 1); at delta = 0 this reduces to
     floor(max(-log(s0_k (e^eps+1)) / eps + 1, 0)). Prefixes with
-    s0_k + rho = 0 never transition and get the INFINITE sentinel.
+    s0_k + rho = 0 never transition and get math.inf.
 
     tau_k marks the growth step on which prefix k reaches the weight
     1/(e^eps + 1). At delta = 0 that is exactly where the operator
     switches from growth to approach; at delta > 0 the switch happens
     slightly earlier (see _phases), so tau is the reported transition
-    landmark, not the internal branch point.
+    landmark, not the internal branch point. Epsilon = 0 raises ValueError.
     """
     if budget.epsilon == 0.0:
-        raise EpsilonZero("tau profile is undefined at epsilon = 0")
+        raise ValueError("tau profile is undefined at epsilon = 0")
     rho = budget.delta / (budget.exp_epsilon - 1.0)
     level = 1.0 / (budget.exp_epsilon + 1.0) + rho
-    tau = tuple(_tau(sk, level, budget, rho) for sk in prefix_sums(m))
-    return TauProfile(rho=rho, tau=tau)
+    return rho, tuple(_tau(sk, level, budget, rho) for sk in prefix_sums(m))
 
 
 def _exp_each(x: np.ndarray) -> np.ndarray:

@@ -48,9 +48,9 @@ from .core import (
 from .graph import RainbowGraph
 from .mechanism import (
     BoundaryCondition,
+    DpReport,
     Mechanism,
     _t_step_prefix_rows,
-    is_boundary_homogeneous,
     optimal_mechanism,
     t_step_rows,
     verify_dp,
@@ -538,24 +538,12 @@ _PENTAGON_BOUNDARY = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class NoOptimalReport:
-    budget: PrivacyBudget
-    graph: RainbowGraph
-    mech1: Mechanism
-    mech2: Mechanism
-    mech3: Mechanism
-    mech1_valid: bool
-    mech2_valid: bool
-    mech3_valid: bool
-    violating_edge: tuple[str, str] | None
-    margin: float | None
-    boundary_homogeneous: bool
-
-
-def no_optimal_demo(budget: PrivacyBudget | None = None) -> NoOptimalReport:
+def no_optimal_demo(
+    budget: PrivacyBudget | None = None,
+) -> tuple[RainbowGraph, tuple[Mechanism, Mechanism, Mechanism], tuple[DpReport, DpReport, DpReport]]:
     """Exhibit a non-homogeneous boundary condition with valid mechanisms
-    but no optimal one.
+    but no optimal one, as (graph, (mech1, mech2, mech3), reports), each
+    report verify_dp's for its mechanism.
 
     Two valid completions of the pentagon boundary are built; the
     mechanism forced by dominance against both (d2 from the first, d3
@@ -574,28 +562,12 @@ def no_optimal_demo(budget: PrivacyBudget | None = None) -> NoOptimalReport:
         rows = [{**base, "d2": d2, "d3": d3}[d] for d in graph.nodes]
         return Mechanism(np.array(rows), np.arange(len(rows)), graph.nodes, graph.color_space)
 
-    mech1 = completion(d2_of_mech1, d2_of_mech1)
-    mech2 = completion(SimplexVector((0.4, 0.1, 0.5)).p, d3_of_mech2)
-    mech3 = completion(d2_of_mech1, d3_of_mech2)
-
-    r1 = verify_dp(graph, mech1, budget)
-    r2 = verify_dp(graph, mech2, budget)
-    r3 = verify_dp(graph, mech3, budget)
-    edge = r3.violations[0].edge if r3.violations else None
-    margin = r3.violations[0].margin if r3.violations else None
-    return NoOptimalReport(
-        budget=budget,
-        graph=graph,
-        mech1=mech1,
-        mech2=mech2,
-        mech3=mech3,
-        mech1_valid=r1.valid,
-        mech2_valid=r2.valid,
-        mech3_valid=r3.valid,
-        violating_edge=edge,
-        margin=margin,
-        boundary_homogeneous=is_boundary_homogeneous(graph, mech1),
+    mechs = (
+        completion(d2_of_mech1, d2_of_mech1),
+        completion(SimplexVector((0.4, 0.1, 0.5)).p, d3_of_mech2),
+        completion(d2_of_mech1, d3_of_mech2),
     )
+    return graph, mechs, tuple(verify_dp(graph, m, budget) for m in mechs)
 
 
 def homogenized_pentagon(budget: PrivacyBudget | None = None) -> tuple[RainbowGraph, Mechanism]:

@@ -38,7 +38,7 @@ def test_criterion_1_tau_reproduction():
     cases = {0.0: (38, 22, 7, 1, 0), 1e-3: (25, 20, 7, 1, 0), 0.01: (13, 12, 6, 1, 0)}
     r.tau_profile(m, r.PrivacyBudget(eps, 0.0))  # warm up
     start = time.perf_counter()
-    results = {d: r.tau_profile(m, r.PrivacyBudget(eps, d)).tau for d in cases}
+    results = {d: r.tau_profile(m, r.PrivacyBudget(eps, d))[1] for d in cases}
     elapsed = time.perf_counter() - start
     for delta, expected in cases.items():
         assert results[delta] == expected, (delta, results[delta])
@@ -118,14 +118,15 @@ def test_criterion_4_lemma2_suite():
 
 def test_criterion_5_example_demo():
     budget = r.PrivacyBudget(math.log(2.0), 0.0)
-    report = r.no_optimal_demo(budget)
-    assert (report.mech1_valid, report.mech2_valid, report.mech3_valid) == (True, True, False)
-    assert report.violating_edge == ("d2", "d3")
-    assert report.margin == 0.2 - 2 * 0.05
+    _, _, reports = r.no_optimal_demo(budget)
+    assert tuple(report.valid for report in reports) == (True, True, False)
+    violation = reports[2].violations[0]
+    assert violation.edge == ("d2", "d3")
+    assert violation.margin == 0.2 - 2 * 0.05
     from rainbowdp.cli.main import main
 
     assert main(["demo-no-optimal"]) == 0
-    print(f"ACCEPTANCE 5: PASS verdicts (valid, valid, invalid), margin {report.margin} on (d2,d3)")
+    print(f"ACCEPTANCE 5: PASS verdicts (valid, valid, invalid), margin {violation.margin} on (d2,d3)")
 
 
 def test_criterion_6_closeness_equivalence():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -188,6 +189,20 @@ def test_graph_file_round_trip():
     deep = GraphFile(gf.graph, r.BoundaryCondition({**gf.boundary.values, c: vec}))
     back = parse_graph_file(emit_graph_file(deep)).boundary.values[c]
     assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(back, vec))
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("color", "r g"), ("color", "r#"), ("color", "r,"), ("node", "a b"), ("node", "a\tb"),
+     ("node", "c#1"), ("node", "a,1"), ("node", "")],
+)
+def test_emit_graph_file_rejects_names_the_format_cannot_carry(kind, name):
+    # Such a name would be read back as other names, or not at all.
+    colors, nodes = ((name, "b"), ("x", "y")) if kind == "color" else (("r", "b"), (name, "y"))
+    rainbow = r.Rainbow((0, 1))
+    graph = r.RainbowGraph(nodes, frozenset({nodes}), {d: rainbow for d in nodes}, r.ColorSpace(colors))
+    with pytest.raises(ValueError, match=f"^{kind} name {re.escape(repr(name))} "):
+        emit_graph_file(GraphFile(graph, None))
 
 
 def test_mechanism_csv_round_trip():
@@ -723,7 +738,7 @@ def test_cmd_plot_malformed_csv(tmp_path, capsys):
         ("t,k,color,p,s\n0,1,1,0.5\n", "error: line 2: expected 5 cells, got 4"),
         ("t,k,color,p,s\n0,1,1,x,0.5\n", "error: line 2: could not convert string to float: 'x'"),
         # Non-finite values would reach the SVG as nan coordinates or
-        # overflow its tick step; a tau entry may be inf (INFINITE) only.
+        # overflow its tick step; a tau entry may be inf only.
         ("t,k,color,p,s\ninf,1,1,0.5,0.5\n", "error: line 2: t is not finite: 'inf'"),
         ("t,k,color,p,s\n0,1,1,0.5,0.5\n1,1,1,nan,0.5\n", "error: line 3: p is not finite: 'nan'"),
         ("t,k,color,p,s\n0,1,1,0.5,-inf\n", "error: line 2: s is not finite: '-inf'"),
@@ -742,7 +757,7 @@ def test_cmd_plot_malformed_csv(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(error) and err.count("\n") == 1
         assert not (tmp_path / "x.svg").exists()
-    # 'inf' is how fmt_tau writes INFINITE, so it still plots, and so do
+    # 'inf' is how fmt_tau writes math.inf, so it still plots, and so do
     # values inside the window SimplexVector allows around [0, 1] and a
     # finite t whose power of ten is past float range.
     for text in ("# tau inf,1\nt,k,color,p,s\n0,1,1,-1e-10,1.0000000001\n",

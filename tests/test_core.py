@@ -1,12 +1,16 @@
+import ast
 import inspect
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import path5_bc, path5_graph, random_budget, random_simplex, rng, sv
+from helpers import child_env, path5_bc, path5_graph, random_budget, random_simplex, rng, sv
 from rainbowdp.cli.graphfile import parse_graph_file
 from rainbowdp.core import normalized_rows
 
@@ -253,10 +257,10 @@ def test_no_public_function_takes_a_tolerance():
 PUBLIC_NAMES = {
     "BoundaryCondition", "BoundaryGraph", "ColorSpace", "Counterexample",
     "DEFAULT_TOL", "DpReport", "DpViolation",
-    "EpsilonZero", "FalsificationReport", "INFINITE", "InvalidBoundary",
-    "Mechanism", "MissingRainbow", "NoOptimalReport",
+    "FalsificationReport", "InvalidBoundary",
+    "Mechanism", "MissingRainbow",
     "PrivacyBudget", "Rainbow", "RainbowGraph", "Region",
-    "SimplexVector", "TauProfile", "UnconstrainedRegion", "boundary_distances",
+    "SimplexVector", "UnconstrainedRegion", "boundary_distances",
     "build_boundary_graph", "build_trajectory",
     "closed_form_prefix", "core",
     "decompose_regions", "dominance_falsify", "dominates", "graph",
@@ -273,6 +277,44 @@ def test_public_surface_is_the_listed_names():
     # The cli subpackage is bound as well once anything has imported it.
     public = {name for name in dir(r) if not name.startswith("_")} - {"cli"}
     assert sorted(public) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 46
+
+
+def test_no_runtime_check_depends_on_assert():
+    # python -O drops assert statements and makes __debug__ False, so a
+    # check written with either would vanish there.
+    package = Path(r.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            assert not (isinstance(node, ast.Name) and node.id == "__debug__"), f"{path.name}:{node.lineno}"
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # Under the repo's warning filters, hypothesis's failure report must
+    # reach the output: a warning it raises on the way would abort the
+    # run with an INTERNALERROR (exit 3) instead.
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).parent.parent / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_failing_property.py"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=120,
+    )
+    output = out.stdout + out.stderr
+    assert out.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
 
 
 BUDGET = r.PrivacyBudget(0.5, 0.01)

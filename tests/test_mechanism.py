@@ -82,14 +82,14 @@ LOG12 = math.log(1.2)
 
 
 def test_tau_profile_published_values():
-    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 0.0)).tau == (38, 22, 7, 1, 0)
-    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 1e-3)).tau == (25, 20, 7, 1, 0)
-    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 0.01)).tau == (13, 12, 6, 1, 0)
+    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 0.0))[1] == (38, 22, 7, 1, 0)
+    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 1e-3))[1] == (25, 20, 7, 1, 0)
+    assert r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 0.01))[1] == (13, 12, 6, 1, 0)
 
 
 def test_tau_profile_rho():
-    prof = r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 1e-3))
-    assert prof.rho == pytest.approx(1e-3 / 0.2, rel=1e-12)
+    rho, _ = r.tau_profile(FIG_BOUNDARY, r.PrivacyBudget(LOG12, 1e-3))
+    assert rho == pytest.approx(1e-3 / 0.2, rel=1e-12)
 
 
 def test_tau_zero_when_prefix_large():
@@ -99,30 +99,29 @@ def test_tau_zero_when_prefix_large():
         p = random_simplex(g, q)
         budget = random_budget(g, zero_delta_rate=0.5)
         threshold = 1.0 / (budget.exp_epsilon + 1.0)
-        prof = r.tau_profile(p, budget)
+        _, tau = r.tau_profile(p, budget)
         s = r.prefix_sums(p)
-        for sk, tk in zip(s, prof.tau):
+        for sk, tk in zip(s, tau):
             if sk >= threshold:
                 assert tk == 0
-        assert all(
-            a >= b for a, b in zip(prof.tau, prof.tau[1:])
-        )  # nonincreasing in k
-        assert prof.tau[-1] == 0
+        assert all(a >= b for a, b in zip(tau, tau[1:]))  # nonincreasing in k
+        assert tau[-1] == 0
 
 
 def test_tau_profile_epsilon_zero_raises():
-    with pytest.raises(r.EpsilonZero):
+    with pytest.raises(ValueError, match="undefined at epsilon = 0"):
         r.tau_profile(sv(0.5, 0.5), r.PrivacyBudget(0.0, 0.1))
 
 
 def test_tau_infinite_sentinel():
-    prof = r.tau_profile(sv(0.0, 0.2, 0.8), r.PrivacyBudget(LOG2, 0.0))
-    assert math.isinf(prof.tau[0])
+    rho, tau = r.tau_profile(sv(0.0, 0.2, 0.8), r.PrivacyBudget(LOG2, 0.0))
+    assert rho == 0.0
+    assert tau[0] == math.inf
     # s_2 = 0.2: floor(-log(0.6)/log 2 + 1) = floor(1.737) = 1
-    assert prof.tau[1:] == (1, 0)
+    assert tau[1:] == (1, 0)
     # With delta > 0 every prefix transitions eventually.
-    prof2 = r.tau_profile(sv(0.0, 0.5, 0.5), r.PrivacyBudget(LOG2, 0.01))
-    assert not any(math.isinf(v) for v in prof2.tau)
+    _, tau2 = r.tau_profile(sv(0.0, 0.5, 0.5), r.PrivacyBudget(LOG2, 0.01))
+    assert not any(math.isinf(v) for v in tau2)
 
 
 def test_tau_unified_formula_matches_delta_zero_form():
@@ -132,9 +131,9 @@ def test_tau_unified_formula_matches_delta_zero_form():
         p = random_simplex(g, q, zero_rate=0.2)
         eps = float(g.uniform(0.01, 2.5))
         budget = r.PrivacyBudget(eps, 0.0)
-        prof = r.tau_profile(p, budget)
+        _, tau = r.tau_profile(p, budget)
         e = budget.exp_epsilon
-        for sk, tk in zip(r.prefix_sums(p), prof.tau):
+        for sk, tk in zip(r.prefix_sums(p), tau):
             if sk == 0.0:
                 assert math.isinf(tk)
             else:
@@ -399,9 +398,10 @@ def test_verify_dp_examples():
     constant = mechanism_of(graph, dict.fromkeys(graph.nodes, sv(0.3, 0.3, 0.4)))
     assert r.verify_dp(graph, constant, r.PrivacyBudget(0.0, 0.0)).valid
 
-    report = r.no_optimal_demo(budget)
-    assert r.verify_dp(graph, report.mech1, budget).valid
-    bad = r.verify_dp(graph, report.mech3, budget)
+    _, (mech1, _, mech3), (report1, _, report3) = r.no_optimal_demo(budget)
+    assert r.verify_dp(graph, mech1, budget).valid
+    bad = r.verify_dp(graph, mech3, budget)
+    assert bad == report3 and report1.valid
     assert not bad.valid
     assert [v.edge for v in bad.violations] == [("d2", "d3")]
     assert bad.violations[0].direction == ("d2", "d3")
@@ -436,8 +436,8 @@ def test_is_boundary_homogeneous():
     graph = r.pentagon_graph()
     constant = mechanism_of(graph, dict.fromkeys(graph.nodes, sv(0.3, 0.3, 0.4)))
     assert r.is_boundary_homogeneous(graph, constant)
-    report = r.no_optimal_demo()
-    assert not r.is_boundary_homogeneous(graph, report.mech1)
+    _, (mech1, _, _), _ = r.no_optimal_demo()
+    assert not r.is_boundary_homogeneous(graph, mech1)
 
     g = rng(38)
     for _ in range(15):
@@ -451,7 +451,7 @@ def test_is_boundary_homogeneous():
 def test_is_boundary_homogeneous_reads_rows_not_assignment():
     # The check compares rows of mech.rows; it builds no SimplexVector view.
     graph = r.pentagon_graph()
-    demo = r.no_optimal_demo().mech1
+    demo = r.no_optimal_demo()[1][0]
     mech1 = r.Mechanism(demo.rows, demo.node_rows, graph.nodes, graph.color_space)
     assert not r.is_boundary_homogeneous(graph, mech1)
     assert "assignment" not in vars(mech1)

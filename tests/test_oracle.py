@@ -236,28 +236,28 @@ def test_fuzz_finds_no_step_miss_at_q12_epsilon_8():
 
 
 def test_no_optimal_demo_canonical():
-    report = r.no_optimal_demo()
-    assert (report.mech1_valid, report.mech2_valid, report.mech3_valid) == (True, True, False)
-    assert report.violating_edge == ("d2", "d3")
-    assert report.margin == 0.2 - 2 * 0.05
-    assert not report.boundary_homogeneous
+    graph, mechs, reports = r.no_optimal_demo()
+    assert tuple(report.valid for report in reports) == (True, True, False)
+    assert reports[2].violations[0].edge == ("d2", "d3")
+    assert reports[2].violations[0].margin == 0.2 - 2 * 0.05
+    assert not r.is_boundary_homogeneous(graph, mechs[0])
     # The demo reads rows only; mech3 takes d2 and d3 from the same literals.
-    for mech in (report.mech1, report.mech2, report.mech3):
+    for mech in mechs:
         assert "assignment" not in vars(mech)
-    mech3, index = report.mech3, report.graph.node_index
-    assert mech3.nodes is report.graph.nodes
+    mech3, index = mechs[2], graph.node_index
+    assert mech3.nodes is graph.nodes
     assert tuple(mech3.rows[mech3.node_rows[index["d2"]]].tolist()) == sv(0.4, 0.2, 0.4).p
     assert tuple(mech3.rows[mech3.node_rows[index["d3"]]].tolist()) == sv(0.7, 0.05, 0.25).p
 
 
 def test_no_optimal_demo_parameterized():
     # At e^eps = 4 the forced mechanism's gap closes: 0.2 <= 4 * 0.05.
-    report = r.no_optimal_demo(r.PrivacyBudget(math.log(4.0), 0.0))
-    assert report.mech3_valid
+    _, _, (_, _, report) = r.no_optimal_demo(r.PrivacyBudget(math.log(4.0), 0.0))
+    assert report.valid
     # At e^eps = 3 it is still violated, with margin 0.2 - 3 * 0.05.
-    report3 = r.no_optimal_demo(r.PrivacyBudget(math.log(3.0), 0.0))
-    assert not report3.mech3_valid
-    assert report3.margin == pytest.approx(0.05, abs=1e-12)
+    _, _, (_, _, report3) = r.no_optimal_demo(r.PrivacyBudget(math.log(3.0), 0.0))
+    assert not report3.valid
+    assert report3.violations[0].margin == pytest.approx(0.05, abs=1e-12)
 
 
 def test_homogenized_pentagon_builds_and_verifies():

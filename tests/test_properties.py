@@ -112,7 +112,7 @@ def test_closed_form_equals_iteration_from_a_tiny_prefix(m, epsilon):
     # it has reached about 1/(e^eps + 1); the steps run a little past it.
     budget = r.PrivacyBudget(epsilon, 0.0)
     assert 0.0 < m.p[0] < _LOG_FORM_THRESHOLD
-    steps = int(r.tau_profile(m, budget).tau[0]) + 3
+    steps = int(r.tau_profile(m, budget)[1][0]) + 3
     assert _gap_to_iteration(m, budget, steps) <= TOL
 
 
