@@ -16,7 +16,6 @@ from .core import (
 from .graph import (
     BoundaryGraph,
     RainbowGraph,
-    Region,
     UnconstrainedRegion,
     boundary_distances,
     build_boundary_graph,
@@ -44,7 +43,6 @@ from .mechanism import (
 )
 from .oracle import (
     Counterexample,
-    FalsificationReport,
     dominance_falsify,
     homogenized_pentagon,
     is_close_bruteforce,

@@ -16,16 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core import NEGATIVE_WINDOW, _outside_window, _row_sums
+from ..core import NEGATIVE_WINDOW, _first_bad_row
 from ..graph import RainbowGraph
 from ..mechanism import Mechanism, _node_rows
-
-# Rows written by mechanism_csv read back exactly and miss a sum of 1
-# only by the rounding of their own float entries (a few 1e-16). The
-# window admits hand-written rows rounded to about 9 digits;
-# SimplexVector's SUM_WINDOW is for rounded boundary vectors, which are
-# renormalized, and mechanism rows never are.
-ROW_SUM_TOL = 1e-9
 
 
 # Text is split into lines this many characters at a time (cut after a
@@ -80,23 +73,6 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
     for i in sorted(range(len(nodes)), key=nodes.__getitem__):
         parts += (nodes[i], cells[node_rows[i]])
     return "".join(parts)
-
-
-def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
-    """The first row whose entries, added left to right, miss a sum of 1
-    by more than ROW_SUM_TOL, or that holds an entry that is not finite
-    or lies outside [0, 1] by more than NEGATIVE_WINDOW, with the error;
-    a row failing both reports its sum."""
-    total = _row_sums(rows)
-    bad_sum = np.abs(total - 1.0) > ROW_SUM_TOL
-    bad_entry = _outside_window(rows)
-    bad = bad_sum | bad_entry.any(axis=1)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    if bad_sum[i]:
-        return i, f"entries sum to {float(total[i])!r}, not 1"
-    return i, f"entry {float(rows[i, int(np.argmax(bad_entry[i]))])!r} outside [0, 1]"
 
 
 def _first_nodes(names: list[str]) -> str:

@@ -29,6 +29,11 @@ SUM_WINDOW = 1e-3
 # and get clamped; anything lower is rejected.
 NEGATIVE_WINDOW = 1e-9
 
+# Mechanism rows are never renormalized and may miss a sum of 1 by this
+# much: written rows miss it by a few 1e-16, hand-written ones rounded to
+# about 9 digits by more.
+ROW_SUM_TOL = 1e-9
+
 # The largest epsilon whose e^epsilon is a finite float (about 709.78).
 MAX_EPSILON = math.log(sys.float_info.max)
 
@@ -146,6 +151,23 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
 def _outside_window(a: np.ndarray) -> np.ndarray:
     """The entries not finite or outside [0, 1] by more than NEGATIVE_WINDOW."""
     return ~np.isfinite(a) | (a < -NEGATIVE_WINDOW) | (a > 1.0 + NEGATIVE_WINDOW)
+
+
+def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row whose entries, added left to right, miss a sum of 1
+    by more than ROW_SUM_TOL, or that holds an entry that is not finite
+    or lies outside [0, 1] by more than NEGATIVE_WINDOW, with the error;
+    a row failing both reports its sum."""
+    total = _row_sums(rows)
+    bad_sum = np.abs(total - 1.0) > ROW_SUM_TOL
+    bad_entry = _outside_window(rows)
+    bad = bad_sum | bad_entry.any(axis=1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_sum[i]:
+        return i, f"entries sum to {float(total[i])!r}, not 1"
+    return i, f"entry {float(rows[i, int(np.argmax(bad_entry[i]))])!r} outside [0, 1]"
 
 
 def normalized_rows(a: np.ndarray) -> np.ndarray:

@@ -73,6 +73,8 @@ class RainbowGraph:
     The topology on node ids is cached on first read: `rim`, a bool mask
     of the boundary node ids, `adjacent_pairs`, the rainbow pairs joined
     by an edge, in rainbow order, and `search`, the boundary search.
+    rainbow_ids, edge_ends and rim are read-only, so no write can move
+    the cached topology away from the graph it was read from.
     """
 
     def __init__(
@@ -124,7 +126,8 @@ class RainbowGraph:
         the edges: ids in range, no self-loops or repeated edges, and
         every row turned so that nodes[a] < nodes[b]. The rainbows must
         be distinct and may come in any order; those no node has are
-        dropped."""
+        dropped. The graph keeps edge_ends as given, not a copy, so the
+        caller must not write to it afterwards."""
         graph = object.__new__(cls)
         nodes = tuple(nodes)
         graph._set(nodes, _node_index(nodes), rainbow_ids, rainbows, edge_ends, color_space)
@@ -154,7 +157,9 @@ class RainbowGraph:
         self.color_space = color_space
         self.node_index = index
         self.rainbow_ids = rank[rainbow_ids]
+        # reshape gives a view, so freezing it leaves the caller's array writable.
         self.edge_ends = np.asarray(edge_ends, dtype=np.intp).reshape(-1, 2)
+        self.rainbow_ids.flags.writeable = self.edge_ends.flags.writeable = False
         self._rainbows = ordered
 
     @cached_property
@@ -173,6 +178,7 @@ class RainbowGraph:
         joined = self.rainbow_ids[ends]
         rim = np.zeros(len(self.nodes), dtype=bool)
         rim[ends[joined[:, 0] != joined[:, 1]].ravel()] = True
+        rim.flags.writeable = False
         return rim
 
     @cached_property
@@ -260,30 +266,17 @@ class RainbowGraph:
         return self._rainbows
 
 
-@dataclass(frozen=True)
-class Region:
-    """A rainbow's node class with its interior/boundary split."""
-
-    members: frozenset[str]
-    interior: frozenset[str]
-    boundary: frozenset[str]
-
-
-def decompose_regions(graph: RainbowGraph) -> dict[Rainbow, Region]:
-    """Partition the nodes by rainbow and classify each node as interior
-    (every neighbor shares its rainbow) or boundary (some neighbor does
-    not, the graph's rim); one Region per rainbow, in rainbow order.
+def decompose_regions(graph: RainbowGraph) -> np.ndarray:
+    """Every rainbow class's boundary: graph.rim itself, the read-only mask
+    of node ids with a neighbor of another rainbow. graph.rainbow_ids is
+    the partition into classes, and a class's interior is off the rim.
     bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
-    names, ids, rim = np.array(graph.nodes, dtype=object), graph.rainbow_ids, graph.rim
-    # Node ids grouped by rainbow id, each group in node order.
-    groups = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
-    sets = [(frozenset(names[g]), frozenset(names[g[rim[g]]])) for g in groups]
-    return {c: Region(m, m - b, b) for c, (m, b) in zip(graph.rainbows(), sets)}
+    return graph.rim
 
 
-def boundary_distances(graph: RainbowGraph, regions: Mapping[Rainbow, Region]) -> dict[str, int]:
+def boundary_distances(graph: RainbowGraph, rim: np.ndarray) -> dict[str, int]:
     """Each node's distance to its own rainbow class's boundary, in `nodes`
-    order, from the graph's search; `regions` is not read.
+    order, from the graph's search; `rim` is not read.
     bench/ reads this; it leaves src/ after ROADMAP item 6's tracer change."""
     return dict(zip(graph.nodes, graph.search[0].tolist()))
 

@@ -38,6 +38,7 @@ from .core import (
     PrivacyBudget,
     Rainbow,
     SimplexVector,
+    _first_bad_row,
     _hockey_stick,
     _row_sums,
     normalized_rows,
@@ -87,10 +88,11 @@ class Mechanism:
     `assignment` is the same rows as read-only SimplexVectors by node
     name, built on first use, one vector per row.
 
-    The rows are not renormalized. A mechanism parsed from a CSV holds
-    the file's values exactly, so its rows, and the SimplexVectors of
-    its `assignment`, may have entries down to -1e-9 or up to 1 + 1e-9
-    and sums off from 1 by up to 1e-9 (the parser's windows).
+    The rows are not renormalized; the first row outside the CSV
+    parser's windows (core._first_bad_row) raises ValueError("row i: ...").
+    A mechanism parsed from a CSV holds the file's values exactly, so its
+    rows, and the SimplexVectors of its `assignment`, may have entries
+    down to -1e-9 or up to 1 + 1e-9 and sums off from 1 by up to 1e-9.
     """
 
     def __init__(self, rows: np.ndarray, node_rows: np.ndarray, nodes: Sequence[str], color_space: ColorSpace):
@@ -103,6 +105,8 @@ class Mechanism:
             raise ValueError(f"expected {len(nodes)} row ids, one per node, got shape {node_rows.shape}")
         if len(nodes) and (node_rows.min() < 0 or node_rows.max() >= len(rows)):
             raise ValueError(f"row ids must lie in [0, {len(rows)})")
+        if (bad := _first_bad_row(rows)) is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
         # Views, so that freezing them leaves the caller's arrays writable.
         self.rows, self.node_rows = rows.view(), node_rows.view()
         self.rows.flags.writeable = self.node_rows.flags.writeable = False
@@ -308,12 +312,13 @@ def _fill_powers(
         chain[lo:lo + len(ts), order] = normalized_rows(_distributions(_prefix_curve(m, budget, ts)))
 
 
-def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism:
+def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> np.ndarray:
     """The unique optimal mechanism on the path 0..n with boundary m at
-    node 0: node i receives the i-th operator power of m.
+    node 0, as its (n + 1, q) float64 rows: row i is the i-th operator
+    power of m.
 
-    m is taken in preference order (the caller applies the rainbow);
-    node distributions use the closed form, which avoids accumulating
+    m is taken in preference order (the caller applies the rainbow), and
+    so are the rows; they use the closed form, which avoids accumulating
     float error over long lines.
     """
     if n < 0:
@@ -321,8 +326,7 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> Mechanism
     rows = np.empty((n + 1, len(m)))
     rows[0] = m.p
     _fill_powers(rows, m, range(len(m)), budget)
-    space = ColorSpace(tuple(str(k) for k in range(1, len(m) + 1)))
-    return Mechanism(rows, np.arange(n + 1), tuple(map(str, range(n + 1))), space)
+    return rows
 
 
 def validate_boundary_condition(

@@ -363,13 +363,6 @@ class Counterexample:
     margin: float
 
 
-@dataclass(frozen=True)
-class FalsificationReport:
-    trials: int
-    counterexample: Counterexample | None
-    seed: int
-
-
 _RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
 
 
@@ -420,9 +413,9 @@ def dominance_falsify(
     trials: int,
     seed: int,
     step_rows: _RowsStep | None = None,
-) -> FalsificationReport:
+) -> Counterexample | None:
     """Search for a close distribution that the operator output fails to
-    dominate.
+    dominate: the first one found, as a Counterexample, or None.
 
     Each sampled close p'' is checked against the prefix sums of the
     operator output and against the analytic envelope
@@ -440,9 +433,8 @@ def dominance_falsify(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p_rows, steps, work = _one_trial(p, budget, trials, seed)
-    samples, _, hit = _falsify(p_rows, steps, budget, work.draws, work.weights, work, step_rows)
-    counterexample = None if hit is None else hit[1]
-    return FalsificationReport(trials=samples.shape[1], counterexample=counterexample, seed=seed)
+    hit = _falsify(p_rows, steps, budget, work.draws, work.weights, work, step_rows)[2]
+    return None if hit is None else hit[1]
 
 
 def _start_rows(draws: np.ndarray) -> np.ndarray:

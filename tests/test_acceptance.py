@@ -78,9 +78,8 @@ def test_criterion_3_lemma1_suite():
         p = random_simplex(g, q, zero_rate=0.15)
         budget = random_budget(g)
         assert r.is_close(p, r.t_step(p, budget), budget)
-        report = r.dominance_falsify(p, budget, trials=1000, seed=3000 + i)
-        assert report.counterexample is None, (i, report.counterexample)
-        assert report.trials == 1000
+        ce = r.dominance_falsify(p, budget, trials=1000, seed=3000 + i)
+        assert ce is None, (i, ce)
     mutant = r.dominance_falsify(
         sv(0.1, 0.2, 0.7),
         r.PrivacyBudget(math.log(2.0), 0.1),
@@ -88,12 +87,12 @@ def test_criterion_3_lemma1_suite():
         seed=7,
         step_rows=_drop_delta_rows,
     )
-    assert mutant.counterexample is not None
+    assert mutant is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f} s"
     print(
         "ACCEPTANCE 3: PASS 100x1000 close samples dominated and inside the "
-        f"envelope; mutant falsified (margin {mutant.counterexample.margin:.3e}); {elapsed:.2f} s"
+        f"envelope; mutant falsified (margin {mutant.margin:.3e}); {elapsed:.2f} s"
     )
 
 

@@ -48,10 +48,13 @@ def test_parse_minimal_file():
 
 def test_parse_pentagon_fixture_matches_demo_regions():
     gf = parse_graph_file((FIXTURES / "pentagon.graph").read_text())
-    regions = r.decompose_regions(gf.graph)
-    c123 = gf.graph.preference["d1"]
-    assert regions[c123].boundary == frozenset({"d1", "d4"})
-    assert regions[c123].interior == frozenset({"d2", "d3"})
+    graph = gf.graph
+    assert r.decompose_regions(graph) is graph.rim
+    c123 = graph.rainbows().index(graph.preference["d1"])
+    members = graph.rainbow_ids == c123
+    names = np.array(graph.nodes)
+    assert sorted(names[members & graph.rim]) == ["d1", "d4"]
+    assert sorted(names[members & ~graph.rim]) == ["d2", "d3"]
 
 
 @pytest.mark.parametrize(
@@ -496,6 +499,29 @@ def test_cmd_build_writes_no_mechanism_that_fails_verify(tmp_path, capsys):
     out.write_bytes(b"old bytes\n" * 1000)
     assert main(["build", str(FIXTURES / "path5.graph"), "--epsilon", "50", "--out", str(out)]) == 2
     assert out.read_bytes() == b"old bytes\n" * 1000
+
+
+def test_write_text_leaves_an_empty_file_when_the_text_fails_to_encode(tmp_path):
+    # A lone surrogate has no UTF-8 form: the old content is cut and none
+    # of the new text is kept.
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old bytes\n" * 1000)
+    with pytest.raises(UnicodeEncodeError):
+        cli_main._write_text(str(out), "ok\ud800")
+    assert out.read_bytes() == b""
+
+
+def test_main_reraises_an_exception_outside_its_table(tmp_path, monkeypatch):
+    # A KeyError is a LookupError, as MissingRainbow is, but no listed
+    # kind: it is a program fault, raised with its traceback, not exit 4.
+    def fault(*args):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(cli_main, "optimal_mechanism", fault)
+    out = tmp_path / "m.csv"
+    with pytest.raises(KeyError, match="fault"):
+        main(["build", str(FIXTURES / "path5.graph"), "--e-epsilon", "2", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cmd_build_unconstrained_region(tmp_path, capsys):

@@ -83,44 +83,65 @@ def test_rainbow_graph_keeps_normalized_edges():
     assert id(ab) in {id(e) for e in graph.edges}
 
 
+def test_id_arrays_are_read_only():
+    # A write would move the cached topology off the graph: rim[2] = True
+    # before the search would put the pentagon's d3 on the boundary.
+    graph = r.pentagon_graph()
+    for array in (graph.rim, graph.rainbow_ids, graph.edge_ends):
+        with pytest.raises(ValueError, match="read-only"):
+            array[2] = True
+    assert r.boundary_distances(graph, graph.rim)["d3"] == 1
+    # from_ids keeps the caller's edge array, not a copy, and leaves it writable.
+    ends = np.array(graph.edge_ends)
+    kept = r.RainbowGraph.from_ids(graph.nodes, graph.rainbow_ids, graph.rainbows(), ends, graph.color_space)
+    assert kept.edge_ends.base is ends and ends.flags.writeable
+
+
+def regions_of(graph):
+    # Each rainbow's (members, interior, boundary) name sets, in rainbow
+    # order, read off graph.rainbow_ids and the rim decompose_regions gives.
+    rim = r.decompose_regions(graph)
+    assert rim is graph.rim
+    names = np.array(graph.nodes, dtype=object)
+    regions = {}
+    for k, c in enumerate(graph.rainbows()):
+        members = graph.rainbow_ids == k
+        regions[c] = tuple(frozenset(names[mask].tolist()) for mask in (members, members & ~rim, members & rim))
+    return regions
+
+
 def test_decompose_regions_path5():
     graph = path5_graph()
     b = graph.preference["n0"]
     red = graph.preference["n3"]
-    regions = r.decompose_regions(graph)
-    assert regions[b].members == frozenset({"n0", "n1", "n2"})
-    assert regions[b].boundary == frozenset({"n2"})
-    assert regions[b].interior == frozenset({"n0", "n1"})
-    assert regions[red].members == frozenset({"n3", "n4"})
-    assert regions[red].boundary == frozenset({"n3"})
-    assert regions[red].interior == frozenset({"n4"})
+    regions = regions_of(graph)
+    assert regions[b] == (frozenset({"n0", "n1", "n2"}), frozenset({"n0", "n1"}), frozenset({"n2"}))
+    assert regions[red] == (frozenset({"n3", "n4"}), frozenset({"n4"}), frozenset({"n3"}))
 
 
 def test_decompose_regions_single_rainbow_triangle():
     graph, c = triangle_graph()
-    regions = r.decompose_regions(graph)
-    assert regions[c].boundary == frozenset()
-    assert regions[c].interior == frozenset(graph.nodes)
+    assert regions_of(graph) == {c: (frozenset(graph.nodes), frozenset(graph.nodes), frozenset())}
 
 
 def test_decompose_regions_pentagon():
     graph = r.pentagon_graph()
     c123 = graph.preference["d1"]
-    regions = r.decompose_regions(graph)
-    assert regions[c123].boundary == frozenset({"d1", "d4"})
-    assert regions[c123].interior == frozenset({"d2", "d3"})
+    _, interior, boundary = regions_of(graph)[c123]
+    assert boundary == frozenset({"d1", "d4"})
+    assert interior == frozenset({"d2", "d3"})
 
 
 def test_decompose_regions_partitions_nodes():
     g = rng(20)
     for _ in range(30):
         graph = random_solvable_graph(g, max_nodes=25)
-        regions = r.decompose_regions(graph)
+        regions = regions_of(graph)
         seen: set[str] = set()
         for c in graph.rainbows():
-            members = regions[c].members
-            assert regions[c].interior | regions[c].boundary == members
-            assert not regions[c].interior & regions[c].boundary
+            members, interior, boundary = regions[c]
+            assert interior | boundary == members
+            assert not interior & boundary
             assert not members & seen
             seen |= members
         assert seen == set(graph.nodes)
@@ -174,20 +195,21 @@ def test_boundary_distances_against_naive_bfs():
     graphs = [random_solvable_graph(g, max_nodes=20) for _ in range(25)]
     graphs += [_multi_component_graph(g) for _ in range(300)]
     for graph in graphs:
-        regions = r.decompose_regions(graph)
+        regions = _naive_topology(graph)[0]
         expected = _full_bfs_distances(graph, regions)
         unconstrained = [
-            c for c in sorted(regions, key=lambda c: c.order)
-            if any(expected[d] is None for d in regions[c].members)
+            c for c, (members, _, _) in regions.items()
+            if any(expected[d] is None for d in members)
         ]
+        rim = r.decompose_regions(graph)
         if unconstrained:
             # The first rainbow, in rainbow order, with a member that
             # reaches no boundary node of its own rainbow.
             with pytest.raises(r.UnconstrainedRegion) as exc:
-                r.boundary_distances(graph, regions)
+                r.boundary_distances(graph, rim)
             assert exc.value.rainbow == unconstrained[0]
             continue
-        dist = r.boundary_distances(graph, regions)
+        dist = r.boundary_distances(graph, rim)
         assert dist == expected
         # Same-rainbow neighbors differ by at most one step.
         for a, b in graph.edges:
@@ -382,11 +404,8 @@ def test_topology_matches_definition():
         assert [(nodes[a], nodes[b]) for a, b in graph.edge_ends.tolist()] == list(graph.edges)
         regions, pairs = _naive_topology(graph)
         adjacent_pairs = graph.adjacent_pairs
-        decomposed = r.decompose_regions(graph)
         assert graph.rainbows() == tuple(regions)
-        assert list(decomposed) == list(regions)
-        for c, (members, interior, boundary) in regions.items():
-            assert decomposed[c] == r.Region(members, interior, boundary)
+        assert regions_of(graph) == regions
         assert list(adjacent_pairs) == pairs
         assert graph.adjacent_pairs is adjacent_pairs
 
@@ -394,11 +413,12 @@ def test_topology_matches_definition():
 def _full_bfs_distances(graph, regions):
     # Distance to the nearest same-rainbow boundary node, by one
     # full-graph search per node; None for a node that reaches none.
+    # regions is _naive_topology's.
     nbrs = adjacency(graph)
     dist = {}
     for d in graph.nodes:
         depths = bfs_depths(nbrs, d)
-        boundary = regions[graph.preference[d]].boundary
+        boundary = regions[graph.preference[d]][2]
         dist[d] = min((depths[x] for x in boundary if x in depths), default=None)
     return dist
 
@@ -410,9 +430,8 @@ def test_boundary_distances_early_exit_matches_full_bfs_on_dense_graphs():
             g, n=int(g.integers(30, 80)), extra_edges=int(g.integers(50, 600)),
             n_rainbows=int(g.integers(6, 16)), tail_len=8,
         )
-        regions = r.decompose_regions(graph)
-        dist = r.boundary_distances(graph, regions)
-        assert dist == _full_bfs_distances(graph, regions)
+        dist = r.boundary_distances(graph, r.decompose_regions(graph))
+        assert dist == _full_bfs_distances(graph, _naive_topology(graph)[0])
         assert max(dist.values()) >= 1
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import cached_property
 
 import numpy as np
@@ -193,19 +194,32 @@ def test_closed_form_fractional_t_is_monotone():
             prev = s
 
 
+def _line(rows):
+    # The path 0..n with row i at node i, every node with the rainbow of
+    # preference order, and its mechanism.
+    n, q = rows.shape
+    space = r.ColorSpace(tuple(str(k) for k in range(1, q + 1)))
+    nodes = tuple(map(str, range(n)))
+    rainbow = r.Rainbow(tuple(range(q)))
+    graph = r.RainbowGraph(nodes, zip(nodes, nodes[1:]), dict.fromkeys(nodes, rainbow), space)
+    return graph, r.Mechanism(rows, np.arange(n), nodes, space)
+
+
 def test_line_mechanism_single_node():
     m = sv(0.1, 0.2, 0.7)
-    mech = r.line_mechanism(m, r.PrivacyBudget(LOG2, 0.0), 0)
-    assert mech.assignment == {"0": m}
+    rows = r.line_mechanism(m, r.PrivacyBudget(LOG2, 0.0), 0)
+    assert rows.dtype == np.float64
+    assert rows.tolist() == [list(m.p)]
 
 
 def test_line_mechanism_hand_checked():
     m = sv(0.1, 0.2, 0.7)
-    mech = r.line_mechanism(m, r.PrivacyBudget(LOG2, 0.0), 2)
-    assert mech.assignment["0"].p == m.p
-    assert mech.assignment["1"].p == pytest.approx((0.2, 0.4, 0.4), abs=1e-12)
+    rows = r.line_mechanism(m, r.PrivacyBudget(LOG2, 0.0), 2)
+    assert rows.shape == (3, 3)
+    assert tuple(rows[0].tolist()) == m.p
+    assert rows[1].tolist() == pytest.approx((0.2, 0.4, 0.4), abs=1e-12)
     # step 2: s=(0.2,0.6,1) -> s'=(0.4, min(1.2, 1-0.2)=0.8, 1)
-    assert mech.assignment["2"].p == pytest.approx((0.4, 0.4, 0.2), abs=1e-12)
+    assert rows[2].tolist() == pytest.approx((0.4, 0.4, 0.2), abs=1e-12)
 
 
 def test_line_mechanism_consecutive_nodes_are_close():
@@ -215,12 +229,7 @@ def test_line_mechanism_consecutive_nodes_are_close():
         m = random_simplex(g, q, zero_rate=0.15)
         budget = random_budget(g)
         n = int(g.integers(1, 31))
-        mech = r.line_mechanism(m, budget, n)
-        # The path 0..n, every node with the rainbow of preference order.
-        nodes = tuple(str(i) for i in range(n + 1))
-        edges = frozenset((str(i), str(i + 1)) for i in range(n))
-        rainbow = r.Rainbow(tuple(range(q)))
-        line = r.RainbowGraph(nodes, edges, {d: rainbow for d in nodes}, mech.color_space)
+        line, mech = _line(r.line_mechanism(m, budget, n))
         assert r.verify_dp(line, mech, budget).valid
 
 
@@ -234,7 +243,7 @@ def test_line_mechanism_closed_form_matches_iteration():
     for budget, n in zip(budgets, (2000, 2000, 2000, 500, 200, 50, 10, 1)):
         q = int(g.integers(2, 7))
         m = random_simplex(g, q, zero_rate=0.15)
-        mech = r.line_mechanism(m, budget, n)
+        _, mech = _line(r.line_mechanism(m, budget, n))
         iterated = m
         for i in range(1, n + 1):
             cur = mech.assignment[str(i)]
@@ -298,6 +307,31 @@ def test_mechanism_rejects_a_short_or_out_of_range_node_rows():
             r.Mechanism(rows, node_rows, ("a", "b"), space)
     with pytest.raises(ValueError, match=r"^row ids must lie in \[0, 0\)$"):
         r.Mechanism(np.empty((0, 2)), [0], ("a",), space)
+
+
+@pytest.mark.parametrize(
+    "row,error",
+    [
+        ((math.nan,) * 3, "entry nan outside [0, 1]"),
+        ((0.0,) * 3, "entries sum to 0.0, not 1"),
+        ((5.0,) * 3, "entries sum to 15.0, not 1"),
+        ((-0.1, 0.6, 0.5), "entry -0.1 outside [0, 1]"),
+        ((0.5, 0.5 + 5e-10, 0.0), None),
+    ],
+    ids=["nan", "zero", "five", "negative", "sum-within-window"],
+)
+def test_mechanism_rejects_rows_that_are_not_distributions(row, error):
+    # The CSV parser's windows, so that verify_dp, is_boundary_homogeneous
+    # and mechanism_csv see only mechanisms that `verify` reads back.
+    graph = r.pentagon_graph()
+    rows = np.array([(0.4, 0.1, 0.5), row])
+    node_rows = [0, 1, 0, 0, 0]
+    if error is not None:
+        with pytest.raises(ValueError, match="^" + re.escape(f"row 1: {error}") + "$"):
+            r.Mechanism(rows, node_rows, graph.nodes, graph.color_space)
+        return
+    mech = r.Mechanism(rows, node_rows, graph.nodes, graph.color_space)
+    assert parse_mechanism_csv(mechanism_csv(graph, mech), graph).rows.tolist() == rows.tolist()
 
 
 def test_optimal_mechanism_all_boundary_graph_returns_bc_verbatim():
@@ -629,11 +663,8 @@ def test_build_sequence_runs_region_and_bfs_passes_once(monkeypatch):
 
 def test_build_path_constructs_no_region(monkeypatch):
     # build's path (construct, self-check, write) reads the topology on
-    # node ids alone: no Region name set is made.
-    def no_region(*args):
-        raise AssertionError("a Region was constructed")
-
-    monkeypatch.setattr(r.graph, "Region", no_region)
+    # node ids alone, each cached pass once, and decompose_regions reads
+    # no pass beyond the rim.
     calls = _count_searches(monkeypatch)
     g = rng(49)
     for _ in range(5):
@@ -648,8 +679,8 @@ def test_build_path_constructs_no_region(monkeypatch):
         assert r.verify_dp(graph, mech, budget).valid
         mechanism_csv(graph, mech)
         assert calls == {"rim": 1, "pairs": 1, "bfs": 1}
-    with pytest.raises(AssertionError, match="a Region was constructed"):
-        r.decompose_regions(graph)
+        assert r.decompose_regions(graph) is graph.rim
+        assert calls == {"rim": 1, "pairs": 1, "bfs": 1}
 
 
 def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
@@ -672,9 +703,8 @@ def test_optimal_mechanism_finds_each_tau_once_per_rainbow(monkeypatch):
         bc = random_homogeneous_bc(g, graph, budget)
         calls.clear()
         r.optimal_mechanism(graph, bc, budget)
-        regions = r.decompose_regions(graph)
-        dist = r.boundary_distances(graph, regions)
-        deep = [c for c, region in regions.items() if max(dist[d] for d in region.members) > 0]
+        dist = r.boundary_distances(graph, r.decompose_regions(graph))
+        deep = {graph.preference[d] for d in graph.nodes if dist[d] > 0}
         assert len(calls) == len(deep) * graph.color_space.q
         deepest = max(deepest, *dist.values())
     assert deepest >= 2

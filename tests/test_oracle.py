@@ -168,10 +168,7 @@ def test_dominance_falsify_clean_on_real_operator():
         q = int(g.integers(2, 8))
         p = random_simplex(g, q, zero_rate=0.15)
         budget = random_budget(g)
-        report = r.dominance_falsify(p, budget, trials=300, seed=1000 + i)
-        assert report.counterexample is None
-        assert report.trials == 300
-        assert report.seed == 1000 + i
+        assert r.dominance_falsify(p, budget, trials=300, seed=1000 + i) is None
 
 
 def test_dominance_falsify_requires_trials():
@@ -182,9 +179,8 @@ def test_dominance_falsify_requires_trials():
 def test_dominance_falsify_catches_delta_dropping_mutant():
     p = sv(0.1, 0.2, 0.7)
     budget = r.PrivacyBudget(LOG2, 0.1)
-    report = r.dominance_falsify(p, budget, trials=1000, seed=7, step_rows=_drop_delta_rows)
-    ce = report.counterexample
-    assert ce is not None
+    ce = r.dominance_falsify(p, budget, trials=1000, seed=7, step_rows=_drop_delta_rows)
+    assert isinstance(ce, Counterexample)
     # The counterexample is genuinely close to p yet beats the mutant's
     # prefix at the reported index.
     assert r.is_close(ce.vector, p, budget)
@@ -198,8 +194,23 @@ def test_dominance_falsify_mutant_harmless_at_delta_zero():
     # Dropping delta changes nothing when delta is already zero.
     p = sv(0.1, 0.2, 0.7)
     budget = r.PrivacyBudget(LOG2, 0.0)
-    report = r.dominance_falsify(p, budget, trials=500, seed=7, step_rows=_drop_delta_rows)
-    assert report.counterexample is None
+    assert r.dominance_falsify(p, budget, trials=500, seed=7, step_rows=_drop_delta_rows) is None
+
+
+@pytest.mark.parametrize(
+    "name,fake,message",
+    [
+        ("is_close", lambda *args: False, "falsifier produced a sample that is not close to p"),
+        ("prefix_sums", lambda vec: (0.0,) * len(vec), "falsifier counterexample failed re-verification"),
+    ],
+    ids=["closeness", "prefix"],
+)
+def test_dominance_falsify_refuses_a_counterexample_that_fails_re_verification(monkeypatch, name, fake, message):
+    # The mutant yields a counterexample; with either re-check faked to
+    # fail on it, the falsifier raises instead of reporting it.
+    monkeypatch.setattr(oracle, name, fake)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        r.dominance_falsify(sv(0.1, 0.2, 0.7), r.PrivacyBudget(LOG2, 0.1), 1000, 7, _drop_delta_rows)
 
 
 def _last_only(rows, budget):
@@ -216,7 +227,7 @@ def test_fuzz_reports_the_step_miss_of_a_trial_that_also_has_a_hit(epsilon, kind
     trial, p, found = _fuzz(4, budget, 5, 8, 1, _last_only)
     assert trial == 0 and isinstance(found, kind)
     if kind is Counterexample:
-        assert r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only).counterexample is not None
+        assert r.dominance_falsify(p, budget, 8, 1 * 1_000_003, _last_only) is not None
     else:
         # The one-trial falsifier refuses the trial that fuzz reports as a miss.
         with pytest.raises(ValueError, match="not close to p"):

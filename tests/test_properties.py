@@ -292,11 +292,11 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
     samples, verdicts, first = _falsify(
         p_rows, t_step_rows(p_rows, budget), budget, work.draws[:trials], work.weights[:trials], work, step_rows
     )
-    reports = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
+    found = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
     for block_rows, p, s in zip(samples, ps, seeds):
         assert block_rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
-    assert verdicts.tolist() == [rep.counterexample is not None for rep in reports]
-    hits = [(j, rep.counterexample) for j, rep in enumerate(reports) if rep.counterexample]
+    assert verdicts.tolist() == [ce is not None for ce in found]
+    hits = [(j, ce) for j, ce in enumerate(found) if ce is not None]
     assert first == (hits[0] if hits else None)
 
 
