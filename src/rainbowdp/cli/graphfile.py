@@ -22,12 +22,13 @@ its words, each hit is confirmed word by word, and two names with one
 key send the file to the line reader (_parse_lines). So do any other
 form and any file with an error: only the line reader gives
 diagnostics, so these carry line numbers whichever form the file has.
+The line reader keeps names to its last line, then numbers the nodes.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -217,47 +218,31 @@ def _parse_lines(text: str) -> GraphFile:
     """Parse and validate a graph file line by line; diagnostics carry line
     numbers and come in line order, except that an edge naming an undeclared
     node is reported after the last line, since nodes may follow edges.
-
-    The graph is built straight from node ids (RainbowGraph.from_ids):
-    each node gets an id when first named, each edge is kept as two ids
-    turned so that the smaller name comes first, and duplicate edges are
-    found on id pairs. Edges keep their file order. When an edge names a
-    node before its node line, the ids are renumbered into declaration
-    order after the last line, so `nodes` follows the node lines."""
+    Names are kept until then, and duplicate edges are found on name pairs;
+    then the nodes are numbered once, in node-line order, and the graph is
+    built from the ids (RainbowGraph.from_ids), edges in file order."""
     space: ColorSpace | None = None
     # One Rainbow per distinct name tuple, as an index into rainbow_list;
     # a bad tuple fails on its first line.
     rainbows: dict[tuple[str, ...], int] = {}
     rainbow_list: list[Rainbow] = []
-    # Node ids in order of first mention, each id's rainbow (-1 until its
-    # node line), and the ids in node-line order.
-    index: dict[str, int] = {}
-    rainbow_of: list[int] = []
-    declared: list[int] = []
-    # Each edge as the key a << 32 | b of its ids (a, b), in file order.
-    edge_keys = array("q")
-    seen: set[int] = set()
-    # (line, node id) of each node first named by an edge, not a node line.
-    forward: list[tuple[int, str]] = []
+    # Each node's rainbow, as an index into rainbow_list, in node-line order.
+    preference: dict[str, int] = {}
+    # One str per name, which its node line and its edges share.
+    names: dict[str, str] = {}
+    # Each edge's turned name pair: its line, negated if the larger end is written first.
+    edges: dict[tuple[str, str], int] = {}
     boundary: dict[Rainbow, SimplexVector] = {}
 
-    def rainbow_at(lineno: int, names: list[str]) -> int:
-        key = tuple(names)
+    def rainbow_at(lineno: int, colors: list[str]) -> int:
+        key = tuple(colors)
         if key not in rainbows:
             rainbows[key] = len(rainbow_list)
-            rainbow_list.append(_rainbow_from_names(lineno, names, space))
+            rainbow_list.append(_rainbow_from_names(lineno, colors, space))
         return rainbows[key]
 
-    def first_named_by_edge(lineno: int, ident: str) -> int:
-        i = index[ident] = len(rainbow_of)
-        rainbow_of.append(-1)
-        forward.append((lineno, ident))
-        return i
-
     for lineno, raw in numbered_lines(text):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        tokens = raw.split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -266,35 +251,29 @@ def _parse_lines(text: str) -> GraphFile:
                 raise GraphFileError(lineno, "first directive must be 'colors'")
             if len(tokens) < 3:
                 raise GraphFileError(lineno, "need at least 2 colors")
-            names = [_check_identifier(lineno, "color", t) for t in tokens[1:]]
+            colors = [_check_identifier(lineno, "color", t) for t in tokens[1:]]
             try:
-                space = ColorSpace(tuple(names))
+                space = ColorSpace(tuple(colors))
             except ValueError as exc:
                 raise GraphFileError(lineno, str(exc)) from None
         elif directive == "node":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"node line needs an id and {space.q} colors")
             ident = _check_identifier(lineno, "node", tokens[1])
-            i = index.setdefault(ident, len(rainbow_of))
-            if i == len(rainbow_of):
-                rainbow_of.append(-1)
-            elif rainbow_of[i] >= 0:
+            if ident in preference:
                 raise GraphFileError(lineno, f"duplicate node {ident!r}")
-            rainbow_of[i] = rainbow_at(lineno, tokens[2:])
-            declared.append(i)
+            preference[names.setdefault(ident, ident)] = rainbow_at(lineno, tokens[2:])
         elif directive == "edge":
             if len(tokens) != 3:
                 raise GraphFileError(lineno, "edge line needs exactly two node ids")
             a, b = tokens[1], tokens[2]
             if a == b:
                 raise GraphFileError(lineno, f"self-loop on node {a!r}")
-            ia = index[a] if a in index else first_named_by_edge(lineno, a)
-            ib = index[b] if b in index else first_named_by_edge(lineno, b)
-            key = ia << 32 | ib if a < b else ib << 32 | ia
-            if key in seen:
+            a, b = names.setdefault(a, a), names.setdefault(b, b)
+            pair = (a, b) if a < b else (b, a)
+            if pair in edges:
                 raise GraphFileError(lineno, f"duplicate edge {a!r} {b!r}")
-            seen.add(key)
-            edge_keys.append(key)
+            edges[pair] = lineno if a < b else -lineno
         elif directive == "boundary":
             if len(tokens) != 2 + space.q:
                 raise GraphFileError(lineno, f"boundary line needs a rainbow and {space.q} probabilities")
@@ -313,23 +292,21 @@ def _parse_lines(text: str) -> GraphFile:
 
     if space is None:
         raise ValueError("empty graph file")
-    for lineno, ident in forward:
-        if rainbow_of[index[ident]] < 0:
-            raise GraphFileError(lineno, f"edge references undeclared node {ident!r}")
-
-    keys = np.array(edge_keys, dtype=np.int64)
-    ends = np.stack((keys >> 32, keys & 0xFFFFFFFF), axis=1)
-    nodes = tuple(index)
-    rainbow_ids = np.array(rainbow_of, dtype=np.intp)
-    if forward:
-        order = np.array(declared, dtype=np.intp)
-        renumber = np.empty_like(order)
-        renumber[order] = np.arange(len(order))
-        ends, rainbow_ids = renumber[ends], rainbow_ids[order]
-        nodes = tuple(map(nodes.__getitem__, declared))
+    del names
+    nodes = tuple(preference)
+    index = dict(zip(nodes, range(len(nodes))))
+    try:
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), dtype=np.intp, count=2 * len(edges))
+    except KeyError:
+        # The first undeclared endpoint in file order, the written-first end first.
+        for (lo, hi), line in edges.items():
+            for ident in (lo, hi) if line > 0 else (hi, lo):
+                if ident not in index:
+                    raise GraphFileError(abs(line), f"edge references undeclared node {ident!r}") from None
+    rainbow_ids = np.fromiter(preference.values(), dtype=np.intp, count=len(nodes))
+    del preference, index, edges
     graph = RainbowGraph.from_ids(nodes, rainbow_ids, rainbow_list, ends, space)
-    bc = BoundaryCondition(boundary) if boundary else None
-    return GraphFile(graph, bc)
+    return GraphFile(graph, BoundaryCondition(boundary) if boundary else None)
 
 
 def emit_graph_file(gf: GraphFile) -> str:

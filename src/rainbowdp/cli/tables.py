@@ -65,7 +65,7 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
     """One row per node, probabilities in canonical color order as
     repr(float) cells; rows sorted by node identifier. Each row of
     mech.rows is formatted once and shared by every node that has it;
-    a mechanism not on graph.nodes raises ValueError."""
+    a mechanism not on the graph's nodes and colors raises ValueError."""
     nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
     # Adding 0.0 turns -0.0 into 0.0, as fmt does.
     cells = ["," + ",".join(map(repr, row)) + "\n" for row in (mech.rows + 0.0).tolist()]

@@ -98,16 +98,9 @@ class RainbowGraph:
         pref = dict(preference)
         if pref.keys() != index.keys():
             raise ValueError("preference must assign a rainbow to exactly the declared nodes")
-        # Each distinct Rainbow object is hashed once, not once per node.
-        prefs = list(map(pref.__getitem__, nodes))
-        objects = dict(zip(map(id, prefs), prefs))
-        rainbows = tuple(set(objects.values()))
-        rank = {c: k for k, c in enumerate(rainbows)}
-        rank_of_object = {key: rank[c] for key, c in objects.items()}
-        rainbow_ids = np.fromiter(
-            map(rank_of_object.__getitem__, map(id, prefs)), dtype=np.intp, count=len(nodes)
-        )
-        self._set(nodes, index, rainbow_ids, rainbows, ends, color_space)
+        rank = {c: k for k, c in enumerate(set(pref.values()))}
+        rainbow_ids = np.fromiter(map(rank.__getitem__, map(pref.__getitem__, nodes)), dtype=np.intp, count=len(nodes))
+        self._set(nodes, index, rainbow_ids, tuple(rank), ends, color_space)
         # The given string views are kept, not rebuilt on first use.
         self.__dict__.update(edges=edges, preference=pref)
 

@@ -121,9 +121,11 @@ class Mechanism:
 
 
 def _node_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:
-    """mech.node_rows, by graph node id; ValueError unless mech is on graph.nodes."""
+    """mech.node_rows, by graph node id; ValueError unless mech is on the graph's nodes and colors."""
     if mech.nodes is not graph.nodes and mech.nodes != graph.nodes:
         raise ValueError("mechanism is not on the graph's nodes")
+    if mech.color_space != graph.color_space:
+        raise ValueError("mechanism is not on the graph's colors")
     return mech.node_rows
 
 
@@ -413,8 +415,8 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
 
     The edges are checked in chunks of graph.edge_ends, on the rows of
     their endpoints gathered from mech.rows by mech.node_rows, both
-    directions at once. A mechanism on other nodes than graph.nodes
-    raises ValueError.
+    directions at once. A mechanism on other nodes or colors than the
+    graph's raises ValueError.
     """
     nodes, ends = graph.nodes, graph.edge_ends
     node_rows, rows = _node_rows(graph, mech), mech.rows
@@ -440,8 +442,8 @@ def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
     """True iff within each rainbow's boundary all node distributions
     agree entrywise within DEFAULT_TOL: each boundary node's row of
     mech.rows is compared with the row of its rainbow's first boundary
-    node by name. A mechanism on other nodes than graph.nodes raises
-    ValueError."""
+    node by name. A mechanism on other nodes or colors than the graph's
+    raises ValueError."""
     nodes, ids = graph.nodes, graph.rainbow_ids.tolist()
     # Rim node ids by rainbow id, then name; reference[k] is where rim[k]'s rainbow starts.
     rim = sorted(np.flatnonzero(graph.rim).tolist(), key=lambda i: (ids[i], nodes[i]))
@@ -454,8 +456,8 @@ def is_boundary_homogeneous(graph: RainbowGraph, mech: Mechanism) -> bool:
 def _preference_rows(graph: RainbowGraph, mech: Mechanism) -> np.ndarray:
     """Each node's stored row of mech.rows, in graph.nodes order, with its
     entries in the node's preference order: column k is the mass of its
-    k-th preferred color. A mechanism on other nodes than graph.nodes
-    raises ValueError."""
+    k-th preferred color. A mechanism on other nodes or colors than the
+    graph's raises ValueError."""
     orders = np.array([c.order for c in graph.rainbows()], dtype=np.intp).reshape(-1, graph.color_space.q)
     return mech.rows[_node_rows(graph, mech)[:, None], orders[graph.rainbow_ids]]
 

@@ -93,6 +93,15 @@ def test_parse_errors_carry_line_numbers(text, fragment, line):
     assert exc.value.line == line
 
 
+def test_undeclared_node_error_names_the_written_first_endpoint():
+    # Both ends of the edge are undeclared: the error names the end the
+    # file writes first, though the other sorts first.
+    with pytest.raises(GraphFileError) as exc:
+        parse_graph_file("colors a b\nnode z a b\nedge y x\n")
+    assert exc.value.line == 3
+    assert "undeclared node 'y'" in str(exc.value)
+
+
 def test_edges_may_precede_the_nodes_they_name():
     lines = MINIMAL.splitlines()
     edge_first = "\n".join([lines[0], lines[3], *lines[1:3], *lines[4:]]) + "\n"
@@ -122,6 +131,26 @@ def test_parse_peak_memory_is_bounded_by_the_result():
     assert len(gf.graph.nodes) == n and len(gf.graph.edges) == n - 1
     assert peak <= 3 * held, (peak, held)
 
+
+def test_line_read_peak_memory_is_bounded_by_the_result():
+    # The same path after a comment line, which only the line reader reads.
+    n = 20_000
+    text = "\n".join(
+        ["# a hand-written path", "colors a b c d"]
+        + [f"node n{i} {'a b c d' if i % 2 else 'b a c d'}" for i in range(n)]
+        + [f"edge n{i} n{i + 1}" for i in range(n - 1)]
+        + ["boundary a,b,c,d 0.4 0.3 0.2 0.1", "boundary b,a,c,d 0.3 0.4 0.2 0.1"]
+    ) + "\n"
+    assert graphfile._parse_bytes(text) is None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gf = parse_graph_file(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gf.graph.nodes) == n and len(gf.graph.edges) == n - 1
+    assert peak <= 3 * held, (peak, held)
 
 
 BULK_SHAPES = ("path", "grid", "dense", "long")

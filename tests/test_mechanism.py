@@ -466,6 +466,26 @@ def test_readers_reject_a_mechanism_on_other_nodes():
     assert mechanism_csv(graph, same) == mechanism_csv(graph, mech)
 
 
+def test_readers_reject_a_mechanism_on_other_colors():
+    # Rows on two colors, and on three colors with other names, for the
+    # pentagon's three: each reader of a whole graph refuses them.
+    graph = r.pentagon_graph()
+    mech = mechanism_of(graph, dict.fromkeys(graph.nodes, sv(0.3, 0.3, 0.4)))
+    weights = dict.fromkeys(graph.nodes, (1.0, 0.0, 0.0))
+    for colors in (("x", "y"), ("x", "y", "z")):
+        rows = np.full((1, len(colors)), 1.0 / len(colors))
+        other = r.Mechanism(rows, np.zeros(5), graph.nodes, r.ColorSpace(colors))
+        for check in (
+            lambda: r.verify_dp(graph, other, r.PrivacyBudget(LOG2, 0.0)),
+            lambda: r.is_boundary_homogeneous(graph, other),
+            lambda: r.utility_eval(graph, other, weights),
+            lambda: r.mechanism_dominates(graph, mech, other),
+            lambda: mechanism_csv(graph, other),
+        ):
+            with pytest.raises(ValueError, match=r"^mechanism is not on the graph's colors$"):
+                check()
+
+
 def test_is_boundary_homogeneous():
     graph = r.pentagon_graph()
     constant = mechanism_of(graph, dict.fromkeys(graph.nodes, sv(0.3, 0.3, 0.4)))
