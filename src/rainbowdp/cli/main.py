@@ -14,6 +14,7 @@ import os
 import stat
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from ..core import PrivacyBudget, SimplexVector
 from ..graph import UnconstrainedRegion
@@ -42,6 +43,7 @@ from .tables import (
     fmt,
     fmt_tau,
     mechanism_csv,
+    mechanism_csv_blocks,
     parse_mechanism_csv,
     parse_trajectory_csv,
     trajectory_csv,
@@ -87,18 +89,14 @@ def _budget_from_args(args, default_epsilon: float | None = None) -> PrivacyBudg
     return PrivacyBudget(eps, args.delta)
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write over the file in place and cut it at the text's end, as a truncating open makes
-    ext4 free the old blocks first (auto_da_alloc); a failed write leaves an empty file."""
+def _write_text(path: str, blocks: Iterable[str]) -> None:
+    """Write the blocks of text in turn over the file in place and cut it at their end, as a truncating
+    open makes ext4 free the old blocks first (auto_da_alloc); a failed write leaves an empty file."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as raw:
         regular = stat.S_ISREG(os.fstat(raw.fileno()).st_mode)
         try:
             with open(raw.fileno(), "w", encoding="utf-8", newline="", closefd=False) as fh:
-                fh.write(text)
+                fh.writelines(blocks)
             if regular:
                 raw.truncate()
         except BaseException:
@@ -109,7 +107,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_build(args) -> int:
     budget = _budget_from_args(args)
-    gf = parse_graph_file(_read_text(args.graph_file))
+    gf = parse_graph_file(Path(args.graph_file).read_text(encoding="utf-8"))
     if gf.boundary is None:
         print("error: graph file declares no boundary vectors", file=sys.stderr)
         return EXIT_INCOMPLETE
@@ -125,7 +123,7 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VIOLATION
-    _write_text(args.out, mechanism_csv(gf.graph, mech))
+    _write_text(args.out, mechanism_csv_blocks(gf.graph, mech))
     return EXIT_OK
 
 
@@ -138,8 +136,9 @@ def _violation_line(v: DpViolation) -> str:
 
 def cmd_verify(args) -> int:
     budget = _budget_from_args(args)
-    gf = parse_graph_file(_read_text(args.graph_file))
-    mech = parse_mechanism_csv(_read_text(args.mechanism_file), gf.graph)
+    gf = parse_graph_file(Path(args.graph_file).read_text(encoding="utf-8"))
+    with open(args.mechanism_file, encoding="utf-8") as fh:
+        mech = parse_mechanism_csv(fh, gf.graph)
     report = verify_dp(gf.graph, mech, budget)
     if report.valid:
         print("valid")
@@ -166,13 +165,13 @@ def cmd_trajectory(args) -> int:
         print("rho n/a (epsilon=0)")
         print("tau n/a (epsilon=0)")
     t, p, s = build_trajectory(m, budget, args.steps, args.substeps)
-    _write_text(args.out, trajectory_csv(t, p, s, profile))
+    _write_text(args.out, [trajectory_csv(t, p, s, profile)])
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    series, _, tau = parse_trajectory_csv(_read_text(args.trajectory_csv))
-    _write_text(args.out, render_trajectory_svg(series, tau))
+    series, _, tau = parse_trajectory_csv(Path(args.trajectory_csv).read_text(encoding="utf-8"))
+    _write_text(args.out, [render_trajectory_svg(series, tau)])
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice, repeat
-from typing import Iterator
+from functools import partial
+from itertools import chain, islice
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from ..graph import RainbowGraph
 from ..mechanism import Mechanism, _node_rows
 
 
-# Text is split into lines this many characters at a time (cut after a
-# newline), so a parser never holds a list of every line of a large file.
+# Text, or a text file, is split into lines this many characters at a time
+# (cut after a newline), so a parser never holds every line of a large file.
 _BLOCK_CHARS = 1 << 16
 # Distinct mechanism rows are joined and read this many at a time.
 _ROWS_PER_READ = 4096
@@ -39,18 +40,22 @@ class MissingNodes(LookupError):
     """A mechanism file has no row for some node of the graph."""
 
 
-def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of text, numbered from 1, as
-    enumerate(text.splitlines(), start=1) gives them, split one bounded
-    block at a time. A block ends just after a newline, so no line break,
-    not even a CR LF pair, is cut in two."""
-    first, start = 1, 0
-    while start < len(text):
-        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        lines = text[start:stop].splitlines()
+def numbered_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of source, a string or a text
+    file, as enumerate(text.splitlines(), start=1) gives them for its whole
+    text, split one bounded block at a time. A block ends just after a
+    newline, so no line break, not even a CR LF pair, is cut in two."""
+    if isinstance(source, str):
+        chunks = (source[i:i + _BLOCK_CHARS] for i in range(0, len(source), _BLOCK_CHARS))
+    else:
+        chunks = iter(partial(source.read, _BLOCK_CHARS), "")
+    first, rest = 1, ""
+    for chunk in chunks:
+        head, newline, rest = (rest + chunk).rpartition("\n")
+        lines = (head + newline).splitlines()
         yield from enumerate(lines, first)
         first += len(lines)
-        start = stop
+    yield from enumerate(rest.splitlines(), first)
 
 
 def fmt(x: float) -> str:
@@ -62,17 +67,26 @@ def fmt(x: float) -> str:
 
 
 def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
-    """One row per node, probabilities in canonical color order as
-    repr(float) cells; rows sorted by node identifier. Each row of
-    mech.rows is formatted once and shared by every node that has it;
-    a mechanism not on the graph's nodes and colors raises ValueError."""
+    """The joined mechanism_csv_blocks."""
+    return "".join(mechanism_csv_blocks(graph, mech))
+
+
+def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
+    """The header, then one row per node, _ROWS_PER_READ a block, sorted
+    by node identifier: repr(float) cells in canonical color order. Each
+    row of mech.rows is formatted once, a slice at a time; a mechanism not
+    on the graph's nodes and colors raises ValueError."""
     nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
-    # Adding 0.0 turns -0.0 into 0.0, as fmt does.
-    cells = ["," + ",".join(map(repr, row)) + "\n" for row in (mech.rows + 0.0).tolist()]
-    parts = ["node," + ",".join(graph.color_space.colors) + "\n"]
-    for i in sorted(range(len(nodes)), key=nodes.__getitem__):
-        parts += (nodes[i], cells[node_rows[i]])
-    return "".join(parts)
+    rows = mech.rows + 0.0  # turns -0.0 into 0.0, as fmt does
+    slices = (rows[lo:lo + _ROWS_PER_READ].tolist() for lo in range(0, len(rows), _ROWS_PER_READ))
+    cells = ["," + ",".join(map(repr, row)) + "\n" for row in chain.from_iterable(slices)]
+    yield "node," + ",".join(graph.color_space.colors) + "\n"
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    for lo in range(0, len(order), _ROWS_PER_READ):
+        parts = []
+        for i in order[lo:lo + _ROWS_PER_READ]:
+            parts += (nodes[i], cells[node_rows[i]])
+        yield "".join(parts)
 
 
 def _first_nodes(names: list[str]) -> str:
@@ -82,10 +96,11 @@ def _first_nodes(names: list[str]) -> str:
     return f"({len(names)}): {names[:3]}{more}"
 
 
-def parse_mechanism_csv(text: str, graph: RainbowGraph) -> Mechanism:
-    """Parse a mechanism CSV into a Mechanism whose rows are the cells as
-    read by float(): nothing is clamped or renormalized, and a row
-    _first_bad_row finds fault with is rejected. Blank lines are skipped.
+def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
+    """Parse a mechanism CSV, a string or a text file read a block at a
+    time, into a Mechanism whose rows are the cells as read by float():
+    nothing is clamped or renormalized, and a row _first_bad_row finds
+    fault with is rejected. Blank lines are skipped.
 
     Each distinct row text (a line after its node name) is read once, as
     mechanism_csv formats each row once: the Mechanism has one row per
@@ -94,40 +109,43 @@ def parse_mechanism_csv(text: str, graph: RainbowGraph) -> Mechanism:
     first bad line, where a row text is reported at its first appearance;
     the entry checks run on the rows read before that line.
 
-    Names then resolve to ids on graph.nodes: rows for undeclared nodes
-    raise ValueError, and, failing that, nodes with no row raise
-    MissingNodes; each error gives the count and first three names, sorted."""
-    lines = numbered_lines(text)
+    Names resolve to ids on graph.nodes as they are read: rows for
+    undeclared nodes raise ValueError, and, failing that, nodes with no
+    row raise MissingNodes; each error gives the count and first three
+    names, sorted."""
+    lines = numbered_lines(source)
     header = next((line for _, line in lines if line.strip()), None)
     if header is None:
         raise ValueError("empty mechanism file")
     space = graph.color_space
-    expected_header = "node," + ",".join(space.colors)
-    if header != expected_header:
+    if header != "node," + ",".join(space.colors):
         raise ValueError(f"header {header!r} does not match colors {space.colors}")
-    q = space.q
-    row_by_name: dict[str, int] = {}
+    q, nodes, index = space.q, graph.nodes, graph.node_index
+    node_rows, unknown = [-1] * len(nodes), set()
     # Each distinct row text's row id, and the line where it first appears.
     row_ids: dict[str, int] = {}
     first_line = array("q")
     fault = None
-    try:
-        for lineno, line in lines:
-            name, _, row = line.partition(",")
-            r = row_ids.get(row)
-            # A row text has q - 1 commas; a blank line has row "".
-            if r is None and row.count(",") != q - 1:
-                if not line.strip():
-                    continue
-                raise ValueError(f"expected {1 + q} cells, got {line.count(',') + 1}")
-            if name in row_by_name:
-                raise ValueError(f"duplicate row for node {name!r}")
-            if r is None:
-                r = row_ids[row] = len(row_ids)
-                first_line.append(lineno)
-            row_by_name[name] = r
-    except ValueError as exc:
-        fault = f"line {lineno}: {exc}"
+    for lineno, line in lines:
+        name, _, row = line.partition(",")
+        r = row_ids.get(row)
+        # A row text has q - 1 commas; a blank line has row "".
+        if r is None and row.count(",") != q - 1:
+            if not line.strip():
+                continue
+            fault = f"line {lineno}: expected {1 + q} cells, got {line.count(',') + 1}"
+            break
+        i = index.get(name)
+        if name in unknown if i is None else node_rows[i] >= 0:
+            fault = f"line {lineno}: duplicate row for node {name!r}"
+            break
+        if r is None:
+            r = row_ids[row] = len(row_ids)
+            first_line.append(lineno)
+        if i is None:
+            unknown.add(name)
+        else:
+            node_rows[i] = r
     # The row texts, all from lines before any fault the loop found, are
     # read a block at a time, so a cell that fails to read is the first fault.
     cells_read = array("d")
@@ -145,14 +163,12 @@ def parse_mechanism_csv(text: str, graph: RainbowGraph) -> Mechanism:
         raise ValueError(f"line {first_line[i]}: {message}")
     if fault is not None:
         raise ValueError(fault)
-    nodes = graph.nodes
-    node_rows = np.fromiter(map(row_by_name.get, nodes, repeat(-1)), dtype=np.intp, count=len(nodes))
-    if len(row_by_name) != len(nodes) or (node_rows < 0).any():  # the sorted differences only when they differ
-        names = graph.node_index.keys()
-        unknown = sorted(row_by_name.keys() - names)
-        if unknown:
-            raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(unknown)}")
-        raise MissingNodes(f"mechanism file is missing nodes {_first_nodes(sorted(names - row_by_name.keys()))}")
+    if unknown:
+        raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(sorted(unknown))}")
+    node_rows = np.array(node_rows, dtype=np.intp)
+    if (node_rows < 0).any():
+        missing = sorted(map(nodes.__getitem__, np.flatnonzero(node_rows < 0).tolist()))
+        raise MissingNodes(f"mechanism file is missing nodes {_first_nodes(missing)}")
     return Mechanism(rows, node_rows, nodes, space)
 
 

@@ -170,12 +170,12 @@ def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
     return i, f"entry {float(rows[i, int(np.argmax(bad_entry[i]))])!r} outside [0, 1]"
 
 
-def normalized_rows(a: np.ndarray) -> np.ndarray:
+def normalized_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The rows of a 2-D array as SimplexVector stores them, as a new
-    array: each entry checked to be finite and inside
-    [-NEGATIVE_WINDOW, 1 + NEGATIVE_WINDOW], clamped to [0, 1], the row
-    checked to sum to 1 within SUM_WINDOW, then divided by its
-    left-to-right sum. The first bad row raises SimplexVector's error.
+    array or in out (a's shape, not a itself): each entry checked to be
+    finite and inside [-NEGATIVE_WINDOW, 1 + NEGATIVE_WINDOW], clamped to
+    [0, 1], the row checked to sum to 1 within SUM_WINDOW, then divided
+    by its left-to-right sum. The first bad row raises SimplexVector's error.
 
     Row for row this is bit for bit what the constructor gives, so
     ``SimplexVector.wrap(normalized_rows(a))`` equals
@@ -187,7 +187,9 @@ def normalized_rows(a: np.ndarray) -> np.ndarray:
         raise ValueError("distribution needs at least 2 entries")
     out_of_range = _outside_window(a)
     # min(max(x, 0.0), 1.0) as Python evaluates it, so -0.0 stays -0.0.
-    rows = np.where(a < 0.0, 0.0, a)
+    rows = np.empty_like(a) if out is None else out
+    np.copyto(rows, a)
+    np.copyto(rows, 0.0, where=a < 0.0)
     np.copyto(rows, 1.0, where=rows > 1.0)
     total = _row_sums(rows)
     bad_entry = out_of_range.any(axis=1)

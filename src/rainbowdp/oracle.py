@@ -304,8 +304,10 @@ def _close_samples(
     if out.shape[1] > 1:
         out[:, 1] = steps
     if out.shape[1] > 2:
-        raw = normalized_rows(_raw_close_samples(p_rows, budget, draws, lam, work))
-        out[:, 2:] = raw.reshape(trials, -1, q)
+        raw = _raw_close_samples(p_rows, budget, draws, lam, work)
+        # The draws are read by now: the rows are normalized into their memory.
+        rows = normalized_rows(raw, work.draws.reshape(-1)[:raw.size].reshape(raw.shape))
+        out[:, 2:] = rows.reshape(trials, -1, q)
     return out
 
 

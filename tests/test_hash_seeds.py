@@ -14,7 +14,7 @@ from helpers import child_env
 # undeclared node, exact CSV round trips, the boundary graph's node order
 # and mapping and the edge its self-check names first, the parsed graph's
 # ids and edge rows, the CSV parser's distinct rows and the node rows it
-# resolves (its unknown and missing names come from set differences), and
+# resolves (its unknown names come from a set), and
 # the order of the test helpers' morphism violations.
 SELECTION = (
     "golden or undeclared_node_error or exact_round_trip or boundary_graph_indexes or parsed_graph_equals"

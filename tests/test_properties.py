@@ -709,6 +709,8 @@ def _bits_or_error(build):
 def test_simplex_rows_equal_one_constructor_call_per_row(a):
     batch = _bits_or_error(lambda: normalized_rows(a).tolist())
     assert batch == _bits_or_error(lambda: [r.SimplexVector(tuple(row)).p for row in a])
+    # Into a given array, as fuzz normalizes its samples: the same bits.
+    assert batch == _bits_or_error(lambda: normalized_rows(a, np.full_like(a, 7.0)).tolist())
 
 
 def _violation_bits(report: r.DpReport):
