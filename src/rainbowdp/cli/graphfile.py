@@ -19,10 +19,12 @@ numpy, with no Python step per node or edge line, and compares tokens
 as big-endian 8-byte words. A name of at most 8 bytes is one word, its
 exact key, which sorts as str does; a longer name is keyed by a mix of
 its words, each hit is confirmed word by word, and two names with one
-key send the file to the line reader (_parse_lines). So do any other
-form and any file with an error: only the line reader gives
-diagnostics, so these carry line numbers whichever form the file has.
-The line reader keeps names to its last line, then numbers the nodes.
+key send the file to the line reader (_parse_lines). Key order is name
+order, handed to the graph as its name_order; no name dict is built.
+Any other form and any file with an error go to the line reader: only
+it gives diagnostics, so these carry line numbers whichever form the
+file has. The line reader keeps names to its last line, then numbers
+the nodes.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _parse_bytes(text: str) -> GraphFile | None:
         return None
     edge_ends = np.stack((order[low], order[high]), axis=1)
     texts, key = _words(view, text_starts, text_stops, (int((text_stops - text_starts).max()) + 7) // 8)
-    del order, low, high, data, buf, view
+    del low, high, data, buf, view
     _, first, rainbow_ids = np.unique(key, return_index=True, return_inverse=True)
     # Every rainbow text is confirmed word by word.
     if (texts != texts[:, first[rainbow_ids.ravel()]]).any():
@@ -205,12 +207,15 @@ def _parse_bytes(text: str) -> GraphFile | None:
     except ValueError:
         return None
     del texts, key, text_starts, text_stops
-    names = np.ascontiguousarray(words.T, dtype=">u8").view(f"S{8 * len(words)}").ravel()
-    if (names.view(np.uint8) == ord(",")).any():
+    # Every name in one string: its bytes without their NUL padding, then an LF.
+    names = np.ascontiguousarray(words.T, dtype=">u8").view(np.uint8)
+    names = np.concatenate((names, np.full((len(names), 1), ord("\n"), dtype=np.uint8)), axis=1)
+    names = names[names != 0]
+    if (names == ord(",")).any():
         return None
-    nodes = tuple(names.astype(str).tolist())
+    nodes = names.tobytes().decode("ascii").split()
     del words, names
-    graph = RainbowGraph.from_ids(nodes, rainbow_ids.ravel(), rainbows, edge_ends, space)
+    graph = RainbowGraph.from_ids(nodes, rainbow_ids.ravel(), rainbows, edge_ends, space, order)
     return GraphFile(graph, BoundaryCondition(boundary) if boundary else None)
 
 

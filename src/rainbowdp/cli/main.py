@@ -138,7 +138,14 @@ def cmd_verify(args) -> int:
     budget = _budget_from_args(args)
     gf = parse_graph_file(Path(args.graph_file).read_text(encoding="utf-8"))
     with open(args.mechanism_file, encoding="utf-8") as fh:
-        mech = parse_mechanism_csv(fh, gf.graph)
+        try:
+            mech = parse_mechanism_csv(fh, gf.graph)
+        except UnicodeDecodeError as exc:
+            # exc.object, the bytes being decoded, ends where the file has been read to.
+            at, bad = fh.buffer.tell() - len(exc.object) + exc.start, exc.object[exc.start:exc.end]
+            where = (f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
+                     else f"bytes in position {at}-{at + len(bad) - 1}")
+            raise ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
     report = verify_dp(gf.graph, mech, budget)
     if report.valid:
         print("valid")

@@ -72,19 +72,19 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
 
 
 def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
-    """The header, then one row per node, _ROWS_PER_READ a block, sorted
-    by node identifier: repr(float) cells in canonical color order. Each
-    row of mech.rows is formatted once, a slice at a time; a mechanism not
-    on the graph's nodes and colors raises ValueError."""
+    """The header, then one row per node, _ROWS_PER_READ a block, in
+    graph.name_order: repr(float) cells in canonical color order. Each row
+    of mech.rows is formatted once, a slice at a time; a mechanism not on
+    the graph's nodes and colors raises ValueError."""
     nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
     rows = mech.rows + 0.0  # turns -0.0 into 0.0, as fmt does
     slices = (rows[lo:lo + _ROWS_PER_READ].tolist() for lo in range(0, len(rows), _ROWS_PER_READ))
     cells = ["," + ",".join(map(repr, row)) + "\n" for row in chain.from_iterable(slices)]
     yield "node," + ",".join(graph.color_space.colors) + "\n"
-    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    order = graph.name_order
     for lo in range(0, len(order), _ROWS_PER_READ):
         parts = []
-        for i in order[lo:lo + _ROWS_PER_READ]:
+        for i in order[lo:lo + _ROWS_PER_READ].tolist():
             parts += (nodes[i], cells[node_rows[i]])
         yield "".join(parts)
 
@@ -109,7 +109,9 @@ def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
     first bad line, where a row text is reported at its first appearance;
     the entry checks run on the rows read before that line.
 
-    Names resolve to ids on graph.nodes as they are read: rows for
+    Names resolve to ids on graph.nodes as they are read: by position while
+    the lines follow graph.name_order, as mechanism_csv writes them, and by
+    graph.node_index from the first line that does not. Rows for
     undeclared nodes raise ValueError, and, failing that, nodes with no
     row raise MissingNodes; each error gives the count and first three
     names, sorted."""
@@ -120,8 +122,19 @@ def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
     space = graph.color_space
     if header != "node," + ",".join(space.colors):
         raise ValueError(f"header {header!r} does not match colors {space.colors}")
-    q, nodes, index = space.q, graph.nodes, graph.node_index
-    node_rows, unknown = [-1] * len(nodes), set()
+    q, nodes, order = space.q, graph.nodes, graph.name_order
+    # want is the next name in name order while the lines follow it, and
+    # None once they leave it; a line matching it gets i = -1, and its row
+    # id goes to by_position.
+    expected = map(nodes.__getitem__, memoryview(order))
+    want, by_position = next(expected, None), array("q")
+
+    def scattered() -> np.ndarray:
+        node_rows = np.full(len(nodes), -1, dtype=np.intp)
+        node_rows[order[:len(by_position)]] = by_position
+        return node_rows
+
+    node_rows, unknown = None, set()
     # Each distinct row text's row id, and the line where it first appears.
     row_ids: dict[str, int] = {}
     first_line = array("q")
@@ -135,15 +148,22 @@ def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
                 continue
             fault = f"line {lineno}: expected {1 + q} cells, got {line.count(',') + 1}"
             break
-        i = index.get(name)
-        if name in unknown if i is None else node_rows[i] >= 0:
-            fault = f"line {lineno}: duplicate row for node {name!r}"
-            break
+        if name == want:
+            want, i = next(expected, None), -1
+        else:
+            if node_rows is None:
+                node_rows, index, want = scattered().tolist(), graph.node_index, None
+            i = index.get(name)
+            if name in unknown if i is None else node_rows[i] >= 0:
+                fault = f"line {lineno}: duplicate row for node {name!r}"
+                break
         if r is None:
             r = row_ids[row] = len(row_ids)
             first_line.append(lineno)
         if i is None:
             unknown.add(name)
+        elif i < 0:
+            by_position.append(r)
         else:
             node_rows[i] = r
     # The row texts, all from lines before any fault the loop found, are
@@ -165,7 +185,7 @@ def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
         raise ValueError(fault)
     if unknown:
         raise ValueError(f"mechanism file has rows for undeclared nodes {_first_nodes(sorted(unknown))}")
-    node_rows = np.array(node_rows, dtype=np.intp)
+    node_rows = scattered() if node_rows is None else np.array(node_rows, dtype=np.intp)
     if (node_rows < 0).any():
         missing = sorted(map(nodes.__getitem__, np.flatnonzero(node_rows < 0).tolist()))
         raise MissingNodes(f"mechanism file is missing nodes {_first_nodes(missing)}")

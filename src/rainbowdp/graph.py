@@ -49,32 +49,26 @@ def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
     return (edge if type(edge) is tuple else (a, b)) if a < b else (b, a)
 
 
-def _node_index(nodes: tuple[str, ...]) -> dict[str, int]:
-    index = dict(zip(nodes, range(len(nodes))))
-    if len(index) != len(nodes):
-        raise ValueError("duplicate node identifiers")
-    return index
-
-
 class RainbowGraph:
     """Datasets, symmetric neighbor edges, and a rainbow per dataset.
 
-    The graph is held by node ids: node_index numbers the nodes in
-    `nodes` order, rainbow_ids gives each node's rainbow as an index into
-    rainbows(), and edge_ends holds the endpoint ids of each edge, one
-    row (a, b) per edge with nodes[a] < nodes[b]. The string views
-    `edges` (normalized (a, b) name pairs, a < b) and `preference` (node
-    name to Rainbow) are built from them on first use, unless the graph
-    was constructed from them.
+    The graph is held by node ids: node i is nodes[i], rainbow_ids gives
+    each node's rainbow as an index into rainbows(), and edge_ends holds
+    the endpoint ids of each edge, one row (a, b) per edge with
+    nodes[a] < nodes[b]. The name-to-id dict `node_index` and the string
+    views `edges` (normalized (a, b) name pairs, a < b) and `preference`
+    (node name to Rainbow) are built on first use, unless the graph was
+    constructed from them.
 
     RainbowGraph(nodes, edges, preference, color_space) takes the string
     views and derives the ids; RainbowGraph.from_ids takes the ids.
 
-    The topology on node ids is cached on first read: `rim`, a bool mask
-    of the boundary node ids, `adjacent_pairs`, the rainbow pairs joined
-    by an edge, in rainbow order, and `search`, the boundary search.
-    rainbow_ids, edge_ends and rim are read-only, so no write can move
-    the cached topology away from the graph it was read from.
+    Four attributes on node ids are cached on first read: `name_order`,
+    the node ids in name order (a reader may hand it over), `rim`, a bool
+    mask of the boundary node ids, `adjacent_pairs`, the rainbow pairs
+    joined by an edge, in rainbow order, and `search`, the boundary
+    search. They, rainbow_ids and edge_ends are read-only, so no write
+    can move the cached topology away from the graph it was read from.
     """
 
     def __init__(
@@ -85,7 +79,9 @@ class RainbowGraph:
         color_space: ColorSpace,
     ):
         nodes = tuple(nodes)
-        index = _node_index(nodes)
+        index = dict(zip(nodes, range(len(nodes))))
+        if len(index) != len(nodes):
+            raise ValueError("duplicate node identifiers")
         edges = frozenset(_kept_edge(e) for e in edges)
         try:
             ends = np.fromiter(
@@ -100,9 +96,9 @@ class RainbowGraph:
             raise ValueError("preference must assign a rainbow to exactly the declared nodes")
         rank = {c: k for k, c in enumerate(set(pref.values()))}
         rainbow_ids = np.fromiter(map(rank.__getitem__, map(pref.__getitem__, nodes)), dtype=np.intp, count=len(nodes))
-        self._set(nodes, index, rainbow_ids, tuple(rank), ends, color_space)
-        # The given string views are kept, not rebuilt on first use.
-        self.__dict__.update(edges=edges, preference=pref)
+        self._set(nodes, rainbow_ids, tuple(rank), ends, color_space)
+        # The index and the given string views are kept, not rebuilt on first use.
+        self.__dict__.update(node_index=index, edges=edges, preference=pref)
 
     @classmethod
     def from_ids(
@@ -112,24 +108,27 @@ class RainbowGraph:
         rainbows: Sequence[Rainbow],
         edge_ends: np.ndarray,
         color_space: ColorSpace,
+        name_order: np.ndarray | None = None,
     ) -> RainbowGraph:
         """The graph whose node i is nodes[i] with rainbow
         rainbows[rainbow_ids[i]], and whose edges join nodes[a] and
         nodes[b] for each row (a, b) of edge_ends. The caller vouches for
-        the edges: ids in range, no self-loops or repeated edges, and
-        every row turned so that nodes[a] < nodes[b]. The rainbows must
-        be distinct and may come in any order; those no node has are
-        dropped. The graph keeps edge_ends as given, not a copy, so the
-        caller must not write to it afterwards."""
+        distinct names, for the edges (ids in range, no self-loops or
+        repeated edges, each row turned so that nodes[a] < nodes[b]) and
+        for name_order, if given (the node ids in name order). The
+        rainbows must be distinct and may come in any order; those no node
+        has are dropped. The graph keeps edge_ends and name_order, not
+        copies, so the caller must not write to them afterwards."""
         graph = object.__new__(cls)
-        nodes = tuple(nodes)
-        graph._set(nodes, _node_index(nodes), rainbow_ids, rainbows, edge_ends, color_space)
+        graph._set(tuple(nodes), rainbow_ids, rainbows, edge_ends, color_space)
+        if name_order is not None:  # a view, so that freezing it leaves the caller's array writable
+            order = graph.__dict__["name_order"] = np.asarray(name_order, dtype=np.intp).view()
+            order.flags.writeable = False
         return graph
 
     def _set(
         self,
         nodes: tuple[str, ...],
-        index: dict[str, int],
         rainbow_ids: np.ndarray,
         rainbows: Sequence[Rainbow],
         edge_ends: np.ndarray,
@@ -148,12 +147,21 @@ class RainbowGraph:
         rank[kept] = np.arange(len(kept))
         self.nodes = nodes
         self.color_space = color_space
-        self.node_index = index
         self.rainbow_ids = rank[rainbow_ids]
         # reshape gives a view, so freezing it leaves the caller's array writable.
         self.edge_ends = np.asarray(edge_ends, dtype=np.intp).reshape(-1, 2)
         self.rainbow_ids.flags.writeable = self.edge_ends.flags.writeable = False
         self._rainbows = ordered
+
+    @cached_property
+    def node_index(self) -> dict[str, int]:
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+    @cached_property
+    def name_order(self) -> np.ndarray:
+        order = np.array(sorted(range(len(self.nodes)), key=self.nodes.__getitem__), dtype=np.intp)
+        order.flags.writeable = False
+        return order
 
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:

@@ -205,6 +205,41 @@ def test_bulk_read_peaks_no_higher_than_the_line_reader(shape):
     assert peak(parse_graph_file) <= peak(graphfile._parse_lines)
 
 
+NAME_SETS = {
+    "one-word": ["q0000000", "b", "zz", "a7", "m1234567", "a", "b1"],
+    "two-to-four-words": ["node_000000012", "node_000000003", "a_very_long_node_name_30_bytes", "abcdefghi"],
+    "prefixes": ["abcdefghi", "ab", "abcdefgh1", "a", "abcdefghijklmnopq", "abcdefgh", "abc"],
+}
+
+
+@pytest.mark.parametrize("names", NAME_SETS.values(), ids=NAME_SETS)
+def test_name_order_is_the_sorted_order_whoever_builds_the_graph(names):
+    # The bulk reader hands over its sort of the name keys; the line
+    # reader (a comment line sends the file there), the string constructor
+    # and from_ids sort the names on first read.
+    text = "\n".join(
+        ["colors a b", *(f"node {d} {'a b' if k % 2 else 'b a'}" for k, d in enumerate(names))]
+        + [f"edge {a} {b}" for a, b in zip(names, names[1:])]
+    ) + "\n"
+    bulk = graphfile._parse_bytes(text).graph
+    assert "name_order" in vars(bulk) and graphfile._parse_bytes("# a comment\n" + text) is None
+    lines = parse_graph_file("# a comment\n" + text).graph
+    assert "name_order" not in vars(lines)
+    given = np.array(sorted(range(len(names)), key=names.__getitem__))
+    graphs = [
+        bulk, lines, r.RainbowGraph(bulk.nodes, bulk.edges, bulk.preference, bulk.color_space),
+        r.RainbowGraph.from_ids(bulk.nodes, bulk.rainbow_ids, bulk.rainbows(), bulk.edge_ends, bulk.color_space),
+        r.RainbowGraph.from_ids(bulk.nodes, bulk.rainbow_ids, bulk.rainbows(), bulk.edge_ends, bulk.color_space, given),
+    ]
+    for graph in graphs:
+        assert graph.nodes == tuple(names)
+        assert graph.name_order.tolist() == sorted(range(len(names)), key=names.__getitem__)
+        with pytest.raises(ValueError, match="read-only"):
+            graph.name_order[0] = 1
+    # from_ids keeps the order it is given, not a copy, and leaves it writable.
+    assert graphs[-1].name_order.base is given and given.flags.writeable
+
+
 def test_graph_file_round_trip():
     gf = parse_graph_file((FIXTURES / "pentagon.graph").read_text())
     again = parse_graph_file(emit_graph_file(gf))
@@ -308,6 +343,77 @@ def test_parse_mechanism_csv_reports_unknown_nodes_before_missing_ones():
         parse_mechanism_csv(head + "v,0.5,0.5\nv,0.5,0.5\n", graph)
     # main() maps MissingNodes to exit 4 and ValueError to exit 1.
     assert not issubclass(tables.MissingNodes, ValueError)
+
+
+# Lines of a mechanism CSV on NAMED_ROWS' nodes, declared out of name
+# order, so that a line's place in name order is not its node id; the
+# texts repeat, so rows are shared.
+NAMED_ROWS = {f"n{i}": ("0.5,0.5", "0.25,0.75", "1.0,0.0")[i % 3] for i in (3, 0, 7, 5, 1, 6, 2, 4)}
+
+
+def _named_lines(*names: str) -> str:
+    return "node,1,2\n" + "".join(f"{d},{NAMED_ROWS.get(d, '0.5,0.5')}\n" for d in names)
+
+
+def _named_graph() -> r.RainbowGraph:
+    # From ids, so that its name index is built only if the parser reads it.
+    g = _bare_graph(("1", "2"), NAMED_ROWS)
+    return r.RainbowGraph.from_ids(g.nodes, g.rainbow_ids, g.rainbows(), g.edge_ends, g.color_space)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"),
+        ("n7", "n6", "n5", "n4", "n3", "n2", "n1", "n0"),
+        ("n5", "n2", "n7", "n0", "n4", "n1", "n6", "n3"),
+        ("n0", "n1", "n3", "n2", "n4", "n5", "n6", "n7"),
+        ("", "n0", "n1", "n2", "", "n3", "n4", "n5", "n6", "n7", ""),
+    ],
+    ids=["in-order", "reversed", "shuffled", "two-swapped", "blank-lines"],
+)
+def test_mechanism_csv_lines_in_or_out_of_name_order(names):
+    # Lines in name order are matched by position, others through the name
+    # index from the first line out of order; either way each node gets
+    # its line's row, numbered in order of first appearance. A name ""
+    # stands for a blank line and a line of spaces.
+    text = _named_lines(*names).replace("\n,0.5,0.5\n", "\n\n  \n")
+    graph = _named_graph()
+    mech = parse_mechanism_csv(text, graph)
+    names = [d for d in names if d]
+    texts = list(dict.fromkeys(map(NAMED_ROWS.__getitem__, names)))
+    assert mech.rows.tolist() == [list(map(float, t.split(","))) for t in texts]
+    assert mech.node_rows.tolist() == [texts.index(NAMED_ROWS[d]) for d in graph.nodes]
+    assert ("node_index" in vars(graph)) == (names != sorted(names))
+
+
+@pytest.mark.parametrize(
+    "names,message",
+    [
+        (("n0", "n1", "n2", "n3", "n5", "n6", "n7"), "mechanism file is missing nodes (1): ['n4']"),
+        (("n1", "n2", "n3", "n4", "n5", "n6", "n7"), "mechanism file is missing nodes (1): ['n0']"),
+        (("n0", "n1", "n2", "n2", "n3", "n4", "n5", "n6", "n7"), "line 5: duplicate row for node 'n2'"),
+        (("n0", "n1", "n2", "x", "n3", "n4", "n5", "n6", "n7"),
+         "mechanism file has rows for undeclared nodes (1): ['x']"),
+        (("n0", "n1", "x", "n2", "x", "n3", "n4", "n5", "n6", "n7"), "line 6: duplicate row for node 'x'"),
+        (("n0", "y", "n1", "n2", "x", "n3", "n4", "n5", "n6", "n7"),
+         "mechanism file has rows for undeclared nodes (2): ['x', 'y']"),
+        (("n0", "n1", "n2", "n3", "n4", "n5", "n6"), "mechanism file is missing nodes (1): ['n7']"),
+        (("n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n0"), "line 10: duplicate row for node 'n0'"),
+    ],
+    ids=["missing-mid", "missing-first", "duplicate-after-match", "undeclared-once", "undeclared-twice",
+         "two-undeclared", "missing-last", "duplicate-after-the-last"],
+)
+def test_mechanism_csv_faults_in_or_out_of_name_order(names, message):
+    kind = tables.MissingNodes if message.startswith("mechanism file is missing") else ValueError
+    with pytest.raises(kind) as exc:
+        parse_mechanism_csv(_named_lines(*names), _named_graph())
+    assert str(exc.value) == message
+
+
+def test_mechanism_csv_short_row_in_name_order(tmp_path):
+    text = _named_lines("n0", "n1", "n2", "n3").replace("n2,1.0,0.0", "n2,1.0")
+    assert _rejection(text, _named_graph(), tmp_path) == "line 4: expected 3 cells, got 2"
 
 
 def test_mechanism_csv_rows_for_shared_and_distinct_vectors():
@@ -490,21 +596,35 @@ def test_mechanism_csv_read_across_blocks(tmp_path, eol, before):
     assert _rejection(text, graph, tmp_path) == "line 3003: entries sum to 1.1, not 1"
 
 
-@pytest.mark.parametrize("head", [0, 4000])
-def test_cmd_verify_rejects_a_byte_that_is_not_utf8(tmp_path, capsys, head):
-    # A bad byte in the first block or after it: one error line, exit 1.
+@pytest.mark.parametrize(
+    "head,bad",
+    [(0, b"\xff"), (4000, b"\xff"), (100_000, b"\xff"), (65_516, b"\xe2\x82("), (65_517, b"\xe2\x82(")],
+    ids=["0", "4000", "100000", "cut-after-2", "cut-after-1"],
+)
+def test_cmd_verify_rejects_a_byte_that_is_not_utf8(tmp_path, capsys, head, bad):
+    # A bad byte in the first block or after it, or a bad three-byte
+    # sequence cut after its first two bytes or its first byte by the end
+    # of the file's first piece read (65,536 bytes on CPython 3.11): one
+    # error line, exit 1, and the byte's position in the file, as decoding
+    # the whole file gives it.
     graph = tmp_path / "g.graph"
     graph.write_text("colors a b\nnode x a b\nboundary a,b 0.5 0.5\n")
     mech = tmp_path / "m.csv"
-    mech.write_bytes(b"node,a,b\n" + b"\n" * head + b"x,0.5,0.5\xff\n")
+    data = b"node,a,b\n" + b"\n" * head + b"x,0.5,0.5" + bad + b"\n"
+    mech.write_bytes(data)
     assert main(["verify", str(graph), str(mech), "--e-epsilon", "2"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start == head + 18
+    assert out == "" and err == f"error: {whole.value}\n"
 
 
 def test_build_and_verify_leave_the_string_views_unbuilt(tmp_path, monkeypatch, capsys):
-    # The CLI runs on node ids: the name-pair edges and the preference
-    # dict of the parsed graph are never built.
+    # The CLI runs on node ids: the name-pair edges, the preference dict
+    # and, on a file in the emitted form with a CSV in name order (here
+    # with one row changed, then with its last line cut), the name index
+    # of the parsed graph are never built.
     graphs = []
 
     def parse(text):
@@ -530,6 +650,7 @@ def test_build_and_verify_leave_the_string_views_unbuilt(tmp_path, monkeypatch, 
     assert len(graphs) == 4
     for graph in graphs:
         assert "edges" not in vars(graph) and "preference" not in vars(graph)
+        assert "node_index" not in vars(graph)
 
 
 def _split_path_text(n: int) -> str:
@@ -567,23 +688,33 @@ def test_build_and_verify_peak_memory_on_a_deep_path(tmp_path, capsys):
     # Neither command holds the mechanism CSV's whole text, its bytes or a
     # list of every row: build writes it a block of nodes at a time and
     # verify reads it a block of lines at a time, resolving names to node
-    # ids as it goes. In units of what the parsed graph holds, the peaks
-    # were 3.00 (build, the first on so large a graph) and 2.74 (verify),
-    # and 3.66 and 3.85 when both held the whole text (Python 3.11, numpy
-    # 2.4); the bounds leave a margin of 10%.
+    # ids as it goes, and neither builds the graph's name index. The unit
+    # is what the parsed graph holds once that index is built. In that
+    # unit the peaks are 2.24 (build, the first on so large a graph) and
+    # 2.25 (verify); they were 3.00 and 2.74 when both built the index, and
+    # 3.66 and 3.85 when both also held the whole text (Python 3.11, numpy
+    # 2.4). The bounds leave a margin of about 10%.
     text = _split_path_text(50_000)
     graph_path, out = tmp_path / "path.graph", tmp_path / "path.csv"
     graph_path.write_text(text)
     budget = ["--epsilon", "1e-4", "--delta", "1e-7"]
     assert main(["build", str(FIXTURES / "path5.graph"), "--e-epsilon", "2", "--out", str(out)]) == 0
     assert main(["verify", str(FIXTURES / "path5.graph"), str(out), "--e-epsilon", "2"]) == 0
-    graph = _traced(lambda: parse_graph_file(text))[1]
+
+    def indexed():
+        gf = parse_graph_file(text)
+        gf.graph.node_index
+        return gf
+
+    fresh, graph = _traced(lambda: parse_graph_file(text))[1], _traced(indexed)[1]
+    # Without its name index the parsed graph holds 4.54 MiB, against 7.89.
+    assert fresh <= 0.7 * graph, fresh / graph
     code, _, build = _traced(lambda: main(["build", str(graph_path), *budget, "--out", str(out)]))
     assert code == 0
     code, _, verify = _traced(lambda: main(["verify", str(graph_path), str(out), *budget]))
     assert code == 0
     assert capsys.readouterr().out == "valid\nvalid\n"
-    assert build < 3.3 * graph and verify < 3.05 * graph, (build / graph, verify / graph)
+    assert build < 2.5 * graph and verify < 2.5 * graph, (build / graph, verify / graph)
 
 
 def test_fmt_properties():

@@ -58,6 +58,20 @@ def test_rainbow_graph_validation():
         r.RainbowGraph(("a", "b"), frozenset(), {"a": c}, space)
 
 
+def test_only_the_string_constructor_builds_the_name_index_at_once():
+    # It checks that the names are distinct; from_ids, whose caller vouches
+    # for them, leaves the index to its first read.
+    space = r.ColorSpace(("1", "2"))
+    c = r.Rainbow((0, 1))
+    with pytest.raises(ValueError, match="^duplicate node identifiers$"):
+        r.RainbowGraph(("a", "b", "a"), [("a", "b")], {"a": c, "b": c}, space)
+    graph = r.RainbowGraph(("b", "a"), [("a", "b")], {"a": c, "b": c}, space)
+    assert vars(graph)["node_index"] == {"b": 0, "a": 1}
+    again = r.RainbowGraph.from_ids(graph.nodes, graph.rainbow_ids, graph.rainbows(), graph.edge_ends, space)
+    assert "node_index" not in vars(again)
+    assert again.node_index == {"b": 0, "a": 1}
+
+
 def test_undeclared_node_error_names_the_first_edge_in_sorted_order():
     # Fifty bad edges: the error names the smallest whatever the string hashes.
     space = r.ColorSpace(("1", "2"))
