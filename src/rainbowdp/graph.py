@@ -41,6 +41,19 @@ class UnconstrainedRegion(RuntimeError):
 _ARRAY_LEVEL_WIDTH = 64
 
 
+def _distinct_codes(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of codes, each in [0, size), in increasing
+    order: marked in a table of size flags when size <= len(codes), else
+    sorted and compared with their neighbours (not by np.unique, whose
+    first call imports numpy.ma)."""
+    if size <= len(codes):
+        seen = np.zeros(size, dtype=bool)
+        seen[codes] = True
+        return np.flatnonzero(seen)
+    codes = np.sort(codes)
+    return codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+
+
 def _kept_edge(edge: tuple[str, str]) -> tuple[str, str]:
     """The edge as an (a, b) tuple with a < b: itself when it already is one."""
     a, b = edge
@@ -184,15 +197,25 @@ class RainbowGraph:
 
     @cached_property
     def adjacent_pairs(self) -> tuple[tuple[Rainbow, Rainbow], ...]:
+        """The distinct (lo, hi) rainbow pairs of the cross-class edges, in
+        rainbow order: through a table of k * k flags when the k rainbows
+        have k * k <= cross edges, else by sorting the edges' pair codes."""
         rainbows = self._rainbows
         # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
         k = len(rainbows)
-        joined = self.rainbow_ids[self.edge_ends]
-        pairs = joined[joined[:, 0] != joined[:, 1]].T
-        # One code lo * k + hi per unordered pair, sorting as the (lo, hi) pairs do.
-        codes = np.sort(np.minimum(*pairs) * k + np.maximum(*pairs))
-        # Distinct codes, without np.unique, whose first call imports numpy.ma.
-        codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+        a, b = self.rainbow_ids[self.edge_ends].T
+        # The cross edges' ends, picked column by column: a boolean pick of
+        # 1-D arrays is several times quicker than one of 2-column rows.
+        cross = a != b
+        a, b = a[cross], b[cross]
+        # One code lo * k + hi per unordered pair, sorting as the (lo, hi)
+        # pairs do; built in place in the picked copy, so fewer edge-length
+        # arrays are alive at once.
+        hi = np.maximum(a, b)
+        codes = np.minimum(a, b, out=a)
+        codes *= k
+        codes += hi
+        codes = _distinct_codes(codes, k * k)
         return tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
 
     @cached_property

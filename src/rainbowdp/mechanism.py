@@ -44,7 +44,7 @@ from .core import (
     normalized_rows,
     prefix_sums,
 )
-from .graph import RainbowGraph
+from .graph import RainbowGraph, _distinct_codes
 
 # Below this mass the growth phase is evaluated in log space to dodge
 # overflow in exp(t * eps) for extremely small prefixes.
@@ -338,19 +338,23 @@ def validate_boundary_condition(
     edge must carry (eps,delta)-close boundary distributions.
 
     Raises MissingRainbow when a rainbow with nonempty boundary has no
-    boundary vector. Returns the pairs that fail is_close's test (taken
-    on all pairs at once), in adjacent_pairs order: () when the
-    condition is valid.
+    boundary vector. Returns the pairs that fail is_close's test, in
+    adjacent_pairs order: () when the condition is valid. The test runs
+    on all pairs at once, both sides of each gathered from one table of
+    boundary rows, one per rainbow.
     """
     rainbows = graph.rainbows()
     rim_counts = np.bincount(graph.rainbow_ids[graph.rim], minlength=len(rainbows))
     missing = [c for c, n in zip(rainbows, rim_counts.tolist()) if n and c not in bc.values]
     if missing:
         raise MissingRainbow(missing, graph.color_space)
-    pairs = graph.adjacent_pairs
-    # One (a, b) pair of boundary rows per adjacent region pair.
-    rows = np.array([bc.values[c].p for pair in pairs for c in pair]).reshape(len(pairs), 2, graph.color_space.q)
-    a, b = rows[:, 0], rows[:, 1]
+    pairs, q = graph.adjacent_pairs, graph.color_space.q
+    # One boundary row per rainbow id, gathered on both sides of each pair;
+    # a rainbow with no vector has no rim node, so it is in no pair.
+    table = np.array([bc.values[c].p if c in bc.values else (0.0,) * q for c in rainbows]).reshape(-1, q)
+    rank = dict(zip(rainbows, range(len(rainbows))))
+    ids = np.array([rank[c] for pair in pairs for c in pair], dtype=np.intp)
+    a, b = table[ids[0::2]], table[ids[1::2]]
     e, bound = budget.exp_epsilon, budget.delta + DEFAULT_TOL
     close = (_hockey_stick(a, b, e) <= bound) & (_hockey_stick(b, a, e) <= bound)
     return tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)
@@ -405,6 +409,27 @@ class DpReport:
         return not self.violations
 
 
+def _failing_pairs(
+    rows: np.ndarray, lookup: np.ndarray, pairs: np.ndarray, budget: PrivacyBudget
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (a, b) of `pairs` whose rows rows[lookup[a]] and
+    rows[lookup[b]] are not close, checked _CHUNK_ROWS pairs at a time,
+    both directions at once: their indices into pairs, in order, and their
+    margins over delta, (a, b) then (b, a)."""
+    e = budget.exp_epsilon
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    for lo in range(0, len(pairs), _CHUNK_ROWS):
+        chunk = pairs[lo:lo + _CHUNK_ROWS]
+        a, b = rows[lookup[chunk[:, 0]]], rows[lookup[chunk[:, 1]]]
+        forward = _hockey_stick(a, b, e) - budget.delta
+        backward = _hockey_stick(b, a, e) - budget.delta
+        bad = np.flatnonzero((forward > DEFAULT_TOL) | (backward > DEFAULT_TOL))
+        if len(bad):
+            found.append((bad + lo, forward[bad], backward[bad]))
+    index, forward, backward = map(np.concatenate, zip(*found))
+    return index, forward, backward
+
+
 def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> DpReport:
     """Check closeness on every edge of the graph.
 
@@ -413,23 +438,39 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
     DEFAULT_TOL. Violations come in sorted edge order, each edge's
     (a, b) direction before its (b, a) one.
 
-    The edges are checked in chunks of graph.edge_ends, on the rows of
-    their endpoints gathered from mech.rows by mech.node_rows, both
-    directions at once. A mechanism on other nodes or colors than the
+    An edge's check reads only the rows of its endpoints, mech.rows by
+    mech.node_rows, so with r = len(mech.rows) and r * r <= the number of
+    edges each distinct (row, row) pair is checked once, found through a
+    table of r * r flags, and a failing pair's margins go back to its
+    edges; otherwise each edge is checked, in chunks of graph.edge_ends.
+    Either way an edge gets the margins the same kernel gives its own two
+    rows, the same floats. A mechanism on other nodes or colors than the
     graph's raises ValueError.
     """
     nodes, ends = graph.nodes, graph.edge_ends
     node_rows, rows = _node_rows(graph, mech), mech.rows
-    e = budget.exp_epsilon
-    found = []
-    for lo in range(0, len(ends), _CHUNK_ROWS):
-        chunk = ends[lo:lo + _CHUNK_ROWS]
-        a, b = rows[node_rows[chunk[:, 0]]], rows[node_rows[chunk[:, 1]]]
-        forward = _hockey_stick(a, b, e) - budget.delta
-        backward = _hockey_stick(b, a, e) - budget.delta
-        for i in np.nonzero((forward > DEFAULT_TOL) | (backward > DEFAULT_TOL))[0].tolist():
-            u, v = chunk[i].tolist()
-            found.append(((nodes[u], nodes[v]), float(forward[i]), float(backward[i])))
+    r = len(rows)
+    if r * r <= len(ends):
+        # In place, so at most two edge-length arrays are alive at once.
+        codes = node_rows[ends[:, 0]]
+        codes *= r
+        codes += node_rows[ends[:, 1]]
+        distinct = _distinct_codes(codes, r * r)
+        pairs = np.stack(np.divmod(distinct, r), axis=1)
+        bad, forward, backward = _failing_pairs(rows, np.arange(r), pairs, budget)
+        if len(bad):
+            # Each failing pair's place among the failures, -1 for a passing one.
+            slot = np.full(r * r, -1, dtype=np.intp)
+            slot[distinct[bad]] = np.arange(len(bad))
+            at = slot[codes]
+            bad = np.flatnonzero(at >= 0)
+            forward, backward = forward[at[bad]], backward[at[bad]]
+    else:
+        bad, forward, backward = _failing_pairs(rows, node_rows, ends, budget)
+    found = [
+        ((nodes[u], nodes[v]), f, b)
+        for (u, v), f, b in zip(ends[bad].tolist(), forward.tolist(), backward.tolist())
+    ]
     violations = []
     for edge, *margins in sorted(found, key=lambda f: f[0]):
         for direction, margin in zip((edge, edge[::-1]), margins):

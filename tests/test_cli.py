@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 import rainbowdp as r
-from helpers import child_env, mechanism_of, random_dense_graph, rng, striped_grid_text, tailed_grid_text
+from helpers import (
+    child_env,
+    mechanism_of,
+    random_dense_graph,
+    random_simplex,
+    rng,
+    striped_grid_text,
+    tailed_grid_text,
+    verify_dp_reference,
+)
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
@@ -735,6 +744,31 @@ def test_cmd_build_and_verify_round_trip(tmp_path, capsys):
     code = main(["verify", str(FIXTURES / "path5.graph"), str(out), "--e-epsilon", "2"])
     assert code == 0
     assert "valid" in capsys.readouterr().out
+
+
+def test_cmd_verify_prints_every_violation_of_a_tampered_grid_mechanism(tmp_path, capsys):
+    # The grid's optimum has far fewer rows than edges, so verify checks
+    # each distinct (row, row) pair once; the tampered lines add rows, and
+    # every violation they cause is printed, in the reference's order.
+    text = striped_grid_text(20, 3, 4, seed=5, spread=0.02)
+    graph_file, out = tmp_path / "grid.graph", tmp_path / "m.csv"
+    graph_file.write_text(text)
+    budget = ["--epsilon", "0.4", "--delta", "0.001"]
+    assert main(["build", str(graph_file), "--out", str(out), *budget]) == 0
+    lines = out.read_text().splitlines()
+    g = rng(61)
+    for i in (5, 77, 160, 301):
+        name = lines[i].partition(",")[0]
+        lines[i] = ",".join([name, *map(repr, random_simplex(g, 4).p)])
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(graph_file), str(out), *budget]) == 2
+    graph = parse_graph_file(text).graph
+    mech = parse_mechanism_csv(out.read_text(), graph)
+    assert len(mech.rows) ** 2 <= len(graph.edge_ends)
+    report = verify_dp_reference(graph, mech, r.PrivacyBudget(0.4, 0.001))
+    assert report.violations
+    assert capsys.readouterr().out == "".join(cli_main._violation_line(v) + "\n" for v in report.violations)
 
 
 def test_cmd_build_rejects_non_close_boundary(tmp_path, capsys):

@@ -400,14 +400,30 @@ def _naive_topology(graph):
     return regions, sorted(pairs, key=lambda pr: (pr[0].order, pr[1].order))
 
 
+def _rainbow_per_node_path(n: int, q: int = 4) -> r.RainbowGraph:
+    # A path whose every node has its own rainbow: n - 1 cross edges.
+    space = r.ColorSpace(tuple(f"c{i}" for i in range(1, q + 1)))
+    nodes = tuple(f"p{i}" for i in range(n))
+    rainbows = distinct_rainbows(rng(9), q, n)
+    return r.RainbowGraph(nodes, zip(nodes, nodes[1:]), dict(zip(nodes, rainbows)), space)
+
+
 def test_topology_matches_definition():
     g = rng(22)
-    graphs = [path5_graph(), r.pentagon_graph(), triangle_graph()[0]]
+    graphs = [path5_graph(), r.pentagon_graph(), triangle_graph()[0], _rainbow_per_node_path(8)]
     graphs += [random_solvable_graph(g, max_nodes=25) for _ in range(10)]
     graphs += [random_dense_graph(g) for _ in range(5)]
     dense = graphs[-1]
     reversed_edges = [(b, a) for a, b in sorted(dense.edges)]
     graphs.append(r.RainbowGraph(dense.nodes, reversed_edges, dense.preference, dense.color_space))
+    # adjacent_pairs sorts the pair codes of the cross edges when the k
+    # rainbows have k * k > cross edges, and flags them in a table of
+    # k * k entries otherwise: the graphs reach both sides.
+    sides = set()
+    for graph in graphs:
+        joined = graph.rainbow_ids[graph.edge_ends]
+        sides.add(len(graph.rainbows()) ** 2 <= int((joined[:, 0] != joined[:, 1]).sum()))
+    assert sides == {False, True}
     for graph in graphs:
         # The integer view agrees with the string views.
         nodes = graph.nodes

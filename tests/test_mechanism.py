@@ -11,6 +11,7 @@ from rainbowdp.mechanism import _prefix_curve, _t_step_prefix_rows
 from helpers import (
     boundary_line_mechanisms,
     boundary_map,
+    distinct_rainbows,
     mechanism_of,
     path5_bc,
     path5_graph,
@@ -267,6 +268,30 @@ def test_validate_boundary_condition():
 
     bad = r.BoundaryCondition({b: sv(0.4, 0.2, 0.4), red: sv(0.7, 0.05, 0.25)})
     assert r.validate_boundary_condition(graph, bad, budget) == ((b, red),)
+
+
+def test_validate_boundary_condition_returns_the_failing_pairs_in_order():
+    # Boundary vectors drawn at random distances from a common base: some
+    # adjacent pairs are close and some are not, on a graph where the pairs
+    # are sorted (one rainbow per path node) and on one where they are
+    # flagged in a table.
+    g = rng(37)
+    base = np.array(random_simplex(g, 4).p)
+    space = r.ColorSpace(("c1", "c2", "c3", "c4"))
+    nodes = tuple(f"p{i}" for i in range(8))
+    rainbows = dict(zip(nodes, distinct_rainbows(g, 4, len(nodes))))
+    path = r.RainbowGraph(nodes, zip(nodes, nodes[1:]), rainbows, space)
+    budget = r.PrivacyBudget(0.4, 0.01)
+    for graph in (path, random_dense_graph(g, n_rainbows=6, q=4)):
+        bc = r.BoundaryCondition({
+            c: r.SimplexVector(tuple(base + g.uniform() * (np.array(random_simplex(g, 4).p) - base)))
+            for c in graph.rainbows()
+        })
+        want = tuple(
+            (ca, cb) for ca, cb in graph.adjacent_pairs if not r.is_close(bc.values[ca], bc.values[cb], budget)
+        )
+        assert 0 < len(want) < len(graph.adjacent_pairs)
+        assert r.validate_boundary_condition(graph, bc, budget) == want
 
 
 def test_validate_boundary_condition_missing_rainbow():

@@ -51,6 +51,7 @@ from helpers import (
     reference_mix_until_close,
     rng,
     split_path,
+    striped_grid_text,
     utility_eval_reference,
     verify_dp_reference,
 )
@@ -742,9 +743,55 @@ def test_verify_dp_equals_per_edge_reference(seed):
     )
     assignment[isolated] = r.SimplexVector((1.0,) + (0.0,) * (q - 1))
     perturbed = mechanism_of(graph, assignment)
+    # One row per node: more row pairs than edges, so verify_dp checks edge by edge.
+    assert len(perturbed.rows) ** 2 > len(graph.edge_ends)
     assert _violation_bits(r.verify_dp(graph, perturbed, budget)) == _violation_bits(
         verify_dp_reference(graph, perturbed, budget)
     )
+
+
+def _mixed_rows(g: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    # Mixing some rows toward random ones, with weights from 1e-14 to 1,
+    # puts margins on both sides of the tolerance.
+    rows = rows.copy()
+    for i in range(len(rows)):
+        if g.random() < 0.3:
+            lam = 10.0 ** g.uniform(-14.0, 0.0)
+            rows[i] = (1.0 - lam) * rows[i] + lam * np.array(random_simplex(g, rows.shape[1]).p)
+    return rows
+
+
+def _shared_row_cases(g: np.random.Generator) -> list[tuple[r.RainbowGraph, r.Mechanism, r.PrivacyBudget]]:
+    """Optima on a striped grid and on few-row dense graphs, each with its
+    shared rows kept, some of them mixed toward random rows, and with one
+    node moved to the row of a node of another rainbow."""
+    gf = parse_graph_file(striped_grid_text(16, 3, 4, seed=7, spread=0.02))
+    cases = [(gf.graph, gf.boundary, r.PrivacyBudget(0.4, 0.001))]
+    for _ in range(3):
+        graph = random_dense_graph(g, n_rainbows=3, tail_len=3)
+        budget = random_budget(g)
+        cases.append((graph, random_homogeneous_bc(g, graph, budget), budget))
+    out = []
+    for graph, bc, budget in cases:
+        mech = r.optimal_mechanism(graph, bc, budget)
+        node_rows = mech.node_rows.copy()
+        ids = graph.rainbow_ids
+        node_rows[np.flatnonzero(ids != ids[0])[0]] = node_rows[0]
+        rows = _mixed_rows(g, mech.rows)
+        out.append((graph, r.Mechanism(rows, node_rows, graph.nodes, graph.color_space), budget))
+    return out
+
+
+def test_verify_dp_on_shared_rows_equals_per_edge_reference():
+    # At most as many row pairs as edges: verify_dp checks each distinct
+    # (row, row) pair once and hands its margins to the pair's edges.
+    found = 0
+    for graph, mech, budget in _shared_row_cases(rng(53)):
+        assert len(mech.rows) ** 2 <= len(graph.edge_ends)
+        got = r.verify_dp(graph, mech, budget)
+        assert _violation_bits(got) == _violation_bits(verify_dp_reference(graph, mech, budget))
+        found += len(got.violations)
+    assert found
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3])
@@ -763,14 +810,13 @@ def test_chunk_edges_leave_rows_and_verdicts_unchanged(monkeypatch, chunk_rows):
         mech = r.optimal_mechanism(graph, bc, budget)
         assert mech.node_rows.tolist() == want.node_rows.tolist()
         assert [x.hex() for x in mech.rows.ravel().tolist()] == [x.hex() for x in want.rows.ravel().tolist()]
-        # Mixing some rows toward random ones puts margins on both sides of
-        # the tolerance, so the chunks hold violations.
-        rows = mech.rows.copy()
-        for i in range(len(rows)):
-            if g.random() < 0.3:
-                lam = 10.0 ** g.uniform(-14.0, 0.0)
-                rows[i] = (1.0 - lam) * rows[i] + lam * np.array(random_simplex(g, rows.shape[1]).p)
-        mixed = r.Mechanism(rows, mech.node_rows, graph.nodes, graph.color_space)
+        # Mixed rows put violations in the chunks.
+        mixed = r.Mechanism(_mixed_rows(g, mech.rows), mech.node_rows, graph.nodes, graph.color_space)
+        assert _violation_bits(r.verify_dp(graph, mixed, budget)) == _violation_bits(
+            verify_dp_reference(graph, mixed, budget)
+        )
+    # Chunks of distinct row pairs, on the table side of verify_dp.
+    for graph, mixed, budget in _shared_row_cases(rng(53)):
         assert _violation_bits(r.verify_dp(graph, mixed, budget)) == _violation_bits(
             verify_dp_reference(graph, mixed, budget)
         )
