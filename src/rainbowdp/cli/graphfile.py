@@ -131,34 +131,35 @@ def _parse_bytes(text: str) -> GraphFile | None:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     view = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
-    stops = np.flatnonzero(buf == ord("\n")).astype(np.int32)
-    starts, stops = stops[:-1] + 1, stops[1:]
-    spaces = np.flatnonzero(buf == ord(" ")).astype(np.int32)
-    # No token is empty: no space is followed by a space or an LF, the
-    # only bytes taken that are not above a space.
-    if (buf[spaces + 1] <= ord(" ")).any():
+    # Spaces and LFs, the only bytes taken that are not above a space. No
+    # token is empty: no two separators are adjacent.
+    seps = np.flatnonzero(buf <= ord(" ")).astype(np.int32)
+    if np.diff(seps).min() == 1:
         return None
-    # Each line's first space, as an index into spaces, and its number of spaces.
-    first = np.searchsorted(spaces, starts)
-    count = np.diff(first, append=len(spaces))
-    kind = buf[starts]
-    node, edge = kind == ord("n"), kind == ord("e")
-    node_starts, edge_starts = starts[node], starts[edge]
-    # A prefix read past a short line meets its LF and fails. Then each
-    # line's start moves to its first field.
-    for line_starts, prefix in ((node_starts, b"node "), (edge_starts, b"edge ")):
-        if (_words(view, line_starts, line_starts + 5, 1)[1] >> 24 != int.from_bytes(prefix, "big")).any():
-            return None
-        line_starts += 5
-    if len(node_starts) == 0 or (count[node] != space.q + 1).any() or (count[edge] != 2).any():
+    # After the first line, line i ends at the LF seps[lf[i + 1]], and its
+    # count[i] spaces are the separators from seps[first[i]] up to it.
+    lf = np.flatnonzero(buf[seps] == ord("\n")).astype(np.int32)
+    starts, stops = seps[lf[:-1]] + 1, seps[lf[1:]]
+    first, count = lf[:-1] + 1, np.diff(lf) - 1
+    # Each line's first 5 bytes, from the word at its start. A word read
+    # past a short line holds its LF and fails. A line in the last 7 bytes
+    # reads the file's last word, which holds the LF before that line in
+    # its first 5 bytes: past them, the LF would follow the prefix's space
+    # or precede the final LF.
+    prefix = view[np.minimum(starts, len(view) - 1)] >> 24
+    node, edge = prefix == int.from_bytes(b"node ", "big"), prefix == int.from_bytes(b"edge ", "big")
+    del prefix
+    if not node.any() or (count[node] != space.q + 1).any() or (count[edge] != 2).any():
         return None
+    # Each line's start moves to its first field.
+    node_starts, edge_starts = starts[node] + 5, starts[edge] + 5
     # "node <id> <rainbow>" and "edge <a> <b>": each line's second space
     # ends its first field.
-    id_stops, mid = spaces[first[node] + 1], spaces[first[edge] + 1]
+    id_stops, mid = seps[first[node] + 1], seps[first[edge] + 1]
     text_starts, text_stops = id_stops + 1, stops[node]
     ends = [(edge_starts, mid), (mid + 1, stops[edge])]
     others = list(zip(starts[~(node | edge)].tolist(), stops[~(node | edge)].tolist()))
-    del starts, stops, spaces, first, count, kind, node, edge
+    del starts, stops, seps, lf, first, count, node, edge
     # No name is as long as an endpoint with more words than any name.
     width = max(int((b - a).max(initial=0)) for a, b in [(node_starts, id_stops), *ends])
     words, key = _words(view, node_starts, id_stops, (width + 7) // 8)
@@ -195,12 +196,15 @@ def _parse_bytes(text: str) -> GraphFile | None:
     boundary: dict[Rainbow, SimplexVector] = {}
     try:
         spans = zip(text_starts[first].tolist(), text_stops[first].tolist())
-        rainbows = [_rainbow_from_names(0, text[a:b].split(" "), space) for a, b in spans]
+        labels = [text[a:b].split(" ") for a, b in spans]
+        rainbows = [_rainbow_from_names(0, colors, space) for colors in labels]
+        # A boundary label that a node line spells takes that line's Rainbow.
+        known = dict(zip(map(",".join, labels), rainbows))
         for a, b in others:
             tokens = text[a:b].split(" ")
             if tokens[0] != "boundary" or len(tokens) != 2 + space.q:
                 return None
-            rainbow = _rainbow_from_names(0, tokens[1].split(","), space)
+            rainbow = known.get(tokens[1]) or _rainbow_from_names(0, tokens[1].split(","), space)
             if rainbow in boundary:
                 return None
             boundary[rainbow] = SimplexVector(tuple(_parse_probability(0, t) for t in tokens[2:]))

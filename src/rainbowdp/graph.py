@@ -80,8 +80,10 @@ class RainbowGraph:
     the node ids in name order (a reader may hand it over), `rim`, a bool
     mask of the boundary node ids, `adjacent_pairs`, the rainbow pairs
     joined by an edge, in rainbow order, and `search`, the boundary
-    search. They, rainbow_ids and edge_ends are read-only, so no write
-    can move the cached topology away from the graph it was read from.
+    search. `rim` and `adjacent_pairs` come from one pass over the edges,
+    `_cross`, which also keeps the pairs as rainbow ids. They, rainbow_ids
+    and edge_ends are read-only, so no write can move the cached topology
+    away from the graph it was read from.
     """
 
     def __init__(
@@ -187,36 +189,41 @@ class RainbowGraph:
         return dict(zip(self.nodes, map(self._rainbows.__getitem__, self.rainbow_ids.tolist())))
 
     @cached_property
-    def rim(self) -> np.ndarray:
-        ends = self.edge_ends
-        joined = self.rainbow_ids[ends]
+    def _cross(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rim, pair_ids) from one pass over the cross-class edges: the rim
+        mask, and the distinct (lo, hi) rainbow id pairs they join, one row
+        each in rainbow order, found through a table of k * k flags when the
+        k rainbows have k * k <= cross edges, else by sorting pair codes."""
+        ends, ids, k = self.edge_ends, self.rainbow_ids, len(self._rainbows)
+        # Each column on its own: a pick from 1-D arrays is several times
+        # quicker than one of 2-column rows.
+        a, b = ends[:, 0], ends[:, 1]
+        ra, rb = ids[a], ids[b]
+        cross = np.flatnonzero(ra != rb)
         rim = np.zeros(len(self.nodes), dtype=bool)
-        rim[ends[joined[:, 0] != joined[:, 1]].ravel()] = True
-        rim.flags.writeable = False
-        return rim
-
-    @cached_property
-    def adjacent_pairs(self) -> tuple[tuple[Rainbow, Rainbow], ...]:
-        """The distinct (lo, hi) rainbow pairs of the cross-class edges, in
-        rainbow order: through a table of k * k flags when the k rainbows
-        have k * k <= cross edges, else by sorting the edges' pair codes."""
-        rainbows = self._rainbows
-        # Rainbow ids follow rainbow order, so pair codes come in rainbow order.
-        k = len(rainbows)
-        a, b = self.rainbow_ids[self.edge_ends].T
-        # The cross edges' ends, picked column by column: a boolean pick of
-        # 1-D arrays is several times quicker than one of 2-column rows.
-        cross = a != b
-        a, b = a[cross], b[cross]
+        rim[a[cross]] = rim[b[cross]] = True
         # One code lo * k + hi per unordered pair, sorting as the (lo, hi)
-        # pairs do; built in place in the picked copy, so fewer edge-length
-        # arrays are alive at once.
-        hi = np.maximum(a, b)
-        codes = np.minimum(a, b, out=a)
+        # pairs do, since rainbow ids follow rainbow order; built in place in
+        # the picked copy, so fewer edge-length arrays are alive at once.
+        ra, rb = ra[cross], rb[cross]
+        hi = np.maximum(ra, rb)
+        codes = np.minimum(ra, rb, out=ra)
         codes *= k
         codes += hi
         codes = _distinct_codes(codes, k * k)
-        return tuple((rainbows[code // k], rainbows[code % k]) for code in codes.tolist())
+        pair_ids = np.stack((codes // k, codes % k), axis=1)
+        for array in (rim, pair_ids):  # shared by every reader of the cache
+            array.flags.writeable = False
+        return rim, pair_ids
+
+    @cached_property
+    def rim(self) -> np.ndarray:
+        return self._cross[0]
+
+    @cached_property
+    def adjacent_pairs(self) -> tuple[tuple[Rainbow, Rainbow], ...]:
+        rainbows = self._rainbows
+        return tuple((rainbows[a], rainbows[b]) for a, b in self._cross[1].tolist())
 
     @cached_property
     def search(self) -> tuple[np.ndarray, ...]:
@@ -348,11 +355,7 @@ def build_boundary_graph(graph: RainbowGraph) -> BoundaryGraph:
     # edge per adjacent rainbow pair, each row turned so that its first
     # node's name sorts first.
     links = np.flatnonzero(row_rainbow[:-1] == row_rainbow[1:])
-    rank = {c: k for k, c in enumerate(rainbows)}
-    heads = [(starts[rank[ca]], starts[rank[cb]]) for ca, cb in graph.adjacent_pairs]
-    pairs = np.concatenate((
-        np.stack((links, links + 1), axis=1), np.array(heads, dtype=np.intp).reshape(-1, 2)
-    ))
+    pairs = np.concatenate((np.stack((links, links + 1), axis=1), starts[graph._cross[1]]))
     a, b = (map(names.__getitem__, col) for col in pairs.T.tolist())
     turned = np.fromiter(map(operator.gt, a, b), dtype=bool, count=len(pairs))
     pairs[turned] = pairs[turned, ::-1]

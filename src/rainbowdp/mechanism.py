@@ -349,12 +349,11 @@ def validate_boundary_condition(
     if missing:
         raise MissingRainbow(missing, graph.color_space)
     pairs, q = graph.adjacent_pairs, graph.color_space.q
-    # One boundary row per rainbow id, gathered on both sides of each pair;
-    # a rainbow with no vector has no rim node, so it is in no pair.
+    # One boundary row per rainbow id, gathered on both sides of each pair
+    # by its rainbow ids; a rainbow with no vector has no rim node, so it is
+    # in no pair.
     table = np.array([bc.values[c].p if c in bc.values else (0.0,) * q for c in rainbows]).reshape(-1, q)
-    rank = dict(zip(rainbows, range(len(rainbows))))
-    ids = np.array([rank[c] for pair in pairs for c in pair], dtype=np.intp)
-    a, b = table[ids[0::2]], table[ids[1::2]]
+    a, b = table[graph._cross[1].T]
     e, bound = budget.exp_epsilon, budget.delta + DEFAULT_TOL
     close = (_hockey_stick(a, b, e) <= bound) & (_hockey_stick(b, a, e) <= bound)
     return tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)

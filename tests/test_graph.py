@@ -416,6 +416,12 @@ def test_topology_matches_definition():
     dense = graphs[-1]
     reversed_edges = [(b, a) for a, b in sorted(dense.edges)]
     graphs.append(r.RainbowGraph(dense.nodes, reversed_edges, dense.preference, dense.color_space))
+    # No edge, no cross edge, and only cross edges.
+    space = r.ColorSpace(("x", "y", "z"))
+    c1, c2 = r.Rainbow((0, 1, 2)), r.Rainbow((2, 0, 1))
+    pref = {"a": c1, "b": c1, "c": c2, "d": c2, "e": c2}
+    for edges in ([], [("a", "b"), ("c", "d"), ("d", "e")], [(u, v) for u in "ab" for v in "cde"]):
+        graphs.append(r.RainbowGraph("abcde", edges, pref, space))
     # adjacent_pairs sorts the pair codes of the cross edges when the k
     # rainbows have k * k > cross edges, and flags them in a table of
     # k * k entries otherwise: the graphs reach both sides.
@@ -438,6 +444,13 @@ def test_topology_matches_definition():
         assert regions_of(graph) == regions
         assert list(adjacent_pairs) == pairs
         assert graph.adjacent_pairs is adjacent_pairs
+        # Either read first fills both from the one pass, which caches them.
+        for names in (("rim", "adjacent_pairs"), ("adjacent_pairs", "rim")):
+            fresh = r.RainbowGraph.from_ids(nodes, graph.rainbow_ids, graph.rainbows(), graph.edge_ends, graph.color_space)
+            got = {name: getattr(fresh, name) for name in names}
+            assert all(getattr(fresh, name) is value for name, value in got.items())
+            assert got["adjacent_pairs"] == adjacent_pairs
+            assert got["rim"].tolist() == graph.rim.tolist()
 
 
 def _full_bfs_distances(graph, regions):

@@ -42,6 +42,9 @@ def test_pinned_outputs_hold_under_three_hash_seeds(request):
             passed = re.search(r"(\d+) passed", out)
             assert passed and int(passed.group(1)) >= MIN_SELECTED, (seed, out)
     finally:
+        # A failure leaves the other children running with open pipes;
+        # an unclosed pipe would fail a later test under the GC's warning.
         for child in children:
             child.kill()
             child.wait()
+            child.stdout.close()

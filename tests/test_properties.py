@@ -559,7 +559,7 @@ MUTATIONS = (
     "comment", "no-final-newline", "self-loop", "unknown-color", "duplicate-node",
     "undeclared-node", "malformed-probability", "not-a-permutation", "short-boundary",
     "sum", "duplicate-edge", "first-directive", "colors-twice", "unknown-directive",
-    "comma-in-color", "comma-in-node", "duplicate-boundary",
+    "comma-in-color", "comma-in-node", "duplicate-boundary", "leading-space", "short-last-line",
 )
 
 
@@ -598,6 +598,13 @@ def _mutate(lines: list[str], kind: str, k: int, gf: GraphFile) -> None:
     elif kind in ("tab", "double-space", "trailing-space"):
         i = k % len(lines)
         lines[i] = lines[i] + " " if kind == "trailing-space" else lines[i].replace(" ", "\t" if kind == "tab" else "  ", 1)
+    elif kind == "leading-space":
+        i = k % len(lines)
+        lines[i] = " " + lines[i]
+    elif kind == "short-last-line":
+        # At most 7 bytes with its LF: the bulk reader reads its prefix
+        # from the file's last word.
+        lines.append(("e a", "n", "e a b", "node x")[k % 4])
     elif kind == "first-directive":
         lines[:2] = lines[1::-1]
     elif kind == "comma-in-color":
@@ -655,6 +662,19 @@ def test_the_last_token_of_the_file_is_read_from_its_last_bytes(longest):
     gf = graphfile._parse_bytes(text)
     assert gf is not None
     assert _read_graph(lambda _: gf, text) == _read_graph(graphfile._parse_lines, text)
+
+
+@pytest.mark.parametrize("text", [
+    "colors a b\n node x a b\nnode y b a\nedge x y\n",
+    "colors a b\nnode x a b\nnode y b a\nedge x y\ne a\n",
+    "colors a b\nnode x a b\nnode y b a\nedge x y\n\n",
+])
+def test_the_separator_scan_sends_empty_tokens_and_short_lines_to_the_line_reader(text):
+    # A leading space, a short last line (its prefix read from the file's
+    # last word) and a blank last line: two adjacent separators or a bad
+    # prefix, so the bulk reader declines and the line reader decides.
+    assert graphfile._parse_bytes(text) is None
+    assert _read_graph(parse_graph_file, text) == _read_graph(graphfile._parse_lines, text)
 
 
 def test_a_shared_key_sends_the_file_to_the_line_reader(monkeypatch):
