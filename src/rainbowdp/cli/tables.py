@@ -2,9 +2,13 @@
 
 Mechanism CSV cells are written as repr(float), the shortest decimal
 that reads back as the same float, so parsing a written mechanism gives
-it back bit for bit. Trajectory CSVs, and the numbers the CLI prints,
-use fmt: 12 significant digits. Lines end in LF, so identical
-invocations produce byte-identical files.
+it back bit for bit. Each slice of distinct rows is formatted by one %
+call with a %r per cell, and each block of distinct row texts is read
+by numpy's C reader (np.loadtxt), which parses a cell with the routine
+float() uses; float() stays the reference, and reads, cell by cell, a
+block numpy rejects, so it gives every parse error. Trajectory CSVs,
+and the numbers the CLI prints, use fmt: 12 significant digits. Lines
+end in LF, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -25,8 +29,11 @@ from ..mechanism import Mechanism, _node_rows
 # Text, or a text file, is split into lines this many characters at a time
 # (cut after a newline), so a parser never holds every line of a large file.
 _BLOCK_CHARS = 1 << 16
-# Distinct mechanism rows are joined and read this many at a time.
+# Distinct mechanism rows are read this many at a time, and formatted
+# _ROWS_PER_FORMAT at a time: a format slice's text is held whole, and the
+# smaller slice kept deep-path's bench peak RSS from rising.
 _ROWS_PER_READ = 4096
+_ROWS_PER_FORMAT = 512
 # The most (t, k) cells of a trajectory, one CSV line each: `trajectory`
 # refuses to write more and `plot` to read more.
 MAX_TRAJECTORY_CELLS = 1 << 17
@@ -74,12 +81,15 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
 def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
     """The header, then one row per node, _ROWS_PER_READ a block, in
     graph.name_order: repr(float) cells in canonical color order. Each row
-    of mech.rows is formatted once, a slice at a time; a mechanism not on
-    the graph's nodes and colors raises ValueError."""
+    of mech.rows is formatted once, by one % call per slice; a mechanism
+    not on the graph's nodes and colors raises ValueError."""
     nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
     rows = mech.rows + 0.0  # turns -0.0 into 0.0, as fmt does
-    slices = (rows[lo:lo + _ROWS_PER_READ].tolist() for lo in range(0, len(rows), _ROWS_PER_READ))
-    cells = ["," + ",".join(map(repr, row)) + "\n" for row in chain.from_iterable(slices)]
+    line = "," + ",".join(["%r"] * rows.shape[1]) + "\n"
+    cells: list[str] = []
+    for lo in range(0, len(rows), _ROWS_PER_FORMAT):
+        part = rows[lo:lo + _ROWS_PER_FORMAT]
+        cells += (line * len(part) % tuple(part.ravel().tolist())).splitlines(True)
     yield "node," + ",".join(graph.color_space.colors) + "\n"
     order = graph.name_order
     for lo in range(0, len(order), _ROWS_PER_READ):
@@ -87,6 +97,22 @@ def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
         for i in order[lo:lo + _ROWS_PER_READ].tolist():
             parts += (nodes[i], cells[node_rows[i]])
         yield "".join(parts)
+
+
+def _read_cells(cells: array, block: list[str], q: int) -> None:
+    """Append the q cells of each row text of block to cells, as float()
+    reads them. numpy's C reader reads the block in one call; a block it
+    rejects or reads to another shape (a cell with '_' or non-ASCII
+    digits, which only float() takes) is read by float() cell by cell,
+    whose ValueError leaves the cells before the bad one appended."""
+    try:
+        read = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        read = None
+    if read is not None and read.shape == (len(block), q):
+        cells.frombytes(read.tobytes())
+    else:
+        cells.extend(map(float, ",".join(block).split(",")))
 
 
 def _first_nodes(names: list[str]) -> str:
@@ -172,9 +198,9 @@ def parse_mechanism_csv(source: str | TextIO, graph: RainbowGraph) -> Mechanism:
     texts = iter(row_ids)
     try:
         while block := list(islice(texts, _ROWS_PER_READ)):
-            cells_read.extend(map(float, ",".join(block).split(",")))
+            _read_cells(cells_read, block, q)
     except ValueError as exc:
-        # extend keeps the cells read before the failing one.
+        # _read_cells keeps the cells read before the failing one.
         fault = f"line {first_line[len(cells_read) // q]}: {exc}"
     rows = np.frombuffer(cells_read, dtype=np.float64)[:len(cells_read) // q * q].reshape(-1, q)
     bad = _first_bad_row(rows)

@@ -494,25 +494,127 @@ def test_mechanism_csv_reports_the_first_failing_line(tmp_path):
 
 
 def test_mechanism_csv_parses_each_distinct_row_once(monkeypatch):
-    # 10,000 nodes share 3 row texts: the matrix has 3 rows, read with one
-    # float() call per cell of each distinct row, and every node's row is
-    # the float() of its own line's cells, bit for bit.
+    # 10,000 nodes share 3 row texts: the matrix has 3 rows, each distinct
+    # text is handed to the cell reader exactly once, and every node's row
+    # is the float() of its own line's cells, bit for bit.
     texts = ["0.5,0.25,0.25", "0.1,0.2,0.7", "1.0,0.0,0.0"]
     n = 10_000
     text = "node,a,b,c\n" + "".join(f"n{i},{texts[i % 3]}\n" for i in range(n))
-    calls = []
+    read = []
+    read_cells = tables._read_cells
 
-    def counted_float(cell):
-        calls.append(cell)
-        return float(cell)
+    def counted_read(cells, block, q):
+        read.extend(block)
+        read_cells(cells, block, q)
 
-    monkeypatch.setattr(tables, "float", counted_float, raising=False)
+    monkeypatch.setattr(tables, "_read_cells", counted_read)
     mech = parse_mechanism_csv(text, _bare_graph(("a", "b", "c"), [f"n{i}" for i in range(n)]))
     assert mech.rows.shape == (3, 3)
-    assert len(calls) == 9
+    assert sorted(read) == sorted(texts)
     for i in range(n):
         want = np.array([float(x) for x in texts[i % 3].split(",")])
         assert mech.rows[mech.node_rows[i]].tobytes() == want.tobytes()
+
+
+def _float_only_read(cells, block, q):
+    # The reference cell reader: float() on every cell.
+    cells.extend(map(float, ",".join(block).split(",")))
+
+
+def _parse_outcome(text: str, graph: r.RainbowGraph):
+    # The parsed rows and row ids as bytes, or the error message.
+    try:
+        mech = parse_mechanism_csv(text, graph)
+    except ValueError as exc:
+        return str(exc)
+    return mech.rows.tobytes(), mech.node_rows.tobytes()
+
+
+# Cells that numpy's reader and float() read alike, that only float()
+# reads, and that neither reads.
+_ODD_CELLS = [
+    " 0.5", "0.5 ", "+.5", "5.", "1E-5", "\xa00.5",
+    "0.2_5", "\u0660.\u0665",
+    "nan", "-nan", "inf", "1e500",
+    "nan(123)", "0x1p-2", "0.5#1", "1.5.2", "",
+]
+
+
+def _row_with(cell: str, first: bool) -> str:
+    # A two-cell row text holding cell first or last; the other cell makes
+    # the sum 1 where float() reads cell inside [0, 1].
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    fill = repr(1.0 - value) if 0.0 <= value <= 1.0 else "0.5"
+    return f"{cell},{fill}" if first else f"{fill},{cell}"
+
+
+@pytest.mark.parametrize("odd", [*_ODD_CELLS, None], ids=[*map(repr, _ODD_CELLS), "empty-row"])
+def test_mechanism_csv_cells_read_as_float_reads_them(monkeypatch, odd):
+    # 5,000 distinct rows, two blocks of them: a row with the odd cell (or
+    # the row text ",") as the first, a middle and the last row of the first
+    # block, and as the file's last row, gives the rows, or the message and
+    # line, that float() on every cell gives.
+    n = 5000
+    names = [f"n{i}" for i in range(n)]
+    graph = _bare_graph(("1", "2"), names)
+    for k, at in enumerate((0, 2048, 4095, n - 1)):
+        rows = [f"{i / 8192!r},{1 - i / 8192!r}" for i in range(n)]
+        rows[at] = "," if odd is None else _row_with(odd, first=k % 2 == 0)
+        text = "node,1,2\n" + "".join(f"{name},{row}\n" for name, row in zip(names, rows))
+        got = _parse_outcome(text, graph)
+        with monkeypatch.context() as patched:
+            patched.setattr(tables, "_read_cells", _float_only_read)
+            assert got == _parse_outcome(text, graph)
+
+
+def test_mechanism_csv_repr_and_17_digit_cells_read_as_float_reads_them(monkeypatch):
+    # The same random rows written as repr and as %.17g read to the same
+    # bits, which are the float() of each cell.
+    q, n = 5, 5000
+    rows = rng(7).dirichlet(np.ones(q), n)
+    names = [f"n{i}" for i in range(n)]
+    graph = _bare_graph(tuple(map(str, range(q))), names)
+    got = []
+    for form in (repr, "%.17g".__mod__):
+        text = "node,0,1,2,3,4\n" + "".join(
+            f"{name}," + ",".join(map(form, row)) + "\n" for name, row in zip(names, rows.tolist())
+        )
+        got.append(_parse_outcome(text, graph))
+        with monkeypatch.context() as patched:
+            patched.setattr(tables, "_read_cells", _float_only_read)
+            assert got[-1] == _parse_outcome(text, graph)
+    assert got[0] == got[1] == (rows.tobytes(), np.arange(n, dtype=np.intp).tobytes())
+
+
+def _repr_reference_csv(graph: r.RainbowGraph, mech: r.Mechanism) -> str:
+    # Per cell repr, with -0.0 written as 0.0, one line per node in name order.
+    lines = ["node," + ",".join(graph.color_space.colors)]
+    for i in graph.name_order.tolist():
+        row = mech.rows[mech.node_rows[i]].tolist()
+        lines.append(graph.nodes[i] + "," + ",".join(repr(abs(x)) if x == 0 else repr(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_mechanism_csv_writes_each_cell_as_its_repr(q):
+    # Rows holding -0.0, subnormal and smallest normal cells, 1e-05 and
+    # 0.0001 (where repr changes notation), 0.0, 1.0, and random 17-digit
+    # cells, with row counts on both sides of the format slice length.
+    special = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 0.0, 1.0, 0.30000000000000004]
+    per_slice = tables._ROWS_PER_FORMAT
+    for count in (1, per_slice - 1, per_slice, per_slice + 1, 2 * per_slice + 3):
+        rows = rng(q * count).dirichlet(np.ones(q), count)
+        for i in range(0, count, 2):
+            v = special[i // 2 % len(special)]
+            rows[i] = -0.0
+            rows[i, i % q], rows[i, (i + 1) % q] = v, 1.0 - v
+        names = [f"n{i:05d}" for i in range(count)]
+        graph = _bare_graph(tuple(f"c{k}" for k in range(q)), names)
+        mech = r.Mechanism(rows, np.arange(count)[::-1], graph.nodes, graph.color_space)
+        assert mechanism_csv(graph, mech) == _repr_reference_csv(graph, mech)
 
 
 @pytest.mark.parametrize(
