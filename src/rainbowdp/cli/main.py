@@ -209,7 +209,7 @@ def cmd_fuzz(args) -> int:
     for name, low in (("trials", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, name) < low:
             raise ValueError(f"need {name} >= {low}")
-    # Each trial's samples are held at once, several arrays of them.
+    # A trial's draws, samples - 1 rows of q, are held at once.
     if args.samples > 65536:
         raise ValueError("need samples <= 65536")
     step_rows = _drop_delta_rows if args.mutant_drop_delta else None
@@ -276,12 +276,15 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_demo_no_optimal)
 
-    p = sub.add_parser("fuzz", help="randomized dominance falsification runs")
+    p = sub.add_parser("fuzz", help="check the operator's one-step claim on random start distributions")
     p.add_argument("--q", type=int, required=True, help="alphabet size, 2..12")
     p.add_argument("--trials", type=int, default=100, help="number of random start distributions")
     p.add_argument("--seed", type=int, default=0)
     _add_budget_flags(p, required=True)
-    p.add_argument("--samples", type=int, default=64, help="close samples tested per trial, 1..65536")
+    p.add_argument(
+        "--samples", type=int, default=64,
+        help="1..65536; lays out each block's draws, so a seed keeps its trials (each trial checks q witnesses)",
+    )
     p.add_argument("--mutant-drop-delta", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_fuzz)
 

@@ -1,27 +1,35 @@
-"""Independent verification oracles: exhaustive subset closeness, seeded
-sampling of close distributions, dominance falsification, and the
-pentagon demonstration that non-homogeneous boundary conditions can
-admit valid mechanisms but no optimal one.
+"""Independent verification oracles: exhaustive subset closeness, the
+dominance check on the lemma's witnesses, close samples mixed from those
+witnesses, and the pentagon demonstration that non-homogeneous boundary
+conditions can admit valid mechanisms but no optimal one.
 
-The falsifier works on a stack of trials at once: one rejection loop,
-one normalization, one operator step (t_step_rows) and one prefix check
-run on the stacked rows, and each trial reads only its own slice of the
-stack's draws, so a stack gives, bit for bit, what its trials give run
-alone on their slices. The rejection loop (_mix_until_close) halves
-each sample's mixing weight until the mix is close to p; after a few
-halvings it jumps each row still rejected to a lower bound on the count
-it needs, and its output is the bytes of trying every count in turn.
-sample_close and dominance_falsify are its one-trial case, and `fuzz`
-runs it on blocks of about _BLOCK_ROWS sample rows, checking as well
-that each trial's operator step is close to its p. The operator it
-tests is a function of a stack of rows: the real one, t_step_rows, or
-the deliberately corrupted _drop_delta_rows of its self-test.
+The dominance check. Let s_k be the k-th prefix of p in its preference
+order, S its top colors up to k and C the rest, and let
+
+    g(s) = min(1, e^eps s + delta, 1 - e^-eps (1 - s - delta)),
+
+the operator's own prefix map, as _t_step_prefix_rows computes it. Any u
+(eps, delta)-close to p has u(S) <= e^eps s_k + delta, by the subset S,
+and u(S) = 1 - u(C) <= 1 - e^-eps (1 - s_k - delta), by the subset C;
+so u(S) <= g(s_k). The witness w_k (_witnesses) attains that bound: it
+scales p on S by g/s_k (all of g on entry k when s_k = 0) and p on C by
+t/p(C), with t = 1 - g. As s_k <= g <= e^eps s_k + delta, w_k >= p on S
+with w_k(S) - e^eps p(S) <= delta; as e^eps t >= 1 - s_k - delta,
+w_k <= p on C with p(C) - e^eps w_k(C) <= delta; every other term of
+either hockey-stick sum is <= 0. So w_k is close to p, and an operator
+output dominates every distribution close to p exactly when its k-th
+prefix is at least g(s_k) for every k: checking the q witnesses is
+complete, and needs no search.
+
+The operator under test is a function of a stack of rows: the real one,
+t_step_rows, or the deliberately corrupted _drop_delta_rows of the
+self-test. `fuzz` checks blocks of trials at once (_fuzz): for each
+trial's p, that its real step is close to p, then the dominance check.
 
 All randomness flows through explicitly seeded generators: one
-numpy default_rng(seed) per sample_close or dominance_falsify call, and
-one default_rng((seed, first trial)) per fuzz block (_close_draws lays
-out what each trial reads). There is no global RNG state anywhere in
-this module.
+numpy default_rng(seed) per sample_close call, and one
+default_rng((seed, first trial)) per fuzz block. There is no global RNG
+state anywhere in this module.
 """
 
 from __future__ import annotations
@@ -58,10 +66,9 @@ from .mechanism import (
 
 _MAX_BRUTEFORCE_Q = 20
 
-# The falsifier runs trials in blocks of about this many sample rows, and
-# its rejection loop this many rows at a time: numpy's per-call cost is
-# paid once per block, and a block's arrays (384 KB each at q = 12, about
-# 4 MB in all) do not grow with the number of trials.
+# fuzz runs its trials in blocks of about this many rows of q draws:
+# numpy's per-call cost is paid once per block, and a block's draws
+# (384 KB at q = 12) do not grow with the number of trials.
 _BLOCK_ROWS = 1 << 12
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
@@ -99,216 +106,28 @@ def is_close_bruteforce(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudg
     return worst_pq <= bound and worst_qp <= bound
 
 
-def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    # Row i of pa is the p that row i of cand must be close to. Strict
-    # closeness (no tolerance slack) so the rows still pass is_close
-    # after construction-time renormalization.
-    e = budget.exp_epsilon
-    return (_hockey_stick(cand, pa, e) <= budget.delta) & (_hockey_stick(pa, cand, e) <= budget.delta)
-
-
-# The rejection loop tests halving counts 0 to _SCAN_HALVINGS of every
-# row in turn, then jumps each row still rejected (_resume_counts); a row
-# rejected at _MAX_HALVINGS is p. Rows that need a few halvings, as at
-# eps = 0.3, pay less for the scan than for the jump's bound.
-_SCAN_HALVINGS = 2
-_MAX_HALVINGS = 200
-
-
-def _mixed(pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """pr + lr dr, row by row: the same floats as the expression, in one
-    array instead of two (a fresh block-sized array costs more than the
-    arithmetic on it), written into out when given."""
-    out = np.multiply(lr[:, None], dr, out=out)
-    out += pr
-    return out
-
-
-def _resume_counts(
-    pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, budget: PrivacyBudget
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weight and halving count at which the rejection loop resumes
-    each of its rows rejected at every count up to _SCAN_HALVINGS: row i
-    mixes pr[i] along dr[i] = u - p, with weight lr[i] at count
-    k0 = _SCAN_HALVINGS + 1.
-
-    With t the weight and D_i = delta + (e^eps - 1) p_i, the mix p + t d
-    has the forward term t d_i - (e^eps - 1) p_i at entry i and the
-    backward term -e^eps t d_i - (e^eps - 1) p_i, so it is rejected by
-    entry i alone once t s_i > D_i, s_i = max(d_i, -e^eps d_i). In real
-    arithmetic every count below k_b = k0 + ceil(log2(lr max_i s_i / D_i))
-    is rejected. The candidate at k_b - 1 is tested once: rejected, the
-    row resumes at k_b; accepted (the bound was off by rounding), at k0.
-    k_b is capped at _MAX_HALVINGS, and rows whose bound gains nothing
-    resume at k0."""
-    k0 = _SCAN_HALVINGS + 1
-    e = budget.exp_epsilon
-    # 0/0 (an entry where u = p and D = 0) is nan, which fmax skips; a
-    # row of them has a nan bound, which compares False below.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = dr * -e
-        np.maximum(s, dr, out=s)
-        den = pr * (e - 1.0)
-        den += budget.delta
-        s /= den
-        # fmax column by column: a reduce along rows of q entries is slow.
-        reach = s[:, 0].copy()
-        for column in s.T[1:]:
-            np.fmax(reach, column, out=reach)
-        kb = k0 + np.ceil(np.log2(lr * reach))
-    i = np.flatnonzero(kb >= k0 + 2)
-    kb = np.minimum(kb[i], _MAX_HALVINGS).astype(np.intp)
-    lb = np.ldexp(lr[i], k0 - kb)
-    rejected = ~_accept_mask(_mixed(pr[i], dr[i], 2.0 * lb), pr[i], budget)
-    i = i[rejected]
-    k = np.full(len(pr), k0)
-    lr[i], k[i] = lb[rejected], kb[rejected]
-    return lr, k
-
-
-def _mix_until_close(
-    pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Row i mixes pa[i] toward a draw u, along d[i] = u - pa[i], with
-    weight lam[i] 2^-k, for the smallest halving count k from 0 to
-    _MAX_HALVINGS at which the mix pa[i] + lam[i] 2^-k d[i] is close to
-    pa[i]; a row rejected at every count is pa[i]. Each round recomputes
-    only the rows still rejected, which it keeps in scratch, a
-    (3, len(pa), q) array. The rows are written into out.
-
-    Phase 1 tests counts 0 to _SCAN_HALVINGS of every row in turn.
-    Phase 2 moves each row still rejected to a lower bound on its first
-    accepted count (_resume_counts) and scans on from there. The bits
-    are those of scanning every count from 0, because acceptance is
-    monotone in k in floats, for e^eps >= 1:
-    - a forward term fl(c_i - fl(e^eps p_i)) can be positive only where
-      d_i > 0 (elsewhere c_i <= p_i <= fl(e^eps p_i)), and there c_i,
-      so the term, does not grow with k;
-    - a backward term fl(p_i - fl(e^eps c_i)) can be positive only where
-      d_i < 0, and there c_i does not shrink with k;
-    - fl is monotone, and so is a left-to-right sum of non-negative
-      terms, so neither excess grows with k.
-    So one rejection at a count rules out every smaller count. And each
-    candidate is the float the scan builds: d is the float u - p that
-    each round of the scan takes, and lam 2^-k is exact, by np.ldexp or
-    by repeated halving, since lam is 0 or, drawn by random(), at least
-    2^-53, so lam 2^-_MAX_HALVINGS is still a normal float."""
-    cand = _mixed(pa, d, lam, out)
-    # The rows still rejected, compacted: their indices into cand, their
-    # p, u - p, weight and latest candidate; in phase 2, also the
-    # halving count k of each one's candidate. Rows are gathered with
-    # take from pa and d into the head of scratch, which is several
-    # times faster than a boolean mask on them. At round r every row's
-    # count is at least r, so by round _MAX_HALVINGS every row is
-    # accepted or spent.
-    rows, pr, dr, lr, cr = np.arange(len(cand)), pa, d, lam, cand
-    for r in range(_MAX_HALVINGS + 1):
-        ok = _accept_mask(cr, pr, budget)
-        if r > _SCAN_HALVINGS:
-            # A row rejected at the last count is p.
-            spent = ~ok & (k == _MAX_HALVINGS)
-            cr[spent] = pr[spent]
-            ok |= spent
-        # cand already holds round 0's candidates.
-        if r:
-            i = np.flatnonzero(ok)
-            cand[rows[i]] = cr.take(i, axis=0)
-        i = np.flatnonzero(~ok)
-        if not i.size:
-            break
-        rows, lr = rows[i], lr[i] * 0.5
-        pr = np.take(pa, rows, axis=0, out=scratch[0, :len(rows)])
-        dr = np.take(d, rows, axis=0, out=scratch[1, :len(rows)])
-        if r > _SCAN_HALVINGS:
-            k = k[i] + 1
-        elif r == _SCAN_HALVINGS:
-            lr, k = _resume_counts(pr, dr, lr, budget)
-        cr = _mixed(pr, dr, lr, scratch[2, :len(rows)])
-    return cand
-
-
-class _Work:
-    """The arrays of a stack of up to `trials` trials of `count` samples
-    over q outcomes, from the draws of _close_draws (with `start` rows
-    of q per trial ahead of the samples' rows) to the prefix excesses.
-    fuzz allocates them once per call and refills them on every block:
-    fresh block-sized arrays grow the heap, which glibc then trims."""
-
-    def __init__(self, trials: int, count: int, q: int, start: int) -> None:
-        n = max(count - 2, 0)
-        self.draws = np.empty((trials, start + n, q))
-        self.weights = np.empty((trials, n))
-        # The prefix excesses reuse the candidates' memory, dead once normalized.
-        self.cand = np.empty((trials * count, q))
-        self.excess = self.cand.reshape(trials, count, q)
-        self.units = np.empty((min(trials * n, _BLOCK_ROWS), q))
-        self.rounds = np.empty((3, *self.units.shape))
-        self.samples = np.empty((trials, count, q))
-
-
-def _close_draws(rng: np.random.Generator, work: _Work) -> None:
-    """Fill work's draws from one generator, in two calls: every
-    exponential of the stack, then every uniform weight. Trial j reads
-    row j of each, so its bits do not depend on which trials of the
-    stack are run. These are the bits of the gamma(1, 1) and
-    uniform(0, 1) draws of the same shapes, which scale the same
-    variates by 1 and add them to 0."""
-    rng.standard_exponential(out=work.draws)
-    rng.random(out=work.weights)
-
-
-def _raw_close_samples(
-    p_rows: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work
-) -> np.ndarray:
-    """n accepted candidates per trial, stacked, for the draws of a
-    stack of trials ((trials, n, q) exponentials and (trials, n)
-    weights): rows j*n to j*n + n - 1 are close to p_rows[j]. Each
-    candidate mixes p toward a uniform simplex draw, its exponentials
-    (zeroed off p's support at delta = 0) over their sum, with a random
-    weight; rejected rows have their weight halved until they pass,
-    which terminates because the close set contains a neighborhood of p
-    (within its support) whenever eps > 0 or delta > 0. Each row's draws
-    and halvings are its own, so its bits do not depend on the other
-    rows, and the loop runs on _BLOCK_ROWS rows at a time."""
-    n = draws.shape[1]
-    # A view for one trial, whose rows are contiguous; a copy for a stack
-    # of several, at most _BLOCK_ROWS rows in fuzz.
-    rows, lam = draws.reshape(-1, draws.shape[2]), lam.reshape(-1)
-    cand = work.cand[:len(rows)]
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(rows))
-        pa = p_rows[np.arange(lo, hi) // n]
-        u = work.units[:hi - lo]
-        u[...] = rows[lo:hi]
-        if budget.delta == 0.0:
-            np.copyto(u, 0.0, where=~(pa > 0.0))
-        u /= u.sum(axis=1, keepdims=True)
-        # u - p, in place: the draws are not read again.
-        u -= pa
-        _mix_until_close(pa, u, lam[lo:hi], budget, cand[lo:hi], work.rounds[:, :hi - lo])
-    return cand
-
-
-def _close_samples(
-    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work
-) -> np.ndarray:
-    """The sample matrices of a stack of trials, as a (trials, count, q)
-    array in work: trial j's first row is p_rows[j], its second steps[j]
-    and the rest come from _raw_close_samples. At a (0,0) budget each
-    trial has the one row p_rows[j], in a new array."""
-    if budget.epsilon == 0.0 and budget.delta == 0.0:
-        return p_rows[:, None, :].copy()
-    trials, q = p_rows.shape
-    out = work.samples[:trials]
-    out[:, 0] = p_rows
-    if out.shape[1] > 1:
-        out[:, 1] = steps
-    if out.shape[1] > 2:
-        raw = _raw_close_samples(p_rows, budget, draws, lam, work)
-        # The draws are read by now: the rows are normalized into their memory.
-        rows = normalized_rows(raw, work.draws.reshape(-1)[:raw.size].reshape(raw.shape))
-        out[:, 2:] = rows.reshape(trials, -1, q)
-    return out
+def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    """The lemma's witnesses of one distribution p, as a (q, q) array: row
+    k is w_k, whose k-th prefix is g(s_k) (see the module docstring). The
+    mass past prefix k is the tail max(0, 1 - e^eps s_k - delta,
+    e^-eps (1 - s_k - delta)) computed as it stands, not 1 - g: 1 - g
+    carries g's rounding, which the complement's hockey-stick term
+    multiplies by e^eps (at eps = 50 it can leave w_k 0.999 from close)."""
+    q = len(p)
+    s = np.cumsum(p)
+    # rest[k]: the mass of p past prefix k.
+    rest = np.zeros(q)
+    rest[:-1] = np.cumsum(p[::-1])[::-1][1:]
+    g = _t_step_prefix_rows(s[None, :], budget)[0]
+    tail = np.maximum(np.maximum(1.0 - budget.exp_epsilon * s - budget.delta, 0.0),
+                      math.exp(-budget.epsilon) * (1.0 - s - budget.delta))
+    top = np.divide(g, s, out=np.zeros(q), where=s > 0.0)
+    low = np.divide(tail, rest, out=np.zeros(q), where=rest > 0.0)
+    w = p * np.where(np.tri(q, dtype=bool), top[:, None], low[:, None])
+    # A prefix of zeros takes all of g on its last entry.
+    empty = np.flatnonzero(s == 0.0)
+    w[empty, empty] = g[empty]
+    return w
 
 
 def _step_misses(
@@ -322,11 +141,10 @@ def _step_misses(
     return excess > budget.delta + DEFAULT_TOL, excess - budget.delta
 
 
-def _one_trial(p: SimplexVector, budget: PrivacyBudget, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, _Work]:
-    """p as a one-row stack, its operator step, and new arrays for its
-    `count` samples with the draws of default_rng(seed) in them. A step
-    not close to p is refused before anything is drawn: the samplers
-    hand the step out as a close sample."""
+def _one_row(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
+    """p as a one-row stack and its operator step. A step not close to p
+    is refused, as fuzz reports it: sample_close would hand it out as a
+    close sample."""
     p_rows = np.array([p.p])
     steps = t_step_rows(p_rows, budget)
     misses, margins = _step_misses(p_rows, steps, budget)
@@ -335,9 +153,15 @@ def _one_trial(p: SimplexVector, budget: PrivacyBudget, count: int, seed: int) -
             f"t_step(p) is not close to p at this budget (margin {float(margins[0]):.6g}); "
             "see ROADMAP.md item 2, large epsilon"
         )
-    work = _Work(1, count, len(p), 0)
-    _close_draws(np.random.default_rng(seed), work)
-    return p_rows, steps, work
+    return p_rows, steps
+
+
+def _start_rows(draws: np.ndarray) -> np.ndarray:
+    """Flat Dirichlet draws, normalized as SimplexVector stores them: row
+    i is the one that row i of draws, q standard exponentials, makes as
+    Generator.dirichlet makes it (each times the reciprocal of their
+    left-to-right sum)."""
+    return normalized_rows(draws * (1.0 / _row_sums(draws))[:, None])
 
 
 def sample_close(
@@ -345,17 +169,30 @@ def sample_close(
 ) -> np.ndarray:
     """Deterministic sample of `count` distributions, each (eps,delta)-
     close to p, as the rows of a float64 matrix. The first sample is
-    always p and the second is t_step(p); the rest come from rejection
-    sampling on the draws of default_rng(seed) (_close_draws). A budget
-    at which t_step(p) is not close to p is a ValueError.
+    always p and the second is t_step(p); each of the rest mixes p's q
+    witnesses with flat Dirichlet weights drawn from default_rng(seed),
+    normalized as SimplexVector stores it. A mix of distributions close
+    to p is close to p, since the hockey-stick divergence is convex. A
+    budget at which t_step(p) is not close to p is a ValueError.
 
     A (0,0) budget admits only p itself: the matrix is the one row p,
     fewer rows than asked for when count > 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    p_rows, steps, work = _one_trial(p, budget, count, seed)
-    return _close_samples(p_rows, steps, budget, work.draws, work.weights, work)[0]
+    p_rows, steps = _one_row(p, budget)
+    rng = np.random.default_rng(seed)
+    if budget.epsilon == 0.0 and budget.delta == 0.0:
+        return p_rows
+    if count <= 2:
+        return np.concatenate([p_rows, steps])[:count]
+    weights = _start_rows(rng.standard_exponential((count - 2, len(p))))
+    w = _witnesses(p_rows[0], budget)
+    # Added witness by witness, not by a matmul, whose sums vary with the BLAS.
+    mixes = weights[:, :1] * w[0]
+    for k in range(1, len(p)):
+        mixes += weights[:, k:k + 1] * w[k]
+    return np.concatenate([p_rows, steps, normalized_rows(mixes)])
 
 
 @dataclass(frozen=True)
@@ -368,83 +205,49 @@ class Counterexample:
 _RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
 
 
-def _falsify(
-    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget, draws: np.ndarray, lam: np.ndarray, work: _Work,
-    step_rows: _RowsStep | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, Counterexample] | None]:
-    """The falsifier on a stack of trials: trial j tests the samples of
-    p_rows[j], made from its draws draws[j] and weights lam[j] in work's
-    arrays, against the prefixes of the operator output (step_rows,
-    t_step_rows when None) and the envelope. steps is
-    t_step_rows(p_rows, budget), which every sample matrix holds as row 1.
-
-    Returns the (trials, count, q) sample matrices (in work's arrays,
-    which the next stack overwrites), each trial's verdict (True when a
-    sample beats the bound) and the first trial's first counterexample,
-    re-verified, as (trial, Counterexample), or None.
-    """
-    target = np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1)
-    envelope = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
-    bound = np.minimum(target, envelope)
-
-    samples = _close_samples(p_rows, steps, budget, draws, lam, work)
-    excess = np.cumsum(samples, axis=2, out=work.excess[:len(samples), :samples.shape[1]])
-    excess -= bound[:, None, :]
-    worst_k = np.argmax(excess, axis=2)
-    worst = np.take_along_axis(excess, worst_k[..., None], axis=2)[..., 0]
+def _falsify(p_rows: np.ndarray, target: np.ndarray, budget: PrivacyBudget) -> tuple[int, Counterexample] | None:
+    """The dominance check on a stack of rows: the first row j whose
+    operator prefixes target[j] fall short of g(s_k) for some k by more
+    than DEFAULT_TOL, as (j, Counterexample) with its witness w_k at the
+    k of the largest shortfall, re-verified; or None."""
+    shortfall = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
+    shortfall -= target
+    worst_k = np.argmax(shortfall, axis=1)
+    worst = np.take_along_axis(shortfall, worst_k[:, None], axis=1)[:, 0]
     hits = worst > DEFAULT_TOL
-    verdicts = hits.any(axis=1)
-    if not verdicts.any():
-        return samples, verdicts, None
-
-    j = int(np.argmax(verdicts))
-    i = int(np.argmax(hits[j]))
+    if not hits.any():
+        return None
+    j = int(np.argmax(hits))
+    k = int(worst_k[j])
     p = SimplexVector.wrap(p_rows[j:j + 1])[0]
-    vec = SimplexVector.wrap(samples[j, i:i + 1])[0]
-    k = int(worst_k[j, i])
+    vec = SimplexVector.wrap(_witnesses(p_rows[j], budget)[k:k + 1])[0]
     if not is_close(vec, p, budget):
         raise RuntimeError("falsifier produced a sample that is not close to p")
-    if prefix_sums(vec)[k] <= min(target[j, k], envelope[j, k]) + DEFAULT_TOL:
+    if prefix_sums(vec)[k] <= target[j, k] + DEFAULT_TOL:
         raise RuntimeError("falsifier counterexample failed re-verification")
-    return samples, verdicts, (j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j, i])))
+    return j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j]))
 
 
 def dominance_falsify(
     p: SimplexVector,
     budget: PrivacyBudget,
-    trials: int,
-    seed: int,
     step_rows: _RowsStep | None = None,
 ) -> Counterexample | None:
-    """Search for a close distribution that the operator output fails to
-    dominate: the first one found, as a Counterexample, or None.
+    """A distribution close to p that the operator output fails to
+    dominate, as a re-verified Counterexample, or None when there is none.
 
-    Each sampled close p'' is checked against the prefix sums of the
-    operator output and against the analytic envelope
-    min(1, min(e^eps s_k, 1 - e^-eps (1 - s_k)) + delta). The operator
-    is step_rows applied to the one row p, t_step_rows when None. For
-    the real operator the two coincide and no counterexample exists; the
-    hook exists so a deliberately corrupted operator, such as
-    _drop_delta_rows, can be fed to the same harness. A sample fails
-    when one of its prefixes exceeds the bound by more than DEFAULT_TOL.
-    A reported counterexample is re-verified (closeness to p and the
-    violated prefix) before being returned. As in sample_close, the
-    `trials` samples are those of sample_close(p, budget, trials, seed),
-    and a budget at which t_step(p) is not close to p is a ValueError.
+    The operator is step_rows applied to the one row p, t_step_rows when
+    None; the hook exists so a deliberately corrupted operator, such as
+    _drop_delta_rows, can be fed to the same check. The check is
+    complete: it reports the witness w_k of the k at which the output's
+    k-th prefix falls furthest below g(s_k), when that is by more than
+    DEFAULT_TOL (see the module docstring), with that shortfall as the
+    margin. As in sample_close, a budget at which t_step(p) is not close
+    to p is a ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p_rows, steps, work = _one_trial(p, budget, trials, seed)
-    hit = _falsify(p_rows, steps, budget, work.draws, work.weights, work, step_rows)[2]
+    p_rows, steps = _one_row(p, budget)
+    hit = _falsify(p_rows, np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1), budget)
     return None if hit is None else hit[1]
-
-
-def _start_rows(draws: np.ndarray) -> np.ndarray:
-    """fuzz's start distributions, normalized as SimplexVector stores
-    them: row i is the flat Dirichlet draw that row i of draws, q
-    standard exponentials, makes as Generator.dirichlet makes it (each
-    times the reciprocal of their left-to-right sum)."""
-    return normalized_rows(draws * (1.0 / _row_sums(draws))[:, None])
 
 
 @dataclass(frozen=True)
@@ -465,31 +268,29 @@ def _fuzz(
     (T(p) is close to p and dominates every distribution close to p), as
     (trial, p, finding), or None. The finding is a _StepMiss when the
     real step t_step_rows(p) is not close to p (_step_misses), and
-    otherwise the Counterexample that the falsifier found; a trial with
-    both reports the miss.
+    otherwise the Counterexample of the dominance check (_falsify); a
+    trial with both reports the miss.
 
-    Trials run in blocks of max(1, _BLOCK_ROWS // count), and the first
-    block with a finding reports its first one. Each block draws from
-    its own generator, default_rng((seed, its first trial)), the draws
-    of all its trials whatever `trials` is (_close_draws, one start row
-    per trial). Trial i of a block starts from the Dirichlet draw of
-    its start row (_start_rows) and falsifies on the rest of its slice,
-    so a block's findings are, bit for bit, those of its trials run
-    alone on their own slices, and a trial's finding depends only on
-    (seed, i, count, q), never on `trials` or on the other trials.
+    Trials run in blocks of max(1, _BLOCK_ROWS // count). Each block
+    draws from its own generator, default_rng((seed, its first trial)),
+    the standard exponentials of all its trials whatever `trials` is,
+    1 + max(count - 2, 0) rows of q per trial, and trial i of a block
+    starts from the Dirichlet draw of its first row (_start_rows). So a
+    trial's finding depends only on (seed, i, count, q), never on
+    `trials` or on the other trials.
     """
     per_block = max(1, _BLOCK_ROWS // count)
-    work = _Work(per_block, count, q, 1)
+    draws = np.empty((per_block, 1 + max(count - 2, 0), q))
     for lo in range(0, trials, per_block):
-        _close_draws(np.random.default_rng((seed, lo)), work)
-        p_rows = _start_rows(work.draws[:min(per_block, trials - lo), 0])
+        np.random.default_rng((seed, lo)).standard_exponential(out=draws)
+        p_rows = _start_rows(draws[:min(per_block, trials - lo), 0])
         steps = t_step_rows(p_rows, budget)
         misses, margins = _step_misses(p_rows, steps, budget)
-        # Only the trials before the first miss are falsified: a step not
-        # close to its p is no close sample, and that trial reports its miss.
+        # Only the trials before the first miss are checked for dominance:
+        # that trial reports its miss.
         j = int(np.argmax(misses)) if misses.any() else len(p_rows)
-        draws, lam = work.draws[:j, 1:], work.weights[:j]
-        hit = _falsify(p_rows[:j], steps[:j], budget, draws, lam, work, step_rows)[2] if j else None
+        outputs = steps[:j] if step_rows is None else step_rows(p_rows[:j], budget)
+        hit = _falsify(p_rows[:j], np.cumsum(outputs, axis=1), budget)
         if hit is None and j < len(p_rows):
             hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[j]))
         if hit is not None:
@@ -502,8 +303,8 @@ def _drop_delta_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     """Deliberately corrupted operator that forgets the +delta term, on
     every row.
 
-    Kept here for harness self-validation: when delta > 0 the falsifier
-    must catch this mutant quickly.
+    Kept here for harness self-validation: when delta > 0 the dominance
+    check must catch this mutant on its first trial.
     """
     return t_step_rows(rows, PrivacyBudget(budget.epsilon, 0.0))
 

@@ -1,13 +1,12 @@
-"""Shared builders for the test suite: seeded RNGs, the falsifier's
-draws laid out by gamma and uniform calls, the Dirichlet start they
-give and its rejection loop scanning every halving count, random graphs
+"""Shared builders for the test suite: seeded RNGs, fuzz's draws laid
+out by gamma calls and the Dirichlet start they give, random graphs
 with solvable boundary structure, random valid boundary conditions, and
 the competitor mechanisms used for optimality checks, mechanisms from
 name-keyed distributions, the environment of a child interpreter; graph
 morphisms on node names, their check and the pullback along them; and
 the references the array checks are compared with: verify_dp and
-utility_eval one node or edge at a time, and the hockey-stick excess in
-exact arithmetic."""
+utility_eval one node or edge at a time, and the hockey-stick excess and
+the dominance lemma's witnesses in exact arithmetic."""
 
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 import rainbowdp as r
-from rainbowdp.oracle import _accept_mask
 
 
 def child_env() -> dict[str, str]:
@@ -39,15 +37,11 @@ def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def block_draws(key, trials: int, count: int, q: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of a stack of trials from np.random.default_rng(key),
-    taken with gamma(1, 1) and uniform(0, 1): one array of exponentials,
-    trial j's `start` rows of q then one row of q per sample in row j,
-    then one array of the samples' weights, row j for trial j. A trial
-    has count - 2 samples past p and t_step(p), none when count <= 2."""
-    g = np.random.default_rng(key)
-    n = max(count - 2, 0)
-    return g.gamma(1.0, 1.0, size=(trials, start + n, q)), g.uniform(0.0, 1.0, size=(trials, n))
+def block_draws(key, trials: int, count: int, q: int) -> np.ndarray:
+    """The draws of a fuzz block from np.random.default_rng(key), taken
+    with gamma(1, 1): row j holds trial j's 1 + max(count - 2, 0) rows of
+    q exponentials, the first of which makes its start distribution."""
+    return np.random.default_rng(key).gamma(1.0, 1.0, size=(trials, 1 + max(count - 2, 0), q))
 
 
 def dirichlet_start(row: np.ndarray) -> r.SimplexVector:
@@ -59,28 +53,6 @@ def dirichlet_start(row: np.ndarray) -> r.SimplexVector:
         total += x
     inv = 1.0 / total
     return r.SimplexVector(tuple(x * inv for x in row.tolist()))
-
-
-def reference_mix_until_close(
-    pa: np.ndarray, u: np.ndarray, lam: np.ndarray, budget: r.PrivacyBudget
-) -> np.ndarray:
-    """The rejection loop scanning every halving count from 0: row i
-    mixes pa[i] toward u[i] with weight lam[i], the weight halved until
-    the mix is close to pa[i]; a row still rejected after 200 halvings
-    is pa[i]. Each round recomputes only the rows still rejected."""
-    cand = pa + lam[:, None] * (u - pa)
-    rows, pr, ur, lr, cr = np.arange(len(cand)), pa, u, lam, cand
-    for _ in range(200):
-        bad = ~_accept_mask(cr, pr, budget)
-        cand[rows[~bad]] = cr[~bad]
-        rows, pr, ur, lr = rows[bad], pr[bad], ur[bad], lr[bad] * 0.5
-        if not rows.size:
-            break
-        cr = pr + lr[:, None] * (ur - pr)
-    else:
-        bad = ~_accept_mask(cr, pr, budget)
-        cand[rows] = np.where(bad[:, None], pr, cr)
-    return cand
 
 
 def sv(*vals) -> r.SimplexVector:
@@ -438,6 +410,20 @@ def exact_excess(p, q_, budget: r.PrivacyBudget) -> Fraction:
     for a, b in zip(p, q_):
         total += max(Fraction(a) - e * Fraction(b), Fraction(0))
     return total
+
+
+def exact_witness(p, k: int, budget: r.PrivacyBudget) -> list[Fraction]:
+    """The dominance lemma's witness w_k of p in exact rational arithmetic,
+    with e := Fraction(exp_epsilon) and e^-eps := 1 / e: p's entries up to
+    k scaled by g(s_k) / s_k (all of g on entry k when s_k = 0), the rest
+    by (1 - g(s_k)) / (their mass), with s_k the exact sum of p's floats up
+    to k and g(s) = min(1, e s + delta, 1 - (1 - s - delta) / e)."""
+    e, d = Fraction(budget.exp_epsilon), Fraction(budget.delta)
+    x = [Fraction(v) for v in p]
+    s, rest = sum(x[:k + 1]), sum(x[k + 1:])
+    g = min(Fraction(1), e * s + d, 1 - (1 - s - d) / e)
+    head = [v * g / s for v in x[:k + 1]] if s else [Fraction(0)] * k + [g]
+    return head + [v * (1 - g) / rest for v in x[k + 1:]] if rest else head + x[k + 1:]
 
 
 def utility_eval_reference(

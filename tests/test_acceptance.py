@@ -78,20 +78,14 @@ def test_criterion_3_lemma1_suite():
         p = random_simplex(g, q, zero_rate=0.15)
         budget = random_budget(g)
         assert r.is_close(p, r.t_step(p, budget), budget)
-        ce = r.dominance_falsify(p, budget, trials=1000, seed=3000 + i)
+        ce = r.dominance_falsify(p, budget)
         assert ce is None, (i, ce)
-    mutant = r.dominance_falsify(
-        sv(0.1, 0.2, 0.7),
-        r.PrivacyBudget(math.log(2.0), 0.1),
-        trials=1000,
-        seed=7,
-        step_rows=_drop_delta_rows,
-    )
+    mutant = r.dominance_falsify(sv(0.1, 0.2, 0.7), r.PrivacyBudget(math.log(2.0), 0.1), _drop_delta_rows)
     assert mutant is not None
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f} s"
     print(
-        "ACCEPTANCE 3: PASS 100x1000 close samples dominated and inside the "
+        "ACCEPTANCE 3: PASS the q witnesses of 100 inputs dominated and inside the "
         f"envelope; mutant falsified (margin {mutant.margin:.3e}); {elapsed:.2f} s"
     )
 

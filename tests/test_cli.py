@@ -1271,7 +1271,10 @@ def test_cmd_fuzz_mutant_mode(capsys):
 
 
 # Taken before sample_close and verify_dp moved to arrays; the bytes must
-# not change.
+# not change. Every counterexample's `sample`, `prefix_index` and `margin`
+# below were re-taken once, when the dominance check moved from random
+# close samples to the lemma's witnesses: each is now the witness w_k, at
+# the k where the mutant falls furthest below g(s_k), and that shortfall.
 FUZZ_GOLDEN = [
     (
         ["--q", "6", "--trials", "40", "--samples", "48", "--seed", "11",
@@ -1285,8 +1288,8 @@ FUZZ_GOLDEN = [
         5,
         '{"margin": "0.03", "p": ["0.350142750395", "0.132218282097", "0.229358494287", '
         '"0.0933096073739", "0.00531429224935", "0.0764776122959", "0.113178961302"], '
-        '"prefix_index": 0, "sample": ["0.552351602739", "0.120774222112", "0.153743596449", '
-        '"0.0625473003104", "0.00356227662523", "0.0512644765949", "0.0557565251692"], '
+        '"prefix_index": 0, "sample": ["0.552351602739", "0.0910773898503", "0.157991562652", '
+        '"0.0642754946803", "0.00366070303816", "0.0526809242974", "0.0779623227428"], '
         '"seed": 5, "trial": 0}\n'
         "fuzz q=7 trials=30 seed=5 epsilon=0.4 delta=0.03 samples=64 "
         "result=counterexample trial=0\n",
@@ -1331,8 +1334,8 @@ FUZZ_GOLDEN_BLOCKS = [
         [*_FUZZ_Q5, "--epsilon", "0", "--delta", "0.05", "--samples", "3", "--mutant-drop-delta"],
         5,
         '{"margin": "0.05", "p": ["0.444241427805", "0.0503783593318", "0.378914556506", '
-        '"0.0165112073823", "0.109954448975"], "prefix_index": 1, "sample": ["0.494241427805", '
-        '"0.0503783593318", "0.378914556506", "0.0165112073823", "0.059954448975"], '
+        '"0.0165112073823", "0.109954448975"], "prefix_index": 1, "sample": ["0.489148792953", '
+        '"0.055470994184", "0.341426488427", "0.0148776642635", "0.0990760601723"], '
         '"seed": 4, "trial": 0}\n'
         "fuzz q=5 trials=30 seed=4 epsilon=0 delta=0.05 samples=3 result=counterexample trial=0\n",
     ),
@@ -1358,8 +1361,8 @@ FUZZ_GOLDEN_STREAMS = [
         5,
         '{"margin": "0.01", "p": ["0.00274543653923", "0.152739716303", "0.498818982311", '
         '"0.0138431383165", "0.12351311225", "0.208339614281"], "prefix_index": 1, '
-        '"sample": ["0.0145264596196", "0.251825219149", "0.530038486863", "0.00839628781561", '
-        '"0.074914489456", "0.120299057097"], "seed": 5000, "trial": 0}\n'
+        '"sample": ["0.00470303188317", "0.261648646886", "0.433334843315", "0.0120258337916", '
+        '"0.107298513172", "0.180989130952"], "seed": 5000, "trial": 0}\n'
         "fuzz q=6 trials=200 seed=5000 epsilon=0.5 delta=0.01 samples=64 "
         "result=counterexample trial=0\n",
     ),
@@ -1374,24 +1377,39 @@ FUZZ_GOLDEN_STREAMS = [
 
 
 # Taken before the rejection loop jumped each row to a lower bound on its
-# first accepted halving: the mutant's counterexample at small epsilon is
-# a sample about 14 halvings from its draw.
+# first accepted halving: the mutant's counterexample at small epsilon.
 FUZZ_GOLDEN_SMALL_EPSILON = [
     (
         ["--q", "4", "--trials", "50", "--seed", "3", "--epsilon", "0.0001", "--delta", "1e-7",
          "--mutant-drop-delta"],
         5,
         '{"margin": "1.00000000003e-07", "p": ["0.0268370654967", "0.0950530822421", '
-        '"0.341404684006", "0.536705168255"], "prefix_index": 2, "sample": ["0.0268398493374", '
-        '"0.0950625880256", "0.341438826182", "0.536658736455"], "seed": 3, "trial": 0}\n'
+        '"0.341404684006", "0.536705168255"], "prefix_index": 1, "sample": ["0.0268397713549", '
+        '"0.0950626660082", "0.341399905862", "0.536697656775"], "seed": 3, "trial": 0}\n'
         "fuzz q=4 trials=50 seed=3 epsilon=0.0001 delta=1e-07 samples=64 "
         "result=counterexample trial=0\n",
     ),
 ]
 
 
+# Taken when the dominance check moved to the lemma's witnesses: with one
+# sample per trial only p was tested, and the mutant passed (result=ok).
+FUZZ_GOLDEN_WITNESS = [
+    (
+        [*_FUZZ_Q5, "--epsilon", "0.3", "--delta", "0.01", "--samples", "1", "--mutant-drop-delta"],
+        5,
+        '{"margin": "0.00740818220682", "p": ["0.444241427805", "0.0503783593318", '
+        '"0.378914556506", "0.0165112073823", "0.109954448975"], "prefix_index": 2, '
+        '"sample": ["0.46467815895", "0.052695948194", "0.396346012542", "0.0112645997167", '
+        '"0.0750152805965"], "seed": 4, "trial": 0}\n'
+        "fuzz q=5 trials=30 seed=4 epsilon=0.3 delta=0.01 samples=1 result=counterexample trial=0\n",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "args,code,stdout", FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS + FUZZ_GOLDEN_STREAMS + FUZZ_GOLDEN_SMALL_EPSILON
+    "args,code,stdout",
+    FUZZ_GOLDEN + FUZZ_GOLDEN_BLOCKS + FUZZ_GOLDEN_STREAMS + FUZZ_GOLDEN_SMALL_EPSILON + FUZZ_GOLDEN_WITNESS,
 )
 def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
     assert main(["fuzz", *args]) == code
@@ -1435,11 +1453,9 @@ def test_cmd_fuzz_caps_samples(capsys):
 
 
 def test_cmd_fuzz_peak_memory_at_the_sample_cap(capsys):
-    # The largest accepted trial holds its draws, candidates and samples,
-    # each a (65536, 12) float64 array; its prefix excesses reuse the
-    # candidates' memory and its normalized samples the draws': 3.7 such
-    # arrays at the peak, 4.7 with a normalized copy of the candidates,
-    # so 4 leaves a margin of 0.3 of one.
+    # The largest accepted trial holds its draws, a (65535, 12) float64
+    # array, of which the dominance check reads only the start row: 1.01
+    # (65536, 12) arrays at the peak, so 1.1 leaves a margin of 0.09 of one.
     args = ["fuzz", "--q", "12", "--trials", "1", "--epsilon", "0.3", "--delta", "0.01"]
     assert main(args) == 0  # imports and first-call set-up, untraced
     gc.collect()
@@ -1450,7 +1466,7 @@ def test_cmd_fuzz_peak_memory_at_the_sample_cap(capsys):
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().out.endswith("samples=65536 result=ok\n")
-    assert peak < 4 * 65536 * 12 * 8, peak / 2**20
+    assert peak < 1.1 * 65536 * 12 * 8, peak / 2**20
 
 
 def test_cmd_trajectory_caps_cells(tmp_path, capsys):

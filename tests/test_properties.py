@@ -9,12 +9,13 @@ optimal mechanism built from it depends on the order of the lines after
 `colors`; the parser's id-built graph is the one the string constructor
 makes of the file, and the graph or the error it gives is the line
 reader's, on emitted files and on hand-written forms and errors; the batch SimplexVector normalization, the array pass
-of verify_dp and the falsifier's blocks of trials give, bit for bit,
-what their one-at-a-time definitions give (a fuzz block, what its
-trials give run alone on their own slices of its one generator's
-draws), fuzz's findings do not depend on the number of trials, samples
-at delta = 0 keep p's zeros, and the rejection loop's jumps leave every
-row as testing each halving count in turn does; every trajectory file plots; and the optimum
+of verify_dp and the dominance check on a stack of rows give, bit for
+bit, what their one-at-a-time definitions give (a fuzz block, the
+first step miss or dominance_falsify hit of its trials in order),
+fuzz's findings do not depend on the number of trials, samples at
+delta = 0 keep p's zeros, and the dominance lemma's witnesses are
+exactly close to p and attain the envelope, as its proof says, and
+within 1e-15 in floats; every trajectory file plots; and the optimum
 is locally tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
 them, gives every node the same optimal row; and the optimal mechanism
@@ -42,13 +43,13 @@ from helpers import (
     block_draws,
     dirichlet_start,
     exact_excess,
+    exact_witness,
     mechanism_of,
     random_budget,
     random_dense_graph,
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
-    reference_mix_until_close,
     rng,
     split_path,
     striped_grid_text,
@@ -188,54 +189,29 @@ falsifier_budgets = st.sampled_from([
 def _fuzz_replay(q, budget, trials, count, seed, step_rows=None):
     """`fuzz` one trial at a time: each block's draws taken by
     block_draws from default_rng((seed, the block's first trial)), and
-    each trial run alone on its own slice of them, in order. Returns the
-    first finding as _fuzz reports it, and for each block that reaches
-    the falsifier the sample bytes and verdict of each trial it tests
-    (those before the block's first step miss)."""
+    each trial's p checked alone, in order: first that its real step is
+    close to it, then dominance_falsify. Returns the first finding as
+    _fuzz reports it."""
     per_block = max(1, oracle._BLOCK_ROWS // count)
-    blocks = []
     for lo in range(0, trials, per_block):
-        draws, weights = block_draws((seed, lo), per_block, count, q, 1)
-        tested, first = [], None
+        draws = block_draws((seed, lo), per_block, count, q)
         for j in range(min(per_block, trials - lo)):
             p = dirichlet_start(draws[j, 0])
-            p_row = np.array([p.p])
-            step = t_step_rows(p_row, budget)
-            if not r.is_close(r.SimplexVector.wrap(step)[0], p, budget):
-                stepped = r.SimplexVector.wrap(step)[0]
+            step = r.SimplexVector.wrap(t_step_rows(np.array([p.p]), budget))[0]
+            if not r.is_close(step, p, budget):
                 e = budget.exp_epsilon
-                excess = max(r.subset_excess(stepped, p, e), r.subset_excess(p, stepped, e))
-                first = first or (lo + j, p, _StepMiss(stepped, excess - budget.delta))
-                break
-            work = oracle._Work(1, count, q, 0)
-            samples, verdicts, hit = _falsify(
-                p_row, step, budget, draws[j:j + 1, 1:], weights[j:j + 1], work, step_rows
-            )
-            tested.append((samples[0].tobytes(), bool(verdicts[0])))
-            if hit is not None and first is None:
-                first = lo + j, p, hit[1]
-        if tested:
-            blocks.append(tested)
-        if first is not None:
-            return first, blocks
-    return None, blocks
+                excess = max(r.subset_excess(step, p, e), r.subset_excess(p, step, e))
+                return lo + j, p, _StepMiss(step, excess - budget.delta)
+            hit = r.dominance_falsify(p, budget, step_rows)
+            if hit is not None:
+                return lo + j, p, hit
+    return None
 
 
-def _fuzz_spied(q, budget, trials, count, seed, step_rows, block_rows):
-    """_fuzz with _BLOCK_ROWS set to block_rows, and the sample bytes and
-    verdict of each trial of each block it falsifies."""
-    blocks, real = [], oracle._falsify
-
-    def spy(p_rows, steps, b, draws, lam, work, rows_step=None):
-        samples, verdicts, hit = real(p_rows, steps, b, draws, lam, work, rows_step)
-        blocks.append([(m.tobytes(), bool(v)) for m, v in zip(samples, verdicts)])
-        return samples, verdicts, hit
-
-    with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows), mock.patch.object(oracle, "_falsify", spy):
-        got = _fuzz(q, budget, trials, count, seed, step_rows)
+def _fuzz_with_blocks(q, budget, trials, count, seed, step_rows, block_rows):
+    """_fuzz with _BLOCK_ROWS set to block_rows, and its replay."""
     with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        want = _fuzz_replay(q, budget, trials, count, seed, step_rows)
-    return (got, blocks), want
+        return _fuzz(q, budget, trials, count, seed, step_rows), _fuzz_replay(q, budget, trials, count, seed, step_rows)
 
 
 def _some_drop_delta(rows, budget):
@@ -254,7 +230,7 @@ def _victim_operator(q, count, block_rows, seed, victim):
     it, with _BLOCK_ROWS at block_rows."""
     per_block = max(1, block_rows // count)
     lo = victim - victim % per_block
-    p_victim = np.array(dirichlet_start(block_draws((seed, lo), per_block, count, q, 1)[0][victim - lo, 0]).p)
+    p_victim = np.array(dirichlet_start(block_draws((seed, lo), per_block, count, q)[victim - lo, 0]).p)
 
     def step_rows(rows, b):
         hit = (rows == p_victim).all(axis=1)[:, None]
@@ -264,41 +240,21 @@ def _victim_operator(q, count, block_rows, seed, victim):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 9),
-    st.sampled_from([1, 2, 3, 4, 40]),
-    falsifier_budgets,
-    st.booleans(),
-)
-def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mutant):
-    # Trial j's slice of the block's draws is what default_rng(seeds[j])
-    # draws for sample_close and dominance_falsify, so the block must give
-    # each trial's bytes and verdict, and its first hit. The block runs in
-    # arrays with room for one trial more, every entry nan beforehand, so
-    # an entry read before it is written shows. Exact zeros give the
-    # trials different supports at delta = 0.
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), falsifier_budgets, st.sampled_from(sorted(_OPERATORS)))
+def test_falsifier_block_is_its_one_trial_calls(seed, trials, budget, operator):
+    # The dominance check on a stack of rows finds, at each start, the
+    # next row for which dominance_falsify finds a counterexample, and
+    # that counterexample. Exact zeros give the rows different supports.
     g = rng(seed)
     q = int(g.integers(2, 13))
     ps = [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]
-    seeds = [int(s) for s in g.integers(0, 2**40, size=trials)]
-    step_rows = _drop_delta_rows if mutant else None
+    step_rows = _OPERATORS[operator] or t_step_rows
     p_rows = np.array([p.p for p in ps])
-    work = oracle._Work(trials + 1, count, q, 0)
-    for array in vars(work).values():
-        array.fill(np.nan)
-    for j, s in enumerate(seeds):
-        draws, weights = block_draws(s, 1, count, q, 0)
-        work.draws[j], work.weights[j] = draws[0], weights[0]
-    samples, verdicts, first = _falsify(
-        p_rows, t_step_rows(p_rows, budget), budget, work.draws[:trials], work.weights[:trials], work, step_rows
-    )
-    found = [r.dominance_falsify(p, budget, count, s, step_rows) for p, s in zip(ps, seeds)]
-    for block_rows, p, s in zip(samples, ps, seeds):
-        assert block_rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
-    assert verdicts.tolist() == [ce is not None for ce in found]
-    hits = [(j, ce) for j, ce in enumerate(found) if ce is not None]
-    assert first == (hits[0] if hits else None)
+    target = np.cumsum(step_rows(p_rows, budget), axis=1)
+    found = [r.dominance_falsify(p, budget, _OPERATORS[operator]) for p in ps]
+    for start in range(trials):
+        hits = [(j, ce) for j, ce in enumerate(found[start:]) if ce is not None]
+        assert _falsify(p_rows[start:], target[start:], budget) == (hits[0] if hits else None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -313,10 +269,9 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, count, budget, mut
 )
 def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, operator):
     # Small blocks, so that most runs span several and end in a part
-    # block; every trial fuzz falsifies must have the samples and verdict
-    # of its replay on its own slice of its block's draws, and the first
-    # finding must be the replay's.
-    got, want = _fuzz_spied(q, budget, trials, count, seed, _OPERATORS[operator], block_rows)
+    # block; a block's finding must be the first per-trial step miss or
+    # dominance_falsify hit, in trial order.
+    got, want = _fuzz_with_blocks(q, budget, trials, count, seed, _OPERATORS[operator], block_rows)
     assert got == want
 
 
@@ -331,11 +286,11 @@ def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_
 )
 def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, budget, seed):
     # Only trial `victim`, past the first block, gets an operator that
-    # drops delta; sample row 1, the real t_step(p), beats it.
+    # drops delta; its witnesses beat it.
     victim = max(1, block_rows // count) + late
     corrupt = _victim_operator(q, count, block_rows, seed, victim)
-    got, want = _fuzz_spied(q, budget, victim + 5, count, seed, corrupt, block_rows)
-    assert want[0] is not None and want[0][0] == victim
+    got, want = _fuzz_with_blocks(q, budget, victim + 5, count, seed, corrupt, block_rows)
+    assert want is not None and want[0] == victim
     assert got == want
 
 
@@ -372,8 +327,8 @@ def test_fuzz_findings_do_not_depend_on_the_number_of_trials(q, count, block_row
     falsifier_budgets.filter(lambda b: b.delta == 0.0),
 )
 def test_samples_keep_the_support_of_p_at_delta_zero(seed, count, budget):
-    # At delta = 0 every close distribution is 0 where p is: each row
-    # draws q exponentials and the entries off p's support are zeroed.
+    # At delta = 0 every close distribution is 0 where p is, and so is
+    # every witness of p.
     g = rng(seed)
     p = random_simplex(g, int(g.integers(2, 13)), zero_rate=0.4)
     samples = r.sample_close(p, budget, count, int(g.integers(2**40)))
@@ -383,75 +338,79 @@ def test_samples_keep_the_support_of_p_at_delta_zero(seed, count, budget):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 6),
-    st.sampled_from([1, 2, 3, 40]),
-    falsifier_budgets,
-    st.integers(0, 2**100),
-)
-def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, budget, base):
-    # A stack's draws are one generator's, laid out as block_draws lays
-    # them out: standard_exponential and random give the bits of
-    # gamma(1, 1) and uniform(0, 1), for fuzz's blocks (a start row per
-    # trial) and for the one trial of sample_close, at keys of one to
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1, 2, 3, 40]), st.integers(0, 2**100))
+def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, base):
+    # A fuzz block's draws are one generator's standard exponentials,
+    # the bits of gamma(1, 1) as block_draws takes them, at keys of one to
     # five words. A block's first trial starts from its generator's
     # Dirichlet draw, and every start is the Dirichlet draw of its row.
-    g = rng(seed)
-    q = int(g.integers(2, 13))
-    lo = seed % 1000
-    for key, start in (((base, lo), 1), (base, 0)):
-        work = oracle._Work(trials, count, q, start)
-        oracle._close_draws(np.random.default_rng(key), work)
-        want = block_draws(key, trials, count, q, start)
-        assert [work.draws.tobytes(), work.weights.tobytes()] == [w.tobytes() for w in want]
-    work = oracle._Work(trials, count, q, 1)
-    oracle._close_draws(np.random.default_rng((base, lo)), work)
-    starts = oracle._start_rows(work.draws[:, 0])
-    assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in work.draws[:, 0])
-    assert _hexes(starts[:1]) == _hexes([r.SimplexVector(tuple(rng((base, lo)).dirichlet(np.ones(q)))).p])
-
-    def reference_draws(generator, work):
-        work.draws[...] = generator.gamma(1.0, 1.0, size=work.draws.shape)
-        work.weights[...] = generator.uniform(0.0, 1.0, size=work.weights.shape)
-
-    for p in [random_simplex(g, q, zero_rate=0.3) for _ in range(trials)]:
-        s = base + int(g.integers(0, 2**33))
-        rows = r.sample_close(p, budget, count, s)
-        with mock.patch.object(oracle, "_close_draws", reference_draws):
-            assert rows.tobytes() == r.sample_close(p, budget, count, s).tobytes()
+    q = int(rng(seed).integers(2, 13))
+    key = (base, seed % 1000)
+    draws = np.empty((trials, 1 + max(count - 2, 0), q))
+    np.random.default_rng(key).standard_exponential(out=draws)
+    assert draws.tobytes() == block_draws(key, trials, count, q).tobytes()
+    starts = oracle._start_rows(draws[:, 0])
+    assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in draws[:, 0])
+    assert _hexes(starts[:1]) == _hexes([r.SimplexVector(tuple(rng(key).dirichlet(np.ones(q)))).p])
 
 
-@pytest.mark.parametrize(
-    "epsilon,delta",
-    [(e, d) for e in (0.0, 1e-17, 1e-9, 1e-4, 0.3, 8.0, 20.0)
-     for d in (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0) if e > 0.0 or d > 0.0],
+@st.composite
+def dyadic_simplices(draw):
+    # q entries that are multiples of 2^-53 summing to exactly 1, so that
+    # the lemma holds in exact arithmetic on the floats themselves; cuts
+    # at 0 and 2^53 give zero prefixes (s_k = 0) and full ones (s_k = 1).
+    q = draw(st.integers(2, 12))
+    edge = st.sampled_from([0, 2**53]) | st.integers(0, 2**53)
+    cuts = sorted(draw(st.lists(edge, min_size=q - 1, max_size=q - 1)))
+    return [(b - a) * 2.0**-53 for a, b in zip([0, *cuts], [*cuts, 2**53])]
+
+
+witness_budgets = st.builds(
+    r.PrivacyBudget,
+    st.sampled_from([0.0, 1e-4, 0.3, 2.0, 12.0, 20.0, 50.0]) | st.floats(0.0, 50.0),
+    st.sampled_from([0.0, 1e-7, 0.01, 0.3, 1.0]),
 )
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(
-    st.integers(2, 12),
-    st.integers(0, 2**32 - 1),
-    st.lists(st.sampled_from([0.0, 1.0, 2.0**-53]) | st.integers(0, 2**53).map(lambda j: j * 2.0**-53), max_size=6),
-)
-def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, seed, weights):
-    # The rejection loop jumps each row past the halving counts a bound
-    # rules out; every row must come out as the loop that tests every
-    # count from 0 leaves it, at e^eps == 1 in floats (eps = 1e-17) and
-    # at any weight random() can draw (a multiple of 2^-53), 0, 2^-53 and
-    # 1 among them. At delta = 1e-17, below the rounding of p's larger
-    # entries, the bound is often off by rounding.
-    budget = r.PrivacyBudget(epsilon, delta)
-    g = rng(seed)
-    p_rows = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(4)])
-    pa = p_rows[np.arange(48) // 12]
-    u = g.standard_exponential((48, q))
-    if delta == 0.0:
-        u[pa == 0.0] = 0.0
-    u /= u.sum(axis=1, keepdims=True)
-    lam = g.random(48)
-    lam[:len(weights)] = weights
-    got = oracle._mix_until_close(pa, u - pa, lam, budget, np.empty_like(pa), np.empty((3, *pa.shape)))
-    assert got.tobytes() == reference_mix_until_close(pa, u, lam, budget).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dyadic_simplices(), witness_budgets)
+def test_witnesses_are_close_and_attain_the_envelope(p, budget):
+    # The proof in oracle's docstring: w_k, in exact arithmetic on p's
+    # floats, is (eps, delta)-close to p and has k-prefix g(s_k) exactly;
+    # the float w_k that fuzz reports is close to p within 1e-15, and its
+    # entries are within 1e-15 of the exact ones.
+    e, d = Fraction(budget.exp_epsilon), Fraction(budget.delta)
+    w = oracle._witnesses(np.array(p), budget)
+    for k in range(len(p)):
+        exact = exact_witness(p, k, budget)
+        s = sum(Fraction(x) for x in p[:k + 1])
+        assert sum(exact) == 1 and min(exact) >= 0
+        assert sum(exact[:k + 1]) == min(Fraction(1), e * s + d, 1 - (1 - s - d) / e)
+        assert max(exact_excess(exact, p, budget), exact_excess(p, exact, budget)) <= d
+        assert max(exact_excess(w[k], p, budget), exact_excess(p, w[k], budget)) <= d + Fraction(1e-15)
+        assert max(abs(Fraction(x) - y) for x, y in zip(w[k].tolist(), exact)) <= Fraction(1e-15)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_a_witness_built_from_one_minus_g_is_not_close_at_epsilon_20(delta):
+    # The pitfall _witnesses avoids: 1 - g carries g's rounding, which
+    # e^20 blows up far past 1e-15, where the tail computed on its own
+    # does not.
+    budget = r.PrivacyBudget(20.0, delta)
+    bound = Fraction(delta) + Fraction(1e-15)
+    g = rng(20)
+    broken = 0
+    for _ in range(50):
+        p = np.array(random_simplex(g, int(g.integers(2, 13))).p)
+        s = np.cumsum(p)
+        envelope = _t_step_prefix_rows(s[None, :], budget)[0]
+        w = oracle._witnesses(p, budget)
+        for k in range(len(p) - 1):
+            tail = p[k + 1:] * (1.0 - envelope[k]) / p[k + 1:].sum()
+            from_one_minus_g = np.concatenate([p[:k + 1] * envelope[k] / s[k], tail])
+            broken += exact_excess(p, from_one_minus_g, budget) > bound
+            assert max(exact_excess(p, w[k], budget), exact_excess(w[k], p, budget)) <= bound
+    assert broken > 50
 
 
 identifiers = st.text("abcxyz019_.-", min_size=1, max_size=4)
@@ -907,7 +866,7 @@ def test_closeness_kernel_agrees_with_exact_arithmetic(case):
     bc = r.BoundaryCondition({ca: pv, cb: qv})
     assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
 
-    assert bool(oracle._accept_mask(np.array([qv.p]), np.array([pv.p]), budget)[0]) == close
+    assert (not oracle._step_misses(np.array([pv.p]), np.array([qv.p]), budget)[0][0]) == close
 
 
 ETA = 1e-6
