@@ -1,7 +1,7 @@
 """Independent verification oracles: exhaustive subset closeness, the
-dominance check on the lemma's witnesses, close samples mixed from those
-witnesses, and the pentagon demonstration that non-homogeneous boundary
-conditions can admit valid mechanisms but no optimal one.
+dominance check on the lemma's witnesses, seeded sampling of close
+distributions, and the pentagon demonstration that non-homogeneous
+boundary conditions can admit valid mechanisms but no optimal one.
 
 The dominance check. Let s_k be the k-th prefix of p in its preference
 order, S its top colors up to k and C the rest, and let
@@ -25,6 +25,12 @@ The operator under test is a function of a stack of rows: the real one,
 t_step_rows, or the deliberately corrupted _drop_delta_rows of the
 self-test. `fuzz` checks blocks of trials at once (_fuzz): for each
 trial's p, that its real step is close to p, then the dominance check.
+
+sample_close draws its samples past p and t_step(p) by rejection: its
+loop (_mix_until_close) halves each sample's mixing weight until the
+mix is close to p; after a few halvings it jumps each row still
+rejected to a lower bound on the count it needs, and its output is the
+bytes of trying every count in turn.
 
 All randomness flows through explicitly seeded generators: one
 numpy default_rng(seed) per sample_close call, and one
@@ -130,6 +136,134 @@ def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     return w
 
 
+def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
+    # Row i of pa is the p that row i of cand must be close to. Strict
+    # closeness (no tolerance slack) so the rows still pass is_close
+    # after construction-time renormalization.
+    e = budget.exp_epsilon
+    return (_hockey_stick(cand, pa, e) <= budget.delta) & (_hockey_stick(pa, cand, e) <= budget.delta)
+
+
+# The rejection loop tests halving counts 0 to _SCAN_HALVINGS of every
+# row in turn, then jumps each row still rejected (_resume_counts); a row
+# rejected at _MAX_HALVINGS is p. Rows that need a few halvings, as at
+# eps = 0.3, pay less for the scan than for the jump's bound.
+_SCAN_HALVINGS = 2
+_MAX_HALVINGS = 200
+
+
+def _mixed(pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """pr + lr dr, row by row: the same floats as the expression, in one
+    array instead of two (a fresh block-sized array costs more than the
+    arithmetic on it), written into out when given."""
+    out = np.multiply(lr[:, None], dr, out=out)
+    out += pr
+    return out
+
+
+def _resume_counts(
+    pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, budget: PrivacyBudget
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weight and halving count at which the rejection loop resumes
+    each of its rows rejected at every count up to _SCAN_HALVINGS: row i
+    mixes pr[i] along dr[i] = u - p, with weight lr[i] at count
+    k0 = _SCAN_HALVINGS + 1.
+
+    With t the weight and D_i = delta + (e^eps - 1) p_i, the mix p + t d
+    has the forward term t d_i - (e^eps - 1) p_i at entry i and the
+    backward term -e^eps t d_i - (e^eps - 1) p_i, so it is rejected by
+    entry i alone once t s_i > D_i, s_i = max(d_i, -e^eps d_i). In real
+    arithmetic every count below k_b = k0 + ceil(log2(lr max_i s_i / D_i))
+    is rejected. The candidate at k_b - 1 is tested once: rejected, the
+    row resumes at k_b; accepted (the bound was off by rounding), at k0.
+    k_b is capped at _MAX_HALVINGS, and rows whose bound gains nothing
+    resume at k0."""
+    k0 = _SCAN_HALVINGS + 1
+    e = budget.exp_epsilon
+    # 0/0 (an entry where u = p and D = 0) is nan, which fmax skips; a
+    # row of them has a nan bound, which compares False below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = dr * -e
+        np.maximum(s, dr, out=s)
+        den = pr * (e - 1.0)
+        den += budget.delta
+        s /= den
+        # fmax column by column: a reduce along rows of q entries is slow.
+        reach = s[:, 0].copy()
+        for column in s.T[1:]:
+            np.fmax(reach, column, out=reach)
+        kb = k0 + np.ceil(np.log2(lr * reach))
+    i = np.flatnonzero(kb >= k0 + 2)
+    kb = np.minimum(kb[i], _MAX_HALVINGS).astype(np.intp)
+    lb = np.ldexp(lr[i], k0 - kb)
+    rejected = ~_accept_mask(_mixed(pr[i], dr[i], 2.0 * lb), pr[i], budget)
+    i = i[rejected]
+    k = np.full(len(pr), k0)
+    lr[i], k[i] = lb[rejected], kb[rejected]
+    return lr, k
+
+
+def _mix_until_close(
+    pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Row i mixes pa[i] toward a draw u, along d[i] = u - pa[i], with
+    weight lam[i] 2^-k, for the smallest halving count k from 0 to
+    _MAX_HALVINGS at which the mix pa[i] + lam[i] 2^-k d[i] is close to
+    pa[i]; a row rejected at every count is pa[i]. Each round recomputes
+    only the rows still rejected, which it keeps in scratch, a
+    (3, len(pa), q) array. The rows are written into out.
+
+    Phase 1 tests counts 0 to _SCAN_HALVINGS of every row in turn.
+    Phase 2 moves each row still rejected to a lower bound on its first
+    accepted count (_resume_counts) and scans on from there. The bits
+    are those of scanning every count from 0, because acceptance is
+    monotone in k in floats, for e^eps >= 1:
+    - a forward term fl(c_i - fl(e^eps p_i)) can be positive only where
+      d_i > 0 (elsewhere c_i <= p_i <= fl(e^eps p_i)), and there c_i,
+      so the term, does not grow with k;
+    - a backward term fl(p_i - fl(e^eps c_i)) can be positive only where
+      d_i < 0, and there c_i does not shrink with k;
+    - fl is monotone, and so is a left-to-right sum of non-negative
+      terms, so neither excess grows with k.
+    So one rejection at a count rules out every smaller count. And each
+    candidate is the float the scan builds: d is the float u - p that
+    each round of the scan takes, and lam 2^-k is exact, by np.ldexp or
+    by repeated halving, since lam is 0 or, drawn by random(), at least
+    2^-53, so lam 2^-_MAX_HALVINGS is still a normal float."""
+    cand = _mixed(pa, d, lam, out)
+    # The rows still rejected, compacted: their indices into cand, their
+    # p, u - p, weight and latest candidate; in phase 2, also the
+    # halving count k of each one's candidate. Rows are gathered with
+    # take from pa and d into the head of scratch, which is several
+    # times faster than a boolean mask on them. At round r every row's
+    # count is at least r, so by round _MAX_HALVINGS every row is
+    # accepted or spent.
+    rows, pr, dr, lr, cr = np.arange(len(cand)), pa, d, lam, cand
+    for r in range(_MAX_HALVINGS + 1):
+        ok = _accept_mask(cr, pr, budget)
+        if r > _SCAN_HALVINGS:
+            # A row rejected at the last count is p.
+            spent = ~ok & (k == _MAX_HALVINGS)
+            cr[spent] = pr[spent]
+            ok |= spent
+        # cand already holds round 0's candidates.
+        if r:
+            i = np.flatnonzero(ok)
+            cand[rows[i]] = cr.take(i, axis=0)
+        i = np.flatnonzero(~ok)
+        if not i.size:
+            break
+        rows, lr = rows[i], lr[i] * 0.5
+        pr = np.take(pa, rows, axis=0, out=scratch[0, :len(rows)])
+        dr = np.take(d, rows, axis=0, out=scratch[1, :len(rows)])
+        if r > _SCAN_HALVINGS:
+            k = k[i] + 1
+        elif r == _SCAN_HALVINGS:
+            lr, k = _resume_counts(pr, dr, lr, budget)
+        cr = _mixed(pr, dr, lr, scratch[2, :len(rows)])
+    return cand
+
+
 def _step_misses(
     p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +303,14 @@ def sample_close(
 ) -> np.ndarray:
     """Deterministic sample of `count` distributions, each (eps,delta)-
     close to p, as the rows of a float64 matrix. The first sample is
-    always p and the second is t_step(p); each of the rest mixes p's q
-    witnesses with flat Dirichlet weights drawn from default_rng(seed),
-    normalized as SimplexVector stores it. A mix of distributions close
-    to p is close to p, since the hockey-stick divergence is convex. A
-    budget at which t_step(p) is not close to p is a ValueError.
+    always p and the second is t_step(p); the rest come from rejection
+    sampling on the draws of default_rng(seed): count - 2 rows of q
+    standard exponentials, then count - 2 uniform weights. Each sample
+    mixes p toward a uniform simplex draw, its exponentials (zeroed off
+    p's support at delta = 0) over their sum, with its weight, halved
+    until the mix is close to p (_mix_until_close), and is normalized
+    as SimplexVector stores it. A budget at which t_step(p) is not close
+    to p is a ValueError.
 
     A (0,0) budget admits only p itself: the matrix is the one row p,
     fewer rows than asked for when count > 1.
@@ -186,12 +323,15 @@ def sample_close(
         return p_rows
     if count <= 2:
         return np.concatenate([p_rows, steps])[:count]
-    weights = _start_rows(rng.standard_exponential((count - 2, len(p))))
-    w = _witnesses(p_rows[0], budget)
-    # Added witness by witness, not by a matmul, whose sums vary with the BLAS.
-    mixes = weights[:, :1] * w[0]
-    for k in range(1, len(p)):
-        mixes += weights[:, k:k + 1] * w[k]
+    u = rng.standard_exponential((count - 2, len(p)))
+    lam = rng.random(count - 2)
+    pa = np.repeat(p_rows, count - 2, axis=0)
+    if budget.delta == 0.0:
+        np.copyto(u, 0.0, where=~(pa > 0.0))
+    u /= u.sum(axis=1, keepdims=True)
+    # u - p, in place: the draws are not read again.
+    u -= pa
+    mixes = _mix_until_close(pa, u, lam, budget, np.empty_like(u), np.empty((3, *u.shape)))
     return np.concatenate([p_rows, steps, normalized_rows(mixes)])
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import rainbowdp as r
 from rainbowdp import oracle
-from rainbowdp.oracle import Counterexample, _drop_delta_rows, _fuzz, _start_rows, _StepMiss, _witnesses
-from helpers import random_budget, random_simplex, rng, sv
+from rainbowdp.oracle import Counterexample, _drop_delta_rows, _fuzz, _StepMiss
+from helpers import random_budget, random_simplex, reference_mix_until_close, rng, sv
 
 LOG2 = math.log(2.0)
 
@@ -70,15 +70,17 @@ def test_sample_close_first_two_and_reproducible():
 
 
 def test_sample_close_normalizes_each_candidate_as_the_constructor_does():
-    # Each sample past the first two is the mix of p's witnesses with
-    # flat Dirichlet weights from default_rng(seed), added left to right.
     g = rng(52)
     for _ in range(10):
         p = random_simplex(g, int(g.integers(2, 9)), zero_rate=0.3)
         budget = random_budget(g)
-        weights = _start_rows(np.random.default_rng(9).standard_exponential((62, len(p))))
-        w = _witnesses(np.array(p.p), budget)
-        raw = [sum((wt * w[k] for k, wt in enumerate(row[1:], 1)), row[0] * w[0]) for row in weights]
+        draws = np.random.default_rng(9)
+        u, lam = draws.standard_exponential((62, len(p))), draws.random(62)
+        pa = np.array([p.p] * 62)
+        if budget.delta == 0.0:
+            u[pa == 0.0] = 0.0
+        u /= u.sum(axis=1, keepdims=True)
+        raw = reference_mix_until_close(pa, u, lam, budget)
         samples = r.sample_close(p, budget, 64, seed=9)
         assert [tuple(row) for row in samples[2:].tolist()] == [
             r.SimplexVector(tuple(row)).p for row in raw
@@ -102,10 +104,11 @@ def test_sample_close_keeps_support_at_delta_zero():
         assert r.is_close(vec, p, budget)
 
 
-# sha256 of sample_close(p, budget, count, seed).tobytes(). Those with
-# count >= 3 were re-taken when the samples past p and t_step(p) became
-# mixes of p's witnesses instead of rejection-sampled mixes of p with
-# random draws; the bytes must not change.
+# sha256 of sample_close(p, budget, count, seed).tobytes(), taken
+# before the falsifier moved to blocks of trials; the bytes must not change.
+# The first was re-taken when the draws at delta = 0 became q exponentials
+# per row with the entries off p's support zeroed, instead of exponentials
+# on the support alone.
 _P8 = (
     0.07507868503759141, 0.22354126840513192, 0.2491328647564422, 0.05606201534092662,
     0.31606280538667386, 0.04054777997645131, 0.005414203754745267, 0.034160377342037335,
@@ -113,9 +116,9 @@ _P8 = (
 SAMPLE_CLOSE_GOLDEN = [
     # delta = 0 with a zero entry: the samples keep p's support.
     ((0.0, 0.25, 0.35, 0.4), (LOG2, 0.0), 40, 5,
-     "87cc16628fe91ad4e94657a8737a4cbc8b9fba8b04bd94edac24accec390d624"),
+     "61d62ae8fa4b700cdde2b09e5a18ed3dbd680dbc3b3718c03d4338fc546ff496"),
     ((0.1, 0.2, 0.3, 0.4), (0.0, 0.05), 40, 6,
-     "55c0a5be9bac39000ec5bb721fb70523bd1f8b84008f978867228820be4896e3"),
+     "8ccabe73de3896748c0de0b805091bd1ab07d3872b6700ba58cb5fcf40282933"),
     # The degenerate budget and count 1 both give [p].
     ((0.1, 0.2, 0.3, 0.4), (0.0, 0.0), 10, 1,
      "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c"),
@@ -124,16 +127,18 @@ SAMPLE_CLOSE_GOLDEN = [
     ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 2, 2,
      "f81cdb8204accf091011abcd66522a2e67382b1b40761750f562c9da4b775882"),
     ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 3, 2,
-     "aa7c8e7d056b9b244fafafe89a87b6c6c87d4025ec528345a69e7e92bae615f5"),
+     "35c1fa72cd6170a8c7a98a69a84641ba024e988552f474daf75d7c47061632ec"),
     (_P8, (math.log(1.2), 1e-3), 64, 1_000_010,
-     "fc0648af1c6d233eb0d8b4d0cf7f8c5a8774351ebbd8bc16ebe7390a0cf93a13"),
-    # eps = 1e-4, delta = 1e-7, the budget of the deep-path bench workload.
+     "de71403dfa543c367874e72ddefb359976b508a09422fa58840e8dd0232a1b83"),
+    # Taken before the rejection loop jumped each row to a lower bound on
+    # its first accepted halving: at eps = 1e-4, delta = 1e-7 rows need
+    # about 14 halvings.
     ((0.1, 0.2, 0.3, 0.4), (1e-4, 1e-7), 40, 7,
-     "a7b907b345c2661a31ad4392bc5b55ac9c6cdbb159185d80f95294fe9550a5ab"),
+     "490c5995d0130927dbdd61302d523bcc0d2639b390f9d44a0a611112686daf3f"),
     ((0.0, 0.25, 0.35, 0.4), (1e-4, 1e-7), 40, 8,
-     "b985987f76635ab05bbc1625ebe0c8a316bdc81ea5ea85b92fd026e2f4ee7769"),
+     "d031a425ed9f6f23d17f01e0f7798b7ccdaff7e600d8ca64d232926681fce61e"),
     (_P8, (1e-4, 1e-7), 64, 1_000_011,
-     "6861adf4a0d7012186832fc026fe1da4359259aae51d82d0e76d5575a3e1125b"),
+     "51e5f7a6de5d9970ff12844ca0165d798dc1698347a4d93f018fd153e5439d43"),
 ]
 
 
@@ -307,8 +312,72 @@ def test_bruteforce_chunked_alphabets_agree_with_per_element_check():
 def test_one_trial_refuses_a_step_not_close_to_p(call):
     # At these budgets t_step(p) is not close to p (ROADMAP item 2):
     # sample_close would hand it out as its second sample. Both stop
-    # before any witness is built, as fuzz reports such a trial.
+    # before any sample is drawn or witness built, as fuzz reports such
+    # a trial.
     p = sv(0.15, 0.05, 0.75, 0.05)
-    with mock.patch.object(oracle, "_witnesses", side_effect=AssertionError("built witnesses")):
+    with mock.patch.object(oracle, "_witnesses", side_effect=AssertionError("built witnesses")), \
+            mock.patch.object(oracle, "_mix_until_close", side_effect=AssertionError("drew samples")):
         with pytest.raises(ValueError, match=r"not close to p .*\(margin [0-9.e+-]+\); see ROADMAP.md item 2"):
             call(p)
+
+
+def test_mix_until_close_falls_back_to_p_after_200_halvings():
+    # At delta = 1e-300 and epsilon = 0 no mix of p with a draw is close
+    # to p, so every sampled row is rejected at all 201 halving counts
+    # and becomes p itself.
+    p = sv(0.0, 0.4, 0.6)
+    budget = r.PrivacyBudget(0.0, 1e-300)
+    rejected, real = set(), oracle._accept_mask
+
+    def accept_mask(cand, pa, b):
+        ok = real(cand, pa, b)
+        rejected.update(row.tobytes() for row in cand[~ok])
+        return ok
+
+    with mock.patch.object(oracle, "_accept_mask", accept_mask):
+        samples = r.sample_close(p, budget, 6, 0)
+    assert (samples[2:] == np.array(p.p)).all()
+    assert all(r.is_close(vec, p, budget) for vec in r.SimplexVector.wrap(samples))
+    # Each row's candidate at the 200th halving was tested and rejected.
+    pa = np.array([p.p] * 4)
+    draws = np.random.default_rng(0)
+    u, lam = draws.standard_exponential((4, 3)), draws.random(4)
+    u /= u.sum(axis=1, keepdims=True)
+    last = pa + np.ldexp(lam, -200)[:, None] * (u - pa)
+    assert not (last == pa).all(axis=1).any()
+    assert all(row.tobytes() in rejected for row in last)
+
+
+# Budgets spanning the regimes of the rejection loop: e^eps == 1 in
+# floats (eps = 0 and 1e-17), small eps and large eps, each with delta
+# from 0 to 1, 1e-17 among them, below the rounding of p's entries.
+_LOOP_EPSILONS = (0.0, 1e-17, 1e-9, 1e-4, 0.3, 8.0, 20.0)
+_LOOP_DELTAS = (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0)
+
+
+def test_acceptance_never_flips_back_as_halvings_grow():
+    # The premise of the rejection loop's jump: in floats, a candidate
+    # accepted at some halving count is accepted at every larger one, so
+    # one rejection rules out every smaller count.
+    g = rng(23)
+    flips = 0
+    for epsilon in _LOOP_EPSILONS:
+        for delta in _LOOP_DELTAS:
+            if epsilon == 0.0 and delta == 0.0:
+                continue
+            budget = r.PrivacyBudget(epsilon, delta)
+            q = int(g.integers(2, 13))
+            pa = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(64)])
+            u = g.standard_exponential((64, q))
+            if delta == 0.0:
+                u[pa == 0.0] = 0.0
+            u /= u.sum(axis=1, keepdims=True)
+            lam = g.random(64)
+            accepted = np.array([
+                oracle._accept_mask(pa + np.ldexp(lam, -k)[:, None] * (u - pa), pa, budget)
+                for k in range(201)
+            ])
+            assert (accepted[1:] | ~accepted[:-1]).all(), (epsilon, delta)
+            flips += int((accepted[1:] & ~accepted[:-1]).sum())
+    # Rows rejected at first and accepted later are what the loop jumps.
+    assert flips > 500

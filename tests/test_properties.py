@@ -13,9 +13,11 @@ of verify_dp and the dominance check on a stack of rows give, bit for
 bit, what their one-at-a-time definitions give (a fuzz block, the
 first step miss or dominance_falsify hit of its trials in order),
 fuzz's findings do not depend on the number of trials, samples at
-delta = 0 keep p's zeros, and the dominance lemma's witnesses are
-exactly close to p and attain the envelope, as its proof says, and
-within 1e-15 in floats; every trajectory file plots; and the optimum
+delta = 0 keep p's zeros, sample_close's rejection loop's jumps leave
+every row as testing each halving count in turn does, and the
+dominance lemma's witnesses are exactly close to p and attain the
+envelope, as its proof says, and within 1e-15 in floats; every
+trajectory file plots; and the optimum
 is locally tight: moving a little mass of any node off its boundary toward a more
 preferred color breaks privacy; renaming the nodes, which reorders
 them, gives every node the same optimal row; and the optimal mechanism
@@ -50,6 +52,7 @@ from helpers import (
     random_homogeneous_bc,
     random_simplex,
     random_solvable_graph,
+    reference_mix_until_close,
     rng,
     split_path,
     striped_grid_text,
@@ -327,8 +330,8 @@ def test_fuzz_findings_do_not_depend_on_the_number_of_trials(q, count, block_row
     falsifier_budgets.filter(lambda b: b.delta == 0.0),
 )
 def test_samples_keep_the_support_of_p_at_delta_zero(seed, count, budget):
-    # At delta = 0 every close distribution is 0 where p is, and so is
-    # every witness of p.
+    # At delta = 0 every close distribution is 0 where p is: each row
+    # draws q exponentials and the entries off p's support are zeroed.
     g = rng(seed)
     p = random_simplex(g, int(g.integers(2, 13)), zero_rate=0.4)
     samples = r.sample_close(p, budget, count, int(g.integers(2**40)))
@@ -352,6 +355,38 @@ def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, 
     starts = oracle._start_rows(draws[:, 0])
     assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in draws[:, 0])
     assert _hexes(starts[:1]) == _hexes([r.SimplexVector(tuple(rng(key).dirichlet(np.ones(q)))).p])
+
+
+@pytest.mark.parametrize(
+    "epsilon,delta",
+    [(e, d) for e in (0.0, 1e-17, 1e-9, 1e-4, 0.3, 8.0, 20.0)
+     for d in (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0) if e > 0.0 or d > 0.0],
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0**-53]) | st.integers(0, 2**53).map(lambda j: j * 2.0**-53), max_size=6),
+)
+def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, seed, weights):
+    # The rejection loop jumps each row past the halving counts a bound
+    # rules out; every row must come out as the loop that tests every
+    # count from 0 leaves it, at e^eps == 1 in floats (eps = 1e-17) and
+    # at any weight random() can draw (a multiple of 2^-53), 0, 2^-53 and
+    # 1 among them. At delta = 1e-17, below the rounding of p's larger
+    # entries, the bound is often off by rounding.
+    budget = r.PrivacyBudget(epsilon, delta)
+    g = rng(seed)
+    p_rows = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(4)])
+    pa = p_rows[np.arange(48) // 12]
+    u = g.standard_exponential((48, q))
+    if delta == 0.0:
+        u[pa == 0.0] = 0.0
+    u /= u.sum(axis=1, keepdims=True)
+    lam = g.random(48)
+    lam[:len(weights)] = weights
+    got = oracle._mix_until_close(pa, u - pa, lam, budget, np.empty_like(pa), np.empty((3, *pa.shape)))
+    assert got.tobytes() == reference_mix_until_close(pa, u, lam, budget).tobytes()
 
 
 @st.composite
