@@ -28,9 +28,7 @@ trial's p, that its real step is close to p, then the dominance check.
 
 sample_close draws its samples past p and t_step(p) by rejection: its
 loop (_mix_until_close) halves each sample's mixing weight until the
-mix is close to p; after a few halvings it jumps each row still
-rejected to a lower bound on the count it needs, and its output is the
-bytes of trying every count in turn.
+mix is close to p.
 
 All randomness flows through explicitly seeded generators: one
 numpy default_rng(seed) per sample_close call, and one
@@ -72,9 +70,10 @@ from .mechanism import (
 
 _MAX_BRUTEFORCE_Q = 20
 
-# fuzz runs its trials in blocks of about this many rows of q draws:
-# numpy's per-call cost is paid once per block, and a block's draws
-# (384 KB at q = 12) do not grow with the number of trials.
+# fuzz runs its trials, and sample_close its mixes, in blocks of about
+# this many rows of q draws: numpy's per-call cost is paid once per
+# block, and a block's draws (384 KB at q = 12) do not grow with the
+# number of trials or samples.
 _BLOCK_ROWS = 1 << 12
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
@@ -144,123 +143,27 @@ def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.
     return (_hockey_stick(cand, pa, e) <= budget.delta) & (_hockey_stick(pa, cand, e) <= budget.delta)
 
 
-# The rejection loop tests halving counts 0 to _SCAN_HALVINGS of every
-# row in turn, then jumps each row still rejected (_resume_counts); a row
-# rejected at _MAX_HALVINGS is p. Rows that need a few halvings, as at
-# eps = 0.3, pay less for the scan than for the jump's bound.
-_SCAN_HALVINGS = 2
+# A sample rejected at every halving count up to this one is p.
 _MAX_HALVINGS = 200
 
 
-def _mixed(pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """pr + lr dr, row by row: the same floats as the expression, in one
-    array instead of two (a fresh block-sized array costs more than the
-    arithmetic on it), written into out when given."""
-    out = np.multiply(lr[:, None], dr, out=out)
-    out += pr
-    return out
-
-
-def _resume_counts(
-    pr: np.ndarray, dr: np.ndarray, lr: np.ndarray, budget: PrivacyBudget
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weight and halving count at which the rejection loop resumes
-    each of its rows rejected at every count up to _SCAN_HALVINGS: row i
-    mixes pr[i] along dr[i] = u - p, with weight lr[i] at count
-    k0 = _SCAN_HALVINGS + 1.
-
-    With t the weight and D_i = delta + (e^eps - 1) p_i, the mix p + t d
-    has the forward term t d_i - (e^eps - 1) p_i at entry i and the
-    backward term -e^eps t d_i - (e^eps - 1) p_i, so it is rejected by
-    entry i alone once t s_i > D_i, s_i = max(d_i, -e^eps d_i). In real
-    arithmetic every count below k_b = k0 + ceil(log2(lr max_i s_i / D_i))
-    is rejected. The candidate at k_b - 1 is tested once: rejected, the
-    row resumes at k_b; accepted (the bound was off by rounding), at k0.
-    k_b is capped at _MAX_HALVINGS, and rows whose bound gains nothing
-    resume at k0."""
-    k0 = _SCAN_HALVINGS + 1
-    e = budget.exp_epsilon
-    # 0/0 (an entry where u = p and D = 0) is nan, which fmax skips; a
-    # row of them has a nan bound, which compares False below.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = dr * -e
-        np.maximum(s, dr, out=s)
-        den = pr * (e - 1.0)
-        den += budget.delta
-        s /= den
-        # fmax column by column: a reduce along rows of q entries is slow.
-        reach = s[:, 0].copy()
-        for column in s.T[1:]:
-            np.fmax(reach, column, out=reach)
-        kb = k0 + np.ceil(np.log2(lr * reach))
-    i = np.flatnonzero(kb >= k0 + 2)
-    kb = np.minimum(kb[i], _MAX_HALVINGS).astype(np.intp)
-    lb = np.ldexp(lr[i], k0 - kb)
-    rejected = ~_accept_mask(_mixed(pr[i], dr[i], 2.0 * lb), pr[i], budget)
-    i = i[rejected]
-    k = np.full(len(pr), k0)
-    lr[i], k[i] = lb[rejected], kb[rejected]
-    return lr, k
-
-
-def _mix_until_close(
-    pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
+def _mix_until_close(pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     """Row i mixes pa[i] toward a draw u, along d[i] = u - pa[i], with
     weight lam[i] 2^-k, for the smallest halving count k from 0 to
     _MAX_HALVINGS at which the mix pa[i] + lam[i] 2^-k d[i] is close to
-    pa[i]; a row rejected at every count is pa[i]. Each round recomputes
-    only the rows still rejected, which it keeps in scratch, a
-    (3, len(pa), q) array. The rows are written into out.
-
-    Phase 1 tests counts 0 to _SCAN_HALVINGS of every row in turn.
-    Phase 2 moves each row still rejected to a lower bound on its first
-    accepted count (_resume_counts) and scans on from there. The bits
-    are those of scanning every count from 0, because acceptance is
-    monotone in k in floats, for e^eps >= 1:
-    - a forward term fl(c_i - fl(e^eps p_i)) can be positive only where
-      d_i > 0 (elsewhere c_i <= p_i <= fl(e^eps p_i)), and there c_i,
-      so the term, does not grow with k;
-    - a backward term fl(p_i - fl(e^eps c_i)) can be positive only where
-      d_i < 0, and there c_i does not shrink with k;
-    - fl is monotone, and so is a left-to-right sum of non-negative
-      terms, so neither excess grows with k.
-    So one rejection at a count rules out every smaller count. And each
-    candidate is the float the scan builds: d is the float u - p that
-    each round of the scan takes, and lam 2^-k is exact, by np.ldexp or
-    by repeated halving, since lam is 0 or, drawn by random(), at least
-    2^-53, so lam 2^-_MAX_HALVINGS is still a normal float."""
-    cand = _mixed(pa, d, lam, out)
-    # The rows still rejected, compacted: their indices into cand, their
-    # p, u - p, weight and latest candidate; in phase 2, also the
-    # halving count k of each one's candidate. Rows are gathered with
-    # take from pa and d into the head of scratch, which is several
-    # times faster than a boolean mask on them. At round r every row's
-    # count is at least r, so by round _MAX_HALVINGS every row is
-    # accepted or spent.
-    rows, pr, dr, lr, cr = np.arange(len(cand)), pa, d, lam, cand
-    for r in range(_MAX_HALVINGS + 1):
-        ok = _accept_mask(cr, pr, budget)
-        if r > _SCAN_HALVINGS:
-            # A row rejected at the last count is p.
-            spent = ~ok & (k == _MAX_HALVINGS)
-            cr[spent] = pr[spent]
-            ok |= spent
-        # cand already holds round 0's candidates.
-        if r:
-            i = np.flatnonzero(ok)
-            cand[rows[i]] = cr.take(i, axis=0)
-        i = np.flatnonzero(~ok)
-        if not i.size:
+    pa[i]; a row rejected at every count is pa[i]. Each round tests and
+    recomputes only the rows still rejected. lam 2^-k is exact, since
+    lam is 0 or, drawn by random(), at least 2^-53."""
+    cand = pa + lam[:, None] * d
+    rows = np.arange(len(cand))
+    for k in range(1, _MAX_HALVINGS + 2):
+        rows = rows[~_accept_mask(cand[rows], pa[rows], budget)]
+        if not rows.size:
             break
-        rows, lr = rows[i], lr[i] * 0.5
-        pr = np.take(pa, rows, axis=0, out=scratch[0, :len(rows)])
-        dr = np.take(d, rows, axis=0, out=scratch[1, :len(rows)])
-        if r > _SCAN_HALVINGS:
-            k = k[i] + 1
-        elif r == _SCAN_HALVINGS:
-            lr, k = _resume_counts(pr, dr, lr, budget)
-        cr = _mixed(pr, dr, lr, scratch[2, :len(rows)])
+        if k > _MAX_HALVINGS:
+            cand[rows] = pa[rows]
+            break
+        cand[rows] = pa[rows] + np.ldexp(lam[rows], -k)[:, None] * d[rows]
     return cand
 
 
@@ -325,14 +228,15 @@ def sample_close(
         return np.concatenate([p_rows, steps])[:count]
     u = rng.standard_exponential((count - 2, len(p)))
     lam = rng.random(count - 2)
-    pa = np.repeat(p_rows, count - 2, axis=0)
     if budget.delta == 0.0:
-        np.copyto(u, 0.0, where=~(pa > 0.0))
+        np.copyto(u, 0.0, where=~(p_rows > 0.0))
     u /= u.sum(axis=1, keepdims=True)
-    # u - p, in place: the draws are not read again.
-    u -= pa
-    mixes = _mix_until_close(pa, u, lam, budget, np.empty_like(u), np.empty((3, *u.shape)))
-    return np.concatenate([p_rows, steps, normalized_rows(mixes)])
+    # u - p, in place; each block of mixes then takes its rows' place.
+    u -= p_rows
+    for lo in range(0, len(u), _BLOCK_ROWS):
+        block = u[lo:lo + _BLOCK_ROWS]
+        block[:] = _mix_until_close(np.broadcast_to(p_rows, block.shape), block, lam[lo:lo + _BLOCK_ROWS], budget)
+    return np.concatenate([p_rows, steps, normalized_rows(u)])
 
 
 @dataclass(frozen=True)

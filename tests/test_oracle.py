@@ -356,9 +356,9 @@ _LOOP_DELTAS = (0.0, 1e-300, 1e-17, 1e-12, 1e-7, 0.01, 1.0)
 
 
 def test_acceptance_never_flips_back_as_halvings_grow():
-    # The premise of the rejection loop's jump: in floats, a candidate
-    # accepted at some halving count is accepted at every larger one, so
-    # one rejection rules out every smaller count.
+    # In floats, a candidate accepted at some halving count is accepted
+    # at every larger one: each sample is close to p at every weight
+    # below the one the rejection loop stops at.
     g = rng(23)
     flips = 0
     for epsilon in _LOOP_EPSILONS:
@@ -379,5 +379,5 @@ def test_acceptance_never_flips_back_as_halvings_grow():
             ])
             assert (accepted[1:] | ~accepted[:-1]).all(), (epsilon, delta)
             flips += int((accepted[1:] & ~accepted[:-1]).sum())
-    # Rows rejected at first and accepted later are what the loop jumps.
+    # Rows rejected at first and accepted later are what the loop halves.
     assert flips > 500

@@ -13,8 +13,8 @@ of verify_dp and the dominance check on a stack of rows give, bit for
 bit, what their one-at-a-time definitions give (a fuzz block, the
 first step miss or dominance_falsify hit of its trials in order),
 fuzz's findings do not depend on the number of trials, samples at
-delta = 0 keep p's zeros, sample_close's rejection loop's jumps leave
-every row as testing each halving count in turn does, and the
+delta = 0 keep p's zeros, sample_close's rejection loop leaves every
+row as halving each weight in turn does, and the
 dominance lemma's witnesses are exactly close to p and attain the
 envelope, as its proof says, and within 1e-15 in floats; every
 trajectory file plots; and the optimum
@@ -369,12 +369,11 @@ def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, 
     st.lists(st.sampled_from([0.0, 1.0, 2.0**-53]) | st.integers(0, 2**53).map(lambda j: j * 2.0**-53), max_size=6),
 )
 def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, seed, weights):
-    # The rejection loop jumps each row past the halving counts a bound
-    # rules out; every row must come out as the loop that tests every
-    # count from 0 leaves it, at e^eps == 1 in floats (eps = 1e-17) and
-    # at any weight random() can draw (a multiple of 2^-53), 0, 2^-53 and
-    # 1 among them. At delta = 1e-17, below the rounding of p's larger
-    # entries, the bound is often off by rounding.
+    # The rejection loop builds each halving count's weight with ldexp
+    # and recomputes only the rows still rejected; every row must come
+    # out as the loop that halves every row's weight in turn leaves it,
+    # at e^eps == 1 in floats (eps = 1e-17) and at any weight random()
+    # can draw (a multiple of 2^-53), 0, 2^-53 and 1 among them.
     budget = r.PrivacyBudget(epsilon, delta)
     g = rng(seed)
     p_rows = np.array([random_simplex(g, q, zero_rate=0.3).p for _ in range(4)])
@@ -385,7 +384,7 @@ def test_mix_until_close_gives_the_bytes_of_the_full_scan(epsilon, delta, q, see
     u /= u.sum(axis=1, keepdims=True)
     lam = g.random(48)
     lam[:len(weights)] = weights
-    got = oracle._mix_until_close(pa, u - pa, lam, budget, np.empty_like(pa), np.empty((3, *pa.shape)))
+    got = oracle._mix_until_close(pa, u - pa, lam, budget)
     assert got.tobytes() == reference_mix_until_close(pa, u, lam, budget).tobytes()
 
 
@@ -882,7 +881,7 @@ def close_pair_cases(draw):
 @given(close_pair_cases())
 def test_closeness_kernel_agrees_with_exact_arithmetic(case):
     # Away from the tolerance band around delta, the float kernel's verdict
-    # is the exact one, through each of its three callers. The pair's
+    # is the exact one, through each of its four callers. The pair's
     # excess is the larger of its two directions'.
     budget, pv, qv = case
     delta = Fraction(budget.delta)
@@ -901,6 +900,7 @@ def test_closeness_kernel_agrees_with_exact_arithmetic(case):
     bc = r.BoundaryCondition({ca: pv, cb: qv})
     assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
 
+    assert bool(oracle._accept_mask(np.array([qv.p]), np.array([pv.p]), budget)[0]) == close
     assert (not oracle._step_misses(np.array([pv.p]), np.array([qv.p]), budget)[0][0]) == close
 
 
