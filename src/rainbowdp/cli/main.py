@@ -209,11 +209,11 @@ def cmd_fuzz(args) -> int:
     for name, low in (("trials", 1), ("samples", 1), ("seed", 0)):
         if getattr(args, name) < low:
             raise ValueError(f"need {name} >= {low}")
-    # A trial's draws, samples - 1 rows of q, are held at once.
+    # --samples is checked and printed; it draws nothing.
     if args.samples > 65536:
         raise ValueError("need samples <= 65536")
     step_rows = _drop_delta_rows if args.mutant_drop_delta else None
-    hit = _fuzz(args.q, budget, args.trials, args.samples, args.seed, step_rows)
+    hit = _fuzz(args.q, budget, args.trials, args.seed, step_rows)
     result, code = "ok", EXIT_OK
     if hit is not None:
         i, p, found = hit
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     _add_budget_flags(p, required=True)
     p.add_argument(
         "--samples", type=int, default=64,
-        help="1..65536; lays out each block's draws, so a seed keeps its trials (each trial checks q witnesses)",
+        help="1..65536; accepted and printed, with no effect on any draw (each trial checks q witnesses)",
     )
     p.add_argument("--mutant-drop-delta", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_fuzz)

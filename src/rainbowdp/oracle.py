@@ -30,10 +30,10 @@ sample_close draws its samples past p and t_step(p) by rejection: its
 loop (_mix_until_close) halves each sample's mixing weight until the
 mix is close to p.
 
-All randomness flows through explicitly seeded generators: one
-numpy default_rng(seed) per sample_close call, and one
-default_rng((seed, first trial)) per fuzz block. There is no global RNG
-state anywhere in this module.
+All randomness flows through explicitly seeded generators: one numpy
+default_rng(seed) per sample_close call, and one default_rng((seed,
+first trial)) per fuzz block, one row of q draws per trial. There is
+no global RNG state anywhere in this module.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ from .mechanism import (
 
 _MAX_BRUTEFORCE_Q = 20
 
-# fuzz runs its trials, and sample_close its mixes, in blocks of about
-# this many rows of q draws: numpy's per-call cost is paid once per
-# block, and a block's draws (384 KB at q = 12) do not grow with the
-# number of trials or samples.
+# fuzz runs its trials, and sample_close its mixes, in blocks of this
+# many rows of q draws: numpy's per-call cost is paid once per block, and
+# a block's draws (384 KB at q = 12) do not grow with the number of
+# trials or samples.
 _BLOCK_ROWS = 1 << 12
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
@@ -305,7 +305,7 @@ class _StepMiss:
 
 
 def _fuzz(
-    q: int, budget: PrivacyBudget, trials: int, count: int, seed: int,
+    q: int, budget: PrivacyBudget, trials: int, seed: int,
     step_rows: _RowsStep | None = None,
 ) -> tuple[int, SimplexVector, Counterexample | _StepMiss] | None:
     """The first trial of a fuzz run that refutes the operator's claim
@@ -315,19 +315,17 @@ def _fuzz(
     otherwise the Counterexample of the dominance check (_falsify); a
     trial with both reports the miss.
 
-    Trials run in blocks of max(1, _BLOCK_ROWS // count). Each block
-    draws from its own generator, default_rng((seed, its first trial)),
-    the standard exponentials of all its trials whatever `trials` is,
-    1 + max(count - 2, 0) rows of q per trial, and trial i of a block
-    starts from the Dirichlet draw of its first row (_start_rows). So a
-    trial's finding depends only on (seed, i, count, q), never on
-    `trials` or on the other trials.
+    Trials run in blocks of _BLOCK_ROWS. The block from trial lo draws
+    one row of q standard exponentials per trial from its own generator,
+    default_rng((seed, lo)), and trial i starts from the Dirichlet draw
+    of its row (_start_rows). A generator's draws come out in sequence,
+    so a short last block is a prefix of a full one: a trial's finding
+    depends only on (seed, i, q), never on `trials` or on the other
+    trials.
     """
-    per_block = max(1, _BLOCK_ROWS // count)
-    draws = np.empty((per_block, 1 + max(count - 2, 0), q))
-    for lo in range(0, trials, per_block):
-        np.random.default_rng((seed, lo)).standard_exponential(out=draws)
-        p_rows = _start_rows(draws[:min(per_block, trials - lo), 0])
+    for lo in range(0, trials, _BLOCK_ROWS):
+        draws = np.random.default_rng((seed, lo)).standard_exponential((min(_BLOCK_ROWS, trials - lo), q))
+        p_rows = _start_rows(draws)
         steps = t_step_rows(p_rows, budget)
         misses, margins = _step_misses(p_rows, steps, budget)
         # Only the trials before the first miss are checked for dominance:

@@ -39,11 +39,11 @@ def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def block_draws(key, trials: int, count: int, q: int) -> np.ndarray:
+def block_draws(key, trials: int, q: int) -> np.ndarray:
     """The draws of a fuzz block from np.random.default_rng(key), taken
-    with gamma(1, 1): row j holds trial j's 1 + max(count - 2, 0) rows of
-    q exponentials, the first of which makes its start distribution."""
-    return np.random.default_rng(key).gamma(1.0, 1.0, size=(trials, 1 + max(count - 2, 0), q))
+    with gamma(1, 1): row j holds trial j's q exponentials, which make
+    its start distribution."""
+    return np.random.default_rng(key).gamma(1.0, 1.0, size=(trials, q))
 
 
 def dirichlet_start(row: np.ndarray) -> r.SimplexVector:

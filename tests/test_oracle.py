@@ -228,7 +228,7 @@ def _last_only(rows, budget):
 @pytest.mark.parametrize("epsilon,kind", [(0.5, Counterexample), (50.0, _StepMiss)])
 def test_fuzz_reports_the_step_miss_of_a_trial_that_also_has_a_hit(epsilon, kind):
     budget = r.PrivacyBudget(epsilon, 0.01)
-    trial, p, found = _fuzz(4, budget, 5, 8, 1, _last_only)
+    trial, p, found = _fuzz(4, budget, 5, 1, _last_only)
     assert trial == 0 and isinstance(found, kind)
     if kind is Counterexample:
         assert r.dominance_falsify(p, budget, _last_only) == found
@@ -246,8 +246,8 @@ def test_fuzz_reports_the_step_miss_of_a_trial_that_also_has_a_hit(epsilon, kind
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a q = 12 step at epsilon = 8 misses the budget")
 def test_fuzz_finds_no_step_miss_at_q12_epsilon_8():
-    # Until item 2 lands, trial 1 reports a step-not-close, margin about 1.02e-12.
-    assert _fuzz(12, r.PrivacyBudget(8.0, 0.0), 30, 64, 7) is None
+    # Until item 2 lands, trial 0 reports a step-not-close, margin about 1.01e-12.
+    assert _fuzz(12, r.PrivacyBudget(8.0, 0.0), 30, 22) is None
 
 
 def test_no_optimal_demo_canonical():

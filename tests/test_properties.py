@@ -189,17 +189,18 @@ falsifier_budgets = st.sampled_from([
 ])
 
 
-def _fuzz_replay(q, budget, trials, count, seed, step_rows=None):
+def _fuzz_replay(q, budget, trials, seed, step_rows=None):
     """`fuzz` one trial at a time: each block's draws taken by
-    block_draws from default_rng((seed, the block's first trial)), and
-    each trial's p checked alone, in order: first that its real step is
-    close to it, then dominance_falsify. Returns the first finding as
-    _fuzz reports it."""
-    per_block = max(1, oracle._BLOCK_ROWS // count)
-    for lo in range(0, trials, per_block):
-        draws = block_draws((seed, lo), per_block, count, q)
-        for j in range(min(per_block, trials - lo)):
-            p = dirichlet_start(draws[j, 0])
+    block_draws from default_rng((seed, the block's first trial)), a
+    full block's even when fewer trials are left, and each trial's p
+    checked alone, in order: first that its real step is close to it,
+    then dominance_falsify. Returns the first finding as _fuzz reports
+    it."""
+    rows = oracle._BLOCK_ROWS
+    for lo in range(0, trials, rows):
+        draws = block_draws((seed, lo), rows, q)
+        for j in range(min(rows, trials - lo)):
+            p = dirichlet_start(draws[j])
             step = r.SimplexVector.wrap(t_step_rows(np.array([p.p]), budget))[0]
             if not r.is_close(step, p, budget):
                 e = budget.exp_epsilon
@@ -211,10 +212,10 @@ def _fuzz_replay(q, budget, trials, count, seed, step_rows=None):
     return None
 
 
-def _fuzz_with_blocks(q, budget, trials, count, seed, step_rows, block_rows):
+def _fuzz_with_blocks(q, budget, trials, seed, step_rows, block_rows):
     """_fuzz with _BLOCK_ROWS set to block_rows, and its replay."""
     with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        return _fuzz(q, budget, trials, count, seed, step_rows), _fuzz_replay(q, budget, trials, count, seed, step_rows)
+        return _fuzz(q, budget, trials, seed, step_rows), _fuzz_replay(q, budget, trials, seed, step_rows)
 
 
 def _some_drop_delta(rows, budget):
@@ -227,13 +228,12 @@ def _some_drop_delta(rows, budget):
 _OPERATORS = {"real": None, "mutant": _drop_delta_rows, "some": _some_drop_delta}
 
 
-def _victim_operator(q, count, block_rows, seed, victim):
+def _victim_operator(q, block_rows, seed, victim):
     """The real operator on every row but trial `victim`'s p, where it
     drops delta; p is read from the victim's block as _fuzz_replay reads
     it, with _BLOCK_ROWS at block_rows."""
-    per_block = max(1, block_rows // count)
-    lo = victim - victim % per_block
-    p_victim = np.array(dirichlet_start(block_draws((seed, lo), per_block, count, q)[victim - lo, 0]).p)
+    lo = victim - victim % block_rows
+    p_victim = np.array(dirichlet_start(block_draws((seed, lo), block_rows, q)[victim - lo]).p)
 
     def step_rows(rows, b):
         hit = (rows == p_victim).all(axis=1)[:, None]
@@ -264,35 +264,33 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, budget, operator):
 @given(
     st.integers(2, 12),
     st.integers(1, 40),
-    st.sampled_from([1, 2, 3, 5]),
     st.integers(1, 16),
     falsifier_budgets,
     st.integers(0, 2**20),
     st.sampled_from(sorted(_OPERATORS)),
 )
-def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, count, block_rows, budget, seed, operator):
+def test_fuzz_blocks_report_what_the_trial_loop_reports(q, trials, block_rows, budget, seed, operator):
     # Small blocks, so that most runs span several and end in a part
     # block; a block's finding must be the first per-trial step miss or
     # dominance_falsify hit, in trial order.
-    got, want = _fuzz_with_blocks(q, budget, trials, count, seed, _OPERATORS[operator], block_rows)
+    got, want = _fuzz_with_blocks(q, budget, trials, seed, _OPERATORS[operator], block_rows)
     assert got == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(2, 12),
-    st.sampled_from([2, 3, 8]),
     st.integers(1, 24),
     st.integers(0, 30),
     falsifier_budgets.filter(lambda b: b.delta > 0.0),
     st.integers(0, 2**20),
 )
-def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, budget, seed):
+def test_fuzz_reports_a_hit_past_the_first_block(q, block_rows, late, budget, seed):
     # Only trial `victim`, past the first block, gets an operator that
     # drops delta; its witnesses beat it.
-    victim = max(1, block_rows // count) + late
-    corrupt = _victim_operator(q, count, block_rows, seed, victim)
-    got, want = _fuzz_with_blocks(q, budget, victim + 5, count, seed, corrupt, block_rows)
+    victim = block_rows + late
+    corrupt = _victim_operator(q, block_rows, seed, victim)
+    got, want = _fuzz_with_blocks(q, budget, victim + 5, seed, corrupt, block_rows)
     assert want is not None and want[0] == victim
     assert got == want
 
@@ -300,7 +298,6 @@ def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, bud
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.integers(2, 8),
-    st.sampled_from([1, 2, 3, 5]),
     st.integers(1, 16),
     st.integers(1, 30),
     st.integers(1, 30),
@@ -308,18 +305,17 @@ def test_fuzz_reports_a_hit_past_the_first_block(q, count, block_rows, late, bud
     st.integers(0, 2**20),
     st.sampled_from(["mutant", "victim"]),
 )
-def test_fuzz_findings_do_not_depend_on_the_number_of_trials(q, count, block_rows, short, more, budget, seed, kind):
-    # A trial's draws are fixed by (seed, trial, count, q): a run of
-    # `short` trials reports the finding of a longer run when that lies
-    # below `short`, and nothing otherwise. The victim sits past the
-    # first block, below `short` in some runs and not in others.
+def test_fuzz_findings_do_not_depend_on_the_number_of_trials(q, block_rows, short, more, budget, seed, kind):
+    # A trial's draws are fixed by (seed, trial, q): a run of `short`
+    # trials reports the finding of a longer run when that lies below
+    # `short`, and nothing otherwise. The victim sits past the first
+    # block, below `short` in some runs and not in others.
     step_rows = _drop_delta_rows
     if kind == "victim":
-        per_block = max(1, block_rows // count)
-        step_rows = _victim_operator(q, count, block_rows, seed, per_block + seed % (short + per_block))
+        step_rows = _victim_operator(q, block_rows, seed, block_rows + seed % (short + block_rows))
     with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
-        longer = _fuzz(q, budget, short + more, count, seed, step_rows)
-        shorter = _fuzz(q, budget, short, count, seed, step_rows)
+        longer = _fuzz(q, budget, short + more, seed, step_rows)
+        shorter = _fuzz(q, budget, short, seed, step_rows)
     assert shorter == (longer if longer is not None and longer[0] < short else None)
 
 
@@ -341,19 +337,20 @@ def test_samples_keep_the_support_of_p_at_delta_zero(seed, count, budget):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1, 2, 3, 40]), st.integers(0, 2**100))
-def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, count, base):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**100))
+def test_block_draws_are_the_one_generator_per_trial_draws(seed, trials, more, base):
     # A fuzz block's draws are one generator's standard exponentials,
     # the bits of gamma(1, 1) as block_draws takes them, at keys of one to
-    # five words. A block's first trial starts from its generator's
-    # Dirichlet draw, and every start is the Dirichlet draw of its row.
+    # five words, and a short block's are the first rows of a longer
+    # one's. A block's first trial starts from its generator's Dirichlet
+    # draw, and every start is the Dirichlet draw of its row.
     q = int(rng(seed).integers(2, 13))
     key = (base, seed % 1000)
-    draws = np.empty((trials, 1 + max(count - 2, 0), q))
-    np.random.default_rng(key).standard_exponential(out=draws)
-    assert draws.tobytes() == block_draws(key, trials, count, q).tobytes()
-    starts = oracle._start_rows(draws[:, 0])
-    assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in draws[:, 0])
+    draws = np.random.default_rng(key).standard_exponential((trials, q))
+    assert draws.tobytes() == block_draws(key, trials, q).tobytes()
+    assert draws.tobytes() == np.random.default_rng(key).standard_exponential((trials + more, q))[:trials].tobytes()
+    starts = oracle._start_rows(draws)
+    assert _hexes(starts) == _hexes(dirichlet_start(row).p for row in draws)
     assert _hexes(starts[:1]) == _hexes([r.SimplexVector(tuple(rng(key).dirichlet(np.ones(q)))).p])
 
 
