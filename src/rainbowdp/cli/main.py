@@ -8,6 +8,7 @@ found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -235,7 +236,12 @@ def cmd_fuzz(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process, built on first use and shared by
+    every caller, so none may change it. It holds no command function:
+    main looks the command up by name on each call, so a cmd_* rebound
+    on this module after the parser was built is the one run."""
     parser = _Parser(prog="rainbow-dp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,13 +249,11 @@ def build_parser() -> _Parser:
     p.add_argument("graph_file")
     _add_budget_flags(p, required=True)
     p.add_argument("--out", required=True, help="output mechanism CSV path")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check a mechanism CSV against a graph file")
     p.add_argument("graph_file")
     p.add_argument("mechanism_file")
     _add_budget_flags(p, required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("trajectory", help="emit the closed-form trajectory of a boundary vector")
     p.add_argument("--boundary", required=True, help="comma-separated probabilities, preference order")
@@ -257,12 +261,10 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--substeps", type=int, default=1, help="samples per unit t")
     p.add_argument("--out", required=True, help="output trajectory CSV path")
-    p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("plot", help="render a trajectory CSV as a standalone SVG")
     p.add_argument("trajectory_csv")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser(
         "demo-no-optimal",
@@ -274,7 +276,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="build and print the optimal mechanism on the homogenized pentagon instead",
     )
-    p.set_defaults(func=cmd_demo_no_optimal)
 
     p = sub.add_parser("fuzz", help="check the operator's one-step claim on random start distributions")
     p.add_argument("--q", type=int, required=True, help="alphabet size, 2..12")
@@ -286,15 +287,15 @@ def build_parser() -> _Parser:
         help="1..65536; accepted and printed, with no effect on any draw (each trial checks q witnesses)",
     )
     p.add_argument("--mutant-drop-delta", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_fuzz)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except Exception as exc:
         # The first match wins (InvalidBoundary is also a ValueError).
         # Anything else is a program fault and keeps its traceback.

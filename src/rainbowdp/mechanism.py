@@ -18,8 +18,9 @@ to a crossing step, then exponential approach to 1.
 
 Each is written once, on arrays: the operator in _t_step_prefix_rows
 (t_step_rows on distributions), the growth phase in _growth and the
-whole trajectory in _prefix_curve. t_step and closed_form_prefix are
-their one-row cases.
+whole trajectory, on per-row starts, in _curve_rows. t_step,
+_prefix_curve and closed_form_prefix are their one-row or one-start
+cases.
 """
 
 from __future__ import annotations
@@ -219,11 +220,19 @@ def _exp_each(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
 
 
+def _at(a: np.ndarray, t_at: np.ndarray, k_at: np.ndarray) -> np.ndarray:
+    """Entries (t_at[j], k_at[j]) of a per-row (rows, q) array, or of the
+    one (q,) row that every row shares."""
+    return a[k_at] if a.ndim == 1 else a[t_at, k_at]
+
+
 def _growth(start: np.ndarray, rho: float, eps: float, ts: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The growth phase s^t = e^(t eps) (s0 + rho) - rho, capped at 1, of
-    each prefix s0 in start: entry (i, k) is prefix k after ts[i] steps,
-    for the growth steps ts[i] <= tau[k]; the other entries are not
-    defined. A prefix with s0 + rho <= 0 never grows and stays at 0."""
+    each prefix s0 of row i's start: entry (i, k) is prefix k after ts[i]
+    steps, for the growth steps ts[i] <= tau[i, k]; the other entries are
+    not defined. start and tau are per-row (rows, q) arrays, or one (q,)
+    row each that every row shares. A prefix with s0 + rho <= 0 never
+    grows and stays at 0."""
     base = start + rho
     direct = base >= _LOG_FORM_THRESHOLD
     # e^(t eps) is taken once per row, and only up to the last crossing
@@ -232,52 +241,70 @@ def _growth(start: np.ndarray, rho: float, eps: float, ts: np.ndarray, tau: np.n
     growth = np.zeros(len(ts))
     growth[shared] = _exp_each(ts[shared] * eps)
     out = growth[:, None] * base - rho
-    out[:, base <= 0.0] = 0.0
+    out[..., base <= 0.0] = 0.0
     # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
     tiny = (ts[:, None] <= tau) & ~direct & (base > 0.0)
     if tiny.any():
         t_at, k_at = np.nonzero(tiny)
-        log_base = np.array([math.log(b) if b > 0.0 else 0.0 for b in base.tolist()])
-        out[tiny] = _exp_each(ts[t_at] * eps + log_base[k_at]) - rho
+        log_base = np.array(list(map(math.log, _at(base, t_at, k_at).tolist())))
+        out[t_at, k_at] = _exp_each(ts[t_at] * eps + log_base) - rho
     # min(1.0, val) as Python evaluates it.
     return np.where(out < 1.0, out, 1.0)
 
 
-def _phases(start: np.ndarray, budget: PrivacyBudget) -> tuple[float, np.ndarray, np.ndarray]:
-    """The drift rho and, per prefix in start, its last growth step tau
-    and its value there, where the approach phase starts. Needs eps > 0."""
+def _phases(start: np.ndarray, budget: PrivacyBudget) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """The drift rho and, per prefix in start (an array of any shape), its
+    last growth step tau and its value s_tau there, where the approach
+    phase starts, as (rho, tau, s_tau) with tau and s_tau shaped like
+    start. None at eps = 0, where there is no growth phase."""
+    if budget.epsilon == 0.0:
+        return None
     e = budget.exp_epsilon
     rho = budget.delta / (e - 1.0)
     # Last step of the growth phase: the operator's two bounds cross at
     # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
     # is 1/(e^eps + 1) + 2 delta / (e^(2 eps) - 1).
     crossing = 1.0 / (e + 1.0) + 2.0 * budget.delta / (e * e - 1.0)
-    tau = np.array([_tau(sk, crossing, budget, rho) for sk in start.tolist()])
-    at_tau = np.diagonal(_growth(start, rho, budget.epsilon, tau, tau))
-    return rho, tau, np.where(tau == 0.0, start, at_tau)
+    flat = start.ravel()
+    tau = np.array([_tau(sk, crossing, budget, rho) for sk in flat.tolist()])
+    # Each prefix is a row of its own, evaluated at its own tau.
+    at_tau = _growth(flat[:, None], rho, budget.epsilon, tau, tau[:, None])[:, 0]
+    return rho, tau.reshape(start.shape), np.where(tau == 0.0, flat, at_tau).reshape(start.shape)
 
 
-def _prefix_curve(m: SimplexVector, budget: PrivacyBudget, ts: np.ndarray) -> np.ndarray:
-    """The closed-form trajectory of m's prefix sums (see
-    closed_form_prefix): row i holds them after ts[i] steps, for t >= 0.
-    Each row's floats depend on its own time alone, not on the other
-    times asked for."""
-    ts = np.asarray(ts, dtype=np.float64)
-    start = np.array(prefix_sums(m))
-    eps = budget.epsilon
-    if eps == 0.0:
+def _curve_rows(
+    start: np.ndarray,
+    phases: tuple[float, np.ndarray, np.ndarray] | None,
+    budget: PrivacyBudget,
+    ts: np.ndarray,
+) -> np.ndarray:
+    """The closed form (see closed_form_prefix) on per-row starts: row i
+    holds the prefix sums start[i] after ts[i] steps, for t >= 0. start
+    is a (rows, q) array, or one (q,) row that every row shares, and
+    phases is _phases of it. Each row's floats depend on its own start
+    and time alone, not on the other rows asked for."""
+    if phases is None:
         out = start + ts[:, None] * budget.delta
     else:
-        rho, tau, s_tau = _phases(start, budget)
+        rho, tau, s_tau = phases
+        eps = budget.epsilon
         out = _growth(start, rho, eps, ts, tau)
         # Approach phase, past each prefix's crossing step.
         t_at, k_at = np.nonzero(ts[:, None] > tau)
         if len(t_at):
-            decay = _exp_each(-eps * (ts[t_at] - tau[k_at]))
-            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - s_tau[k_at])
+            decay = _exp_each(-eps * (ts[t_at] - _at(tau, t_at, k_at)))
+            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - _at(s_tau, t_at, k_at))
     out = np.where(out < 1.0, out, 1.0)
-    out[ts == 0] = start
+    zero = ts == 0
+    out[zero] = start[zero] if start.ndim == 2 else start
     return out
+
+
+def _prefix_curve(m: SimplexVector, budget: PrivacyBudget, ts: np.ndarray) -> np.ndarray:
+    """The closed-form trajectory of m's prefix sums: row i holds them
+    after ts[i] steps, for t >= 0. The one-start case of _curve_rows."""
+    start = np.array(prefix_sums(m))
+    return _curve_rows(start, _phases(start, budget), budget, np.asarray(ts, dtype=np.float64))
 
 
 def _distributions(s: np.ndarray) -> np.ndarray:
@@ -303,15 +330,42 @@ def closed_form_prefix(
     return tuple(_prefix_curve(m, budget, [t])[0].tolist())
 
 
-def _fill_powers(
-    chain: np.ndarray, m: SimplexVector, order: Sequence[int], budget: PrivacyBudget
+def _fill_chains(
+    rows: np.ndarray,
+    chains: Sequence[tuple[int, int, SimplexVector, Sequence[int]]],
+    budget: PrivacyBudget,
 ) -> None:
-    """Rows 1, 2, ... of chain get operator powers 1, 2, ... of m (in
-    preference order), built _CHUNK_ROWS at a time, normalized, with the
-    k-th preferred color in column order[k]. Row 0 is the caller's."""
-    for lo in range(1, len(chain), _CHUNK_ROWS):
-        ts = np.arange(lo, min(lo + _CHUNK_ROWS, len(chain)))
-        chain[lo:lo + len(ts), order] = normalized_rows(_distributions(_prefix_curve(m, budget, ts)))
+    """For each chain (head, depth, m, order): rows head + 1 .. head +
+    depth of rows get operator powers 1 .. depth of m (in preference
+    order), normalized, with the k-th preferred color in column order[k].
+    Row head is the caller's.
+
+    Every chain goes through one closed-form pass: _phases runs once, on
+    the table of the chains' prefix sums, and their power rows, laid end
+    to end, are evaluated _CHUNK_ROWS at a time. A chunk inside one chain
+    has that chain's start as its one shared row; a chunk that spans
+    chains gathers each row's start, phases and column order."""
+    if not chains:
+        return
+    heads, depths, ms, orders = zip(*chains)
+    table = np.array([prefix_sums(m) for m in ms])
+    phases = _phases(table, budget)
+    heads, orders = np.array(heads), np.array(orders, dtype=np.intp)
+    # Power row v of the chains laid end to end is step v - begins[j] + 1
+    # of chain j, where begins[j] <= v < ends[j].
+    ends = np.cumsum(depths)
+    begins = ends - depths
+    for lo in range(0, int(ends[-1]), _CHUNK_ROWS):
+        v = np.arange(lo, min(lo + _CHUNK_ROWS, int(ends[-1])))
+        first, last = np.searchsorted(ends, v[[0, -1]], side="right").tolist()
+        j = first if first == last else np.searchsorted(ends, v, side="right")
+        steps = v - begins[j] + 1
+        at = None if phases is None else (phases[0], phases[1][j], phases[2][j])
+        block = normalized_rows(_distributions(_curve_rows(table[j], at, budget, steps.astype(np.float64))))
+        if first == last:
+            rows[heads[j] + steps[0]:heads[j] + steps[-1] + 1, orders[j]] = block
+        else:
+            rows[(heads[j] + steps)[:, None], orders[j]] = block
 
 
 def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> np.ndarray:
@@ -327,7 +381,7 @@ def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> np.ndarra
         raise ValueError("n must be >= 0")
     rows = np.empty((n + 1, len(m)))
     rows[0] = m.p
-    _fill_powers(rows, m, range(len(m)), budget)
+    _fill_chains(rows, [(0, n, m, range(len(m)))], budget)
     return rows
 
 
@@ -374,7 +428,8 @@ def optimal_mechanism(
 
     The powers form one chain per rainbow, stacked as graph.search lays
     them out, so row k is node k of build_boundary_graph's graph: row 0
-    of a chain is the boundary vector, _fill_powers fills the rest.
+    of a chain is the boundary vector, and _fill_chains fills the rest
+    of every chain in one pass.
     Node i takes row chain_row[i], its image under the boundary morphism,
     so a (rainbow, distance) pair's nodes share a row: this gather is the
     paper's pullback.
@@ -384,11 +439,12 @@ def optimal_mechanism(
         raise InvalidBoundary(violations, graph.color_space)
     _, depths, starts, chain_row = graph.search
     rows = np.empty((int((depths + 1).sum()), graph.color_space.q))
+    chains = []
     for c, start, depth in zip(graph.rainbows(), starts.tolist(), depths.tolist()):
         rows[start] = bc.values[c].p
         if depth:
-            chain = rows[start:start + depth + 1]
-            _fill_powers(chain, to_preference_order(bc.values[c], c), c.order, budget)
+            chains.append((start, depth, to_preference_order(bc.values[c], c), c.order))
+    _fill_chains(rows, chains, budget)
     return Mechanism(rows, chain_row, graph.nodes, graph.color_space)
 
 

@@ -1576,6 +1576,198 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+
+# The parser's text: stdout of `rainbow-dp [command] --help` at COLUMNS=80,
+# as argparse lays it out (taken on Python 3.11).
+HELP_TEXT = {
+    (): """\
+usage: rainbow-dp [-h] {build,verify,trajectory,plot,demo-no-optimal,fuzz} ...
+
+Subcommand dispatcher. Exit codes: 0 ok, 1 usage or malformed input, 2
+privacy/boundary violation, 3 unconstrained region, 4 incomplete input, 5
+falsification found.
+
+positional arguments:
+  {build,verify,trajectory,plot,demo-no-optimal,fuzz}
+    build               construct the optimal mechanism for a graph file
+    verify              check a mechanism CSV against a graph file
+    trajectory          emit the closed-form trajectory of a boundary vector
+    plot                render a trajectory CSV as a standalone SVG
+    demo-no-optimal     run the pentagon demonstration (no optimal mechanism
+                        for a non-homogeneous boundary)
+    fuzz                check the operator's one-step claim on random start
+                        distributions
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ('build',): """\
+usage: rainbow-dp build [-h] (--epsilon EPSILON | --e-epsilon E_EPSILON)
+                        [--delta DELTA] --out OUT
+                        graph_file
+
+positional arguments:
+  graph_file
+
+options:
+  -h, --help            show this help message and exit
+  --epsilon EPSILON     privacy parameter epsilon
+  --e-epsilon E_EPSILON
+                        e^epsilon; sets epsilon = log of this value
+  --delta DELTA         privacy parameter delta
+  --out OUT             output mechanism CSV path
+""",
+    ('verify',): """\
+usage: rainbow-dp verify [-h] (--epsilon EPSILON | --e-epsilon E_EPSILON)
+                         [--delta DELTA]
+                         graph_file mechanism_file
+
+positional arguments:
+  graph_file
+  mechanism_file
+
+options:
+  -h, --help            show this help message and exit
+  --epsilon EPSILON     privacy parameter epsilon
+  --e-epsilon E_EPSILON
+                        e^epsilon; sets epsilon = log of this value
+  --delta DELTA         privacy parameter delta
+""",
+    ('trajectory',): """\
+usage: rainbow-dp trajectory [-h] --boundary BOUNDARY
+                             (--epsilon EPSILON | --e-epsilon E_EPSILON)
+                             [--delta DELTA] [--steps STEPS]
+                             [--substeps SUBSTEPS] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --boundary BOUNDARY   comma-separated probabilities, preference order
+  --epsilon EPSILON     privacy parameter epsilon
+  --e-epsilon E_EPSILON
+                        e^epsilon; sets epsilon = log of this value
+  --delta DELTA         privacy parameter delta
+  --steps STEPS
+  --substeps SUBSTEPS   samples per unit t
+  --out OUT             output trajectory CSV path
+""",
+    ('plot',): """\
+usage: rainbow-dp plot [-h] --out OUT trajectory_csv
+
+positional arguments:
+  trajectory_csv
+
+options:
+  -h, --help      show this help message and exit
+  --out OUT       output SVG path
+""",
+    ('demo-no-optimal',): """\
+usage: rainbow-dp demo-no-optimal [-h]
+                                  [--epsilon EPSILON | --e-epsilon E_EPSILON]
+                                  [--delta DELTA] [--homogenized]
+
+options:
+  -h, --help            show this help message and exit
+  --epsilon EPSILON     privacy parameter epsilon
+  --e-epsilon E_EPSILON
+                        e^epsilon; sets epsilon = log of this value
+  --delta DELTA         privacy parameter delta
+  --homogenized         build and print the optimal mechanism on the
+                        homogenized pentagon instead
+""",
+    ('fuzz',): """\
+usage: rainbow-dp fuzz [-h] --q Q [--trials TRIALS] [--seed SEED]
+                       (--epsilon EPSILON | --e-epsilon E_EPSILON)
+                       [--delta DELTA] [--samples SAMPLES]
+
+options:
+  -h, --help            show this help message and exit
+  --q Q                 alphabet size, 2..12
+  --trials TRIALS       number of random start distributions
+  --seed SEED
+  --epsilon EPSILON     privacy parameter epsilon
+  --e-epsilon E_EPSILON
+                        e^epsilon; sets epsilon = log of this value
+  --delta DELTA         privacy parameter delta
+  --samples SAMPLES     1..65536; accepted and printed, with no effect on any
+                        draw (each trial checks q witnesses)
+""",
+}
+USAGE_ERROR = """\
+usage: rainbow-dp build [-h] (--epsilon EPSILON | --e-epsilon E_EPSILON)
+                        [--delta DELTA] --out OUT
+                        graph_file
+rainbow-dp build: error: one of the arguments --epsilon --e-epsilon is required
+"""
+
+
+@pytest.mark.parametrize("command", HELP_TEXT)
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP_TEXT[command], "")
+
+
+def test_usage_error_text_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "g.graph", "--out", "m.csv"])  # budget missing
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", USAGE_ERROR)
+
+
+@pytest.fixture
+def unbuilt_parser():
+    """No parser built yet, and none left built from this test's patches."""
+    cli_main.build_parser.cache_clear()
+    yield
+    cli_main.build_parser.cache_clear()
+
+
+def test_the_parser_is_built_on_the_first_call_only(monkeypatch, unbuilt_parser):
+    # Subparsers are made with the main parser's class, so this counts all seven.
+    built = []
+
+    class Counted(cli_main._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli_main, "_Parser", Counted)
+    counts = []
+    for _ in range(3):
+        assert main(["fuzz", "--q", "3", "--trials", "1", "--seed", "1", "--epsilon", "0.5"]) == 0
+        counts.append(len(built))
+    assert counts == [7, 7, 7]
+
+
+def test_no_parser_is_built_at_import():
+    code = "import rainbowdp.cli.main as m; print(m.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    assert done.stdout == "0\n"
+
+
+def test_a_command_rebound_after_the_parser_is_built_is_the_one_run(monkeypatch, tmp_path):
+    argv = ["verify", str(tmp_path / "g.graph"), "m.csv", "--epsilon", "1"]
+    assert main(argv) == 1  # no such graph file
+    seen = []
+    monkeypatch.setattr(cli_main, "cmd_verify", lambda args: seen.append(args.mechanism_file) or 7)
+    assert main(argv) == 7
+    assert seen == ["m.csv"]
+
+
+def test_a_usage_error_between_calls_leaves_the_next_call_unchanged(capsys):
+    args = ["fuzz", "--q", "4", "--trials", "20", "--seed", "3", "--e-epsilon", "2", "--delta", "0.1"]
+    first = main(args), capsys.readouterr()
+    # A fuzz call that sets the mutant flag, then fails on its budget.
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--mutant-drop-delta", "--epsilon", "1"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert (main(args), capsys.readouterr()) == first
+    assert first[0] == 0
+
 WRITERS = ["build", "trajectory", "plot"]
 
 

@@ -43,6 +43,7 @@ from rainbowdp import mechanism, oracle
 from helpers import (
     assert_same_graph,
     block_draws,
+    boundary_line_mechanisms,
     dirichlet_start,
     exact_excess,
     exact_witness,
@@ -830,6 +831,67 @@ def test_chunk_edges_leave_rows_and_verdicts_unchanged(monkeypatch, chunk_rows):
         assert _violation_bits(r.verify_dp(graph, mixed, budget)) == _violation_bits(
             verify_dp_reference(graph, mixed, budget)
         )
+
+
+def _hung(text: str, tails: dict[str, int]) -> str:
+    """A graph file with a path of the given length hung on each host
+    node, its nodes in the host's rainbow."""
+    lines = []
+    for host, length in tails.items():
+        rainbow = next(line for line in text.splitlines() if line.startswith(f"node {host} "))[len(host) + 6:]
+        path = [f"{host}t{i}" for i in range(length)]
+        lines += [f"node {t} {rainbow}" for t in path]
+        lines += [f"edge {a} {b}" for a, b in zip([host, *path], path)]
+    return text + "\n".join(lines) + "\n"
+
+
+def _chain_cases():
+    # Twelve two-column bands (chain depths 0 and 1), with paths hung on
+    # three of them: depths 0, 1, 2 and 6 in rainbow order.
+    gf = parse_graph_file(_hung(
+        striped_grid_text(24, 12, 5, seed=24, spread=0.02), {"r05c04": 2, "r10c08": 6, "r20c14": 1}
+    ))
+    graph = gf.graph
+    assert {0, 1, 2, 6} <= set(graph.search[1].tolist())
+    # Color c5 comes first in three of the chains with depth >= 1, so
+    # their first prefix grows in log space at delta = 0.
+    tiny = r.SimplexVector((0.3, 0.25, 0.25, 0.2 - 1e-12, 1e-12))
+    return [
+        (graph, gf.boundary, r.PrivacyBudget(0.3, 0.001)),
+        (graph, gf.boundary, r.PrivacyBudget(0.0, 0.1)),
+        (graph, r.BoundaryCondition({c: tiny for c in graph.rainbows()}), r.PrivacyBudget(0.5, 0.0)),
+    ]
+
+
+def _chain_by_chain(graph: r.RainbowGraph, bc: r.BoundaryCondition, budget: r.PrivacyBudget) -> np.ndarray:
+    """The stacked chains of optimal_mechanism, each rainbow's from its
+    own line_mechanism call, with its boundary vector as row 0."""
+    _, depths, starts, _ = graph.search
+    rows = np.empty((int((depths + 1).sum()), graph.color_space.q))
+    for c, start, depth in zip(graph.rainbows(), starts.tolist(), depths.tolist()):
+        # Column k of the line is the mass of color c.order[k].
+        rows[start:start + depth + 1, c.order] = r.line_mechanism(r.to_preference_order(bc.values[c], c), budget, depth)
+        rows[start] = bc.values[c].p
+    return rows
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, mechanism._CHUNK_ROWS])
+def test_chains_in_one_pass_keep_each_chains_bits(monkeypatch, chunk_rows):
+    # optimal_mechanism evaluates every chain in one pass, _CHUNK_ROWS
+    # rows at a time; chunks of 3 rows and the default one straddle
+    # chains, chunks of 1 row do not. Each row has the bits of its own
+    # chain's closed form, and is within TOL of the iterated operator.
+    cases = _chain_cases()
+    whole = [_chain_by_chain(graph, bc, budget) for graph, bc, budget in cases]
+    graph, bc, _ = cases[2]
+    firsts = np.array([bc.values[c].p[c.order[0]] for c in graph.rainbows()])
+    assert firsts[graph.search[1] > 0].min() < _LOG_FORM_THRESHOLD
+    monkeypatch.setattr(mechanism, "_CHUNK_ROWS", chunk_rows)
+    for (graph, bc, budget), want in zip(cases, whole):
+        mech = r.optimal_mechanism(graph, bc, budget)
+        assert [x.hex() for x in mech.rows.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+        iterated, _ = boundary_line_mechanisms(graph, bc, budget)
+        assert np.abs(mech.rows - iterated.rows).max() <= TOL
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
