@@ -164,7 +164,7 @@ def cmd_trajectory(args) -> int:
     # The CSV has a line per (t, k) cell, and its text is built at once.
     if (args.steps * args.substeps + 1) * len(m) > MAX_TRAJECTORY_CELLS:
         raise ValueError(f"need (steps * substeps + 1) * q <= {MAX_TRAJECTORY_CELLS}")
-    if budget.epsilon > 0.0:
+    if budget.exp_epsilon > 1.0:
         rho, tau = profile = tau_profile(m, budget)
         print("rho " + fmt(rho))
         print("tau " + ",".join(map(fmt_tau, tau)))

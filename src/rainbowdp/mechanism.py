@@ -18,9 +18,9 @@ to a crossing step, then exponential approach to 1.
 
 Each is written once, on arrays: the operator in _t_step_prefix_rows
 (t_step_rows on distributions), the growth phase in _growth and the
-whole trajectory, on per-row starts, in _curve_rows. t_step,
-_prefix_curve and closed_form_prefix are their one-row or one-start
-cases.
+whole trajectory, on per-row starts, in _curve_rows. t_step is the
+operator's one-row case; every chain and every trajectory point goes
+through _curve_rows, a trajectory with every row on its one start.
 """
 
 from __future__ import annotations
@@ -188,7 +188,9 @@ def _tau(s0k: float, level: float, budget: PrivacyBudget, rho: float) -> float:
     when s0k + rho = 0, since such a prefix never grows."""
     if s0k + rho <= 0.0:
         return math.inf
-    val = math.log(level / (s0k + rho)) / budget.epsilon + 1.0
+    # At a subnormal s0k + rho the ratio overflows; its log does not.
+    ratio = level / (s0k + rho)
+    val = (math.log(ratio) if ratio < math.inf else math.log(level) - math.log(s0k + rho)) / budget.epsilon + 1.0
     return float(math.floor(max(val, 0.0)))
 
 
@@ -206,10 +208,10 @@ def tau_profile(m: SimplexVector, budget: PrivacyBudget) -> tuple[float, tuple[f
     1/(e^eps + 1). At delta = 0 that is exactly where the operator
     switches from growth to approach; at delta > 0 the switch happens
     slightly earlier (see _phases), so tau is the reported transition
-    landmark, not the internal branch point. Epsilon = 0 raises ValueError.
+    landmark, not the internal branch point. e^eps == 1 raises ValueError.
     """
-    if budget.epsilon == 0.0:
-        raise ValueError("tau profile is undefined at epsilon = 0")
+    if budget.exp_epsilon == 1.0:
+        raise ValueError("tau profile is undefined at epsilon = 0 and wherever e^epsilon rounds to 1")
     rho = budget.delta / (budget.exp_epsilon - 1.0)
     level = 1.0 / (budget.exp_epsilon + 1.0) + rho
     return rho, tuple(_tau(sk, level, budget, rho) for sk in prefix_sums(m))
@@ -220,19 +222,12 @@ def _exp_each(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def _at(a: np.ndarray, t_at: np.ndarray, k_at: np.ndarray) -> np.ndarray:
-    """Entries (t_at[j], k_at[j]) of a per-row (rows, q) array, or of the
-    one (q,) row that every row shares."""
-    return a[k_at] if a.ndim == 1 else a[t_at, k_at]
-
-
 def _growth(start: np.ndarray, rho: float, eps: float, ts: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """The growth phase s^t = e^(t eps) (s0 + rho) - rho, capped at 1, of
     each prefix s0 of row i's start: entry (i, k) is prefix k after ts[i]
     steps, for the growth steps ts[i] <= tau[i, k]; the other entries are
-    not defined. start and tau are per-row (rows, q) arrays, or one (q,)
-    row each that every row shares. A prefix with s0 + rho <= 0 never
-    grows and stays at 0."""
+    not defined. start and tau are (rows, q) arrays. A prefix with
+    s0 + rho <= 0 never grows and stays at 0."""
     base = start + rho
     direct = base >= _LOG_FORM_THRESHOLD
     # e^(t eps) is taken once per row, and only up to the last crossing
@@ -241,25 +236,24 @@ def _growth(start: np.ndarray, rho: float, eps: float, ts: np.ndarray, tau: np.n
     growth = np.zeros(len(ts))
     growth[shared] = _exp_each(ts[shared] * eps)
     out = growth[:, None] * base - rho
-    out[..., base <= 0.0] = 0.0
+    out[base <= 0.0] = 0.0
     # Tiny prefixes grow in log space, which dodges overflow in e^(t eps).
-    tiny = (ts[:, None] <= tau) & ~direct & (base > 0.0)
-    if tiny.any():
-        t_at, k_at = np.nonzero(tiny)
-        log_base = np.array(list(map(math.log, _at(base, t_at, k_at).tolist())))
-        out[t_at, k_at] = _exp_each(ts[t_at] * eps + log_base) - rho
+    tiny = np.flatnonzero((ts[:, None] <= tau) & ~direct & (base > 0.0))
+    if len(tiny):
+        log_base = np.array(list(map(math.log, base.take(tiny).tolist())))
+        out.put(tiny, _exp_each(ts[tiny // base.shape[1]] * eps + log_base) - rho)
     # min(1.0, val) as Python evaluates it.
     return np.where(out < 1.0, out, 1.0)
 
 
 def _phases(start: np.ndarray, budget: PrivacyBudget) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """The drift rho and, per prefix in start (an array of any shape), its
+    """The drift rho and, per prefix in start (a (rows, q) table), its
     last growth step tau and its value s_tau there, where the approach
     phase starts, as (rho, tau, s_tau) with tau and s_tau shaped like
-    start. None at eps = 0, where there is no growth phase."""
-    if budget.epsilon == 0.0:
-        return None
+    start. None where e^eps == 1 (eps below about 1.1e-16): no growth."""
     e = budget.exp_epsilon
+    if e == 1.0:
+        return None
     rho = budget.delta / (e - 1.0)
     # Last step of the growth phase: the operator's two bounds cross at
     # s = (1 - delta) / (e^eps + 1), which in drift-shifted coordinates
@@ -279,10 +273,10 @@ def _curve_rows(
     ts: np.ndarray,
 ) -> np.ndarray:
     """The closed form (see closed_form_prefix) on per-row starts: row i
-    holds the prefix sums start[i] after ts[i] steps, for t >= 0. start
-    is a (rows, q) array, or one (q,) row that every row shares, and
-    phases is _phases of it. Each row's floats depend on its own start
-    and time alone, not on the other rows asked for."""
+    holds the prefix sums start[i] after ts[i] steps, for t >= 0. start,
+    and phases' tau and s_tau, are (rows, q) arrays (see _chain_curve);
+    flat index f is entry (f // q, f % q). Each row's floats depend on its
+    own start and time alone, not on the other rows asked for."""
     if phases is None:
         out = start + ts[:, None] * budget.delta
     else:
@@ -290,21 +284,31 @@ def _curve_rows(
         eps = budget.epsilon
         out = _growth(start, rho, eps, ts, tau)
         # Approach phase, past each prefix's crossing step.
-        t_at, k_at = np.nonzero(ts[:, None] > tau)
-        if len(t_at):
-            decay = _exp_each(-eps * (ts[t_at] - _at(tau, t_at, k_at)))
-            out[t_at, k_at] = 1.0 + rho - decay * (1.0 + rho - _at(s_tau, t_at, k_at))
+        past = np.flatnonzero(ts[:, None] > tau)
+        if len(past):
+            decay = _exp_each(-eps * (ts[past // start.shape[1]] - tau.take(past)))
+            out.put(past, 1.0 + rho - decay * (1.0 + rho - s_tau.take(past)))
     out = np.where(out < 1.0, out, 1.0)
     zero = ts == 0
-    out[zero] = start[zero] if start.ndim == 2 else start
+    out[zero] = start[zero]
     return out
+
+
+def _chain_curve(
+    table: np.ndarray, phases: tuple[float, np.ndarray, np.ndarray] | None, budget: PrivacyBudget,
+    j: np.ndarray, ts: np.ndarray,
+) -> np.ndarray:
+    """_curve_rows with row i on row j[i] of table, a (chains, q) table of
+    prefix sums, and of phases, its _phases, after ts[i] steps."""
+    at = None if phases is None else (phases[0], phases[1].take(j, axis=0), phases[2].take(j, axis=0))
+    return _curve_rows(table.take(j, axis=0), at, budget, np.asarray(ts, dtype=np.float64))
 
 
 def _prefix_curve(m: SimplexVector, budget: PrivacyBudget, ts: np.ndarray) -> np.ndarray:
     """The closed-form trajectory of m's prefix sums: row i holds them
-    after ts[i] steps, for t >= 0. The one-start case of _curve_rows."""
-    start = np.array(prefix_sums(m))
-    return _curve_rows(start, _phases(start, budget), budget, np.asarray(ts, dtype=np.float64))
+    after ts[i] steps, for t >= 0, with every row on m's one start."""
+    table = np.array([prefix_sums(m)])
+    return _chain_curve(table, _phases(table, budget), budget, np.zeros(len(ts), dtype=np.intp), ts)
 
 
 def _distributions(s: np.ndarray) -> np.ndarray:
@@ -325,7 +329,7 @@ def closed_form_prefix(
     interpolates along the same two-phase curves. For eps = 0 the
     recurrence collapses to s^t_k = min(1, s0_k + t delta).
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     return tuple(_prefix_curve(m, budget, [t])[0].tolist())
 
@@ -342,30 +346,25 @@ def _fill_chains(
 
     Every chain goes through one closed-form pass: _phases runs once, on
     the table of the chains' prefix sums, and their power rows, laid end
-    to end, are evaluated _CHUNK_ROWS at a time. A chunk inside one chain
-    has that chain's start as its one shared row; a chunk that spans
-    chains gathers each row's start, phases and column order."""
+    to end, are evaluated _CHUNK_ROWS at a time, each row on its own
+    chain's start, phases and column order."""
     if not chains:
         return
     heads, depths, ms, orders = zip(*chains)
     table = np.array([prefix_sums(m) for m in ms])
     phases = _phases(table, budget)
-    heads, orders = np.array(heads), np.array(orders, dtype=np.intp)
+    q = table.shape[1]
     # Power row v of the chains laid end to end is step v - begins[j] + 1
-    # of chain j, where begins[j] <= v < ends[j].
+    # of chain j, where begins[j] <= v < ends[j]. Its entry k goes to row
+    # heads[j] + that step, column orders[j][k]: flat cell v * q + cells[j, k].
     ends = np.cumsum(depths)
     begins = ends - depths
+    cells = (np.array(heads) - begins + 1)[:, None] * q + np.array(orders, dtype=np.intp)
     for lo in range(0, int(ends[-1]), _CHUNK_ROWS):
         v = np.arange(lo, min(lo + _CHUNK_ROWS, int(ends[-1])))
-        first, last = np.searchsorted(ends, v[[0, -1]], side="right").tolist()
-        j = first if first == last else np.searchsorted(ends, v, side="right")
-        steps = v - begins[j] + 1
-        at = None if phases is None else (phases[0], phases[1][j], phases[2][j])
-        block = normalized_rows(_distributions(_curve_rows(table[j], at, budget, steps.astype(np.float64))))
-        if first == last:
-            rows[heads[j] + steps[0]:heads[j] + steps[-1] + 1, orders[j]] = block
-        else:
-            rows[(heads[j] + steps)[:, None], orders[j]] = block
+        j = np.searchsorted(ends, v, side="right")
+        block = normalized_rows(_distributions(_chain_curve(table, phases, budget, j, v - begins[j] + 1)))
+        rows.put(v[:, None] * q + cells.take(j, axis=0), block)
 
 
 def line_mechanism(m: SimplexVector, budget: PrivacyBudget, n: int) -> np.ndarray:

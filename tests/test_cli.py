@@ -1112,6 +1112,36 @@ def test_cmd_trajectory_epsilon_zero_allowed(tmp_path, capsys):
     assert all((p == 0.5).all() for _, _, _, p in series)
 
 
+# Below about 1.1e-16, e^epsilon rounds to 1.0: the operator has no growth
+# phase there, and the drift delta / (e^epsilon - 1) has no value.
+@pytest.mark.parametrize("epsilon", ["1e-17", "1e-16"])
+def test_cmd_trajectory_where_e_epsilon_rounds_to_1_writes_the_epsilon_0_csv(tmp_path, capsys, epsilon):
+    outs = []
+    for eps in (epsilon, "0"):
+        outs.append(tmp_path / f"{eps}.csv")
+        args = ["trajectory", "--boundary", "0.1,0.2,0.7", "--epsilon", eps, "--delta", "0.01", "--out", str(outs[-1])]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "rho n/a (epsilon=0)\ntau n/a (epsilon=0)\n"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-17", "1e-16"])
+@pytest.mark.parametrize("delta", ["0.01", "0"])
+def test_cmd_build_where_e_epsilon_rounds_to_1_writes_the_epsilon_0_csv(tmp_path, capsys, epsilon, delta):
+    # path5 with one boundary vector for both rainbows, valid at every budget.
+    text = (FIXTURES / "path5.graph").read_text().replace("boundary 2,1,3 0.4 0.2 0.4", "boundary 2,1,3 0.2 0.1 0.7")
+    graph_file = tmp_path / "twin.graph"
+    graph_file.write_text(text)
+    outs = []
+    for eps in (epsilon, "0"):
+        outs.append(tmp_path / f"{eps}.csv")
+        assert main(["build", str(graph_file), "--epsilon", eps, "--delta", delta, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+    assert main(["verify", str(graph_file), str(outs[0]), "--epsilon", epsilon, "--delta", delta]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_trajectory_rows_sorted_and_consistent(tmp_path):
     out = tmp_path / "t.csv"
     main(

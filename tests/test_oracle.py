@@ -115,30 +115,30 @@ _P8 = (
 )
 SAMPLE_CLOSE_GOLDEN = [
     # delta = 0 with a zero entry: the samples keep p's support.
-    ((0.0, 0.25, 0.35, 0.4), (LOG2, 0.0), 40, 5,
-     "61d62ae8fa4b700cdde2b09e5a18ed3dbd680dbc3b3718c03d4338fc546ff496"),
-    ((0.1, 0.2, 0.3, 0.4), (0.0, 0.05), 40, 6,
-     "8ccabe73de3896748c0de0b805091bd1ab07d3872b6700ba58cb5fcf40282933"),
+    pytest.param((0.0, 0.25, 0.35, 0.4), (LOG2, 0.0), 40, 5,
+                 "61d62ae8fa4b700cdde2b09e5a18ed3dbd680dbc3b3718c03d4338fc546ff496", id="delta0-support"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (0.0, 0.05), 40, 6,
+                 "8ccabe73de3896748c0de0b805091bd1ab07d3872b6700ba58cb5fcf40282933", id="eps0"),
     # The degenerate budget and count 1 both give [p].
-    ((0.1, 0.2, 0.3, 0.4), (0.0, 0.0), 10, 1,
-     "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c"),
-    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 1, 2,
-     "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c"),
-    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 2, 2,
-     "f81cdb8204accf091011abcd66522a2e67382b1b40761750f562c9da4b775882"),
-    ((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 3, 2,
-     "35c1fa72cd6170a8c7a98a69a84641ba024e988552f474daf75d7c47061632ec"),
-    (_P8, (math.log(1.2), 1e-3), 64, 1_000_010,
-     "de71403dfa543c367874e72ddefb359976b508a09422fa58840e8dd0232a1b83"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (0.0, 0.0), 10, 1,
+                 "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c", id="degenerate-budget"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 1, 2,
+                 "538d5a758011f8c8236d0fd972b83aae833c9cace13fc185de36736ac64c3e3c", id="count1"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 2, 2,
+                 "f81cdb8204accf091011abcd66522a2e67382b1b40761750f562c9da4b775882", id="count2"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (0.3, 0.01), 3, 2,
+                 "35c1fa72cd6170a8c7a98a69a84641ba024e988552f474daf75d7c47061632ec", id="count3"),
+    pytest.param(_P8, (math.log(1.2), 1e-3), 64, 1_000_010,
+                 "de71403dfa543c367874e72ddefb359976b508a09422fa58840e8dd0232a1b83", id="q8"),
     # Taken before the rejection loop jumped each row to a lower bound on
     # its first accepted halving: at eps = 1e-4, delta = 1e-7 rows need
     # about 14 halvings.
-    ((0.1, 0.2, 0.3, 0.4), (1e-4, 1e-7), 40, 7,
-     "490c5995d0130927dbdd61302d523bcc0d2639b390f9d44a0a611112686daf3f"),
-    ((0.0, 0.25, 0.35, 0.4), (1e-4, 1e-7), 40, 8,
-     "d031a425ed9f6f23d17f01e0f7798b7ccdaff7e600d8ca64d232926681fce61e"),
-    (_P8, (1e-4, 1e-7), 64, 1_000_011,
-     "51e5f7a6de5d9970ff12844ca0165d798dc1698347a4d93f018fd153e5439d43"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), (1e-4, 1e-7), 40, 7,
+                 "490c5995d0130927dbdd61302d523bcc0d2639b390f9d44a0a611112686daf3f", id="tiny-eps"),
+    pytest.param((0.0, 0.25, 0.35, 0.4), (1e-4, 1e-7), 40, 8,
+                 "d031a425ed9f6f23d17f01e0f7798b7ccdaff7e600d8ca64d232926681fce61e", id="tiny-eps-support"),
+    pytest.param(_P8, (1e-4, 1e-7), 64, 1_000_011,
+                 "51e5f7a6de5d9970ff12844ca0165d798dc1698347a4d93f018fd153e5439d43", id="tiny-eps-q8"),
 ]
 
 

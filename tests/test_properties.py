@@ -65,7 +65,9 @@ from rainbowdp.cli import graphfile
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
-from rainbowdp.mechanism import _LOG_FORM_THRESHOLD, _prefix_curve, _t_step_prefix_rows, t_step_rows
+from rainbowdp.mechanism import (
+    _LOG_FORM_THRESHOLD, _curve_rows, _phases, _prefix_curve, _t_step_prefix_rows, t_step_rows,
+)
 from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz, _StepMiss
 
 TOL = 1e-9
@@ -151,6 +153,44 @@ def test_closed_form_prefix_equals_curve_rows(m, budget, ts):
     for t, row in zip(ts, rows.tolist()):
         point = r.closed_form_prefix(m, budget, t)
         assert [x.hex() for x in point] == [x.hex() for x in row], t
+
+
+@st.composite
+def stacked_starts(draw):
+    """2-6 starts of one length q, drawn as simplices draws them (zeros
+    and tiny first prefixes included), each with its own time."""
+    q = draw(st.integers(2, 6))
+
+    def weights_of(n):
+        return st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=n, max_size=n).filter(
+            lambda w: sum(w) > 0.0
+        )
+
+    out = []
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.booleans()):
+            w = draw(weights_of(q - 1))
+            m = _normalized([draw(st.floats(1e-14, 1e-9)) * sum(w), *w])
+        else:
+            m = _normalized(draw(weights_of(q)))
+        out.append((m, draw(times)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    stacked_starts(),
+    st.one_of(wide_budgets, st.sampled_from([r.PrivacyBudget(1e-17, 0.0), r.PrivacyBudget(1e-17, 0.01)])),
+)
+def test_curve_rows_on_stacked_starts_gives_each_start_its_bits(rows, budget):
+    # Every chain and trajectory goes through one _curve_rows path on
+    # per-row starts: a row has the bits of its own start's closed form
+    # at its own time, whatever the other rows' starts and times.
+    ms, ts = zip(*rows)
+    table = np.array([r.prefix_sums(m) for m in ms])
+    stacked = _curve_rows(table, _phases(table, budget), budget, np.array(ts, dtype=np.float64))
+    for m, t, row in zip(ms, ts, stacked.tolist()):
+        assert [x.hex() for x in row] == [x.hex() for x in r.closed_form_prefix(m, budget, t)], (m, t)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
