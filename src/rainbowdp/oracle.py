@@ -26,14 +26,16 @@ t_step_rows, or the deliberately corrupted _drop_delta_rows of the
 self-test. `fuzz` checks blocks of trials at once (_fuzz): for each
 trial's p, that its real step is close to p, then the dominance check.
 
-sample_close draws its samples past p and t_step(p) by rejection: its
-loop (_mix_until_close) halves each sample's mixing weight until the
-mix is close to p.
+sample_close's samples past p and t_step(p) are mixes of p's q
+witnesses. The hockey-stick divergence is convex in each argument, so a
+convex mix of distributions close to p is close to p: no sample is
+rejected. At delta = 0 each witness, and so each mix, is 0 off p's
+support, since g(0) = 0.
 
 All randomness flows through explicitly seeded generators: one numpy
-default_rng(seed) per sample_close call, and one default_rng((seed,
-first trial)) per fuzz block, one row of q draws per trial. There is
-no global RNG state anywhere in this module.
+default_rng(seed) per sample_close call, one row of q draws per mix, and
+one default_rng((seed, first trial)) per fuzz block, one row of q draws
+per trial. There is no global RNG state anywhere in this module.
 """
 
 from __future__ import annotations
@@ -70,10 +72,9 @@ from .mechanism import (
 
 _MAX_BRUTEFORCE_Q = 20
 
-# fuzz runs its trials, and sample_close its mixes, in blocks of this
-# many rows of q draws: numpy's per-call cost is paid once per block, and
-# a block's draws (384 KB at q = 12) do not grow with the number of
-# trials or samples.
+# fuzz runs its trials in blocks of this many rows of q draws: numpy's
+# per-call cost is paid once per block, and a block's draws (384 KB at
+# q = 12) do not grow with the number of trials.
 _BLOCK_ROWS = 1 << 12
 
 # Subsets are enumerated in chunks of this many rows (2^14 x 20 float64,
@@ -135,38 +136,6 @@ def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     return w
 
 
-def _accept_mask(cand: np.ndarray, pa: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    # Row i of pa is the p that row i of cand must be close to. Strict
-    # closeness (no tolerance slack) so the rows still pass is_close
-    # after construction-time renormalization.
-    e = budget.exp_epsilon
-    return (_hockey_stick(cand, pa, e) <= budget.delta) & (_hockey_stick(pa, cand, e) <= budget.delta)
-
-
-# A sample rejected at every halving count up to this one is p.
-_MAX_HALVINGS = 200
-
-
-def _mix_until_close(pa: np.ndarray, d: np.ndarray, lam: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
-    """Row i mixes pa[i] toward a draw u, along d[i] = u - pa[i], with
-    weight lam[i] 2^-k, for the smallest halving count k from 0 to
-    _MAX_HALVINGS at which the mix pa[i] + lam[i] 2^-k d[i] is close to
-    pa[i]; a row rejected at every count is pa[i]. Each round tests and
-    recomputes only the rows still rejected. lam 2^-k is exact, since
-    lam is 0 or, drawn by random(), at least 2^-53."""
-    cand = pa + lam[:, None] * d
-    rows = np.arange(len(cand))
-    for k in range(1, _MAX_HALVINGS + 2):
-        rows = rows[~_accept_mask(cand[rows], pa[rows], budget)]
-        if not rows.size:
-            break
-        if k > _MAX_HALVINGS:
-            cand[rows] = pa[rows]
-            break
-        cand[rows] = pa[rows] + np.ldexp(lam[rows], -k)[:, None] * d[rows]
-    return cand
-
-
 def _step_misses(
     p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,14 +175,13 @@ def sample_close(
 ) -> np.ndarray:
     """Deterministic sample of `count` distributions, each (eps,delta)-
     close to p, as the rows of a float64 matrix. The first sample is
-    always p and the second is t_step(p); the rest come from rejection
-    sampling on the draws of default_rng(seed): count - 2 rows of q
-    standard exponentials, then count - 2 uniform weights. Each sample
-    mixes p toward a uniform simplex draw, its exponentials (zeroed off
-    p's support at delta = 0) over their sum, with its weight, halved
-    until the mix is close to p (_mix_until_close), and is normalized
-    as SimplexVector stores it. A budget at which t_step(p) is not close
-    to p is a ValueError.
+    always p and the second is t_step(p). Each of the rest mixes p's
+    witnesses (_witnesses) with flat Dirichlet weights, row i of
+    _start_rows on count - 2 rows of q standard exponentials from
+    default_rng(seed): sum_k lam_k w_k, summed left to right over k, then
+    normalized as SimplexVector stores it. Every mix is re-checked
+    against p. A budget at which t_step(p) is not close to p is a
+    ValueError.
 
     A (0,0) budget admits only p itself: the matrix is the one row p,
     fewer rows than asked for when count > 1.
@@ -226,17 +194,17 @@ def sample_close(
         return p_rows
     if count <= 2:
         return np.concatenate([p_rows, steps])[:count]
-    u = rng.standard_exponential((count - 2, len(p)))
-    lam = rng.random(count - 2)
-    if budget.delta == 0.0:
-        np.copyto(u, 0.0, where=~(p_rows > 0.0))
-    u /= u.sum(axis=1, keepdims=True)
-    # u - p, in place; each block of mixes then takes its rows' place.
-    u -= p_rows
-    for lo in range(0, len(u), _BLOCK_ROWS):
-        block = u[lo:lo + _BLOCK_ROWS]
-        block[:] = _mix_until_close(np.broadcast_to(p_rows, block.shape), block, lam[lo:lo + _BLOCK_ROWS], budget)
-    return np.concatenate([p_rows, steps, normalized_rows(u)])
+    w = _witnesses(p_rows[0], budget)
+    lam = _start_rows(rng.standard_exponential((count - 2, len(p))))
+    # One array op per witness, not a matrix product, whose summation
+    # order varies with the BLAS build.
+    mixes = lam[:, :1] * w[0]
+    for k in range(1, len(w)):
+        mixes += lam[:, k:k + 1] * w[k]
+    mixes = normalized_rows(mixes)
+    if _step_misses(np.broadcast_to(p_rows, mixes.shape), mixes, budget)[0].any():
+        raise RuntimeError("sample_close produced a sample that is not close to p")
+    return np.concatenate([p_rows, steps, mixes])
 
 
 @dataclass(frozen=True)

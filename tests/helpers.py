@@ -1,6 +1,5 @@
 """Shared builders for the test suite: seeded RNGs, fuzz's draws laid
-out by gamma calls and the Dirichlet start they give, sample_close's
-rejection loop scanning every halving count, random graphs
+out by gamma calls and the Dirichlet start they give, random graphs
 with solvable boundary structure, random valid boundary conditions, and
 the competitor mechanisms used for optimality checks, mechanisms from
 name-keyed distributions, the environment of a child interpreter; graph
@@ -22,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 import rainbowdp as r
-from rainbowdp.oracle import _accept_mask
 
 
 def child_env() -> dict[str, str]:
@@ -55,28 +53,6 @@ def dirichlet_start(row: np.ndarray) -> r.SimplexVector:
         total += x
     inv = 1.0 / total
     return r.SimplexVector(tuple(x * inv for x in row.tolist()))
-
-
-def reference_mix_until_close(
-    pa: np.ndarray, u: np.ndarray, lam: np.ndarray, budget: r.PrivacyBudget
-) -> np.ndarray:
-    """The rejection loop scanning every halving count from 0: row i
-    mixes pa[i] toward u[i] with weight lam[i], the weight halved until
-    the mix is close to pa[i]; a row still rejected after 200 halvings
-    is pa[i]. Each round recomputes only the rows still rejected."""
-    cand = pa + lam[:, None] * (u - pa)
-    rows, pr, ur, lr, cr = np.arange(len(cand)), pa, u, lam, cand
-    for _ in range(200):
-        bad = ~_accept_mask(cr, pr, budget)
-        cand[rows[~bad]] = cr[~bad]
-        rows, pr, ur, lr = rows[bad], pr[bad], ur[bad], lr[bad] * 0.5
-        if not rows.size:
-            break
-        cr = pr + lr[:, None] * (ur - pr)
-    else:
-        bad = ~_accept_mask(cr, pr, budget)
-        cand[rows] = np.where(bad[:, None], pr, cr)
-    return cand
 
 
 def sv(*vals) -> r.SimplexVector:

@@ -1328,8 +1328,8 @@ FUZZ_GOLDEN = [
 
 
 # Taken before fuzz moved to blocks of trials: the degenerate budget, one
-# and two samples per trial (no rejection sampling), delta = 1 and two
-# mutant runs, one of them at epsilon = 0.
+# and two samples per trial, delta = 1 and two mutant runs, one of them at
+# epsilon = 0.
 _FUZZ_Q5 = ["--q", "5", "--trials", "30", "--seed", "4"]
 FUZZ_GOLDEN_BLOCKS = [
     (
@@ -1406,8 +1406,8 @@ FUZZ_GOLDEN_STREAMS = [
 ]
 
 
-# Taken before the rejection loop jumped each row to a lower bound on its
-# first accepted halving: the mutant's counterexample at small epsilon.
+# The mutant's counterexample at small epsilon: the witness w_k at the k
+# where it falls furthest short.
 FUZZ_GOLDEN_SMALL_EPSILON = [
     (
         ["--q", "4", "--trials", "50", "--seed", "3", "--epsilon", "0.0001", "--delta", "1e-7",
