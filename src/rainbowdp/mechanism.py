@@ -40,7 +40,7 @@ from .core import (
     Rainbow,
     SimplexVector,
     _first_bad_row,
-    _hockey_stick,
+    _not_close,
     _row_sums,
     normalized_rows,
     prefix_sums,
@@ -391,10 +391,10 @@ def validate_boundary_condition(
     edge must carry (eps,delta)-close boundary distributions.
 
     Raises MissingRainbow when a rainbow with nonempty boundary has no
-    boundary vector. Returns the pairs that fail is_close's test, in
-    adjacent_pairs order: () when the condition is valid. The test runs
-    on all pairs at once, both sides of each gathered from one table of
-    boundary rows, one per rainbow.
+    boundary vector. Returns the pairs that core._not_close finds not
+    close, in adjacent_pairs order: () when the condition is valid. The
+    test runs on all pairs at once, both sides of each gathered from one
+    table of boundary rows, one per rainbow.
     """
     rainbows = graph.rainbows()
     rim_counts = np.bincount(graph.rainbow_ids[graph.rim], minlength=len(rainbows))
@@ -407,9 +407,8 @@ def validate_boundary_condition(
     # in no pair.
     table = np.array([bc.values[c].p if c in bc.values else (0.0,) * q for c in rainbows]).reshape(-1, q)
     a, b = table[graph._cross[1].T]
-    e, bound = budget.exp_epsilon, budget.delta + DEFAULT_TOL
-    close = (_hockey_stick(a, b, e) <= bound) & (_hockey_stick(b, a, e) <= bound)
-    return tuple(pair for pair, ok in zip(pairs, close.tolist()) if not ok)
+    fails = _not_close(a, b, budget)[1].any(axis=0)
+    return tuple(pair for pair, bad in zip(pairs, fails.tolist()) if bad)
 
 
 def optimal_mechanism(
@@ -467,21 +466,18 @@ def _failing_pairs(
     rows: np.ndarray, lookup: np.ndarray, pairs: np.ndarray, budget: PrivacyBudget
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs (a, b) of `pairs` whose rows rows[lookup[a]] and
-    rows[lookup[b]] are not close, checked _CHUNK_ROWS pairs at a time,
-    both directions at once: their indices into pairs, in order, and their
-    margins over delta, (a, b) then (b, a)."""
-    e = budget.exp_epsilon
-    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    rows[lookup[b]] are not close, checked by core._not_close _CHUNK_ROWS
+    pairs at a time: their indices into pairs, in order, and their columns
+    of the kernel's margins and flags, (a, b) then (b, a)."""
+    found = [(np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((2, 0), dtype=bool))]
     for lo in range(0, len(pairs), _CHUNK_ROWS):
         chunk = pairs[lo:lo + _CHUNK_ROWS]
-        a, b = rows[lookup[chunk[:, 0]]], rows[lookup[chunk[:, 1]]]
-        forward = _hockey_stick(a, b, e) - budget.delta
-        backward = _hockey_stick(b, a, e) - budget.delta
-        bad = np.flatnonzero((forward > DEFAULT_TOL) | (backward > DEFAULT_TOL))
+        margins, over = _not_close(rows[lookup[chunk[:, 0]]], rows[lookup[chunk[:, 1]]], budget)
+        bad = np.flatnonzero(over.any(axis=0))
         if len(bad):
-            found.append((bad + lo, forward[bad], backward[bad]))
-    index, forward, backward = map(np.concatenate, zip(*found))
-    return index, forward, backward
+            found.append((bad + lo, margins[:, bad], over[:, bad]))
+    index, margins, over = (np.concatenate(parts, axis=-1) for parts in zip(*found))
+    return index, margins, over
 
 
 def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> DpReport:
@@ -511,24 +507,24 @@ def verify_dp(graph: RainbowGraph, mech: Mechanism, budget: PrivacyBudget) -> Dp
         codes += node_rows[ends[:, 1]]
         distinct = _distinct_codes(codes, r * r)
         pairs = np.stack(np.divmod(distinct, r), axis=1)
-        bad, forward, backward = _failing_pairs(rows, np.arange(r), pairs, budget)
+        bad, margins, over = _failing_pairs(rows, np.arange(r), pairs, budget)
         if len(bad):
             # Each failing pair's place among the failures, -1 for a passing one.
             slot = np.full(r * r, -1, dtype=np.intp)
             slot[distinct[bad]] = np.arange(len(bad))
             at = slot[codes]
             bad = np.flatnonzero(at >= 0)
-            forward, backward = forward[at[bad]], backward[at[bad]]
+            margins, over = margins[:, at[bad]], over[:, at[bad]]
     else:
-        bad, forward, backward = _failing_pairs(rows, node_rows, ends, budget)
+        bad, margins, over = _failing_pairs(rows, node_rows, ends, budget)
     found = [
-        ((nodes[u], nodes[v]), f, b)
-        for (u, v), f, b in zip(ends[bad].tolist(), forward.tolist(), backward.tolist())
+        ((nodes[u], nodes[v]), ms, hits)
+        for (u, v), ms, hits in zip(ends[bad].tolist(), margins.T.tolist(), over.T.tolist())
     ]
     violations = []
-    for edge, *margins in sorted(found, key=lambda f: f[0]):
-        for direction, margin in zip((edge, edge[::-1]), margins):
-            if margin > DEFAULT_TOL:
+    for edge, ms, hits in sorted(found, key=lambda f: f[0]):
+        for direction, margin, hit in zip((edge, edge[::-1]), ms, hits):
+            if hit:
                 violations.append(DpViolation(edge, direction, margin))
     return DpReport(tuple(violations))
 

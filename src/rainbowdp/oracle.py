@@ -52,7 +52,7 @@ from .core import (
     PrivacyBudget,
     Rainbow,
     SimplexVector,
-    _hockey_stick,
+    _not_close,
     _require_same_length,
     _row_sums,
     is_close,
@@ -108,8 +108,7 @@ def is_close_bruteforce(p: SimplexVector, q_: SimplexVector, budget: PrivacyBudg
         qs = masks @ qa
         worst_pq = max(worst_pq, float(np.max(ps - e * qs)))
         worst_qp = max(worst_qp, float(np.max(qs - e * ps)))
-    bound = budget.delta + DEFAULT_TOL
-    return worst_pq <= bound and worst_qp <= bound
+    return max(worst_pq, worst_qp) - budget.delta <= DEFAULT_TOL
 
 
 def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
@@ -136,27 +135,16 @@ def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     return w
 
 
-def _step_misses(
-    p_rows: np.ndarray, steps: np.ndarray, budget: PrivacyBudget
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, whether steps[i] fails is_close's test against p_rows[i]
-    (one hockey-stick excess each way, the larger above delta +
-    DEFAULT_TOL), and that larger excess less delta."""
-    e = budget.exp_epsilon
-    excess = np.maximum(_hockey_stick(steps, p_rows, e), _hockey_stick(p_rows, steps, e))
-    return excess > budget.delta + DEFAULT_TOL, excess - budget.delta
-
-
 def _one_row(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
     """p as a one-row stack and its operator step. A step not close to p
     is refused, as fuzz reports it: sample_close would hand it out as a
     close sample."""
     p_rows = np.array([p.p])
     steps = t_step_rows(p_rows, budget)
-    misses, margins = _step_misses(p_rows, steps, budget)
-    if misses[0]:
+    margins, over = _not_close(p_rows, steps, budget)
+    if over.any():
         raise ValueError(
-            f"t_step(p) is not close to p at this budget (margin {float(margins[0]):.6g}); "
+            f"t_step(p) is not close to p at this budget (margin {float(margins.max()):.6g}); "
             "see ROADMAP.md item 2, large epsilon"
         )
     return p_rows, steps
@@ -202,7 +190,7 @@ def sample_close(
     for k in range(1, len(w)):
         mixes += lam[:, k:k + 1] * w[k]
     mixes = normalized_rows(mixes)
-    if _step_misses(np.broadcast_to(p_rows, mixes.shape), mixes, budget)[0].any():
+    if _not_close(np.broadcast_to(p_rows, mixes.shape), mixes, budget)[1].any():
         raise RuntimeError("sample_close produced a sample that is not close to p")
     return np.concatenate([p_rows, steps, mixes])
 
@@ -279,7 +267,7 @@ def _fuzz(
     """The first trial of a fuzz run that refutes the operator's claim
     (T(p) is close to p and dominates every distribution close to p), as
     (trial, p, finding), or None. The finding is a _StepMiss when the
-    real step t_step_rows(p) is not close to p (_step_misses), and
+    real step t_step_rows(p) is not close to p (core._not_close), and
     otherwise the Counterexample of the dominance check (_falsify); a
     trial with both reports the miss.
 
@@ -295,14 +283,15 @@ def _fuzz(
         draws = np.random.default_rng((seed, lo)).standard_exponential((min(_BLOCK_ROWS, trials - lo), q))
         p_rows = _start_rows(draws)
         steps = t_step_rows(p_rows, budget)
-        misses, margins = _step_misses(p_rows, steps, budget)
+        margins, over = _not_close(p_rows, steps, budget)
+        misses = over.any(axis=0)
         # Only the trials before the first miss are checked for dominance:
         # that trial reports its miss.
         j = int(np.argmax(misses)) if misses.any() else len(p_rows)
         outputs = steps[:j] if step_rows is None else step_rows(p_rows[:j], budget)
         hit = _falsify(p_rows[:j], np.cumsum(outputs, axis=1), budget)
         if hit is None and j < len(p_rows):
-            hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[j]))
+            hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[:, j].max()))
         if hit is not None:
             j, finding = hit
             return lo + j, SimplexVector.wrap(p_rows[j:j + 1])[0], finding

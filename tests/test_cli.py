@@ -889,6 +889,55 @@ def test_cmd_build_rejects_non_close_boundary(tmp_path, capsys):
     )
 
 
+def test_cmd_build_rejects_a_boundary_whose_margin_tops_the_tolerance_by_an_ulp(tmp_path, capsys):
+    # The pair's excess, 0.10000000000100001, is below 0.1 + 1e-12 once
+    # that sum is rounded, but its margin over delta is above 1e-12. The
+    # boundary check and build's own edge check read one verdict, so the
+    # boundary is refused, before any mechanism is built.
+    graph_file = tmp_path / "f.graph"
+    graph_file.write_text(
+        "colors x y\nnode a x y\nnode b y x\nedge a b\n"
+        "boundary x,y 0.5 0.5\n"
+        "boundary y,x 0.399999999999 0.600000000001\n"
+    )
+    out = tmp_path / "m.csv"
+    code = main(["build", str(graph_file), "--epsilon", "0", "--delta", "0.1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: boundary condition violates closeness on 1 region pair(s)\n"
+        "  boundary values for (x,y) and (y,x) are not close\n"
+    )
+
+
+@pytest.mark.parametrize("last,code", [("0.5005", 0), ("0.502", 1)])
+def test_cmd_build_boundary_sum_window_edge(tmp_path, capsys, last, code):
+    # Graph-file boundary rows may miss a sum of 1 by up to SUM_WINDOW =
+    # 1e-3 and are then divided by their sum. This window goes with
+    # ROADMAP item 19, and this test with it.
+    graph_file = tmp_path / "g.graph"
+    graph_file.write_text(
+        f"colors a b\nnode x a b\nnode y b a\nedge x y\nboundary a,b 0.5 {last}\nboundary b,a 0.5 0.5\n"
+    )
+    assert main(["build", str(graph_file), "--epsilon", "1", "--out", str(tmp_path / "m.csv")]) == code
+    assert capsys.readouterr().err == ("" if code == 0 else "error: line 5: entries sum to 1.002, not 1\n")
+
+
+@pytest.mark.parametrize("cell,code", [("0.5000000005", 0), ("0.500000002", 1)])
+def test_cmd_verify_row_sum_tolerance_edge(tmp_path, capsys, cell, code):
+    # A mechanism row may miss a sum of 1 by up to ROW_SUM_TOL = 1e-9.
+    graph_file = tmp_path / "two.graph"
+    graph_file.write_text("colors a b\nnode x a b\nnode y a b\nedge x y\n")
+    mech_file = tmp_path / "m.csv"
+    mech_file.write_text(f"node,a,b\nx,0.5,{cell}\ny,0.5,{cell}\n")
+    assert main(["verify", str(graph_file), str(mech_file), "--epsilon", "1"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out == "valid\n"
+    else:
+        assert "line 2" in captured.err and "entries sum to" in captured.err
+
+
 def test_cmd_build_writes_no_mechanism_that_fails_verify(tmp_path, capsys):
     # At epsilon = 50 the float construction misses the budget on two
     # edges; build says so in verify's format and writes nothing.

@@ -12,7 +12,7 @@ import pytest
 import rainbowdp as r
 from helpers import child_env, path5_bc, path5_graph, random_budget, random_simplex, rng, sv
 from rainbowdp.cli.graphfile import parse_graph_file
-from rainbowdp.core import normalized_rows
+from rainbowdp.core import _not_close, normalized_rows
 
 
 def test_color_space_validation():
@@ -144,6 +144,12 @@ def test_dominates_examples():
     assert not r.dominates(y, x)
 
 
+@pytest.mark.parametrize("gap,expected", [(5e-13, True), (2e-12, False)])
+def test_dominates_tolerance_edge(gap, expected):
+    # A prefix may fall short by up to DEFAULT_TOL = 1e-12.
+    assert r.dominates(sv(0.3 - gap, 0.7 + gap), sv(0.3, 0.7)) == expected
+
+
 def test_dominates_length_mismatch():
     with pytest.raises(ValueError):
         r.dominates(sv(0.5, 0.5), sv(0.3, 0.3, 0.4))
@@ -214,6 +220,26 @@ def test_is_close_examples():
     assert r.is_close(p, p, r.PrivacyBudget(0.0, 0.0))
     assert r.is_close(p, sv(0.4, 0.2, 0.4), b)
     assert not r.is_close(sv(0.4, 0.2, 0.4), sv(0.7, 0.05, 0.25), b)
+
+
+@pytest.mark.parametrize("gap,expected", [(5e-13, True), (2e-12, False)])
+def test_is_close_tolerance_edge(gap, expected):
+    # The excess may top delta by up to DEFAULT_TOL = 1e-12.
+    budget = r.PrivacyBudget(0.0, 0.1)
+    assert r.is_close(sv(0.5, 0.5), sv(0.4 - gap, 0.6 + gap), budget) == expected
+
+
+def test_not_close_returns_both_margins_and_their_flags():
+    budget = r.PrivacyBudget(math.log(2.0), 0.1)
+    a = np.array([[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.9, 0.05, 0.05], [0.5, 0.5, 0.0]])
+    b = np.array([[0.2, 0.1, 0.7], [0.7, 0.05, 0.25], [0.1, 0.1, 0.8], [0.2, 0.4, 0.4]])
+    margins, over = _not_close(a, b, budget)
+    e = budget.exp_epsilon
+    for i, (p, q_) in enumerate(zip(r.SimplexVector.wrap(a), r.SimplexVector.wrap(b))):
+        assert margins[:, i].tolist() == [r.subset_excess(p, q_, e) - 0.1, r.subset_excess(q_, p, e) - 0.1]
+        assert over[:, i].any() != r.is_close(p, q_, budget)
+    # The third pair misses both ways, the fourth only from b back to a.
+    assert over.T.tolist() == [[False, False], [False, False], [True, True], [False, True]]
 
 
 def test_is_close_delta_zero_equals_per_element():

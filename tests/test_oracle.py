@@ -21,6 +21,13 @@ def test_bruteforce_identity_and_example_pair():
     assert not r.is_close_bruteforce(p, sv(0.7, 0.05, 0.25), budget)
 
 
+@pytest.mark.parametrize("gap,expected", [(5e-13, True), (2e-12, False)])
+def test_bruteforce_tolerance_edge(gap, expected):
+    # The worst subset may top delta by up to DEFAULT_TOL = 1e-12.
+    budget = r.PrivacyBudget(0.0, 0.1)
+    assert r.is_close_bruteforce(sv(0.5, 0.5), sv(0.4 - gap, 0.6 + gap), budget) == expected
+
+
 def test_bruteforce_alphabet_guard():
     q = 21
     p = r.SimplexVector(tuple(1.0 / q for _ in range(q)))

@@ -25,7 +25,8 @@ passes verify_dp, and so does its CSV parsed back, which equals it bit
 for bit. Chunk edges change no optimal row and no verify_dp violation;
 utility_eval adds as plain left-to-right floats do; and away from the
 tolerance band around delta, the shared closeness kernel gives the
-verdict of exact rational arithmetic through each of its callers."""
+verdict of exact rational arithmetic through each of its callers, and
+inside it every closeness check gives the kernel's verdict."""
 
 import math
 import tempfile
@@ -59,7 +60,7 @@ from helpers import (
     utility_eval_reference,
     verify_dp_reference,
 )
-from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, normalized_rows
+from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, _not_close, normalized_rows
 from rainbowdp.cli import graphfile
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
@@ -760,8 +761,6 @@ def _bits_or_error(build):
 def test_simplex_rows_equal_one_constructor_call_per_row(a):
     batch = _bits_or_error(lambda: normalized_rows(a).tolist())
     assert batch == _bits_or_error(lambda: [r.SimplexVector(tuple(row)).p for row in a])
-    # Into a given array, as fuzz normalizes its samples: the same bits.
-    assert batch == _bits_or_error(lambda: normalized_rows(a, np.full_like(a, 7.0)).tolist())
 
 
 def _violation_bits(report: r.DpReport):
@@ -998,7 +997,54 @@ def test_closeness_kernel_agrees_with_exact_arithmetic(case):
     bc = r.BoundaryCondition({ca: pv, cb: qv})
     assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
 
-    assert (not oracle._step_misses(np.array([pv.p]), np.array([qv.p]), budget)[0][0]) == close
+    assert (not _not_close(np.array([pv.p]), np.array([qv.p]), budget)[1].any()) == close
+
+
+def _threshold_band(budget: r.PrivacyBudget, width: int = 16) -> list[tuple[r.SimplexVector, r.SimplexVector]]:
+    """Row pairs (p, q) whose excess from p to q steps through delta +
+    1e-12 a few ulps at a time: p = (a, 1 - a) with a = 1.2 delta, q =
+    (c, 1 - c) for the 2 * width + 1 floats c around (a - delta - 1e-12)
+    / e^eps. Back from q to p the excess is 0 at eps > 0, and the same
+    in exact arithmetic at eps = 0."""
+    e = budget.exp_epsilon
+    a = 1.2 * budget.delta
+    lo = hi = (a - budget.delta - r.DEFAULT_TOL) / e
+    cs = [lo]
+    for _ in range(width):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        cs += [lo, hi]
+    rows = np.array([[a, 1.0 - a]] + [[c, 1.0 - c] for c in sorted(cs)])
+    p, *qs = r.SimplexVector.wrap(rows)
+    return [(p, qv) for qv in qs]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
+def test_every_closeness_check_gives_one_verdict_at_the_threshold(epsilon, delta):
+    # Within a few ulps of delta + 1e-12, verify_dp, the boundary check,
+    # fuzz's step check and is_close read the same comparison, so they
+    # agree on every pair, and the band holds pairs of both verdicts.
+    # (Where delta + 1e-12 rounds up, a test of the excess against that
+    # rounded sum accepts a pair whose margin is above 1e-12.)
+    budget = r.PrivacyBudget(epsilon, delta)
+    space = r.ColorSpace(("c0", "c1"))
+    ca, cb = r.Rainbow((0, 1)), r.Rainbow((1, 0))
+    same = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": ca}, space)
+    split = r.RainbowGraph(("a", "b"), {("a", "b")}, {"a": ca, "b": cb}, space)
+    verdicts = set()
+    for pv, qv in _threshold_band(budget):
+        close = r.is_close(pv, qv, budget)
+        verdicts.add(close)
+        mech = r.Mechanism(np.array([pv.p, qv.p]), [0, 1], same.nodes, space)
+        assert r.verify_dp(same, mech, budget).valid == close
+        bc = r.BoundaryCondition({ca: pv, cb: qv})
+        assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
+        # One fuzz trial whose start is p and whose operator step is q.
+        with mock.patch.object(oracle, "_start_rows", lambda draws: np.array([pv.p])), \
+                mock.patch.object(oracle, "t_step_rows", lambda rows, budget: np.array([qv.p])):
+            found = _fuzz(2, budget, 1, 0)
+        assert (found is None or not isinstance(found[2], _StepMiss)) == close
+    assert verdicts == {True, False}
 
 
 ETA = 1e-6
