@@ -82,8 +82,9 @@ def _budget_from_args(args, default_epsilon: float | None = None) -> PrivacyBudg
     if args.epsilon is not None:
         eps = args.epsilon
     elif args.e_epsilon is not None:
-        if args.e_epsilon < 1.0:
-            raise ValueError("--e-epsilon must be >= 1")
+        # NaN fails both compares and gets the second message.
+        if not 1.0 <= args.e_epsilon < math.inf:
+            raise ValueError("--e-epsilon must be >= 1" if args.e_epsilon < 1.0 else "--e-epsilon must be finite")
         eps = math.log(args.e_epsilon)
     else:
         eps = default_epsilon

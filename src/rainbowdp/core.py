@@ -148,9 +148,22 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _prefix_rows(rows: np.ndarray) -> np.ndarray:
+    """The prefix sums of each row of a 2-D array, added left to right one
+    column at a time: bit for bit what np.cumsum gives along the rows, in
+    the input's memory layout, so a column-major stack adds contiguous
+    columns."""
+    out = np.empty_like(rows)
+    out[:, :1] = rows[:, :1]
+    for k in range(1, rows.shape[1]):
+        np.add(out[:, k - 1], rows[:, k], out=out[:, k])
+    return out
+
+
 def _outside_window(a: np.ndarray) -> np.ndarray:
-    """The entries not finite or outside [0, 1] by more than NEGATIVE_WINDOW."""
-    return ~np.isfinite(a) | (a < -NEGATIVE_WINDOW) | (a > 1.0 + NEGATIVE_WINDOW)
+    """The entries not finite or outside [0, 1] by more than NEGATIVE_WINDOW
+    (NaN compares false, so it is outside)."""
+    return ~((a >= -NEGATIVE_WINDOW) & (a <= 1.0 + NEGATIVE_WINDOW))
 
 
 def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
@@ -161,7 +174,7 @@ def _first_bad_row(rows: np.ndarray) -> tuple[int, str] | None:
     total = _row_sums(rows)
     bad_sum = np.abs(total - 1.0) > ROW_SUM_TOL
     bad_entry = _outside_window(rows)
-    bad = bad_sum | bad_entry.any(axis=1)
+    bad = bad_sum | bad_entry.any(axis=1) if bad_entry.any() else bad_sum
     if not bad.any():
         return None
     i = int(np.argmax(bad))
@@ -187,15 +200,16 @@ def normalized_rows(a: np.ndarray) -> np.ndarray:
         raise ValueError("distribution needs at least 2 entries")
     out_of_range = _outside_window(a)
     # min(max(x, 0.0), 1.0) as Python evaluates it, so -0.0 stays -0.0.
-    rows = a.copy()
+    rows = a.copy(order="K")
     np.copyto(rows, 0.0, where=a < 0.0)
     np.copyto(rows, 1.0, where=rows > 1.0)
     total = _row_sums(rows)
-    bad_entry = out_of_range.any(axis=1)
-    bad = bad_entry | (np.abs(total - 1.0) > SUM_WINDOW)
+    bad = np.abs(total - 1.0) > SUM_WINDOW
+    if out_of_range.any():
+        bad |= out_of_range.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        if bad_entry[i]:
+        if out_of_range[i].any():
             x = float(a[i, int(np.argmax(out_of_range[i]))])
             raise ValueError(f"entry {x!r} outside [0, 1]")
         raise ValueError(f"entries sum to {float(total[i])!r}, not 1")

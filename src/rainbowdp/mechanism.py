@@ -17,10 +17,11 @@ exponential growth (with an affine drift rho = delta / (e^eps - 1)) up
 to a crossing step, then exponential approach to 1.
 
 Each is written once, on arrays: the operator in _t_step_prefix_rows
-(t_step_rows on distributions), the growth phase in _growth and the
-whole trajectory, on per-row starts, in _curve_rows. t_step is the
-operator's one-row case; every chain and every trajectory point goes
-through _curve_rows, a trajectory with every row on its one start.
+(t_step_rows on distributions, _steps_and_bound with their prefix bound
+g), the growth phase in _growth and the whole trajectory, on per-row
+starts, in _curve_rows. t_step is the operator's one-row case; every
+chain and every trajectory point goes through _curve_rows, a trajectory
+with every row on its one start.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     SimplexVector,
     _first_bad_row,
     _not_close,
+    _prefix_rows,
     _row_sums,
     normalized_rows,
     prefix_sums,
@@ -177,9 +179,17 @@ def _t_step_prefix_rows(s: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
 def t_step_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     """The operator on every row of a 2-D array of distributions in
     preference order, as a new array; row i depends on row i alone."""
+    return _steps_and_bound(rows, budget)[0]
+
+
+def _steps_and_bound(rows: np.ndarray, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
+    """t_step_rows(rows), and g(s), the operator's prefix map of each row's
+    prefix sums, which the steps are made from (the identity's steps at a
+    (0,0) budget)."""
+    g = _t_step_prefix_rows(_prefix_rows(rows), budget)
     if budget.epsilon == 0.0 and budget.delta == 0.0:
-        return np.array(rows, dtype=np.float64)
-    return normalized_rows(_distributions(_t_step_prefix_rows(np.cumsum(rows, axis=1), budget)))
+        return np.array(rows, dtype=np.float64), g
+    return normalized_rows(_distributions(g)), g
 
 
 def _tau(s0k: float, level: float, budget: PrivacyBudget, rho: float) -> float:
@@ -584,8 +594,8 @@ def utility_eval(
 def mechanism_dominates(graph: RainbowGraph, a: Mechanism, b: Mechanism) -> bool:
     """Nodewise dominance of mechanism a over b, compared on each node's
     rows in its preference order as stored, not renormalized."""
-    prefixes_a = np.cumsum(_preference_rows(graph, a), axis=1)
-    prefixes_b = np.cumsum(_preference_rows(graph, b), axis=1)
+    prefixes_a = _prefix_rows(_preference_rows(graph, a))
+    prefixes_b = _prefix_rows(_preference_rows(graph, b))
     return bool((prefixes_a >= prefixes_b - DEFAULT_TOL).all())
 
 

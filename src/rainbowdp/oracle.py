@@ -53,6 +53,7 @@ from .core import (
     Rainbow,
     SimplexVector,
     _not_close,
+    _prefix_rows,
     _require_same_length,
     _row_sums,
     is_close,
@@ -64,6 +65,7 @@ from .mechanism import (
     BoundaryCondition,
     DpReport,
     Mechanism,
+    _steps_and_bound,
     _t_step_prefix_rows,
     optimal_mechanism,
     t_step_rows,
@@ -135,19 +137,19 @@ def _witnesses(p: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     return w
 
 
-def _one_row(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray]:
-    """p as a one-row stack and its operator step. A step not close to p
-    is refused, as fuzz reports it: sample_close would hand it out as a
-    close sample."""
+def _one_row(p: SimplexVector, budget: PrivacyBudget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p as a one-row stack, its operator step and the step's prefix
+    bound g (_steps_and_bound). A step not close to p is refused, as fuzz
+    reports it: sample_close would hand it out as a close sample."""
     p_rows = np.array([p.p])
-    steps = t_step_rows(p_rows, budget)
+    steps, g = _steps_and_bound(p_rows, budget)
     margins, over = _not_close(p_rows, steps, budget)
     if over.any():
         raise ValueError(
             f"t_step(p) is not close to p at this budget (margin {float(margins.max()):.6g}); "
             "see ROADMAP.md item 2, large epsilon"
         )
-    return p_rows, steps
+    return p_rows, steps, g
 
 
 def _start_rows(draws: np.ndarray) -> np.ndarray:
@@ -176,7 +178,7 @@ def sample_close(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    p_rows, steps = _one_row(p, budget)
+    p_rows, steps, _ = _one_row(p, budget)
     rng = np.random.default_rng(seed)
     if budget.epsilon == 0.0 and budget.delta == 0.0:
         return p_rows
@@ -205,20 +207,24 @@ class Counterexample:
 _RowsStep = Callable[[np.ndarray, PrivacyBudget], np.ndarray]
 
 
-def _falsify(p_rows: np.ndarray, target: np.ndarray, budget: PrivacyBudget) -> tuple[int, Counterexample] | None:
-    """The dominance check on a stack of rows: the first row j whose
-    operator prefixes target[j] fall short of g(s_k) for some k by more
-    than DEFAULT_TOL, as (j, Counterexample) with its witness w_k at the
-    k of the largest shortfall, re-verified; or None."""
-    shortfall = _t_step_prefix_rows(np.cumsum(p_rows, axis=1), budget)
-    shortfall -= target
-    worst_k = np.argmax(shortfall, axis=1)
-    worst = np.take_along_axis(shortfall, worst_k[:, None], axis=1)[:, 0]
+def _falsify(
+    p_rows: np.ndarray, g: np.ndarray, target: np.ndarray, budget: PrivacyBudget,
+) -> tuple[int, Counterexample] | None:
+    """The dominance check on a stack of rows, given g(s) of their prefixes
+    (_steps_and_bound): the first row j whose operator prefixes target[j]
+    fall short of g(s_k) for some k by more than DEFAULT_TOL, as (j,
+    Counterexample) with its witness w_k at the k of the largest
+    shortfall, re-verified; or None."""
+    shortfall = g - target
+    # Each row's largest shortfall, as a running maximum over the columns.
+    worst = shortfall[:, 0].copy()
+    for k in range(1, shortfall.shape[1]):
+        np.maximum(worst, shortfall[:, k], out=worst)
     hits = worst > DEFAULT_TOL
     if not hits.any():
         return None
     j = int(np.argmax(hits))
-    k = int(worst_k[j])
+    k = int(np.argmax(shortfall[j]))
     p = SimplexVector.wrap(p_rows[j:j + 1])[0]
     vec = SimplexVector.wrap(_witnesses(p_rows[j], budget)[k:k + 1])[0]
     if not is_close(vec, p, budget):
@@ -245,8 +251,8 @@ def dominance_falsify(
     margin. As in sample_close, a budget at which t_step(p) is not close
     to p is a ValueError.
     """
-    p_rows, steps = _one_row(p, budget)
-    hit = _falsify(p_rows, np.cumsum(steps if step_rows is None else step_rows(p_rows, budget), axis=1), budget)
+    p_rows, steps, g = _one_row(p, budget)
+    hit = _falsify(p_rows, g, _prefix_rows(steps if step_rows is None else step_rows(p_rows, budget)), budget)
     return None if hit is None else hit[1]
 
 
@@ -269,27 +275,29 @@ def _fuzz(
     (trial, p, finding), or None. The finding is a _StepMiss when the
     real step t_step_rows(p) is not close to p (core._not_close), and
     otherwise the Counterexample of the dominance check (_falsify); a
-    trial with both reports the miss.
+    trial with both reports the miss. One _steps_and_bound call per block
+    gives both checks the real steps and the bound g.
 
     Trials run in blocks of _BLOCK_ROWS. The block from trial lo draws
     one row of q standard exponentials per trial from its own generator,
     default_rng((seed, lo)), and trial i starts from the Dirichlet draw
-    of its row (_start_rows). A generator's draws come out in sequence,
-    so a short last block is a prefix of a full one: a trial's finding
-    depends only on (seed, i, q), never on `trials` or on the other
-    trials.
+    of its row (_start_rows). The block is held column-major, so every
+    column op on it is contiguous; no bit depends on the layout. A
+    generator's draws come out in sequence, so a short last block is a
+    prefix of a full one: a trial's finding depends only on (seed, i, q),
+    never on `trials` or on the other trials.
     """
     for lo in range(0, trials, _BLOCK_ROWS):
-        draws = np.random.default_rng((seed, lo)).standard_exponential((min(_BLOCK_ROWS, trials - lo), q))
-        p_rows = _start_rows(draws)
-        steps = t_step_rows(p_rows, budget)
+        rng = np.random.default_rng((seed, lo))
+        p_rows = _start_rows(np.asfortranarray(rng.standard_exponential((min(_BLOCK_ROWS, trials - lo), q))))
+        steps, g = _steps_and_bound(p_rows, budget)
         margins, over = _not_close(p_rows, steps, budget)
         misses = over.any(axis=0)
         # Only the trials before the first miss are checked for dominance:
         # that trial reports its miss.
         j = int(np.argmax(misses)) if misses.any() else len(p_rows)
         outputs = steps[:j] if step_rows is None else step_rows(p_rows[:j], budget)
-        hit = _falsify(p_rows[:j], np.cumsum(outputs, axis=1), budget)
+        hit = _falsify(p_rows[:j], g[:j], _prefix_rows(outputs), budget)
         if hit is None and j < len(p_rows):
             hit = j, _StepMiss(SimplexVector.wrap(steps[j:j + 1])[0], float(margins[:, j].max()))
         if hit is not None:

@@ -23,6 +23,7 @@ from helpers import (
     tailed_grid_text,
     verify_dp_reference,
 )
+from rainbowdp import oracle
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli import graphfile
 from rainbowdp.cli import main as cli_main
@@ -1495,6 +1496,45 @@ def test_cmd_fuzz_golden_stdout(capsys, args, code, stdout):
     assert capsys.readouterr().out == stdout
 
 
+# (epsilon, delta, flags) of the findings grid: step misses of the real
+# operator at epsilon 9 and 10 (ROADMAP item 2), a clean run at 8, and
+# the delta-dropping mutant's catches down to delta = 1.5e-12.
+_FUZZ_GRID_BUDGETS = [
+    ("9", "0", []), ("10", "0.01", []), ("8", "0.01", []),
+    ("0.3", "0.01", ["--mutant-drop-delta"]), ("0.0001", "1e-7", ["--mutant-drop-delta"]),
+    ("0", "1.5e-12", ["--mutant-drop-delta"]),
+]
+
+
+def _fuzz_transcript(capsys, runs) -> str:
+    text = ""
+    for args in runs:
+        code = main(["fuzz", *args])
+        text += f"exit {code}\n{capsys.readouterr().out}"
+    return text
+
+
+def test_cmd_fuzz_findings_match_golden_hash(capsys, monkeypatch):
+    # Every finding's trial, p, witness or step, and margin over q in
+    # {2, 5, 8, 12} and seeds 1 and 22, then runs in blocks of 3 trials,
+    # where q = 12 misses a step at trial 295, in block 98 (taken before
+    # fuzz's block went column-major).
+    runs = [
+        ["--q", str(q), "--trials", "2000", "--seed", seed, "--epsilon", eps, "--delta", delta, *flags]
+        for q in (2, 5, 8, 12) for seed in ("1", "22") for eps, delta, flags in _FUZZ_GRID_BUDGETS
+    ]
+    text = _fuzz_transcript(capsys, runs)
+    assert text.count("result=counterexample") == 24 and text.count("result=step-not-close") == 16
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
+    blocks = _fuzz_transcript(capsys, [
+        ["--q", str(q), "--trials", "300", "--seed", "22", "--epsilon", "8", "--delta", "0.01"] for q in (5, 12)
+    ] + [["--q", "5", "--trials", "300", "--seed", seed, "--epsilon", "9", "--delta", "0"] for seed in ("1", "22")])
+    assert blocks.count("exit 5\n") == 3 and "result=step-not-close trial=295\n" in blocks
+    assert hashlib.sha256((text + blocks).encode()).hexdigest() == (
+        "1a867c2f412454a42b3cf8bee5d0bd25958424bad51bc355f10a63677ff50dad"
+    )
+
+
 def test_cmd_fuzz_reports_a_step_not_close_to_its_p(capsys):
     # At epsilon = 50 the operator's step loses the tail masses that
     # closeness needs (ROADMAP item 2): fuzz reports the first trial.
@@ -1635,6 +1675,25 @@ def test_input_errors_exit_1_with_one_line(tmp_path, capsys, command, text, erro
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-nan", "Infinity"])
+@pytest.mark.parametrize("command", ["build", "trajectory", "demo-no-optimal", "fuzz"])
+def test_a_non_finite_e_epsilon_is_refused_by_its_flag(tmp_path, capsys, command, value):
+    # NaN passes a test of < 1, so it reached PrivacyBudget, whose error
+    # names --epsilon, a flag not given.
+    graph = tmp_path / "ok.graph"
+    graph.write_text("colors a b\nnode x a b\nboundary a,b 0.5 0.5\n")
+    out = tmp_path / "out"
+    argv = {
+        "build": ["build", str(graph), "--out", str(out)],
+        "trajectory": ["trajectory", "--boundary", "0.5,0.5", "--out", str(out)],
+        "demo-no-optimal": ["demo-no-optimal"],
+        "fuzz": ["fuzz", "--q", "3", "--trials", "1"],
+    }[command]
+    assert main([*argv, f"--e-epsilon={value}"]) == 1
+    assert capsys.readouterr() == ("", "error: --e-epsilon must be finite\n")
     assert not out.exists()
 
 

@@ -8,7 +8,9 @@ graph file survives emit then parse, and neither its parse nor the
 optimal mechanism built from it depends on the order of the lines after
 `colors`; the parser's id-built graph is the one the string constructor
 makes of the file, and the graph or the error it gives is the line
-reader's, on emitted files and on hand-written forms and errors; the batch SimplexVector normalization, the array pass
+reader's, on emitted files and on hand-written forms and errors; the
+prefix-sum kernel is np.cumsum bit for bit, and the row kernels give the
+same bits or errors on C-order and column-major stacks; the batch SimplexVector normalization, the array pass
 of verify_dp and the dominance check on a stack of rows give, bit for
 bit, what their one-at-a-time definitions give (a fuzz block, the
 first step miss or dominance_falsify hit of its trials in order),
@@ -60,13 +62,16 @@ from helpers import (
     utility_eval_reference,
     verify_dp_reference,
 )
-from rainbowdp.core import NEGATIVE_WINDOW, SUM_WINDOW, _not_close, normalized_rows
+from rainbowdp.core import (
+    NEGATIVE_WINDOW, SUM_WINDOW, _first_bad_row, _not_close, _prefix_rows, normalized_rows,
+)
 from rainbowdp.cli import graphfile
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
 from rainbowdp.mechanism import (
-    _LOG_FORM_THRESHOLD, _curve_rows, _phases, _prefix_curve, _t_step_prefix_rows, t_step_rows,
+    _LOG_FORM_THRESHOLD, _curve_rows, _phases, _prefix_curve, _steps_and_bound, _t_step_prefix_rows,
+    t_step_rows,
 )
 from rainbowdp.oracle import _drop_delta_rows, _falsify, _fuzz, _StepMiss
 
@@ -217,6 +222,66 @@ def test_t_step_rows_is_t_step_on_every_row(seed, n, budget):
     assert _hexes(t_step_rows(rows, budget)) == _hexes(r.t_step(p, budget).p for p in ps)
 
 
+# IEEE edge cases for the row kernels: NaN, the infinities, -0.0,
+# subnormals and magnitudes whose sums overflow.
+special_floats = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e308, -1e308, 1.0]
+)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    # In C order, so that two layouts of the same values give the same bytes.
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(1, 16), st.data())
+def test_prefix_rows_is_cumsum_bit_for_bit(n, q, data):
+    # Column adds left to right give np.cumsum's bits, NaN payloads
+    # included, on C-order and column-major stacks, in the input's layout.
+    cells = data.draw(st.lists(special_floats | st.floats(), min_size=n * q, max_size=n * q))
+    rows = np.array(cells, dtype=np.float64).reshape(n, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _bits(np.cumsum(rows, axis=1))
+        for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+            got = _prefix_rows(layout)
+            assert _bits(got) == want
+            assert got.flags.f_contiguous == layout.flags.f_contiguous
+
+
+def _outcome(kernel, *args):
+    """A kernel's result as bytes, or its ValueError's message."""
+    try:
+        out = kernel(*args)
+    except ValueError as e:
+        return str(e)
+    return [_bits(x) if isinstance(x, np.ndarray) else x for x in (out if isinstance(out, tuple) else (out,))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.integers(2, 12), budgets, st.data())
+def test_row_kernels_do_not_depend_on_layout(n, q, budget, data):
+    # fuzz holds its block column-major and every other stack is C-order:
+    # each row kernel gives the same bits, or the same error, on both.
+    # A few entries are set to edge values, in or out of the window.
+    cells = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n * q, max_size=n * q))
+    a = np.array(cells, dtype=np.float64).reshape(n, q)
+    a /= a.sum(axis=1, keepdims=True)
+    edges = special_floats | st.sampled_from([-1e-6, -1e-10, 1.0 + 1e-10, 1.0 + 1e-6, 2.0, 0.5])
+    for i, k, x in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, q - 1), edges), max_size=3)):
+        if i < n:
+            a[i, k] = x
+    outcomes = []
+    for order in "CF":
+        x, y = np.asarray(a, order=order), np.asarray(a[::-1], order=order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes.append([
+                _outcome(normalized_rows, x), _outcome(t_step_rows, x, budget),
+                _outcome(_first_bad_row, x), _outcome(_not_close, x, y, budget),
+            ])
+    assert outcomes[0] == outcomes[1]
+
+
 # Budgets at and away from epsilon = 0 and delta = 0, and the tight one
 # of the deep-path bench workload.
 falsifier_budgets = st.sampled_from([
@@ -228,6 +293,12 @@ falsifier_budgets = st.sampled_from([
     r.PrivacyBudget(0.0, 0.0),
     r.PrivacyBudget(2.0, 1.0),
 ])
+
+
+def _injected_steps(step):
+    """oracle._steps_and_bound with step(rows) for its steps and the real
+    bound g."""
+    return lambda rows, budget: (step(rows), _steps_and_bound(rows, budget)[1])
 
 
 def _fuzz_replay(q, budget, trials, seed, step_rows=None):
@@ -295,10 +366,11 @@ def test_falsifier_block_is_its_one_trial_calls(seed, trials, budget, operator):
     step_rows = _OPERATORS[operator] or t_step_rows
     p_rows = np.array([p.p for p in ps])
     target = np.cumsum(step_rows(p_rows, budget), axis=1)
+    g = _steps_and_bound(p_rows, budget)[1]
     found = [r.dominance_falsify(p, budget, _OPERATORS[operator]) for p in ps]
     for start in range(trials):
         hits = [(j, ce) for j, ce in enumerate(found[start:]) if ce is not None]
-        assert _falsify(p_rows[start:], target[start:], budget) == (hits[0] if hits else None)
+        assert _falsify(p_rows[start:], g[start:], target[start:], budget) == (hits[0] if hits else None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -417,7 +489,7 @@ def test_sample_close_mixes_are_exactly_close_to_p(epsilon, delta, q, seed):
     budget = r.PrivacyBudget(epsilon, delta)
     g = rng(seed)
     p = random_simplex(g, q, zero_rate=0.3)
-    with mock.patch.object(oracle, "t_step_rows", lambda rows, budget: rows):
+    with mock.patch.object(oracle, "_steps_and_bound", _injected_steps(lambda rows: rows)):
         samples = r.sample_close(p, budget, 18, int(g.integers(2**40)))
     bound = Fraction(delta) + Fraction(1e-15)
     for row in samples[2:].tolist():
@@ -1041,7 +1113,7 @@ def test_every_closeness_check_gives_one_verdict_at_the_threshold(epsilon, delta
         assert (r.validate_boundary_condition(split, bc, budget) == ()) == close
         # One fuzz trial whose start is p and whose operator step is q.
         with mock.patch.object(oracle, "_start_rows", lambda draws: np.array([pv.p])), \
-                mock.patch.object(oracle, "t_step_rows", lambda rows, budget: np.array([qv.p])):
+                mock.patch.object(oracle, "_steps_and_bound", _injected_steps(lambda rows: np.array([qv.p]))):
             found = _fuzz(2, budget, 1, 0)
         assert (found is None or not isinstance(found[2], _StepMiss)) == close
     assert verdicts == {True, False}
