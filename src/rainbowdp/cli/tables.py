@@ -2,11 +2,17 @@
 
 Mechanism CSV cells are written as repr(float), the shortest decimal
 that reads back as the same float, so parsing a written mechanism gives
-it back bit for bit. Each slice of distinct rows is formatted by one %
-call with a %r per cell, and each block of distinct row texts is read
-by numpy's C reader (np.loadtxt), which parses a cell with the routine
-float() uses; float() stays the reference, and reads, cell by cell, a
-block numpy rejects, so it gives every parse error. Trajectory CSVs,
+it back bit for bit. Each distinct row is formatted once. A mechanism
+with fewer than _KERNEL_MIN_ROWS distinct rows is formatted a slice at a
+time by one % call with a %r per cell. A larger one goes through
+_repr_rows, an array kernel that finds repr's digits of every cell in
+[1e-4, 1) exactly with uint64 arithmetic and writes any other cell with
+repr itself, byte for byte the % path's text at about a third of its
+cost per cell; below the cutoff its fixed cost per call outweighs that.
+Each block of distinct row texts is read by numpy's C reader
+(np.loadtxt), which parses a cell with the routine float() uses;
+float() stays the reference, and reads, cell by cell, a block numpy
+rejects, so it gives every parse error. Trajectory CSVs,
 and the numbers the CLI prints, use fmt: 12 significant digits. Lines
 end in LF, so identical invocations produce byte-identical files.
 """
@@ -29,11 +35,17 @@ from ..mechanism import Mechanism, _node_rows
 # Text, or a text file, is split into lines this many characters at a time
 # (cut after a newline), so a parser never holds every line of a large file.
 _BLOCK_CHARS = 1 << 16
-# Distinct mechanism rows are read this many at a time, and formatted
-# _ROWS_PER_FORMAT at a time: a format slice's text is held whole, and the
-# smaller slice kept deep-path's bench peak RSS from rising.
+# Distinct mechanism rows are read this many at a time. A mechanism with
+# fewer than _KERNEL_MIN_ROWS distinct rows is formatted by % calls,
+# _ROWS_PER_FORMAT rows a call (each call's floats and text are held whole;
+# the smaller slice kept deep-path's bench peak RSS from rising); a larger
+# one by _repr_rows, whole rows of at most _KERNEL_CELLS cells a call, which
+# bounds its temporaries. The kernel's fixed cost per call made it slower
+# than % below about 50 rows of 4 or 8 cells, and 2.6x faster at 256.
 _ROWS_PER_READ = 4096
 _ROWS_PER_FORMAT = 512
+_KERNEL_MIN_ROWS = 256
+_KERNEL_CELLS = 2048
 # The most (t, k) cells of a trajectory, one CSV line each: `trajectory`
 # refuses to write more and `plot` to read more.
 MAX_TRAJECTORY_CELLS = 1 << 17
@@ -81,15 +93,22 @@ def mechanism_csv(graph: RainbowGraph, mech: Mechanism) -> str:
 def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
     """The header, then one row per node, _ROWS_PER_READ a block, in
     graph.name_order: repr(float) cells in canonical color order. Each row
-    of mech.rows is formatted once, by one % call per slice; a mechanism
-    not on the graph's nodes and colors raises ValueError."""
+    of mech.rows is formatted once, by one % call per slice or, on a large
+    mechanism, by _repr_rows; a mechanism not on the graph's nodes and
+    colors raises ValueError."""
     nodes, node_rows = graph.nodes, _node_rows(graph, mech).tolist()
     rows = mech.rows + 0.0  # turns -0.0 into 0.0, as fmt does
-    line = "," + ",".join(["%r"] * rows.shape[1]) + "\n"
+    if len(rows) < _KERNEL_MIN_ROWS:
+        line = "," + ",".join(["%r"] * rows.shape[1]) + "\n"
+        step = _ROWS_PER_FORMAT
+
+        def texts(part: np.ndarray) -> list[str]:
+            return (line * len(part) % tuple(part.ravel().tolist())).splitlines(True)
+    else:
+        texts, step = _repr_rows, max(1, _KERNEL_CELLS // rows.shape[1])
     cells: list[str] = []
-    for lo in range(0, len(rows), _ROWS_PER_FORMAT):
-        part = rows[lo:lo + _ROWS_PER_FORMAT]
-        cells += (line * len(part) % tuple(part.ravel().tolist())).splitlines(True)
+    for lo in range(0, len(rows), step):
+        cells += texts(rows[lo:lo + step])
     yield "node," + ",".join(graph.color_space.colors) + "\n"
     order = graph.name_order
     for lo in range(0, len(order), _ROWS_PER_READ):
@@ -97,6 +116,110 @@ def mechanism_csv_blocks(graph: RainbowGraph, mech: Mechanism) -> Iterator[str]:
         for i in order[lo:lo + _ROWS_PER_READ].tolist():
             parts += (nodes[i], cells[node_rows[i]])
         yield "".join(parts)
+
+
+def _digit_words() -> np.ndarray:
+    """The 4 ASCII digits of each of 0..9999 as one uint32, then the same
+    words with their trailing '0's made NUL bytes."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + np.uint8(ord("0"))
+    words = np.empty((2, 10_000, 4), dtype=np.uint8)
+    kept = np.zeros(10_000, dtype=bool)
+    for c in (3, 2, 1, 0):
+        kept |= digits[c] != ord("0")
+        words[0, :, c] = digits[c]
+        words[1, :, c] = digits[c] * kept
+    return words.view(np.uint32).ravel()
+
+
+_U = np.uint64
+_FIVES = np.array([5 ** s for s in range(17, 21)], dtype=_U)
+_TENS = np.array([10 ** j for j in range(18)], dtype=_U)
+_WORDS = _digit_words()
+# _STRIP[j]: the offset into _WORDS of each of the last 16 digits' words
+# (digits 16-13, 12-9, 8-5, 4-1) when the last j digits are trailing zeros.
+_STRIP = (np.arange(18)[:, None] >= np.array([12, 8, 4, 0])) * 10_000
+# _HEADS[10 t + d]: "," "0." t zeros and the digit d, right-aligned in 8 bytes.
+_HEADS = np.frombuffer(
+    b"".join((b",0." + b"0" * t + b"%d" % d).rjust(8, b"\0") for t in range(4) for d in range(10)), dtype=_U)
+
+
+def _repr_rows(rows: np.ndarray) -> list[str]:
+    """The texts ",c1,...,cq\\n" of the rows of a float64 matrix, each cell
+    c as repr(c) writes it.
+
+    repr writes a cell x in [1e-4, 1) as "0.", t = [x < 0.1] + [x < 0.01]
+    + [x < 0.001] zeros, then the shortest digits that read back as x,
+    nearest x among them, ties to even. These are found on uint64 arrays,
+    exactly. With x = m / 2**E (m < 2**53) and s = 17 + t, X = x 10**s =
+    m 5**s / 2**k with 36 <= k <= 46: m 5**s < 2**100 is built exactly as
+    a 128-bit pair from 32-bit limbs, and X's integer part (< 10**17) and
+    fraction are read off it. A decimal of at most 17 digits reads back as
+    x iff its value times 10**s is an integer in X's rounding interval,
+    X -+ h with h = 5**s / 2**(k + 1), 0.55 < h < 11.2. The interval's
+    ends have E + 1 > 20 decimal places, so no candidate is an end and it
+    does not matter whether the interval is open or closed; the only
+    powers of two here, 2**-1 ... 2**-13, have exact decimals of at most
+    13 digits, so the narrower gap below them never changes a text. With
+    L and H the least and greatest integers in the interval (L <= H, as
+    2h > 1, and all three below 10**17 in uint64), the shortest digits
+    are the multiples of 10**j in [L, H] for the largest such j, found a
+    power of ten at a time on the cells still in the search, and repr's
+    choice is the one nearest X, ties to the even multiple. Its 17 digits
+    are written through _HEADS and _WORDS, trailing zeros as NUL bytes.
+
+    Every other cell (0.0, 1.0, tails below 1e-4, any other float) is
+    written by repr into its place. Each cell fills a 32-byte slot, NUL
+    padded, which deleting the NUL bytes joins into the rows' text."""
+    n, q = rows.shape
+    x = rows.ravel()
+    fast = (x >= 1e-4) & (x < 1.0)
+    xs = np.where(fast, x, 0.5)
+    t = (xs < 0.1).astype(_U) + (xs < 0.01) + (xs < 0.001)
+    bits = xs.view(_U)
+    m = (bits & _U(2 ** 52 - 1)) | _U(2 ** 52)
+    k = _U(1075 - 17) - t - (bits >> _U(52))
+    five = _FIVES[t]
+    # m five = hi 2**64 + lo, and X = whole + frac / 2**k.
+    m1, m0, f1, f0 = m >> _U(32), m & _U(2 ** 32 - 1), five >> _U(32), five & _U(2 ** 32 - 1)
+    part, mid = m0 * f0, m1 * f0 + m0 * f1
+    lo = part + (mid << _U(32))
+    hi = m1 * f1 + (mid >> _U(32)) + (lo < part)
+    whole, frac = (hi << (_U(64) - k)) | (lo >> k), lo & ((_U(1) << k) - _U(1))
+    # The interval's ends in units of 2**-(k + 1), the lower one raised by
+    # 16 > h so that it stays positive.
+    twice = frac << _U(1)
+    high = whole + ((twice + five) >> (k + _U(1)))
+    low = whole - _U(15) + ((twice + (_U(16) << (k + _U(1))) - five) >> (k + _U(1)))
+    j, live = np.zeros(len(x), dtype=np.intp), np.arange(len(x))
+    for e in range(1, 17):
+        ten = _TENS[e]
+        live = live[high[live] // ten * ten >= low[live]]
+        if not len(live):
+            break
+        j[live] = e
+    ten = _TENS[j]
+    digit = whole // ten
+    down = digit * ten
+    # ahead > ten iff X is nearer down + ten than down, or halfway with an
+    # odd digit: ahead is 2 (X - down) rounded down, plus 1 if that drops a
+    # fraction or the digit is odd.
+    ahead = ((whole - down) << _U(1)) + (frac >> (k - _U(1)))
+    ahead += ((frac & ((_U(1) << (k - _U(1))) - _U(1))) != _U(0)) | (digit & _U(1)).astype(bool)
+    c = np.where((down < low) | ((ahead > ten) & (down + ten <= high)), down + ten, down)
+    lead, rest = np.divmod(c, _TENS[16])
+    # The other 16 digits as four 4-digit words, the first one first.
+    halves = np.stack(np.divmod(rest, _TENS[8]), axis=1)
+    words = np.stack(np.divmod(halves, _U(10_000)), axis=2).reshape(-1, 4).astype(np.intp) + _STRIP[j]
+    slots = np.zeros((n, q, 4), dtype=_U)
+    slots[:, :, 0] = _HEADS[(t * _U(10) + lead).astype(np.intp)].reshape(n, q)
+    slots.view(np.uint32)[:, :, 2:6] = _WORDS[words].reshape(n, q, 4)
+    slots.view(np.uint8)[:, -1, -1] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        cells = slots.view(np.uint8).reshape(n * q, 32)
+        cells[slow, :26] = np.array([b"\0," + repr(v).encode() for v in x[slow].tolist()], dtype="S26").view(
+            np.uint8).reshape(len(slow), 26)
+    return slots.tobytes().translate(None, b"\0").decode("ascii").splitlines(True)
 
 
 def _read_cells(cells: array, block: list[str], q: int) -> None:

@@ -212,26 +212,27 @@ def _falsify(
 ) -> tuple[int, Counterexample] | None:
     """The dominance check on a stack of rows, given g(s) of their prefixes
     (_steps_and_bound): the first row j whose operator prefixes target[j]
-    fall short of g(s_k) for some k by more than DEFAULT_TOL, as (j,
-    Counterexample) with its witness w_k at the k of the largest
-    shortfall, re-verified; or None."""
+    fall short of g(s_k) for some k by more than DEFAULT_TOL, and whose
+    witness w_k, at the k of the largest shortfall, beats target[j, k] by
+    more than DEFAULT_TOL with its own k-th prefix, as (j, Counterexample)
+    with w_k, re-checked to be close to p; or None. w_k's prefix and
+    g(s_k) differ by rounding, so a row that g alone puts past the
+    tolerance is passed over."""
     shortfall = g - target
     # Each row's largest shortfall, as a running maximum over the columns.
     worst = shortfall[:, 0].copy()
     for k in range(1, shortfall.shape[1]):
         np.maximum(worst, shortfall[:, k], out=worst)
     hits = worst > DEFAULT_TOL
-    if not hits.any():
-        return None
-    j = int(np.argmax(hits))
-    k = int(np.argmax(shortfall[j]))
-    p = SimplexVector.wrap(p_rows[j:j + 1])[0]
-    vec = SimplexVector.wrap(_witnesses(p_rows[j], budget)[k:k + 1])[0]
-    if not is_close(vec, p, budget):
-        raise RuntimeError("falsifier produced a sample that is not close to p")
-    if prefix_sums(vec)[k] <= target[j, k] + DEFAULT_TOL:
-        raise RuntimeError("falsifier counterexample failed re-verification")
-    return j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j]))
+    for j in np.flatnonzero(hits).tolist():
+        k = int(np.argmax(shortfall[j]))
+        p = SimplexVector.wrap(p_rows[j:j + 1])[0]
+        vec = SimplexVector.wrap(_witnesses(p_rows[j], budget)[k:k + 1])[0]
+        if not is_close(vec, p, budget):
+            raise RuntimeError("falsifier produced a sample that is not close to p")
+        if prefix_sums(vec)[k] > target[j, k] + DEFAULT_TOL:
+            return j, Counterexample(vector=vec, prefix_index=k, margin=float(worst[j]))
+    return None
 
 
 def dominance_falsify(
@@ -310,8 +311,9 @@ def _drop_delta_rows(rows: np.ndarray, budget: PrivacyBudget) -> np.ndarray:
     """Deliberately corrupted operator that forgets the +delta term, on
     every row.
 
-    Kept here for harness self-validation: when delta > 0 the dominance
-    check must catch this mutant on its first trial.
+    Kept here for harness self-validation: when delta is well above
+    DEFAULT_TOL the dominance check must catch this mutant on its first
+    trial.
     """
     return t_step_rows(rows, PrivacyBudget(budget.epsilon, 0.0))
 

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 CORE, MECH, ORACLE = "src/rainbowdp/core.py", "src/rainbowdp/mechanism.py", "src/rainbowdp/oracle.py"
+TABLES = "src/rainbowdp/cli/tables.py"
 IS_CLOSE = "return max(subset_excess(p, q_, e), subset_excess(q_, p, e)) - budget.delta <= DEFAULT_TOL"
 VERIFY_KERNEL = "_not_close(rows[lookup[chunk[:, 0]]], rows[lookup[chunk[:, 1]]], budget)"
 
@@ -92,6 +93,15 @@ MUTANTS = [
            "_falsify's running maximum starts at column 1"),
     Mutant(CORE, "    if out_of_range.any():\n        bad |= out_of_range.any(axis=1)\n", "",
            "normalized_rows never computes per-row bad entries"),
+    # The repr kernel of the mechanism CSV. Its interval's ends are never
+    # candidates and its powers of two are exact short decimals, so it has
+    # no closed-interval or power-of-two branch to break; these mutants
+    # move the ends themselves instead.
+    Mutant(TABLES, "- five) >> (k + _U(1)))", "- (five >> _U(1))) >> (k + _U(1)))",
+           "_repr_rows halves every cell's lower gap"),
+    Mutant(TABLES, " | (digit & _U(1)).astype(bool)", " | True", "_repr_rows rounds ties up, not to even"),
+    Mutant(TABLES, "low = whole - _U(15) +", "low = whole - _U(16) +",
+           "_repr_rows counts the integer below the interval as inside"),
 ]
 
 

@@ -618,6 +618,60 @@ def test_mechanism_csv_writes_each_cell_as_its_repr(q):
         assert mechanism_csv(graph, mech) == _repr_reference_csv(graph, mech)
 
 
+def test_repr_rows_writes_a_million_doubles_as_repr():
+    # The kernel's domain [1e-4, 1) as random bit patterns, random() draws,
+    # short decimals and every dyadic a / 2**n with n <= 17 (ties to even
+    # among them), odd dyadics up to 2**-21 (exact halves of the last
+    # digit), the neighbours of each decade and power of two, and finite
+    # floats of any bit pattern, which repr writes in the kernel's place.
+    g = rng(48)
+    ends = np.array([1e-4, 1.0]).view(np.uint64)
+    edges = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, *(2.0 ** -np.arange(1, 15))])
+    below, above = [edges], [edges]
+    for _ in range(3):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 2.0))
+    any_bits = g.integers(0, 2 ** 64 - 1, 150_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    values = np.concatenate([
+        g.integers(ends[0], ends[1], 300_000, dtype=np.uint64).view(np.float64),
+        g.random(150_000),
+        *(g.integers(1, 10 ** k, 10_000) / 10.0 ** k for k in range(1, 16)),
+        *(np.arange(1, 2 ** n, 2) / 2.0 ** n for n in range(1, 18)),
+        *((2 * g.integers(0, 2 ** (n - 1), 30_000) + 1) / 2.0 ** n for n in range(18, 22)),
+        *below, *above[1:],
+        [0.0, 1.0, -0.0 + 0.0],
+        any_bits[np.isfinite(any_bits)],
+    ])
+    assert len(values) >= 10 ** 6
+    # Eight cells a row and _KERNEL_CELLS a call, against repr cell by cell;
+    # a failure names the first row that differs.
+    rows = np.concatenate([values, np.full(-len(values) % 8, 0.5)]).reshape(-1, 8)
+    step = tables._KERNEL_CELLS // 8
+    got = [text for lo in range(0, len(rows), step) for text in tables._repr_rows(rows[lo:lo + step])]
+    want = ["," + ",".join(map(repr, row)) + "\n" for row in rows.tolist()]
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert len(got) == len(want) and bad is None, (got[bad], want[bad])
+
+
+def test_mechanism_csv_above_the_kernel_cutoff_writes_each_cell_as_its_repr():
+    # A mechanism with enough distinct rows for _repr_rows, whose rows
+    # hold tails below 1e-4, subnormals, 0.0, -0.0 and 1.0 among cells in
+    # the kernel's domain: the CSV is repr cell by cell.
+    count, q = 3 * tables._KERNEL_MIN_ROWS + 5, 5
+    g = rng(4)
+    rows = g.dirichlet(np.full(q, 0.3), count)
+    rows[::7, 0] = g.random(len(rows[::7])) * 1e-4
+    rows[::11, 1] = 5e-324
+    rows[::13, 2] = -0.0
+    rows[::17] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    rows[np.arange(count), rows.argmax(axis=1)] += 1.0 - rows.sum(axis=1)
+    assert 100 < ((rows < 1e-4) & (rows > 0.0)).sum()
+    names = [f"n{i:05d}" for i in range(count)]
+    graph = _bare_graph(tuple(f"c{k}" for k in range(q)), names)
+    mech = r.Mechanism(rows, g.permutation(count), graph.nodes, graph.color_space)
+    assert mechanism_csv(graph, mech) == _repr_reference_csv(graph, mech)
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -1348,6 +1402,19 @@ def test_cmd_fuzz_mutant_mode(capsys):
     out = capsys.readouterr().out
     assert "result=counterexample" in out
     assert '"margin"' in out
+
+
+@pytest.mark.parametrize("q,seed", [(2, 1), (5, 1), (12, 1), (5, 22), (8, 22), (12, 22)])
+def test_cmd_fuzz_mutant_mode_at_delta_near_the_tolerance(capsys, q, seed):
+    # At delta = 1e-12 the mutant's shortfall is near DEFAULT_TOL, and on
+    # some trials only g(s_k), not the witness's own prefix, puts it past
+    # the tolerance. Such a trial is no counterexample and is passed over:
+    # the run reports a later one or none, and raises nothing.
+    budget = ["--epsilon", "3", "--delta", "1e-12"]
+    code = main(["fuzz", "--q", str(q), "--trials", "2000", "--seed", str(seed), *budget, "--mutant-drop-delta"])
+    assert code in (0, 5)
+    out = capsys.readouterr().out
+    assert out.endswith("result=ok\n") if code == 0 else "result=counterexample" in out
 
 
 # Taken before sample_close and verify_dp moved to arrays; the bytes must

@@ -65,7 +65,7 @@ from helpers import (
 from rainbowdp.core import (
     NEGATIVE_WINDOW, SUM_WINDOW, _first_bad_row, _not_close, _prefix_rows, normalized_rows,
 )
-from rainbowdp.cli import graphfile
+from rainbowdp.cli import graphfile, tables
 from rainbowdp.cli.graphfile import GraphFile, GraphFileError, emit_graph_file, parse_graph_file
 from rainbowdp.cli.main import main
 from rainbowdp.cli.tables import mechanism_csv, parse_mechanism_csv
@@ -612,6 +612,17 @@ def test_parse_and_mechanism_ignore_line_order(seed, shuffler):
     mech = r.optimal_mechanism(gf.graph, gf.boundary, budget)
     mech_shuffled = r.optimal_mechanism(shuffled.graph, shuffled.boundary, budget)
     assert mechanism_csv(shuffled.graph, mech_shuffled) == mechanism_csv(gf.graph, mech)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(
+    st.one_of(st.floats(1e-4, 1.0, exclude_max=True), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=6,
+))
+def test_repr_rows_writes_every_finite_float_as_repr(row):
+    # The kernel's domain, [1e-4, 1), and any finite float (-0.0, 1.0,
+    # tails, subnormals, huge values), side by side in one row.
+    assert tables._repr_rows(np.array([row])) == ["," + ",".join(map(repr, row)) + "\n"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
